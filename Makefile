@@ -5,14 +5,18 @@
 build:
 	go build ./...
 
+# bench/ is its own module (./... does not reach it), so each target
+# names it explicitly.
 test:
 	go test ./...
+	go test -C bench ./...
 
 race:
 	go test -race ./...
 
 vet:
 	go vet ./...
+	go vet -C bench ./...
 
 # The pre-commit gate: vet + build + race-enabled tests.
 ci:

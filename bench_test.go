@@ -488,6 +488,30 @@ func BenchmarkFleetSearch(b *testing.B) {
 	}
 }
 
+// TestFleetSearchAllocCeiling caps the mallocs of one BenchmarkFleetSearch
+// search. The search runs on pooled int32 state and builds one string
+// Placement and one prediction map at the very end (~0.7k mallocs); when
+// every cell round-tripped through strings it took ~3.2k, so the ceiling
+// trips if a per-cell Placement, map or re-binding creeps back in.
+func TestFleetSearchAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 1500
+	req := benchFleetSearchRequest()
+	cfg := placement.Config{Iterations: 200, Restarts: 1, Cells: 50, ExchangeIters: 500, ExchangeWorkers: 2}
+	allocs := testing.AllocsPerRun(5, func() {
+		cfg.Seed++
+		if _, err := placement.Search(req, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("fleet search mallocs = %.0f per search, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("fleet search mallocs = %.0f per search", allocs)
+}
+
 // BenchmarkFleetSearchXL doubles every axis of BenchmarkFleetSearch —
 // 2000 applications, 8000 units, 10000 hosts in 100 cells — to catch
 // super-linear regressions the base benchmark's scale would hide.

@@ -3,8 +3,9 @@
 # (including the interfd daemon, the loadgen harness, and the benchdiff
 # tool), the full test suite with the race detector (which covers the
 # observability-plane handler tests in internal/obs and cmd/interfd),
-# the loadgen determinism smoke against a live serve-only daemon, and
-# the benchmark regression gate. Run it before every commit.
+# the bench/ module's own vet and unit tests, the loadgen determinism
+# smoke against a live serve-only daemon, and the benchmark regression
+# gate. Run it before every commit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -15,6 +16,11 @@ go build ./...
 go build -o /dev/null ./cmd/interfd ./cmd/loadgen ./cmd/benchdiff
 echo "== go test -race (incl. internal/obs + cmd/interfd handler tests) =="
 go test -race ./...
+echo "== bench module (vet + unit tests; its own go.mod, so ./... above skips it) =="
+# bench/ is the benchmark of record and drives the program through its
+# public surface (bench/surface.go); a refactor that breaks that surface
+# must fail here, not in the next benchmark run.
+go vet -C bench ./... && go test -C bench ./...
 echo "== go test -race -count=2 (determinism: placement/core/profile/fault/sim/measure/app/drift/experiments/serve/fleet/cluster) =="
 # The parallel placement search (flat and cell-sharded), the fault plan,
 # the measurement batch engine, the drift tracker, the experiment goldens

@@ -276,14 +276,23 @@ func (p *Placement) ValidateHosts(hosts ...int) error {
 // validateHost checks one host against the distinct-app limit without
 // allocating (the hot-path complement of HostApps).
 func (p *Placement) validateHost(h, limit int) error {
-	hs := p.slots[h]
+	if n := Distinct(p.slots[h], ""); n > limit {
+		return fmt.Errorf("cluster: host %d has %d distinct apps (max %d)", h, n, limit)
+	}
+	return nil
+}
+
+// Distinct counts the distinct non-empty values on one host's slot row —
+// the co-location rule's measure, shared by the string placement and the
+// int32 cell form the placement search runs on (where empty is -1).
+func Distinct[T comparable](row []T, empty T) int {
 	n := 0
-	for i, a := range hs {
-		if a == "" {
+	for i, a := range row {
+		if a == empty {
 			continue
 		}
 		dup := false
-		for _, b := range hs[:i] {
+		for _, b := range row[:i] {
 			if b == a {
 				dup = true
 				break
@@ -293,10 +302,7 @@ func (p *Placement) validateHost(h, limit int) error {
 			n++
 		}
 	}
-	if n > limit {
-		return fmt.Errorf("cluster: host %d has %d distinct apps (max %d)", h, n, limit)
-	}
-	return nil
+	return n
 }
 
 // String renders the placement as a compact host table.
@@ -346,15 +352,28 @@ func RandomValidLimit(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, deman
 // RandomValidDown is RandomValidLimit over a degraded cluster: slots on
 // hosts in the down set stay empty (crashed nodes). With an empty down
 // set it consumes the stream's draws identically to RandomValidLimit,
-// so fault-free callers see bit-identical placements.
+// so fault-free callers see bit-identical placements. It is the string
+// form of SampleCells: apps become ids in first-appearance order, the
+// sampler fills the cells, and the cells are named back.
 func RandomValidDown(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, demands []Demand, maxTries int, down map[int]bool) (*Placement, error) {
-	total := 0
+	var names []string
+	var units []int32
+	ids := make(map[string]int32, len(demands))
 	for _, d := range demands {
 		if d.Units <= 0 || d.App == "" {
 			return nil, fmt.Errorf("cluster: bad demand %+v", d)
 		}
-		total += d.Units
+		id, ok := ids[d.App]
+		if !ok {
+			id = int32(len(names))
+			ids[d.App] = id
+			names = append(names, d.App)
+		}
+		for i := 0; i < d.Units; i++ {
+			units = append(units, id)
+		}
 	}
+	var downHosts []bool
 	downN := 0
 	for h, isDown := range down {
 		if !isDown {
@@ -363,47 +382,97 @@ func RandomValidDown(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, demand
 		if h < 0 || h >= numHosts {
 			return nil, fmt.Errorf("cluster: down host %d out of range", h)
 		}
+		if downHosts == nil {
+			downHosts = make([]bool, numHosts)
+		}
+		downHosts[h] = true
 		downN++
 	}
 	surviving := (numHosts - downN) * slotsPerHost
-	if total > surviving {
+	if len(units) > surviving {
 		return nil, fmt.Errorf("cluster: %d units exceed %d surviving slots (%d of %d hosts down)",
-			total, surviving, downN, numHosts)
+			len(units), surviving, downN, numHosts)
 	}
+	p, err := NewPlacementLimit(numHosts, slotsPerHost, appsLimit)
+	if err != nil {
+		return nil, err
+	}
+	n := numHosts * slotsPerHost
+	buf := make([]int32, 2*n)
+	cells, perm := buf[:n], buf[n:]
+	if err := SampleCells(rng, cells, perm, slotsPerHost, p.AppsPerHostLimit(), units, downHosts, maxTries); err != nil {
+		return nil, err
+	}
+	p.fill(cells, names)
+	return p, nil
+}
+
+// SampleCells draws a random assignment of units satisfying the
+// co-location rule straight into cells — the flat host-major slot array
+// (-1 = empty) of a cluster with slotsPerHost slots per host — by
+// rejection sampling over random slot permutations. units lists one app
+// id per unit, in demand order, and must fit the surviving slots; limit
+// is the effective distinct-app limit; down (nil, or one flag per host)
+// marks crashed hosts, whose slots stay empty; perm is scratch of
+// len(cells). It fails after maxTries attempts (0 = 1000).
+func SampleCells(rng *sim.RNG, cells, perm []int32, slotsPerHost, limit int, units []int32, down []bool, maxTries int) error {
 	if maxTries <= 0 {
 		maxTries = 1000
 	}
-	units := make([]string, 0, total)
-	for _, d := range demands {
-		for i := 0; i < d.Units; i++ {
-			units = append(units, d.App)
-		}
-	}
 	for try := 0; try < maxTries; try++ {
-		p, err := NewPlacementLimit(numHosts, slotsPerHost, appsLimit)
-		if err != nil {
-			return nil, err
+		for i := range cells {
+			cells[i] = -1
 		}
 		// Walk the slot permutation in order, skipping crashed hosts'
 		// slots; with no down hosts the walk is exactly perm[0:len(units)],
 		// preserving the fault-free draw sequence.
-		perm := rng.Perm(numHosts * slotsPerHost)
+		rng.PermInto(perm)
 		i := 0
 		for _, pos := range perm {
 			if i == len(units) {
 				break
 			}
-			if down[pos/slotsPerHost] {
+			if down != nil && down[int(pos)/slotsPerHost] {
 				continue
 			}
-			p.slots[pos/slotsPerHost][pos%slotsPerHost] = units[i]
+			cells[pos] = units[i]
 			i++
 		}
-		if p.Validate() == nil {
-			return p, nil
+		valid := true
+		for base := 0; base < len(cells) && valid; base += slotsPerHost {
+			valid = Distinct(cells[base:base+slotsPerHost], -1) <= limit
+		}
+		if valid {
+			return nil
 		}
 	}
-	return nil, errors.New("cluster: could not sample a valid random placement")
+	return errors.New("cluster: could not sample a valid random placement")
+}
+
+// PlacementFromCells names a cell array back into a Placement: cell
+// value id becomes names[id], -1 stays empty. It is the one place the
+// search's int32 state crosses back to the string boundary format.
+func PlacementFromCells(numHosts, slotsPerHost, appsLimit int, cells []int32, names []string) (*Placement, error) {
+	p, err := NewPlacementLimit(numHosts, slotsPerHost, appsLimit)
+	if err != nil {
+		return nil, err
+	}
+	if len(cells) != numHosts*slotsPerHost {
+		return nil, fmt.Errorf("cluster: %d cells for %dx%d slots", len(cells), numHosts, slotsPerHost)
+	}
+	p.fill(cells, names)
+	return p, nil
+}
+
+// fill names the non-empty cells into p's slots.
+func (p *Placement) fill(cells []int32, names []string) {
+	for h, row := range p.slots {
+		for s, id := range cells[h*p.HostSlots : (h+1)*p.HostSlots] {
+			if id >= 0 {
+				row[s] = names[id]
+			}
+		}
+	}
 }
 
 // PackedPlacement builds the deterministic placement that fills hosts in

@@ -2,18 +2,20 @@
 // of its time hashing app names (scores/predictors map lookups, result
 // map writes) even with the open-addressed memo tables underneath. The
 // placement search fixes its app universe for a whole search, so the
-// names can be bound to dense indexes once — predictors and bubble
-// scores become slices, the placement mirrors into an int32 grid kept
-// in sync by the swap engine, and the per-proposal hot loop touches no
-// strings at all. Outputs are bit-identical to DeltaPredict: the scan
-// order, the CombineScores inputs, and the Predictor calls are the
-// same, only the keys changed representation.
+// names are bound to dense indexes once — predictors and bubble scores
+// become slices, the placement is an int32 grid the swap engine works on
+// directly, and the per-proposal hot loop touches no strings at all.
+// Outputs are bit-identical to DeltaPredict: the scan order, the
+// CombineScores inputs, and the Predictor calls are the same, only the
+// keys changed representation.
 
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cluster"
 )
@@ -24,13 +26,16 @@ import (
 // the score slice, Grid cells, and prediction output slices.
 type AppsIndex struct {
 	Apps  []string // index -> name
-	idx   map[string]int32
 	preds []Predictor
 	// scores[i] is the bubble score of app i; ok[i] records presence so
 	// an app that never appears as a co-runner may legally lack one
 	// (exactly the lazy error surface of the map-based path).
 	scores []float64
 	ok     []bool
+	// idx is the name -> index map behind IndexOf, built on first use:
+	// a search binds by position and never looks a name up.
+	idxOnce sync.Once
+	idx     map[string]int32
 }
 
 // NewAppsIndex resolves predictors and scores for apps, in order. A
@@ -40,7 +45,6 @@ type AppsIndex struct {
 func NewAppsIndex(apps []string, predictors map[string]Predictor, scores map[string]float64) (*AppsIndex, error) {
 	ix := &AppsIndex{
 		Apps:   apps,
-		idx:    make(map[string]int32, len(apps)),
 		preds:  make([]Predictor, len(apps)),
 		scores: make([]float64, len(apps)),
 		ok:     make([]bool, len(apps)),
@@ -54,21 +58,42 @@ func NewAppsIndex(apps []string, predictors map[string]Predictor, scores map[str
 		if s, ok := scores[a]; ok {
 			ix.scores[i], ix.ok[i] = s, true
 		}
-		ix.idx[a] = int32(i)
 	}
 	return ix, nil
 }
 
+// Sub rebinds dst to the sub-universe ids of ix: app i of dst is app
+// ids[i] of ix, with its predictor and score carried over by position —
+// no name is looked up. Ascending ids keep ix's app order, which is how
+// a cell of the hierarchical search gets its own dense index whose
+// sorted-app accumulation order matches a from-scratch binding of the
+// cell's apps. dst's storage is reused.
+func (ix *AppsIndex) Sub(dst *AppsIndex, ids []int32) {
+	*dst = AppsIndex{Apps: dst.Apps[:0], preds: dst.preds[:0], scores: dst.scores[:0], ok: dst.ok[:0]}
+	for _, id := range ids {
+		dst.Apps = append(dst.Apps, ix.Apps[id])
+		dst.preds = append(dst.preds, ix.preds[id])
+		dst.scores = append(dst.scores, ix.scores[id])
+		dst.ok = append(dst.ok, ix.ok[id])
+	}
+}
+
 // IndexOf returns the dense index of app, if bound.
 func (ix *AppsIndex) IndexOf(app string) (int32, bool) {
+	ix.idxOnce.Do(func() {
+		ix.idx = make(map[string]int32, len(ix.Apps))
+		for i, a := range ix.Apps {
+			ix.idx[a] = int32(i)
+		}
+	})
 	id, ok := ix.idx[app]
 	return id, ok
 }
 
-// Grid is the int32 mirror of a Placement over an AppsIndex: cell
-// (h, s) holds the dense index of the app occupying that slot, or -1
-// when the slot is empty. The placement search keeps it in lockstep
-// with its Placement by replaying every Swap.
+// Grid is a placement in index form over an AppsIndex: cell (h, s)
+// holds the dense index of the app occupying that slot, or -1 when the
+// slot is empty. It is the placement search's working state; NewGrid
+// mirrors an existing string Placement into it.
 type Grid struct {
 	Hosts, SlotsPerHost int
 	cells               []int32
@@ -76,16 +101,11 @@ type Grid struct {
 
 // NewGrid mirrors p onto ix's index space.
 func NewGrid(p *cluster.Placement, ix *AppsIndex) (*Grid, error) {
-	g := &Grid{
-		Hosts:        p.NumHosts,
-		SlotsPerHost: p.HostSlots,
-		cells:        make([]int32, p.NumHosts*p.HostSlots),
-	}
+	g := &Grid{}
+	g.Reset(p.NumHosts, p.HostSlots)
 	for h := 0; h < p.NumHosts; h++ {
-		row := p.Slots(h)
-		for s, a := range row {
+		for s, a := range p.Slots(h) {
 			if a == "" {
-				g.cells[h*p.HostSlots+s] = -1
 				continue
 			}
 			id, ok := ix.IndexOf(a)
@@ -97,6 +117,22 @@ func NewGrid(p *cluster.Placement, ix *AppsIndex) (*Grid, error) {
 	}
 	return g, nil
 }
+
+// Reset makes g an empty hosts x slotsPerHost grid (every cell -1),
+// reusing capacity.
+func (g *Grid) Reset(hosts, slotsPerHost int) {
+	g.Hosts, g.SlotsPerHost = hosts, slotsPerHost
+	n := hosts * slotsPerHost
+	g.cells = slices.Grow(g.cells[:0], n)[:n]
+	for i := range g.cells {
+		g.cells[i] = -1
+	}
+}
+
+// Cells returns the flat host-major cell array itself, for bulk fills
+// (the random sampler, the cell-to-fleet merge) and snapshots. Writers
+// must rebuild any Postings over g afterwards.
+func (g *Grid) Cells() []int32 { return g.cells }
 
 // Swap exchanges two cells, mirroring cluster.Placement.Swap.
 func (g *Grid) Swap(hostA, slotA, hostB, slotB int) {
@@ -110,15 +146,8 @@ func (g *Grid) Row(h int) []int32 {
 	return g.cells[h*g.SlotsPerHost : (h+1)*g.SlotsPerHost]
 }
 
-// Cell returns the app index at flat position i (-1 when empty).
-func (g *Grid) Cell(i int) int32 { return g.cells[i] }
-
-// AppendCells appends the full cell array to dst and returns it — the
-// allocation-free snapshot primitive behind the search's best-state
-// bookkeeping.
-func (g *Grid) AppendCells(dst []int32) []int32 {
-	return append(dst, g.cells...)
-}
+// Cell returns the app index in slot s of host h (-1 when empty).
+func (g *Grid) Cell(h, s int) int32 { return g.cells[h*g.SlotsPerHost+s] }
 
 // CopyFrom makes g an independent copy of src, reusing capacity. The
 // speculative exchange workers resynchronize their grids from the

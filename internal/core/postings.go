@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Postings maps each dense app index to the ascending flat grid
@@ -38,14 +39,8 @@ func NewPostings(g *Grid, napps int) *Postings {
 
 // Rebuild recomputes the postings from scratch, reusing capacity.
 func (p *Postings) Rebuild(g *Grid, napps int) {
-	if cap(p.off) >= napps+1 {
-		p.off = p.off[:napps+1]
-	} else {
-		p.off = make([]int32, napps+1)
-	}
-	for i := range p.off {
-		p.off[i] = 0
-	}
+	p.off = slices.Grow(p.off[:0], napps+1)[:napps+1]
+	clear(p.off)
 	for _, id := range g.cells {
 		if id >= 0 {
 			p.off[id+1]++
@@ -55,17 +50,8 @@ func (p *Postings) Rebuild(g *Grid, napps int) {
 		p.off[i] += p.off[i-1]
 	}
 	total := int(p.off[napps])
-	if cap(p.pos) >= total {
-		p.pos = p.pos[:total]
-	} else {
-		p.pos = make([]int32, total)
-	}
-	if cap(p.cur) >= napps {
-		p.cur = p.cur[:napps]
-	} else {
-		p.cur = make([]int32, napps)
-	}
-	copy(p.cur, p.off[:napps])
+	p.pos = slices.Grow(p.pos[:0], total)[:total]
+	p.cur = append(p.cur[:0], p.off[:napps]...)
 	for c, id := range g.cells {
 		if id < 0 {
 			continue

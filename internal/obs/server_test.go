@@ -378,12 +378,22 @@ func TestDriftAndDecisionsEndpoints(t *testing.T) {
 // ends, returning the decoded events.
 func sseCollect(t *testing.T, body io.Reader, want int) []Event {
 	t.Helper()
+	out, err := sseRead(body, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sseRead is sseCollect for goroutines other than the test's own: it
+// reports a short or malformed stream as an error instead of failing t.
+func sseRead(body io.Reader, want int) ([]Event, error) {
 	reader := bufio.NewReader(body)
 	var out []Event
 	for len(out) < want {
 		line, err := reader.ReadString('\n')
 		if err != nil {
-			t.Fatalf("stream ended early after %d events: %v", len(out), err)
+			return out, fmt.Errorf("stream ended early after %d events: %w", len(out), err)
 		}
 		line = strings.TrimRight(line, "\n")
 		if !strings.HasPrefix(line, "data: ") {
@@ -391,11 +401,11 @@ func sseCollect(t *testing.T, body io.Reader, want int) []Event {
 		}
 		var ev Event
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("data line %q is not an Event: %v", line, err)
+			return out, fmt.Errorf("data line %q is not an Event: %w", line, err)
 		}
 		out = append(out, ev)
 	}
-	return out
+	return out, nil
 }
 
 // TestSSEConcurrentSubscribers runs several SSE clients at once while the

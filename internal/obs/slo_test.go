@@ -300,31 +300,63 @@ func TestSLOBreachSSESlowConsumer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	const events = 200
-	fastDone := make(chan []Event, 1)
-	go func() { fastDone <- sseCollect(t, resp.Body, events/2) }()
+	// Publish until at least `events` breaches are out AND the fast
+	// client has its quota. The fast client's buffer is as small and as
+	// lossy as the stalled one's, so under CPU contention it can miss
+	// more than half of any fixed number of events; a fixed count would
+	// leave the collector waiting forever.
+	const events, quota = 200, 100
+	type collected struct {
+		events []Event
+		err    error
+	}
+	fastDone := make(chan collected, 1)
+	go func() {
+		evs, err := sseRead(resp.Body, quota)
+		fastDone <- collected{evs, err}
+	}()
 
-	start := time.Now()
-	for i := 0; i < events; i++ {
-		if br := tracker.Observe(0.3); br == nil {
-			t.Fatalf("observation %d did not breach", i)
+	var got collected
+	published, done := 0, false
+	deadline = time.Now().Add(10 * time.Second)
+	for published < events || !done {
+		if time.Now().After(deadline) {
+			cancel() // fail fast: ends the stream under the collector
+			if !done {
+				got = <-fastDone
+			}
+			t.Fatalf("after %d breaches in 10s the fast client has %d of %d events: %v",
+				published, len(got.events), quota, got.err)
 		}
-		if i%10 == 0 {
+		start := time.Now()
+		if br := tracker.Observe(0.3); br == nil {
+			t.Fatalf("observation %d did not breach", published)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("breach %d took %v to publish — Observe blocked on the stalled subscriber", published, elapsed)
+		}
+		published++
+		if published%10 == 0 {
 			time.Sleep(time.Millisecond) // let the fast client drain
 		}
+		if !done {
+			select {
+			case got = <-fastDone:
+				done = true
+			default:
+			}
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("publishing %d breaches took %v — Observe blocked on the stalled subscriber", events, elapsed)
+	if got.err != nil {
+		t.Fatal(got.err)
 	}
-
-	got := <-fastDone
-	for i, ev := range got {
+	for i, ev := range got.events {
 		if ev.Type != EventSLOBreach {
 			t.Fatalf("fast client event %d type = %q, want %q", i, ev.Type, EventSLOBreach)
 		}
 	}
-	if d := bus.Dropped(); d < events-4 {
-		t.Errorf("dropped = %d, want >= %d (stalled subscriber buffers only 4)", d, events-4)
+	if d := bus.Dropped(); d < uint64(published-4) {
+		t.Errorf("dropped = %d, want >= %d (stalled subscriber buffers only 4)", d, published-4)
 	}
 }
 

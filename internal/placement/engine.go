@@ -1,26 +1,28 @@
-// The incremental evaluation engine behind Search. A swap proposal
-// touches at most two hosts, so instead of cloning the placement and
-// re-predicting every application from scratch, each restart keeps a
-// per-app prediction slice, applies the swap in place, re-predicts only
-// the applications with units on the touched hosts (core.DeltaPredictPos
-// over per-app unit postings, memoized by core.PredictionCache), and
-// undoes the swap on rejection. Restarts are independent — each draws
-// from its own StreamN("restart", i) RNG — so they run one goroutine
-// each and are merged in restart order, making the result bit-identical
-// to a serial sweep.
+// The index-native annealing engine behind Search. A request is bound to
+// dense app indexes once (bind); from there to the single final
+// materialize the whole search state is the int32 core.Grid, its per-app
+// core.Postings and a prediction slice — no cluster.Placement, string or
+// map. A restart samples its initial placement straight into grid cells
+// (cluster.SampleCells, which cluster.RandomValidDown wraps), then
+// proposes, validates, evaluates and undoes swaps on the grid alone: a
+// swap touches at most two hosts, so only the apps with units there are
+// re-predicted (core.DeltaPredictPos, memoized by a core.PredictionCache)
+// and a rejected swap is swapped back.
 //
-// Best-so-far states are kept compact: instead of cloning the
-// cluster.Placement and building a fresh prediction map on every
-// improvement (at fleet scale that clone was ~3/4 of the whole search's
-// allocations), an improvement memcpys the int32 grid and the
-// prediction slice into reusable buffers, and only the winning state is
-// materialized into a Placement + map once, after the merge.
+// One routine serves both scales: the flat search is one problem covering
+// the whole request; the hierarchical search (hier.go) runs one problem
+// per cell on a sub-index sliced from the request's, and its exchange
+// phase drives the same walk over the fleet-wide grid. Restarts are
+// independent — each draws from its own StreamN("restart", i) seed — so
+// they run one goroutine each and are merged in restart order, making
+// the result bit-identical to a serial sweep.
 
 package placement
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -43,7 +45,77 @@ func releaseCache(c *core.PredictionCache) {
 	cachePool.Put(c)
 }
 
-// bestSnap is the comparable skeleton of a best-so-far Result, recorded
+// workspace is the pooled storage of one walk (or one cell's set-up).
+// Like cachePool it recycles capacity only: every field is overwritten
+// before it is read, so reuse cannot perturb a trajectory.
+type workspace struct {
+	e     incEval
+	best  bestState
+	units []int32 // sampler: one app id per unit, demand order
+	perm  []int32 // sampler: permutation scratch
+	// The walk's two streams: proposals and initial sampling for a
+	// restart, geometry and acceptance for the exchange.
+	draw, aux sim.RNG
+	// Cell set-up: the cell's app ids in the request's index, its
+	// sub-index, and its demands and down flags in local terms.
+	ids    []int32
+	sub    core.AppsIndex
+	demand []appUnits
+	down   []bool
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+func acquireWorkspace() *workspace {
+	ws := workspacePool.Get().(*workspace)
+	ws.best.have = false
+	return ws
+}
+
+func releaseWorkspace(ws *workspace) {
+	if ws.e.cache != nil {
+		releaseCache(ws.e.cache)
+		ws.e.cache = nil
+	}
+	workspacePool.Put(ws)
+}
+
+// streamSeed is the seed to Reset a pooled RNG onto Stream(name) of seed.
+func streamSeed(seed int64, name string) int64 { return sim.NewRNG(seed).Stream(name).Seed() }
+
+// appUnits is one demand in index form.
+type appUnits struct {
+	id    int32
+	units int
+}
+
+// problem is one annealing problem in index form: a whole request (the
+// flat search, the exchange phase) or one cell of it.
+type problem struct {
+	ix           *core.AppsIndex // the problem's apps, sorted by name
+	demand       []appUnits      // units to place, in request order
+	hosts, slots int
+	limit        int    // effective distinct-app limit per host
+	down         []bool // per host; nil when no host is down
+	qos          *QoS   // nil when unconstrained or the QoS app is not in ix
+	qosIdx       int32  // the QoS app's index in ix when qos != nil
+}
+
+// sample draws a random valid initial placement into ws.e.grid.
+func (p *problem) sample(ws *workspace, rng *sim.RNG) error {
+	g := &ws.e.grid
+	g.Reset(p.hosts, p.slots)
+	ws.units = ws.units[:0]
+	for _, d := range p.demand {
+		for i := 0; i < d.units; i++ {
+			ws.units = append(ws.units, d.id)
+		}
+	}
+	ws.perm = slices.Grow(ws.perm[:0], len(g.Cells()))[:len(g.Cells())]
+	return cluster.SampleCells(rng, g.Cells(), ws.perm, p.slots, p.limit, ws.units, p.down, 0)
+}
+
+// bestSnap is the comparable skeleton of a best-so-far state, recorded
 // per step so multi-restart telemetry can be replayed in serial order.
 type bestSnap struct {
 	obj   float64
@@ -55,64 +127,23 @@ type bestSnap struct {
 // the top of the step (before the step's proposal is processed).
 type stepEmit func(it int, temp float64, bs bestSnap)
 
-// bestState is the compact best-so-far record of one search loop: the
+// bestState is the compact best-so-far record of one walk: the
 // objective/feasibility skeleton plus raw grid cells and predictions,
-// copied into reusable buffers on each improvement. materialize builds
-// the public Result (Placement + prediction map) from it exactly once.
+// copied into reusable buffers on each improvement.
 type bestState struct {
-	have         bool
-	obj          float64
-	qosOK        bool
-	apps         []string // engine's app universe (shared, read-only)
-	hosts, slots int
-	cells        []int32
-	pred         []float64
-}
-
-// note records the engine's current state as the new best.
-func (b *bestState) note(e *incEval, obj float64, qosOK bool) {
-	b.have, b.obj, b.qosOK = true, obj, qosOK
-	b.apps = e.apps
-	b.hosts, b.slots = e.grid.Hosts, e.grid.SlotsPerHost
-	b.cells = e.grid.AppendCells(b.cells[:0])
-	b.pred = append(b.pred[:0], e.pred...)
+	have  bool
+	obj   float64
+	qosOK bool
+	cells []int32
+	pred  []float64
 }
 
 // snap returns the comparable skeleton.
 func (b *bestState) snap() bestSnap { return bestSnap{obj: b.obj, qosOK: b.qosOK} }
 
-// materialize builds the Result for the recorded state. appsLimit is
-// the request's per-host distinct-app limit (the materialized placement
-// must carry the same limit a cloned search placement would have).
-func (b *bestState) materialize(appsLimit int) (Result, error) {
-	if !b.have {
-		return Result{}, errors.New("placement: no best state recorded")
-	}
-	p, err := cluster.NewPlacementLimit(b.hosts, b.slots, appsLimit)
-	if err != nil {
-		return Result{}, err
-	}
-	for c, id := range b.cells {
-		if id < 0 {
-			continue
-		}
-		if err := p.Set(c/b.slots, c%b.slots, b.apps[id]); err != nil {
-			return Result{}, err
-		}
-	}
-	pred := make(map[string]float64, len(b.apps))
-	for i, a := range b.apps {
-		pred[a] = b.pred[i]
-	}
-	return Result{Placement: p, Predicted: pred, Objective: b.obj, QoSSatisfied: b.qosOK}, nil
-}
-
-// restartOutcome is everything one restart produces: its compact local
-// best, the counters a serial instrumented run would have accumulated,
-// and (when recording) the per-step best snapshots for deterministic
-// replay.
-type restartOutcome struct {
-	bs        bestState
+// tally is what one walk did: the counters a serial instrumented run
+// would have accumulated.
+type tally struct {
 	evals     int
 	proposals uint64
 	accepted  uint64
@@ -123,8 +154,29 @@ type restartOutcome struct {
 	chits     uint64 // combine-memo hits
 	cmisses   uint64 // combine-memo misses
 	finalTemp float64
-	bests     []bestSnap
-	err       error
+}
+
+// add folds the counters of o into t (finalTemp is per-walk, not summed).
+func (t *tally) add(o *tally) {
+	t.evals += o.evals
+	t.proposals += o.proposals
+	t.accepted += o.accepted
+	t.rejected += o.rejected
+	t.invalid += o.invalid
+	t.hits += o.hits
+	t.misses += o.misses
+	t.chits += o.chits
+	t.cmisses += o.cmisses
+}
+
+// restartOutcome is everything one restart produces: its workspace
+// (holding the compact local best), its tally, and (when recording) the
+// per-step best snapshots for deterministic replay.
+type restartOutcome struct {
+	tally
+	ws    *workspace
+	bests []bestSnap
+	err   error
 }
 
 // betterSnap reports whether cand should replace best under the
@@ -143,92 +195,54 @@ func betterSnap(qosEnabled bool, sign float64, cand, best bestSnap) bool {
 	}
 }
 
-// incEval evaluates placements incrementally: it owns the current
-// per-app prediction slice, a candidate mirror, and the memo cache. The
-// app list is fixed for the whole search (swaps conserve units), so
-// apps bind to dense indexes once (core.AppsIndex) and the placement
-// mirrors into an int32 grid — plus per-app unit postings — that the
-// swap loop keeps in sync; the per-proposal path never hashes a string
-// and never scans the full cluster. The weighted objective is
-// accumulated in the same sorted-app order as Objective —
-// bit-identical to a full evaluate.
+// incEval evaluates a grid incrementally: it owns the grid, the per-app
+// unit postings kept in lockstep with it, the current per-app prediction
+// slice, a candidate mirror, and the memo cache. The weighted objective
+// is accumulated in index order — sorted-app order, the order Objective
+// uses — so it is bit-identical to a full evaluate.
 type incEval struct {
-	req    Request
-	qos    *QoS
-	qosIdx int32 // index of the QoS app, -1 when absent (or no QoS)
-	apps   []string
-	units  []float64 // parallel to apps
-	weight float64   // total units, accumulated in apps order
 	ix     *core.AppsIndex
-	grid   *core.Grid     // int32 mirror of the search's placement
-	pst    *core.Postings // per-app unit positions, in lockstep with grid
-	pred   []float64      // predictions for the current state, by app index
-	cand   []float64      // mirror of pred with the proposal's deltas
+	qos    *QoS
+	qosIdx int32
+	limit  int
+	grid   core.Grid
+	pst    core.Postings
+	units  []float64 // unit count per app
+	weight float64   // total units, accumulated in index order
+	pred   []float64 // predictions for the current state, by app index
+	cand   []float64 // mirror of pred with the proposal's deltas
 	cache  *core.PredictionCache
-	// pending proposal scratch: the touched apps and the grid swap to
-	// undo on reject.
+	// pending proposal scratch: the touched apps and the swap to undo on
+	// reject.
 	affected       []int32
 	pendHA, pendSA int
 	pendHB, pendSB int
 }
 
-// newIncEval fully predicts the initial placement (seeding the memo
-// cache) and fixes the app/unit weights and index binding. The cache
-// comes from the shared pool; callers release it via e.release() once
-// they have read its stats.
-func newIncEval(p *cluster.Placement, req Request, qos *QoS) (*incEval, error) {
-	apps := p.Apps()
-	if len(apps) == 0 {
-		return nil, errors.New("placement: empty placement")
+// start binds the engine to p over the cells already in e.grid: it
+// builds the postings and unit weights and fully predicts the state,
+// seeding the memo cache (pooled; released with the workspace).
+func (e *incEval) start(p *problem) error {
+	n := len(p.ix.Apps)
+	e.ix, e.qos, e.qosIdx, e.limit = p.ix, p.qos, p.qosIdx, p.limit
+	e.pst.Rebuild(&e.grid, n)
+	if e.cache == nil {
+		e.cache = acquireCache()
 	}
-	ix, err := core.NewAppsIndex(apps, req.Predictors, req.Scores)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := core.NewGrid(p, ix)
-	if err != nil {
-		return nil, err
-	}
-	e := &incEval{
-		req:    req,
-		qos:    qos,
-		qosIdx: -1,
-		apps:   apps,
-		units:  make([]float64, len(apps)),
-		ix:     ix,
-		grid:   grid,
-		pst:    core.NewPostings(grid, len(apps)),
-		pred:   make([]float64, len(apps)),
-		cand:   make([]float64, len(apps)),
-		cache:  acquireCache(),
-	}
-	all := make([]int32, len(apps))
-	for i, a := range apps {
-		// Unit counts come from the postings built off one grid pass —
-		// the old per-app Placement.UnitsOf full scans were over half the
-		// engine-construction bill at fleet scale.
+	e.units, e.pred, e.cand, e.affected = e.units[:0], e.pred[:0], e.cand[:0], e.affected[:0]
+	e.weight = 0
+	for i := 0; i < n; i++ {
 		w := float64(e.pst.Units(int32(i)))
-		e.units[i] = w
+		e.units = append(e.units, w)
 		e.weight += w
-		all[i] = int32(i)
-		if qos != nil && a == qos.App {
-			e.qosIdx = int32(i)
-		}
+		e.pred = append(e.pred, 0)
+		e.affected = append(e.affected, int32(i))
 	}
-	if err := core.DeltaPredictPos(grid, e.pst, all, ix, e.cache, e.pred); err != nil {
-		return nil, err
+	if err := core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, e.cache, e.pred); err != nil {
+		return err
 	}
-	copy(e.cand, e.pred)
-	return e, nil
-}
-
-// release returns the engine's cache to the pool. The engine must not
-// be used afterwards.
-func (e *incEval) release() {
-	if e.cache != nil {
-		releaseCache(e.cache)
-		e.cache = nil
-	}
+	e.cand = append(e.cand, e.pred...)
+	return nil
 }
 
 // objective computes the unit-weighted mean of the given predictions in
@@ -241,11 +255,9 @@ func (e *incEval) objective(pred []float64) float64 {
 	return total / e.weight
 }
 
-// energy adds the QoS penalty to an objective, as evaluate does (no
-// penalty when the QoS app is absent, matching the map lookup it
-// replaces).
+// energy adds the QoS penalty to an objective, as evaluate does.
 func (e *incEval) energy(obj float64, pred []float64) float64 {
-	if e.qos != nil && e.qosIdx >= 0 {
+	if e.qos != nil {
 		if excess := pred[e.qosIdx] - e.qos.MaxNormalized; excess > 0 {
 			return obj + qosPenaltyWeight*excess
 		}
@@ -253,54 +265,60 @@ func (e *incEval) energy(obj float64, pred []float64) float64 {
 	return obj
 }
 
-// qosValue is the current prediction of the QoS app (0 when absent —
-// the value the old map lookup produced).
-func (e *incEval) qosValue() float64 {
-	if e.qosIdx < 0 {
-		return 0
-	}
-	return e.pred[e.qosIdx]
+// qosOK reports whether the current state meets the QoS constraint
+// (vacuously true without one).
+func (e *incEval) qosOK() bool {
+	return e.qos == nil || e.pred[e.qosIdx] <= e.qos.MaxNormalized
 }
 
-// evalSwapped applies the pending swap (ha,sa)<->(hb,sb) to the grid
-// mirror (and postings) and re-predicts only the apps with units on the
-// touched hosts. The deltas live in e.cand — and the swap in
-// e.grid/e.pst — until accept or reject is called (exactly one of which
-// must follow).
-func (e *incEval) evalSwapped(ha, sa, hb, sb int) (obj, energy float64, err error) {
+// swap exchanges two slots on the grid and its postings; it is its own
+// inverse.
+func (e *incEval) swap(ha, sa, hb, sb int) {
 	e.grid.Swap(ha, sa, hb, sb)
-	e.pst.Swap(e.grid, ha, sa, hb, sb)
-	e.pendHA, e.pendSA, e.pendHB, e.pendSB = ha, sa, hb, sb
-	e.affected = e.affected[:0]
-	e.collectHost(ha)
-	if hb != ha {
-		e.collectHost(hb)
-	}
-	if err := core.DeltaPredictPos(e.grid, e.pst, e.affected, e.ix, e.cache, e.cand); err != nil {
-		return 0, 0, err
-	}
-	obj = e.objective(e.cand)
-	return obj, e.energy(obj, e.cand), nil
+	e.pst.Swap(&e.grid, ha, sa, hb, sb)
 }
 
-// collectHost appends the distinct apps on grid host h to e.affected.
-func (e *incEval) collectHost(h int) {
-	row := e.grid.Row(h)
-	for _, id := range row {
-		if id < 0 {
-			continue
-		}
-		dup := false
-		for _, seen := range e.affected {
-			if seen == id {
-				dup = true
-				break
+// propose applies the swap (ha,sa)<->(hb,sb) and, if both touched hosts
+// still hold at most limit distinct apps, re-predicts the apps with units
+// on them into e.cand; valid=false means the swap broke the co-location
+// rule and has been undone. Otherwise the deltas live in e.cand — and
+// the swap in the grid — until accept or reject (exactly one of which
+// must follow, also on error).
+func (e *incEval) propose(ha, sa, hb, sb int) (valid bool, err error) {
+	e.swap(ha, sa, hb, sb)
+	rows := [2][]int32{e.grid.Row(ha), e.grid.Row(hb)}
+	if cluster.Distinct(rows[0], -1) > e.limit || cluster.Distinct(rows[1], -1) > e.limit {
+		e.swap(ha, sa, hb, sb)
+		return false, nil
+	}
+	e.pendHA, e.pendSA, e.pendHB, e.pendSB = ha, sa, hb, sb
+	// The affected apps are the distinct apps on row ha then hb, in slot
+	// order: the order DeltaPredictPos walks them in.
+	e.affected = e.affected[:0]
+	for _, row := range rows {
+		for _, id := range row {
+			if id >= 0 && !slices.Contains(e.affected, id) {
+				e.affected = append(e.affected, id)
 			}
 		}
-		if !dup {
-			e.affected = append(e.affected, id)
-		}
 	}
+	return true, core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, e.cache, e.cand)
+}
+
+// mirror makes e a frozen copy of src's grid and postings for
+// speculative evaluation. Its memo cache persists across calls (memo
+// contents are pure, so reuse can only save work). Predictions are not
+// copied: a speculator reads only the entries of e.cand that propose
+// has just written.
+func (e *incEval) mirror(src *incEval) {
+	e.ix, e.limit = src.ix, src.limit
+	e.grid.CopyFrom(&src.grid)
+	e.pst.CopyFrom(&src.pst)
+	if e.cache == nil {
+		e.cache = acquireCache()
+	}
+	e.pred = slices.Grow(e.pred[:0], len(src.pred))[:len(src.pred)]
+	e.cand = slices.Grow(e.cand[:0], len(src.pred))[:len(src.pred)]
 }
 
 // accept commits the pending proposal's deltas into the current slice
@@ -312,115 +330,221 @@ func (e *incEval) accept() {
 }
 
 // reject rolls the candidate mirror back to the current predictions and
-// undoes the pending swap on the grid mirror and postings.
+// undoes the pending swap.
 func (e *incEval) reject() {
 	for _, id := range e.affected {
 		e.cand[id] = e.pred[id]
 	}
-	e.grid.Swap(e.pendHA, e.pendSA, e.pendHB, e.pendSB)
-	e.pst.Swap(e.grid, e.pendHA, e.pendSA, e.pendHB, e.pendSB)
+	e.swap(e.pendHA, e.pendSA, e.pendHB, e.pendSB)
 }
 
-// runRestart executes one independent annealing restart on r. When
-// record is true it fills o.bests with one snapshot per step; when live
-// is non-nil it additionally emits each step as it happens (used for
-// restart 0, whose steps lead the serial order).
-func runRestart(req Request, cfg Config, sign float64, r *sim.RNG, record bool, live stepEmit) (o restartOutcome) {
+// walk is one annealing trajectory over a workspace's engine. runRestart
+// and both exchange phases drive it; they differ only in how they draw a
+// proposal's geometry.
+type walk struct {
+	tally
+	e                 *incEval
+	best              *bestState
+	method            Method
+	sign              float64
+	curObj, curEnergy float64
+}
+
+// begin starts a walk from the cells already in ws.e.grid.
+func (w *walk) begin(ws *workspace, p *problem, cfg *Config, sign float64) error {
+	w.e, w.best, w.method, w.sign = &ws.e, &ws.best, cfg.Method, sign
+	if err := w.e.start(p); err != nil {
+		return err
+	}
+	w.evals++
+	w.curObj = w.e.objective(w.e.pred)
+	w.curEnergy = w.e.energy(w.curObj, w.e.pred)
+	w.consider()
+	return nil
+}
+
+// consider records the engine's current state as the new best if it
+// beats the incumbent.
+func (w *walk) consider() {
+	e, b := w.e, w.best
+	ok := e.qosOK()
+	if b.have && !betterSnap(e.qos != nil, w.sign, bestSnap{obj: w.curObj, qosOK: ok}, b.snap()) {
+		return
+	}
+	b.have, b.obj, b.qosOK = true, w.curObj, ok
+	b.cells = append(b.cells[:0], e.grid.Cells()...)
+	b.pred = append(b.pred[:0], e.pred...)
+}
+
+// accepts draws the Metropolis verdict on a candidate energy and counts
+// the proposal; r is consumed only for an uphill move under annealing.
+func (w *walk) accepts(candEnergy, temp float64, r *sim.RNG) bool {
+	w.proposals++
+	delta := w.sign * (candEnergy - w.curEnergy)
+	ok := delta <= 0
+	if !ok && w.method == Anneal {
+		ok = r.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
+	}
+	if ok {
+		w.accepted++
+	} else {
+		w.rejected++
+	}
+	return ok
+}
+
+// moved makes an accepted candidate, already committed to the engine,
+// the walk's current state.
+func (w *walk) moved(obj, energy float64) {
+	w.curObj, w.curEnergy = obj, energy
+	w.consider()
+}
+
+// try runs one swap proposal end to end: skip when both slots hold the
+// same content, count a rule-breaking swap invalid, otherwise evaluate
+// it and accept or undo it. It reports whether the swap was accepted
+// (w.e.affected then lists the apps it re-predicted).
+func (w *walk) try(ha, sa, hb, sb int, temp float64, r *sim.RNG) (bool, error) {
+	e := w.e
+	if e.grid.Cell(ha, sa) == e.grid.Cell(hb, sb) {
+		return false, nil
+	}
+	valid, err := e.propose(ha, sa, hb, sb)
+	if err != nil {
+		return false, err
+	}
+	if !valid {
+		w.invalid++
+		return false, nil
+	}
+	w.evals++
+	obj := e.objective(e.cand)
+	energy := e.energy(obj, e.cand)
+	if !w.accepts(energy, temp, r) {
+		e.reject()
+		return false, nil
+	}
+	e.accept()
+	w.moved(obj, energy)
+	return true, nil
+}
+
+// finish closes the walk at its final temperature and reads the cache
+// statistics into the tally.
+func (w *walk) finish(temp float64) {
+	w.finalTemp = temp
+	w.hits, w.misses = w.e.cache.Stats()
+	w.chits, w.cmisses = w.e.cache.CombineStats()
+}
+
+// runRestart executes one independent annealing restart of p on the
+// stream seeded by seed. When record is true it fills o.bests with one
+// snapshot per step; when live is non-nil it additionally emits each
+// step as it happens (used for restart 0, whose steps lead the serial
+// order). The caller owns o.ws.
+func runRestart(p *problem, cfg *Config, sign float64, seed int64, record bool, live stepEmit) (o restartOutcome) {
 	span := cfg.Tracer.StartSpan("placement.restart")
 	defer span.End()
 
-	down := req.downSet()
-	cur, err := cluster.RandomValidDown(r.Stream("init"), req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.Demands, 0, down)
-	if err != nil {
-		o.err = err
+	ws := acquireWorkspace()
+	o.ws = ws
+	r := &ws.draw
+	r.Reset(seed)
+	ws.aux.Reset(r.Stream("init").Seed())
+	if o.err = p.sample(ws, &ws.aux); o.err != nil {
 		return o
 	}
-	e, err := newIncEval(cur, req, cfg.QoS)
-	if err != nil {
-		o.err = err
+	var w walk
+	if o.err = w.begin(ws, p, cfg, sign); o.err != nil {
 		return o
 	}
-	o.evals++
-	curObj := e.objective(e.pred)
-	curEnergy := e.energy(curObj, e.pred)
-
-	consider := func(obj float64) {
-		qosOK := cfg.QoS == nil || e.qosValue() <= cfg.QoS.MaxNormalized
-		if !o.bs.have || betterSnap(cfg.QoS != nil, sign, bestSnap{obj: obj, qosOK: qosOK}, o.bs.snap()) {
-			o.bs.note(e, obj, qosOK)
-		}
-	}
-	consider(curObj)
-
 	if record {
 		o.bests = make([]bestSnap, cfg.Iterations)
 	}
 	temp := cfg.InitTemp
-	slots := req.NumHosts * req.SlotsPerHost
+	slots := p.hosts * p.slots
 	for it := 0; it < cfg.Iterations; it++ {
 		temp *= cfg.CoolRate
-		bs := o.bs.snap()
 		if record {
-			o.bests[it] = bs
+			o.bests[it] = ws.best.snap()
 		}
 		if live != nil {
-			live(it, temp, bs)
+			live(it, temp, ws.best.snap())
 		}
 		// Propose: swap two slots holding different contents.
 		a := r.Intn(slots)
 		b := r.Intn(slots)
-		ha, sa := a/req.SlotsPerHost, a%req.SlotsPerHost
-		hb, sb := b/req.SlotsPerHost, b%req.SlotsPerHost
+		ha, sa := a/p.slots, a%p.slots
+		hb, sb := b/p.slots, b%p.slots
 		// Proposals touching a crashed host are invalid outright; the
 		// guard is draw-free, so the fault-free trajectory is untouched.
-		if len(down) > 0 && (down[ha] || down[hb]) {
-			o.invalid++
+		if p.down != nil && (p.down[ha] || p.down[hb]) {
+			w.invalid++
 			continue
 		}
-		if cur.At(ha, sa) == cur.At(hb, sb) {
-			continue
-		}
-		if err := cur.Swap(ha, sa, hb, sb); err != nil {
-			o.err = err
+		if _, o.err = w.try(ha, sa, hb, sb, temp, r); o.err != nil {
 			return o
-		}
-		if cur.ValidateHosts(ha, hb) != nil {
-			o.invalid++
-			if err := cur.Swap(ha, sa, hb, sb); err != nil { // undo
-				o.err = err
-				return o
-			}
-			continue
-		}
-		candObj, candEnergy, err := e.evalSwapped(ha, sa, hb, sb)
-		if err != nil {
-			o.err = err
-			return o
-		}
-		o.evals++
-		o.proposals++
-		delta := sign * (candEnergy - curEnergy)
-		accept := delta <= 0
-		if !accept && cfg.Method == Anneal {
-			accept = r.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
-		}
-		if accept {
-			o.accepted++
-			e.accept()
-			curObj, curEnergy = candObj, candEnergy
-			consider(curObj)
-		} else {
-			o.rejected++
-			e.reject()
-			if err := cur.Swap(ha, sa, hb, sb); err != nil { // undo
-				o.err = err
-				return o
-			}
 		}
 	}
-	o.finalTemp = temp
-	o.hits, o.misses = e.cache.Stats()
-	o.chits, o.cmisses = e.cache.CombineStats()
-	e.release()
+	w.finish(temp)
+	o.tally = w.tally
 	return o
+}
+
+// anneal runs cfg.Restarts independent restarts of p — restart i on
+// NewRNG(seed).Stream("placement").StreamN("restart", i), one goroutine
+// each — and returns their outcomes in restart order plus the index of
+// the winner (ties keep the earlier restart, as a serial sweep's
+// strict-improvement rule does). live applies to restart 0, which runs
+// on the calling goroutine. The caller reads the winner's best state
+// from outs[win].ws and must releaseOutcomes(outs), error or not.
+func anneal(p *problem, cfg *Config, sign float64, seed int64, record bool, live stepEmit) (outs []restartOutcome, win int, err error) {
+	rng := sim.NewRNG(seed).Stream("placement")
+	outs = make([]restartOutcome, cfg.Restarts)
+	var wg sync.WaitGroup
+	for i := 1; i < cfg.Restarts; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed(), record, nil)
+		}(i)
+	}
+	outs[0] = runRestart(p, cfg, sign, rng.StreamN("restart", 0).Seed(), record, live)
+	wg.Wait()
+	for i := range outs {
+		if outs[i].err != nil {
+			return outs, -1, outs[i].err
+		}
+		if i > 0 && betterSnap(p.qos != nil, sign, outs[i].ws.best.snap(), outs[win].ws.best.snap()) {
+			win = i
+		}
+	}
+	return outs, win, nil
+}
+
+// releaseOutcomes returns the restarts' workspaces to the pool.
+func releaseOutcomes(outs []restartOutcome) {
+	for i := range outs {
+		if outs[i].ws != nil {
+			releaseWorkspace(outs[i].ws)
+		}
+	}
+}
+
+// materialize builds the public Result — the string Placement and the
+// prediction map — from a best state over the request's own index. It
+// is the one place a search's state crosses back to the boundary format.
+func (b *bound) materialize(best *bestState) (Result, error) {
+	if !best.have {
+		return Result{}, errors.New("placement: no best state recorded")
+	}
+	p, err := cluster.PlacementFromCells(b.hosts, b.slots, b.appsLimit, best.cells, b.ix.Apps)
+	if err != nil {
+		return Result{}, err
+	}
+	pred := make(map[string]float64, len(b.ix.Apps))
+	for i, a := range b.ix.Apps {
+		pred[a] = best.pred[i]
+	}
+	return Result{Placement: p, Predicted: pred, Objective: best.obj, QoSSatisfied: best.qosOK}, nil
 }

@@ -11,20 +11,46 @@ import (
 )
 
 // TestIncrementalMatchesFullEvaluate drives incEval through a long
-// random swap sequence and checks, at every step, that the incremental
-// objective and energy agree bit-exactly with a from-scratch evaluate of
-// the same placement — for proposals, accepted states, and rejected
-// (rolled back) states alike.
+// random swap sequence with a string cluster.Placement replayed beside
+// it and checks, at every step, that the grid's co-location verdict
+// matches Placement.ValidateHosts and that the incremental objective and
+// energy agree bit-exactly with a from-scratch evaluate of the mirrored
+// placement — for proposals, accepted states, and rejected (rolled back)
+// states alike.
 func TestIncrementalMatchesFullEvaluate(t *testing.T) {
-	for _, qos := range []*QoS{nil, {App: "sens", MaxNormalized: 1.5}} {
-		req := testRequest()
-		r := sim.NewRNG(17).Stream("prop")
-		cur, err := cluster.RandomValidLimit(r.Stream("init"), req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.Demands, 0)
+	// Three slots under the pairwise rule make rule-breaking swaps
+	// possible; with two slots per host every swap is valid.
+	wide := testRequest()
+	wide.NumHosts, wide.SlotsPerHost = 6, 3
+	cases := []struct {
+		req Request
+		qos *QoS
+	}{
+		{testRequest(), nil},
+		{testRequest(), &QoS{App: "sens", MaxNormalized: 1.5}},
+		{wide, &QoS{App: "sens", MaxNormalized: 1.5}},
+	}
+	for _, tc := range cases {
+		req, qos := tc.req, tc.qos
+		b, err := bind(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := newIncEval(cur, req, qos)
+		if err := b.constrain(qos); err != nil {
+			t.Fatal(err)
+		}
+		r := sim.NewRNG(17).Stream("prop")
+		ws := acquireWorkspace()
+		defer releaseWorkspace(ws)
+		if err := b.sample(ws, r.Stream("init")); err != nil {
+			t.Fatal(err)
+		}
+		e := &ws.e
+		cur, err := cluster.PlacementFromCells(b.hosts, b.slots, b.appsLimit, e.grid.Cells(), b.ix.Apps)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.start(&b.problem); err != nil {
 			t.Fatal(err)
 		}
 		check := func(step int, obj, energy float64) {
@@ -50,26 +76,38 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 		check(-1, e.objective(e.pred), e.energy(e.objective(e.pred), e.pred))
 
 		slots := req.NumHosts * req.SlotsPerHost
+		evaluated, invalid := 0, 0
 		for i := 0; i < 400; i++ {
 			a, b := r.Intn(slots), r.Intn(slots)
 			ha, sa := a/req.SlotsPerHost, a%req.SlotsPerHost
 			hb, sb := b/req.SlotsPerHost, b%req.SlotsPerHost
-			if cur.At(ha, sa) == cur.At(hb, sb) {
+			if same := cur.At(ha, sa) == cur.At(hb, sb); same != (e.grid.Cell(ha, sa) == e.grid.Cell(hb, sb)) {
+				t.Fatalf("step %d: grid and placement disagree on same-content", i)
+			} else if same {
 				continue
 			}
 			if err := cur.Swap(ha, sa, hb, sb); err != nil {
 				t.Fatal(err)
 			}
-			if cur.ValidateHosts(ha, hb) != nil {
-				if err := cur.Swap(ha, sa, hb, sb); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			obj, energy, err := e.evalSwapped(ha, sa, hb, sb)
+			valid, err := e.propose(ha, sa, hb, sb)
 			if err != nil {
 				t.Fatal(err)
 			}
+			obj := e.objective(e.cand)
+			energy := e.energy(obj, e.cand)
+			if want := cur.ValidateHosts(ha, hb) == nil; valid != want {
+				t.Fatalf("step %d: grid says valid=%v, Placement.ValidateHosts says %v", i, valid, want)
+			}
+			if !valid {
+				invalid++
+				if err := cur.Swap(ha, sa, hb, sb); err != nil {
+					t.Fatal(err)
+				}
+				prev := e.objective(e.pred)
+				check(i, prev, e.energy(prev, e.pred))
+				continue
+			}
+			evaluated++
 			if r.Float64() < 0.5 {
 				e.accept()
 				check(i, obj, energy)
@@ -82,6 +120,84 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 				check(i, prev, e.energy(prev, e.pred))
 			}
 		}
+		if evaluated == 0 || (req.SlotsPerHost > 2) != (invalid > 0) {
+			t.Fatalf("%d slots per host: sequence exercised %d evaluations and %d invalid swaps", req.SlotsPerHost, evaluated, invalid)
+		}
+	}
+}
+
+// TestSamplerMatchesRandomValidDown: the search's cell-level sampler
+// (bind + problem.sample, straight into grid cells) and the string
+// cluster.RandomValidDown must produce the identical placement from the
+// identical stream and leave the stream at the same draw — across down
+// hosts, a relaxed limit, and AppsPerHostLimit 1, whose samples are
+// mostly rejected and so exercise the retry path.
+func TestSamplerMatchesRandomValidDown(t *testing.T) {
+	cases := []struct {
+		name               string
+		hosts, slots, lim  int
+		down               []int
+		mustRetrySometimes bool
+	}{
+		{name: "pairwise", hosts: 8, slots: 2},
+		{name: "down hosts", hosts: 12, slots: 2, down: []int{0, 5, 11}},
+		{name: "wide pairwise", hosts: 8, slots: 3, mustRetrySometimes: true},
+		{name: "relaxed limit", hosts: 6, slots: 3, lim: 3},
+		{name: "one app per host", hosts: 16, slots: 2, lim: 1, down: []int{3}, mustRetrySometimes: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := testRequest()
+			req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.DownHosts = tc.hosts, tc.slots, tc.lim, tc.down
+			if tc.lim == 1 {
+				for i := range req.Demands {
+					req.Demands[i].Units = 2 // whole hosts: 4 apps on >= 8 up hosts
+				}
+			}
+			b, err := bind(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			down := map[int]bool{}
+			for _, h := range tc.down {
+				down[h] = true
+			}
+			ws := acquireWorkspace()
+			defer releaseWorkspace(ws)
+			retried := false
+			for seed := int64(1); seed <= 40; seed++ {
+				ra, rb := sim.NewRNG(seed).Stream("init"), sim.NewRNG(seed).Stream("init")
+				want, err := cluster.RandomValidDown(ra, req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.Demands, 0, down)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.sample(ws, rb); err != nil {
+					t.Fatal(err)
+				}
+				got, err := cluster.PlacementFromCells(b.hosts, b.slots, b.appsLimit, ws.e.grid.Cells(), b.ix.Apps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("seed %d: sampler placed\n%s\nRandomValidDown placed\n%s", seed, got, want)
+				}
+				if got.AppsPerHostLimit() != want.AppsPerHostLimit() {
+					t.Fatalf("seed %d: limits differ", seed)
+				}
+				if x, y := ra.Float64(), rb.Float64(); x != y {
+					t.Fatalf("seed %d: streams diverge after sampling", seed)
+				}
+				// A single-try sample from the same stream failing proves
+				// the accepted sample above came from a retry.
+				one := sim.NewRNG(seed).Stream("init")
+				if cluster.SampleCells(one, ws.e.grid.Cells(), ws.perm, b.slots, b.limit, ws.units, b.down, 1) != nil {
+					retried = true
+				}
+			}
+			if retried != tc.mustRetrySometimes {
+				t.Errorf("retry path exercised = %v, want %v", retried, tc.mustRetrySometimes)
+			}
+		})
 	}
 }
 

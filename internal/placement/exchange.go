@@ -20,7 +20,7 @@
 // Workers then evaluate the batch concurrently against a frozen
 // snapshot of the pre-batch state (each worker owns a grid + postings
 // copy and a pooled prediction cache), and the commit loop walks the
-// batch in draw order:
+// batch in draw order, driving the same walk as the serial phase:
 //
 //   - A proposal is *clean* when no earlier commit in the same batch
 //     dirtied either of its hosts or any of its affected apps. A clean
@@ -48,10 +48,6 @@ package placement
 import (
 	"math"
 	"sync"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // exchangeBatch is K, the number of proposals speculated per round.
@@ -81,175 +77,86 @@ type exProposal struct {
 	err            error
 }
 
-// exWorker is one speculative evaluator: a private grid + postings
-// mirror resynchronized from the authoritative engine each batch, and a
-// pooled prediction cache that persists across batches (memo contents
-// are pure, so reuse can only save work, never change a result).
-type exWorker struct {
-	grid  *core.Grid
-	pst   *core.Postings
-	cache *core.PredictionCache
-	out   []float64
-}
-
-// evaluate runs one pending proposal against the worker's frozen
-// mirror: apply the swap, judge validity, delta-predict the affected
-// apps, undo. All verdicts and values are functions of the frozen state
-// only.
-func (w *exWorker) evaluate(p *exProposal, ix *core.AppsIndex, limit int) {
-	g := w.grid
-	i := p.ha*g.SlotsPerHost + p.sa
-	j := p.hb*g.SlotsPerHost + p.sb
-	if g.Cell(i) == g.Cell(j) {
+// speculate runs one pending proposal against a worker's frozen mirror
+// of the engine and undoes it: every verdict and value is a function of
+// the frozen state only.
+func (p *exProposal) speculate(e *incEval) {
+	if e.grid.Cell(p.ha, p.sa) == e.grid.Cell(p.hb, p.sb) {
 		p.kind = exSame
 		return
 	}
-	g.Swap(p.ha, p.sa, p.hb, p.sb)
-	w.pst.Swap(g, p.ha, p.sa, p.hb, p.sb)
-	defer func() {
-		g.Swap(p.ha, p.sa, p.hb, p.sb)
-		w.pst.Swap(g, p.ha, p.sa, p.hb, p.sb)
-	}()
-	if !gridHostValid(g.Row(p.ha), limit) || !gridHostValid(g.Row(p.hb), limit) {
+	valid, err := e.propose(p.ha, p.sa, p.hb, p.sb)
+	if !valid {
 		p.kind = exInvalid
 		return
 	}
-	p.aff = collectAffected(g, p.ha, p.hb, p.aff[:0])
-	if err := core.DeltaPredictPos(g, w.pst, p.aff, ix, w.cache, w.out); err != nil {
-		p.err = err
+	p.kind, p.err = exEvaled, err
+	if err != nil {
 		p.kind = exFailed
-		return
 	}
+	p.aff = append(p.aff[:0], e.affected...)
 	p.val = p.val[:0]
 	for _, id := range p.aff {
-		p.val = append(p.val, w.out[id])
+		p.val = append(p.val, e.cand[id])
 	}
-	p.kind = exEvaled
+	e.reject()
 }
 
-// gridHostValid mirrors cluster.Placement.validateHost on the int32
-// grid: at most limit distinct apps on the row, empties ignored.
-func gridHostValid(row []int32, limit int) bool {
-	n := 0
-	for i, a := range row {
-		if a < 0 {
-			continue
-		}
-		dup := false
-		for _, b := range row[:i] {
-			if b == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			n++
-		}
+// exchangePhaseSpec is the speculative parallel exchange phase over the
+// fleet grid in ws. The returned counters follow the serial phase's
+// meanings, plus conflicts (serially re-evaluated proposals) and
+// occupancy (mean per-batch fraction of speculative evaluations
+// consumed as-is). Its trajectory — objective, placement, predictions,
+// evaluation count — is a pure function of (Request, Config.Seed):
+// identical for every ExchangeWorkers >= 2. Only the cache hit/miss
+// split varies with the worker count (each worker warms its own memo).
+// The best state is left in ws.best.
+func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
+	span := cfg.Tracer.StartSpan("placement.exchange")
+	defer span.End()
+	var w walk
+	if err := w.begin(ws, &b.problem, cfg, sign); err != nil {
+		return exchangeOutcome{}, err
 	}
-	return n <= limit
-}
-
-// collectAffected appends the distinct apps on rows ha then hb (slot
-// order, first occurrence wins) — the same emission order as
-// incEval.collectHost, so affected sets and their DeltaPredict walk
-// order match the serial engine's exactly.
-func collectAffected(g *core.Grid, ha, hb int, aff []int32) []int32 {
-	for _, row := range [2][]int32{g.Row(ha), g.Row(hb)} {
-		for _, id := range row {
-			if id < 0 {
-				continue
-			}
-			dup := false
-			for _, seen := range aff {
-				if seen == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				aff = append(aff, id)
-			}
-		}
-	}
-	return aff
-}
-
-// exchangePhaseSpec is the speculative parallel exchange phase. The
-// returned counters follow the serial phase's meanings, plus conflicts
-// (serially re-evaluated proposals) and occupancy (mean per-batch
-// fraction of speculative evaluations consumed as-is). Its trajectory —
-// objective, placement, predictions, evaluation count — is a pure
-// function of (Request, Config.Seed): identical for every
-// ExchangeWorkers >= 2. Only the cache hit/miss split varies with the
-// worker count (each worker warms its own memo).
-func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign float64, cells [][]int, down map[int]bool) (Result, exchangeOutcome, error) {
-	var o exchangeOutcome
-	e, err := newIncEval(cur, req, cfg.QoS)
-	if err != nil {
-		return Result{}, o, err
-	}
-	o.evals++
-	curObj := e.objective(e.pred)
-	curEnergy := e.energy(curObj, e.pred)
-
-	var bs bestState
-	consider := func(obj float64) {
-		qosOK := cfg.QoS == nil || e.qosValue() <= cfg.QoS.MaxNormalized
-		if !bs.have || betterSnap(cfg.QoS != nil, sign, bestSnap{obj: obj, qosOK: qosOK}, bs.snap()) {
-			bs.note(e, obj, qosOK)
-		}
-	}
-	consider(curObj)
-
+	e := w.e
 	iters := cfg.ExchangeIters
 	if iters <= 0 {
 		iters = cfg.Iterations
 	}
-	limit := req.AppsPerHostLimit
-	if limit == 0 {
-		limit = cluster.MaxAppsPerHost
-	}
+	rg, ra := &ws.draw, &ws.aux
+	rg.Reset(streamSeed(cfg.Seed, "exchange"))
+	ra.Reset(streamSeed(cfg.Seed, "exchange-accept"))
 
-	rg := sim.NewRNG(cfg.Seed).Stream("exchange")
-	ra := sim.NewRNG(cfg.Seed).Stream("exchange-accept")
-	span := cfg.Tracer.StartSpan("placement.exchange")
-	defer span.End()
-
-	nw := cfg.ExchangeWorkers
-	workers := make([]*exWorker, nw)
+	// Each worker speculates on a pooled engine that mirrors e.
+	workers := make([]*workspace, cfg.ExchangeWorkers)
 	for i := range workers {
-		workers[i] = &exWorker{
-			grid:  &core.Grid{},
-			pst:   &core.Postings{},
-			cache: acquireCache(),
-			out:   make([]float64, len(e.apps)),
-		}
+		workers[i] = acquireWorkspace()
 	}
 	props := make([]exProposal, exchangeBatch)
 	for i := range props {
-		props[i].aff = make([]int32, 0, 2*req.SlotsPerHost)
-		props[i].val = make([]float64, 0, 2*req.SlotsPerHost)
+		props[i].aff = make([]int32, 0, 2*b.slots)
+		props[i].val = make([]float64, 0, 2*b.slots)
 	}
 	// Dirtiness epochs: hostEp/appEp hold the last batch epoch that
 	// committed a change to the host/app; comparing against the current
 	// epoch makes per-batch clearing free.
-	hostEp := make([]int, req.NumHosts)
-	appEp := make([]int, len(e.apps))
+	hostEp := make([]int, b.hosts)
+	appEp := make([]int, len(b.ix.Apps))
 	ep := 0
 
-	finish := func() {
-		o.hits, o.misses = e.cache.Stats()
-		o.chits, o.cmisses = e.cache.CombineStats()
-		for _, w := range workers {
-			h, m := w.cache.Stats()
-			o.hits += h
-			o.misses += m
-			ch, cm := w.cache.CombineStats()
-			o.chits += ch
-			o.cmisses += cm
-			releaseCache(w.cache)
+	var o exchangeOutcome
+	finish := func(temp float64) {
+		w.finish(temp)
+		for _, wk := range workers {
+			h, m := wk.e.cache.Stats()
+			w.hits += h
+			w.misses += m
+			ch, cm := wk.e.cache.CombineStats()
+			w.chits += ch
+			w.cmisses += cm
+			releaseWorkspace(wk)
 		}
-		e.release()
+		o.tally = w.tally
 	}
 
 	temp := cfg.InitTemp
@@ -257,10 +164,7 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 	var batches, occSum float64
 
 	for start := 0; start < iters; start += exchangeBatch {
-		n := iters - start
-		if n > exchangeBatch {
-			n = exchangeBatch
-		}
+		n := min(iters-start, exchangeBatch)
 		ep++
 		// Draw the batch's geometry up front (see package comment: the
 		// schedule never depends on search state).
@@ -275,9 +179,9 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 			}
 			p.ha = cells[ca][rg.Intn(len(cells[ca]))]
 			p.hb = cells[cb][rg.Intn(len(cells[cb]))]
-			p.sa = rg.Intn(req.SlotsPerHost)
-			p.sb = rg.Intn(req.SlotsPerHost)
-			if len(down) > 0 && (down[p.ha] || down[p.hb]) {
+			p.sa = rg.Intn(b.slots)
+			p.sb = rg.Intn(b.slots)
+			if b.down != nil && (b.down[p.ha] || b.down[p.hb]) {
 				p.kind = exDown
 				continue
 			}
@@ -286,26 +190,24 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 		// Speculate: workers evaluate a deterministic stripe each
 		// against the frozen pre-batch state.
 		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
+		for wi, wk := range workers {
 			wg.Add(1)
-			go func(w int) {
+			go func(wi int, wk *incEval) {
 				defer wg.Done()
-				wk := workers[w]
-				wk.grid.CopyFrom(e.grid)
-				wk.pst.CopyFrom(e.pst)
-				for k := w; k < n; k += nw {
+				wk.mirror(e)
+				for k := wi; k < n; k += len(workers) {
 					if props[k].kind == exPending {
-						wk.evaluate(&props[k], e.ix, limit)
+						props[k].speculate(wk)
 					}
 				}
-			}(w)
+			}(wi, &wk.e)
 		}
 		wg.Wait()
 		speculated, used := 0, 0
 		for k := 0; k < n; k++ {
 			if props[k].kind == exEvaled {
 				speculated++
-				o.evals++ // every speculative model evaluation counts, used or not
+				w.evals++ // every speculative model evaluation counts, used or not
 			}
 		}
 
@@ -317,7 +219,7 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 				continue
 			}
 			if p.kind == exDown {
-				o.invalid++
+				w.invalid++
 				continue
 			}
 			clean := hostEp[p.ha] != ep && hostEp[p.hb] != ep
@@ -329,95 +231,55 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 					}
 				}
 			}
+			aff := p.aff
 			if clean {
 				switch p.kind {
 				case exSame:
 					continue
 				case exInvalid:
-					o.invalid++
+					w.invalid++
 					continue
 				case exFailed:
-					finish()
-					return Result{}, o, p.err
+					finish(temp)
+					return o, p.err
 				}
 				// exEvaled, clean: consume the speculative result.
 				used++
-				o.proposals++
-				for i, id := range p.aff {
+				for i, id := range aff {
 					e.cand[id] = p.val[i]
 				}
 				candObj := e.objective(e.cand)
 				candEnergy := e.energy(candObj, e.cand)
-				delta := sign * (candEnergy - curEnergy)
-				accept := delta <= 0
-				if !accept && cfg.Method == Anneal {
-					accept = ra.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
-				}
-				if accept {
-					o.accepted++
-					e.grid.Swap(p.ha, p.sa, p.hb, p.sb)
-					e.pst.Swap(e.grid, p.ha, p.sa, p.hb, p.sb)
-					for i, id := range p.aff {
-						e.pred[id] = p.val[i]
-					}
-					hostEp[p.ha], hostEp[p.hb] = ep, ep
-					for _, id := range p.aff {
-						appEp[id] = ep
-					}
-					curObj, curEnergy = candObj, candEnergy
-					consider(curObj)
-				} else {
-					o.rejected++
-					for _, id := range p.aff {
+				if !w.accepts(candEnergy, temp, ra) {
+					for _, id := range aff {
 						e.cand[id] = e.pred[id]
 					}
+					continue
 				}
-				continue
-			}
-			// Conflict: an earlier commit in this batch dirtied one of
-			// the proposal's hosts or affected apps — its frozen-state
-			// verdict may be stale, so re-run it serially against the
-			// authoritative engine.
-			o.conflicts++
-			fi := p.ha*e.grid.SlotsPerHost + p.sa
-			fj := p.hb*e.grid.SlotsPerHost + p.sb
-			if e.grid.Cell(fi) == e.grid.Cell(fj) {
-				continue
-			}
-			e.grid.Swap(p.ha, p.sa, p.hb, p.sb)
-			e.pst.Swap(e.grid, p.ha, p.sa, p.hb, p.sb)
-			okA := gridHostValid(e.grid.Row(p.ha), limit)
-			okB := gridHostValid(e.grid.Row(p.hb), limit)
-			e.grid.Swap(p.ha, p.sa, p.hb, p.sb)
-			e.pst.Swap(e.grid, p.ha, p.sa, p.hb, p.sb)
-			if !okA || !okB {
-				o.invalid++
-				continue
-			}
-			candObj, candEnergy, err := e.evalSwapped(p.ha, p.sa, p.hb, p.sb)
-			if err != nil {
-				finish()
-				return Result{}, o, err
-			}
-			o.evals++
-			o.proposals++
-			delta := sign * (candEnergy - curEnergy)
-			accept := delta <= 0
-			if !accept && cfg.Method == Anneal {
-				accept = ra.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
-			}
-			if accept {
-				o.accepted++
-				e.accept()
-				hostEp[p.ha], hostEp[p.hb] = ep, ep
-				for _, id := range e.affected {
-					appEp[id] = ep
+				e.swap(p.ha, p.sa, p.hb, p.sb)
+				for i, id := range aff {
+					e.pred[id] = p.val[i]
 				}
-				curObj, curEnergy = candObj, candEnergy
-				consider(curObj)
+				w.moved(candObj, candEnergy)
 			} else {
-				o.rejected++
-				e.reject()
+				// Conflict: an earlier commit in this batch dirtied one
+				// of the proposal's hosts or affected apps — its
+				// frozen-state verdict may be stale, so re-run it
+				// serially against the authoritative engine.
+				o.conflicts++
+				accepted, err := w.try(p.ha, p.sa, p.hb, p.sb, temp, ra)
+				if err != nil {
+					finish(temp)
+					return o, err
+				}
+				if !accepted {
+					continue
+				}
+				aff = e.affected
+			}
+			hostEp[p.ha], hostEp[p.hb] = ep, ep
+			for _, id := range aff {
+				appEp[id] = ep
 			}
 		}
 		if speculated > 0 {
@@ -425,16 +287,10 @@ func exchangePhaseSpec(cur *cluster.Placement, req Request, cfg Config, sign flo
 			occSum += float64(used) / float64(speculated)
 		}
 	}
-	o.finalTemp = temp
+	o.occupancy = 1
 	if batches > 0 {
 		o.occupancy = occSum / batches
-	} else {
-		o.occupancy = 1
 	}
-	finish()
-	best, err := bs.materialize(req.AppsPerHostLimit)
-	if err != nil {
-		return Result{}, o, err
-	}
-	return best, o, nil
+	finish(temp)
+	return o, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fleet"
 )
 
@@ -79,6 +80,73 @@ func TestSerialExchangeGoldens(t *testing.T) {
 			if got := digestResult(res); got != want {
 				t.Errorf("%+v workers=%d: digest 0x%016x, want golden 0x%016x", key, workers, got, want)
 			}
+		}
+	}
+}
+
+// Golden digests (captured at the commit before the index-native engine)
+// of the hierarchical search with three restarts per cell and a QoS app
+// whose demand is split across two cells — "sens" comes last in request
+// order, so the spread leaves 2 of its units in cell 0 and 2 in cell 1,
+// and both cells anneal under the constraint on their own sub-index.
+type splitGoldenKey struct {
+	meth    Method
+	workers int
+	seed    int64
+}
+
+var goldenSplitQoS = map[splitGoldenKey]uint64{
+	{Anneal, 0, 1}:    0x4532b75ceccb0c23,
+	{Anneal, 0, 2}:    0x74fac6f21364f0fc,
+	{Anneal, 0, 3}:    0xabcb058faa78d003,
+	{Anneal, 2, 1}:    0x5ec72a8cb6a3dbb5,
+	{Anneal, 2, 2}:    0x5e852fc9b97b72b7,
+	{Anneal, 2, 3}:    0x63ffcd9263cc1123,
+	{HillClimb, 0, 1}: 0xcd166087d19b1987,
+	{HillClimb, 0, 2}: 0xad22f2a40717946d,
+	{HillClimb, 0, 3}: 0x999365d66cab5edf,
+	{HillClimb, 2, 1}: 0x5f5a448766f1fc06,
+	{HillClimb, 2, 2}: 0xaed0572b435dede9,
+	{HillClimb, 2, 3}: 0x8f8a753f2d4fbf80,
+}
+
+func TestSplitQoSRestartsGoldens(t *testing.T) {
+	req := testRequest()
+	req.Demands = []cluster.Demand{
+		{App: "quiet", Units: 4},
+		{App: "noisy1", Units: 4},
+		{App: "noisy2", Units: 4},
+		{App: "sens", Units: 4},
+	}
+	b, err := bind(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := assignDemands(b, cluster.Partition(req.NumHosts, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sens, _ := b.ix.IndexOf("sens")
+	holding := 0
+	for _, cell := range asg {
+		for _, d := range cell {
+			if d.id == sens {
+				holding++
+			}
+		}
+	}
+	if holding != 2 {
+		t.Fatalf("the QoS app's demand sits in %d cells, want it split across 2", holding)
+	}
+	for key, want := range goldenSplitQoS {
+		cfg := Config{Iterations: 150, Seed: key.seed, Method: key.meth, QoS: &QoS{App: "sens", MaxNormalized: 1.7},
+			Restarts: 3, Cells: 3, ExchangeIters: 200, ExchangeWorkers: key.workers}
+		res, err := Search(req, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", key, err)
+		}
+		if got := digestResult(res); got != want {
+			t.Errorf("%+v: digest 0x%016x, want golden 0x%016x", key, got, want)
 		}
 	}
 }

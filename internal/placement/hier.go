@@ -2,26 +2,28 @@
 // thousand-app request over thousands of hosts makes the flat swap loop's
 // proposal space enormous, so the hierarchical path shards the hosts into
 // contiguous cells (cluster.Partition), spreads the demands across cells
-// by free capacity, anneals each cell independently with the existing
-// restart engine, merges the cell placements in cell order, and then runs
-// a cross-cell exchange phase over the merged placement through the same
-// incremental delta/undo machinery (incEval) the flat search uses —
+// by free capacity, anneals each cell independently with the same
+// restart routine the flat search uses (anneal, on a dense sub-index
+// sliced from the request's — no string is looked up), writes each
+// cell's best cells straight into one fleet-wide grid, and then runs a
+// cross-cell exchange phase over that grid through the same walk —
 // serially by default, or as deterministic speculative parallel annealing
-// when Config.ExchangeWorkers >= 2 (see exchange.go).
+// when Config.ExchangeWorkers >= 2 (see exchange.go). The exchange
+// phase's best state is the search's one materialized Result.
 //
 // Determinism: the demand spread is greedy with lowest-cell-index
-// tie-breaks, each cell's sub-search seed derives from
-// Stream("cells").StreamN("cell", c), the merge walks cells in index
-// order regardless of goroutine finish order, and the exchange phase
-// draws from its own Stream("exchange") — the whole search is a pure
-// function of (Request, Config).
+// tie-breaks, each cell's seed derives from
+// Stream("cells").StreamN("cell", c), cells write disjoint rows of the
+// fleet grid and their counters are summed in index order regardless of
+// which worker ran them, and the exchange phase draws from its own
+// Stream("exchange") — the whole search is a pure function of
+// (Request, Config).
 //
 // Exactness: during the cell phase an application split across cells is
-// scored cell-locally (each sub-search only sees the units in its cell),
-// but the exchange phase re-predicts the merged placement globally
-// before its first proposal, so the returned Objective/Predicted are
-// exact full-cluster model evaluations, identical in meaning to the flat
-// search's.
+// scored cell-locally (each cell only sees the units it holds), but the
+// exchange phase re-predicts the fleet grid globally before its first
+// proposal, so the returned Objective/Predicted are exact full-cluster
+// model evaluations, identical in meaning to the flat search's.
 //
 // The three phases carry runtime/pprof labels (placement_phase =
 // spread / cells / exchange, inherited by the goroutines each phase
@@ -34,126 +36,107 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
-// cellOutcome is one cell's sub-search result.
+// cellOutcome is what one cell's search contributes beyond the cells it
+// wrote into the fleet grid.
 type cellOutcome struct {
-	res Result
-	ran bool
+	tally
 	err error
 }
 
-// searchHierarchical runs the cell-sharded search. Callers (Search) have
-// already validated the request, applied config defaults, and checked
-// the cell/exchange knobs; cfg.Cells is > 1 here.
-func searchHierarchical(req Request, cfg Config, sign float64) (Result, error) {
+// searchHierarchical runs the cell-sharded search. Search has already
+// bound the request, applied config defaults, and checked the
+// cell/exchange knobs; cfg.Cells is > 1 here.
+func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
 	ctx := context.Background()
-	cells := cluster.Partition(req.NumHosts, cfg.Cells)
-	if err := cluster.CheckPartition(req.NumHosts, cells); err != nil {
+	cells := cluster.Partition(b.hosts, cfg.Cells)
+	if err := cluster.CheckPartition(b.hosts, cells); err != nil {
 		return Result{}, err
 	}
-	down := req.downSet()
 
-	var asg [][]cluster.Demand
+	var asg [][]appUnits
 	var err error
 	pprof.Do(ctx, pprof.Labels("placement_phase", "spread"), func(context.Context) {
-		asg, err = assignDemands(req, cells, down)
+		asg, err = assignDemands(b, cells)
 	})
 	if err != nil {
 		return Result{}, err
 	}
 
-	// Derive every cell's seed serially before spawning, then run the
-	// sub-searches one goroutine each; outs is indexed by cell so the
-	// merge below is independent of completion order.
+	// fleet holds the fleet-wide grid the cells fill and the exchange
+	// phase then walks.
+	fleet := acquireWorkspace()
+	defer releaseWorkspace(fleet)
+	fleet.e.grid.Reset(b.hosts, b.slots)
+
+	// A bounded pool of workers pulls cell indexes from a shared counter;
+	// outs is indexed by cell, so the sums below are independent of which
+	// worker ran what and of completion order.
 	seeder := sim.NewRNG(cfg.Seed).Stream("cells")
-	seeds := make([]int64, len(cells))
-	for c := range cells {
-		seeds[c] = seeder.StreamN("cell", c).Seed()
-	}
 	outs := make([]cellOutcome, len(cells))
 	pprof.Do(ctx, pprof.Labels("placement_phase", "cells"), func(context.Context) {
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for c := range cells {
-			if len(asg[c]) == 0 {
-				continue
-			}
+		for w := min(runtime.GOMAXPROCS(0), len(cells)); w > 0; w-- {
 			wg.Add(1)
-			go func(c int) {
+			go func() {
 				defer wg.Done()
-				outs[c].ran = true
-				outs[c].res, outs[c].err = searchCell(req, cfg, cells[c], asg[c], down, seeds[c])
-			}(c)
+				for c := int(next.Add(1)) - 1; c < len(cells); c = int(next.Add(1)) - 1 {
+					if len(asg[c]) > 0 {
+						outs[c] = searchCell(b, cfg, sign, cells[c], asg[c], seeder.StreamN("cell", c).Seed(), &fleet.e.grid)
+					}
+				}
+			}()
 		}
 		wg.Wait()
 	})
-
-	merged, err := cluster.NewPlacementLimit(req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit)
-	if err != nil {
-		return Result{}, err
-	}
-	evals := 0
-	var chits, cmisses uint64
-	for c := range cells {
-		if !outs[c].ran {
-			continue
-		}
+	var sum tally
+	for c := range outs {
 		if outs[c].err != nil {
 			return Result{}, fmt.Errorf("placement: cell %d: %w", c, outs[c].err)
 		}
-		evals += outs[c].res.Evaluations
-		chits += outs[c].res.CombineHits
-		cmisses += outs[c].res.CombineMisses
-		sp := outs[c].res.Placement
-		for i, gh := range cells[c] {
-			for s := 0; s < req.SlotsPerHost; s++ {
-				if a := sp.At(i, s); a != "" {
-					if err := merged.Set(gh, s, a); err != nil {
-						return Result{}, err
-					}
-				}
-			}
-		}
+		sum.add(&outs[c].tally)
 	}
 
-	var best Result
-	var exOut exchangeOutcome
+	var ex exchangeOutcome
 	pprof.Do(ctx, pprof.Labels("placement_phase", "exchange"), func(context.Context) {
 		if cfg.ExchangeWorkers >= 2 {
-			best, exOut, err = exchangePhaseSpec(merged, req, cfg, sign, cells, down)
+			ex, err = exchangePhaseSpec(fleet, b, cfg, sign, cells)
 		} else {
-			best, exOut, err = exchangePhase(merged, req, cfg, sign, cells, down)
+			ex, err = exchangePhase(fleet, b, cfg, sign, cells)
 		}
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	best.Evaluations = evals + exOut.evals
-	best.CombineHits = chits + exOut.chits
-	best.CombineMisses = cmisses + exOut.cmisses
+	best, err := b.materialize(&fleet.best)
+	if err != nil {
+		return Result{}, err
+	}
+	best.Evaluations = sum.evals + ex.evals
+	best.CombineHits = sum.chits + ex.chits
+	best.CombineMisses = sum.cmisses + ex.cmisses
 
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Gauge(MetricCells).Set(float64(len(cells)))
-		cfg.Telemetry.Counter(MetricExchangeProposals).Add(exOut.proposals)
-		cfg.Telemetry.Counter(MetricExchangeAccepted).Add(exOut.accepted)
-		cfg.Telemetry.Counter(MetricExchangeConflicts).Add(exOut.conflicts)
-		cfg.Telemetry.Gauge(MetricExchangeBatchOccupancy).Set(exOut.occupancy)
-		cfg.Telemetry.Counter(MetricProposals).Add(exOut.proposals)
-		cfg.Telemetry.Counter(MetricAccepted).Add(exOut.accepted)
-		cfg.Telemetry.Counter(MetricRejected).Add(exOut.rejected)
-		cfg.Telemetry.Counter(MetricInvalid).Add(exOut.invalid)
-		cfg.Telemetry.Counter(MetricEvaluations).Add(uint64(best.Evaluations))
-		cfg.Telemetry.Counter(MetricPredCacheHits).Add(exOut.hits)
-		cfg.Telemetry.Counter(MetricPredCacheMisses).Add(exOut.misses)
-		cfg.Telemetry.Counter(MetricPredCacheCombineHits).Add(exOut.chits)
-		cfg.Telemetry.Counter(MetricPredCacheCombineMisses).Add(exOut.cmisses)
-		cfg.Telemetry.Gauge(MetricBestObjective).Set(best.Objective)
-		cfg.Telemetry.Gauge(MetricFinalTemp).Set(exOut.finalTemp)
+		cfg.Telemetry.Counter(MetricExchangeProposals).Add(ex.proposals)
+		cfg.Telemetry.Counter(MetricExchangeAccepted).Add(ex.accepted)
+		cfg.Telemetry.Counter(MetricExchangeConflicts).Add(ex.conflicts)
+		cfg.Telemetry.Gauge(MetricExchangeBatchOccupancy).Set(ex.occupancy)
+		// Proposal and cache traffic is the exchange phase's; evaluations
+		// count the cells' too.
+		ex.evals = best.Evaluations
+		recordTally(cfg.Telemetry, &ex.tally, best.Objective)
 	}
 	return best, nil
 }
@@ -161,30 +144,33 @@ func searchHierarchical(req Request, cfg Config, sign float64) (Result, error) {
 // assignDemands spreads the request's demands across cells: each demand
 // goes to the cell with the most remaining free capacity (ties to the
 // lowest cell index), splitting a demand across cells when no single
-// cell can hold it. Down hosts contribute no capacity. The request-level
-// validation already guarantees total units fit the surviving slots, so
-// the spread always succeeds.
-func assignDemands(req Request, cells [][]int, down map[int]bool) ([][]cluster.Demand, error) {
+// cell can hold it — so an app appears at most once per cell. Down hosts
+// contribute no capacity. Binding already guarantees total units fit the
+// surviving slots, so the spread always succeeds.
+func assignDemands(b *bound, cells [][]int) ([][]appUnits, error) {
 	free := make([]int, len(cells))
 	for c, hs := range cells {
-		up := 0
-		for _, h := range hs {
-			if !down[h] {
-				up++
+		up := len(hs)
+		if b.down != nil {
+			for _, h := range hs {
+				if b.down[h] {
+					up--
+				}
 			}
 		}
-		free[c] = up * req.SlotsPerHost
+		free[c] = up * b.slots
 	}
-	out := make([][]cluster.Demand, len(cells))
-	// Pre-size each cell's demand list for the even-spread common case
-	// (one extra slot absorbs a split) — the greedy loop then appends
+	out := make([][]appUnits, len(cells))
+	// One backing array sized for the even-spread common case (one extra
+	// slot per cell absorbs a split) — the greedy loop then appends
 	// without regrowing.
-	per := len(req.Demands)/len(cells) + 2
+	per := len(b.demand)/len(cells) + 2
+	backing := make([]appUnits, len(cells)*per)
 	for c := range out {
-		out[c] = make([]cluster.Demand, 0, per)
+		out[c] = backing[c*per : c*per : (c+1)*per]
 	}
-	for _, d := range req.Demands {
-		units := d.Units
+	for _, d := range b.demand {
+		units := d.units
 		for units > 0 {
 			best := -1
 			for c := range free {
@@ -193,13 +179,10 @@ func assignDemands(req Request, cells [][]int, down map[int]bool) ([][]cluster.D
 				}
 			}
 			if best < 0 {
-				return nil, fmt.Errorf("placement: no cell capacity left for %q", d.App)
+				return nil, fmt.Errorf("placement: no cell capacity left for %q", b.ix.Apps[d.id])
 			}
-			take := units
-			if take > free[best] {
-				take = free[best]
-			}
-			out[best] = append(out[best], cluster.Demand{App: d.App, Units: take})
+			take := min(units, free[best])
+			out[best] = append(out[best], appUnits{id: d.id, units: take})
 			free[best] -= take
 			units -= take
 		}
@@ -207,47 +190,63 @@ func assignDemands(req Request, cells [][]int, down map[int]bool) ([][]cluster.D
 	return out, nil
 }
 
-// searchCell runs the flat search on one cell's slice of the cluster.
-// Local host index i maps to global host hosts[i]; the shared predictor
-// and score maps are read-only and passed through as-is.
-func searchCell(req Request, cfg Config, hosts []int, demands []cluster.Demand, down map[int]bool, seed int64) (Result, error) {
-	var subDown []int
-	for i, h := range hosts {
-		if down[h] {
-			subDown = append(subDown, i)
+// searchCell anneals one cell: local host i is global host hosts[i],
+// and local app j is the cell's j-th smallest request index — ascending
+// indexes keep the request's sorted-app order, so the cell's objective
+// accumulates exactly as a from-scratch binding of its apps would. The
+// winning restart's cells are written into the cell's rows of fleet.
+func searchCell(b *bound, cfg *Config, sign float64, hosts []int, demand []appUnits, seed int64, fleet *core.Grid) (o cellOutcome) {
+	ws := acquireWorkspace()
+	defer releaseWorkspace(ws)
+	ids := ws.ids[:0]
+	for _, d := range demand {
+		ids = append(ids, d.id)
+	}
+	slices.Sort(ids)
+	ws.ids = ids
+	b.ix.Sub(&ws.sub, ids)
+	p := problem{ix: &ws.sub, hosts: len(hosts), slots: b.slots, limit: b.limit}
+	ws.demand = ws.demand[:0]
+	for _, d := range demand {
+		j, _ := slices.BinarySearch(ids, d.id)
+		ws.demand = append(ws.demand, appUnits{id: int32(j), units: d.units})
+	}
+	p.demand = ws.demand
+	if b.down != nil {
+		ws.down = ws.down[:0]
+		for _, h := range hosts {
+			ws.down = append(ws.down, b.down[h])
+		}
+		if slices.Contains(ws.down, true) {
+			p.down = ws.down
 		}
 	}
-	sub := Request{
-		NumHosts:         len(hosts),
-		SlotsPerHost:     req.SlotsPerHost,
-		AppsPerHostLimit: req.AppsPerHostLimit,
-		Demands:          demands,
-		Predictors:       req.Predictors,
-		Scores:           req.Scores,
-		DownHosts:        subDown,
-	}
-	scfg := Config{
-		Iterations: cfg.Iterations,
-		InitTemp:   cfg.InitTemp,
-		CoolRate:   cfg.CoolRate,
-		Seed:       seed,
-		Goal:       cfg.Goal,
-		Method:     cfg.Method,
-		Restarts:   cfg.Restarts,
-		Tracer:     cfg.Tracer,
-	}
 	// The QoS constraint only applies in the cell actually holding the
-	// constrained app's units (Search rejects a QoS app absent from the
-	// demands). Feasibility is re-checked globally by the exchange phase.
-	if cfg.QoS != nil {
-		for _, d := range demands {
-			if d.App == cfg.QoS.App {
-				scfg.QoS = cfg.QoS
-				break
+	// constrained app's units. Feasibility is re-checked globally by the
+	// exchange phase.
+	if b.qos != nil {
+		if j, ok := slices.BinarySearch(ids, b.qosIdx); ok {
+			p.qos, p.qosIdx = b.qos, int32(j)
+		}
+	}
+	outs, win, err := anneal(&p, cfg, sign, seed, false, nil)
+	defer releaseOutcomes(outs)
+	if err != nil {
+		o.err = err
+		return o
+	}
+	for i := range outs {
+		o.add(&outs[i].tally)
+	}
+	best, dst := outs[win].ws.best.cells, fleet.Cells()
+	for i, gh := range hosts {
+		for s, id := range best[i*b.slots : (i+1)*b.slots] {
+			if id >= 0 {
+				dst[gh*b.slots+s] = ids[id]
 			}
 		}
 	}
-	return Search(sub, scfg)
+	return o
 }
 
 // exchangeOutcome carries the exchange phase's counters. conflicts and
@@ -255,54 +254,33 @@ func searchCell(req Request, cfg Config, hosts []int, demands []cluster.Demand, 
 // (serial runs report 0 conflicts and occupancy 1: every evaluation is
 // authoritative).
 type exchangeOutcome struct {
-	evals     int
-	proposals uint64
-	accepted  uint64
-	rejected  uint64
-	invalid   uint64
+	tally
 	conflicts uint64
 	occupancy float64
-	hits      uint64
-	misses    uint64
-	chits     uint64
-	cmisses   uint64
-	finalTemp float64
 }
 
-// exchangePhase anneals cross-cell swaps over the merged placement. Each
+// exchangePhase anneals cross-cell swaps over the fleet grid in ws. Each
 // proposal picks two distinct cells, a random slot in each, and swaps
-// them through the incremental evaluator — the same apply/undo machinery
-// as runRestart, with the proposal distribution restricted to pairs that
-// cross a cell boundary (within-cell pairs were already annealed by the
-// cell phase). The draw discipline (geometry and acceptance uniforms
-// interleaved on one Stream("exchange")) is pinned by golden digests:
-// this serial phase must stay bit-identical across engine rework.
-func exchangePhase(cur *cluster.Placement, req Request, cfg Config, sign float64, cells [][]int, down map[int]bool) (Result, exchangeOutcome, error) {
-	o := exchangeOutcome{occupancy: 1}
-	e, err := newIncEval(cur, req, cfg.QoS)
-	if err != nil {
-		return Result{}, o, err
+// them through the same walk as runRestart, with the proposal
+// distribution restricted to pairs that cross a cell boundary
+// (within-cell pairs were already annealed by the cell phase). The draw
+// discipline (geometry and acceptance uniforms interleaved on one
+// Stream("exchange")) is pinned by golden digests: this serial phase
+// must stay bit-identical across engine rework. The best state is left
+// in ws.best.
+func exchangePhase(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
+	span := cfg.Tracer.StartSpan("placement.exchange")
+	defer span.End()
+	var w walk
+	if err := w.begin(ws, &b.problem, cfg, sign); err != nil {
+		return exchangeOutcome{}, err
 	}
-	o.evals++
-	curObj := e.objective(e.pred)
-	curEnergy := e.energy(curObj, e.pred)
-
-	var bs bestState
-	consider := func(obj float64) {
-		qosOK := cfg.QoS == nil || e.qosValue() <= cfg.QoS.MaxNormalized
-		if !bs.have || betterSnap(cfg.QoS != nil, sign, bestSnap{obj: obj, qosOK: qosOK}, bs.snap()) {
-			bs.note(e, obj, qosOK)
-		}
-	}
-	consider(curObj)
-
 	iters := cfg.ExchangeIters
 	if iters <= 0 {
 		iters = cfg.Iterations
 	}
-	r := sim.NewRNG(cfg.Seed).Stream("exchange")
-	span := cfg.Tracer.StartSpan("placement.exchange")
-	defer span.End()
+	r := &ws.draw
+	r.Reset(streamSeed(cfg.Seed, "exchange"))
 	temp := cfg.InitTemp
 	cool := math.Pow(1e-3, 1/float64(iters))
 	for it := 0; it < iters; it++ {
@@ -314,56 +292,16 @@ func exchangePhase(cur *cluster.Placement, req Request, cfg Config, sign float64
 		}
 		ha := cells[ca][r.Intn(len(cells[ca]))]
 		hb := cells[cb][r.Intn(len(cells[cb]))]
-		sa := r.Intn(req.SlotsPerHost)
-		sb := r.Intn(req.SlotsPerHost)
-		if len(down) > 0 && (down[ha] || down[hb]) {
-			o.invalid++
+		sa := r.Intn(b.slots)
+		sb := r.Intn(b.slots)
+		if b.down != nil && (b.down[ha] || b.down[hb]) {
+			w.invalid++
 			continue
 		}
-		if cur.At(ha, sa) == cur.At(hb, sb) {
-			continue
-		}
-		if err := cur.Swap(ha, sa, hb, sb); err != nil {
-			return Result{}, o, err
-		}
-		if cur.ValidateHosts(ha, hb) != nil {
-			o.invalid++
-			if err := cur.Swap(ha, sa, hb, sb); err != nil { // undo
-				return Result{}, o, err
-			}
-			continue
-		}
-		candObj, candEnergy, err := e.evalSwapped(ha, sa, hb, sb)
-		if err != nil {
-			return Result{}, o, err
-		}
-		o.evals++
-		o.proposals++
-		delta := sign * (candEnergy - curEnergy)
-		accept := delta <= 0
-		if !accept && cfg.Method == Anneal {
-			accept = r.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
-		}
-		if accept {
-			o.accepted++
-			e.accept()
-			curObj, curEnergy = candObj, candEnergy
-			consider(curObj)
-		} else {
-			o.rejected++
-			e.reject()
-			if err := cur.Swap(ha, sa, hb, sb); err != nil { // undo
-				return Result{}, o, err
-			}
+		if _, err := w.try(ha, sa, hb, sb, temp, r); err != nil {
+			return exchangeOutcome{}, err
 		}
 	}
-	o.finalTemp = temp
-	o.hits, o.misses = e.cache.Stats()
-	o.chits, o.cmisses = e.cache.CombineStats()
-	e.release()
-	best, err := bs.materialize(req.AppsPerHostLimit)
-	if err != nil {
-		return Result{}, o, err
-	}
-	return best, o, nil
+	w.finish(temp)
+	return exchangeOutcome{tally: w.tally, occupancy: 1}, nil
 }

@@ -5,16 +5,21 @@
 // or to satisfy a QoS constraint on a mission-critical application while
 // improving everyone else (Section 5.2).
 //
-// The search state is a cluster.Placement of application units; a move
-// swaps the contents of two slots (including moves into empty slots), the
-// paper's "swap two VMs running different workloads". Placements violating
-// the pairwise co-location rule are rejected outright.
+// A placement assigns application units to host slots; a move swaps the
+// contents of two slots (including moves into empty slots), the paper's
+// "swap two VMs running different workloads". Placements violating the
+// pairwise co-location rule are rejected outright. cluster.Placement and
+// the per-app prediction map are the package's boundary format only: a
+// Request is bound to dense app indexes once, the search runs on an
+// int32 grid (engine.go), and one Result is materialized at the end.
 package placement
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -40,57 +45,90 @@ type Request struct {
 	DownHosts []int
 }
 
-// downSet materializes DownHosts as a set.
-func (r Request) downSet() map[int]bool {
-	if len(r.DownHosts) == 0 {
-		return nil
-	}
-	down := make(map[int]bool, len(r.DownHosts))
-	for _, h := range r.DownHosts {
-		down[h] = true
-	}
-	return down
+// bound is a Request validated and bound to dense app indexes, once per
+// Search: the whole-request problem (apps sorted by name, so index order
+// is the order Objective accumulates in) plus what materialize needs to
+// name a grid back into a Placement.
+type bound struct {
+	problem
+	appsLimit int // the request's raw AppsPerHostLimit
 }
 
-func (r Request) validate() error {
-	if r.NumHosts <= 0 || r.SlotsPerHost <= 0 {
-		return errors.New("placement: non-positive cluster dimensions")
+// bind validates req and binds it.
+func bind(req Request) (b *bound, err error) {
+	if req.NumHosts <= 0 || req.SlotsPerHost <= 0 {
+		return nil, errors.New("placement: non-positive cluster dimensions")
 	}
-	if r.AppsPerHostLimit < 0 {
-		return errors.New("placement: negative apps-per-host limit")
+	if req.AppsPerHostLimit < 0 {
+		return nil, errors.New("placement: negative apps-per-host limit")
 	}
-	if len(r.Demands) == 0 {
-		return errors.New("placement: no demands")
+	if len(req.Demands) == 0 {
+		return nil, errors.New("placement: no demands")
 	}
-	down := map[int]bool{}
-	for _, h := range r.DownHosts {
-		if h < 0 || h >= r.NumHosts {
-			return fmt.Errorf("placement: down host %d out of range", h)
+	b = &bound{appsLimit: req.AppsPerHostLimit}
+	b.hosts, b.slots, b.limit = req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit
+	if b.limit == 0 {
+		b.limit = cluster.MaxAppsPerHost
+	}
+	downN := 0
+	for _, h := range req.DownHosts {
+		if h < 0 || h >= req.NumHosts {
+			return nil, fmt.Errorf("placement: down host %d out of range", h)
 		}
-		down[h] = true
+		if b.down == nil {
+			b.down = make([]bool, req.NumHosts)
+		}
+		if !b.down[h] {
+			b.down[h] = true
+			downN++
+		}
 	}
+	// order lists the demands by app name: position in it is the app's
+	// dense index.
+	order := make([]int, len(req.Demands))
 	total := 0
-	seen := map[string]bool{}
-	for _, d := range r.Demands {
+	for i, d := range req.Demands {
 		if d.App == "" || d.Units <= 0 {
-			return fmt.Errorf("placement: bad demand %+v", d)
+			return nil, fmt.Errorf("placement: bad demand %+v", d)
 		}
-		if seen[d.App] {
-			return fmt.Errorf("placement: duplicate demand for %q", d.App)
-		}
-		seen[d.App] = true
 		total += d.Units
-		if _, ok := r.Predictors[d.App]; !ok {
-			return fmt.Errorf("placement: no predictor for %q", d.App)
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int { return strings.Compare(req.Demands[x].App, req.Demands[y].App) })
+	apps := make([]string, len(order))
+	b.demand = make([]appUnits, len(order))
+	for id, di := range order {
+		d := req.Demands[di]
+		if id > 0 && d.App == apps[id-1] {
+			return nil, fmt.Errorf("placement: duplicate demand for %q", d.App)
 		}
-		if _, ok := r.Scores[d.App]; !ok {
-			return fmt.Errorf("placement: no bubble score for %q", d.App)
+		apps[id] = d.App
+		b.demand[di] = appUnits{id: int32(id), units: d.Units}
+		if _, ok := req.Scores[d.App]; !ok {
+			return nil, fmt.Errorf("placement: no bubble score for %q", d.App)
 		}
 	}
-	if surviving := (r.NumHosts - len(down)) * r.SlotsPerHost; total > surviving {
-		return fmt.Errorf("placement: %d units exceed %d surviving slots (%d of %d hosts down)",
-			total, surviving, len(down), r.NumHosts)
+	if b.ix, err = core.NewAppsIndex(apps, req.Predictors, req.Scores); err != nil {
+		return nil, fmt.Errorf("placement: %w", err)
 	}
+	if surviving := (req.NumHosts - downN) * req.SlotsPerHost; total > surviving {
+		return nil, fmt.Errorf("placement: %d units exceed %d surviving slots (%d of %d hosts down)",
+			total, surviving, downN, req.NumHosts)
+	}
+	return b, nil
+}
+
+// constrain binds the QoS constraint (nil for none) to the request's
+// index; the constrained app must be among the demands.
+func (b *bound) constrain(qos *QoS) error {
+	if qos == nil {
+		return nil
+	}
+	id, ok := slices.BinarySearch(b.ix.Apps, qos.App)
+	if !ok {
+		return fmt.Errorf("placement: QoS app %q not among demands", qos.App)
+	}
+	b.qos, b.qosIdx = qos, int32(id)
 	return nil
 }
 
@@ -375,14 +413,11 @@ func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 // Search runs the annealing placement search and returns the best
 // placement found across restarts.
 //
-// Each restart is an independent trajectory on its own derived RNG
-// stream, so the restarts run in parallel (one goroutine each) and are
-// merged in restart order — the Result is bit-identical to a serial
-// sweep for a given seed. Proposals are scored incrementally: a swap
-// touches at most two hosts, so only the applications with units there
-// are re-predicted (core.DeltaPredict, memoized per restart by a
-// core.PredictionCache), and the swap is applied in place and undone on
-// rejection instead of cloning the placement.
+// The request is validated and bound to dense indexes once; the search
+// itself never touches a string (see engine.go). Each restart is an
+// independent trajectory on its own derived RNG stream, so the restarts
+// run in parallel (one goroutine each) and are merged in restart order —
+// the Result is bit-identical to a serial sweep for a given seed.
 //
 // Telemetry series and OnProgress samples are emitted live for the
 // first restart (whose steps lead the serial order) and replayed in
@@ -391,7 +426,8 @@ func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 // arrives only after the search completes, with values identical to a
 // serial run.
 func Search(req Request, cfg Config) (Result, error) {
-	if err := req.validate(); err != nil {
+	b, err := bind(req)
+	if err != nil {
 		return Result{}, err
 	}
 	if cfg.Iterations <= 0 {
@@ -418,14 +454,8 @@ func Search(req Request, cfg Config) (Result, error) {
 		if cfg.QoS.MaxNormalized < 1 {
 			return Result{}, fmt.Errorf("placement: QoS bound %v below 1 is unsatisfiable", cfg.QoS.MaxNormalized)
 		}
-		found := false
-		for _, d := range req.Demands {
-			if d.App == cfg.QoS.App {
-				found = true
-			}
-		}
-		if !found {
-			return Result{}, fmt.Errorf("placement: QoS app %q not among demands", cfg.QoS.App)
+		if err := b.constrain(cfg.QoS); err != nil {
+			return Result{}, err
 		}
 	}
 
@@ -454,12 +484,15 @@ func Search(req Request, cfg Config) (Result, error) {
 	if cfg.Goal == Worst {
 		sign = -1
 	}
-
 	if cfg.Cells > 1 {
-		return searchHierarchical(req, cfg, sign)
+		return searchHierarchical(b, &cfg, sign)
 	}
+	return searchFlat(b, &cfg, sign)
+}
 
-	rng := sim.NewRNG(cfg.Seed).Stream("placement")
+// searchFlat is the flat search: the whole request as one problem, no
+// exchange phase.
+func searchFlat(b *bound, cfg *Config, sign float64) (Result, error) {
 	record := cfg.Telemetry != nil || cfg.OnProgress != nil
 
 	// Optional telemetry; everything stays nil on an uninstrumented
@@ -484,64 +517,34 @@ func Search(req Request, cfg Config) (Result, error) {
 			})
 		}
 	}
-
-	outs := make([]restartOutcome, cfg.Restarts)
-	done := make(chan struct{})
-	for i := 1; i < cfg.Restarts; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			outs[i] = runRestart(req, cfg, sign, rng.StreamN("restart", i), record, nil)
-		}(i)
-	}
-	// Restart 0 runs on the calling goroutine; its steps lead the serial
-	// order, so it can emit live (its local best IS the merged best).
+	// Restart 0's steps lead the serial order, so it can emit live (its
+	// local best IS the merged best).
 	var live stepEmit
 	if record {
 		live = func(it int, temp float64, bs bestSnap) { emit(0, it, temp, bs) }
 	}
-	outs[0] = runRestart(req, cfg, sign, rng.StreamN("restart", 0), record, live)
-	for i := 1; i < cfg.Restarts; i++ {
-		<-done
+	outs, win, err := anneal(&b.problem, cfg, sign, cfg.Seed, record, live)
+	defer releaseOutcomes(outs)
+	if err != nil {
+		return Result{}, err
 	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return Result{}, outs[i].err
-		}
-	}
-
-	// Deterministic merge in restart order: ties keep the earlier
-	// restart, exactly as a serial sweep's strict-improvement rule does.
 	// Only the winning restart's compact best state is materialized into
 	// a Placement + prediction map — the losers never allocate one.
-	win := -1
-	evals := 0
+	best, err := b.materialize(&outs[win].ws.best)
+	if err != nil {
+		return Result{}, err
+	}
+	var sum tally
 	for i := range outs {
-		evals += outs[i].evals
-		if !outs[i].bs.have {
-			continue
-		}
-		if win < 0 || betterSnap(cfg.QoS != nil, sign, outs[i].bs.snap(), outs[win].bs.snap()) {
-			win = i
-		}
+		sum.add(&outs[i].tally)
 	}
-	var best Result
-	if win >= 0 {
-		var merr error
-		best, merr = outs[win].bs.materialize(req.AppsPerHostLimit)
-		if merr != nil {
-			return Result{}, merr
-		}
-	}
-	best.Evaluations = evals
-	for i := range outs {
-		best.CombineHits += outs[i].chits
-		best.CombineMisses += outs[i].cmisses
-	}
+	best.Evaluations = sum.evals
+	best.CombineHits, best.CombineMisses = sum.chits, sum.cmisses
 
 	// Replay the buffered restarts in serial order, merging each step's
 	// restart-local best with the best of all earlier restarts.
 	if record && cfg.Restarts > 1 {
-		merged := outs[0].bs.snap()
+		merged := outs[0].ws.best.snap()
 		for r := 1; r < cfg.Restarts; r++ {
 			temp := cfg.InitTemp
 			for it := 0; it < cfg.Iterations; it++ {
@@ -552,7 +555,7 @@ func Search(req Request, cfg Config) (Result, error) {
 				}
 				emit(r, it, temp, bs)
 			}
-			fin := outs[r].bs.snap()
+			fin := outs[r].ws.best.snap()
 			if betterSnap(cfg.QoS != nil, sign, fin, merged) {
 				merged = fin
 			}
@@ -560,37 +563,32 @@ func Search(req Request, cfg Config) (Result, error) {
 	}
 
 	if cfg.Telemetry != nil {
-		var prop, acc, rej, inv, hits, misses, chits, cmisses uint64
-		for i := range outs {
-			prop += outs[i].proposals
-			acc += outs[i].accepted
-			rej += outs[i].rejected
-			inv += outs[i].invalid
-			hits += outs[i].hits
-			misses += outs[i].misses
-			chits += outs[i].chits
-			cmisses += outs[i].cmisses
-		}
+		sum.finalTemp = outs[cfg.Restarts-1].finalTemp
 		cfg.Telemetry.Counter(MetricIterations).Add(uint64(cfg.Restarts) * uint64(cfg.Iterations))
-		propC := cfg.Telemetry.Counter(MetricProposals)
-		propC.Add(prop)
-		accC := cfg.Telemetry.Counter(MetricAccepted)
-		accC.Add(acc)
-		cfg.Telemetry.Counter(MetricRejected).Add(rej)
-		cfg.Telemetry.Counter(MetricInvalid).Add(inv)
-		cfg.Telemetry.Counter(MetricPredCacheHits).Add(hits)
-		cfg.Telemetry.Counter(MetricPredCacheMisses).Add(misses)
-		cfg.Telemetry.Counter(MetricPredCacheCombineHits).Add(chits)
-		cfg.Telemetry.Counter(MetricPredCacheCombineMisses).Add(cmisses)
 		cfg.Telemetry.Counter(MetricRestarts).Add(uint64(cfg.Restarts))
-		cfg.Telemetry.Counter(MetricEvaluations).Add(uint64(evals))
-		cfg.Telemetry.Gauge(MetricBestObjective).Set(best.Objective)
-		cfg.Telemetry.Gauge(MetricFinalTemp).Set(outs[cfg.Restarts-1].finalTemp)
+		recordTally(cfg.Telemetry, &sum, best.Objective)
+		propC, accC := cfg.Telemetry.Counter(MetricProposals), cfg.Telemetry.Counter(MetricAccepted)
 		if p := propC.Value(); p > 0 {
 			cfg.Telemetry.Gauge(MetricAcceptanceRate).Set(float64(accC.Value()) / float64(p))
 		}
 	}
 	return best, nil
+}
+
+// recordTally publishes the counters and closing gauges both search
+// paths share.
+func recordTally(reg *telemetry.Registry, t *tally, bestObjective float64) {
+	reg.Counter(MetricProposals).Add(t.proposals)
+	reg.Counter(MetricAccepted).Add(t.accepted)
+	reg.Counter(MetricRejected).Add(t.rejected)
+	reg.Counter(MetricInvalid).Add(t.invalid)
+	reg.Counter(MetricEvaluations).Add(uint64(t.evals))
+	reg.Counter(MetricPredCacheHits).Add(t.hits)
+	reg.Counter(MetricPredCacheMisses).Add(t.misses)
+	reg.Counter(MetricPredCacheCombineHits).Add(t.chits)
+	reg.Counter(MetricPredCacheCombineMisses).Add(t.cmisses)
+	reg.Gauge(MetricBestObjective).Set(bestObjective)
+	reg.Gauge(MetricFinalTemp).Set(t.finalTemp)
 }
 
 // RandomOutcome evaluates n random valid placements with the model and
@@ -599,28 +597,25 @@ func Search(req Request, cfg Config) (Result, error) {
 // QoSSatisfied reflects whether that placement actually meets the
 // constraint; with no constraint it is vacuously true.
 func RandomOutcome(req Request, n int, seed int64, qos *QoS) ([]Result, error) {
-	if err := req.validate(); err != nil {
+	b, err := bind(req)
+	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, errors.New("placement: non-positive sample count")
 	}
-	if qos != nil {
-		found := false
-		for _, d := range req.Demands {
-			if d.App == qos.App {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("placement: QoS app %q not among demands", qos.App)
-		}
+	if err := b.constrain(qos); err != nil {
+		return nil, err
 	}
 	rng := sim.NewRNG(seed).Stream("random-placements")
-	down := req.downSet()
+	ws := acquireWorkspace()
+	defer releaseWorkspace(ws)
 	out := make([]Result, 0, n)
 	for i := 0; i < n; i++ {
-		p, err := cluster.RandomValidDown(rng.StreamN("p", i), req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.Demands, 0, down)
+		if err := b.sample(ws, rng.StreamN("p", i)); err != nil {
+			return nil, err
+		}
+		p, err := cluster.PlacementFromCells(b.hosts, b.slots, b.appsLimit, ws.e.grid.Cells(), b.ix.Apps)
 		if err != nil {
 			return nil, err
 		}

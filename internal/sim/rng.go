@@ -27,6 +27,18 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
+// Reset re-targets g at seed: from here on it is indistinguishable from
+// NewRNG(seed), but a generator left by earlier draws is reseeded in
+// place instead of being reallocated — a search that runs hundreds of
+// short-lived streams resets a pooled RNG rather than allocating a 5 KB
+// source for each.
+func (g *RNG) Reset(seed int64) {
+	g.seed = seed
+	if g.r != nil {
+		g.r.Seed(seed)
+	}
+}
+
 // src returns the underlying generator, seeding it on first use. The
 // source is fastSource — bit-identical draws to rand.NewSource(g.seed)
 // at a fraction of the seeding cost (see rngsource.go).
@@ -107,6 +119,18 @@ func (g *RNG) JitterAround1(sigma float64) float64 {
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
+
+// PermInto fills m with a random permutation of [0,len(m)), consuming
+// exactly the draws Perm(len(m)) does and producing the same order, with
+// no allocation.
+func (g *RNG) PermInto(m []int32) {
+	r := g.src()
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+}
 
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.src().Shuffle(n, swap) }

@@ -45,9 +45,29 @@ func lehmer(x int32) int32 {
 	return int32(v)
 }
 
+// lehmerCubed is 48271³ mod 2³¹−1: one multiply by it advances the
+// seeding recurrence three steps.
+const lehmerCubed = 1291394886
+
+// lehmer3 is three lehmer steps in one: lehmerCubed·x mod 2³¹−1. The
+// product is < 2⁶², so the first fold leaves a sum < 2³² and a second
+// fold plus one conditional subtraction completes the reduction.
+func lehmer3(x int32) int32 {
+	p := uint64(x) * lehmerCubed
+	v := (p >> 31) + (p & int31max)
+	v = (v >> 31) + (v & int31max)
+	if v >= int31max {
+		v -= int31max
+	}
+	return int32(v)
+}
+
 // Seed initializes the state exactly as math/rand's rngSource.Seed: 20
 // warm-up steps of the Lehmer recurrence, then three draws folded into
-// each of the 607 lagged-Fibonacci words against the cooked table.
+// each of the 607 lagged-Fibonacci words against the cooked table. The
+// 1821 draws form one serial dependency chain, so they are taken as
+// three interleaved chains instead — word i's draws are x₀·aⁱ, x₁·aⁱ,
+// x₂·aⁱ with a = lehmerCubed — which the CPU overlaps.
 func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
@@ -59,17 +79,15 @@ func (s *fastSource) Seed(seed int64) {
 		seed = 89482311
 	}
 	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
+	for i := 0; i < 20; i++ {
 		x = lehmer(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = lehmer(x)
-			u ^= int64(x) << 20
-			x = lehmer(x)
-			u ^= int64(x)
-			u ^= rngCooked[i]
-			s.vec[i] = u
-		}
+	}
+	x0 := lehmer(x)
+	x1 := lehmer(x0)
+	x2 := lehmer(x1)
+	for i := range s.vec {
+		s.vec[i] = int64(x0)<<40 ^ int64(x1)<<20 ^ int64(x2) ^ rngCooked[i]
+		x0, x1, x2 = lehmer3(x0), lehmer3(x1), lehmer3(x2)
 	}
 }
 
