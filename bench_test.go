@@ -318,8 +318,8 @@ func BenchmarkPlacementSearchRestarts(b *testing.B) {
 }
 
 // BenchmarkDeltaPredict measures a two-host incremental re-prediction —
-// the exact per-proposal work of the search's swap loop — on the
-// indexed (dense app ID, int32 grid) hot path the engine runs.
+// the exact per-proposal work of the search's swap loop — through
+// core.DeltaPredictPos over the grid and postings, as the engine runs it.
 func BenchmarkDeltaPredict(b *testing.B) {
 	req := benchPlacementRequest()
 	p, err := cluster.RandomValid(sim.NewRNG(3), req.NumHosts, req.SlotsPerHost, req.Demands, 0)
@@ -334,13 +334,14 @@ func BenchmarkDeltaPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pst := core.NewPostings(grid, len(ix.Apps))
 	cache := core.NewPredictionCache()
 	out := make([]float64, len(p.Apps()))
 	all := make([]int32, len(p.Apps()))
 	for i := range all {
 		all[i] = int32(i)
 	}
-	if err := core.DeltaPredictIdx(grid, all, ix, cache, out); err != nil {
+	if err := core.DeltaPredictPos(grid, pst, all, ix, cache, out); err != nil {
 		b.Fatal(err)
 	}
 	var affected []int32
@@ -354,32 +355,7 @@ func BenchmarkDeltaPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.DeltaPredictIdx(grid, affected, ix, cache, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDeltaPredictByName measures the string-keyed DeltaPredict
-// compatibility path (adversarial callers, tests, and the serving
-// plane's shared tier), which pays name lookups the indexed path skips.
-func BenchmarkDeltaPredictByName(b *testing.B) {
-	req := benchPlacementRequest()
-	p, err := cluster.RandomValid(sim.NewRNG(3), req.NumHosts, req.SlotsPerHost, req.Demands, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := core.NewPredictionCache()
-	out := map[string]float64{}
-	if err := core.DeltaPredict(p, p.Apps(), req.Predictors, req.Scores, cache, out); err != nil {
-		b.Fatal(err)
-	}
-	affected := p.HostApps(0)
-	affected = append(affected, p.HostApps(1)...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := core.DeltaPredict(p, affected, req.Predictors, req.Scores, cache, out); err != nil {
+		if err := core.DeltaPredictPos(grid, pst, affected, ix, cache, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -156,7 +156,7 @@ func TestMissingFixtureAgainstCommitted(t *testing.T) {
 // TestAllocsFixtureAgainstCommitted pins the third ci.sh gate: the
 // committed allocs-regression fixture must fail solely on allocs/op —
 // the alloc-free hot paths (drift tracker ingestion, model prediction,
-// indexed delta prediction) growing allocations — with identical
+// delta prediction) growing allocations — with identical
 // timings and no dropped benchmarks.
 func TestAllocsFixtureAgainstCommitted(t *testing.T) {
 	committed, err := load(filepath.Join("..", "..", "BENCH_telemetry.json"))

@@ -77,7 +77,6 @@ type daemonConfig struct {
 	searchRestarts   int // parallel annealing restarts per round
 	searchCells      int // hierarchical-search cells (0 = adaptive, 1 = flat search)
 	searchExchange   int // cross-cell exchange proposals (0 = searchIters)
-	searchExWorkers  int // speculative exchange evaluators (0/1 = serial)
 	seriesCap        int // retained points per convergence series
 	roundPause       time.Duration
 	reportPath       string
@@ -160,7 +159,6 @@ func main() {
 		restarts  = flag.Int("search-restarts", cfg.searchRestarts, "independent annealing restarts per round, run in parallel")
 		scells    = flag.Int("search-cells", cfg.searchCells, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
 		sexchange = flag.Int("search-exchange", cfg.searchExchange, "cross-cell exchange proposals after the cell phase (0 = search-iters; needs -search-cells > 1)")
-		sexworker = flag.Int("search-exchange-workers", cfg.searchExWorkers, "speculative exchange evaluators (0/1 = serial; >1 needs -search-cells > 1)")
 		pause     = flag.Duration("round-pause", cfg.roundPause, "wall-clock pause between rounds")
 		faults    = flag.String("faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
 		pRetries  = flag.Int("profile-retries", cfg.profileRetries, "extra model-build attempts per workload before dropping it")
@@ -198,7 +196,6 @@ func main() {
 	cfg.workers = *workers
 	cfg.searchRestarts = *restarts
 	cfg.searchCells, cfg.searchExchange = *scells, *sexchange
-	cfg.searchExWorkers = *sexworker
 	cfg.reportPath, cfg.tracePath = *report, *trace
 	cfg.faultsPath = *faults
 	cfg.profileRetries, cfg.profileBackoff, cfg.profileTimeout = *pRetries, *pBackoff, *pTimeout
@@ -675,7 +672,6 @@ func runRound(cfg daemonConfig, round int, env *interference.Env,
 		pcfg.Cells = placement.AdaptiveCells(cfg.hosts, runtime.GOMAXPROCS(0))
 	}
 	pcfg.ExchangeIters = cfg.searchExchange
-	pcfg.ExchangeWorkers = cfg.searchExWorkers
 	pcfg.Telemetry = reg
 	pcfg.Tracer = tracer
 	pcfg.OnProgress = func(s placement.ProgressSample) {

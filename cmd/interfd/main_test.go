@@ -39,7 +39,17 @@ func startTestDaemon(t *testing.T, mutate func(*daemonConfig)) (string, context.
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
-	go func() { errCh <- runDaemon(ctx, cfg, obs.Nop()) }()
+	done := make(chan struct{})
+	go func() {
+		errCh <- runDaemon(ctx, cfg, obs.Nop())
+		close(done)
+	}()
+	// Join the drain before t.TempDir's cleanup (registered above, so it
+	// runs after this one) removes the directory the drain writes into.
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 	select {
 	case addr := <-addrCh:
 		return "http://" + addr, cancel, errCh, cfg.reportPath
@@ -229,14 +239,13 @@ func TestDaemonBoundedRounds(t *testing.T) {
 }
 
 // TestDaemonSpeculativeExchangeTelemetry runs bounded rounds with the
-// hierarchical search in speculative mode and checks the exchange-phase
-// telemetry — proposals, accepted, conflicts, batch occupancy — lands in
-// the final RunReport.
+// hierarchical search and checks the exchange-phase telemetry —
+// proposals, accepted, conflicts, batch occupancy, live at every
+// evaluator count — lands in the final RunReport.
 func TestDaemonSpeculativeExchangeTelemetry(t *testing.T) {
 	_, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
 		c.rounds = 2
 		c.searchCells = 4
-		c.searchExWorkers = 4
 	})
 	defer cancel()
 	select {

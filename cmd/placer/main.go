@@ -44,7 +44,6 @@ func main() {
 		restarts    = flag.Int("restarts", 0, "independent annealing restarts, run in parallel (0 = search default)")
 		cells       = flag.Int("cells", 0, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
 		exchange    = flag.Int("exchange", 0, "cross-cell exchange proposals after the cell phase (0 = iters; needs cells > 1)")
-		exWorkers   = flag.Int("exchange-workers", 0, "speculative exchange evaluators (0/1 = serial; >1 needs cells > 1)")
 		units       = flag.Int("units", 4, "units per application")
 		naive       = flag.Bool("naive", false, "drive the search with the naive proportional model")
 		seed        = flag.Int64("seed", 1, "experiment seed")
@@ -157,7 +156,6 @@ func main() {
 		pcfg.Cells = placement.AdaptiveCells(req.NumHosts, runtime.GOMAXPROCS(0))
 	}
 	pcfg.ExchangeIters = *exchange
-	pcfg.ExchangeWorkers = *exWorkers
 	pcfg.Telemetry = reg
 	pcfg.Tracer = tracer
 	pcfg.OnProgress = func(s placement.ProgressSample) {

@@ -1,33 +1,27 @@
-// Incremental prediction: the placement search proposes thousands of
+// Prediction memoization: the placement search proposes thousands of
 // single-swap neighbours per second, and a swap touches at most two
 // hosts — so only the applications with units on those hosts can see a
-// different pressure vector. DeltaPredict re-predicts exactly that
-// affected set against a cached per-app prediction map, and
-// PredictionCache memoizes predictions by (app, pressure vector) so
-// proposals that revisit a configuration skip the policy conversion and
-// matrix lookup entirely.
+// different pressure vector. DeltaPredictPos (postings.go) re-predicts
+// exactly that affected set, and PredictionCache memoizes predictions by
+// (app index, pressure vector) so proposals that revisit a configuration
+// skip the policy conversion and matrix lookup entirely.
 //
-// The cache is deliberately not a Go map keyed by bytes: profiling the
-// old scheme showed ~3/4 of DeltaPredict spent hashing and comparing
-// byte keys (aeshash + mapaccess + memequal). Instead, app names are
-// interned once into dense int32 IDs and the (id, pressure-vector)
-// pairs live in open-addressed tables whose keys are normalized float
-// bits in a shared arena — probing is integer compares over contiguous
-// memory and a lookup allocates nothing. The byte-key scheme also had
-// two latent bugs the integer scheme removes structurally: an app name
-// containing NUL could collide with a different (app, pressures) pair
-// (the name/vector boundary was a bare NUL separator), and +0/-0
-// pressure entries produced distinct keys for semantically identical
-// inputs (predictions depend only on the value, and +0 == -0).
+// The cache is deliberately not a Go map keyed by bytes: profiling that
+// scheme showed ~3/4 of a delta prediction spent hashing and comparing
+// byte keys (aeshash + mapaccess + memequal). Instead apps are dense
+// integer IDs and the (id, pressure-vector) pairs live in open-addressed
+// tables whose keys are normalized float bits in a shared arena — probing
+// is integer compares over contiguous memory and a lookup allocates
+// nothing. Integer IDs also make the name/vector boundary structural (a
+// byte key could collide for app names containing NUL), and keyBits
+// folds +0/-0, which are semantically identical inputs.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/bubble"
-	"repro/internal/cluster"
 )
 
 // keyBits returns the hash/equality bits of one pressure entry: the
@@ -54,7 +48,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashKey folds seed (the interned app ID, or 0 for the combine table)
+// hashKey folds seed (the app ID, or 0 for the combine table)
 // and the normalized bits of ps into a table hash. The seed enters the
 // first element's mix unmixed — one mix64 per element is plenty, and
 // every stored vector is non-empty so the seed never surfaces raw.
@@ -183,9 +177,26 @@ func (t *floatKeyTable) putW(h uint64, app int32, kw []uint64, v float64) {
 	}
 }
 
+// memo returns the value stored under (app, ps), computing it with pred
+// and storing it on a miss; hit reports which happened.
+func (t *floatKeyTable) memo(app int32, pred Predictor, ps []float64) (v float64, hit bool, err error) {
+	h := hashKey(uint64(app), ps)
+	if v, ok := t.get(h, app, ps); ok {
+		return v, true, nil
+	}
+	if v, err = pred.PredictPressures(ps); err != nil {
+		return 0, false, err
+	}
+	t.put(h, app, ps, v)
+	return v, false, nil
+}
+
 // reset empties the table, keeping the slot array and arena capacity
-// for reuse.
+// for reuse; an already-empty table is left untouched.
 func (t *floatKeyTable) reset() {
+	if t.n == 0 {
+		return
+	}
 	clear(t.entries)
 	t.arena = t.arena[:0]
 	t.n = 0
@@ -215,65 +226,56 @@ func (t *floatKeyTable) grow() {
 	}
 }
 
-// PredictionCache memoizes Predictor results keyed by the application
-// name and the exact (canonically unit-ordered, host-then-slot) pressure
-// vector its model consumes. Predictors must be pure functions of that
-// vector — every model in this package is, since the Section 3.3
-// policies and the propagation matrix are deterministic — so a hit is
-// bit-identical to recomputation and never perturbs a search trajectory.
-//
-// App names are interned to dense IDs on first sight, so the name/vector
-// boundary is structural (no byte-key ambiguity for names containing
-// NUL) and steady-state lookups never hash a string beyond the intern
-// map probe.
+// PredictionCache memoizes Predictor results for one AppsIndex binding,
+// keyed by the app's dense index and the exact (canonically unit-ordered,
+// host-then-slot) pressure vector its model consumes. Predictors must be
+// pure functions of that vector — every model in this package is, since
+// the Section 3.3 policies and the propagation matrix are deterministic —
+// so a hit is bit-identical to recomputation and never perturbs a search
+// trajectory.
 //
 // A cache is not safe for concurrent use; give each goroutine its own
-// (the parallel placement search keeps one per restart).
+// (the parallel placement search keeps one per walk). The name-keyed,
+// concurrency-safe tier shared across searches is SharedPredictionCache.
 type PredictionCache struct {
-	ids map[string]int32 // app name -> interned ID (from 1)
-	pt  floatKeyTable    // (app ID, pressure vector) -> prediction
-	ct  floatKeyTable    // co-runner score vector -> combined pressure
-	// ptW is the pairwise indexed path's prediction memo, keyed by the
-	// co-runner ID sequence at the app's units instead of the float
-	// vector itself: under one AppsIndex binding the ID sequence
-	// determines the pressure vector exactly (each element is the
-	// single-co-runner combine of that ID), so a hit returns the same
-	// bits — but probing needs no float normalization or hashing. Kept
-	// separate from pt so the two key encodings can never alias.
+	pt floatKeyTable // (app index, pressure vector) -> prediction
+	ct floatKeyTable // co-runner score vector -> combined pressure
+	// ptW is the pairwise path's prediction memo, keyed by the co-runner
+	// index sequence at the app's units instead of the float vector
+	// itself: under one AppsIndex binding the index sequence determines
+	// the pressure vector exactly (each element is the single-co-runner
+	// combine of that index), so a hit returns the same bits — but
+	// probing needs no float normalization or hashing. Kept separate from
+	// pt so the two key encodings can never alias.
 	ptW floatKeyTable
-	// Indexed-path combine fast memos: under the paper's pairwise
-	// co-location rule a unit has at most one co-runner, so the combine
-	// value is a function of that co-runner's dense app index alone —
-	// a direct array load instead of a hashed probe. Valid only under a
-	// single AppsIndex binding per cache (see DeltaPredictIdx).
+	// Combine fast memos: under the paper's pairwise co-location rule a
+	// unit has at most one co-runner, so the combine value is a function
+	// of that co-runner's dense app index alone — a direct array load
+	// instead of a hashed probe.
 	c1                         []float64 // single-co-runner combine value, by app index
 	c1ok                       []bool
 	cEmpty                     float64 // combine value of the empty co-runner vector
 	cEmptyOK                   bool
 	ps, co                     []float64 // scratch pressure / co-runner score buffers
-	kw                         []uint64  // scratch co-runner ID key words (pairwise path)
+	kw                         []uint64  // scratch co-runner index key words (pairwise path)
 	hits, misses               uint64
 	combineHits, combineMisses uint64
 }
 
 // NewPredictionCache returns an empty cache.
-func NewPredictionCache() *PredictionCache {
-	return &PredictionCache{ids: map[string]int32{}}
-}
+func NewPredictionCache() *PredictionCache { return &PredictionCache{} }
 
 // Reset empties the cache, keeping every table, arena, and scratch
 // buffer's capacity — the pooling primitive that lets one allocation's
 // worth of memo storage serve many searches. Contents never carry
-// across a Reset: the indexed-path memos (c1, ptW) are keyed by dense
-// app indexes that are only meaningful under a single AppsIndex
-// binding, so reuse across bindings must start empty. Because every
-// memoized value is a pure function of its key, starting empty changes
-// no result — only the hit/miss counters.
+// across a Reset: the memos are keyed by dense app indexes that are only
+// meaningful under a single AppsIndex binding, so reuse across bindings
+// must start empty. Because every memoized value is a pure function of
+// its key, starting empty changes no result — only the hit/miss counters.
 func (c *PredictionCache) Reset() {
 	if c == nil {
 		return
 	}
-	clear(c.ids)
 	c.pt.reset()
 	c.ct.reset()
 	c.ptW.reset()
@@ -284,104 +286,96 @@ func (c *PredictionCache) Reset() {
 	c.combineHits, c.combineMisses = 0, 0
 }
 
-// intern returns the dense ID for app, assigning the next one on first
-// sight. IDs start at 1 so 0 stays free for the combine table's keyspace.
-func (c *PredictionCache) intern(app string) int32 {
-	if id, ok := c.ids[app]; ok {
-		return id
-	}
-	if c.ids == nil {
-		c.ids = map[string]int32{}
-	}
-	id := int32(len(c.ids) + 1)
-	c.ids[app] = id
-	return id
-}
-
 // combine returns bubble.CombineScores(co, bubble.DefaultCollision),
-// memoized by the exact score vector — the collision exponent is a
-// package constant, so the pair is a pure function of co.
-func (c *PredictionCache) combine(co []float64) (float64, error) {
+// memoized — the collision exponent is a package constant, so the value
+// is a pure function of co. Vectors of length 0 and 1, the only lengths
+// under pairwise co-location, hit direct memos (a constant, and an array
+// indexed by the single co-runner's dense app index); longer vectors are
+// memoized by their exact scores in the hashed table. The short keys are
+// finer-grained than the scores (one per co-runner index instead of one
+// per distinct score), which can only re-compute, never alias.
+func (c *PredictionCache) combine(co []float64, single int32) (float64, error) {
 	if c == nil {
 		return bubble.CombineScores(co, bubble.DefaultCollision)
 	}
-	h := hashKey(0, co)
-	if v, ok := c.ct.get(h, 0, co); ok {
-		c.combineHits++
-		return v, nil
-	}
-	v, err := bubble.CombineScores(co, bubble.DefaultCollision)
-	if err != nil {
-		return 0, err
-	}
-	c.ct.put(h, 0, co, v)
-	c.combineMisses++
-	return v, nil
-}
-
-// combineIdx is combine for the indexed path: co vectors of length 0
-// and 1 — the only lengths under pairwise co-location — hit direct
-// memos (a constant and an array indexed by the single co-runner's
-// dense app index); longer vectors fall through to the hashed memo.
-// Values are identical to combine's: every miss computes the same
-// bubble.CombineScores over the same vector, the short keys are just
-// finer-grained (one per co-runner index instead of one per distinct
-// score), which can only re-compute, never alias.
-func (c *PredictionCache) combineIdx(co []float64, single int32) (float64, error) {
-	if c == nil {
-		return bubble.CombineScores(co, bubble.DefaultCollision)
-	}
+	var h uint64
 	switch len(co) {
 	case 0:
 		if c.cEmptyOK {
 			c.combineHits++
 			return c.cEmpty, nil
 		}
-		v, err := bubble.CombineScores(co, bubble.DefaultCollision)
-		if err != nil {
-			return 0, err
-		}
-		c.cEmpty, c.cEmptyOK = v, true
-		c.combineMisses++
-		return v, nil
 	case 1:
 		if int(single) < len(c.c1) && c.c1ok[single] {
 			c.combineHits++
 			return c.c1[single], nil
 		}
-		v, err := bubble.CombineScores(co, bubble.DefaultCollision)
-		if err != nil {
-			return 0, err
+	default:
+		h = hashKey(0, co)
+		if v, ok := c.ct.get(h, 0, co); ok {
+			c.combineHits++
+			return v, nil
 		}
+	}
+	v, err := bubble.CombineScores(co, bubble.DefaultCollision)
+	if err != nil {
+		return 0, err
+	}
+	switch len(co) {
+	case 0:
+		c.cEmpty, c.cEmptyOK = v, true
+	case 1:
 		for int(single) >= len(c.c1) {
 			c.c1 = append(c.c1, 0)
 			c.c1ok = append(c.c1ok, false)
 		}
 		c.c1[single], c.c1ok[single] = v, true
-		c.combineMisses++
-		return v, nil
+	default:
+		c.ct.put(h, 0, co, v)
 	}
-	return c.combine(co)
+	c.combineMisses++
+	return v, nil
 }
 
-// Predict returns the memoized prediction for (app, pressures), computing
-// and storing it on a miss. A nil cache degrades to a plain prediction.
-func (c *PredictionCache) Predict(app string, pred Predictor, pressures []float64) (float64, error) {
+// combinedOf returns the memoized combined pressure exerted on a unit
+// whose sole potential co-runner is other (-1: empty slot) — the
+// pairwise path's combine. The hit paths are a bool test and an array
+// load; misses delegate to the generic memo fill.
+func (c *PredictionCache) combinedOf(ix *AppsIndex, other int32) (float64, error) {
+	if other < 0 {
+		if c.cEmptyOK {
+			c.combineHits++
+			return c.cEmpty, nil
+		}
+		return c.combine(c.co[:0], -1)
+	}
+	if int(other) < len(c.c1) && c.c1ok[other] {
+		c.combineHits++
+		return c.c1[other], nil
+	}
+	if !ix.ok[other] {
+		return 0, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
+	}
+	c.co = append(c.co[:0], ix.scores[other])
+	return c.combine(c.co, other)
+}
+
+// predict returns the memoized prediction of app index id under
+// pressures, computing and storing it on a miss. A nil cache degrades to
+// a plain prediction.
+func (c *PredictionCache) predict(id int32, pred Predictor, pressures []float64) (float64, error) {
 	if c == nil {
 		return pred.PredictPressures(pressures)
 	}
-	id := c.intern(app)
-	h := hashKey(uint64(id), pressures)
-	if v, ok := c.pt.get(h, id, pressures); ok {
-		c.hits++
-		return v, nil
-	}
-	v, err := pred.PredictPressures(pressures)
+	v, hit, err := c.pt.memo(id, pred, pressures)
 	if err != nil {
 		return 0, err
 	}
-	c.pt.put(h, id, pressures, v)
-	c.misses++
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	return v, nil
 }
 
@@ -395,98 +389,9 @@ func (c *PredictionCache) Stats() (hits, misses uint64) {
 }
 
 // CombineStats reports co-runner combine-memo hits and misses so far.
-// These were previously counted nowhere, silently undercounting the
-// placement_prediction_cache_* / serve_pred_cache_* metric families.
 func (c *PredictionCache) CombineStats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
 	return c.combineHits, c.combineMisses
-}
-
-// Len reports the number of memoized predictions.
-func (c *PredictionCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.pt.n
-}
-
-// DeltaPredict re-predicts only the listed applications of p and writes
-// the results into out, leaving every other entry untouched. Calling it
-// with an application set covering two swapped hosts turns a full
-// placement re-prediction into a two-host delta: an application with no
-// unit on a touched host keeps its pressure vector, hence its cached
-// prediction. With apps = p.Apps() it is a full PredictPlacement into
-// out. cache may be nil.
-func DeltaPredict(p *cluster.Placement, apps []string, predictors map[string]Predictor, scores map[string]float64, cache *PredictionCache, out map[string]float64) error {
-	if p == nil {
-		return errors.New("core: nil placement")
-	}
-	if out == nil {
-		return errors.New("core: nil prediction map")
-	}
-	for _, a := range apps {
-		pred, ok := predictors[a]
-		if !ok {
-			return fmt.Errorf("core: no predictor for %q", a)
-		}
-		ps, err := appendPressures(p, a, scores, cache)
-		if err != nil {
-			return err
-		}
-		v, err := cache.Predict(a, pred, ps)
-		if err != nil {
-			return err
-		}
-		out[a] = v
-	}
-	return nil
-}
-
-// appendPressures computes PressuresFor(p, app, scores) into the cache's
-// scratch buffers (allocating fresh slices when cache is nil). The
-// returned slice is only valid until the next call with the same cache;
-// computation order matches PressuresFor exactly so results are
-// bit-identical.
-func appendPressures(p *cluster.Placement, app string, scores map[string]float64, cache *PredictionCache) ([]float64, error) {
-	var out, co []float64
-	if cache != nil {
-		out, co = cache.ps[:0], cache.co[:0]
-	}
-	for h := 0; h < p.NumHosts; h++ {
-		row := p.Slots(h)
-		for s := range row {
-			if row[s] != app {
-				continue
-			}
-			co = co[:0]
-			for o := range row {
-				if o == s {
-					continue
-				}
-				other := row[o]
-				if other == "" {
-					continue
-				}
-				sc, ok := scores[other]
-				if !ok {
-					return nil, fmt.Errorf("core: no bubble score for %q", other)
-				}
-				co = append(co, sc)
-			}
-			combined, err := cache.combine(co)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, combined)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: app %q not in placement", app)
-	}
-	if cache != nil {
-		cache.ps, cache.co = out, co
-	}
-	return out, nil
 }

@@ -30,6 +30,12 @@ func (c countingPred) PredictPressures(ps []float64) (float64, error) {
 	return c.inner.PredictPressures(ps)
 }
 
+type failPred struct{}
+
+func (failPred) PredictPressures([]float64) (float64, error) {
+	return 0, errors.New("boom")
+}
+
 func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[string]float64, *int) {
 	t.Helper()
 	demands := []cluster.Demand{
@@ -51,78 +57,36 @@ func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[s
 	return p, preds, scores, calls
 }
 
-// TestDeltaPredictMatchesFull: DeltaPredict over all apps must reproduce
-// PredictPlacement exactly, cached or not.
+// TestDeltaPredictMatchesFull: DeltaPredictPos over all apps reproduces
+// PredictPlacement exactly, cached or not — the contract in its smallest
+// form (TestDeltaPredictPosEquivalence walks it).
 func TestDeltaPredictMatchesFull(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
-	want, err := PredictPlacement(p, preds, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-		got := map[string]float64{}
-		if err := DeltaPredict(p, p.Apps(), preds, scores, cache, got); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d predictions, want %d", len(got), len(want))
-		}
-		for a, v := range want {
-			if got[a] != v {
-				t.Errorf("cache=%v: app %s = %v, want %v (bit-exact)", cache != nil, a, got[a], v)
-			}
-		}
+		newPosEngine(t, p, preds, scores, cache).check(t, "full")
 	}
 }
 
-// TestDeltaPredictAfterSwap: applying a swap and re-predicting only the
-// apps on the two touched hosts must agree bit-exactly with a full
-// re-prediction of the swapped placement.
+// TestDeltaPredictAfterSwap: a swap re-predicts only the two touched
+// hosts' apps yet leaves the whole slice equal to a full re-prediction,
+// and undoing or redoing it revisits memoized points only — the reject
+// path costs no predictor call.
 func TestDeltaPredictAfterSwap(t *testing.T) {
-	p, preds, scores, _ := deltaFixture(t)
-	cache := NewPredictionCache()
-	pred := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, pred); err != nil {
-		t.Fatal(err)
-	}
+	p, preds, scores, calls := deltaFixture(t)
+	e := newPosEngine(t, p, preds, scores, NewPredictionCache())
 	rng := sim.NewRNG(11)
 	for i := 0; i < 200; i++ {
-		ha, sa := rng.Intn(8), rng.Intn(2)
-		hb, sb := rng.Intn(8), rng.Intn(2)
+		ha, sa, hb, sb := rng.Intn(8), rng.Intn(2), rng.Intn(8), rng.Intn(2)
 		if p.At(ha, sa) == p.At(hb, sb) {
 			continue
 		}
-		// Affected set: every app with a unit on either touched host.
-		affected := map[string]bool{}
-		for _, h := range []int{ha, hb} {
-			for _, a := range p.HostApps(h) {
-				affected[a] = true
-			}
-		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
-		if p.Validate() != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil { // undo
-				t.Fatal(err)
-			}
-			continue
-		}
-		var apps []string
-		for a := range affected {
-			apps = append(apps, a)
-		}
-		if err := DeltaPredict(p, apps, preds, scores, cache, pred); err != nil {
-			t.Fatal(err)
-		}
-		want, err := PredictPlacement(p, preds, scores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for a, v := range want {
-			if pred[a] != v {
-				t.Fatalf("step %d: app %s = %v after delta, want %v", i, a, pred[a], v)
-			}
+		e.swap(t, ha, sa, hb, sb)
+		e.check(t, "after swap")
+		before := *calls
+		e.swap(t, ha, sa, hb, sb) // undo
+		e.swap(t, ha, sa, hb, sb) // redo, so the walk moves on
+		if *calls != before {
+			t.Fatalf("step %d: undo+redo called the predictor %d times, want 0", i, *calls-before)
 		}
 	}
 }
@@ -132,80 +96,119 @@ func TestDeltaPredictAfterSwap(t *testing.T) {
 // return the exact value of the original computation.
 func TestPredictionCacheHitsAndPurity(t *testing.T) {
 	p, preds, scores, calls := deltaFixture(t)
-	cache := NewPredictionCache()
-	first := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, first); err != nil {
-		t.Fatal(err)
-	}
+	e := newPosEngine(t, p, preds, scores, NewPredictionCache())
 	callsAfterFirst := *calls
 	if callsAfterFirst == 0 {
 		t.Fatal("no predictor calls on cold cache")
 	}
-	second := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, second); err != nil {
+	second := make([]float64, len(e.inc))
+	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, second); err != nil {
 		t.Fatal(err)
 	}
 	if *calls != callsAfterFirst {
 		t.Errorf("warm re-prediction called the predictor %d more times, want 0", *calls-callsAfterFirst)
 	}
-	for a, v := range first {
-		if second[a] != v {
-			t.Errorf("cache hit for %s returned %v, want %v", a, second[a], v)
+	for i, v := range e.inc {
+		if second[i] != v {
+			t.Errorf("cache hit for %s returned %v, want %v", e.ix.Apps[i], second[i], v)
 		}
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 {
+	if hits, misses := e.cache.Stats(); hits == 0 || misses == 0 {
 		t.Errorf("stats hits=%d misses=%d, want both positive", hits, misses)
 	}
-	if cache.Len() == 0 {
-		t.Error("cache retained no entries")
+	e.cache.Reset()
+	if hits, misses := e.cache.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("stats after Reset hits=%d misses=%d, want 0/0", hits, misses)
 	}
-	// Distinct vectors must be distinct keys: change a score and predict
-	// under a different app name to avoid collisions.
-	var nilCache *PredictionCache
-	v, err := nilCache.Predict("a", preds["a"], []float64{1, 2})
-	if err != nil {
+	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, second); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := preds["a"].PredictPressures([]float64{1, 2}); v != want {
-		t.Errorf("nil cache Predict = %v, want %v", v, want)
+	if *calls == callsAfterFirst {
+		t.Error("Reset kept memo contents: no predictor call on the next pass")
 	}
+
+	var nilCache *PredictionCache
+	nilCache.Reset()
 	if h, m := nilCache.Stats(); h != 0 || m != 0 {
 		t.Error("nil cache should report zero stats")
 	}
-	if nilCache.Len() != 0 {
-		t.Error("nil cache should report zero length")
+}
+
+// TestCombineStatsVisible: the co-runner combine memo's traffic is
+// observable — both sides of the pair, on the pairwise direct memos and
+// the hashed multi-co-runner memo.
+func TestCombineStatsVisible(t *testing.T) {
+	for _, sph := range []int{2, 3} {
+		p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
+			[]cluster.Demand{{App: "a", Units: 5}, {App: "b", Units: 5}, {App: "c", Units: 5}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
+			map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
+		if _, misses := e.cache.CombineStats(); misses == 0 {
+			t.Errorf("sph=%d cold pass: combine misses = 0, want > 0", sph)
+		}
+		if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, e.inc); err != nil {
+			t.Fatal(err)
+		}
+		if hits, _ := e.cache.CombineStats(); hits == 0 {
+			t.Errorf("sph=%d warm pass: combine hits = 0, want > 0", sph)
+		}
+	}
+	var nilCache *PredictionCache
+	if h, m := nilCache.CombineStats(); h != 0 || m != 0 {
+		t.Error("nil cache must report zero combine stats")
 	}
 }
 
-// TestDeltaPredictErrors covers the failure paths.
+// TestDeltaPredictErrors covers the predictor's failure paths.
 func TestDeltaPredictErrors(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
-	if err := DeltaPredict(nil, []string{"a"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("nil placement should fail")
+	e := newPosEngine(t, p, preds, scores, nil)
+	if err := DeltaPredictPos(nil, e.pst, e.all, e.ix, nil, e.inc); err == nil {
+		t.Error("nil grid should fail")
 	}
-	if err := DeltaPredict(p, []string{"a"}, preds, scores, nil, nil); err == nil {
-		t.Error("nil out map should fail")
+	if err := DeltaPredictPos(e.g, nil, e.all, e.ix, nil, e.inc); err == nil {
+		t.Error("nil postings should fail")
 	}
-	if err := DeltaPredict(p, []string{"ghost"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("unknown app should fail")
+	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, nil, nil); err == nil {
+		t.Error("nil out slice should fail")
 	}
-	preds["ghost2"] = sumPred{1}
-	if err := DeltaPredict(p, []string{"ghost2"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("app missing from placement should fail")
+
+	// An indexed app with no unit in the grid has no pressure vector.
+	preds["ghost"] = sumPred{1}
+	scores["ghost"] = 1
+	ghostIx, err := NewAppsIndex(append(p.Apps(), "ghost"), preds, scores)
+	if err != nil {
+		t.Fatal(err)
 	}
-	badScores := map[string]float64{"a": 0.5} // others missing
-	if err := DeltaPredict(p, []string{"a"}, preds, badScores, nil, map[string]float64{}); err == nil {
-		t.Error("missing co-runner score should fail")
+	ghost := int32(len(ghostIx.Apps) - 1)
+	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
+		pst := NewPostings(e.g, len(ghostIx.Apps))
+		if err := DeltaPredictPos(e.g, pst, []int32{ghost}, ghostIx, cache, make([]float64, len(ghostIx.Apps))); err == nil {
+			t.Errorf("cache=%v: app missing from placement should fail", cache != nil)
+		}
+	}
+
+	// A missing co-runner score surfaces lazily, on both layouts' paths;
+	// so does a predictor error.
+	a, _ := e.ix.IndexOf("a")
+	badIx, err := NewAppsIndex(p.Apps(), preds, map[string]float64{"a": 0.5})
+	if err != nil {
+		t.Fatal(err)
 	}
 	failing := map[string]Predictor{"a": failPred{}, "b": sumPred{0}, "c": sumPred{0}, "d": sumPred{0}}
-	if err := DeltaPredict(p, []string{"a"}, failing, scores, NewPredictionCache(), map[string]float64{}); err == nil {
-		t.Error("predictor error should propagate")
+	failIx, err := NewAppsIndex(p.Apps(), failing, scores)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-type failPred struct{}
-
-func (failPred) PredictPressures([]float64) (float64, error) {
-	return 0, errors.New("boom")
+	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
+		if err := DeltaPredictPos(e.g, e.pst, []int32{a}, badIx, cache, e.inc); err == nil {
+			t.Errorf("cache=%v: missing co-runner score should fail", cache != nil)
+		}
+		if err := DeltaPredictPos(e.g, e.pst, []int32{a}, failIx, cache, e.inc); err == nil {
+			t.Errorf("cache=%v: predictor error should propagate", cache != nil)
+		}
+	}
 }

@@ -1,18 +1,15 @@
-// Indexed prediction: the string-keyed DeltaPredict still spends most
-// of its time hashing app names (scores/predictors map lookups, result
-// map writes) even with the open-addressed memo tables underneath. The
-// placement search fixes its app universe for a whole search, so the
-// names are bound to dense indexes once — predictors and bubble scores
-// become slices, the placement is an int32 grid the swap engine works on
-// directly, and the per-proposal hot loop touches no strings at all.
-// Outputs are bit-identical to DeltaPredict: the scan order, the
+// Index form: the placement search fixes its app universe for a whole
+// search, so names are bound to dense indexes once — predictors and
+// bubble scores become slices, the placement is an int32 grid the swap
+// engine works on directly, and the per-proposal hot loop touches no
+// strings at all. Predictions over the index form are bit-identical to
+// PredictPlacement over the named form: the scan order, the
 // CombineScores inputs, and the Predictor calls are the same, only the
 // keys changed representation.
 
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -155,205 +152,4 @@ func (g *Grid) Cell(h, s int) int32 { return g.cells[h*g.SlotsPerHost+s] }
 func (g *Grid) CopyFrom(src *Grid) {
 	g.Hosts, g.SlotsPerHost = src.Hosts, src.SlotsPerHost
 	g.cells = append(g.cells[:0], src.cells...)
-}
-
-// DeltaPredictIdx is DeltaPredict over the indexed mirror: affected
-// lists dense app indexes, out is indexed the same way, and the hot
-// loop is int32 scans plus float64 slice loads — no string hashing.
-// cache may be nil (plain prediction). Results are bit-identical to
-// DeltaPredict on the mirrored placement.
-func DeltaPredictIdx(g *Grid, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
-	if g == nil {
-		return errors.New("core: nil grid")
-	}
-	if out == nil {
-		return errors.New("core: nil prediction slice")
-	}
-	if cache != nil && g.SlotsPerHost == 2 {
-		return deltaPredictPair(g, affected, ix, cache, out)
-	}
-	for _, id := range affected {
-		ps, err := appendPressuresIdx(g, id, ix, cache)
-		if err != nil {
-			return err
-		}
-		v, err := cache.PredictIdx(id, ix.preds[id], ps)
-		if err != nil {
-			return err
-		}
-		out[id] = v
-	}
-	return nil
-}
-
-// deltaPredictPair is the pairwise (two slots per host) hot loop: the
-// scan builds, per affected app, both the pressure vector and its
-// co-runner ID key words with the table hash folded in as it goes, so
-// a steady-state call is int loads, a handful of multiply-folds, and
-// one probe per app — no float hashing, no strings, no allocation.
-func deltaPredictPair(g *Grid, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
-	for _, id := range affected {
-		ps, kw, h, err := appendPressuresPair(g, id, ix, cache)
-		if err != nil {
-			return err
-		}
-		key := -1 - id
-		if v, ok := cache.ptW.getW(h, key, kw); ok {
-			cache.hits++
-			out[id] = v
-			continue
-		}
-		v, err := ix.preds[id].PredictPressures(ps)
-		if err != nil {
-			return err
-		}
-		cache.ptW.putW(h, key, kw, v)
-		cache.misses++
-		out[id] = v
-	}
-	return nil
-}
-
-// PredictIdx is Predict keyed by a dense AppsIndex index instead of a
-// name. Indexed keys live in their own half of the keyspace (negative
-// internal IDs), so mixing Predict and PredictIdx on one cache can
-// never alias two different apps.
-func (c *PredictionCache) PredictIdx(id int32, pred Predictor, pressures []float64) (float64, error) {
-	if c == nil {
-		return pred.PredictPressures(pressures)
-	}
-	key := -1 - id
-	h := hashKey(uint64(uint32(key)), pressures)
-	if v, ok := c.pt.get(h, key, pressures); ok {
-		c.hits++
-		return v, nil
-	}
-	v, err := pred.PredictPressures(pressures)
-	if err != nil {
-		return 0, err
-	}
-	c.pt.put(h, key, pressures, v)
-	c.misses++
-	return v, nil
-}
-
-// appendPressuresIdx is appendPressures over the grid: same scan order
-// (host-major, slot order, co-runners in slot order excluding self and
-// empties), so the produced vectors — and every CombineScores input —
-// are bit-identical to the string path's.
-func appendPressuresIdx(g *Grid, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, error) {
-	var out, co []float64
-	if cache != nil {
-		out, co = cache.ps[:0], cache.co[:0]
-	}
-	sph := g.SlotsPerHost
-	cells := g.cells
-	for base := 0; base+sph <= len(cells); base += sph {
-		row := cells[base : base+sph]
-		for s := range row {
-			if row[s] != id {
-				continue
-			}
-			co = co[:0]
-			single := int32(-1)
-			for o := range row {
-				if o == s {
-					continue
-				}
-				other := row[o]
-				if other < 0 {
-					continue
-				}
-				if !ix.ok[other] {
-					return nil, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
-				}
-				single = other
-				co = append(co, ix.scores[other])
-			}
-			combined, err := cache.combineIdx(co, single)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, combined)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
-	}
-	if cache != nil {
-		cache.ps, cache.co = out, co
-	}
-	return out, nil
-}
-
-// appendPressuresPair is appendPressuresIdx specialized for the paper's
-// pairwise co-location rule (two slots per host): each unit has at most
-// one co-runner, so the slot scan is two direct loads per host and a
-// combine is one array probe (cache.c1 / cache.cEmpty) on the hit path.
-// Scan order and CombineScores inputs match the generic loop exactly: a
-// host contributes slot 0 then slot 1, and a duplicated app contributes
-// one unit per slot with its own score as co-runner, just as before.
-// Alongside the float vector it returns the unit co-runner IDs encoded
-// as key words plus their running multiply-fold hash, which
-// deltaPredictPair uses to probe the prediction memo without touching
-// the floats again.
-func appendPressuresPair(g *Grid, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, []uint64, uint64, error) {
-	out := cache.ps[:0]
-	kw := cache.kw[:0]
-	h := uint64(uint32(-1-id)) ^ 0x9e3779b97f4a7c15
-	cells := g.cells
-	for base := 0; base+2 <= len(cells); base += 2 {
-		a0, a1 := cells[base], cells[base+1]
-		if a0 != id && a1 != id {
-			continue
-		}
-		if a0 == id {
-			v, err := combinedOf(cache, ix, a1)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			out = append(out, v)
-			w := uint64(uint32(a1)) + 2
-			kw = append(kw, w)
-			h = (h ^ w) * 0x9ddfea08eb382d69
-		}
-		if a1 == id {
-			v, err := combinedOf(cache, ix, a0)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			out = append(out, v)
-			w := uint64(uint32(a0)) + 2
-			kw = append(kw, w)
-			h = (h ^ w) * 0x9ddfea08eb382d69
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil, 0, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
-	}
-	cache.ps, cache.kw = out, kw
-	return out, kw, mix64(h), nil
-}
-
-// combinedOf returns the memoized combined pressure exerted on a unit
-// whose sole potential co-runner is other (-1: empty slot). The hit
-// paths are a bool test and an array load; misses delegate to the
-// generic single-element memo fill.
-func combinedOf(cache *PredictionCache, ix *AppsIndex, other int32) (float64, error) {
-	if other < 0 {
-		if cache.cEmptyOK {
-			cache.combineHits++
-			return cache.cEmpty, nil
-		}
-		return cache.combineIdx(cache.co[:0], -1)
-	}
-	if int(other) < len(cache.c1) && cache.c1ok[other] {
-		cache.combineHits++
-		return cache.c1[other], nil
-	}
-	if !ix.ok[other] {
-		return 0, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
-	}
-	cache.co = append(cache.co[:0], ix.scores[other])
-	return cache.combineIdx(cache.co, other)
 }

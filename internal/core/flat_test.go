@@ -1,321 +1,46 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
-// --- regression: byte-key ambiguity with NUL in app names -------------
-
-// TestCacheNULNameNoCollision: under the old byte-key scheme
-// (app + "\x00" + float bits) the two (app, pressures) pairs below
-// produced the same cache key, so whichever was predicted second
-// silently returned the first's value. The interned-ID scheme keys the
-// name structurally and must keep them distinct.
-func TestCacheNULNameNoCollision(t *testing.T) {
-	p1 := 3.5
-	p2 := 1.25
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], math.Float64bits(p1))
-
-	appA := "x"
-	psA := []float64{p1, p2}
-	appB := "x\x00" + string(tail[:]) // old key: identical to (appA, psA)
-	psB := []float64{p2}
-
-	predA := sumPred{0.3}
-	predB := sumPred{0.7}
-	wantA, _ := predA.PredictPressures(psA)
-	wantB, _ := predB.PredictPressures(psB)
-	if wantA == wantB {
-		t.Fatal("fixture error: the two predictions must differ for the test to detect a collision")
-	}
-
-	cache := NewPredictionCache()
-	got, err := cache.Predict(appA, predA, psA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantA {
-		t.Fatalf("Predict(%q) = %v, want %v", appA, got, wantA)
-	}
-	got, err = cache.Predict(appB, predB, psB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantB {
-		t.Errorf("Predict(adversarial NUL name) = %v, want %v (collided with %q's entry)", got, wantB, appA)
-	}
-	// And the original entry must survive unharmed.
-	got, err = cache.Predict(appA, predA, psA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantA {
-		t.Errorf("Predict(%q) after adversarial insert = %v, want %v", appA, got, wantA)
-	}
-}
-
-// --- regression: signed-zero keys -------------------------------------
-
-// TestCacheSignedZeroHits: +0 and -0 compare equal and every predictor
-// is a pure function of the float values, so a -0 entry must hit the +0
-// entry's memo instead of recomputing under a distinct key.
-func TestCacheSignedZeroHits(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	cache := NewPredictionCache()
-	calls := 0
-	pred := countingPred{sumPred{0.4}, &calls}
-
-	v1, err := cache.Predict("a", pred, []float64{0, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("cold predict made %d calls, want 1", calls)
-	}
-	v2, err := cache.Predict("a", pred, []float64{negZero, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("-0 vector recomputed (calls=%d): signed zero missed the cache", calls)
-	}
-	if v1 != v2 {
-		t.Errorf("predictions differ across zero signs: %v vs %v", v1, v2)
-	}
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Errorf("hits = %d, want 1 (the -0 lookup)", hits)
-	}
-	if keyBits(negZero) != keyBits(0.0) {
-		t.Error("keyBits must normalize -0 to +0")
-	}
-	if keyBits(negZero) != 0 {
-		t.Error("keyBits(±0) must be 0")
-	}
-}
-
-// --- regression: combine-memo stats -----------------------------------
-
-// TestCombineStatsVisible: the co-runner combine memo used to count its
-// traffic nowhere. Both sides of the pair must now be observable, on
-// the string path and the indexed path.
-func TestCombineStatsVisible(t *testing.T) {
-	p, preds, scores, _ := deltaFixture(t)
-	cache := NewPredictionCache()
-	out := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, out); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := cache.CombineStats(); misses == 0 {
-		t.Error("cold pass: combine misses = 0, want > 0")
-	}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, out); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ := cache.CombineStats()
-	if hits == 0 {
-		t.Error("warm pass: combine hits = 0, want > 0")
-	}
-
-	// Indexed path: same invariant through the direct-array memos.
-	ix, err := NewAppsIndex(p.Apps(), preds, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGrid(p, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	icache := NewPredictionCache()
-	all := make([]int32, len(p.Apps()))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	pred := make([]float64, len(all))
-	for pass := 0; pass < 2; pass++ {
-		if err := DeltaPredictIdx(g, all, ix, icache, pred); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ihits, imisses := icache.CombineStats()
-	if ihits == 0 || imisses == 0 {
-		t.Errorf("indexed combine stats hits=%d misses=%d, want both > 0", ihits, imisses)
-	}
-
-	var nilCache *PredictionCache
-	if h, m := nilCache.CombineStats(); h != 0 || m != 0 {
-		t.Error("nil cache must report zero combine stats")
-	}
-}
-
-// --- equivalence: indexed path vs the retained string path ------------
-
-// idxFixture mirrors a placement into the indexed scheme.
-func idxFixture(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64) (*AppsIndex, *Grid, []int32, []float64) {
-	t.Helper()
-	ix, err := NewAppsIndex(p.Apps(), preds, scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGrid(p, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]int32, len(p.Apps()))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return ix, g, all, make([]float64, len(all))
-}
-
-// checkIdxEquivalence predicts p through both paths (string-keyed
-// DeltaPredict with refCache, DeltaPredictIdx with idxCache, either of
-// which may be nil) and fails unless every prediction is bit-identical.
-func checkIdxEquivalence(t testing.TB, tag string, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64, refCache, idxCache *PredictionCache, ix *AppsIndex, g *Grid, all []int32, out []float64) {
-	t.Helper()
-	want := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, refCache, want); err != nil {
-		t.Fatalf("%s: reference path: %v", tag, err)
-	}
-	if err := DeltaPredictIdx(g, all, ix, idxCache, out); err != nil {
-		t.Fatalf("%s: indexed path: %v", tag, err)
-	}
-	for i, a := range ix.Apps {
-		if out[i] != want[a] {
-			t.Fatalf("%s: app %s = %v via indexed path, want %v (bit-exact)", tag, a, out[i], want[a])
-		}
-	}
-}
-
-// TestDeltaPredictIdxEquivalence drives random placements and swap
-// sequences through the indexed path and the retained string path,
-// demanding bit-identical predictions at every step — cold caches, warm
-// caches, nil cache, pairwise (2 slots) and generic (3 slots) layouts.
-func TestDeltaPredictIdxEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		for _, sph := range []int{2, 3} {
-			testIdxEquivalence(t, seed, sph, seed%3 == 2)
-		}
-	}
-}
-
-func testIdxEquivalence(t testing.TB, seed int64, sph int, nilIdxCache bool) {
-	demands := []cluster.Demand{
-		{App: "a", Units: 3}, {App: "b", Units: 4},
-		{App: "c\x00c", Units: 4}, {App: "d", Units: 2},
-	}
-	limit := 0
-	if sph != 2 {
-		limit = sph // beyond the pairwise rule: allow sph distinct apps
-	}
-	hosts := 7
-	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), hosts, sph, limit, demands, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	negZero := math.Copysign(0, -1)
-	scores := map[string]float64{"a": 0.5, "b": 0.5, "c\x00c": 6, "d": negZero}
-	preds := map[string]Predictor{
-		"a": sumPred{0.3}, "b": sumPred{0.01}, "c\x00c": sumPred{0.02}, "d": sumPred{0.05},
-	}
-
-	refCache := NewPredictionCache()
-	idxCache := NewPredictionCache()
-	if nilIdxCache {
-		idxCache = nil
-	}
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	checkIdxEquivalence(t, fmt.Sprintf("seed=%d sph=%d cold", seed, sph), p, preds, scores, refCache, idxCache, ix, g, all, out)
-
-	rng := sim.NewRNG(seed + 1000)
-	slots := hosts * sph
-	for step := 0; step < 60; step++ {
-		a, b := rng.Intn(slots), rng.Intn(slots)
-		ha, sa := a/sph, a%sph
-		hb, sb := b/sph, b%sph
-		if p.At(ha, sa) == p.At(hb, sb) {
-			continue
-		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
-		if p.ValidateHosts(ha, hb) != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		g.Swap(ha, sa, hb, sb)
-		tag := fmt.Sprintf("seed=%d sph=%d step=%d", seed, sph, step)
-		checkIdxEquivalence(t, tag, p, preds, scores, refCache, idxCache, ix, g, all, out)
-	}
-}
-
-// FuzzDeltaPredictIdxEquivalence is the fuzz form of the equivalence
-// property: whatever the layout seed, slot count, and swap stream, the
-// flat indexed path must match the retained string path bit for bit.
-func FuzzDeltaPredictIdxEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(2), false)
-	f.Add(int64(2), uint8(3), false)
-	f.Add(int64(3), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, sphRaw uint8, nilCache bool) {
-		sph := 2 + int(sphRaw%3) // 2..4 slots per host
-		testIdxEquivalence(t, seed, sph, nilCache)
-	})
-}
-
-// --- allocation pins ---------------------------------------------------
-
-// TestPredictHotPathZeroAllocs pins the steady-state hot path at zero
-// allocations: warm indexed delta prediction, warm string-keyed
-// prediction, and warm PredictIdx must not touch the heap.
+// TestPredictHotPathZeroAllocs pins the steady-state memo probes at zero
+// allocations: a warm index-keyed predict and a warm name-keyed shared
+// Predict must not touch the heap (TestDeltaPredictPosEquivalence pins
+// the whole warm delta prediction).
 func TestPredictHotPathZeroAllocs(t *testing.T) {
-	p, preds, scores, _ := deltaFixture(t)
-	cache := NewPredictionCache()
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	if err := DeltaPredictIdx(g, all, ix, cache, out); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := DeltaPredictIdx(g, all, ix, cache, out); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("warm DeltaPredictIdx allocates %v/run, want 0", allocs)
-	}
-
+	var pred Predictor = sumPred{0.3} // boxed once, not per call
 	ps := []float64{6, 0.5, 0.5}
-	if _, err := cache.Predict("a", preds["a"], ps); err != nil {
+
+	cache := NewPredictionCache()
+	if _, err := cache.predict(0, pred, ps); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cache.Predict("a", preds["a"], ps); err != nil {
+		if _, err := cache.predict(0, pred, ps); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm Predict allocates %v/run, want 0", allocs)
+		t.Errorf("warm predict allocates %v/run, want 0", allocs)
 	}
 
-	if _, err := cache.PredictIdx(0, ix.preds[0], ps); err != nil {
+	shared := NewSharedPredictionCache()
+	if _, err := shared.Predict("a", pred, ps); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cache.PredictIdx(0, ix.preds[0], ps); err != nil {
+		if _, err := shared.Predict("a", pred, ps); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm PredictIdx allocates %v/run, want 0", allocs)
+		t.Errorf("warm shared Predict allocates %v/run, want 0", allocs)
 	}
 }
 
-// --- indexed-path error surfaces --------------------------------------
-
+// TestIndexedErrors covers the index-form construction error surfaces.
 func TestIndexedErrors(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
 	if _, err := NewAppsIndex([]string{"ghost"}, preds, scores); err == nil {
@@ -327,16 +52,6 @@ func TestIndexedErrors(t *testing.T) {
 	}
 	if _, ok := ix.IndexOf("ghost"); ok {
 		t.Error("IndexOf(ghost) must report absence")
-	}
-	if err := DeltaPredictIdx(nil, nil, ix, nil, []float64{}); err == nil {
-		t.Error("nil grid must fail")
-	}
-	g, err := NewGrid(p, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DeltaPredictIdx(g, nil, ix, nil, nil); err == nil {
-		t.Error("nil out slice must fail")
 	}
 	// A placement holding an app outside the index must fail mirroring.
 	other, err := cluster.RandomValid(sim.NewRNG(1), 4, 2,

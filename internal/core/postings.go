@@ -1,15 +1,14 @@
-// Per-app unit postings: the delta-prediction scan was the last
-// full-grid walk left in the placement hot loop — appendPressuresIdx
-// and appendPressuresPair visit every cell of the cluster to find the
-// handful of slots an affected app occupies, which at fleet scale
-// (thousands of hosts, a few units per app) is ~99% wasted loads.
-// Postings keeps, for each dense app index, the sorted list of flat
-// grid positions its units occupy, maintained incrementally under the
-// same Swap calls that keep the Grid in sync. Positions ascend, and a
-// flat position ordering is exactly the host-major/slot-minor scan
-// order of the full-grid walk, so the pressure vectors built from a
-// postings walk are bit-identical to the scan path's — same elements,
-// same order, same CombineScores inputs.
+// Per-app unit postings and the incremental predictor built on them. A
+// swap's affected apps occupy a handful of slots, so finding them by
+// walking every cell of the cluster is ~99% wasted loads at fleet scale
+// (thousands of hosts, a few units per app). Postings keeps, for each
+// dense app index, the sorted list of flat grid positions its units
+// occupy, maintained incrementally under the same Swap calls that keep
+// the Grid in sync. Positions ascend, and a flat position ordering is
+// exactly the host-major/slot-minor order PressuresFor scans in, so the
+// pressure vectors built from a postings walk are bit-identical to a
+// full PredictPlacement's — same elements, same order, same
+// CombineScores inputs.
 package core
 
 import (
@@ -122,12 +121,16 @@ func (p *Postings) move(app, from, to int32) {
 	}
 }
 
-// DeltaPredictPos is DeltaPredictIdx driven by postings instead of
-// full-grid scans: each affected app's pressure vector is built by
-// walking its own unit positions (ascending flat position = host-major
-// scan order), so outputs are bit-identical to DeltaPredictIdx while
-// the per-app cost drops from O(cluster) to O(units). pst must mirror
-// g; cache may be nil (plain prediction, generic path only).
+// DeltaPredictPos re-predicts only the affected applications (dense
+// indexes) of g and writes the results into out by index, leaving every
+// other entry untouched — the package's one incremental predictor.
+// Calling it with the apps on two swapped hosts turns a full placement
+// re-prediction into a two-host delta: an application with no unit on a
+// touched host keeps its pressure vector, hence its prediction. Each
+// pressure vector is built by walking the app's own unit positions, so
+// the per-app cost is O(units), not O(cluster), and results are
+// bit-identical to PredictPlacement on the named form of g. pst must
+// mirror g; cache may be nil (plain prediction).
 func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
 	if g == nil {
 		return errors.New("core: nil grid")
@@ -139,13 +142,14 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 		return errors.New("core: nil prediction slice")
 	}
 	if cache != nil && g.SlotsPerHost == 2 {
+		// The pairwise hot loop: per affected app, int loads, a handful of
+		// multiply-folds, and one probe — no float hashing, no allocation.
 		for _, id := range affected {
 			ps, kw, h, err := appendPressuresPairPos(g, pst, id, ix, cache)
 			if err != nil {
 				return err
 			}
-			key := -1 - id
-			if v, ok := cache.ptW.getW(h, key, kw); ok {
+			if v, ok := cache.ptW.getW(h, id, kw); ok {
 				cache.hits++
 				out[id] = v
 				continue
@@ -154,7 +158,7 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 			if err != nil {
 				return err
 			}
-			cache.ptW.putW(h, key, kw, v)
+			cache.ptW.putW(h, id, kw, v)
 			cache.misses++
 			out[id] = v
 		}
@@ -165,7 +169,7 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 		if err != nil {
 			return err
 		}
-		v, err := cache.PredictIdx(id, ix.preds[id], ps)
+		v, err := cache.predict(id, ix.preds[id], ps)
 		if err != nil {
 			return err
 		}
@@ -174,19 +178,24 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 	return nil
 }
 
-// appendPressuresPairPos is appendPressuresPair over postings: with two
-// slots per host, position p's sole co-runner slot is p^1. A host
-// carrying the app in both slots contributes position 2h then 2h+1 —
-// co-runners a1 then a0 — exactly the pair scan's emission order.
+// appendPressuresPairPos builds app id's pressure vector under the
+// paper's pairwise co-location rule (two slots per host): position p's
+// sole co-runner slot is p^1, so each unit is one load and one combine
+// probe (cache.c1 / cache.cEmpty on the hit path). A host carrying the
+// app in both slots contributes position 2h then 2h+1, each with the
+// app's own score as co-runner — the order PressuresFor emits. Alongside
+// the float vector it returns the unit co-runner indexes encoded as key
+// words plus their multiply-fold hash, which DeltaPredictPos uses to
+// probe the prediction memo without touching the floats again.
 func appendPressuresPairPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, []uint64, uint64, error) {
 	out := cache.ps[:0]
 	kw := cache.kw[:0]
-	h := uint64(uint32(-1-id)) ^ 0x9e3779b97f4a7c15
+	h := uint64(id) ^ 0x9e3779b97f4a7c15
 	cells := g.cells
 	seg := pst.seg(id)
 	for _, p := range seg {
 		other := cells[p^1]
-		v, err := combinedOf(cache, ix, other)
+		v, err := cache.combinedOf(ix, other)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -202,9 +211,11 @@ func appendPressuresPairPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cac
 	return out, kw, mix64(h), nil
 }
 
-// appendPressuresPos is appendPressuresIdx over postings: same per-unit
-// co-runner walk (slot order, skipping self and empties), driven by the
-// app's own positions instead of a full-grid scan.
+// appendPressuresPos builds app id's pressure vector for any slot count:
+// per unit, the co-runners are the other occupied slots of its host in
+// slot order (skipping self and empties), exactly as PressuresFor walks
+// them. With a cache the vector lives in its scratch buffers and is only
+// valid until the next call; a nil cache allocates fresh slices.
 func appendPressuresPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, error) {
 	var out, co []float64
 	if cache != nil {
@@ -233,7 +244,7 @@ func appendPressuresPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *
 			single = other
 			co = append(co, ix.scores[other])
 		}
-		combined, err := cache.combineIdx(co, single)
+		combined, err := cache.combine(co, single)
 		if err != nil {
 			return nil, err
 		}

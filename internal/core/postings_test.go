@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,35 +16,124 @@ import (
 func checkPostings(t testing.TB, tag string, g *Grid, pst *Postings, napps int) {
 	t.Helper()
 	fresh := NewPostings(g, napps)
-	if len(fresh.off) != len(pst.off) || len(fresh.pos) != len(pst.pos) {
-		t.Fatalf("%s: postings shape drifted: off %d/%d pos %d/%d", tag, len(pst.off), len(fresh.off), len(pst.pos), len(fresh.pos))
+	if !slices.Equal(fresh.off, pst.off) {
+		t.Fatalf("%s: off = %v, want %v (rebuild)", tag, pst.off, fresh.off)
 	}
-	for i := range fresh.off {
-		if fresh.off[i] != pst.off[i] {
-			t.Fatalf("%s: off[%d] = %d, want %d", tag, i, pst.off[i], fresh.off[i])
+	if !slices.Equal(fresh.pos, pst.pos) {
+		t.Fatalf("%s: pos = %v, want %v (rebuild)", tag, pst.pos, fresh.pos)
+	}
+}
+
+// posEngine is the index form of one placement plus the incrementally
+// maintained prediction slice — what the placement search's engine holds.
+type posEngine struct {
+	p      *cluster.Placement // the named form, swapped in lockstep
+	preds  map[string]Predictor
+	scores map[string]float64
+	ix     *AppsIndex
+	g      *Grid
+	pst    *Postings
+	cache  *PredictionCache // nil: plain prediction
+	all    []int32
+	inc    []float64
+}
+
+func newPosEngine(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64, cache *PredictionCache) *posEngine {
+	t.Helper()
+	ix, err := NewAppsIndex(p.Apps(), preds, scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGrid(p, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &posEngine{p: p, preds: preds, scores: scores, ix: ix, g: g, pst: NewPostings(g, len(ix.Apps)), cache: cache,
+		inc: make([]float64, len(ix.Apps))}
+	for i := range ix.Apps {
+		e.all = append(e.all, int32(i))
+	}
+	if err := DeltaPredictPos(g, e.pst, e.all, ix, cache, e.inc); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// swap applies one swap to the named placement, the grid and the
+// postings, and incrementally re-predicts only the apps on the two
+// touched hosts (rows ha then hb, slot order — the engine's order).
+func (e *posEngine) swap(t testing.TB, ha, sa, hb, sb int) {
+	t.Helper()
+	if err := e.p.Swap(ha, sa, hb, sb); err != nil {
+		t.Fatal(err)
+	}
+	e.g.Swap(ha, sa, hb, sb)
+	e.pst.Swap(e.g, ha, sa, hb, sb)
+	var affected []int32
+	for _, h := range []int{ha, hb} {
+		for _, id := range e.g.Row(h) {
+			if id >= 0 && !slices.Contains(affected, id) {
+				affected = append(affected, id)
+			}
 		}
 	}
-	for i := range fresh.pos {
-		if fresh.pos[i] != pst.pos[i] {
-			t.Fatalf("%s: pos[%d] = %d, want %d (rebuild)", tag, i, pst.pos[i], fresh.pos[i])
+	if err := DeltaPredictPos(e.g, e.pst, affected, e.ix, e.cache, e.inc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// check demands that the incrementally maintained predictions equal a
+// fresh PredictPlacement of the named form bit for bit, and that the
+// incrementally maintained postings equal a from-scratch Rebuild.
+func (e *posEngine) check(t testing.TB, tag string) {
+	t.Helper()
+	checkPostings(t, tag, e.g, e.pst, len(e.ix.Apps))
+	want, err := PredictPlacement(e.p, e.preds, e.scores)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", tag, err)
+	}
+	if len(want) != len(e.inc) {
+		t.Fatalf("%s: %d apps predicted, reference has %d", tag, len(e.inc), len(want))
+	}
+	for i, a := range e.ix.Apps {
+		if u := e.pst.Units(int32(i)); u != e.p.UnitsOf(a) {
+			t.Fatalf("%s: Units(%q) = %d, want %d", tag, a, u, e.p.UnitsOf(a))
+		}
+		if math.Float64bits(e.inc[i]) != math.Float64bits(want[a]) {
+			t.Fatalf("%s: app %q = %v incrementally, want %v (bit-exact)", tag, a, e.inc[i], want[a])
 		}
 	}
 }
 
-// TestDeltaPredictPosEquivalence drives random placements and swap
-// sequences through the postings path and the full-scan indexed path,
-// demanding bit-identical predictions at every step, and checks the
-// incremental Swap maintenance against a from-scratch Rebuild. Covers
-// the pairwise layout (2 slots), the generic layout (3 slots), and the
-// nil-cache generic path.
-func TestDeltaPredictPosEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		for _, sph := range []int{2, 3} {
-			testPosEquivalence(t, seed, sph, seed%3 == 2)
+// walk drives a random swap/undo walk: every proposal is applied and
+// checked, and about half are then undone and checked again, exactly as
+// the search's reject path leaves the state. (Every fixture allows as
+// many distinct apps per host as it has slots, so no swap is invalid.)
+func (e *posEngine) walk(t testing.TB, tag string, r *sim.RNG, steps int) {
+	t.Helper()
+	e.check(t, tag+" cold")
+	sph := e.p.HostSlots
+	slots := e.p.NumHosts * sph
+	for step := 0; step < steps; step++ {
+		a, b := r.Intn(slots), r.Intn(slots)
+		ha, sa, hb, sb := a/sph, a%sph, b/sph, b%sph
+		if e.p.At(ha, sa) == e.p.At(hb, sb) {
+			continue
+		}
+		e.swap(t, ha, sa, hb, sb)
+		e.check(t, fmt.Sprintf("%s step=%d", tag, step))
+		if r.Bool(0.5) {
+			e.swap(t, ha, sa, hb, sb)
+			e.check(t, fmt.Sprintf("%s step=%d undo", tag, step))
 		}
 	}
 }
 
+// testPosEquivalence is the property behind the incremental search
+// engine, on a fixture built to break key schemes: an app name holding a
+// NUL byte, a -0 bubble score (so pressures of both zero signs occur),
+// apps with several units per host, and — beyond two slots per host —
+// multi-co-runner combines.
 func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 	demands := []cluster.Demand{
 		{App: "a", Units: 3}, {App: "b", Units: 4},
@@ -50,96 +141,68 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 	}
 	limit := 0
 	if sph != 2 {
-		limit = sph
+		limit = sph // beyond the pairwise rule: allow sph distinct apps
 	}
-	hosts := 7
-	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), hosts, sph, limit, demands, 0)
+	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), 7, sph, limit, demands, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := map[string]float64{"a": 0.5, "b": 0.5, "c\x00c": 6, "d": 2}
+	scores := map[string]float64{"a": 0.5, "b": 0.5, "c\x00c": 6, "d": math.Copysign(0, -1)}
 	preds := map[string]Predictor{
 		"a": sumPred{0.3}, "b": sumPred{0.01}, "c\x00c": sumPred{0.02}, "d": sumPred{0.05},
 	}
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	pst := NewPostings(g, len(ix.Apps))
-
-	idxCache := NewPredictionCache()
-	posCache := NewPredictionCache()
+	cache := NewPredictionCache()
 	if nilCache {
-		idxCache, posCache = nil, nil
+		cache = nil
 	}
-	want := make([]float64, len(all))
-
-	check := func(tag string) {
-		t.Helper()
-		checkPostings(t, tag, g, pst, len(ix.Apps))
-		for i := range ix.Apps {
-			if u := pst.Units(int32(i)); u != p.UnitsOf(ix.Apps[i]) {
-				t.Fatalf("%s: Units(%s) = %d, want %d", tag, ix.Apps[i], u, p.UnitsOf(ix.Apps[i]))
-			}
-		}
-		if err := DeltaPredictIdx(g, all, ix, idxCache, want); err != nil {
-			t.Fatalf("%s: scan path: %v", tag, err)
-		}
-		if err := DeltaPredictPos(g, pst, all, ix, posCache, out); err != nil {
-			t.Fatalf("%s: postings path: %v", tag, err)
-		}
-		for i, a := range ix.Apps {
-			if out[i] != want[i] {
-				t.Fatalf("%s: app %s = %v via postings, want %v (bit-exact)", tag, a, out[i], want[i])
-			}
-		}
-	}
-	check(fmt.Sprintf("seed=%d sph=%d cold", seed, sph))
-
-	rng := sim.NewRNG(seed + 1000)
-	slots := hosts * sph
-	for step := 0; step < 60; step++ {
-		a, b := rng.Intn(slots), rng.Intn(slots)
-		ha, sa := a/sph, a%sph
-		hb, sb := b/sph, b%sph
-		if p.At(ha, sa) == p.At(hb, sb) {
-			continue
-		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
-		if p.ValidateHosts(ha, hb) != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
-		check(fmt.Sprintf("seed=%d sph=%d step=%d", seed, sph, step))
-
-		// Undo must restore the postings exactly (the exchange engine
-		// leans on swap/undo symmetry for rejected proposals).
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
-		checkPostings(t, fmt.Sprintf("seed=%d sph=%d step=%d undo", seed, sph, step), g, pst, len(ix.Apps))
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
-	}
-
-	// CopyFrom must produce an independent, identical mirror.
-	var cp Postings
-	cp.CopyFrom(pst)
-	checkPostings(t, "copy", g, &cp, len(ix.Apps))
-	cp.pos[0] = -99
-	checkPostings(t, "copy-independent", g, pst, len(ix.Apps))
+	e := newPosEngine(t, p, preds, scores, cache)
+	e.walk(t, fmt.Sprintf("seed=%d sph=%d", seed, sph), sim.NewRNG(seed+1000), 60)
 }
 
-// FuzzDeltaPredictPosEquivalence is the fuzz form of the postings
-// equivalence property.
+// TestDeltaPredictPosEquivalence: across random placements and swap/undo
+// walks — pairwise (2 slots) and generic (3 slots) layouts, cached and
+// nil-cache — the incrementally maintained predictions stay bit-identical
+// to PredictPlacement (the production reference behind
+// placement.Evaluate) and the postings to a from-scratch Rebuild; the
+// warm path allocates nothing; a Postings copy is independent.
+func TestDeltaPredictPosEquivalence(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		for _, sph := range []int{2, 3} {
+			testPosEquivalence(t, seed, sph, seed%3 == 2)
+		}
+	}
+
+	for _, sph := range []int{2, 3} {
+		p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
+			[]cluster.Demand{{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
+			map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, e.inc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("sph=%d: warm DeltaPredictPos allocates %v/run, want 0", sph, allocs)
+		}
+
+		var cp Postings
+		cp.CopyFrom(e.pst)
+		checkPostings(t, "copy", e.g, &cp, len(e.ix.Apps))
+		cp.pos[0] = -99
+		checkPostings(t, "copy-independent", e.g, e.pst, len(e.ix.Apps))
+	}
+}
+
+// FuzzDeltaPredictPosEquivalence is the fuzz form of the property:
+// whatever the layout seed, slot count, and swap stream.
 func FuzzDeltaPredictPosEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), false)
 	f.Add(int64(2), uint8(3), false)
 	f.Add(int64(3), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed int64, sphRaw uint8, nilCache bool) {
-		sph := 2 + int(sphRaw%3)
-		testPosEquivalence(t, seed, sph, nilCache)
+		testPosEquivalence(t, seed, 2+int(sphRaw%3), nilCache) // 2..4 slots per host
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func (f propPred) PredictPressures(ps []float64) (float64, error) {
 // randomProblem draws a random cluster shape, app set, and valid
 // placement. The per-host app limit equals the slot count, so every
 // slot assignment is valid and swaps are never rejected.
-func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, []string, map[string]Predictor, map[string]float64) {
+func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, map[string]Predictor, map[string]float64) {
 	t.Helper()
 	numHosts := 4 + r.Intn(5) // 4..8
 	slots := 2
@@ -54,115 +55,54 @@ func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, []string, map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, names, preds, scores
-}
-
-// affectedApps lists the distinct apps with units on hosts ha or hb.
-func affectedApps(p *cluster.Placement, ha, hb int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, h := range []int{ha, hb} {
-		for _, a := range p.HostApps(h) {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
+	return p, preds, scores
 }
 
 // TestPropertyDeltaPredictMatchesFullPredict is the seeded quick-check
-// behind the incremental search engine: across random problems and random
-// swap/undo walks, the incrementally maintained prediction map must stay
-// bit-identical to a fresh full prediction of the current placement.
+// behind the incremental search engine on random problem shapes (host,
+// app and unit counts, predictor shapes with a max term): across
+// swap/undo walks the incrementally maintained predictions stay
+// bit-identical to a fresh full prediction, with real cache traffic.
 func TestPropertyDeltaPredictMatchesFullPredict(t *testing.T) {
 	rng := sim.NewRNG(2016).Stream("property")
 	for trial := 0; trial < 25; trial++ {
 		r := rng.StreamN("trial", trial)
-		p, apps, preds, scores := randomProblem(t, r)
-		cache := NewPredictionCache()
-		inc := map[string]float64{}
-		if err := DeltaPredict(p, apps, preds, scores, cache, inc); err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 40; step++ {
-			slots := p.NumHosts * p.HostSlots
-			a, b := r.Intn(slots), r.Intn(slots)
-			ha, sa := a/p.HostSlots, a%p.HostSlots
-			hb, sb := b/p.HostSlots, b%p.HostSlots
-			if p.At(ha, sa) == p.At(hb, sb) {
-				continue
-			}
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
-			if r.Bool(0.5) {
-				// Rejected proposal: undo before re-predicting, exactly
-				// as the engine's reject path leaves the placement.
-				if err := p.Swap(ha, sa, hb, sb); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := DeltaPredict(p, affectedApps(p, ha, hb), preds, scores, cache, inc); err != nil {
-				t.Fatal(err)
-			}
-			full, err := PredictPlacement(p, preds, scores)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(full) != len(inc) {
-				t.Fatalf("trial %d step %d: %d apps full vs %d incremental", trial, step, len(full), len(inc))
-			}
-			for app, want := range full {
-				got := inc[app]
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d step %d app %s: incremental %v != full %v (bit drift)",
-						trial, step, app, got, want)
-				}
-			}
-		}
-		if hits, misses := cache.Stats(); hits == 0 || misses == 0 {
+		p, preds, scores := randomProblem(t, r)
+		e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+		e.walk(t, fmt.Sprintf("trial %d", trial), r, 40)
+		if hits, misses := e.cache.Stats(); hits == 0 || misses == 0 {
 			t.Errorf("trial %d: degenerate cache traffic (hits=%d misses=%d)", trial, hits, misses)
 		}
 	}
 }
 
-// TestPropertyCacheHitsAreBitIdentical checks the memoization contract:
-// predictions served from the cache equal the nil-cache (always
-// recompute) results bit for bit, on the same random walks.
+// TestPropertyCacheHitsAreBitIdentical checks the memoization contract
+// on the same random shapes: a cached walk (on these two-slot hosts, the
+// pairwise specialization and its index-keyed memo) and a nil-cache walk
+// (the generic path, always recomputing) over the same swaps agree bit
+// for bit at every step.
 func TestPropertyCacheHitsAreBitIdentical(t *testing.T) {
 	rng := sim.NewRNG(2016).Stream("cache-property")
 	for trial := 0; trial < 25; trial++ {
 		r := rng.StreamN("trial", trial)
-		p, apps, preds, scores := randomProblem(t, r)
-		cache := NewPredictionCache()
-		cached := map[string]float64{}
-		bare := map[string]float64{}
+		p, preds, scores := randomProblem(t, r)
+		cached := newPosEngine(t, p.Clone(), preds, scores, NewPredictionCache())
+		bare := newPosEngine(t, p, preds, scores, nil)
+		slots := p.NumHosts * p.HostSlots
 		for step := 0; step < 30; step++ {
-			// Re-predicting the same placement repeatedly forces hits.
-			if err := DeltaPredict(p, apps, preds, scores, cache, cached); err != nil {
-				t.Fatal(err)
-			}
-			if err := DeltaPredict(p, apps, preds, scores, nil, bare); err != nil {
-				t.Fatal(err)
-			}
-			for _, app := range apps {
-				if math.Float64bits(cached[app]) != math.Float64bits(bare[app]) {
-					t.Fatalf("trial %d step %d app %s: cached %v != uncached %v",
-						trial, step, app, cached[app], bare[app])
-				}
-			}
-			slots := p.NumHosts * p.HostSlots
 			a, b := r.Intn(slots), r.Intn(slots)
-			if p.At(a/p.HostSlots, a%p.HostSlots) != p.At(b/p.HostSlots, b%p.HostSlots) {
-				if err := p.Swap(a/p.HostSlots, a%p.HostSlots, b/p.HostSlots, b%p.HostSlots); err != nil {
-					t.Fatal(err)
+			ha, sa, hb, sb := a/p.HostSlots, a%p.HostSlots, b/p.HostSlots, b%p.HostSlots
+			if p.At(ha, sa) == p.At(hb, sb) {
+				continue
+			}
+			cached.swap(t, ha, sa, hb, sb)
+			bare.swap(t, ha, sa, hb, sb)
+			for i, app := range bare.ix.Apps {
+				if math.Float64bits(cached.inc[i]) != math.Float64bits(bare.inc[i]) {
+					t.Fatalf("trial %d step %d app %s: cached %v != uncached %v",
+						trial, step, app, cached.inc[i], bare.inc[i])
 				}
 			}
-		}
-		if hits, _ := cache.Stats(); hits == 0 {
-			t.Errorf("trial %d: the revisit walk never hit the cache", trial)
 		}
 	}
 }

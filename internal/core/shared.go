@@ -1,31 +1,39 @@
 // Cross-request prediction sharing: the serving plane answers many
 // placement requests over the same workload mix, and distinct searches
 // revisit the same (app, pressure vector) points — so a cache scoped to
-// one search leaves repeat work on the table. SharedPredictionCache is a
-// PredictionCache hardened for concurrent use and exposed as a Predictor
-// wrapper, so per-search caches keep absorbing the hot inner loop
-// lock-free while their misses fall through to the shared tier.
+// one search leaves repeat work on the table. SharedPredictionCache is
+// the name-keyed, concurrency-safe tier under the per-search caches,
+// exposed as a Predictor wrapper: a search's own PredictionCache keeps
+// absorbing the hot inner loop lock-free, and only its misses fall
+// through to the shared tier.
 
 package core
 
 import "sync"
 
 // SharedPredictionCache is a concurrency-safe prediction memo shared
-// across searches. Because every Predictor in this package is a pure
-// function of its pressure vector, a hit is bit-identical to
-// recomputation: threading a shared cache under a search never perturbs
-// its trajectory, it only skips the policy conversion and matrix lookup.
+// across searches, keyed by application name and exact pressure vector.
+// Because every Predictor in this package is a pure function of its
+// pressure vector, a hit is bit-identical to recomputation: threading a
+// shared cache under a search never perturbs its trajectory, it only
+// skips the policy conversion and matrix lookup.
+//
+// App names are interned to dense IDs on first sight, so the name/vector
+// boundary is structural (no byte-key ambiguity for names containing
+// NUL) and a lookup hashes no string beyond the intern map probe.
 //
 // The zero value is not usable; construct with NewSharedPredictionCache.
 // A nil *SharedPredictionCache degrades to plain prediction everywhere.
 type SharedPredictionCache struct {
-	mu sync.Mutex
-	c  *PredictionCache
+	mu           sync.Mutex
+	ids          map[string]int32 // app name -> interned ID
+	t            floatKeyTable    // (app ID, pressure vector) -> prediction
+	hits, misses uint64
 }
 
 // NewSharedPredictionCache returns an empty shared cache.
 func NewSharedPredictionCache() *SharedPredictionCache {
-	return &SharedPredictionCache{c: NewPredictionCache()}
+	return &SharedPredictionCache{ids: map[string]int32{}}
 }
 
 // Predict returns the memoized prediction for (app, pressures), computing
@@ -37,7 +45,21 @@ func (s *SharedPredictionCache) Predict(app string, pred Predictor, pressures []
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Predict(app, pred, pressures)
+	id, ok := s.ids[app]
+	if !ok {
+		id = int32(len(s.ids))
+		s.ids[app] = id
+	}
+	v, hit, err := s.t.memo(id, pred, pressures)
+	if err != nil {
+		return 0, err
+	}
+	if hit {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return v, nil
 }
 
 // Stats reports cache hits and misses so far.
@@ -47,17 +69,7 @@ func (s *SharedPredictionCache) Stats() (hits, misses uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Stats()
-}
-
-// CombineStats reports co-runner combine-memo hits and misses so far.
-func (s *SharedPredictionCache) CombineStats() (hits, misses uint64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.CombineStats()
+	return s.hits, s.misses
 }
 
 // Len reports the number of memoized entries.
@@ -67,7 +79,7 @@ func (s *SharedPredictionCache) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Len()
+	return s.t.n
 }
 
 // Wrap returns a Predictor for app that consults the shared cache before

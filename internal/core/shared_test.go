@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -125,30 +128,110 @@ func TestSharedCacheNilSafe(t *testing.T) {
 	}
 }
 
-// TestSharedCacheUnderDelta: DeltaPredict through wrapped predictors (the
-// serving-plane configuration: per-search cache over the shared tier)
-// matches an uncached full prediction exactly.
+// TestSharedCacheUnderDelta: DeltaPredictPos through wrapped predictors
+// (the serving-plane configuration: per-search cache over the shared
+// tier) matches an uncached full prediction exactly.
 func TestSharedCacheUnderDelta(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
+	sc := NewSharedPredictionCache()
+	wrapped := sc.WrapAll(preds)
+	for round := 0; round < 3; round++ {
+		// A fresh per-search cache each round: only the shared tier carries
+		// over, and the reference path goes through it too.
+		newPosEngine(t, p, wrapped, scores, NewPredictionCache()).check(t, fmt.Sprintf("round %d", round))
+	}
+	hits, misses := sc.Stats()
+	if misses == 0 || hits == 0 {
+		t.Errorf("shared tier traffic hits=%d misses=%d, want both positive", hits, misses)
+	}
 	want, err := PredictPlacement(p, preds, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewSharedPredictionCache()
-	wrapped := sc.WrapAll(preds)
-	out := map[string]float64{}
-	local := NewPredictionCache()
-	for round := 0; round < 3; round++ {
-		if err := DeltaPredict(p, p.Apps(), wrapped, scores, local, out); err != nil {
-			t.Fatal(err)
-		}
-		for app, v := range want {
-			if out[app] != v {
-				t.Fatalf("round %d: %s = %v, want %v", round, app, out[app], v)
-			}
+	got, err := PredictPlacement(p, wrapped, scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for app, v := range want {
+		if got[app] != v {
+			t.Errorf("%s = %v through the shared tier, want %v", app, got[app], v)
 		}
 	}
-	if _, misses := sc.Stats(); misses == 0 {
-		t.Error("shared cache never consulted through DeltaPredict")
+}
+
+// --- regressions of the name-keyed tier's key scheme -------------------
+
+// TestCacheNULNameNoCollision: under a byte-key scheme
+// (app + "\x00" + float bits) the two (app, pressures) pairs below
+// produce the same cache key, so whichever is predicted second silently
+// returns the first's value. The interned-ID scheme keys the name
+// structurally and must keep them distinct.
+func TestCacheNULNameNoCollision(t *testing.T) {
+	p1 := 3.5
+	p2 := 1.25
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], math.Float64bits(p1))
+
+	appA := "x"
+	psA := []float64{p1, p2}
+	appB := "x\x00" + string(tail[:]) // byte key: identical to (appA, psA)
+	psB := []float64{p2}
+
+	predA := sumPred{0.3}
+	predB := sumPred{0.7}
+	wantA, _ := predA.PredictPressures(psA)
+	wantB, _ := predB.PredictPressures(psB)
+	if wantA == wantB {
+		t.Fatal("fixture error: the two predictions must differ for the test to detect a collision")
+	}
+
+	cache := NewSharedPredictionCache()
+	for _, c := range []struct {
+		app  string
+		pred Predictor
+		ps   []float64
+		want float64
+	}{{appA, predA, psA, wantA}, {appB, predB, psB, wantB}, {appA, predA, psA, wantA}} {
+		got, err := cache.Predict(c.app, c.pred, c.ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("Predict(%q) = %v, want %v (collided across the name/vector boundary)", c.app, got, c.want)
+		}
+	}
+}
+
+// TestCacheSignedZeroHits: +0 and -0 compare equal and every predictor
+// is a pure function of the float values, so a -0 entry must hit the +0
+// entry's memo instead of recomputing under a distinct key.
+func TestCacheSignedZeroHits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cache := NewSharedPredictionCache()
+	calls := 0
+	pred := countingPred{sumPred{0.4}, &calls}
+
+	v1, err := cache.Predict("a", pred, []float64{0, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("cold predict made %d calls, want 1", calls)
+	}
+	v2, err := cache.Predict("a", pred, []float64{negZero, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("-0 vector recomputed (calls=%d): signed zero missed the cache", calls)
+	}
+	if v1 != v2 {
+		t.Errorf("predictions differ across zero signs: %v vs %v", v1, v2)
+	}
+	if hits, _ := cache.Stats(); hits != 1 {
+		t.Errorf("hits = %d, want 1 (the -0 lookup)", hits)
+	}
+	if keyBits(negZero) != 0 || keyBits(0.0) != 0 {
+		t.Error("keyBits(±0) must be 0")
 	}
 }

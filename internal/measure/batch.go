@@ -3,9 +3,8 @@ package measure
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -445,28 +444,7 @@ func (b *Batch) Run() error {
 	if e.Telemetry != nil && workers > 0 {
 		e.Telemetry.Gauge(MetricBatchWorkers).Set(float64(workers))
 	}
-	if workers <= 1 {
-		for _, j := range todo {
-			e.execJob(j)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(todo) {
-						return
-					}
-					e.execJob(todo[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	sim.FanOut(len(todo), workers, func(i int) { e.execJob(todo[i]) })
 
 	// Merge in submission order: cache publication first (first write
 	// wins, so the earliest submission defines an entry, exactly like

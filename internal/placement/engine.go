@@ -30,24 +30,14 @@ import (
 	"repro/internal/sim"
 )
 
-// cachePool recycles PredictionCache storage (open-addressed tables,
-// key arenas, scratch buffers) across restarts, cells, and searches.
-// Every acquire starts from an empty cache — memo contents are keyed by
-// dense app indexes that only mean something under one AppsIndex
-// binding — so pooling reuses capacity, never values, and cannot
-// perturb a trajectory.
-var cachePool = sync.Pool{New: func() any { return core.NewPredictionCache() }}
-
-func acquireCache() *core.PredictionCache { return cachePool.Get().(*core.PredictionCache) }
-
-func releaseCache(c *core.PredictionCache) {
-	c.Reset()
-	cachePool.Put(c)
-}
-
-// workspace is the pooled storage of one walk (or one cell's set-up).
-// Like cachePool it recycles capacity only: every field is overwritten
-// before it is read, so reuse cannot perturb a trajectory.
+// workspace is the pooled storage of one walk (or one cell's set-up):
+// the engine with its grid, postings and memo cache (open-addressed
+// tables, key arenas, scratch buffers), the best-state buffers, and the
+// sampler and cell scratch. Pooling recycles capacity only, never
+// values: acquireWorkspace empties the memo cache — its contents are
+// keyed by dense app indexes that only mean something under one
+// AppsIndex binding — and every other field is overwritten before it is
+// read, so reuse cannot perturb a trajectory.
 type workspace struct {
 	e     incEval
 	best  bestState
@@ -69,16 +59,11 @@ var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
 func acquireWorkspace() *workspace {
 	ws := workspacePool.Get().(*workspace)
 	ws.best.have = false
+	ws.e.cache.Reset()
 	return ws
 }
 
-func releaseWorkspace(ws *workspace) {
-	if ws.e.cache != nil {
-		releaseCache(ws.e.cache)
-		ws.e.cache = nil
-	}
-	workspacePool.Put(ws)
-}
+func releaseWorkspace(ws *workspace) { workspacePool.Put(ws) }
 
 // streamSeed is the seed to Reset a pooled RNG onto Stream(name) of seed.
 func streamSeed(seed int64, name string) int64 { return sim.NewRNG(seed).Stream(name).Seed() }
@@ -211,7 +196,7 @@ type incEval struct {
 	weight float64   // total units, accumulated in index order
 	pred   []float64 // predictions for the current state, by app index
 	cand   []float64 // mirror of pred with the proposal's deltas
-	cache  *core.PredictionCache
+	cache  core.PredictionCache
 	// pending proposal scratch: the touched apps and the swap to undo on
 	// reject.
 	affected       []int32
@@ -221,14 +206,11 @@ type incEval struct {
 
 // start binds the engine to p over the cells already in e.grid: it
 // builds the postings and unit weights and fully predicts the state,
-// seeding the memo cache (pooled; released with the workspace).
+// seeding the workspace's (empty) memo cache.
 func (e *incEval) start(p *problem) error {
 	n := len(p.ix.Apps)
 	e.ix, e.qos, e.qosIdx, e.limit = p.ix, p.qos, p.qosIdx, p.limit
 	e.pst.Rebuild(&e.grid, n)
-	if e.cache == nil {
-		e.cache = acquireCache()
-	}
 	e.units, e.pred, e.cand, e.affected = e.units[:0], e.pred[:0], e.cand[:0], e.affected[:0]
 	e.weight = 0
 	for i := 0; i < n; i++ {
@@ -238,7 +220,7 @@ func (e *incEval) start(p *problem) error {
 		e.pred = append(e.pred, 0)
 		e.affected = append(e.affected, int32(i))
 	}
-	if err := core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, e.cache, e.pred); err != nil {
+	if err := core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, &e.cache, e.pred); err != nil {
 		return err
 	}
 	e.cand = append(e.cand, e.pred...)
@@ -302,21 +284,18 @@ func (e *incEval) propose(ha, sa, hb, sb int) (valid bool, err error) {
 			}
 		}
 	}
-	return true, core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, e.cache, e.cand)
+	return true, core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, &e.cache, e.cand)
 }
 
 // mirror makes e a frozen copy of src's grid and postings for
-// speculative evaluation. Its memo cache persists across calls (memo
-// contents are pure, so reuse can only save work). Predictions are not
-// copied: a speculator reads only the entries of e.cand that propose
-// has just written.
+// speculative evaluation. Its memo cache persists across calls within
+// one workspace acquisition (memo contents are pure, so reuse can only
+// save work). Predictions are not copied: a speculator reads only the
+// entries of e.cand that propose has just written.
 func (e *incEval) mirror(src *incEval) {
 	e.ix, e.limit = src.ix, src.limit
 	e.grid.CopyFrom(&src.grid)
 	e.pst.CopyFrom(&src.pst)
-	if e.cache == nil {
-		e.cache = acquireCache()
-	}
 	e.pred = slices.Grow(e.pred[:0], len(src.pred))[:len(src.pred)]
 	e.cand = slices.Grow(e.cand[:0], len(src.pred))[:len(src.pred)]
 }
@@ -339,7 +318,7 @@ func (e *incEval) reject() {
 }
 
 // walk is one annealing trajectory over a workspace's engine. runRestart
-// and both exchange phases drive it; they differ only in how they draw a
+// and the exchange phase drive it; they differ only in how they draw a
 // proposal's geometry.
 type walk struct {
 	tally

@@ -1,26 +1,26 @@
-// Deterministic speculative parallel annealing for the cross-cell
-// exchange phase (Config.ExchangeWorkers >= 2).
+// The cross-cell exchange phase: deterministic batched annealing over the
+// fleet grid, the hierarchical search's last phase (hier.go).
 //
-// The serial exchange annealer is inherently sequential: proposal i+1's
-// evaluation depends on whether proposal i was accepted. The
-// speculative phase breaks the dependency without giving up
-// determinism, by splitting the randomness and the evaluation:
+// A textbook annealer is inherently sequential: proposal i+1's
+// evaluation depends on whether proposal i was accepted. The exchange
+// breaks the dependency without giving up determinism, by splitting the
+// randomness and the evaluation:
 //
 //   - Geometry (which cells/hosts/slots to swap) is drawn for a whole
 //     batch of K proposals up front from Stream("exchange"). The draw
 //     schedule depends only on static shape — cell count, host lists,
 //     the down set — never on search state, so the proposal sequence is
-//     a pure function of the seed, identical for every worker count and
-//     batch size.
+//     a pure function of the seed, identical for every evaluator count
+//     and batch size.
 //   - Acceptance uniforms come from a second stream,
 //     Stream("exchange-accept"), consumed lazily in commit order (only
 //     when an uphill move needs a Metropolis coin). Commit order is draw
 //     order, so this consumption too is independent of K and N.
 //
-// Workers then evaluate the batch concurrently against a frozen
-// snapshot of the pre-batch state (each worker owns a grid + postings
-// copy and a pooled prediction cache), and the commit loop walks the
-// batch in draw order, driving the same walk as the serial phase:
+// Evaluators then score the batch concurrently against a frozen
+// snapshot of the pre-batch state (each owns a grid + postings mirror
+// and a memo cache in a pooled workspace), and the commit loop walks the
+// batch in draw order, driving the same walk as a flat restart:
 //
 //   - A proposal is *clean* when no earlier commit in the same batch
 //     dirtied either of its hosts or any of its affected apps. A clean
@@ -30,28 +30,34 @@
 //     change only on dirtied hosts, and every predictor/memo in the
 //     engine is a pure function of the vector bits. Clean results are
 //     therefore committed as-is (the commit loop recomputes only the
-//     full-sum objective, in the same accumulation order as the serial
+//     full-sum objective, in the same accumulation order as the flat
 //     engine).
 //   - A dirty proposal is re-evaluated serially against the
 //     authoritative engine — counted in
 //     placement_exchange_conflicts_total — so the accepted trajectory
-//     is exactly what a serial annealer running this two-stream draw
-//     discipline would produce.
+//     is exactly what a one-proposal-at-a-time annealer running this
+//     two-stream draw discipline would produce.
 //
 // Both the host check and the app check are required: two proposals
 // can touch disjoint hosts while sharing an affected app (its units
 // spread across both pairs), and its speculated prediction would then
 // be stale.
+//
+// This is the one exchange algorithm at every evaluator count, one
+// included: Config.ExchangeWorkers only caps how many goroutines score a
+// batch, it never selects a different trajectory.
 
 package placement
 
 import (
 	"math"
-	"sync"
+	"runtime"
+
+	"repro/internal/sim"
 )
 
 // exchangeBatch is K, the number of proposals speculated per round.
-// Larger batches amortize worker synchronization but raise the conflict
+// Larger batches amortize evaluator synchronization but raise the conflict
 // rate (more commits dirty more hosts before later proposals commit);
 // 32 keeps conflicts in the low percents at fleet-bench acceptance
 // rates. The trajectory does not depend on this value.
@@ -102,16 +108,23 @@ func (p *exProposal) speculate(e *incEval) {
 	e.reject()
 }
 
-// exchangePhaseSpec is the speculative parallel exchange phase over the
-// fleet grid in ws. The returned counters follow the serial phase's
-// meanings, plus conflicts (serially re-evaluated proposals) and
-// occupancy (mean per-batch fraction of speculative evaluations
-// consumed as-is). Its trajectory — objective, placement, predictions,
-// evaluation count — is a pure function of (Request, Config.Seed):
-// identical for every ExchangeWorkers >= 2. Only the cache hit/miss
-// split varies with the worker count (each worker warms its own memo).
-// The best state is left in ws.best.
-func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
+// exchangeOutcome carries the exchange phase's counters: the walk's
+// tally plus conflicts (proposals re-evaluated serially) and occupancy
+// (mean per-batch fraction of speculative evaluations consumed as-is).
+type exchangeOutcome struct {
+	tally
+	conflicts uint64
+	occupancy float64
+}
+
+// exchange anneals cross-cell swaps over the fleet grid in ws: each
+// proposal picks two distinct cells and a random slot in each
+// (within-cell pairs were already annealed by the cell phase). Its
+// trajectory — objective, placement, predictions, evaluation count — is
+// a pure function of (Request, Config.Seed), identical for every
+// evaluator count; only the cache hit/miss split varies with it (each
+// evaluator warms its own memo). The best state is left in ws.best.
+func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
 	span := cfg.Tracer.StartSpan("placement.exchange")
 	defer span.End()
 	var w walk
@@ -127,8 +140,13 @@ func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells
 	rg.Reset(streamSeed(cfg.Seed, "exchange"))
 	ra.Reset(streamSeed(cfg.Seed, "exchange-accept"))
 
-	// Each worker speculates on a pooled engine that mirrors e.
-	workers := make([]*workspace, cfg.ExchangeWorkers)
+	// Each evaluator speculates on a pooled engine that mirrors e; like
+	// the cell phase, the phase sizes itself to the machine unless capped.
+	evaluators := cfg.ExchangeWorkers
+	if evaluators <= 0 {
+		evaluators = runtime.GOMAXPROCS(0)
+	}
+	workers := make([]*workspace, min(evaluators, exchangeBatch))
 	for i := range workers {
 		workers[i] = acquireWorkspace()
 	}
@@ -163,8 +181,21 @@ func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells
 	cool := math.Pow(1e-3, 1/float64(iters))
 	var batches, occSum float64
 
+	// speculate scores evaluator wi's deterministic stripe of the current
+	// batch (its first n proposals) against the frozen pre-batch state.
+	var n int
+	speculate := func(wi int) {
+		wk := &workers[wi].e
+		wk.mirror(e)
+		for k := wi; k < n; k += len(workers) {
+			if props[k].kind == exPending {
+				props[k].speculate(wk)
+			}
+		}
+	}
+
 	for start := 0; start < iters; start += exchangeBatch {
-		n := min(iters-start, exchangeBatch)
+		n = min(iters-start, exchangeBatch)
 		ep++
 		// Draw the batch's geometry up front (see package comment: the
 		// schedule never depends on search state).
@@ -187,22 +218,7 @@ func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells
 			}
 			p.kind = exPending
 		}
-		// Speculate: workers evaluate a deterministic stripe each
-		// against the frozen pre-batch state.
-		var wg sync.WaitGroup
-		for wi, wk := range workers {
-			wg.Add(1)
-			go func(wi int, wk *incEval) {
-				defer wg.Done()
-				wk.mirror(e)
-				for k := wi; k < n; k += len(workers) {
-					if props[k].kind == exPending {
-						props[k].speculate(wk)
-					}
-				}
-			}(wi, &wk.e)
-		}
-		wg.Wait()
+		sim.FanOut(len(workers), len(workers), speculate)
 		speculated, used := 0, 0
 		for k := 0; k < n; k++ {
 			if props[k].kind == exEvaled {
@@ -265,7 +281,7 @@ func exchangePhaseSpec(ws *workspace, b *bound, cfg *Config, sign float64, cells
 				// Conflict: an earlier commit in this batch dirtied one
 				// of the proposal's hosts or affected apps — its
 				// frozen-state verdict may be stale, so re-run it
-				// serially against the authoritative engine.
+				// against the authoritative engine.
 				o.conflicts++
 				accepted, err := w.try(p.ha, p.sa, p.hb, p.sb, temp, ra)
 				if err != nil {

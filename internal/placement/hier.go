@@ -6,18 +6,18 @@
 // restart routine the flat search uses (anneal, on a dense sub-index
 // sliced from the request's — no string is looked up), writes each
 // cell's best cells straight into one fleet-wide grid, and then runs a
-// cross-cell exchange phase over that grid through the same walk —
-// serially by default, or as deterministic speculative parallel annealing
-// when Config.ExchangeWorkers >= 2 (see exchange.go). The exchange
-// phase's best state is the search's one materialized Result.
+// cross-cell exchange phase over that grid through the same walk
+// (exchange.go: deterministic batched annealing, one trajectory at every
+// evaluator count). The exchange phase's best state is the search's one
+// materialized Result.
 //
 // Determinism: the demand spread is greedy with lowest-cell-index
 // tie-breaks, each cell's seed derives from
 // Stream("cells").StreamN("cell", c), cells write disjoint rows of the
 // fleet grid and their counters are summed in index order regardless of
 // which worker ran them, and the exchange phase draws from its own
-// Stream("exchange") — the whole search is a pure function of
-// (Request, Config).
+// Stream("exchange") / Stream("exchange-accept") pair — the whole search
+// is a pure function of (Request, Config).
 //
 // Exactness: during the cell phase an application split across cells is
 // scored cell-locally (each cell only sees the units it holds), but the
@@ -35,12 +35,9 @@ package placement
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -79,26 +76,16 @@ func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
 	defer releaseWorkspace(fleet)
 	fleet.e.grid.Reset(b.hosts, b.slots)
 
-	// A bounded pool of workers pulls cell indexes from a shared counter;
 	// outs is indexed by cell, so the sums below are independent of which
 	// worker ran what and of completion order.
 	seeder := sim.NewRNG(cfg.Seed).Stream("cells")
 	outs := make([]cellOutcome, len(cells))
 	pprof.Do(ctx, pprof.Labels("placement_phase", "cells"), func(context.Context) {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := min(runtime.GOMAXPROCS(0), len(cells)); w > 0; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := int(next.Add(1)) - 1; c < len(cells); c = int(next.Add(1)) - 1 {
-					if len(asg[c]) > 0 {
-						outs[c] = searchCell(b, cfg, sign, cells[c], asg[c], seeder.StreamN("cell", c).Seed(), &fleet.e.grid)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		sim.FanOut(len(cells), runtime.GOMAXPROCS(0), func(c int) {
+			if len(asg[c]) > 0 {
+				outs[c] = searchCell(b, cfg, sign, cells[c], asg[c], seeder.StreamN("cell", c).Seed(), &fleet.e.grid)
+			}
+		})
 	})
 	var sum tally
 	for c := range outs {
@@ -110,11 +97,7 @@ func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
 
 	var ex exchangeOutcome
 	pprof.Do(ctx, pprof.Labels("placement_phase", "exchange"), func(context.Context) {
-		if cfg.ExchangeWorkers >= 2 {
-			ex, err = exchangePhaseSpec(fleet, b, cfg, sign, cells)
-		} else {
-			ex, err = exchangePhase(fleet, b, cfg, sign, cells)
-		}
+		ex, err = exchange(fleet, b, cfg, sign, cells)
 	})
 	if err != nil {
 		return Result{}, err
@@ -247,61 +230,4 @@ func searchCell(b *bound, cfg *Config, sign float64, hosts []int, demand []appUn
 		}
 	}
 	return o
-}
-
-// exchangeOutcome carries the exchange phase's counters. conflicts and
-// occupancy are only meaningful for the speculative parallel phase
-// (serial runs report 0 conflicts and occupancy 1: every evaluation is
-// authoritative).
-type exchangeOutcome struct {
-	tally
-	conflicts uint64
-	occupancy float64
-}
-
-// exchangePhase anneals cross-cell swaps over the fleet grid in ws. Each
-// proposal picks two distinct cells, a random slot in each, and swaps
-// them through the same walk as runRestart, with the proposal
-// distribution restricted to pairs that cross a cell boundary
-// (within-cell pairs were already annealed by the cell phase). The draw
-// discipline (geometry and acceptance uniforms interleaved on one
-// Stream("exchange")) is pinned by golden digests: this serial phase
-// must stay bit-identical across engine rework. The best state is left
-// in ws.best.
-func exchangePhase(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
-	span := cfg.Tracer.StartSpan("placement.exchange")
-	defer span.End()
-	var w walk
-	if err := w.begin(ws, &b.problem, cfg, sign); err != nil {
-		return exchangeOutcome{}, err
-	}
-	iters := cfg.ExchangeIters
-	if iters <= 0 {
-		iters = cfg.Iterations
-	}
-	r := &ws.draw
-	r.Reset(streamSeed(cfg.Seed, "exchange"))
-	temp := cfg.InitTemp
-	cool := math.Pow(1e-3, 1/float64(iters))
-	for it := 0; it < iters; it++ {
-		temp *= cool
-		ca := r.Intn(len(cells))
-		cb := r.Intn(len(cells))
-		if ca == cb {
-			continue
-		}
-		ha := cells[ca][r.Intn(len(cells[ca]))]
-		hb := cells[cb][r.Intn(len(cells[cb]))]
-		sa := r.Intn(b.slots)
-		sb := r.Intn(b.slots)
-		if b.down != nil && (b.down[ha] || b.down[hb]) {
-			w.invalid++
-			continue
-		}
-		if _, err := w.try(ha, sa, hb, sb, temp, r); err != nil {
-			return exchangeOutcome{}, err
-		}
-	}
-	w.finish(temp)
-	return exchangeOutcome{tally: w.tally, occupancy: 1}, nil
 }

@@ -198,18 +198,12 @@ type Config struct {
 	// after the cell phase (hierarchical search only; 0 defaults to
 	// Iterations). Setting it with Cells <= 1 is a validation error.
 	ExchangeIters int
-	// ExchangeWorkers selects the exchange-phase execution mode. 0 or 1
-	// runs the serial annealer, bit-identical to every release since the
-	// cell-sharded search landed. N >= 2 runs deterministic speculative
-	// parallel annealing: proposals are drawn in batches up front,
-	// evaluated concurrently by N workers against a frozen snapshot, and
-	// committed in draw order with touched-host/touched-app conflict
-	// detection (conflicted proposals are re-evaluated serially). The
-	// speculative trajectory is a pure function of the seed — identical
-	// for every N >= 2 and every batch size — but it consumes its
-	// geometry and acceptance randomness on two separate streams, so its
-	// results differ from (while being statistically equivalent to) the
-	// serial annealer's. Setting it above 1 with Cells <= 1 is a
+	// ExchangeWorkers caps how many goroutines score an exchange batch
+	// concurrently (hierarchical search only); 0 sizes the phase to
+	// GOMAXPROCS, as the cell phase sizes itself. It never selects an
+	// algorithm: the exchange is one deterministic batched annealer (see
+	// exchange.go) whose trajectory is a pure function of the seed,
+	// identical for every value. Setting it with Cells <= 1 is a
 	// validation error.
 	ExchangeWorkers int
 
@@ -261,9 +255,9 @@ const (
 	// cross-cell exchange phase's proposal traffic. Conflicts counts
 	// speculative proposals that had to be re-evaluated serially because
 	// an earlier commit in the same batch dirtied one of their hosts or
-	// apps (always 0 in serial mode); batch occupancy is the mean
-	// fraction of speculative evaluations per batch whose results were
-	// consumed as-is (1 in serial mode — all work is authoritative).
+	// apps; batch occupancy is the mean fraction of speculative
+	// evaluations per batch whose results were consumed as-is. Both are
+	// functions of the seed alone, not of the evaluator count.
 	MetricCells                  = "placement_cells"
 	MetricExchangeProposals      = "placement_exchange_proposals_total"
 	MetricExchangeAccepted       = "placement_exchange_accepted_total"
@@ -476,7 +470,7 @@ func Search(req Request, cfg Config) (Result, error) {
 	if cfg.ExchangeWorkers < 0 {
 		return Result{}, fmt.Errorf("placement: negative exchange workers %d", cfg.ExchangeWorkers)
 	}
-	if cfg.ExchangeWorkers > 1 && cfg.Cells <= 1 {
+	if cfg.ExchangeWorkers > 0 && cfg.Cells <= 1 {
 		return Result{}, errors.New("placement: exchange workers require Cells > 1 (there is no cross-cell phase in the flat search)")
 	}
 

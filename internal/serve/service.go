@@ -7,12 +7,12 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -34,8 +34,9 @@ const (
 	// attributable to serving (deltas accumulated per batch).
 	MetricCacheHits   = "serve_pred_cache_hits_total"
 	MetricCacheMisses = "serve_pred_cache_misses_total"
-	// MetricCombineHits/Misses is the combine-memo traffic of the same
-	// shared cache (the co-runner score -> combined-pressure layer).
+	// MetricCombineHits/Misses is the combine-memo traffic of the
+	// per-search caches (the co-runner score -> combined-pressure layer),
+	// accumulated from each search's Result.
 	MetricCombineHits   = "serve_pred_cache_combine_hits_total"
 	MetricCombineMisses = "serve_pred_cache_combine_misses_total"
 
@@ -123,9 +124,8 @@ type Service struct {
 	batchSize, queueDepth               *telemetry.Gauge
 	queueHist, serviceHist, e2eHist     *telemetry.Histogram
 
-	lastHits, lastMisses       uint64 // shared-cache stats at the last batch
-	lastCombHits, lastCombMiss uint64 // combine-memo stats at the last batch
-	statsMu                    sync.Mutex
+	lastHits, lastMisses uint64 // shared-cache stats at the last batch
+	statsMu              sync.Mutex
 }
 
 // pending is one admitted placement request waiting for its batch.
@@ -200,8 +200,8 @@ func New(cfg Config) (*Service, error) {
 		reg.SetHelp(MetricQueueDepth, "Admission-queue occupancy.")
 		reg.SetHelp(MetricCacheHits, "Shared prediction-cache hits accumulated by serving.")
 		reg.SetHelp(MetricCacheMisses, "Shared prediction-cache misses accumulated by serving.")
-		reg.SetHelp(MetricCombineHits, "Shared-cache combine-memo hits accumulated by serving.")
-		reg.SetHelp(MetricCombineMisses, "Shared-cache combine-memo misses accumulated by serving.")
+		reg.SetHelp(MetricCombineHits, "Per-search combine-memo hits accumulated by serving.")
+		reg.SetHelp(MetricCombineMisses, "Per-search combine-memo misses accumulated by serving.")
 		reg.SetHelp(HistQueue, "Seconds spent queued before batch execution.")
 		reg.SetHelp(HistService, "Seconds spent executing the placement search.")
 		reg.SetHelp(HistE2E, "End-to-end seconds from admission to response.")
@@ -390,8 +390,8 @@ func (s *Service) dispatch() {
 }
 
 // runBatch executes one admission batch with the measurement engine's
-// discipline: the plan is the admission order, execution is a parallel
-// worker pool claiming items in plan order, and completion is an ordered
+// discipline: the plan is the admission order, execution is the ordered
+// fan-out claiming items in plan order, and completion is an ordered
 // merge — so observable side effects (metrics, SLO, span ends, response
 // delivery) happen in admission order, while each response itself depends
 // only on its request.
@@ -400,32 +400,7 @@ func (s *Service) runBatch(batch []*pending) {
 		s.batches.Inc()
 		s.batchSize.Set(float64(len(batch)))
 	}
-	workers := s.cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		for _, p := range batch {
-			s.executeOne(p)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(batch) {
-						return
-					}
-					s.executeOne(batch[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	sim.FanOut(len(batch), s.cfg.Workers, func(i int) { s.executeOne(batch[i]) })
 
 	// Ordered merge: finalize in admission order.
 	for _, p := range batch {
@@ -505,8 +480,8 @@ func (s *Service) search(req PlaceRequest, id string) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	// The combine memo lives in the per-search caches (not the shared
-	// tier), so its traffic is accounted from the search result.
+	// The combine memo lives in the per-search caches, so its traffic is
+	// accounted from the search result.
 	if s.combineHits != nil {
 		s.combineHits.Add(res.CombineHits)
 		s.combineMisses.Add(res.CombineMisses)
@@ -648,17 +623,12 @@ func (s *Service) accountCache() {
 		return
 	}
 	hits, misses := s.shared.Stats()
-	chits, cmisses := s.shared.CombineStats()
 	s.statsMu.Lock()
 	dh, dm := hits-s.lastHits, misses-s.lastMisses
-	dch, dcm := chits-s.lastCombHits, cmisses-s.lastCombMiss
 	s.lastHits, s.lastMisses = hits, misses
-	s.lastCombHits, s.lastCombMiss = chits, cmisses
 	s.statsMu.Unlock()
 	s.cacheHits.Add(dh)
 	s.cacheMisses.Add(dm)
-	s.combineHits.Add(dch)
-	s.combineMisses.Add(dcm)
 }
 
 // refreshQuantiles recomputes the interpolated latency percentiles for

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -275,4 +277,24 @@ func TestPermProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFanOut: every index runs exactly once at any worker count, and a
+// single worker runs them in order on the calling goroutine.
+func TestFanOut(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 3, 64} {
+		hits := make([]int32, 17)
+		FanOut(len(hits), workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		for i, h := range hits {
+			if h != 1 {
+				t.Errorf("workers=%d: index %d ran %d times, want 1", workers, i, h)
+			}
+		}
+	}
+	var order []int
+	FanOut(5, 1, func(i int) { order = append(order, i) }) // unsynchronized: must be serial
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("serial order = %v", order)
+	}
+	FanOut(0, 4, func(int) { t.Error("fn called for n = 0") })
 }
