@@ -23,6 +23,7 @@ package interference
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -486,6 +487,80 @@ func TestFleetSearchAllocCeiling(t *testing.T) {
 		t.Errorf("fleet search mallocs = %.0f per search, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("fleet search mallocs = %.0f per search", allocs)
+}
+
+// totalAllocOf returns the bytes fn allocates, on any goroutine, with the
+// collector off so a cycle cannot empty the pools mid-measurement.
+func totalAllocOf(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAppRunAllocCeiling: a warm application run allocates no generator
+// state. Its per-node jitter streams are pooled and re-targeted in place,
+// so what is left is the run's own small change; one fastSource is 4.9 KB
+// and a run used to allocate one per node.
+func TestAppRunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 512 // bytes per run
+	sd := []float64{2, 1, 1, 1, 1.5, 1, 1, 1}
+	net := netsim.TenGbE()
+	for _, name := range []string{"M.milc", "M.Gems", "C.libq"} { // BSP, wavefront, independent
+		w := mustWL(t, name)
+		if w.App.NoiseSigma <= 0 {
+			t.Fatalf("%s draws no jitter; the test would prove nothing", name)
+		}
+		const runs = 200
+		seed := int64(0)
+		run := func() {
+			for i := 0; i < runs; i++ {
+				seed++
+				if _, err := w.App.Run(app.Params{Slowdown: sd, Net: net, RNG: sim.NewRNG(seed)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm the stream pool
+		perRun := totalAllocOf(run) / runs
+		if perRun > ceiling {
+			t.Errorf("%s (%v): %d B per warm run, ceiling %d", name, w.App.Engine, perRun, ceiling)
+		}
+		t.Logf("%s (%v): %d B per warm run", name, w.App.Engine, perRun)
+	}
+}
+
+// TestReproAllocCeiling bounds what one cold quick-mode reproduction of
+// every paper artifact allocates at about 1.5x the measured 70 MB (250 MB
+// when every derived stream allocated its source), so that a per-stream
+// or per-event allocation cannot creep back into the measurement path
+// unnoticed.
+func TestReproAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceilingMB = 105
+	got := totalAllocOf(func() {
+		l, err := experiments.NewLab(experiments.Config{Seed: 2016, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range experiments.Runners() {
+			if _, err := r.Run(l); err != nil {
+				t.Fatalf("%s: %v", r.ID, err)
+			}
+		}
+	})
+	mb := float64(got) / 1e6
+	if mb > ceilingMB {
+		t.Errorf("quick reproduction allocated %.1f MB, ceiling %d MB", mb, ceilingMB)
+	}
+	t.Logf("quick reproduction allocated %.1f MB", mb)
 }
 
 // BenchmarkFleetSearchXL doubles every axis of BenchmarkFleetSearch —

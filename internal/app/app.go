@@ -251,17 +251,19 @@ func (s Spec) Run(p Params) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
+	rs := acquireStreams(p.RNG, len(p.Slowdown))
+	defer streamPool.Put(rs)
 	var t float64
 	var err error
 	switch s.Engine {
 	case BSP:
-		t, err = s.runBSP(p)
+		t, err = s.runBSP(p, rs)
 	case Wavefront:
-		t, err = s.runWavefront(p)
+		t, err = s.runWavefront(p, rs)
 	case TaskPool, Stages:
-		t, err = s.runTasks(p)
+		t, err = s.runTasks(p, rs)
 	case Independent:
-		t, err = s.runIndependent(p)
+		t, err = s.runIndependent(p, rs)
 	default:
 		return 0, fmt.Errorf("app %s: unknown engine", s.Name)
 	}
@@ -272,14 +274,32 @@ func (s Spec) Run(p Params) (float64, error) {
 	return t, nil
 }
 
-// nodeStreams derives one jitter stream per node so adding nodes never
-// perturbs the draws of existing ones.
-func nodeStreams(rng *sim.RNG, n int) []*sim.RNG {
-	out := make([]*sim.RNG, n)
-	for i := range out {
-		out[i] = rng.StreamN("node", i)
+// runStreams is a run's random streams: one jitter stream per node, so
+// adding nodes never perturbs the draws of existing ones, and the
+// per-stage task-skew stream of the task engines. They live in a pool and
+// are re-targeted in place (sim.RNG.StreamNInto), so a warm run allocates
+// no generator state; a re-targeted stream is indistinguishable from a
+// freshly derived one, so pooling does not affect results.
+type runStreams struct {
+	node []sim.RNG
+	skew sim.RNG
+}
+
+var streamPool = sync.Pool{New: func() any { return new(runStreams) }}
+
+// acquireStreams takes streams from the pool with node[i] re-targeted at
+// rng.StreamN("node", i) for i < n.
+func acquireStreams(rng *sim.RNG, n int) *runStreams {
+	rs := streamPool.Get().(*runStreams)
+	if cap(rs.node) < n {
+		// Keep the generators already grown; the new tail starts empty.
+		rs.node = append(rs.node[:cap(rs.node)], make([]sim.RNG, n-cap(rs.node))...)
 	}
-	return out
+	rs.node = rs.node[:n]
+	for i := range rs.node {
+		rng.StreamNInto(&rs.node[i], "node", i)
+	}
+	return rs
 }
 
 // runBSP executes bulk-synchronous iterations: all nodes compute, the
@@ -288,11 +308,11 @@ func nodeStreams(rng *sim.RNG, n int) []*sim.RNG {
 // so replaying the engine's arithmetic directly is bit-identical and
 // skips the heap entirely. Instrumented runs keep the engine so the
 // sim_events_* metrics and per-kind histograms stay populated.
-func (s Spec) runBSP(p Params) (float64, error) {
+func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
 	if p.Telemetry == nil {
-		return s.runBSPDirect(p)
+		return s.runBSPDirect(p, rs)
 	}
-	return s.runBSPEngine(p)
+	return s.runBSPEngine(p, rs)
 }
 
 // bspCollective computes the fixed per-iteration collective cost.
@@ -326,9 +346,9 @@ func checkDelay(d float64) error {
 // order at scheduling time, an iteration ends at max_i(now + Time(d_i)),
 // and the collective extends that via the same sim.Time additions the
 // engine's AfterKind performs.
-func (s Spec) runBSPDirect(p Params) (float64, error) {
+func (s Spec) runBSPDirect(p Params, rs *runStreams) (float64, error) {
 	nodes := len(p.Slowdown)
-	streams := nodeStreams(p.RNG, nodes)
+	streams := rs.node
 	collective := s.bspCollective(p, nodes)
 	if err := checkDelay(collective); err != nil {
 		return 0, err
@@ -352,11 +372,11 @@ func (s Spec) runBSPDirect(p Params) (float64, error) {
 
 // runBSPEngine is the event-driven BSP evaluation, used when the run is
 // instrumented.
-func (s Spec) runBSPEngine(p Params) (float64, error) {
+func (s Spec) runBSPEngine(p Params, rs *runStreams) (float64, error) {
 	eng := engineFor(p)
 	defer releaseEngine(eng)
 	nodes := len(p.Slowdown)
-	streams := nodeStreams(p.RNG, nodes)
+	streams := rs.node
 	collective := s.bspCollective(p, nodes)
 
 	iter := 0
@@ -399,11 +419,11 @@ func (s Spec) runBSPEngine(p Params) (float64, error) {
 // node 0 computes and hands off to node 1, and so on. Each node's slowdown
 // therefore contributes additively to the iteration. Like runBSP,
 // uninstrumented runs take a bit-identical closed-form path.
-func (s Spec) runWavefront(p Params) (float64, error) {
+func (s Spec) runWavefront(p Params, rs *runStreams) (float64, error) {
 	if p.Telemetry == nil {
-		return s.runWavefrontDirect(p)
+		return s.runWavefrontDirect(p, rs)
 	}
-	return s.runWavefrontEngine(p)
+	return s.runWavefrontEngine(p, rs)
 }
 
 // runWavefrontDirect is the engine-free wavefront evaluation. The engine
@@ -411,9 +431,9 @@ func (s Spec) runWavefront(p Params) (float64, error) {
 // after the very last stage of the last iteration, and jitter drawn one
 // stage at a time in (iteration, node) order; this replays exactly that
 // arithmetic via the same sim.Time additions.
-func (s Spec) runWavefrontDirect(p Params) (float64, error) {
+func (s Spec) runWavefrontDirect(p Params, rs *runStreams) (float64, error) {
 	nodes := len(p.Slowdown)
-	streams := nodeStreams(p.RNG, nodes)
+	streams := rs.node
 	hop := p.Net.PointToPoint(256 * 1024) // stage hand-off message
 	if err := checkDelay(hop); err != nil {
 		return 0, err
@@ -436,11 +456,11 @@ func (s Spec) runWavefrontDirect(p Params) (float64, error) {
 
 // runWavefrontEngine is the event-driven wavefront evaluation, used when
 // the run is instrumented.
-func (s Spec) runWavefrontEngine(p Params) (float64, error) {
+func (s Spec) runWavefrontEngine(p Params, rs *runStreams) (float64, error) {
 	eng := engineFor(p)
 	defer releaseEngine(eng)
 	nodes := len(p.Slowdown)
-	streams := nodeStreams(p.RNG, nodes)
+	streams := rs.node
 	hop := p.Net.PointToPoint(256 * 1024) // stage hand-off message
 
 	iter, node := 0, 0
@@ -498,11 +518,11 @@ type taskState struct {
 // shared by the TaskPool (Hadoop) and Stages (Spark) engines: the
 // difference is entirely in the spec parameters (task granularity,
 // speculation, shuffle volume).
-func (s Spec) runTasks(p Params) (float64, error) {
+func (s Spec) runTasks(p Params, rs *runStreams) (float64, error) {
 	eng := engineFor(p)
 	defer releaseEngine(eng)
 	nodes := len(p.Slowdown)
-	streams := nodeStreams(p.RNG, nodes)
+	streams := rs.node
 
 	stage := 0
 	// endTime is when the final stage's last task logically completes.
@@ -528,9 +548,9 @@ func (s Spec) runTasks(p Params) (float64, error) {
 		// a task keeps its size whichever node (or speculative copy) runs
 		// it and regardless of dispatch order.
 		skew := make([]float64, s.TasksPerStage)
-		skewStream := p.RNG.StreamN("skew", stage)
+		p.RNG.StreamNInto(&rs.skew, "skew", stage)
 		for i := range skew {
-			skew[i] = skewStream.JitterAround1(s.TaskSkewSigma)
+			skew[i] = rs.skew.JitterAround1(s.TaskSkewSigma)
 		}
 		// Locality: the first LocalityFrac of tasks are pinned to a home
 		// node round-robin; the rest float freely.
@@ -666,11 +686,10 @@ func (s Spec) runTasks(p Params) (float64, error) {
 // own instances, and the reported time is the mean per-instance runtime
 // (the quantity the paper's throughput metric weighs for SPEC CPU2006
 // co-runners).
-func (s Spec) runIndependent(p Params) (float64, error) {
-	streams := nodeStreams(p.RNG, len(p.Slowdown))
+func (s Spec) runIndependent(p Params, rs *runStreams) (float64, error) {
 	times := make([]float64, len(p.Slowdown))
 	for i, sd := range p.Slowdown {
-		times[i] = s.BatchSec * sd * streams[i].JitterAround1(s.NoiseSigma)
+		times[i] = s.BatchSec * sd * rs.node[i].JitterAround1(s.NoiseSigma)
 	}
 	return stats.Mean(times), nil
 }

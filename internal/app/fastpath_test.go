@@ -1,6 +1,8 @@
 package app
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/netsim"
@@ -74,4 +76,70 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamPoolReuseDeterministic: runs take their node and skew streams
+// from a pool and re-target them in place, so a run's result must not
+// depend on which runs — how many nodes, which seeds, how many draws —
+// used those generators before it, nor on other goroutines doing the same
+// at the same time.
+func TestStreamPoolReuseDeterministic(t *testing.T) {
+	type job struct {
+		spec  Spec
+		nodes int
+		seed  int64
+	}
+	var jobs []job
+	for _, s := range []Spec{bspSpec(), wavefrontSpec(), taskPoolSpec(), stagesSpec(),
+		{Name: "batch", Engine: Independent, BatchSec: 100, NoiseSigma: 0.02}} {
+		for _, nodes := range []int{8, 1, 3, 12} { // grows and shrinks the pooled slice
+			for seed := int64(1); seed <= 3; seed++ {
+				jobs = append(jobs, job{s, nodes, seed})
+			}
+		}
+	}
+	run := func(j job) float64 {
+		v, err := j.spec.Run(Params{
+			Slowdown: slowedVector(j.nodes, 1, 2),
+			Net:      netsim.TenGbE(),
+			RNG:      sim.NewRNG(j.seed).Stream("streams"),
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return v
+	}
+	want := make([]float64, len(jobs))
+	for i, j := range jobs {
+		want[i] = run(j)
+	}
+	// The independent engine has a closed form over freshly derived
+	// streams: the pooled ones must draw exactly what those draw.
+	for i, j := range jobs {
+		if j.spec.Engine != Independent {
+			continue
+		}
+		rng := sim.NewRNG(j.seed).Stream("streams")
+		var sum float64
+		for n, sd := range slowedVector(j.nodes, 1, 2) {
+			sum += j.spec.BatchSec * sd * rng.StreamN("node", n).JitterAround1(j.spec.NoiseSigma)
+		}
+		if ref := sum / float64(j.nodes); math.Abs(want[i]-ref) > 1e-12*ref {
+			t.Errorf("independent, %d nodes, seed %d: %v, fresh streams give %v", j.nodes, j.seed, want[i], ref)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range jobs {
+				i := (len(jobs) - 1 - k + 7*g) % len(jobs) // another order per goroutine
+				if got := run(jobs[i]); got != want[i] {
+					t.Errorf("%s, %d nodes, seed %d: %v after other runs, %v before", jobs[i].spec.Name, jobs[i].nodes, jobs[i].seed, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -229,8 +229,10 @@ func SelectBatch(mat *profile.Matrix, meas BatchMeasurer, nodes, maxPressure, sa
 		return Selection{}, errors.New("hetero: non-positive search parameters")
 	}
 	configs := make([][]float64, samples)
+	var sample sim.RNG // re-targeted per sample: one generator for the whole draw
 	for s := 0; s < samples; s++ {
-		configs[s] = SampleConfig(rng.StreamN("sample", s), nodes, maxPressure)
+		rng.StreamNInto(&sample, "sample", s)
+		configs[s] = SampleConfig(&sample, nodes, maxPressure)
 	}
 	actuals, err := meas(configs)
 	if err != nil {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -11,12 +10,12 @@ import (
 // perturb the draws seen by existing consumers — a property plain shared
 // rand.Rand lacks and which keeps every figure in EXPERIMENTS.md stable.
 //
-// The underlying source is seeded lazily on the first draw: seeding the
-// legacy math/rand generator is far more expensive than deriving a
-// stream, and many derived streams (per-node jitter streams with zero
-// noise, for one) are never drawn from at all. Laziness never changes a
-// sequence — a source seeded with the same seed produces the same draws
-// no matter when it is created.
+// The underlying source is allocated on the first draw — many derived
+// streams (per-node jitter streams with zero noise, for one) are never
+// drawn from at all — and seeded lazily after that (rngsource.go): a
+// stream costs the words it draws, not the 5 KB state behind them.
+// Neither laziness changes a sequence — a source seeded with the same
+// seed produces the same draws no matter when it is created.
 type RNG struct {
 	seed int64
 	r    *rand.Rand
@@ -28,10 +27,9 @@ func NewRNG(seed int64) *RNG {
 }
 
 // Reset re-targets g at seed: from here on it is indistinguishable from
-// NewRNG(seed), but a generator left by earlier draws is reseeded in
-// place instead of being reallocated — a search that runs hundreds of
-// short-lived streams resets a pooled RNG rather than allocating a 5 KB
-// source for each.
+// NewRNG(seed). A source left by earlier draws is kept and re-seeded in
+// O(1), so code that runs many short-lived streams resets pooled RNGs
+// (see StreamNInto) instead of allocating a source for each.
 func (g *RNG) Reset(seed int64) {
 	g.seed = seed
 	if g.r != nil {
@@ -39,9 +37,8 @@ func (g *RNG) Reset(seed int64) {
 	}
 }
 
-// src returns the underlying generator, seeding it on first use. The
-// source is fastSource — bit-identical draws to rand.NewSource(g.seed)
-// at a fraction of the seeding cost (see rngsource.go).
+// src returns the underlying generator, allocating it on first use. The
+// source is fastSource — bit-identical draws to rand.NewSource(g.seed).
 func (g *RNG) src() *rand.Rand {
 	if g.r == nil {
 		g.r = newRand(g.seed)
@@ -52,40 +49,48 @@ func (g *RNG) src() *rand.Rand {
 // Seed returns the seed this stream was created with.
 func (g *RNG) Seed() int64 { return g.seed }
 
+// FNV-1a, 64 bit — the parameters of hash/fnv.New64a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v into h as its eight little-endian bytes.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// childHash is the FNV-1a hash of the parent seed followed by name. The
+// seed goes in first so differently-seeded parents produce unrelated
+// children for the same name.
+func (g *RNG) childHash(name string) uint64 {
+	h := fnvWord(fnvOffset64, uint64(g.seed))
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * fnvPrime64
+	}
+	return h
+}
+
 // Stream derives an independent substream identified by name. Identical
 // (seed, name) pairs always produce identical streams.
 func (g *RNG) Stream(name string) *RNG {
-	h := fnv.New64a()
-	// Mix the parent seed into the hash so differently-seeded parents
-	// produce unrelated children for the same name.
-	var buf [8]byte
-	s := uint64(g.seed)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s >> (8 * uint(i)))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return NewRNG(int64(h.Sum64()))
+	return NewRNG(int64(g.childHash(name)))
 }
 
 // StreamN derives an indexed substream, useful for per-node or per-sample
 // streams.
 func (g *RNG) StreamN(name string, n int) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
-	s := uint64(g.seed)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s >> (8 * uint(i)))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	var nb [8]byte
-	u := uint64(n)
-	for i := 0; i < 8; i++ {
-		nb[i] = byte(u >> (8 * uint(i)))
-	}
-	h.Write(nb[:])
-	return NewRNG(int64(h.Sum64()))
+	return NewRNG(int64(fnvWord(g.childHash(name), uint64(n))))
+}
+
+// StreamNInto re-targets dst at the stream StreamN(name, n) returns,
+// keeping dst's source (see Reset), and allocates nothing.
+func (g *RNG) StreamNInto(dst *RNG, name string, n int) {
+	dst.Reset(int64(fnvWord(g.childHash(name), uint64(n))))
 }
 
 // Float64 returns a uniform draw in [0,1).

@@ -1,19 +1,30 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
 
+// stdSeeds covers the special cases in Seed: 0, negatives, and values at
+// and past the 2³¹−1 modulus.
+var stdSeeds = []int64{0, 1, -1, 42, 89482311, int31max, int31max + 1, -int31max,
+	7777777777, -123456789012345, 1<<62 + 3}
+
+// reseedPoints are draw counts at which a source is re-seeded in the
+// tests: around the two boundaries of the lazy first pass (draws 0–272
+// compute two words, 273–333 one, from 334 on none), one full turn of the
+// state, and well past it.
+var reseedPoints = []int{0, 1, 272, 273, 274, 333, 334, 335, 607, 2000}
+
 // TestFastSourceMatchesStdlib pins fastSource to math/rand's default
-// source: for a spread of seeds (including the 0 and negative special
-// cases in Seed), every raw word and every derived rand.Rand draw must be
-// bit-identical. This is the load-bearing equivalence — all golden
+// source: for a spread of seeds, every raw word and every derived
+// rand.Rand draw must be bit-identical — from a fresh source and from a
+// dirty one re-seeded after any number of draws, which is how pooled
+// streams live. This is the load-bearing equivalence — all golden
 // experiment outputs flow through these draws.
 func TestFastSourceMatchesStdlib(t *testing.T) {
-	seeds := []int64{0, 1, -1, 42, 89482311, int31max, int31max + 1, -int31max,
-		7777777777, -123456789012345, 1<<62 + 3}
-	for _, seed := range seeds {
+	for _, seed := range stdSeeds {
 		ref := rand.NewSource(seed).(rand.Source64)
 		fast := &fastSource{}
 		fast.Seed(seed)
@@ -26,7 +37,7 @@ func TestFastSourceMatchesStdlib(t *testing.T) {
 	// Through rand.Rand: the consuming methods must see the same word
 	// stream, including Int63/Uint64 mixing and the ziggurat rejection
 	// loops in NormFloat64/ExpFloat64.
-	for _, seed := range seeds {
+	for _, seed := range stdSeeds {
 		ref := rand.New(rand.NewSource(seed))
 		fast := newRand(seed)
 		for i := 0; i < 500; i++ {
@@ -50,27 +61,83 @@ func TestFastSourceMatchesStdlib(t *testing.T) {
 			}
 		}
 	}
+	// A dirty source: k draws under one seed, then Seed again. No word the
+	// first life left behind may surface in the second.
+	for _, k := range reseedPoints {
+		for i, seed := range stdSeeds {
+			fast := &fastSource{}
+			fast.Seed(stdSeeds[(i+1)%len(stdSeeds)])
+			for j := 0; j < k; j++ {
+				fast.Uint64()
+			}
+			fast.Seed(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for j := 0; j < 2000; j++ {
+				if got, want := fast.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("re-seeded to %d after %d draws, draw %d: Uint64 %d != stdlib %d", seed, k, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLehmerPow pins the aⁱ table to 607 iterated lehmer3 steps, and those
+// to plain modular arithmetic.
+func TestLehmerPow(t *testing.T) {
+	x, ref := uint32(1), uint64(1)
+	for i, got := range lehmerPow {
+		if got != x || uint64(got) != ref {
+			t.Fatalf("lehmerPow[%d] = %d, want %d (iterated lehmer3) = %d (a^i mod 2^31-1)", i, got, x, ref)
+		}
+		x = lehmer3(x)
+		ref = ref * lehmerCubed % int31max
+	}
+}
+
+// FuzzFastSourceReseed: a source that drew k words under seedA and was
+// then re-seeded to seedB is indistinguishable from the stdlib source
+// seeded with seedB.
+func FuzzFastSourceReseed(f *testing.F) {
+	for _, k := range reseedPoints {
+		f.Add(int64(7), uint16(k), int64(-3))
+	}
+	f.Add(int64(0), uint16(40), int64(int31max))
+	f.Fuzz(func(t *testing.T, seedA int64, k uint16, seedB int64) {
+		fast := &fastSource{}
+		fast.Seed(seedA)
+		for i := 0; i < int(k)%2500; i++ {
+			fast.Uint64()
+		}
+		fast.Seed(seedB)
+		ref := rand.NewSource(seedB).(rand.Source64)
+		for i := 0; i < 700; i++ { // past one full turn of the state
+			if got, want := fast.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d, %d draws, re-seed %d, draw %d: %d != stdlib %d", seedA, k, seedB, i, got, want)
+			}
+		}
+	})
 }
 
 // TestLehmerMatchesSchrage pins the Mersenne-fold step function to the
 // Schrage-division form the stdlib uses, over the recurrence's own orbit
 // and the range boundaries.
 func TestLehmerMatchesSchrage(t *testing.T) {
-	schrage := func(x int32) int32 {
+	schrage := func(u uint32) uint32 {
 		const (
 			a = 48271
 			q = 44488
 			r = 3399
 		)
+		x := int32(u)
 		hi := x / q
 		lo := x % q
 		x = a*lo - r*hi
 		if x < 0 {
 			x += int31max
 		}
-		return x
+		return uint32(x)
 	}
-	for _, start := range []int32{1, 2, 89482311, int31max - 1, 1234567} {
+	for _, start := range []uint32{1, 2, 89482311, int31max - 1, 1234567} {
 		x, y := start, start
 		for i := 0; i < 5000; i++ {
 			x, y = lehmer(x), schrage(y)
@@ -91,7 +158,7 @@ func TestLehmerCubed(t *testing.T) {
 	if a != lehmerCubed {
 		t.Fatalf("lehmerCubed = %d, want 48271^3 mod (2^31-1) = %d", lehmerCubed, a)
 	}
-	for _, start := range []int32{1, 2, 89482311, int31max - 1, 1234567} {
+	for _, start := range []uint32{1, 2, 89482311, int31max - 1, 1234567} {
 		x := start
 		for i := 0; i < 5000; i++ {
 			want := lehmer(lehmer(lehmer(x)))
@@ -104,24 +171,84 @@ func TestLehmerCubed(t *testing.T) {
 }
 
 // TestRNGResetMatchesFresh: a Reset stream is indistinguishable from a
-// new one, whether or not it had drawn before.
+// new one, whether it never drew (no source yet) or stopped anywhere in
+// or past the lazy first pass.
 func TestRNGResetMatchesFresh(t *testing.T) {
-	used := NewRNG(5)
-	used.Intn(10)
 	var zero RNG
-	for _, g := range []*RNG{used, &zero} {
+	streams := []*RNG{&zero}
+	for _, k := range reseedPoints {
+		g := NewRNG(5)
+		for i := 0; i < k; i++ {
+			g.Float64()
+		}
+		streams = append(streams, g)
+	}
+	for i, g := range streams {
 		g.Reset(42)
 		if g.Seed() != 42 {
 			t.Fatalf("Seed() = %d after Reset(42)", g.Seed())
 		}
-		want := NewRNG(42)
-		for i := 0; i < 700; i++ { // past one full turn of the 607-word state
-			if a, b := g.Float64(), want.Float64(); a != b {
-				t.Fatalf("draw %d: reset stream %v, fresh stream %v", i, a, b)
+		want := rand.New(rand.NewSource(42))
+		for j := 0; j < 2000; j++ {
+			// NormFloat64 draws a data-dependent number of words.
+			if a, b := g.Normal(0, 1), want.NormFloat64(); a != b {
+				t.Fatalf("stream %d draw %d: reset stream %v, fresh stdlib %v", i, j, a, b)
 			}
 		}
-		if a, b := g.Stream("x").Seed(), want.Stream("x").Seed(); a != b {
+		gp, wp := g.Perm(50), want.Perm(50)
+		for j := range wp {
+			if gp[j] != wp[j] {
+				t.Fatalf("stream %d: Perm %v, fresh stdlib %v", i, gp, wp)
+			}
+		}
+		if a, b := g.Stream("x").Seed(), NewRNG(42).Stream("x").Seed(); a != b {
 			t.Fatalf("derived stream seeds differ: %d vs %d", a, b)
+		}
+	}
+}
+
+// TestStreamSeedsAreFNV pins the derivation to what it has always been —
+// hash/fnv's 64-bit FNV-1a over the parent seed's little-endian bytes,
+// the name, and for an indexed stream the index's — and StreamNInto to
+// StreamN.
+func TestStreamSeedsAreFNV(t *testing.T) {
+	le := func(v uint64) []byte {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		return b[:]
+	}
+	dst := NewRNG(99)
+	dst.Float64() // a live source that StreamNInto must re-seed
+	for _, seed := range []int64{0, 1, -1, 2016, 1<<62 + 3} {
+		for _, name := range []string{"", "node", "skew", "a\x00b"} {
+			parent := NewRNG(seed)
+			h := fnv.New64a()
+			h.Write(le(uint64(seed)))
+			h.Write([]byte(name))
+			if got, want := parent.Stream(name).Seed(), int64(h.Sum64()); got != want {
+				t.Fatalf("Stream(%q) of seed %d = %d, want %d", name, seed, got, want)
+			}
+			for _, n := range []int{0, 1, 7, -1, 1 << 40} {
+				hn := fnv.New64a()
+				hn.Write(le(uint64(seed)))
+				hn.Write([]byte(name))
+				hn.Write(le(uint64(n)))
+				child := parent.StreamN(name, n)
+				if got, want := child.Seed(), int64(hn.Sum64()); got != want {
+					t.Fatalf("StreamN(%q, %d) of seed %d = %d, want %d", name, n, seed, got, want)
+				}
+				parent.StreamNInto(dst, name, n)
+				if dst.Seed() != child.Seed() {
+					t.Fatalf("StreamNInto(%q, %d) seed %d, StreamN %d", name, n, dst.Seed(), child.Seed())
+				}
+				for i := 0; i < 40; i++ {
+					if a, b := dst.Float64(), child.Float64(); a != b {
+						t.Fatalf("StreamNInto(%q, %d) draw %d: %v, StreamN %v", name, n, i, a, b)
+					}
+				}
+			}
 		}
 	}
 }
@@ -146,10 +273,22 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 
 var seedSink fastSource
 
-// BenchmarkFastSourceSeed measures one full seeding (the 1841-step
-// Lehmer recurrence folded into the 607-word state).
+// BenchmarkFastSourceSeed measures what a derived stream costs: "seed" is
+// re-targeting alone, "seed+32draws" the measured traffic shape (nine in
+// ten of a reproduction's streams draw fewer than 64 words, most 16–63),
+// each draw computing the state words it reads.
 func BenchmarkFastSourceSeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		seedSink.Seed(int64(i) + 1)
-	}
+	b.Run("seed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			seedSink.Seed(int64(i) + 1)
+		}
+	})
+	b.Run("seed+32draws", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			seedSink.Seed(int64(i) + 1)
+			for j := 0; j < 32; j++ {
+				seedSink.Int63()
+			}
+		}
+	})
 }

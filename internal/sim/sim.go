@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -22,8 +21,8 @@ type Time float64
 // use; construct one with NewEngine.
 type Engine struct {
 	now       Time
-	queue     eventHeap
-	seq       uint64 // tie-breaker; also counts scheduled events
+	queue     []event // binary min-heap on (at, seq)
+	seq       uint64  // tie-breaker; also counts scheduled events
 	fired     uint64
 	halted    bool
 	highWater int
@@ -84,11 +83,11 @@ func NewEngine() *Engine {
 // restarts at zero.
 func (e *Engine) Reset(sizeHint int) {
 	for i := range e.queue {
-		e.queue[i] = nil
+		e.queue[i] = event{}
 	}
 	e.queue = e.queue[:0]
 	if sizeHint > cap(e.queue) {
-		e.queue = make(eventHeap, 0, sizeHint)
+		e.queue = make([]event, 0, sizeHint)
 	}
 	e.now = 0
 	e.seq = 0
@@ -126,7 +125,7 @@ func (e *Engine) AtKind(t Time, kind string, fn func()) error {
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: non-finite event time %v", t)
 	}
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, kind: kind, fn: fn})
+	e.push(event{at: t, seq: e.seq, kind: kind, fn: fn})
 	e.seq++
 	if len(e.queue) > e.highWater {
 		e.highWater = len(e.queue)
@@ -159,7 +158,7 @@ func (e *Engine) Halt() { e.halted = true }
 
 // fire executes one event, updating counters and per-kind timing when the
 // engine is instrumented.
-func (e *Engine) fire(ev *event) {
+func (e *Engine) fire(ev event) {
 	e.now = ev.at
 	e.fired++
 	if e.firedC != nil {
@@ -184,7 +183,7 @@ func (e *Engine) fire(ev *event) {
 func (e *Engine) Run() Time {
 	e.halted = false
 	for len(e.queue) > 0 && !e.halted {
-		e.fire(heap.Pop(&e.queue).(*event))
+		e.fire(e.pop())
 	}
 	return e.now
 }
@@ -197,7 +196,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.queue[0].at > deadline {
 			break
 		}
-		e.fire(heap.Pop(&e.queue).(*event))
+		e.fire(e.pop())
 	}
 	if e.now < deadline && len(e.queue) > 0 && e.queue[0].at > deadline {
 		e.now = deadline
@@ -215,26 +214,58 @@ type event struct {
 	fn   func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: earlier timestamp first, scheduling order
+// among equal timestamps.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push appends ev and sifts it up to its place in the heap.
+func (e *Engine) push(ev event) {
+	q := append(e.queue, ev)
+	e.queue = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event: the last one takes the
+// root's place and is sifted down.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure so a pooled engine does not pin it
+	q = q[:n]
+	e.queue = q
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }

@@ -233,14 +233,19 @@ func TestExp(t *testing.T) {
 }
 
 // Property: events always fire in non-decreasing time order regardless of
-// insertion order.
+// insertion order, and in scheduling order among equal timestamps.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		e := NewEngine()
-		var fired []Time
-		for _, r := range raw {
-			at := Time(r % 1000)
-			if err := e.At(at, func() { fired = append(fired, e.Now()) }); err != nil {
+		type firing struct {
+			at  Time
+			idx int // scheduling order
+		}
+		var fired []firing
+		for i, r := range raw {
+			i := i
+			// Few distinct timestamps, so ties are the common case.
+			if err := e.At(Time(r%16), func() { fired = append(fired, firing{e.Now(), i}) }); err != nil {
 				return false
 			}
 		}
@@ -249,7 +254,8 @@ func TestEventOrderProperty(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+			a, b := fired[i-1], fired[i]
+			if b.at < a.at || (b.at == a.at && b.idx < a.idx) {
 				return false
 			}
 		}
