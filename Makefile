@@ -22,11 +22,11 @@ vet:
 ci:
 	./ci.sh
 
-# Run all benchmarks and refresh BENCH_telemetry.json (ns/op per
-# benchmark). Override BENCHTIME for steadier numbers, e.g.
-# `make bench BENCHTIME=2s`.
+# Run the benchmark of record (bench/README.md): four closed-loop
+# workloads, end-to-end metrics and the per-layer ladder, results under
+# bench/out/.
 bench:
-	BENCHTIME=$${BENCHTIME:-1x} ./scripts/bench.sh
+	go run -C bench .
 
 # Regenerate EXPERIMENTS.md from the full experiment suite.
 repro:

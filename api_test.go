@@ -1,4 +1,4 @@
-package interference
+package repro
 
 import (
 	"flag"
@@ -16,8 +16,12 @@ import (
 var updateAPI = flag.Bool("update", false, "rewrite testdata/api.txt from the current exported surface")
 
 // apiPackages are the layers whose exported surface is pinned: the model
-// and its caches, the search, and the service in front of it.
-var apiPackages = []string{"internal/core", "internal/placement", "internal/serve"}
+// and its caches, the search, the service in front of it, and — with the
+// root facade gone — the packages the commands and bench/ reach directly.
+var apiPackages = []string{
+	"internal/core", "internal/placement", "internal/serve",
+	"internal/measure", "internal/profile", "internal/hetero", "internal/cluster", "internal/obs",
+}
 
 // exportedSurface lists every exported identifier of the package in dir,
 // one per line: top-level funcs, types, consts and vars, methods of
@@ -90,8 +94,8 @@ func exportedSurface(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestAPISurface pins the exported surface of the core / placement /
-// serve layers against testdata/api.txt, so a symbol cannot be added (or
+// TestAPISurface pins the exported surface of apiPackages against
+// testdata/api.txt, so a symbol cannot be added (or
 // a deleted generation quietly return) without the diff showing it.
 // Regenerate with: go test -run TestAPISurface -update .
 func TestAPISurface(t *testing.T) {

@@ -1,4 +1,4 @@
-package interference
+package repro
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (in quick mode, so `go test -bench=.` stays tractable) and
@@ -43,7 +43,11 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
+
+// newEnv is a measurement environment over the paper's private testbed.
+func newEnv(seed int64) (*measure.Env, error) { return measure.NewEnv(cluster.Default(), seed) }
 
 var (
 	benchLabOnce sync.Once
@@ -54,13 +58,13 @@ var (
 // lab returns a shared quick-mode lab. Model construction is cached inside
 // the lab, so each benchmark measures the experiment itself (measurement
 // runs, searches, validation co-runs) after a warm first iteration.
-func lab(b *testing.B) *experiments.Lab {
-	b.Helper()
+func lab(tb testing.TB) *experiments.Lab {
+	tb.Helper()
 	benchLabOnce.Do(func() {
 		benchLab, benchLabErr = experiments.NewLab(experiments.Config{Seed: 2016, Quick: true})
 	})
 	if benchLabErr != nil {
-		b.Fatal(benchLabErr)
+		tb.Fatal(benchLabErr)
 	}
 	return benchLab
 }
@@ -98,7 +102,7 @@ func BenchmarkFigure13(b *testing.B) { benchRunner(b, "figure13") }
 // the innermost operation of every measurement.
 func BenchmarkContentionSolve(b *testing.B) {
 	node := contention.DefaultNode()
-	w, err := WorkloadByName("M.milc")
+	w, err := workloads.ByName("M.milc")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func BenchmarkContentionSolve(b *testing.B) {
 // BenchmarkBSPRun measures one discrete-event execution of a BSP
 // application across 8 nodes.
 func BenchmarkBSPRun(b *testing.B) {
-	w, err := WorkloadByName("M.milc")
+	w, err := workloads.ByName("M.milc")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func BenchmarkBSPRun(b *testing.B) {
 // BenchmarkTaskPoolRun measures the dynamic task-scheduling engine
 // (Hadoop-style) with speculation enabled.
 func BenchmarkTaskPoolRun(b *testing.B) {
-	w, err := WorkloadByName("H.KM")
+	w, err := workloads.ByName("H.KM")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,12 +157,12 @@ func BenchmarkTaskPoolRun(b *testing.B) {
 // an uncached private-cluster environment, so the engine fan-out and the
 // closed-form application paths dominate, not memoization.
 func BenchmarkMeasureBatch(b *testing.B) {
-	env, err := NewPrivateClusterEnv(7)
+	env, err := newEnv(7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	env.Reps = 2
-	w, err := WorkloadByName("M.milc")
+	w, err := workloads.ByName("M.milc")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func BenchmarkMeasureBatch(b *testing.B) {
 // where every iteration recycles a pooled, pre-sized event engine;
 // allocations per run are the interesting number.
 func BenchmarkEnginePoolReuse(b *testing.B) {
-	w, err := WorkloadByName("H.KM")
+	w, err := workloads.ByName("H.KM")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,21 +231,21 @@ func BenchmarkModelPredict(b *testing.B) {
 // BenchmarkBuildModel measures full model construction (binary-optimized
 // profiling + policy selection + bubble score) for one workload.
 func BenchmarkBuildModel(b *testing.B) {
-	env, err := NewPrivateClusterEnv(1)
+	env, err := newEnv(1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	env.Reps = 2
-	w, err := WorkloadByName("M.zeus")
+	w, err := workloads.ByName("M.zeus")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultBuildConfig()
+	cfg := core.DefaultBuildConfig()
 	cfg.Samples = 15
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := BuildModel(env, w, cfg); err != nil {
+		if _, err := core.BuildModel(env, w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,12 +254,17 @@ func BenchmarkBuildModel(b *testing.B) {
 // BenchmarkBinaryOptimized measures Algorithm 2 against a synthetic
 // measurer, isolating the profiling logic from simulation cost.
 func BenchmarkBinaryOptimized(b *testing.B) {
-	meas := func(p float64, j int) (float64, error) {
-		return 1 + 0.2*p*float64(j)/(1+float64(j)), nil
+	meas := func(settings []profile.Setting) ([]float64, error) {
+		out := make([]float64, len(settings))
+		for i, s := range settings {
+			j := float64(s.Interfering)
+			out[i] = 1 + 0.2*s.Pressure*j/(1+j)
+		}
+		return out, nil
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := profile.BinaryOptimized(meas, bubble.MaxPressure, 8, 0); err != nil {
+		if _, err := profile.BinaryOptimizedBatch(meas, bubble.MaxPressure, 8, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -512,7 +521,7 @@ func TestAppRunAllocCeiling(t *testing.T) {
 	sd := []float64{2, 1, 1, 1, 1.5, 1, 1, 1}
 	net := netsim.TenGbE()
 	for _, name := range []string{"M.milc", "M.Gems", "C.libq"} { // BSP, wavefront, independent
-		w := mustWL(t, name)
+		w := mustWorkload(t, name)
 		if w.App.NoiseSigma <= 0 {
 			t.Fatalf("%s draws no jitter; the test would prove nothing", name)
 		}
@@ -579,30 +588,36 @@ func BenchmarkFleetSearchXL(b *testing.B) {
 	}
 }
 
-// BenchmarkResilientPredict measures a tagged prediction through the
-// graceful-degradation path: a partial (cell-lossy) primary model with a
-// naive fallback behind it.
-func BenchmarkResilientPredict(b *testing.B) {
-	l := lab(b)
+// resilientPredictor is M.milc's graceful-degradation path: a partial
+// (cell-lossy) primary model with a naive fallback behind it.
+func resilientPredictor(tb testing.TB) *core.Resilient {
+	tb.Helper()
+	l := lab(tb)
 	m, err := l.Model("M.milc")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	naive, err := BuildNaiveModel(l.Env, mustWorkload(b, "M.milc"), 8)
+	naive, err := core.BuildNaiveModel(l.Env, mustWorkload(tb, "M.milc"), 8)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	inj, err := fault.New(fault.Plan{
 		Seed:   1,
 		Faults: []fault.Fault{{Kind: fault.ProfileCellLoss, Fraction: 0.2}},
 	}, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	inj.Activate(0)
 	lossy := *m
 	lossy.Matrix = inj.ApplyCellLoss(m.Matrix, "M.milc")
-	res := core.NewResilient("M.milc", core.Partial{M: &lossy}, naive, nil)
+	return core.NewResilient("M.milc", core.Partial{M: &lossy}, naive, nil)
+}
+
+// BenchmarkResilientPredict measures a tagged prediction through the
+// graceful-degradation path.
+func BenchmarkResilientPredict(b *testing.B) {
+	res := resilientPredictor(b)
 	pressures := []float64{6, 4, 2, 0, 0, 1, 0, 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -612,11 +627,41 @@ func BenchmarkResilientPredict(b *testing.B) {
 	}
 }
 
-func mustWorkload(b *testing.B, name string) Workload {
-	b.Helper()
-	w, err := WorkloadByName(name)
+// TestPredictZeroAllocs: a warm model prediction (policy conversion plus
+// bilinear matrix lookup) and a warm tagged prediction through the
+// resilient wrapper do not touch the heap — the search makes thousands of
+// them per placement.
+func TestPredictZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, err := lab(t).Model("M.milc")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
+	}
+	res := resilientPredictor(t)
+	pressures := []float64{6, 4, 2, 0, 0, 1, 0, 0}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.PredictPressures(pressures); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Model.PredictPressures allocates %v/run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := res.PredictTagged(pressures); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Resilient.PredictTagged allocates %v/run, want 0", allocs)
+	}
+}
+
+func mustWorkload(tb testing.TB, name string) workloads.Workload {
+	tb.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return w
 }
@@ -651,20 +696,18 @@ func (f predictorFunc) PredictPressures(ps []float64) (float64, error) { return 
 // BenchmarkRunPlacement measures a full simulator evaluation of one
 // placement (the expensive truth the model search avoids).
 func BenchmarkRunPlacement(b *testing.B) {
-	env, err := NewPrivateClusterEnv(1)
+	env, err := newEnv(1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	env.Reps = 1
-	reg := map[string]Workload{}
-	var demands []Demand
+	reg := map[string]workloads.Workload{}
 	for _, n := range []string{"M.milc", "C.libq", "H.KM", "M.lmps"} {
-		w, err := WorkloadByName(n)
+		w, err := workloads.ByName(n)
 		if err != nil {
 			b.Fatal(err)
 		}
 		reg[n] = w
-		demands = append(demands, Demand{App: n, Units: 4})
 	}
 	p, err := cluster.PackedPlacement(8, 2, []cluster.Demand{
 		{App: "M.milc", Units: 4}, {App: "C.libq", Units: 4},

@@ -51,8 +51,14 @@ import (
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
+)
 
-	interference "repro"
+// The shape of the streamed jobs; only the batch size is a flag.
+const (
+	jobUnits         = 2    // units per streamed job
+	meanInterarrival = 30.0 // Poisson mean gap between arrivals, simulated seconds
+	qosFraction      = 0.25 // fraction of jobs carrying a QoS bound
+	qosBound         = 1.25 // that bound, on normalized execution time
 )
 
 // daemonConfig collects every tunable of the daemon loop so tests can run
@@ -64,13 +70,9 @@ type daemonConfig struct {
 	mix              []string
 	units            int
 	hosts, slots     int
-	jobUnits         int
 	batch            int
 	rounds           int // 0 = run until the context is cancelled
-	meanInterarrival float64
 	workMin, workMax float64
-	qosFraction      float64
-	qosBound         float64
 	samples          int // heterogeneity samples per model build
 	workers          int // measurement batch workers (0 = GOMAXPROCS)
 	searchIters      int // placement-search iterations per round
@@ -84,7 +86,6 @@ type daemonConfig struct {
 	faultsPath       string        // JSON fault plan to inject ("" = none)
 	profileRetries   int           // extra build attempts after the first
 	profileBackoff   time.Duration // initial retry backoff, doubled per attempt
-	profileTimeout   time.Duration // per-attempt build timeout (0 = none)
 
 	// Drift observability (internal/drift): residual tracking thresholds
 	// and the decision audit log.
@@ -117,9 +118,8 @@ func defaultDaemonConfig() daemonConfig {
 		policy: schedule.ModelDriven,
 		mix:    []string{"M.lmps", "C.libq", "H.KM", "N.cg"},
 		units:  4, hosts: 8, slots: 2,
-		jobUnits: 2, batch: 10, rounds: 0,
-		meanInterarrival: 30, workMin: 20, workMax: 90,
-		qosFraction: 0.25, qosBound: 1.25,
+		batch: 10, rounds: 0,
+		workMin: 20, workMax: 90,
 		samples: 15, searchIters: 600, searchRestarts: 1, seriesCap: 4096,
 		roundPause:     0,
 		reportPath:     "interfd-report.json",
@@ -147,23 +147,15 @@ func main() {
 		seed      = flag.Int64("seed", cfg.seed, "experiment seed")
 		policyStr = flag.String("policy", cfg.policy.String(), "scheduling policy: model-driven, random-fit, pack-first")
 		mixCSV    = flag.String("mix", strings.Join(cfg.mix, ","), "comma-separated workload mix to profile and stream")
-		jobUnits  = flag.Int("job-units", cfg.jobUnits, "units per streamed job")
 		batch     = flag.Int("batch", cfg.batch, "jobs per scheduling round")
 		rounds    = flag.Int("rounds", cfg.rounds, "rounds to run (0 = until SIGINT/SIGTERM)")
-		interarr  = flag.Float64("mean-interarrival", cfg.meanInterarrival, "Poisson mean gap between job arrivals, simulated seconds")
-		qosFrac   = flag.Float64("qos-fraction", cfg.qosFraction, "fraction of jobs carrying a QoS bound")
-		qosBound  = flag.Float64("qos-bound", cfg.qosBound, "QoS bound on normalized execution time")
 		samples   = flag.Int("profile-samples", cfg.samples, "heterogeneity samples per startup model build")
 		workers   = flag.Int("workers", cfg.workers, "measurement batch workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 		iters     = flag.Int("search-iters", cfg.searchIters, "placement-search iterations per round")
 		restarts  = flag.Int("search-restarts", cfg.searchRestarts, "independent annealing restarts per round, run in parallel")
 		scells    = flag.Int("search-cells", cfg.searchCells, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
 		sexchange = flag.Int("search-exchange", cfg.searchExchange, "cross-cell exchange proposals after the cell phase (0 = search-iters; needs -search-cells > 1)")
-		pause     = flag.Duration("round-pause", cfg.roundPause, "wall-clock pause between rounds")
 		faults    = flag.String("faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
-		pRetries  = flag.Int("profile-retries", cfg.profileRetries, "extra model-build attempts per workload before dropping it")
-		pBackoff  = flag.Duration("profile-backoff", cfg.profileBackoff, "initial backoff between model-build retries, doubled per attempt")
-		pTimeout  = flag.Duration("profile-timeout", cfg.profileTimeout, "per-attempt model-build timeout (0 = none)")
 		dAlpha    = flag.Float64("drift-alpha", cfg.driftAlpha, "EWMA learning rate for model-drift residual tracking, in (0,1]")
 		dThresh   = flag.Float64("drift-threshold", cfg.driftThreshold, "relative residual beyond which a matrix cell or app counts as drifting")
 		dStale    = flag.Int("drift-stale-after", cfg.driftStaleAfter, "rounds without a confirming observation before a cell counts stale")
@@ -177,28 +169,25 @@ func main() {
 		sloTarget = flag.Float64("slo-target", cfg.sloTarget, "placement API latency SLO target, seconds")
 		sloBudget = flag.Float64("slo-budget", cfg.sloBudget, "placement API error budget: allowed violating request fraction in (0,1)")
 		report    = flag.String("report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
-		trace     = flag.String("trace", "", "write recorded spans as JSON to this file at exit ('-' for stdout)")
-		logFormat = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		of        obs.Flags
 	)
+	of.RegisterLogging(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := obs.FlagLogger(*logFormat, *logLevel, "interfd")
+	logger, err := of.Logger("interfd", os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "interfd:", err)
 		os.Exit(1)
 	}
 
 	cfg.listen, cfg.seed, cfg.mix = *listen, *seed, strings.Split(*mixCSV, ",")
-	cfg.jobUnits, cfg.batch, cfg.rounds = *jobUnits, *batch, *rounds
-	cfg.meanInterarrival, cfg.qosFraction, cfg.qosBound = *interarr, *qosFrac, *qosBound
-	cfg.samples, cfg.searchIters, cfg.roundPause = *samples, *iters, *pause
+	cfg.batch, cfg.rounds = *batch, *rounds
+	cfg.samples, cfg.searchIters = *samples, *iters
 	cfg.workers = *workers
 	cfg.searchRestarts = *restarts
 	cfg.searchCells, cfg.searchExchange = *scells, *sexchange
-	cfg.reportPath, cfg.tracePath = *report, *trace
+	cfg.reportPath, cfg.tracePath = *report, of.Trace
 	cfg.faultsPath = *faults
-	cfg.profileRetries, cfg.profileBackoff, cfg.profileTimeout = *pRetries, *pBackoff, *pTimeout
 	cfg.driftAlpha, cfg.driftThreshold = *dAlpha, *dThresh
 	cfg.driftStaleAfter, cfg.driftMinObs = *dStale, *dMinObs
 	cfg.driftAuditPath, cfg.driftAuditCap = *dAudit, *dAuditCap
@@ -347,7 +336,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	// failing is dropped (counted, logged) rather than crashing the
 	// daemon, and a lossy matrix is wrapped in a resilient predictor that
 	// falls back to the naive proportional model on lost cells.
-	env, err := interference.NewPrivateClusterEnv(cfg.seed)
+	env, err := measure.NewEnv(cluster.Default(), cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -369,14 +358,14 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	models := map[string]*core.Model{}
 	scores := map[string]float64{}
 	mixWorkloads := make([]workloads.Workload, 0, len(cfg.mix))
-	bcfg := interference.DefaultBuildConfig()
+	bcfg := core.DefaultBuildConfig()
 	bcfg.Samples = cfg.samples
 	bcfg.Seed = cfg.seed
 	bcfg.Telemetry = reg
 	bcfg.Tracer = tracer
 	for _, raw := range cfg.mix {
 		name := strings.TrimSpace(raw)
-		w, err := interference.WorkloadByName(name)
+		w, err := workloads.ByName(name)
 		if err != nil {
 			return err
 		}
@@ -444,13 +433,13 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	start := time.Now()
 
 	spec := schedule.StreamSpec{
-		MeanInterarrival: cfg.meanInterarrival,
+		MeanInterarrival: meanInterarrival,
 		Jobs:             cfg.batch,
-		Units:            cfg.jobUnits,
+		Units:            jobUnits,
 		WorkMin:          cfg.workMin,
 		WorkMax:          cfg.workMax,
-		QoSFraction:      cfg.qosFraction,
-		QoSBound:         cfg.qosBound,
+		QoSFraction:      qosFraction,
+		QoSBound:         qosBound,
 	}
 	for _, w := range mixWorkloads {
 		spec.Mix = append(spec.Mix, schedule.MixEntry{Workload: w, Weight: 1})
@@ -525,7 +514,7 @@ type driftPlane struct {
 // drift tracker at the matrix coordinates the prediction used, fires any
 // drift events onto the bus, and appends the round's decision record to
 // the audit log.
-func (dp *driftPlane) observeRound(round int, res placement.Result, env *interference.Env,
+func (dp *driftPlane) observeRound(round int, res placement.Result, env *measure.Env,
 	scores map[string]float64, downs []int, predHits, predMisses uint64,
 	bus *obs.Bus, logger *slog.Logger) {
 
@@ -620,7 +609,7 @@ func (dp *driftPlane) observeRound(round int, res placement.Result, env *interfe
 // the full mix (streaming convergence samples to the bus), then a fresh
 // Poisson job stream through the online cluster manager (streaming job
 // lifecycle events).
-func runRound(cfg daemonConfig, round int, env *interference.Env,
+func runRound(cfg daemonConfig, round int, env *measure.Env,
 	preds map[string]core.Predictor, scores map[string]float64,
 	spec schedule.StreamSpec, downs []int, dp *driftPlane,
 	reg *telemetry.Registry, tracer *telemetry.Tracer,
@@ -642,7 +631,7 @@ func runRound(cfg daemonConfig, round int, env *interference.Env,
 	if len(names) > 0 && units > surviving/len(names) {
 		units = surviving / len(names)
 	}
-	if units < 1 || cfg.jobUnits > surviving {
+	if units < 1 || jobUnits > surviving {
 		logger.Warn("surviving capacity too small for this round; skipping",
 			"round", round, "surviving_slots", surviving, "down_hosts", len(downs))
 		bus.Publish("round_skipped", map[string]any{"round": round, "surviving_slots": surviving})
@@ -728,9 +717,9 @@ func runRound(cfg daemonConfig, round int, env *interference.Env,
 
 // buildModelWithRetry builds the interference model for w, retrying
 // transient profiling failures up to cfg.profileRetries extra times with
-// exponential backoff and an optional per-attempt timeout.
-func buildModelWithRetry(ctx context.Context, cfg daemonConfig, env *interference.Env,
-	w workloads.Workload, bcfg interference.BuildConfig,
+// exponential backoff.
+func buildModelWithRetry(ctx context.Context, cfg daemonConfig, env *measure.Env,
+	w workloads.Workload, bcfg core.BuildConfig,
 	retries *telemetry.Counter, logger *slog.Logger) (*core.Model, error) {
 
 	backoff := cfg.profileBackoff
@@ -748,7 +737,7 @@ func buildModelWithRetry(ctx context.Context, cfg daemonConfig, env *interferenc
 			}
 			backoff *= 2
 		}
-		m, err := buildModelOnce(env, w, bcfg, cfg.profileTimeout)
+		m, err := core.BuildModel(env, w, bcfg)
 		if err == nil {
 			return m, nil
 		}
@@ -759,38 +748,11 @@ func buildModelWithRetry(ctx context.Context, cfg daemonConfig, env *interferenc
 	return nil, fmt.Errorf("interfd: model for %s: %w", w.Name, lastErr)
 }
 
-// buildModelOnce runs one build attempt, bounded by timeout when set.
-// A timed-out build keeps running in its abandoned goroutine until it
-// finishes on its own — the simulator cannot be cancelled mid-measurement
-// — but its result is discarded.
-func buildModelOnce(env *interference.Env, w workloads.Workload,
-	bcfg interference.BuildConfig, timeout time.Duration) (*core.Model, error) {
-
-	if timeout <= 0 {
-		return interference.BuildModel(env, w, bcfg)
-	}
-	type result struct {
-		m   *core.Model
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		m, err := interference.BuildModel(env, w, bcfg)
-		ch <- result{m, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.m, r.err
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("interfd: model build for %s timed out after %s", w.Name, timeout)
-	}
-}
-
 // resilientPredictor applies the plan's profile-cell loss to the model's
 // matrix and, when cells were actually lost, wraps the partial model with
 // the naive proportional fallback so every query still answers (counted
 // in model_fallback_total).
-func resilientPredictor(inj *fault.Injector, env *interference.Env,
+func resilientPredictor(inj *fault.Injector, env *measure.Env,
 	w workloads.Workload, m *core.Model, nodes int,
 	reg *telemetry.Registry, logger *slog.Logger) (core.Predictor, error) {
 
@@ -798,7 +760,7 @@ func resilientPredictor(inj *fault.Injector, env *interference.Env,
 	if lossy == m.Matrix {
 		return m, nil
 	}
-	naive, err := interference.BuildNaiveModel(env, w, nodes)
+	naive, err := core.BuildNaiveModel(env, w, nodes)
 	if err != nil {
 		return nil, err
 	}

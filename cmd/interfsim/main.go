@@ -11,90 +11,95 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/ec2"
 	"repro/internal/fault"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
-
-	interference "repro"
 )
 
-// logger is installed by main before any fatal path can run.
-var logger = obs.Nop()
-
 func main() {
-	var (
-		name        = flag.String("workload", "M.lmps", "workload name (see -list)")
-		nodes       = flag.Int("nodes", 8, "nodes the application spans")
-		interfering = flag.Int("interfering", 1, "nodes carrying a bubble (homogeneous mode)")
-		pressure    = flag.Float64("pressure", 6, "bubble pressure 1-8 (homogeneous mode)")
-		pressureCSV = flag.String("pressures", "", "comma-separated per-node pressures (heterogeneous mode)")
-		useEC2      = flag.Bool("ec2", false, "use the simulated EC2 environment")
-		faultsPath  = flag.String("faults", "", "JSON fault plan to inject (crashes shrink the cluster, degrades slow their host)")
-		seed        = flag.Int64("seed", 1, "experiment seed")
-		list        = flag.Bool("list", false, "list available workloads and exit")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		listen      = flag.String("listen", "", "serve the observability plane (/metrics, /healthz, /readyz, /api/*, /debug/pprof/) on this address for the duration of the run, e.g. :9090")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	flag.Parse()
-
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "interfsim")
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "interfsim:", err)
 		os.Exit(1)
 	}
-	logger = l
+}
 
-	out := report.NewReporter(os.Stdout)
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("interfsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		name        = fs.String("workload", "M.lmps", "workload name (see -list)")
+		nodes       = fs.Int("nodes", 8, "nodes the application spans")
+		interfering = fs.Int("interfering", 1, "nodes carrying a bubble (homogeneous mode)")
+		pressure    = fs.Float64("pressure", 6, "bubble pressure 1-8 (homogeneous mode)")
+		pressureCSV = fs.String("pressures", "", "comma-separated per-node pressures (heterogeneous mode)")
+		useEC2      = fs.Bool("ec2", false, "use the simulated EC2 environment")
+		faultsPath  = fs.String("faults", "", "JSON fault plan to inject (crashes shrink the cluster, degrades slow their host)")
+		seed        = fs.Int64("seed", 1, "experiment seed")
+		list        = fs.Bool("list", false, "list available workloads and exit")
+		of          obs.Flags
+	)
+	of.Register(fs, true)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	out := report.NewReporter(stdout)
 	if *list {
 		for _, w := range workloads.All() {
 			out.KV(w.Name, "%s\tengine=%s", w.Kind, w.App.Engine)
 		}
-		if err := out.Flush(); err != nil {
-			fatal(err)
-		}
-		return
+		return out.Flush()
 	}
 
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("interfsim", *seed, os.Args[1:])
-	srv, plane := servePlane(*listen, reg, tracer, runReport, logger)
-	defer stopPlane(srv, plane)
-
+	// Validate every input before anything runs.
 	w, err := workloads.ByName(*name)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	var pressures []float64
+	if *pressureCSV != "" {
+		for _, tok := range strings.Split(*pressureCSV, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+			if err != nil {
+				return fmt.Errorf("bad pressure %q: %w", tok, err)
+			}
+			pressures = append(pressures, v)
+		}
+	} else if pressures, err = measure.HomogeneousPressures(*nodes, *interfering, *pressure); err != nil {
+		return err
+	}
+
+	o, err := of.Start("interfsim", *seed, args, stderr)
+	if err != nil {
+		return err
+	}
+	defer o.Close(&err)
+
 	var env *measure.Env
 	if *useEC2 {
 		env, err = ec2.NewEnv(*seed)
 	} else {
-		env, err = interference.NewPrivateClusterEnv(*seed)
+		env, err = measure.NewEnv(cluster.Default(), *seed)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	env.Telemetry = reg
-	env.Tracer = tracer
+	env.Telemetry = o.Registry
+	env.Tracer = o.Tracer
 
 	// Fault plan: crashes remap the run's logical nodes onto the i-th
 	// surviving host, degrades slow their host, and transient profiling
@@ -104,16 +109,15 @@ func main() {
 	var inj *fault.Injector
 	survivingHosts := env.Cluster.NumHosts
 	if *faultsPath != "" {
-		plan, lerr := fault.LoadPlan(*faultsPath)
-		if lerr != nil {
-			fatal(lerr)
+		plan, err := fault.LoadPlan(*faultsPath)
+		if err != nil {
+			return err
 		}
-		inj, lerr = fault.New(plan, reg)
-		if lerr != nil {
-			fatal(lerr)
+		if inj, err = fault.New(plan, o.Registry); err != nil {
+			return err
 		}
 		inj.OnEvent = func(f fault.Fault) {
-			logger.Warn("fault injected", "kind", f.Kind.String(), "host", f.Host,
+			o.Logger.Warn("fault injected", "kind", f.Kind.String(), "host", f.Host,
 				"factor", f.Factor, "rate", f.Rate)
 		}
 		inj.Activate(0)
@@ -136,38 +140,20 @@ func main() {
 			env.HostDegrade = inj.DegradeFactor
 		}
 	}
-	if srv != nil {
-		srv.SetReady(true)
-	}
-
-	var pressures []float64
-	if *pressureCSV != "" {
-		for _, tok := range strings.Split(*pressureCSV, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad pressure %q: %w", tok, err))
-			}
-			pressures = append(pressures, v)
-		}
-	} else {
-		pressures, err = measure.HomogeneousPressures(*nodes, *interfering, *pressure)
-		if err != nil {
-			fatal(err)
-		}
-	}
+	o.Ready()
 
 	if len(pressures) > survivingHosts {
-		fatal(fmt.Errorf("workload spans %d nodes but only %d hosts survive the fault plan",
-			len(pressures), survivingHosts))
+		return fmt.Errorf("workload spans %d nodes but only %d hosts survive the fault plan",
+			len(pressures), survivingHosts)
 	}
 
-	raw, err := runRetrying(inj, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
+	raw, err := runRetrying(inj, o.Logger, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	solo, err := runRetrying(inj, func() (float64, error) { return env.Solo(w, len(pressures)) })
+	solo, err := runRetrying(inj, o.Logger, func() (float64, error) { return env.Solo(w, len(pressures)) })
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	out.KV("workload", "%s (%s, engine %s)", w.Name, w.Kind, w.App.Engine)
 	out.KV("nodes", "%d", len(pressures))
@@ -186,45 +172,12 @@ func main() {
 			out.KV("fault/"+k, "%d", counts[k])
 		}
 	}
-
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
-	if err := out.Flush(); err != nil {
-		fatal(err)
-	}
-}
-
-// servePlane starts the batch-mode observability plane when listen is
-// non-empty; the run serves /metrics etc. until main returns.
-func servePlane(listen string, reg *telemetry.Registry, tracer *telemetry.Tracer,
-	rep *telemetry.RunReport, l *slog.Logger) (*obs.Server, *obs.Running) {
-	if listen == "" {
-		return nil, nil
-	}
-	srv := obs.New(obs.Options{Registry: reg, Tracer: tracer, Report: rep, Logger: l})
-	plane, err := srv.Start(listen)
-	if err != nil {
-		fatal(err)
-	}
-	return srv, plane
-}
-
-func stopPlane(srv *obs.Server, plane *obs.Running) {
-	if plane == nil {
-		return
-	}
-	srv.SetReady(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := plane.Shutdown(ctx); err != nil {
-		logger.Warn("plane shutdown", "err", err)
-	}
+	return out.Flush()
 }
 
 // runRetrying runs one measurement, retrying transient injected
 // profiling failures a few times before surfacing the error.
-func runRetrying(inj *fault.Injector, run func() (float64, error)) (float64, error) {
+func runRetrying(inj *fault.Injector, logger *slog.Logger, run func() (float64, error)) (float64, error) {
 	const attempts = 5
 	v, err := run()
 	for i := 1; err != nil && inj != nil && i < attempts; i++ {
@@ -236,9 +189,4 @@ func runRetrying(inj *fault.Injector, run func() (float64, error)) (float64, err
 		v, err = run()
 	}
 	return v, err
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
 }

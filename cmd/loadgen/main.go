@@ -21,6 +21,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -339,31 +340,33 @@ func waitReady(client *http.Client, base string, deadline time.Time) error {
 }
 
 func main() {
-	var (
-		addr        = flag.String("addr", "", "base URL of a running interfd, e.g. http://127.0.0.1:9090")
-		addrFile    = flag.String("addr-file", "", "read the target address from this file (interfd -addr-file)")
-		n           = flag.Int("n", 50, "requests in the trace")
-		rate        = flag.Float64("rate", 25, "offered arrival rate, requests/sec")
-		seed        = flag.Int64("seed", 1, "trace seed; also drives per-request search seeds")
-		appsCSV     = flag.String("apps", "M.lmps,C.libq,H.KM,N.cg", "comma-separated app pool to draw request mixes from")
-		servers     = flag.Int("servers", 2, "virtual servers in the latency recurrence")
-		iters       = flag.Int("iters", 0, "per-request search iteration override (0 = server default)")
-		restarts    = flag.Int("restarts", 0, "per-request search restart override (0 = server default)")
-		reportPath  = flag.String("report", "-", "write the deterministic load report here ('-' for stdout)")
-		wait        = flag.Duration("wait", 30*time.Second, "how long to wait for the target to become ready")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	flag.Parse()
-
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "loadgen")
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
-	logger = l
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr       = fs.String("addr", "", "base URL of a running interfd, e.g. http://127.0.0.1:9090")
+		addrFile   = fs.String("addr-file", "", "read the target address from this file (interfd -addr-file)")
+		n          = fs.Int("n", 50, "requests in the trace")
+		rate       = fs.Float64("rate", 25, "offered arrival rate, requests/sec")
+		seed       = fs.Int64("seed", 1, "trace seed; also drives per-request search seeds")
+		appsCSV    = fs.String("apps", "M.lmps,C.libq,H.KM,N.cg", "comma-separated app pool to draw request mixes from")
+		servers    = fs.Int("servers", 2, "virtual servers in the latency recurrence")
+		iters      = fs.Int("iters", 0, "per-request search iteration override (0 = server default)")
+		restarts   = fs.Int("restarts", 0, "per-request search restart override (0 = server default)")
+		reportPath = fs.String("report", "-", "write the deterministic load report here ('-' for stdout)")
+		wait       = fs.Duration("wait", 30*time.Second, "how long to wait for the target to become ready")
+		of         obs.Flags
+	)
+	of.Register(fs, false) // a client: it has no plane of its own to serve
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := genConfig{
 		N: *n, Rate: *rate, Seed: *seed,
@@ -374,42 +377,36 @@ func main() {
 		cfg.Pool[i] = strings.TrimSpace(cfg.Pool[i])
 	}
 	if cfg.N <= 0 || cfg.Rate <= 0 || cfg.Servers <= 0 || len(cfg.Pool) == 0 {
-		fatal(fmt.Errorf("need positive -n, -rate, -servers and a non-empty -apps pool"))
+		return errors.New("need positive -n, -rate, -servers and a non-empty -apps pool")
 	}
 
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("loadgen", *seed, os.Args[1:])
+	o, err := of.Start("loadgen", *seed, args, stderr)
+	if err != nil {
+		return err
+	}
+	defer o.Close(&err)
+	logger = o.Logger
 
 	deadline := time.Now().Add(*wait)
 	client := &http.Client{Timeout: *wait}
 	base, err := resolveAddr(*addr, *addrFile, deadline)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	logger.Info("targeting placement service", "addr", base, "n", cfg.N, "rate", cfg.Rate, "seed", cfg.Seed)
 	if err := waitReady(client, base, deadline); err != nil {
-		fatal(err)
+		return err
 	}
 
-	sp := tracer.StartSpan("loadgen.run")
-	_, raw, err := runTrace(cfg, client, base, reg)
+	sp := o.Tracer.StartSpan("loadgen.run")
+	_, raw, err := runTrace(cfg, client, base, o.Registry)
 	sp.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *reportPath == "-" {
-		os.Stdout.Write(raw)
-	} else if err := os.WriteFile(*reportPath, raw, 0o644); err != nil {
-		fatal(err)
+		_, err = stdout.Write(raw)
+		return err
 	}
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
+	return os.WriteFile(*reportPath, raw, 0o644)
 }

@@ -11,118 +11,99 @@
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/bubble"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hetero"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/telemetry"
-
-	interference "repro"
+	"repro/internal/workloads"
 )
 
-// logger is installed by main before any fatal path can run.
-var logger = obs.Nop()
-
 func main() {
-	var (
-		name        = flag.String("workload", "M.milc", "workload name")
-		algName     = flag.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
-		samples     = flag.Int("samples", 60, "heterogeneous samples for policy selection")
-		nodes       = flag.Int("nodes", 8, "nodes the application spans while profiled")
-		seed        = flag.Int64("seed", 1, "experiment seed")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
-		cachePath   = flag.String("measure-cache", "", "persist the measurement cache to this JSON file (loaded at start, saved at exit)")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		listen      = flag.String("listen", "", "serve the observability plane (/metrics, /healthz, /readyz, /api/*, /debug/pprof/) on this address for the duration of the run, e.g. :9090")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	flag.Parse()
-
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "profiler")
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "profiler:", err)
 		os.Exit(1)
 	}
-	logger = l
+}
 
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("profiler", *seed, os.Args[1:])
-	out := report.NewReporter(os.Stdout)
-
-	var srv *obs.Server
-	var plane *obs.Running
-	if *listen != "" {
-		srv = obs.New(obs.Options{Registry: reg, Tracer: tracer, Report: runReport, Logger: logger})
-		plane, err = srv.Start(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			srv.SetReady(false)
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := plane.Shutdown(ctx); err != nil {
-				logger.Warn("plane shutdown", "err", err)
-			}
-		}()
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("profiler", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		name      = fs.String("workload", "M.milc", "workload name")
+		algName   = fs.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
+		samples   = fs.Int("samples", 60, "heterogeneous samples for policy selection")
+		nodes     = fs.Int("nodes", 8, "nodes the application spans while profiled")
+		seed      = fs.Int64("seed", 1, "experiment seed")
+		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
+		cachePath = fs.String("measure-cache", "", "persist the measurement cache to this JSON file (loaded at start, saved at exit)")
+		of        obs.Flags
+	)
+	of.Register(fs, true)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	// Validate every input before anything is profiled.
 	alg, err := parseAlg(*algName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	env, err := interference.NewPrivateClusterEnv(*seed)
+	w, err := workloads.ByName(*name)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	env.Telemetry = reg
-	env.Tracer = tracer
+
+	o, err := of.Start("profiler", *seed, args, stderr)
+	if err != nil {
+		return err
+	}
+	defer o.Close(&err)
+	logger := o.Logger
+	out := report.NewReporter(stdout)
+
+	env, err := measure.NewEnv(cluster.Default(), *seed)
+	if err != nil {
+		return err
+	}
+	env.Telemetry = o.Registry
+	env.Tracer = o.Tracer
 	env.Workers = *workers
 	cache := measure.NewCache()
 	env.Cache = cache
 	if *cachePath != "" {
 		if err := cache.LoadFile(*cachePath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	w, err := interference.WorkloadByName(*name)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := interference.DefaultBuildConfig()
+	cfg := core.DefaultBuildConfig()
 	cfg.Algorithm = alg
 	cfg.Samples = *samples
 	cfg.Nodes = *nodes
 	cfg.Seed = *seed
-	cfg.Telemetry = reg
-	cfg.Tracer = tracer
+	cfg.Telemetry = o.Registry
+	cfg.Tracer = o.Tracer
 	logger.Info("building interference model", "workload", w.Name, "alg", alg.String(), "samples", *samples)
-	model, err := interference.BuildModel(env, w, cfg)
+	model, err := core.BuildModel(env, w, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if srv != nil {
-		srv.SetReady(true)
-	}
+	o.Ready()
 	logger.Info("model built", "workload", model.Workload,
 		"bubble_score", model.BubbleScore, "policy", model.Policy.String())
 	logger.Info("measurement cache", "hits", cache.Hits(), "misses", cache.Misses(), "entries", cache.Len())
 	if *cachePath != "" {
 		if err := cache.SaveFile(*cachePath); err != nil {
-			fatal(err)
+			return err
 		}
 		logger.Info("measurement cache saved", "path", *cachePath)
 	}
@@ -160,13 +141,7 @@ func main() {
 			report.F(st.MinPct, 2), report.F(st.MaxPct, 2))
 	}
 	out.Table(pol)
-
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
-	if err := out.Flush(); err != nil {
-		fatal(err)
-	}
+	return out.Flush()
 }
 
 func parseAlg(s string) (core.Algorithm, error) {
@@ -178,9 +153,4 @@ func parseAlg(s string) (core.Algorithm, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown algorithm %q", s)
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
 }

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -691,31 +690,5 @@ func (s Spec) runIndependent(p Params, rs *runStreams) (float64, error) {
 	for i, sd := range p.Slowdown {
 		times[i] = s.BatchSec * sd * rs.node[i].JitterAround1(s.NoiseSigma)
 	}
-	return stats.Mean(times), nil
-}
-
-// SoloTime returns the expected uninterfered makespan on the given number
-// of nodes (unit slowdowns, deterministic jitter suppressed by averaging
-// over reps run with distinct streams).
-func (s Spec) SoloTime(nodes int, net netsim.Network, rng *sim.RNG, reps int) (float64, error) {
-	if nodes <= 0 {
-		return 0, errors.New("app: non-positive node count")
-	}
-	if reps <= 0 {
-		reps = 1
-	}
-	sd := make([]float64, nodes)
-	for i := range sd {
-		sd[i] = 1
-	}
-	times := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		t, err := s.Run(Params{Slowdown: sd, Net: net, RNG: rng.StreamN("solo", r)})
-		if err != nil {
-			return 0, err
-		}
-		times[r] = t
-	}
-	sort.Float64s(times)
 	return stats.Mean(times), nil
 }

@@ -273,20 +273,6 @@ func TestSameSeedReproducible(t *testing.T) {
 	}
 }
 
-func TestSoloTime(t *testing.T) {
-	s := bspSpec()
-	got, err := s.SoloTime(8, netsim.TenGbE(), sim.NewRNG(1), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got <= 0 {
-		t.Errorf("solo time = %v", got)
-	}
-	if _, err := s.SoloTime(0, netsim.TenGbE(), sim.NewRNG(1), 1); err == nil {
-		t.Error("zero nodes should fail")
-	}
-}
-
 // Property: interference never reduces execution time, for every engine.
 func TestMonotoneUnderInterferenceProperty(t *testing.T) {
 	specs := []Spec{bspSpec(), wavefrontSpec(), taskPoolSpec(), stagesSpec()}

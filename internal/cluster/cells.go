@@ -77,11 +77,3 @@ func CheckPartition(numHosts int, cells [][]int) error {
 	}
 	return nil
 }
-
-// ValidateCell checks the co-location rule on every host of one cell —
-// the cell-local complement of ValidateHosts, used by the hierarchical
-// search to verify a cell's sub-placement after merging it into the
-// global grid.
-func (p *Placement) ValidateCell(hosts []int) error {
-	return p.ValidateHosts(hosts...)
-}

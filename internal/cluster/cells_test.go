@@ -73,33 +73,3 @@ func TestCheckPartitionRejectsBadShapes(t *testing.T) {
 		t.Errorf("empty cluster with no cells should be fine: %v", err)
 	}
 }
-
-func TestValidateCellMatchesValidateHosts(t *testing.T) {
-	p, err := NewPlacement(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host 1 violates the pairwise rule (3 distinct apps across 2 slots is
-	// impossible; craft the violation with a 3-slot placement instead).
-	p3, err := NewPlacement(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, a := range []string{"a", "b", "c"} {
-		if err := p3.Set(1, s, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p3.ValidateCell([]int{0}); err != nil {
-		t.Errorf("cell {0} is clean, got %v", err)
-	}
-	if err := p3.ValidateCell([]int{0, 1}); err == nil {
-		t.Error("cell {0,1} contains the violating host but passed")
-	}
-	if err := p.ValidateCell([]int{0, 1, 2, 3}); err != nil {
-		t.Errorf("empty placement should validate: %v", err)
-	}
-	if err := p.ValidateCell([]int{4}); err == nil {
-		t.Error("out-of-range host should error")
-	}
-}

@@ -343,17 +343,3 @@ func SoloCPI(node Node, o Occupant) (float64, error) {
 	}
 	return cpi, nil
 }
-
-// SoloMissGBps returns the memory traffic of an occupant running alone,
-// used to express the paper's pressure scale (a score increase of 1
-// corresponds to a doubling of LLC misses, Section 4.4).
-func SoloMissGBps(node Node, o Occupant) (float64, error) {
-	cpi, err := SoloCPI(node, o)
-	if err != nil {
-		return 0, err
-	}
-	mr := o.Prof.MissRatio(node.LLCMB)
-	missPI := o.Prof.APKI / 1000 * mr
-	ips := float64(o.Cores) * node.FreqGHz * 1e9 / cpi
-	return ips * missPI * cacheLineBytes / 1e9, nil
-}

@@ -249,15 +249,14 @@ func TestSoloMissGBpsDoublesWithBubblePressure(t *testing.T) {
 	node := DefaultNode()
 	// At low pressures the bubble is latency-insensitive, so doubling
 	// APKI should roughly double the traffic (the paper's score scale).
-	g1, err := SoloMissGBps(node, Occupant{Prof: streamBubble(1), Cores: 8})
-	if err != nil {
-		t.Fatal(err)
+	solo := func(pressure float64) float64 {
+		res, err := Solve(node, []Occupant{{Prof: streamBubble(pressure), Cores: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MissGBps[0]
 	}
-	g2, err := SoloMissGBps(node, Occupant{Prof: streamBubble(2), Cores: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := g2 / g1
+	ratio := solo(2) / solo(1)
 	if ratio < 1.6 || ratio > 2.1 {
 		t.Errorf("pressure 1->2 traffic ratio = %v, want ~2", ratio)
 	}

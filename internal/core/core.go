@@ -151,29 +151,11 @@ func DefaultBuildConfig() BuildConfig {
 	return BuildConfig{Nodes: 8, Algorithm: BinaryOptimized, Samples: 60, Seed: 1}
 }
 
-// PropagationMeasurer adapts a measurement environment to the profiling
-// algorithms: it measures w's normalized time with `interfering` nodes at
-// homogeneous `pressure`.
-func PropagationMeasurer(env *measure.Env, w workloads.Workload, nodes int) profile.Measurer {
-	return func(pressure float64, interfering int) (float64, error) {
-		ps, err := measure.HomogeneousPressures(nodes, interfering, pressure)
-		if err != nil {
-			return 0, err
-		}
-		return env.NormalizedWithBubbles(w, ps)
-	}
-}
-
-// HeteroMeasurer adapts a measurement environment to the policy search.
-func HeteroMeasurer(env *measure.Env, w workloads.Workload) hetero.Measurer {
-	return func(pressures []float64) (float64, error) {
-		return env.NormalizedWithBubbles(w, pressures)
-	}
-}
-
-// PropagationBatchMeasurer is PropagationMeasurer over measure.Batch: each
-// round of settings the profiling algorithm requests becomes one batch of
-// normalized measurements, fanned over the environment's worker pool.
+// PropagationBatchMeasurer adapts a measurement environment to the
+// profiling algorithms: a setting is w's normalized time with Interfering
+// nodes at homogeneous Pressure, and each round of settings an algorithm
+// requests becomes one measure.Batch fanned over the environment's worker
+// pool.
 func PropagationBatchMeasurer(env *measure.Env, w workloads.Workload, nodes int) profile.BatchMeasurer {
 	return func(settings []profile.Setting) ([]float64, error) {
 		b := env.NewBatch()
@@ -200,7 +182,8 @@ func PropagationBatchMeasurer(env *measure.Env, w workloads.Workload, nodes int)
 	}
 }
 
-// HeteroBatchMeasurer is HeteroMeasurer over measure.Batch.
+// HeteroBatchMeasurer adapts a measurement environment to the policy
+// search: each batch of pressure vectors becomes one measure.Batch.
 func HeteroBatchMeasurer(env *measure.Env, w workloads.Workload) hetero.BatchMeasurer {
 	return func(configs [][]float64) ([]float64, error) {
 		b := env.NewBatch()

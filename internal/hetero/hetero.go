@@ -124,30 +124,12 @@ func (p Policy) Predict(mat *profile.Matrix, pressures []float64) (float64, erro
 	return mat.At(pr, cnt)
 }
 
-// Measurer measures the application's true normalized execution time under
-// an arbitrary heterogeneous pressure vector.
-type Measurer func(pressures []float64) (float64, error)
-
-// BatchMeasurer measures several heterogeneous configurations, returning
-// one value per configuration in order. Implementations may fan the
+// BatchMeasurer measures the application's true normalized execution time
+// under several heterogeneous pressure vectors, returning one value per
+// configuration in order. Implementations may fan the
 // measurements out, but must return what measuring each configuration in
 // slice order would give.
 type BatchMeasurer func(configs [][]float64) ([]float64, error)
-
-// SerialBatchMeasurer adapts a single-configuration Measurer.
-func SerialBatchMeasurer(m Measurer) BatchMeasurer {
-	return func(configs [][]float64) ([]float64, error) {
-		out := make([]float64, len(configs))
-		for i, cfg := range configs {
-			v, err := m(cfg)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-}
 
 // ErrStats summarizes a policy's prediction error over the sampled
 // configurations (percent).
@@ -206,21 +188,12 @@ func SampleConfig(rng *sim.RNG, nodes, maxPressure int) []float64 {
 	}
 }
 
-// Select runs the paper's sample-based policy search: draw `samples`
+// SelectBatch runs the paper's sample-based policy search: draw `samples`
 // random heterogeneous configurations, measure the truth for each, compare
 // every policy's prediction, and pick the policy with the lowest average
-// error.
-func Select(mat *profile.Matrix, meas Measurer, nodes, maxPressure, samples int, rng *sim.RNG) (Selection, error) {
-	if meas == nil {
-		return Selection{}, errors.New("hetero: nil matrix, measurer, or RNG")
-	}
-	return SelectBatch(mat, SerialBatchMeasurer(meas), nodes, maxPressure, samples, rng)
-}
-
-// SelectBatch is Select over a batch measurer. The sampled configurations
-// are draw-independent of the measurements, so they are all drawn up front
-// and measured as one batch in sample order — bit-identical to the serial
-// loop.
+// error. The sampled configurations are draw-independent of the
+// measurements, so they are all drawn up front and measured as one batch
+// in sample order.
 func SelectBatch(mat *profile.Matrix, meas BatchMeasurer, nodes, maxPressure, samples int, rng *sim.RNG) (Selection, error) {
 	if mat == nil || meas == nil || rng == nil {
 		return Selection{}, errors.New("hetero: nil matrix, measurer, or RNG")

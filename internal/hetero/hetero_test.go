@@ -122,12 +122,31 @@ func TestSampleConfig(t *testing.T) {
 	}
 }
 
+// serially adapts a one-configuration truth function to a BatchMeasurer.
+func serially(m func([]float64) (float64, error)) BatchMeasurer {
+	return func(configs [][]float64) ([]float64, error) {
+		out := make([]float64, len(configs))
+		for i, cfg := range configs {
+			v, err := m(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+}
+
 // matrixFromTruth builds a complete propagation matrix from an analytic
 // homogeneous truth function.
 func matrixFromTruth(t *testing.T, truth func(p, k float64) float64) *profile.Matrix {
 	t.Helper()
-	res, err := profile.FullBrute(func(p float64, j int) (float64, error) {
-		return truth(p, float64(j)), nil
+	res, err := profile.FullBruteBatch(func(settings []profile.Setting) ([]float64, error) {
+		out := make([]float64, len(settings))
+		for i, s := range settings {
+			out[i] = truth(s.Pressure, float64(s.Interfering))
+		}
+		return out, nil
 	}, 8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +178,7 @@ func TestSelectPicksMaxPolicyForMaxDrivenApp(t *testing.T) {
 		return 1 + 0.2*maxP*(1+0.02) + 0.004*second, nil
 	}
 	mat := matrixFromTruth(t, homTruth)
-	sel, err := Select(mat, hetTruth, 8, 8, 60, sim.NewRNG(3))
+	sel, err := SelectBatch(mat, serially(hetTruth), 8, 8, 60, sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +205,7 @@ func TestSelectPicksInterpolateForMeanDrivenApp(t *testing.T) {
 		return 1 + 0.05*sum, nil
 	}
 	mat := matrixFromTruth(t, homTruth)
-	sel, err := Select(mat, hetTruth, 8, 8, 60, sim.NewRNG(4))
+	sel, err := SelectBatch(mat, serially(hetTruth), 8, 8, 60, sim.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +219,7 @@ func TestSelectPicksInterpolateForMeanDrivenApp(t *testing.T) {
 
 func TestSelectStatsShape(t *testing.T) {
 	mat := matrixFromTruth(t, func(p, k float64) float64 { return 1 + 0.01*p*k })
-	sel, err := Select(mat, func(cfg []float64) (float64, error) { return 1.1, nil }, 8, 8, 30, sim.NewRNG(5))
+	sel, err := SelectBatch(mat, serially(func(cfg []float64) (float64, error) { return 1.1, nil }), 8, 8, 30, sim.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +246,23 @@ func TestSelectValidation(t *testing.T) {
 	mat := matrixFromTruth(t, func(p, k float64) float64 { return 1 })
 	meas := func(cfg []float64) (float64, error) { return 1, nil }
 	rng := sim.NewRNG(1)
-	if _, err := Select(nil, meas, 8, 8, 10, rng); err == nil {
+	if _, err := SelectBatch(nil, serially(meas), 8, 8, 10, rng); err == nil {
 		t.Error("nil matrix should fail")
 	}
-	if _, err := Select(mat, nil, 8, 8, 10, rng); err == nil {
+	if _, err := SelectBatch(mat, nil, 8, 8, 10, rng); err == nil {
 		t.Error("nil measurer should fail")
 	}
-	if _, err := Select(mat, meas, 8, 8, 10, nil); err == nil {
+	if _, err := SelectBatch(mat, serially(meas), 8, 8, 10, nil); err == nil {
 		t.Error("nil rng should fail")
 	}
-	if _, err := Select(mat, meas, 0, 8, 10, rng); err == nil {
+	if _, err := SelectBatch(mat, serially(meas), 0, 8, 10, rng); err == nil {
 		t.Error("zero nodes should fail")
 	}
-	if _, err := Select(mat, meas, 8, 8, 0, rng); err == nil {
+	if _, err := SelectBatch(mat, serially(meas), 8, 8, 0, rng); err == nil {
 		t.Error("zero samples should fail")
 	}
 	bad := func(cfg []float64) (float64, error) { return 0, nil }
-	if _, err := Select(mat, bad, 8, 8, 5, rng); err == nil {
+	if _, err := SelectBatch(mat, serially(bad), 8, 8, 5, rng); err == nil {
 		t.Error("non-positive measurement should fail")
 	}
 }

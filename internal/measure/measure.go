@@ -25,7 +25,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -150,23 +149,22 @@ func (e *Env) backgroundFor(host, rep, nonce int) []contention.Occupant {
 }
 
 // NewEnv returns an environment over the given cluster with the paper's
-// unit sizing (4 dual-vCPU VMs pinned to 8 cores, from the vm layer) and
+// unit sizing (4 dual-vCPU VMs pinned to cluster.UnitCores cores) and
 // 3-repetition averaging.
 func NewEnv(c cluster.Cluster, seed int64) (*Env, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	unit := vm.DefaultUnit("unit", 0)
-	// The unit must actually be plannable on the host under the paper's
-	// no-overcommit rule before it can serve as the sizing granule.
-	if _, err := vm.PlanHost(c.HostSpec.Cores, 0, []vm.Unit{unit}); err != nil {
-		return nil, fmt.Errorf("measure: default unit does not fit the host: %w", err)
+	// Under the paper's no-overcommit rule a host must hold at least one
+	// whole unit before the unit can serve as the sizing granule.
+	if cluster.UnitCores > c.HostSpec.Cores {
+		return nil, fmt.Errorf("measure: a %d-core unit does not fit a %d-core host", cluster.UnitCores, c.HostSpec.Cores)
 	}
 	return &Env{
 		Cluster:    c,
 		Seed:       seed,
 		Reps:       3,
-		UnitCores:  unit.Cores(),
+		UnitCores:  cluster.UnitCores,
 		soloCache:  map[string]float64{},
 		solveCache: map[string][]float64{},
 	}, nil

@@ -33,6 +33,11 @@ func TestNewEnvValidates(t *testing.T) {
 	if _, err := NewEnv(cluster.Cluster{}, 1); err == nil {
 		t.Error("invalid cluster should fail")
 	}
+	small := cluster.Default()
+	small.HostSpec.Cores = cluster.UnitCores - 1
+	if _, err := NewEnv(small, 1); err == nil {
+		t.Error("a host smaller than one unit should fail")
+	}
 	e, err := NewEnv(cluster.Default(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -87,16 +87,6 @@ func (n Network) Allgather(p int, bytes float64) float64 {
 	return steps * (n.alphaSec() + n.xferSec(bytes))
 }
 
-// Broadcast returns the cost in seconds of a binomial-tree broadcast of
-// bytes data to p participants.
-func (n Network) Broadcast(p int, bytes float64) float64 {
-	if p <= 1 || bytes <= 0 {
-		return 0
-	}
-	rounds := math.Ceil(math.Log2(float64(p)))
-	return rounds * n.PointToPoint(bytes)
-}
-
 // Shuffle returns the cost in seconds of an all-to-all exchange where each
 // of p participants sends totalBytes/p to every other participant, bounded
 // by the per-node link (each node serializes (p-1)/p of its data). This is

@@ -70,16 +70,13 @@ func TestAllreduceRingCost(t *testing.T) {
 	}
 }
 
-func TestAllgatherAndBroadcast(t *testing.T) {
+func TestAllgather(t *testing.T) {
 	n := Network{LatencyUs: 0, BWGbps: 8}
 	if got, want := n.Allgather(5, 1e9), 4.0; math.Abs(got-want) > 1e-6 {
 		t.Errorf("Allgather = %v, want %v", got, want)
 	}
-	if got, want := n.Broadcast(8, 1e9), 3.0; math.Abs(got-want) > 1e-6 {
-		t.Errorf("Broadcast = %v, want %v", got, want)
-	}
-	if n.Allgather(1, 1e9) != 0 || n.Broadcast(1, 1e9) != 0 {
-		t.Error("single-participant collectives should be free")
+	if n.Allgather(1, 1e9) != 0 {
+		t.Error("single-participant allgather should be free")
 	}
 }
 
@@ -115,7 +112,6 @@ func TestCostsNonNegativeProperty(t *testing.T) {
 			n.Barrier(p),
 			n.Allreduce(p, bytes),
 			n.Allgather(p, bytes),
-			n.Broadcast(p, bytes),
 			n.Shuffle(p, bytes),
 		}
 		for _, c := range costs {

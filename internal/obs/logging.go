@@ -49,16 +49,6 @@ func NewLogger(w io.Writer, format string, level slog.Level, tool, runID string)
 	return slog.New(h).With("tool", tool, "run_id", runID), nil
 }
 
-// FlagLogger is NewLogger driven straight by the -log-format/-log-level
-// flag strings, writing to stderr — the one-liner the cmd/ tools call.
-func FlagLogger(format, level, tool string) (*slog.Logger, error) {
-	lvl, err := ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	return NewLogger(os.Stderr, format, lvl, tool, NewRunID(tool))
-}
-
 // Nop returns a logger that discards everything.
 func Nop() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))

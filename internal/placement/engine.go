@@ -471,25 +471,22 @@ func runRestart(p *problem, cfg *Config, sign float64, seed int64, record bool, 
 }
 
 // anneal runs cfg.Restarts independent restarts of p — restart i on
-// NewRNG(seed).Stream("placement").StreamN("restart", i), one goroutine
-// each — and returns their outcomes in restart order plus the index of
-// the winner (ties keep the earlier restart, as a serial sweep's
-// strict-improvement rule does). live applies to restart 0, which runs
-// on the calling goroutine. The caller reads the winner's best state
-// from outs[win].ws and must releaseOutcomes(outs), error or not.
+// NewRNG(seed).Stream("placement").StreamN("restart", i), fanned out one
+// worker each — and returns their outcomes in restart order plus the
+// index of the winner (ties keep the earlier restart, as a serial sweep's
+// strict-improvement rule does). live applies to restart 0, whose steps
+// lead the serial order. The caller reads the winner's best state from
+// outs[win].ws and must releaseOutcomes(outs), error or not.
 func anneal(p *problem, cfg *Config, sign float64, seed int64, record bool, live stepEmit) (outs []restartOutcome, win int, err error) {
 	rng := sim.NewRNG(seed).Stream("placement")
 	outs = make([]restartOutcome, cfg.Restarts)
-	var wg sync.WaitGroup
-	for i := 1; i < cfg.Restarts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed(), record, nil)
-		}(i)
-	}
-	outs[0] = runRestart(p, cfg, sign, rng.StreamN("restart", 0).Seed(), record, live)
-	wg.Wait()
+	sim.FanOut(cfg.Restarts, cfg.Restarts, func(i int) {
+		emit := live
+		if i > 0 {
+			emit = nil
+		}
+		outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed(), record, emit)
+	})
 	for i := range outs {
 		if outs[i].err != nil {
 			return outs, -1, outs[i].err

@@ -36,9 +36,8 @@ func digestResult(r Result) uint64 {
 // in draw discipline, evaluation order, or float accumulation flips a
 // digest. Re-baselined once, when the batched two-stream exchange became
 // the only exchange algorithm (the previous values pinned the deleted
-// one-stream serial annealer; the test names date from then). The
-// evaluator count is not a key: TestExchangeWorkersDeterministic pins
-// that it cannot matter.
+// one-stream serial annealer). The evaluator count is not a key:
+// TestExchangeWorkersDeterministic pins that it cannot matter.
 type goldenKey struct {
 	goal Goal
 	qos  bool
@@ -46,7 +45,7 @@ type goldenKey struct {
 	seed int64
 }
 
-var goldenSerial = map[goldenKey]uint64{
+var goldenExchange = map[goldenKey]uint64{
 	{Best, false, Anneal, 1}:     0xdc1ef4c22ab69a82,
 	{Best, false, Anneal, 2}:     0x87c2b77d8668276b,
 	{Best, false, Anneal, 3}:     0xad7c023462a287b2,
@@ -67,9 +66,9 @@ var goldenSerial = map[goldenKey]uint64{
 	{Worst, false, HillClimb, 3}: 0x981bcdff946c64d4,
 }
 
-func TestSerialExchangeGoldens(t *testing.T) {
+func TestExchangeGoldens(t *testing.T) {
 	req := testRequest()
-	for key, want := range goldenSerial {
+	for key, want := range goldenExchange {
 		var qos *QoS
 		if key.qos {
 			qos = &QoS{App: "sens", MaxNormalized: 1.7}
@@ -148,7 +147,7 @@ func TestSplitQoSRestartsGoldens(t *testing.T) {
 }
 
 // Golden digests of the search over generated fleets with down hosts —
-// same vintage and purpose as goldenSerial, but exercising the spread
+// same vintage and purpose as goldenExchange, but exercising the spread
 // phase, multi-cell merge, and the down-host skip in the exchange draw
 // loop.
 type fleetGoldenKey struct {
@@ -180,7 +179,7 @@ func propFleetSpec() fleet.Spec {
 	}
 }
 
-func TestSerialExchangeFleetGoldens(t *testing.T) {
+func TestExchangeFleetGoldens(t *testing.T) {
 	spec := propFleetSpec()
 	for key, want := range goldenFleet {
 		f, err := fleet.Generate(spec, key.fleetSeed)

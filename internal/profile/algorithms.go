@@ -9,11 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Measurer performs one profiling run: the normalized execution time of the
-// application with `interfering` nodes carrying a bubble at `pressure`.
-// It is the expensive operation every algorithm here tries to minimize.
-type Measurer func(pressure float64, interfering int) (float64, error)
-
 // Setting is one profiling request: a bubble pressure level and the number
 // of interfering nodes carrying it.
 type Setting struct {
@@ -26,23 +21,6 @@ type Setting struct {
 // may run the settings concurrently (measure.Batch does), but the returned
 // values must equal what measuring each setting in slice order would give.
 type BatchMeasurer func([]Setting) ([]float64, error)
-
-// SerialBatch adapts a single-run Measurer into a BatchMeasurer that runs
-// the settings one by one in order — the reference execution the parallel
-// implementations are tested against.
-func SerialBatch(m Measurer) BatchMeasurer {
-	return func(settings []Setting) ([]float64, error) {
-		out := make([]float64, len(settings))
-		for i, s := range settings {
-			v, err := m(s.Pressure, s.Interfering)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-}
 
 // Result is the outcome of a profiling algorithm.
 type Result struct {
@@ -119,30 +97,14 @@ outer:
 	return nil
 }
 
-func (c *counter) measure(pressureRow, nodes int) (float64, error) {
-	key := [2]int{pressureRow, nodes}
-	if v, ok := c.cache[key]; ok {
-		return v, nil
-	}
-	if err := c.measureAll([][2]int{key}); err != nil {
-		return 0, err
-	}
-	return c.cache[key], nil
-}
-
 // defaultEps is the indistinguishability threshold of the binary search:
 // if two settings differ by less than this (normalized time), the settings
 // between them are interpolated instead of measured.
 const defaultEps = 0.06
 
-// FullBrute measures every setting; it is the ground truth the paper's
-// accuracy percentages are computed against.
-func FullBrute(m Measurer, pressures, nodes int) (Result, error) {
-	return FullBruteBatch(SerialBatch(m), pressures, nodes)
-}
-
-// FullBruteBatch is FullBrute over a batch measurer: every setting is
-// submitted as one batch in row-major order.
+// FullBruteBatch measures every setting, submitted as one batch in
+// row-major order; it is the ground truth the paper's accuracy percentages
+// are computed against.
 func FullBruteBatch(bm BatchMeasurer, pressures, nodes int) (Result, error) {
 	mat, err := NewMatrix(pressures, nodes)
 	if err != nil {
@@ -295,15 +257,10 @@ func interpolateCol(mat *Matrix, j int) error {
 	return nil
 }
 
-// BinaryBrute is the paper's Algorithm 1: for every pressure level, anchor
-// the row ends and refine by binary search, interpolating whatever the
-// search deems flat.
-func BinaryBrute(m Measurer, pressures, nodes int, eps float64) (Result, error) {
-	return BinaryBruteBatch(SerialBatch(m), pressures, nodes, eps)
-}
-
-// BinaryBruteBatch is BinaryBrute over a batch measurer: one batch for the
-// per-row anchors, then all rows' binary searches advance level by level.
+// BinaryBruteBatch is the paper's Algorithm 1: for every pressure level,
+// anchor the row ends and refine by binary search, interpolating whatever
+// the search deems flat. The per-row anchors form one batch, then all
+// rows' binary searches advance level by level.
 func BinaryBruteBatch(bm BatchMeasurer, pressures, nodes int, eps float64) (Result, error) {
 	if eps <= 0 {
 		eps = defaultEps
@@ -338,18 +295,13 @@ func BinaryBruteBatch(bm BatchMeasurer, pressures, nodes int, eps float64) (Resu
 	return Result{Matrix: mat, Measured: c.calls, Total: pressures * nodes, Provenance: mat.ProvenanceCounts()}, nil
 }
 
-// BinaryOptimized is the paper's Algorithm 2: profile only the top-pressure
-// row by binary search plus the max-nodes column, then infer every other
-// cell with the proportional product formula
+// BinaryOptimizedBatch is the paper's Algorithm 2: profile only the
+// top-pressure row by binary search plus the max-nodes column, then infer
+// every other cell with the proportional product formula
 //
 //	T[i][j] = 1 + (T[i][m]-1) * (T[n-1][j]-1) / (T[n-1][m]-1)
 //
 // exploiting that curve *shapes* barely change across pressure levels.
-func BinaryOptimized(m Measurer, pressures, nodes int, eps float64) (Result, error) {
-	return BinaryOptimizedBatch(SerialBatch(m), pressures, nodes, eps)
-}
-
-// BinaryOptimizedBatch is BinaryOptimized over a batch measurer.
 func BinaryOptimizedBatch(bm BatchMeasurer, pressures, nodes int, eps float64) (Result, error) {
 	if eps <= 0 {
 		eps = defaultEps
@@ -410,17 +362,12 @@ func BinaryOptimizedBatch(bm BatchMeasurer, pressures, nodes int, eps float64) (
 	return Result{Matrix: mat, Measured: c.calls, Total: pressures * nodes, Provenance: mat.ProvenanceCounts()}, nil
 }
 
-// RandomFrac is the paper's random-k% baseline: measure a random fraction
-// of all settings — always including, per pressure level, the max-nodes
-// anchor — and interpolate the rest row-wise.
-func RandomFrac(m Measurer, pressures, nodes int, frac float64, rng *sim.RNG) (Result, error) {
-	return RandomFracBatch(SerialBatch(m), pressures, nodes, frac, rng)
-}
-
-// RandomFracBatch is RandomFrac over a batch measurer: the anchors form
+// RandomFracBatch is the paper's random-k% baseline: measure a random
+// fraction of all settings — always including, per pressure level, the
+// max-nodes anchor — and interpolate the rest row-wise. The anchors form
 // one batch, then the sampled remainder forms a second. Every sampled cell
 // is distinct, so the budget cutoff can be applied up front and the
-// measured set and order match the serial loop exactly.
+// measured set and order match a one-setting-at-a-time loop exactly.
 func RandomFracBatch(bm BatchMeasurer, pressures, nodes int, frac float64, rng *sim.RNG) (Result, error) {
 	if frac <= 0 || frac > 1 {
 		return Result{}, errors.New("profile: fraction outside (0,1]")

@@ -3,8 +3,6 @@ package profile
 import (
 	"math"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // This file proves the batched (level-synchronous) algorithms equivalent
@@ -12,6 +10,40 @@ import (
 // verbatim copies of the depth-first recursion the package shipped before
 // the BatchMeasurer refactor. For any order-independent measurer the two
 // must produce bit-identical matrices, provenance, and call counts.
+
+// Measurer performs one profiling run: the normalized execution time of
+// the application with `interfering` nodes carrying a bubble at `pressure`.
+type Measurer func(pressure float64, interfering int) (float64, error)
+
+// SerialBatch adapts a single-run Measurer into a BatchMeasurer that runs
+// the settings one by one in order — the reference execution the batched
+// implementations are tested against.
+func SerialBatch(m Measurer) BatchMeasurer {
+	return func(settings []Setting) ([]float64, error) {
+		out := make([]float64, len(settings))
+		for i, s := range settings {
+			v, err := m(s.Pressure, s.Interfering)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+}
+
+// measure fetches one cell through the counter, as the depth-first
+// reference does.
+func (c *counter) measure(pressureRow, nodes int) (float64, error) {
+	key := [2]int{pressureRow, nodes}
+	if v, ok := c.cache[key]; ok {
+		return v, nil
+	}
+	if err := c.measureAll([][2]int{key}); err != nil {
+		return 0, err
+	}
+	return c.cache[key], nil
+}
 
 func refBinaryRow(c *counter, mat *Matrix, i, lo, hi int, eps float64) error {
 	if hi-lo <= 1 {
@@ -212,31 +244,5 @@ func TestBinaryOptimizedBatchMatchesDFSReference(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		assertResultsEqual(t, "binary-optimized/"+name, got, want)
-	}
-}
-
-// TestSerialWrappersMatchBatch pins the public serial entry points to the
-// batch implementations they now delegate to.
-func TestSerialWrappersMatchBatch(t *testing.T) {
-	for name, m := range surfaces() {
-		serialFull, err := FullBrute(m, 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchFull, err := FullBruteBatch(SerialBatch(m), 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, "full-brute/"+name, batchFull, serialFull)
-
-		serialRand, err := RandomFrac(m, 8, 8, 0.4, sim.NewRNG(9).Stream(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchRand, err := RandomFracBatch(SerialBatch(m), 8, 8, 0.4, sim.NewRNG(9).Stream(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, "random-frac/"+name, batchRand, serialRand)
 	}
 }

@@ -75,7 +75,7 @@ func TestMatrixSetValidation(t *testing.T) {
 
 func fullMatrix(t *testing.T) *Matrix {
 	t.Helper()
-	res, err := FullBrute(syntheticMeasurer(nil), 8, 8)
+	res, err := FullBruteBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func fullMatrix(t *testing.T) *Matrix {
 
 func TestFullBruteMeasuresEverything(t *testing.T) {
 	calls := 0
-	res, err := FullBrute(syntheticMeasurer(&calls), 8, 8)
+	res, err := FullBruteBatch(SerialBatch(syntheticMeasurer(&calls)), 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMatrixAtRequiresComplete(t *testing.T) {
 
 func TestBinaryBruteAccuracyAndCost(t *testing.T) {
 	ref := fullMatrix(t)
-	res, err := BinaryBrute(syntheticMeasurer(nil), 8, 8, 0.06)
+	res, err := BinaryBruteBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestBinaryBruteAccuracyAndCost(t *testing.T) {
 
 func TestBinaryOptimizedCheaperThanBrute(t *testing.T) {
 	ref := fullMatrix(t)
-	brute, err := BinaryBrute(syntheticMeasurer(nil), 8, 8, 0.06)
+	brute, err := BinaryBruteBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := BinaryOptimized(syntheticMeasurer(nil), 8, 8, 0.06)
+	opt, err := BinaryOptimizedBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBinaryOptimizedCheaperThanBrute(t *testing.T) {
 func TestRandomFrac(t *testing.T) {
 	ref := fullMatrix(t)
 	for _, frac := range []float64{0.3, 0.5} {
-		res, err := RandomFrac(syntheticMeasurer(nil), 8, 8, frac, sim.NewRNG(1))
+		res, err := RandomFracBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, frac, sim.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,10 +223,10 @@ func TestRandomFrac(t *testing.T) {
 			t.Errorf("random-%v error = %v, want < 10%% on smooth truth", frac, e)
 		}
 	}
-	if _, err := RandomFrac(syntheticMeasurer(nil), 8, 8, 0, sim.NewRNG(1)); err == nil {
+	if _, err := RandomFracBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0, sim.NewRNG(1)); err == nil {
 		t.Error("zero fraction should fail")
 	}
-	if _, err := RandomFrac(syntheticMeasurer(nil), 8, 8, 0.5, nil); err == nil {
+	if _, err := RandomFracBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.5, nil); err == nil {
 		t.Error("nil RNG should fail")
 	}
 }
@@ -234,20 +234,20 @@ func TestRandomFrac(t *testing.T) {
 func TestMeasurerErrorsPropagate(t *testing.T) {
 	boom := errors.New("boom")
 	bad := func(p float64, j int) (float64, error) { return 0, boom }
-	if _, err := FullBrute(bad, 4, 4); !errors.Is(err, boom) {
+	if _, err := FullBruteBatch(SerialBatch(bad), 4, 4); !errors.Is(err, boom) {
 		t.Errorf("FullBrute err = %v", err)
 	}
-	if _, err := BinaryBrute(bad, 4, 4, 0); !errors.Is(err, boom) {
+	if _, err := BinaryBruteBatch(SerialBatch(bad), 4, 4, 0); !errors.Is(err, boom) {
 		t.Errorf("BinaryBrute err = %v", err)
 	}
-	if _, err := BinaryOptimized(bad, 4, 4, 0); !errors.Is(err, boom) {
+	if _, err := BinaryOptimizedBatch(SerialBatch(bad), 4, 4, 0); !errors.Is(err, boom) {
 		t.Errorf("BinaryOptimized err = %v", err)
 	}
-	if _, err := RandomFrac(bad, 4, 4, 0.5, sim.NewRNG(1)); !errors.Is(err, boom) {
+	if _, err := RandomFracBatch(SerialBatch(bad), 4, 4, 0.5, sim.NewRNG(1)); !errors.Is(err, boom) {
 		t.Errorf("RandomFrac err = %v", err)
 	}
 	invalid := func(p float64, j int) (float64, error) { return -3, nil }
-	if _, err := FullBrute(invalid, 2, 2); err == nil {
+	if _, err := FullBruteBatch(SerialBatch(invalid), 2, 2); err == nil {
 		t.Error("invalid measurement should fail")
 	}
 }
@@ -266,7 +266,7 @@ func TestMeanAbsErrorShapeMismatch(t *testing.T) {
 
 func TestFlatTruthGivesFlatMatrixCheaply(t *testing.T) {
 	flat := func(p float64, j int) (float64, error) { return 1, nil }
-	res, err := BinaryOptimized(flat, 8, 8, 0.06)
+	res, err := BinaryOptimizedBatch(SerialBatch(flat), 8, 8, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +303,11 @@ func TestAnchorsExactProperty(t *testing.T) {
 		run := func() (Result, error) {
 			switch pick % 3 {
 			case 0:
-				return BinaryBrute(syntheticMeasurer(nil), 8, 8, 0.06)
+				return BinaryBruteBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.06)
 			case 1:
-				return BinaryOptimized(syntheticMeasurer(nil), 8, 8, 0.06)
+				return BinaryOptimizedBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.06)
 			default:
-				return RandomFrac(syntheticMeasurer(nil), 8, 8, 0.4, sim.NewRNG(seed))
+				return RandomFracBatch(SerialBatch(syntheticMeasurer(nil)), 8, 8, 0.4, sim.NewRNG(seed))
 			}
 		}
 		res, err := run()

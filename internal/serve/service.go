@@ -24,6 +24,8 @@ const (
 	MetricRejected = "serve_rejected_total"
 	// MetricErrors counts requests that failed validation or search.
 	MetricErrors = "serve_errors_total"
+	// MetricPanics counts searches that panicked and were answered 500.
+	MetricPanics = "serve_panics_total"
 	// MetricBatches counts dispatcher batches executed.
 	MetricBatches = "serve_batches_total"
 	// MetricBatchSize is the size of the last executed batch.
@@ -119,6 +121,7 @@ type Service struct {
 	done    chan struct{}
 
 	reqPlace, reqWhatIf, rejected, errs *telemetry.Counter
+	panics                              *telemetry.Counter
 	batches, cacheHits, cacheMisses     *telemetry.Counter
 	combineHits, combineMisses          *telemetry.Counter
 	batchSize, queueDepth               *telemetry.Gauge
@@ -182,6 +185,7 @@ func New(cfg Config) (*Service, error) {
 		s.reqWhatIf = reg.Counter(telemetry.Label(MetricRequests, "endpoint", "whatif"))
 		s.rejected = reg.Counter(MetricRejected)
 		s.errs = reg.Counter(MetricErrors)
+		s.panics = reg.Counter(MetricPanics)
 		s.batches = reg.Counter(MetricBatches)
 		s.cacheHits = reg.Counter(MetricCacheHits)
 		s.cacheMisses = reg.Counter(MetricCacheMisses)
@@ -195,6 +199,7 @@ func New(cfg Config) (*Service, error) {
 		reg.SetHelp(MetricRequests, "Placement-service requests completed, by endpoint.")
 		reg.SetHelp(MetricRejected, "Requests refused on a full admission queue.")
 		reg.SetHelp(MetricErrors, "Requests failing validation or search.")
+		reg.SetHelp(MetricPanics, "Searches that panicked; each was contained to its own request (HTTP 500).")
 		reg.SetHelp(MetricBatches, "Dispatcher batches executed.")
 		reg.SetHelp(MetricBatchSize, "Size of the last executed batch.")
 		reg.SetHelp(MetricQueueDepth, "Admission-queue occupancy.")
@@ -231,9 +236,6 @@ func (s *Service) Ready() bool {
 	defer s.mu.RUnlock()
 	return s.preds != nil
 }
-
-// CacheStats reports the shared prediction cache's lifetime traffic.
-func (s *Service) CacheStats() (hits, misses uint64) { return s.shared.Stats() }
 
 // Close stops the dispatcher and rejects anything still queued.
 func (s *Service) Close() {
@@ -434,19 +436,34 @@ func (s *Service) executeOne(p *pending) {
 	}
 	search := p.root.StartChild("search")
 	t0 := time.Now()
-	resp, err := s.search(p.req, p.id)
-	search.SetSimSeconds(resp.SimServiceSeconds)
+	p.resp, p.status, p.err = s.searchContained(p.req, p.id)
+	search.SetSimSeconds(p.resp.SimServiceSeconds)
 	search.End()
 	if s.serviceHist != nil {
 		s.serviceHist.Observe(time.Since(t0).Seconds())
 	}
-	if err != nil {
-		p.status = http.StatusBadRequest
-		p.err = err
-		return
+}
+
+// searchContained is search with the HTTP status its outcome maps to, and
+// with a panic below it — a predictor, the search engine — contained to
+// this request: it is answered 500 and counted, the daemon and the rest
+// of the batch carry on.
+func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, status int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if s.panics != nil {
+				s.panics.Inc()
+			}
+			// The panic value (and, from a fan-out worker, its stack)
+			// goes to the log, not to the client.
+			s.log.Error("search panicked", "request", id, "panic", r)
+			resp, status, err = Response{}, http.StatusInternalServerError, errors.New("serve: internal error: search panicked")
+		}
+	}()
+	if resp, err = s.search(req, id); err != nil {
+		return Response{}, http.StatusBadRequest, err
 	}
-	p.resp = resp
-	p.status = http.StatusOK
+	return resp, http.StatusOK, nil
 }
 
 // search runs the placement search for a request — a pure function of the

@@ -216,6 +216,11 @@ func TestRequestErrors(t *testing.T) {
 			Apps: []AppDemand{{App: "quiet", Units: 1}}, QoSApp: "sens", QoSMax: 1.5,
 		}, http.StatusBadRequest},
 		{"over capacity", PlaceRequest{Apps: []AppDemand{{App: "quiet", Units: 99}}}, http.StatusBadRequest},
+		{"unit count that would overflow a total", PlaceRequest{
+			Apps: []AppDemand{{App: "quiet", Units: 1 << 62}, {App: "sens", Units: 1 << 62}},
+		}, http.StatusBadRequest},
+		{"hostage iterations", PlaceRequest{Apps: fourApps(), Iterations: 2_000_000_000}, http.StatusBadRequest},
+		{"hostage restarts", PlaceRequest{Apps: fourApps(), Restarts: 1 << 30}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -451,5 +456,93 @@ func TestSLOFeedAndBreach(t *testing.T) {
 	}
 	if snap := tracker.Snapshot(); snap.Requests == 0 || snap.Breaches == 0 {
 		t.Errorf("tracker snapshot = %+v", snap)
+	}
+}
+
+// panicPred panics on every prediction.
+type panicPred struct{}
+
+func (panicPred) PredictPressures([]float64) (float64, error) { panic("predictor blew up") }
+
+// TestPanicContainedToItsRequest: a panic under one request's search — on
+// the batch worker itself, or on a restart worker below it — is that
+// request's 500 and one serve_panics_total; the service survives and the
+// rest of the batch is answered exactly as it is without the panics.
+func TestPanicContainedToItsRequest(t *testing.T) {
+	good := []PlaceRequest{
+		{ID: "g0", Apps: fourApps()},
+		{ID: "g1", Apps: []AppDemand{{App: "sens", Units: 4}, {App: "noisy1", Units: 6}}, Restarts: 2},
+		{ID: "g2", Apps: fourApps(), QoSApp: "sens", QoSMax: 1.5},
+	}
+	ref, _, _ := newTestService(t, nil)
+	want := make([][]byte, len(good))
+	for i, req := range good {
+		want[i], _ = json.Marshal(mustPlace(t, ref, req))
+	}
+
+	gate := make(chan struct{})
+	s, reg, _ := newTestService(t, func(c *Config) { c.MaxBatch, c.Workers = 8, 4 })
+	b := testBackend()
+	b.Predictors["quiet"] = gatePred{b.Predictors["quiet"], gate}
+	b.Predictors["boom"], b.Scores["boom"] = panicPred{}, 3
+	s.SetBackend(b)
+
+	// Hold the dispatcher on a gated first batch so the mixed requests
+	// behind it are drained into one batch.
+	boom := []AppDemand{{App: "sens", Units: 4}, {App: "boom", Units: 4}}
+	batch := []PlaceRequest{
+		good[0], {ID: "p0", Apps: boom}, good[1], {ID: "p1", Apps: boom, Restarts: 3}, good[2],
+	}
+	type result struct {
+		body   []byte
+		status int
+		err    error
+	}
+	results := make([]result, len(batch))
+	var wg sync.WaitGroup
+	place := func(i int, req PlaceRequest) {
+		defer wg.Done()
+		resp, status, err := s.Place(req)
+		body, _ := json.Marshal(resp)
+		results[i] = result{body, status, err}
+	}
+	wg.Add(1)
+	var held result
+	go func() {
+		defer wg.Done()
+		_, held.status, held.err = s.Place(PlaceRequest{ID: "held", Apps: []AppDemand{{App: "quiet", Units: 2}}})
+	}()
+	waitCounter(t, reg, MetricBatches, 1)
+	for i, req := range batch {
+		wg.Add(1)
+		go place(i, req)
+	}
+	waitGauge(t, reg, MetricQueueDepth, float64(len(batch)))
+	close(gate)
+	wg.Wait()
+
+	if held.err != nil || held.status != http.StatusOK {
+		t.Fatalf("held request: status %d err %v", held.status, held.err)
+	}
+	if got := reg.Counter(MetricBatches).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2 (the mixed requests must share a batch)", MetricBatches, got)
+	}
+	for i, j := range []int{0, 2, 4} {
+		if r := results[j]; r.err != nil || r.status != http.StatusOK || string(r.body) != string(want[i]) {
+			t.Errorf("%s beside a panicking request: status %d err %v\n got %s\nwant %s",
+				good[i].ID, r.status, r.err, r.body, want[i])
+		}
+	}
+	for _, j := range []int{1, 3} {
+		if r := results[j]; r.err == nil || r.status != http.StatusInternalServerError {
+			t.Errorf("%s: status %d err %v, want 500", batch[j].ID, r.status, r.err)
+		}
+	}
+	if got := reg.Counter(MetricPanics).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", MetricPanics, got)
+	}
+	// The service is still serving.
+	if got, _ := json.Marshal(mustPlace(t, s, good[0])); string(got) != string(want[0]) {
+		t.Errorf("after the panics: got %s\nwant %s", got, want[0])
 	}
 }

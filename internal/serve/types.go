@@ -71,6 +71,14 @@ type Response struct {
 	SimServiceSeconds float64            `json:"sim_service_seconds"`
 }
 
+// Ceilings on what one request may ask of the shared search workers: a
+// body can lengthen its own search, not occupy the daemon with it.
+const (
+	maxRequestUnits      = 1 << 20 // per app; also keeps the unit total from overflowing
+	maxRequestIterations = 1_000_000
+	maxRequestRestarts   = 64
+)
+
 // validate rejects malformed placement requests before admission.
 func (r PlaceRequest) validate() error {
 	if len(r.Apps) == 0 {
@@ -78,7 +86,7 @@ func (r PlaceRequest) validate() error {
 	}
 	seen := map[string]bool{}
 	for _, a := range r.Apps {
-		if a.App == "" || a.Units <= 0 {
+		if a.App == "" || a.Units <= 0 || a.Units > maxRequestUnits {
 			return fmt.Errorf("serve: bad demand %+v", a)
 		}
 		if seen[a.App] {
@@ -92,8 +100,9 @@ func (r PlaceRequest) validate() error {
 	if r.QoSApp != "" && !seen[r.QoSApp] {
 		return fmt.Errorf("serve: qos app %q not among requested apps", r.QoSApp)
 	}
-	if r.Iterations < 0 || r.Restarts < 0 {
-		return errors.New("serve: negative search tuning")
+	if r.Iterations < 0 || r.Iterations > maxRequestIterations || r.Restarts < 0 || r.Restarts > maxRequestRestarts {
+		return fmt.Errorf("serve: search tuning outside [0, %d] iterations, [0, %d] restarts",
+			maxRequestIterations, maxRequestRestarts)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -12,6 +14,11 @@ import (
 // result by index and the caller merges in index order afterwards, so the
 // outcome is independent of which worker ran what and of completion
 // order. workers <= 1 runs serially on the calling goroutine.
+//
+// A panic in fn on a worker goroutine is re-raised on the calling
+// goroutine once every worker has stopped (the first one, with the
+// worker's stack in its message), so a caller's recover contains it just
+// as it would on the serial path.
 func FanOut(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -23,15 +30,25 @@ func FanOut(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	var panicked atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					err := fmt.Errorf("sim: FanOut worker panicked: %v\n%s", r, debug.Stack())
+					panicked.CompareAndSwap(nil, &err)
+				}
+			}()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if err := panicked.Load(); err != nil {
+		panic(*err)
+	}
 }

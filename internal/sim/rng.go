@@ -103,9 +103,6 @@ func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.src().Float64() }
 
-// Normal returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Normal(mean, sd float64) float64 { return mean + sd*g.src().NormFloat64() }
-
 // LogNormal returns a draw whose logarithm is normal with parameters mu and
 // sigma. For small sigma it is a gentle multiplicative jitter around
 // exp(mu), which is how per-iteration compute noise is modelled.

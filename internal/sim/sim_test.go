@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -303,4 +304,35 @@ func TestFanOut(t *testing.T) {
 		t.Errorf("serial order = %v", order)
 	}
 	FanOut(0, 4, func(int) { t.Error("fn called for n = 0") })
+}
+
+// TestFanOutReraisesWorkerPanic: a panic on a worker goroutine surfaces on
+// the caller's, after every other index has still been run, so a recover
+// around FanOut contains it at any worker count.
+func TestFanOutReraisesWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			FanOut(16, workers, func(i int) {
+				if i == 5 {
+					panic("index five")
+				}
+				ran.Add(1)
+			})
+		}()
+		if got == nil {
+			t.Fatalf("workers=%d: panic did not reach the caller", workers)
+		}
+		if workers > 1 {
+			err, ok := got.(error)
+			if !ok || !strings.Contains(err.Error(), "index five") {
+				t.Errorf("workers=%d: re-raised %v, want the worker's panic value in it", workers, got)
+			}
+			if ran.Load() != 15 {
+				t.Errorf("workers=%d: %d other indexes ran, want 15", workers, ran.Load())
+			}
+		}
+	}
 }

@@ -143,22 +143,6 @@ func RelErr(predicted, actual float64) float64 {
 // RelErrPct returns the relative error in percent.
 func RelErrPct(predicted, actual float64) float64 { return 100 * RelErr(predicted, actual) }
 
-// MeanAbsRelErr returns the mean of pairwise relative errors between the
-// predicted and actual series. The slices must have equal nonzero length.
-func MeanAbsRelErr(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range predicted {
-		s += RelErr(predicted[i], actual[i])
-	}
-	return s / float64(len(predicted)), nil
-}
-
 // Lerp linearly interpolates between a and b by t in [0,1]. Values of t
 // outside [0,1] extrapolate, which callers occasionally rely on.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
@@ -263,21 +247,6 @@ func WeightedMean(xs, ws []float64) (float64, error) {
 		return 0, errors.New("stats: non-positive total weight")
 	}
 	return sx / sw, nil
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: non-positive value in geometric mean")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }
 
 // Clamp limits x to the closed interval [lo, hi].

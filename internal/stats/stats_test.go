@@ -111,22 +111,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestMeanAbsRelErr(t *testing.T) {
-	got, err := MeanAbsRelErr([]float64{110, 95}, []float64{100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 0.075, 1e-12) {
-		t.Errorf("MeanAbsRelErr = %v, want 0.075", got)
-	}
-	if _, err := MeanAbsRelErr([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := MeanAbsRelErr(nil, nil); err != ErrEmpty {
-		t.Errorf("empty err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestInterpAt(t *testing.T) {
 	xs := []float64{0, 1, 3}
 	ys := []float64{1, 2, 6}
@@ -214,22 +198,6 @@ func TestWeightedMean(t *testing.T) {
 	}
 	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero total weight should error")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 2, 1e-12) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative input should error")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Error("empty input should yield ErrEmpty")
 	}
 }
 

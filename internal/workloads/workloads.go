@@ -17,7 +17,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/app"
 	"repro/internal/contention"
@@ -284,11 +283,4 @@ func Registry() map[string]Workload {
 		m[w.Name] = w
 	}
 	return m
-}
-
-// SortedNames returns all workload names sorted alphabetically.
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

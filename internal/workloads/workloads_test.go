@@ -63,12 +63,6 @@ func TestNamesUniqueAndResolvable(t *testing.T) {
 	if len(Registry()) != 18 {
 		t.Error("registry size mismatch")
 	}
-	sorted := SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			t.Error("SortedNames not sorted")
-		}
-	}
 }
 
 func TestDistributedAndBatchSplit(t *testing.T) {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package interference
+package repro
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package interference
+package repro
 
 // raceEnabled reports whether the test binary was built with -race, under
 // which sync.Pool drops a quarter of its Puts and allocation counts stop
