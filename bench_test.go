@@ -510,9 +510,12 @@ func totalAllocOf(fn func()) uint64 {
 }
 
 // TestAppRunAllocCeiling: a warm application run allocates no generator
-// state. Its per-node jitter streams are pooled and re-targeted in place,
-// so what is left is the run's own small change; one fastSource is 4.9 KB
-// and a run used to allocate one per node.
+// state and no scheduling state. Its per-node jitter streams are pooled and
+// re-targeted in place, and the task engines' stage state and completion
+// callbacks live in a pooled workspace, so what is left is the run's own
+// small change; one fastSource is 4.9 KB and a run used to allocate one per
+// node, and a task-engine run used to allocate a closure per task launch
+// (103 KB per H.KM run).
 func TestAppRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -520,7 +523,8 @@ func TestAppRunAllocCeiling(t *testing.T) {
 	const ceiling = 512 // bytes per run
 	sd := []float64{2, 1, 1, 1, 1.5, 1, 1, 1}
 	net := netsim.TenGbE()
-	for _, name := range []string{"M.milc", "M.Gems", "C.libq"} { // BSP, wavefront, independent
+	// BSP, wavefront, independent, task pool (speculative), stages.
+	for _, name := range []string{"M.milc", "M.Gems", "C.libq", "H.KM", "S.CF"} {
 		w := mustWorkload(t, name)
 		if w.App.NoiseSigma <= 0 {
 			t.Fatalf("%s draws no jitter; the test would prove nothing", name)
@@ -544,16 +548,50 @@ func TestAppRunAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestMeasureBodyAllocCeiling: on a background-free environment a warm
+// bubble measurement allocates per job and per repetition (the times, the
+// slowdown vector, the run's stream derivations), never per host: the host
+// solve is memoized under a value key and the occupant list lives on the
+// body's stack. It used to format a key string and allocate an occupant
+// slice for each of nodes x reps hosts (15.8 KB for this measurement).
+func TestMeasureBodyAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 1024 // bytes per measurement
+	env, err := newEnv(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustWorkload(t, "M.milc")
+	pressures := []float64{6, 6, 3, 3, 0, 0, 0, 0}
+	const runs = 200
+	run := func() {
+		for i := 0; i < runs; i++ {
+			if _, err := env.RunWithBubbles(w, pressures); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm the solve memo and the stream pool
+	perRun := totalAllocOf(run) / runs
+	if perRun > ceiling {
+		t.Errorf("%d B per warm bubble measurement, ceiling %d", perRun, ceiling)
+	}
+	t.Logf("%d B per warm bubble measurement", perRun)
+}
+
 // TestReproAllocCeiling bounds what one cold quick-mode reproduction of
-// every paper artifact allocates at about 1.5x the measured 70 MB (250 MB
-// when every derived stream allocated its source), so that a per-stream
-// or per-event allocation cannot creep back into the measurement path
-// unnoticed.
+// every paper artifact allocates at about 1.5x the measured 10.3 MB (70 MB
+// when every task launch allocated a closure and every host solve a key
+// string, 250 MB when every derived stream allocated its source), so that
+// a per-stream, per-event or per-host allocation cannot creep back into
+// the measurement path unnoticed.
 func TestReproAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const ceilingMB = 105
+	const ceilingMB = 16
 	got := totalAllocOf(func() {
 		l, err := experiments.NewLab(experiments.Config{Seed: 2016, Quick: true})
 		if err != nil {

@@ -39,12 +39,12 @@ echo "== go test -race -count=2 (determinism: every package but the exclusions b
 # workspaces) that a second pass in the same process finds warm. So every
 # package is run twice, uncached, under the race detector. The list is
 # derived, so a new package is covered without anyone listing it; only
-# these are left out:
+# this is left out:
 #   repro/cmd/      each test drives a real daemon or CLI over sockets,
 #                   files and wall-clock deadlines; raced once above
-#   repro/internal/obs  HTTP/SSE plumbing timed against the wall clock,
-#                   nothing seeded; raced once above
-race_twice="$(go list ./... | grep -v -e '^repro/cmd/' -e '^repro/internal/obs$')"
+# (internal/obs is in: its SSE tests wait on the subscriber's progress,
+# not on the clock.)
+race_twice="$(go list ./... | grep -v -e '^repro/cmd/')"
 # shellcheck disable=SC2086 # one package per word
 go test -race -count=2 $race_twice
 

@@ -507,178 +507,259 @@ func (s Spec) runWavefrontEngine(p Params, rs *runStreams) (float64, error) {
 type taskState struct {
 	done   bool
 	cloned bool
+	// runPos is the task's index in taskRun.running while its primary copy
+	// is in flight and the task is not yet done.
+	runPos int32
 	// finish is the scheduled completion time of the primary copy, used
 	// to pick straggler candidates.
 	finish sim.Time
-	node   int
 }
+
+// taskRun is the workspace of one task-engine run: the run's context and
+// the current stage's scheduling state, all in slices that the next run
+// reuses. Workspaces live in a pool like the engines and the run streams;
+// startStage rewrites every per-stage field, so nothing a run (or a run
+// that failed mid-stage) leaves behind reaches the next one.
+//
+// A slot is one task-sized share of a node: slot k belongs to node
+// k / SlotsPerNode. Completion events are the closures in completeFn, built
+// once per workspace and indexed by (stage, slot); the task a slot is
+// running is looked up in slotTask when the event fires, so launching a
+// task allocates nothing.
+type taskRun struct {
+	s     Spec
+	p     Params
+	eng   *sim.Engine
+	rs    *runStreams
+	nodes int
+	err   error
+
+	stage    int  // 1-based index of the stage in progress
+	finished bool // the stage in progress has completed its last task
+	// endTime is when the final stage's last task logically completes.
+	// Speculative losers' completion events may still drain afterwards
+	// (the winner already finished the task), so the engine's final
+	// clock is not the job's makespan.
+	endTime sim.Time
+
+	tasks []taskState
+	// skew is the per-task size skew, drawn up-front from a stage-level
+	// stream so a task keeps its size whichever node (or speculative copy)
+	// runs it and regardless of dispatch order.
+	skew []float64
+	// Locality: the first pinnedCount tasks are pinned to a home node
+	// round-robin (task id is at home on node id % nodes), so node n's
+	// queue is pinnedNext[n], pinnedNext[n]+nodes, ... < pinnedCount. The
+	// rest float freely, in id order from floatNext.
+	pinnedCount int
+	pinnedNext  []int
+	floatNext   int
+	doneCount   int     // completed logical tasks
+	free        []int32 // free slots, in the order dispatch scans them
+	slotTask    []int32 // task id each busy slot is running
+	running     []int32 // tasks whose primary copy is in flight, unordered
+
+	startFn    func()     // startStage, as the stage-start event
+	completeFn [][]func() // [stage-1][slot] -> complete(stage, slot)
+}
+
+var taskRunPool = sync.Pool{New: func() any {
+	r := new(taskRun)
+	r.startFn = r.startStage
+	return r
+}}
 
 // runTasks executes NumStages stages of dynamically scheduled tasks and is
 // shared by the TaskPool (Hadoop) and Stages (Spark) engines: the
 // difference is entirely in the spec parameters (task granularity,
 // speculation, shuffle volume).
 func (s Spec) runTasks(p Params, rs *runStreams) (float64, error) {
-	eng := engineFor(p)
-	defer releaseEngine(eng)
-	nodes := len(p.Slowdown)
-	streams := rs.node
-
-	stage := 0
-	// endTime is when the final stage's last task logically completes.
-	// Speculative losers' completion events may still drain afterwards
-	// (the winner already finished the task), so the engine's final
-	// clock is not the job's makespan.
-	var endTime sim.Time
-	var schedErr error
-	fail := func(err error) {
-		schedErr = err
-		eng.Halt()
-	}
-
-	var startStage func()
-	startStage = func() {
-		if stage >= s.NumStages {
-			return
-		}
-		stage++
-
-		tasks := make([]taskState, s.TasksPerStage)
-		// Per-task size skew, drawn up-front from a stage-level stream so
-		// a task keeps its size whichever node (or speculative copy) runs
-		// it and regardless of dispatch order.
-		skew := make([]float64, s.TasksPerStage)
-		p.RNG.StreamNInto(&rs.skew, "skew", stage)
-		for i := range skew {
-			skew[i] = rs.skew.JitterAround1(s.TaskSkewSigma)
-		}
-		// Locality: the first LocalityFrac of tasks are pinned to a home
-		// node round-robin; the rest float freely.
-		pinnedCount := int(s.LocalityFrac * float64(s.TasksPerStage))
-		pinned := make([][]int, nodes) // per-node queues of pinned task ids
-		var floating []int             // queue of unpinned task ids
-		for id := 0; id < s.TasksPerStage; id++ {
-			if id < pinnedCount {
-				home := id % nodes
-				pinned[home] = append(pinned[home], id)
-			} else {
-				floating = append(floating, id)
-			}
-		}
-
-		doneCount := 0            // completed logical tasks
-		freeSlots := []int{}      // node index per free slot
-		running := map[int]bool{} // task ids with a primary copy in flight
-
-		var finishStage func()
-		var dispatch func()
-		completeOn := func(id, node int) func() {
-			return func() {
-				// Slot frees regardless; the logical task may
-				// already be done via its twin copy.
-				freeSlots = append(freeSlots, node)
-				if !tasks[id].done {
-					tasks[id].done = true
-					delete(running, id)
-					doneCount++
-				}
-				if doneCount == s.TasksPerStage {
-					finishStage()
-					return
-				}
-				dispatch()
-			}
-		}
-		launch := func(id, node int, clone bool) {
-			d := s.TaskSec * skew[id] * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
-			if !clone {
-				tasks[id].finish = eng.Now() + sim.Time(d)
-				tasks[id].node = node
-				running[id] = true
-			}
-			if err := eng.AfterKind(d, "task.complete", completeOn(id, node)); err != nil {
-				fail(err)
-			}
-		}
-		// pickClone returns the running, un-cloned task with the latest
-		// expected finish still in the future, or -1.
-		pickClone := func() int {
-			id := -1
-			var worst sim.Time
-			for rid := range running {
-				if tasks[rid].cloned || tasks[rid].done {
-					continue
-				}
-				if tasks[rid].finish <= eng.Now() {
-					continue
-				}
-				if id == -1 || tasks[rid].finish > worst {
-					id, worst = rid, tasks[rid].finish
-				}
-			}
-			return id
-		}
-		// dispatch scans every free slot (slots on different nodes are
-		// not interchangeable once locality pins tasks) and launches
-		// whatever work each can legally run.
-		dispatch = func() {
-			kept := freeSlots[:0]
-			for _, node := range freeSlots {
-				switch {
-				case len(pinned[node]) > 0:
-					id := pinned[node][0]
-					pinned[node] = pinned[node][1:]
-					launch(id, node, false)
-				case len(floating) > 0:
-					id := floating[0]
-					floating = floating[1:]
-					launch(id, node, false)
-				case s.Speculative:
-					if id := pickClone(); id != -1 {
-						tasks[id].cloned = true
-						launch(id, node, true)
-					} else {
-						kept = append(kept, node)
-					}
-				default:
-					kept = append(kept, node)
-				}
-			}
-			freeSlots = kept
-		}
-		finished := false
-		finishStage = func() {
-			if finished {
-				return
-			}
-			finished = true
-			if stage == s.NumStages {
-				endTime = eng.Now()
-				return
-			}
-			gap := 0.0
-			if s.ShuffleBytesPerNode > 0 {
-				gap = p.Net.Shuffle(nodes, s.ShuffleBytesPerNode)
-			}
-			if err := eng.AfterKind(gap, "task.stage-start", startStage); err != nil {
-				fail(err)
-			}
-		}
-
-		for n := 0; n < nodes; n++ {
-			for sl := 0; sl < s.SlotsPerNode; sl++ {
-				freeSlots = append(freeSlots, n)
-			}
-		}
-		dispatch()
-	}
-	if err := eng.At(0, startStage); err != nil {
+	r := taskRunPool.Get().(*taskRun)
+	r.s, r.p, r.rs, r.eng = s, p, rs, engineFor(p)
+	r.nodes = len(p.Slowdown)
+	r.stage, r.endTime = 0, 0
+	defer func() {
+		releaseEngine(r.eng)
+		r.p, r.rs, r.eng, r.err = Params{}, nil, nil, nil
+		taskRunPool.Put(r)
+	}()
+	if err := r.eng.At(0, r.startFn); err != nil {
 		return 0, err
 	}
-	eng.Run()
-	if schedErr != nil {
-		return 0, schedErr
+	r.eng.Run()
+	if r.err != nil {
+		return 0, r.err
 	}
-	return float64(endTime), nil
+	return float64(r.endTime), nil
+}
+
+func (r *taskRun) fail(err error) {
+	r.err = err
+	r.eng.Halt()
+}
+
+// startStage resets the per-stage state, draws the stage's task skew and
+// hands every slot of every node to dispatch.
+func (r *taskRun) startStage() {
+	s := &r.s
+	if r.stage >= s.NumStages {
+		return
+	}
+	r.stage++
+	r.finished = false
+
+	r.tasks = resize(r.tasks, s.TasksPerStage)
+	clear(r.tasks)
+	r.skew = resize(r.skew, s.TasksPerStage)
+	r.p.RNG.StreamNInto(&r.rs.skew, "skew", r.stage)
+	for i := range r.skew {
+		r.skew[i] = r.rs.skew.JitterAround1(s.TaskSkewSigma)
+	}
+	r.pinnedCount = int(s.LocalityFrac * float64(s.TasksPerStage))
+	r.pinnedNext = resize(r.pinnedNext, r.nodes)
+	for n := range r.pinnedNext {
+		r.pinnedNext[n] = n
+	}
+	r.floatNext = r.pinnedCount
+	r.doneCount = 0
+	r.running = r.running[:0]
+
+	slots := r.nodes * s.SlotsPerNode
+	r.slotTask = resize(r.slotTask, slots)
+	r.free = resize(r.free, slots)
+	for k := range r.free {
+		r.free[k] = int32(k)
+	}
+	for len(r.completeFn) < r.stage {
+		r.completeFn = append(r.completeFn, nil)
+	}
+	fns := r.completeFn[r.stage-1]
+	for k := len(fns); k < slots; k++ {
+		stage, slot := r.stage, int32(k)
+		fns = append(fns, func() { r.complete(stage, slot) })
+	}
+	r.completeFn[r.stage-1] = fns
+	r.dispatch()
+}
+
+// resize returns v with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
+// dispatch scans every free slot (slots on different nodes are not
+// interchangeable once locality pins tasks) and launches whatever work each
+// can legally run.
+func (r *taskRun) dispatch() {
+	s := &r.s
+	kept := r.free[:0]
+	for _, slot := range r.free {
+		node := int(slot) / s.SlotsPerNode
+		switch {
+		case r.pinnedNext[node] < r.pinnedCount:
+			id := r.pinnedNext[node]
+			r.pinnedNext[node] += r.nodes
+			r.launch(id, slot, node, false)
+		case r.floatNext < s.TasksPerStage:
+			id := r.floatNext
+			r.floatNext++
+			r.launch(id, slot, node, false)
+		case s.Speculative:
+			if id := r.pickClone(); id != -1 {
+				r.tasks[id].cloned = true
+				r.launch(id, slot, node, true)
+			} else {
+				kept = append(kept, slot)
+			}
+		default:
+			kept = append(kept, slot)
+		}
+	}
+	r.free = kept
+}
+
+// launch starts a copy of task id on the slot; clone marks a speculative
+// second copy, which does not move the task's expected finish.
+func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
+	d := r.s.TaskSec * r.skew[id] * r.p.Slowdown[node] * r.rs.node[node].JitterAround1(r.s.NoiseSigma)
+	if !clone {
+		t := &r.tasks[id]
+		t.finish = r.eng.Now() + sim.Time(d)
+		t.runPos = int32(len(r.running))
+		r.running = append(r.running, int32(id))
+	}
+	r.slotTask[slot] = int32(id)
+	if err := r.eng.AfterKind(d, "task.complete", r.completeFn[r.stage-1][slot]); err != nil {
+		r.fail(err)
+	}
+}
+
+// complete is the completion event of the copy that stage launched on
+// slot. A speculative loser can complete after its stage has finished —
+// during the shuffle, or stages later, when the slot has long been handed
+// out again — so an event from any stage but the one in progress is
+// counted by the engine and otherwise ignored.
+func (r *taskRun) complete(stage int, slot int32) {
+	if stage != r.stage || r.finished {
+		return
+	}
+	// The slot frees regardless; the logical task may already be done via
+	// its twin copy.
+	r.free = append(r.free, slot)
+	id := r.slotTask[slot]
+	if t := &r.tasks[id]; !t.done {
+		t.done = true
+		last := r.running[len(r.running)-1]
+		r.running[t.runPos] = last
+		r.tasks[last].runPos = t.runPos
+		r.running = r.running[:len(r.running)-1]
+		r.doneCount++
+	}
+	if r.doneCount == r.s.TasksPerStage {
+		r.finishStage()
+		return
+	}
+	r.dispatch()
+}
+
+// pickClone returns the running, un-cloned task with the latest expected
+// finish still in the future, or -1; among equal finishes the lowest id.
+func (r *taskRun) pickClone() int {
+	id := -1
+	var worst sim.Time
+	now := r.eng.Now()
+	for _, running := range r.running {
+		rid := int(running)
+		t := &r.tasks[rid]
+		if t.cloned || t.finish <= now {
+			continue
+		}
+		if id == -1 || t.finish > worst || (t.finish == worst && rid < id) {
+			id, worst = rid, t.finish
+		}
+	}
+	return id
+}
+
+// finishStage ends the stage in progress: the run's makespan if it was the
+// last, otherwise the shuffle and then the next stage.
+func (r *taskRun) finishStage() {
+	r.finished = true
+	if r.stage == r.s.NumStages {
+		r.endTime = r.eng.Now()
+		return
+	}
+	gap := 0.0
+	if r.s.ShuffleBytesPerNode > 0 {
+		gap = r.p.Net.Shuffle(r.nodes, r.s.ShuffleBytesPerNode)
+	}
+	if err := r.eng.AfterKind(gap, "task.stage-start", r.startFn); err != nil {
+		r.fail(err)
+	}
 }
 
 // runIndependent models unsynchronized batch instances: every node runs its

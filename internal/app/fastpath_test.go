@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,9 +49,14 @@ func TestClosedFormMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestEnginePoolReuseDeterministic: repeated runs recycle engines through
-// the pool; a reused engine must not leak state into later runs.
+// TestEnginePoolReuseDeterministic: repeated runs recycle engines and task
+// workspaces through their pools; a reused one must not leak state into
+// later runs — not even one whose previous run died mid-stage.
 func TestEnginePoolReuseDeterministic(t *testing.T) {
+	// The second node's first task overflows to +Inf: the engine halts
+	// inside the first dispatch with tasks in flight and events queued.
+	broken := taskPoolSpec()
+	broken.TaskSec = 1e308
 	specs := []Spec{taskPoolSpec(), stagesSpec(), bspSpec()}
 	for _, s := range specs {
 		run := func() float64 {
@@ -71,6 +77,13 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 		}
 		want := run()
 		for i := 0; i < 5; i++ {
+			if _, err := broken.Run(Params{
+				Slowdown: []float64{1, 2, 1.5, 1},
+				Net:      netsim.TenGbE(),
+				RNG:      sim.NewRNG(int64(i)),
+			}); err == nil || !strings.Contains(err.Error(), "non-finite event time") {
+				t.Fatalf("overflowing task delay: err = %v, want a non-finite event time", err)
+			}
 			if got := run(); got != want {
 				t.Fatalf("%s: run %d = %v, want %v (pooled engine leaked state)", s.Name, i, got, want)
 			}
@@ -90,8 +103,13 @@ func TestStreamPoolReuseDeterministic(t *testing.T) {
 		seed  int64
 	}
 	var jobs []job
-	for _, s := range []Spec{bspSpec(), wavefrontSpec(), taskPoolSpec(), stagesSpec(),
-		{Name: "batch", Engine: Independent, BatchSec: 100, NoiseSigma: 0.02}} {
+	// The task-engine shapes differ in stages, tasks and slots per node, so
+	// the pooled workspace grows and shrinks along every axis between runs.
+	specs := append(taskGoldenSpecs(), bspSpec(), wavefrontSpec(),
+		Spec{Name: "wide", Engine: TaskPool, NumStages: 7, TasksPerStage: 90, TaskSec: 0.2,
+			SlotsPerNode: 6, Speculative: true, LocalityFrac: 0.4, NoiseSigma: 0.05, TaskSkewSigma: 0.1},
+		Spec{Name: "batch", Engine: Independent, BatchSec: 100, NoiseSigma: 0.02})
+	for _, s := range specs {
 		for _, nodes := range []int{8, 1, 3, 12} { // grows and shrinks the pooled slice
 			for seed := int64(1); seed <= 3; seed++ {
 				jobs = append(jobs, job{s, nodes, seed})
@@ -126,6 +144,11 @@ func TestStreamPoolReuseDeterministic(t *testing.T) {
 		}
 		if ref := sum / float64(j.nodes); math.Abs(want[i]-ref) > 1e-12*ref {
 			t.Errorf("independent, %d nodes, seed %d: %v, fresh streams give %v", j.nodes, j.seed, want[i], ref)
+		}
+	}
+	for i := len(jobs) - 1; i >= 0; i-- { // the same runs after other neighbours
+		if got := run(jobs[i]); got != want[i] {
+			t.Errorf("%s, %d nodes, seed %d: %v in reverse order, %v before", jobs[i].spec.Name, jobs[i].nodes, jobs[i].seed, got, want[i])
 		}
 	}
 	var wg sync.WaitGroup

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Node describes the shared hardware of one physical host. The defaults in
@@ -167,40 +166,88 @@ const (
 	dom0Penalty = 0.35
 )
 
-// Solve computes the contention equilibrium of node with the given
-// occupants. Occupants may not oversubscribe the node's cores (the paper's
-// testbed never overcommits vCPUs, Section 3.1).
-func Solve(node Node, occ []Occupant) (Result, error) {
+// validate checks a node and its occupants the way Solve documents.
+func validate(node Node, occ []Occupant) error {
 	if err := node.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if len(occ) == 0 {
-		return Result{}, errors.New("contention: no occupants")
+		return errors.New("contention: no occupants")
 	}
 	totalCores := 0
 	for i, o := range occ {
 		if err := o.Prof.Validate(); err != nil {
-			return Result{}, fmt.Errorf("occupant %d (%s): %w", i, o.Name, err)
+			return fmt.Errorf("occupant %d (%s): %w", i, o.Name, err)
 		}
 		if o.Cores <= 0 {
-			return Result{}, fmt.Errorf("occupant %d (%s): non-positive cores", i, o.Name)
+			return fmt.Errorf("occupant %d (%s): non-positive cores", i, o.Name)
 		}
 		totalCores += o.Cores
 	}
 	if totalCores > node.Cores {
-		return Result{}, fmt.Errorf("contention: %d cores requested on a %d-core node", totalCores, node.Cores)
+		return fmt.Errorf("contention: %d cores requested on a %d-core node", totalCores, node.Cores)
 	}
+	return nil
+}
 
+// Solve computes the contention equilibrium of node with the given
+// occupants. Occupants may not oversubscribe the node's cores (the paper's
+// testbed never overcommits vCPUs, Section 3.1).
+func Solve(node Node, occ []Occupant) (Result, error) {
+	if err := validate(node, occ); err != nil {
+		return Result{}, err
+	}
 	n := len(occ)
 	// One backing allocation for the five per-occupant vectors; the
 	// three-index slices keep their capacities disjoint so no appendable
 	// alias escapes in the Result.
 	buf := make([]float64, 5*n)
-	share := buf[0*n : 1*n : 1*n]
-	cpi := buf[1*n : 2*n : 2*n]
-	missGBps := buf[2*n : 3*n : 3*n]
-	miss := buf[3*n : 4*n : 4*n] // misses per second, for share competition
-	slowdown := buf[4*n : 5*n : 5*n]
+	res := Result{
+		ShareMB:  buf[0*n : 1*n : 1*n],
+		CPI:      buf[1*n : 2*n : 2*n],
+		MissGBps: buf[2*n : 3*n : 3*n],
+		Slowdown: buf[4*n : 5*n : 5*n],
+	}
+	res.BWUtil = equilibrium(node, occ, res.ShareMB, res.CPI, res.MissGBps, buf[3*n:4*n])
+	slowdowns(node, occ, res.CPI, res.Slowdown)
+	return res, nil
+}
+
+// stackOccupants is the occupant count up to which Slowdowns keeps the
+// equilibrium's vectors on its stack.
+const stackOccupants = 8
+
+// Slowdowns fills dst with Solve(node, occ).Slowdown[:len(dst)], bit for
+// bit, and computes nothing else that only the rest of a Result would
+// carry. It is for a caller that reads the slowdown of the leading
+// occupants only — the measurement layer appends background tenants whose
+// own slowdown nobody looks at, and each slowdown costs a solo fixed point
+// — and that solves often enough to mind Solve's allocation.
+func Slowdowns(node Node, occ []Occupant, dst []float64) error {
+	if err := validate(node, occ); err != nil {
+		return err
+	}
+	n := len(occ)
+	if len(dst) > n {
+		return fmt.Errorf("contention: %d slowdowns asked of %d occupants", len(dst), n)
+	}
+	var stack [4 * stackOccupants]float64
+	buf := stack[:]
+	if 4*n > len(buf) {
+		buf = make([]float64, 4*n)
+	}
+	cpi := buf[1*n : 2*n]
+	equilibrium(node, occ, buf[0*n:1*n], cpi, buf[2*n:3*n], buf[3*n:4*n])
+	slowdowns(node, occ, cpi, dst)
+	return nil
+}
+
+// equilibrium runs the damped share/latency iteration for validated
+// occupants, leaving each one's LLC share, effective CPI and memory traffic
+// in the given vectors (miss is scratch: misses per second, for the share
+// competition), and returns the bandwidth utilization.
+func equilibrium(node Node, occ []Occupant, share, cpi, missGBps, miss []float64) float64 {
+	n := len(occ)
 	for i := range share {
 		share[i] = node.LLCMB / float64(n)
 	}
@@ -209,7 +256,8 @@ func Solve(node Node, occ []Occupant) (Result, error) {
 	for iter := 0; iter < fixedPointIters; iter++ {
 		latEff := node.MemLatNs * (1 + queueWeight*util/(1-util))
 		var totalGBps float64
-		for i, o := range occ {
+		for i := range occ {
+			o := &occ[i]
 			mr := o.Prof.MissRatio(share[i])
 			missPI := o.Prof.APKI / 1000 * mr // misses per instruction
 			stallNs := missPI * latEff / o.Prof.MLP
@@ -245,60 +293,60 @@ func Solve(node Node, occ []Occupant) (Result, error) {
 			break
 		}
 	}
+	return util
+}
 
-	res := Result{
-		CPI:      cpi,
-		Slowdown: slowdown,
-		ShareMB:  share,
-		MissGBps: missGBps,
-		BWUtil:   util,
-	}
-	for i, o := range occ {
-		solo, err := SoloCPI(node, o)
-		if err != nil {
-			return Result{}, err
-		}
-		sd := cpi[i] / solo
+// slowdowns turns equilibrium CPIs into slowdowns relative to running
+// alone, for the first len(dst) occupants.
+func slowdowns(node Node, occ []Occupant, cpi, dst []float64) {
+	for i := range dst {
+		o := &occ[i]
+		sd := cpi[i] / soloCPI(node, o)
 		// Xen Dom0 blocked-I/O effect: co-runners with bursty CPU load
 		// intermittently deny the driver domain, hurting blocked I/O.
 		if o.Prof.BlockedIO {
 			var pressure float64
-			for j, other := range occ {
+			for j := range occ {
 				if j == i {
 					continue
 				}
-				coreFrac := float64(other.Cores) / float64(node.Cores)
-				pressure += other.Prof.CPUFluct * coreFrac
+				coreFrac := float64(occ[j].Cores) / float64(node.Cores)
+				pressure += occ[j].Prof.CPUFluct * coreFrac
 			}
 			sd *= 1 + dom0Penalty*pressure
 		}
 		if sd < 1 {
 			sd = 1
 		}
-		res.Slowdown[i] = sd
+		dst[i] = sd
 	}
-	return res, nil
 }
 
-// soloKey identifies a SoloCPI computation. Occupant.Name does not enter
-// the arithmetic and is deliberately excluded so renamed occupants share
-// entries.
-type soloKey struct {
-	node  Node
-	prof  MemProfile
-	cores int
+// soloKey is the bit pattern of everything soloCPI's arithmetic reads: the
+// node's cache, bandwidth, clock and latency, the profile's CPI, access
+// rate, miss-ratio curve and MLP, and the core count. Names, the node's
+// core count and the blocked-I/O fields do not enter it, so occupants that
+// differ only in those share an entry.
+type soloKey [12]uint64
+
+func soloKeyOf(node Node, o *Occupant) soloKey {
+	p, b := &o.Prof, math.Float64bits
+	return soloKey{
+		b(node.LLCMB), b(node.MemBWGBps), b(node.FreqGHz), b(node.MemLatNs),
+		b(p.CPICore), b(p.APKI), b(p.WSSMB), b(p.MRMin), b(p.MRMax), b(p.Gamma), b(p.MLP),
+		uint64(o.Cores),
+	}
 }
 
-// soloMemo caches SoloCPI results. SoloCPI is a pure function of its key
-// and Solve re-evaluates it for every occupant of every call, so the same
-// handful of workload and bubble profiles recur millions of times across
-// an experiment run. Insertions are bounded so environments that draw
-// profiles from a continuum (the EC2 background tenants) cannot grow the
-// map without limit; lookups past the cap simply miss and recompute.
-var (
-	soloMemo     sync.Map // soloKey -> float64
-	soloMemoSize atomic.Int64
-)
+// soloMemo caches soloCPI, which costs a quarter of a three-occupant
+// solve and is asked of the same handful of workload and bubble profiles
+// millions of times across an experiment run. Insertions are bounded so a
+// caller that draws profiles from a continuum cannot grow the map without
+// limit; lookups past the cap simply miss and recompute.
+var soloMemo = struct {
+	sync.RWMutex
+	m map[soloKey]float64
+}{m: map[soloKey]float64{}}
 
 const soloMemoCap = 1 << 14
 
@@ -314,12 +362,20 @@ func SoloCPI(node Node, o Occupant) (float64, error) {
 	if o.Cores <= 0 {
 		return 0, errors.New("contention: non-positive cores")
 	}
-	key := soloKey{node: node, prof: o.Prof, cores: o.Cores}
-	if v, ok := soloMemo.Load(key); ok {
-		return v.(float64), nil
+	return soloCPI(node, &o), nil
+}
+
+// soloCPI is SoloCPI for a validated node and occupant.
+func soloCPI(node Node, o *Occupant) float64 {
+	key := soloKeyOf(node, o)
+	soloMemo.RLock()
+	cpi, ok := soloMemo.m[key]
+	soloMemo.RUnlock()
+	if ok {
+		return cpi
 	}
 	util := 0.0
-	cpi := o.Prof.CPICore
+	cpi = o.Prof.CPICore
 	mr := o.Prof.MissRatio(node.LLCMB)
 	missPI := o.Prof.APKI / 1000 * mr
 	for iter := 0; iter < fixedPointIters; iter++ {
@@ -336,10 +392,10 @@ func SoloCPI(node Node, o Occupant) (float64, error) {
 			break
 		}
 	}
-	if soloMemoSize.Load() < soloMemoCap {
-		if _, dup := soloMemo.LoadOrStore(key, cpi); !dup {
-			soloMemoSize.Add(1)
-		}
+	soloMemo.Lock()
+	if len(soloMemo.m) < soloMemoCap {
+		soloMemo.m[key] = cpi
 	}
-	return cpi, nil
+	soloMemo.Unlock()
+	return cpi
 }

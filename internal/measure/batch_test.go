@@ -1,7 +1,9 @@
 package measure
 
 import (
+	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +236,37 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	e3 := newBatchEnv(t, 1, false)
 	if err := e3.Cache.LoadFile(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheKeyBytes pins the content-cache keys to the format persisted
+// cache files were written with: the workload renderings are memoized per
+// env, and a memoized key must be byte for byte the one fmt builds from
+// scratch — including for two workloads that share a name.
+func TestCacheKeyBytes(t *testing.T) {
+	e := newBatchEnv(t, 1, false)
+	a, b, c, grids := batchSuite(t)
+	renamed := c
+	renamed.Name = a.Name // same name, different definition
+	fp := e.fingerprint()
+	for pass := 0; pass < 2; pass++ { // cold, then from the memo
+		for _, w := range []workloads.Workload{a, renamed} {
+			want := fp + fmt.Sprintf("|bubbles|%+v|n=%d", w, len(grids[1]))
+			for _, p := range grids[1] {
+				want += "|" + strconv.FormatFloat(p, 'x', -1, 64)
+			}
+			if got := e.bubblesCacheKey(w, grids[1]); got != want {
+				t.Errorf("pass %d, bubbles key:\n got  %s\n want %s", pass, got, want)
+			}
+		}
+		want := fp + fmt.Sprintf("|corunner|%+v|co=%+v|n=%d|at=%v", a, b, 8, []int{0, 2, 5})
+		if got := e.coRunnerCacheKey(a, b, 8, map[int]bool{5: true, 0: true, 2: true}); got != want {
+			t.Errorf("pass %d, co-runner key:\n got  %s\n want %s", pass, got, want)
+		}
+		want = fp + fmt.Sprintf("|group|n=%d|%+v|%+v|%+v", 8, a, b, c)
+		if got := e.groupCacheKey([]workloads.Workload{a, b, c}, 8); got != want {
+			t.Errorf("pass %d, group key:\n got  %s\n want %s", pass, got, want)
+		}
 	}
 }
 

@@ -90,19 +90,28 @@ type Env struct {
 	fpOnce sync.Once
 	fp     string
 
-	// solveCache memoizes contention.Solve equilibria for background-free
-	// hosts, keyed by the ordered occupant content. Solve is a pure
-	// function of (HostSpec, occupants), so a hit returns bitwise the
-	// value a fresh solve would; within one background-free measurement
-	// every repetition re-solves identical hosts, which this collapses.
+	// workloadKeys holds each workload's rendering for the content-cache
+	// keys (guarded by mu); see workloadKey.
+	workloadKeys map[workloads.Workload]string
+
+	// solveCache memoizes the slowdowns of background-free hosts, keyed by
+	// the ordered occupants' bit patterns (see hostKey). The equilibrium
+	// is a pure function of (HostSpec, occupants), so a hit returns bitwise
+	// the value a fresh solve would; within one background-free measurement
+	// every repetition re-solves identical hosts, and across a profiling
+	// sweep the same few (workload, bubble pressure) hosts recur in every
+	// setting, which this collapses.
 	solveMu    sync.Mutex
-	solveCache map[string][]float64
+	solveCache map[hostKey][maxKeyedOccupants]float64
 }
 
-// solveCacheCap bounds the per-env solve memo; EC2-style background
-// tenants have continuous-valued profiles whose keys rarely repeat, and
-// the cap keeps them from growing the map without bound.
+// solveCacheCap bounds the per-env solve memo, so a caller that draws
+// occupant profiles from a continuum cannot grow the map without bound.
+// (Hosts with background tenants never reach the memo.)
 const solveCacheCap = 4096
+
+// workloadKeyCap bounds Env.workloadKeys the same way.
+const workloadKeyCap = 256
 
 // Metric names recorded by an instrumented Env. The actual-normalized
 // gauge carries an app label.
@@ -136,16 +145,16 @@ func (e *Env) nextNonce() int {
 	return e.nonce
 }
 
-// backgroundFor materializes the background occupants for a host in a
-// given repetition of the measurement identified by nonce. The stream
-// handed to the background function is per-(measurement, repetition) so
-// that implementations can model conditions shared across hosts.
-func (e *Env) backgroundFor(host, rep, nonce int) []contention.Occupant {
+// backgroundStream returns the stream the background function is handed
+// for every host in one repetition of the measurement identified by nonce,
+// or nil on a background-free environment. It is per-(measurement,
+// repetition), not per host, so that implementations can model conditions
+// shared across hosts.
+func (e *Env) backgroundStream(rep, nonce int) *sim.RNG {
 	if e.Background == nil {
 		return nil
 	}
-	r := e.rng().Stream("background").StreamN("nonce", nonce).StreamN("rep", rep)
-	return e.Background(host, r)
+	return e.rng().Stream("background").StreamN("nonce", nonce).StreamN("rep", rep)
 }
 
 // NewEnv returns an environment over the given cluster with the paper's
@@ -161,12 +170,13 @@ func NewEnv(c cluster.Cluster, seed int64) (*Env, error) {
 		return nil, fmt.Errorf("measure: a %d-core unit does not fit a %d-core host", cluster.UnitCores, c.HostSpec.Cores)
 	}
 	return &Env{
-		Cluster:    c,
-		Seed:       seed,
-		Reps:       3,
-		UnitCores:  cluster.UnitCores,
-		soloCache:  map[string]float64{},
-		solveCache: map[string][]float64{},
+		Cluster:      c,
+		Seed:         seed,
+		Reps:         3,
+		UnitCores:    cluster.UnitCores,
+		soloCache:    map[string]float64{},
+		workloadKeys: map[workloads.Workload]string{},
+		solveCache:   map[hostKey][maxKeyedOccupants]float64{},
 	}, nil
 }
 
@@ -228,15 +238,41 @@ func hexFloats(b *strings.Builder, vs []float64) {
 	}
 }
 
+// workloadKey is w as the content-cache keys embed it — fmt's %+v of the
+// whole definition, so workloads that differ in any parameter never share
+// an entry. Rendering some forty fields through reflection costs more than
+// the rest of a key together and a sweep plans thousands of jobs over the
+// same few workloads, so each distinct workload is rendered once per Env.
+func (e *Env) workloadKey(w workloads.Workload) string {
+	e.mu.Lock()
+	s, ok := e.workloadKeys[w]
+	e.mu.Unlock()
+	if ok {
+		return s
+	}
+	s = fmt.Sprintf("%+v", w)
+	e.mu.Lock()
+	if len(e.workloadKeys) < workloadKeyCap {
+		e.workloadKeys[w] = s
+	}
+	e.mu.Unlock()
+	return s
+}
+
 // bubblesCacheKey is the content address of a RunWithBubbles measurement,
 // or "" when caching is disabled.
 func (e *Env) bubblesCacheKey(w workloads.Workload, pressures []float64) string {
 	if !e.cacheEnabled() {
 		return ""
 	}
+	fp, wk := e.fingerprint(), e.workloadKey(w)
 	var b strings.Builder
-	b.WriteString(e.fingerprint())
-	fmt.Fprintf(&b, "|bubbles|%+v|n=%d", w, len(pressures))
+	b.Grow(len(fp) + len(wk) + 16 + 24*len(pressures)) // '|' and a pressure in hex: at most 24 bytes
+	b.WriteString(fp)
+	b.WriteString("|bubbles|")
+	b.WriteString(wk)
+	b.WriteString("|n=")
+	b.WriteString(strconv.Itoa(len(pressures)))
 	hexFloats(&b, pressures)
 	return b.String()
 }
@@ -254,7 +290,11 @@ func (e *Env) coRunnerCacheKey(w, co workloads.Workload, nodes int, coSet map[in
 	sortInts(coNodes)
 	var b strings.Builder
 	b.WriteString(e.fingerprint())
-	fmt.Fprintf(&b, "|corunner|%+v|co=%+v|n=%d|at=%v", w, co, nodes, coNodes)
+	b.WriteString("|corunner|")
+	b.WriteString(e.workloadKey(w))
+	b.WriteString("|co=")
+	b.WriteString(e.workloadKey(co))
+	fmt.Fprintf(&b, "|n=%d|at=%v", nodes, coNodes)
 	return b.String()
 }
 
@@ -268,7 +308,8 @@ func (e *Env) groupCacheKey(apps []workloads.Workload, nodes int) string {
 	b.WriteString(e.fingerprint())
 	fmt.Fprintf(&b, "|group|n=%d", nodes)
 	for _, a := range apps {
-		fmt.Fprintf(&b, "|%+v", a)
+		b.WriteByte('|')
+		b.WriteString(e.workloadKey(a))
 	}
 	return b.String()
 }
@@ -284,70 +325,99 @@ func (e *Env) net() netsim.Network {
 func (e *Env) rng() *sim.RNG { return sim.NewRNG(e.Seed) }
 
 // slowdownOn solves one host's contention equilibrium and returns the
-// slowdown of the occupant at index 0 (the measured application).
-func (e *Env) slowdownOn(host int, occ []contention.Occupant, rep, nonce int) (float64, error) {
-	sl, err := e.solveHost(occ, host, rep, nonce)
-	if err != nil {
+// slowdown of the occupant at index 0 (the measured application). bg is
+// the repetition's background stream (see solveHost).
+func (e *Env) slowdownOn(host int, occ []contention.Occupant, bg *sim.RNG) (float64, error) {
+	var sl [1]float64
+	if err := e.solveHost(sl[:], occ, host, bg); err != nil {
 		return 0, fmt.Errorf("measure: host %d: %w", host, err)
 	}
 	return sl[0] * e.degrade(host), nil
 }
 
-// solveHost returns the slowdown vector for the host's occupants plus any
-// background interference. Background-free solves go through the shared
-// memo; the returned slice may be shared and must not be mutated.
-func (e *Env) solveHost(occ []contention.Occupant, host, rep, nonce int) ([]float64, error) {
-	bg := e.backgroundFor(host, rep, nonce)
-	if len(bg) == 0 {
-		return e.solveShared(occ)
+// solveHost fills dst with the slowdowns of the first len(dst) occupants
+// when the host additionally carries whatever background interference the
+// repetition's stream bg (nil on a background-free environment) draws for
+// it. Background-free hosts go through the shared memo. occ's spare
+// capacity may be overwritten.
+func (e *Env) solveHost(dst []float64, occ []contention.Occupant, host int, bg *sim.RNG) error {
+	if bg != nil {
+		// Every host is handed the repetition's stream from its start:
+		// what a background function draws from it directly is shared by
+		// all hosts of the repetition.
+		bg.Reset(bg.Seed())
+		if tenants := e.Background(host, bg); len(tenants) > 0 {
+			return contention.Slowdowns(e.Cluster.HostSpec, append(occ, tenants...), dst)
+		}
 	}
-	res, err := contention.Solve(e.Cluster.HostSpec, append(occ, bg...))
-	if err != nil {
-		return nil, err
-	}
-	return res.Slowdown, nil
+	return e.solveShared(dst, occ)
 }
 
-// occupantsKey serializes an ordered occupant list bit-exactly. Names are
-// excluded: the equilibrium depends only on profiles and core counts.
-func occupantsKey(occ []contention.Occupant) string {
-	var b strings.Builder
-	b.Grow(len(occ) * 96)
-	for _, o := range occ {
-		p := o.Prof
-		fmt.Fprintf(&b, "|%d", o.Cores)
-		for _, f := range [...]float64{p.CPICore, p.APKI, p.WSSMB, p.MRMin, p.MRMax, p.Gamma, p.MLP, p.CPUFluct} {
-			fmt.Fprintf(&b, ",%x", math.Float64bits(f))
-		}
+// maxKeyedOccupants is the longest occupant list the solve memo keys; the
+// paper's hosts hold two units. Longer lists (a wide group, a placement
+// with many slots per host) are solved directly.
+const maxKeyedOccupants = 4
+
+// occupantKey is the bit pattern of everything an occupant contributes to
+// a host's equilibrium: its eight profile parameters, its core count and
+// its blocked-I/O flag. Bit patterns, not float values, so that -0 and +0
+// stay apart and a NaN equals itself. Names are excluded: the equilibrium
+// depends only on profiles and core counts.
+type occupantKey [10]uint64
+
+// hostKey identifies an ordered occupant list of at most maxKeyedOccupants
+// entries by value.
+type hostKey struct {
+	n   int
+	occ [maxKeyedOccupants]occupantKey
+}
+
+// hostKeyOf returns the memo key of occ; ok is false for lists too long to
+// key.
+func hostKeyOf(occ []contention.Occupant) (key hostKey, ok bool) {
+	if len(occ) > maxKeyedOccupants {
+		return key, false
+	}
+	key.n = len(occ)
+	for i := range occ {
+		p, b := &occ[i].Prof, math.Float64bits
+		io := uint64(0)
 		if p.BlockedIO {
-			b.WriteString(",io")
+			io = 1
+		}
+		key.occ[i] = occupantKey{
+			b(p.CPICore), b(p.APKI), b(p.WSSMB), b(p.MRMin), b(p.MRMax), b(p.Gamma), b(p.MLP), b(p.CPUFluct),
+			uint64(occ[i].Cores), io,
 		}
 	}
-	return b.String()
+	return key, true
 }
 
-// solveShared is a memoized contention.Solve over the env's host spec.
-// Racing workers may compute the same key concurrently; both produce the
+// solveShared is a memoized contention.Slowdowns over the env's host spec,
+// filling dst with the slowdowns of the first len(dst) occupants. Racing
+// workers may compute the same key concurrently; both produce the
 // identical (pure-function) value, so whichever lands in the memo first is
 // indistinguishable from the other.
-func (e *Env) solveShared(occ []contention.Occupant) ([]float64, error) {
-	key := occupantsKey(occ)
+func (e *Env) solveShared(dst []float64, occ []contention.Occupant) error {
+	key, ok := hostKeyOf(occ)
+	if !ok || len(dst) > len(occ) {
+		return contention.Slowdowns(e.Cluster.HostSpec, occ, dst)
+	}
 	e.solveMu.Lock()
 	sl, ok := e.solveCache[key]
 	e.solveMu.Unlock()
-	if ok {
-		return sl, nil
+	if !ok {
+		if err := contention.Slowdowns(e.Cluster.HostSpec, occ, sl[:len(occ)]); err != nil {
+			return err
+		}
+		e.solveMu.Lock()
+		if len(e.solveCache) < solveCacheCap {
+			e.solveCache[key] = sl
+		}
+		e.solveMu.Unlock()
 	}
-	res, err := contention.Solve(e.Cluster.HostSpec, occ)
-	if err != nil {
-		return nil, err
-	}
-	e.solveMu.Lock()
-	if len(e.solveCache) < solveCacheCap {
-		e.solveCache[key] = res.Slowdown
-	}
-	e.solveMu.Unlock()
-	return res.Slowdown, nil
+	copy(dst, sl[:])
+	return nil
 }
 
 // degrade returns the host's fault-injected slowdown factor (1 when
@@ -397,17 +467,18 @@ func (e *Env) checkBubbles(pressures []float64) error {
 // function of (env configuration, w, pressures, nonce) and therefore safe
 // to run on a batch worker.
 func (e *Env) bubblesBody(w workloads.Workload, pressures []float64, nonce int) (float64, error) {
-	nodes := len(pressures)
 	span := e.Tracer.StartSpan("measure.bubbles/" + w.Name)
 	times := make([]float64, 0, e.Reps)
+	sd := make([]float64, len(pressures))
+	var scratch [maxKeyedOccupants]contention.Occupant
 	for rep := 0; rep < e.Reps; rep++ {
-		sd := make([]float64, nodes)
+		bg := e.backgroundStream(rep, nonce)
 		for i, p := range pressures {
-			occ := []contention.Occupant{{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores}}
+			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
 			if p > 0 {
 				occ = append(occ, contention.Occupant{Name: "bubble", Prof: bubble.Profile(p), Cores: e.UnitCores})
 			}
-			s, err := e.slowdownOn(i, occ, rep, nonce)
+			s, err := e.slowdownOn(i, occ, bg)
 			if err != nil {
 				return 0, err
 			}
@@ -542,14 +613,16 @@ func (e *Env) checkCoRunner(nodes int, coNodes []int) (map[int]bool, error) {
 // coRunnerBody is the worker-safe measurement body of RunWithCoRunner.
 func (e *Env) coRunnerBody(w, co workloads.Workload, nodes int, coSet map[int]bool, nonce int) (float64, error) {
 	times := make([]float64, 0, e.Reps)
+	sd := make([]float64, nodes)
+	var scratch [maxKeyedOccupants]contention.Occupant
 	for rep := 0; rep < e.Reps; rep++ {
-		sd := make([]float64, nodes)
+		bg := e.backgroundStream(rep, nonce)
 		for i := 0; i < nodes; i++ {
-			occ := []contention.Occupant{{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores}}
+			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
 			if coSet[i] {
 				occ = append(occ, contention.Occupant{Name: co.Name, Prof: co.GenProfile(1), Cores: e.UnitCores})
 			}
-			s, err := e.slowdownOn(i, occ, rep, nonce)
+			s, err := e.slowdownOn(i, occ, bg)
 			if err != nil {
 				return 0, err
 			}
@@ -630,40 +703,36 @@ func (e *Env) checkGroup(apps []workloads.Workload, nodes int) error {
 func (e *Env) groupBody(apps []workloads.Workload, nodes, nonce int) ([]float64, error) {
 	defer e.Tracer.StartSpan("measure.group").End()
 	sums := make([]float64, len(apps))
+	sl := make([]float64, len(apps))       // one host's slowdowns
+	sd := make([]float64, len(apps)*nodes) // app j's per-node slowdowns at [j*nodes:]
+	// One spare entry so a single background tenant is appended in place.
+	occ := make([]contention.Occupant, len(apps), len(apps)+1)
 	for rep := 0; rep < e.Reps; rep++ {
-		sd := make([][]float64, len(apps))
-		for j := range sd {
-			sd[j] = make([]float64, nodes)
-		}
+		bg := e.backgroundStream(rep, nonce)
 		for i := 0; i < nodes; i++ {
-			occ := make([]contention.Occupant, 0, len(apps)+1)
-			for _, a := range apps {
-				occ = append(occ, contention.Occupant{
-					Name: a.Name, Prof: a.GenProfile(i), Cores: e.UnitCores,
-				})
+			for j, a := range apps {
+				occ[j] = contention.Occupant{Name: a.Name, Prof: a.GenProfile(i), Cores: e.UnitCores}
 			}
-			sl, err := e.solveHost(occ, i, rep, nonce)
-			if err != nil {
+			if err := e.solveHost(sl, occ, i, bg); err != nil {
 				return nil, err
 			}
 			f := e.degrade(i)
 			for j := range apps {
-				sd[j][i] = sl[j] * f
+				sd[j*nodes+i] = sl[j] * f
 			}
 		}
 		for j, a := range apps {
-			t, err := e.runOnce(a, sd[j], rep)
+			t, err := e.runOnce(a, sd[j*nodes:(j+1)*nodes], rep)
 			if err != nil {
 				return nil, err
 			}
 			sums[j] += t
 		}
 	}
-	means := make([]float64, len(apps))
 	for j := range sums {
-		means[j] = sums[j] / float64(e.Reps)
+		sums[j] /= float64(e.Reps)
 	}
-	return means, nil
+	return sums, nil
 }
 
 // groupOutcomes combines group mean times with the per-app solo baselines.
@@ -731,7 +800,9 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 
 	nonce := e.nextNonce()
 	sums := map[string]float64{}
+	sl := make([]float64, p.HostSlots)
 	for rep := 0; rep < e.Reps; rep++ {
+		bg := e.backgroundStream(rep, nonce)
 		// Solve every host once per repetition; one occupant per unit,
 		// so sibling units of the same application interfere like any
 		// other co-location.
@@ -755,8 +826,7 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 			if len(occ) == 0 {
 				continue
 			}
-			sl, err := e.solveHost(occ, h, rep, nonce)
-			if err != nil {
+			if err := e.solveHost(sl[:len(occ)], occ, h, bg); err != nil {
 				return nil, fmt.Errorf("measure: host %d: %w", h, err)
 			}
 			f := e.degrade(h)

@@ -320,6 +320,53 @@ func TestBackgroundInjection(t *testing.T) {
 	}
 }
 
+// TestBackgroundStreamContract pins what a BackgroundFunc is handed: the
+// stream of the (measurement, repetition), identical for every host and at
+// its start for every host — so direct draws model conditions all hosts
+// share — and a different one for the next repetition and the next
+// measurement.
+func TestBackgroundStreamContract(t *testing.T) {
+	e := newTestEnv(t) // 2 repetitions
+	e.UnitCores = 4
+	type call struct {
+		host int
+		seed int64
+		draw float64
+	}
+	var calls []call
+	e.Background = func(host int, r *sim.RNG) []contention.Occupant {
+		calls = append(calls, call{host, r.Seed(), r.Float64()})
+		return nil
+	}
+	w := wl(t, "M.milc")
+	for m := 0; m < 2; m++ {
+		if _, err := e.RunWithBubbles(w, make([]float64, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(calls) != 2*2*4 {
+		t.Fatalf("%d background calls, want 16 (2 measurements x 2 repetitions x 4 hosts)", len(calls))
+	}
+	want := sim.NewRNG(e.Seed).Stream("background").StreamN("nonce", 1).StreamN("rep", 0)
+	if calls[0].seed != want.Seed() || calls[0].draw != want.Float64() {
+		t.Errorf("first call saw seed %d draw %v, want the (nonce 1, rep 0) stream from its start", calls[0].seed, calls[0].draw)
+	}
+	seen := map[int64]bool{}
+	for g := 0; g < len(calls); g += 4 {
+		first := calls[g]
+		if seen[first.seed] {
+			t.Errorf("repetition %d reuses an earlier repetition's stream", g/4)
+		}
+		seen[first.seed] = true
+		for i, c := range calls[g : g+4] {
+			if c.host != i || c.seed != first.seed || c.draw != first.draw {
+				t.Errorf("repetition %d: host call %+v, want host %d with the repetition's seed %d and first draw %v",
+					g/4, c, i, first.seed, first.draw)
+			}
+		}
+	}
+}
+
 func TestDeterminismAcrossEnvs(t *testing.T) {
 	w := wl(t, "N.cg")
 	ps, _ := HomogeneousPressures(8, 2, 4)
