@@ -38,6 +38,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/measure"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/profile"
 	"repro/internal/serve"
@@ -548,6 +549,48 @@ func TestAppRunAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestPlaceAllocCeiling: a warm placement request through the service, with
+// the registry, tracer and SLO tracker attached as interfd attaches them,
+// allocates what its search and its response need and nothing for the
+// serving machinery beyond one pending record and five spans: no batch
+// slice, no per-request backend maps, no quantile refresh, no shared-cache
+// growth. Measured 3.1 KB per request; the batch dispatcher with the
+// cross-request prediction cache spent 4.8 KB on the same requests.
+func TestPlaceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 4608 // bytes per request, 1.5 x the measured figure
+	reg := telemetry.NewRegistry()
+	slo, err := obs.NewSLOTracker(obs.DefaultSLOConfig(), reg, obs.NewBus(obs.DefaultBusBuffer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := benchService(t, serve.Config{
+		Iterations: 600, Workers: 1,
+		Telemetry: reg, Tracer: telemetry.NewTracer(telemetry.DefaultSpanCapacity), SLO: slo,
+	})
+	req := serve.PlaceRequest{Apps: []serve.AppDemand{
+		{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}, {App: "d", Units: 4},
+	}}
+	const requests = 500
+	run := func() {
+		for i := 0; i < requests; i++ {
+			req.Seed++
+			if _, status, err := s.Place(req); err != nil || status != 200 {
+				t.Fatalf("status %d: %v", status, err)
+			}
+		}
+	}
+	run() // warm the pooled search workspaces and, at five spans a
+	run() // request, fill the tracer's ring (4096 records)
+	perRequest := totalAllocOf(run) / requests
+	if perRequest > ceiling {
+		t.Errorf("%d B per warm placement request, ceiling %d", perRequest, ceiling)
+	}
+	t.Logf("%d B per warm placement request", perRequest)
+}
+
 // TestMeasureBodyAllocCeiling: on a background-free environment a warm
 // bubble measurement allocates per job and per repetition (the times, the
 // slowdown vector, the run's stream derivations), never per host: the host
@@ -764,13 +807,11 @@ func BenchmarkRunPlacement(b *testing.B) {
 
 // benchService builds a ready placement service over the synthetic
 // 8-host problem, shared setup for the serving-plane benchmarks.
-func benchService(b *testing.B, iters, maxBatch int) *serve.Service {
+func benchService(b testing.TB, cfg serve.Config) *serve.Service {
 	b.Helper()
-	s, err := serve.New(serve.Config{
-		NumHosts: 8, SlotsPerHost: 2, Seed: 1,
-		Iterations: iters, Restarts: 1,
-		QueueDepth: 256, MaxBatch: maxBatch,
-	})
+	cfg.NumHosts, cfg.SlotsPerHost, cfg.Seed = 8, 2, 1
+	cfg.Restarts, cfg.QueueDepth = 1, 256
+	s, err := serve.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -781,11 +822,12 @@ func benchService(b *testing.B, iters, maxBatch int) *serve.Service {
 }
 
 // BenchmarkPlaceRequest measures one placement request end to end
-// through the service — admission, batched search, response assembly —
+// through the service — admission, the hand-off to a pool worker, the
+// search, response assembly —
 // with the same synthetic predictors as BenchmarkPlacementSearch, so the
 // delta between the two is the serving overhead plus tracing.
 func BenchmarkPlaceRequest(b *testing.B) {
-	s := benchService(b, 600, 8)
+	s := benchService(b, serve.Config{Iterations: 600})
 	req := serve.PlaceRequest{Apps: []serve.AppDemand{
 		{App: "a", Units: 4}, {App: "b", Units: 4},
 		{App: "c", Units: 4}, {App: "d", Units: 4},
@@ -800,12 +842,12 @@ func BenchmarkPlaceRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmissionQueue isolates the admission machinery — enqueue,
-// deterministic batch formation, ordered merge, span bookkeeping — by
+// BenchmarkAdmissionQueue isolates the admission machinery — validation,
+// enqueue, the hand-off to a pool worker and back, span bookkeeping — by
 // making the search itself nearly free (one iteration) and hammering the
 // queue from parallel clients.
 func BenchmarkAdmissionQueue(b *testing.B) {
-	s := benchService(b, 1, 16)
+	s := benchService(b, serve.Config{Iterations: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

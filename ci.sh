@@ -4,9 +4,10 @@
 # race detector (which covers the command smokes in cmd/ and the
 # observability-plane handler tests in internal/obs and cmd/interfd), the
 # bench/ module's own vet and unit tests, a second uncached race pass for
-# determinism, a fuzz smoke of every target, and the loadgen determinism
-# smoke against a live serve-only daemon. Timings are not gated here: the
-# benchmark of record is bench/ (`make bench`). Run it before every commit.
+# determinism, a soak of the placement service's concurrency tests, a fuzz
+# smoke of every target, and the loadgen determinism smoke against a live
+# serve-only daemon. Timings are not gated here: the benchmark of record is
+# bench/ (`make bench`). Run it before every commit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -47,6 +48,13 @@ echo "== go test -race -count=2 (determinism: every package but the exclusions b
 race_twice="$(go list ./... | grep -v -e '^repro/cmd/')"
 # shellcheck disable=SC2086 # one package per word
 go test -race -count=2 $race_twice
+
+echo "== serve soak (-race -count=20 of the worker pool's concurrency tests) =="
+# internal/serve is the one package whose tests hold requests in flight
+# on purpose (side-by-side execution, queue overflow, panic containment,
+# Close under load, determinism under concurrent admission). Twice is not
+# a soak for those: run them twenty times under the race detector.
+go test -race -count=20 ./internal/serve -run 'SideBySide|QueueFull|Panic|Close|DeterministicUnderConcurrency'
 
 echo "== fuzz smoke (10s per target) =="
 # Short exploratory runs of every fuzz target in the tree (the committed

@@ -74,7 +74,7 @@ type daemonConfig struct {
 	rounds           int // 0 = run until the context is cancelled
 	workMin, workMax float64
 	samples          int // heterogeneity samples per model build
-	workers          int // measurement batch workers (0 = GOMAXPROCS)
+	workers          int // measurement batch workers and placement API search workers (0 = GOMAXPROCS)
 	searchIters      int // placement-search iterations per round
 	searchRestarts   int // parallel annealing restarts per round
 	searchCells      int // hierarchical-search cells (0 = adaptive, 1 = flat search)
@@ -100,7 +100,6 @@ type daemonConfig struct {
 	serveOnly      bool          // skip the round loop; serve the API until signalled
 	addrFile       string        // write the bound listen address to this file ("" = none)
 	serveQueue     int           // admission-queue depth
-	serveBatch     int           // max requests per dispatcher batch
 	sloTarget      float64       // end-to-end latency SLO target, seconds
 	sloBudget      float64       // error budget (violating fraction allowed)
 	sloWindow      int           // sliding-window size, requests (test hook)
@@ -131,7 +130,6 @@ func defaultDaemonConfig() daemonConfig {
 		driftAuditPath:  "interfd-decisions.jsonl",
 		driftAuditCap:   drift.DefaultAuditCap,
 		serveQueue:      64,
-		serveBatch:      8,
 		sloTarget:       obs.DefaultSLOConfig().TargetSeconds,
 		sloBudget:       obs.DefaultSLOConfig().Budget,
 		sloWindow:       obs.DefaultSLOConfig().Window,
@@ -150,7 +148,7 @@ func main() {
 		batch     = flag.Int("batch", cfg.batch, "jobs per scheduling round")
 		rounds    = flag.Int("rounds", cfg.rounds, "rounds to run (0 = until SIGINT/SIGTERM)")
 		samples   = flag.Int("profile-samples", cfg.samples, "heterogeneity samples per startup model build")
-		workers   = flag.Int("workers", cfg.workers, "measurement batch workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
+		workers   = flag.Int("workers", cfg.workers, "measurement batch workers and placement API search workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 		iters     = flag.Int("search-iters", cfg.searchIters, "placement-search iterations per round")
 		restarts  = flag.Int("search-restarts", cfg.searchRestarts, "independent annealing restarts per round, run in parallel")
 		scells    = flag.Int("search-cells", cfg.searchCells, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
@@ -165,7 +163,6 @@ func main() {
 		serveOnly = flag.Bool("serve-only", cfg.serveOnly, "skip the round loop: profile, arm the placement API, and serve until SIGINT/SIGTERM")
 		addrFile  = flag.String("addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
 		srvQueue  = flag.Int("serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
-		srvBatch  = flag.Int("serve-batch", cfg.serveBatch, "max placement requests executed per dispatcher batch")
 		sloTarget = flag.Float64("slo-target", cfg.sloTarget, "placement API latency SLO target, seconds")
 		sloBudget = flag.Float64("slo-budget", cfg.sloBudget, "placement API error budget: allowed violating request fraction in (0,1)")
 		report    = flag.String("report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
@@ -192,7 +189,7 @@ func main() {
 	cfg.driftStaleAfter, cfg.driftMinObs = *dStale, *dMinObs
 	cfg.driftAuditPath, cfg.driftAuditCap = *dAudit, *dAuditCap
 	cfg.serveOnly, cfg.addrFile = *serveOnly, *addrFile
-	cfg.serveQueue, cfg.serveBatch = *srvQueue, *srvBatch
+	cfg.serveQueue = *srvQueue
 	cfg.sloTarget, cfg.sloBudget = *sloTarget, *sloBudget
 	switch *policyStr {
 	case schedule.ModelDriven.String():
@@ -270,8 +267,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 		NumHosts: cfg.hosts, SlotsPerHost: cfg.slots,
 		Seed:       cfg.seed,
 		Iterations: cfg.searchIters, Restarts: cfg.searchRestarts,
-		QueueDepth: cfg.serveQueue, MaxBatch: cfg.serveBatch,
-		Workers:   cfg.workers,
+		QueueDepth: cfg.serveQueue, Workers: cfg.workers,
 		Telemetry: reg, Tracer: tracer, SLO: slo, Logger: logger,
 	})
 	if err != nil {

@@ -145,7 +145,7 @@ func TestDaemonPlacementAPI(t *testing.T) {
 	// Metrics: serve_* family and process health in the exposition.
 	_, metrics := get(t, base+"/metrics")
 	for _, want := range []string{
-		serve.MetricBatches, serve.HistE2E + "_bucket",
+		serve.MetricQueueDepth, serve.HistE2E + "_bucket",
 		serve.HistE2E + "_p50", obs.RuntimeMetricGoroutines,
 		obs.SLOMetricRequests,
 	} {

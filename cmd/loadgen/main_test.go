@@ -32,7 +32,7 @@ func testTarget(t *testing.T) string {
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		NumHosts: 8, SlotsPerHost: 2, Seed: 42,
-		Iterations: 60, QueueDepth: 64, MaxBatch: 4,
+		Iterations: 60, QueueDepth: 64, Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

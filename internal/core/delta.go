@@ -235,8 +235,10 @@ func (t *floatKeyTable) grow() {
 // trajectory.
 //
 // A cache is not safe for concurrent use; give each goroutine its own
-// (the parallel placement search keeps one per walk). The name-keyed,
-// concurrency-safe tier shared across searches is SharedPredictionCache.
+// (the parallel placement search keeps one per walk). It is the only
+// prediction cache: nothing is memoized across searches, because every
+// Predictor in the tree costs about what a probe of a table too large for
+// the processor's caches costs.
 type PredictionCache struct {
 	pt floatKeyTable // (app index, pressure vector) -> prediction
 	ct floatKeyTable // co-runner score vector -> combined pressure

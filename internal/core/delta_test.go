@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -210,5 +211,39 @@ func TestDeltaPredictErrors(t *testing.T) {
 		if err := DeltaPredictPos(e.g, e.pst, []int32{a}, failIx, cache, e.inc); err == nil {
 			t.Errorf("cache=%v: predictor error should propagate", cache != nil)
 		}
+	}
+}
+
+// TestCacheSignedZeroHits: +0 and -0 compare equal and every predictor
+// is a pure function of the float values, so a -0 entry must hit the +0
+// entry's memo instead of recomputing under a distinct key.
+func TestCacheSignedZeroHits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cache := NewPredictionCache()
+	calls := 0
+	pred := countingPred{sumPred{0.4}, &calls}
+
+	v1, err := cache.predict(0, pred, []float64{0, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("cold predict made %d calls, want 1", calls)
+	}
+	v2, err := cache.predict(0, pred, []float64{negZero, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("-0 vector recomputed (calls=%d): signed zero missed the cache", calls)
+	}
+	if v1 != v2 {
+		t.Errorf("predictions differ across zero signs: %v vs %v", v1, v2)
+	}
+	if hits, _ := cache.Stats(); hits != 1 {
+		t.Errorf("hits = %d, want 1 (the -0 lookup)", hits)
+	}
+	if keyBits(negZero) != 0 || keyBits(0.0) != 0 {
+		t.Error("keyBits(±0) must be 0")
 	}
 }

@@ -7,10 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestPredictHotPathZeroAllocs pins the steady-state memo probes at zero
-// allocations: a warm index-keyed predict and a warm name-keyed shared
-// Predict must not touch the heap (TestDeltaPredictPosEquivalence pins
-// the whole warm delta prediction).
+// TestPredictHotPathZeroAllocs pins the steady-state memo probe at zero
+// allocations: a warm index-keyed predict must not touch the heap
+// (TestDeltaPredictPosEquivalence pins the whole warm delta prediction).
 func TestPredictHotPathZeroAllocs(t *testing.T) {
 	var pred Predictor = sumPred{0.3} // boxed once, not per call
 	ps := []float64{6, 0.5, 0.5}
@@ -25,18 +24,6 @@ func TestPredictHotPathZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm predict allocates %v/run, want 0", allocs)
-	}
-
-	shared := NewSharedPredictionCache()
-	if _, err := shared.Predict("a", pred, ps); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := shared.Predict("a", pred, ps); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("warm shared Predict allocates %v/run, want 0", allocs)
 	}
 }
 

@@ -218,6 +218,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before announcing the stream: a client that has seen the
+	// headers may rely on every event published from then on reaching it.
+	ch, cancel := s.opts.Bus.Subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -225,8 +229,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, ": stream open\n\n")
 	fl.Flush()
 
-	ch, cancel := s.opts.Bus.Subscribe()
-	defer cancel()
 	s.log.Debug("sse client connected", "remote", r.RemoteAddr)
 	defer s.log.Debug("sse client disconnected", "remote", r.RemoteAddr)
 

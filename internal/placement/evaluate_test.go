@@ -95,45 +95,3 @@ func TestEvaluateErrors(t *testing.T) {
 		t.Error("missing predictors accepted")
 	}
 }
-
-// TestSearchUnperturbedBySharedCache pins the serving plane's core
-// determinism claim: running Search with predictors wrapped by a shared
-// core.SharedPredictionCache yields a bit-identical Result to the plain
-// search, because cache hits reproduce predictions exactly.
-func TestSearchUnperturbedBySharedCache(t *testing.T) {
-	cfg := DefaultConfig(23)
-	cfg.Iterations = 400
-	cfg.Restarts = 2
-
-	plainReq := testRequest()
-	plain, err := Search(plainReq, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sc := core.NewSharedPredictionCache()
-	sharedReq := testRequest()
-	sharedReq.Predictors = sc.WrapAll(sharedReq.Predictors)
-	// Two rounds: the second runs against a warm shared cache.
-	for round := 0; round < 2; round++ {
-		got, err := Search(sharedReq, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Objective != plain.Objective {
-			t.Errorf("round %d: objective %x, plain %x", round, got.Objective, plain.Objective)
-		}
-		if !reflect.DeepEqual(got.Predicted, plain.Predicted) {
-			t.Errorf("round %d: predictions diverged: %v vs %v", round, got.Predicted, plain.Predicted)
-		}
-		if !reflect.DeepEqual(grid(got.Placement), grid(plain.Placement)) {
-			t.Errorf("round %d: placements diverged", round)
-		}
-		if got.Evaluations != plain.Evaluations {
-			t.Errorf("round %d: evaluations %d, plain %d", round, got.Evaluations, plain.Evaluations)
-		}
-	}
-	if _, misses := sc.Stats(); misses == 0 {
-		t.Error("shared cache never reached by the search")
-	}
-}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"sync"
 )
 
 // maxBodyBytes bounds request bodies; placement requests are tiny.
@@ -16,7 +18,7 @@ type errorBody struct {
 // Routes returns the handlers to mount on the observability mux
 // (obs.Options.Routes):
 //
-//	POST /api/place     run the placement search (batched admission)
+//	POST /api/place     run the placement search (bounded queue, worker pool)
 //	POST /api/whatif    score one concrete placement
 //
 // Responses carry the request ID in the X-Request-ID header, matching the
@@ -54,10 +56,28 @@ func writeResponse(w http.ResponseWriter, resp Response, status int, err error) 
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	e := responseEncoders.Get().(*responseEncoder)
+	e.buf.Reset()
+	if e.enc.Encode(resp) == nil {
+		_, _ = w.Write(e.buf.Bytes())
+	}
+	responseEncoders.Put(e)
 }
+
+// responseEncoder is an indenting JSON encoder over its own buffer, pooled
+// so a response reuses the last one's encode and indent storage instead of
+// growing both from nil.
+type responseEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var responseEncoders = sync.Pool{New: func() any {
+	e := &responseEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
 
 func (s *Service) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req PlaceRequest

@@ -4,15 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/placement"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -26,16 +27,8 @@ const (
 	MetricErrors = "serve_errors_total"
 	// MetricPanics counts searches that panicked and were answered 500.
 	MetricPanics = "serve_panics_total"
-	// MetricBatches counts dispatcher batches executed.
-	MetricBatches = "serve_batches_total"
-	// MetricBatchSize is the size of the last executed batch.
-	MetricBatchSize = "serve_batch_size"
 	// MetricQueueDepth is the current admission-queue occupancy.
 	MetricQueueDepth = "serve_queue_depth"
-	// MetricCacheHits/Misses is the shared prediction-cache traffic
-	// attributable to serving (deltas accumulated per batch).
-	MetricCacheHits   = "serve_pred_cache_hits_total"
-	MetricCacheMisses = "serve_pred_cache_misses_total"
 	// MetricCombineHits/Misses is the combine-memo traffic of the
 	// per-search caches (the co-runner score -> combined-pressure layer),
 	// accumulated from each search's Result.
@@ -43,7 +36,7 @@ const (
 	MetricCombineMisses = "serve_pred_cache_combine_misses_total"
 
 	// Per-stage latency histograms; each also exports interpolated
-	// <name>_p50/_p95/_p99 gauges refreshed as requests complete.
+	// <name>_p50/_p95/_p99 gauges, derived when the registry is read.
 	HistQueue   = "serve_queue_seconds"
 	HistService = "serve_service_seconds"
 	HistE2E     = "serve_e2e_seconds"
@@ -76,14 +69,12 @@ type Config struct {
 	// not override them (600 / 1).
 	Iterations int
 	Restarts   int
-	// QueueDepth bounds the admission queue (default 64); a full queue
-	// rejects with 429 rather than building unbounded backlog.
+	// QueueDepth bounds how many admitted requests may wait for a free
+	// worker (default 64); a full queue rejects with 429 rather than
+	// building unbounded backlog.
 	QueueDepth int
-	// MaxBatch bounds how many queued requests one dispatcher batch
-	// executes together (default 8).
-	MaxBatch int
-	// Workers bounds batch parallelism (default GOMAXPROCS, capped at
-	// MaxBatch).
+	// Workers is how many searches run side by side (default
+	// GOMAXPROCS); each worker owns one request from dequeue to reply.
 	Workers int
 
 	// Telemetry receives the serve_* metric family; Tracer the per-
@@ -106,32 +97,28 @@ type Backend struct {
 // Service is the placement-as-a-service engine. Construct with New, arm
 // with SetBackend once models exist, and mount Routes on the obs server.
 type Service struct {
-	cfg    Config
-	log    *slog.Logger
-	shared *core.SharedPredictionCache
+	cfg Config
+	log *slog.Logger
 
-	mu     sync.RWMutex // guards preds/scores (the armed backend)
-	preds  map[string]core.Predictor
-	scores map[string]float64
+	// backend is the armed model state (nil until SetBackend). Each
+	// published value is a private copy that is never mutated, so requests
+	// read it without a lock and share it without copying.
+	backend atomic.Pointer[Backend]
 
-	closeMu sync.RWMutex
+	closeMu sync.RWMutex // orders admissions against Close
 	closed  bool
 	queue   chan *pending
-	stop    chan struct{}
-	done    chan struct{}
+	workers sync.WaitGroup
 
 	reqPlace, reqWhatIf, rejected, errs *telemetry.Counter
 	panics                              *telemetry.Counter
-	batches, cacheHits, cacheMisses     *telemetry.Counter
 	combineHits, combineMisses          *telemetry.Counter
-	batchSize, queueDepth               *telemetry.Gauge
+	queueDepth                          *telemetry.Gauge
 	queueHist, serviceHist, e2eHist     *telemetry.Histogram
-
-	lastHits, lastMisses uint64 // shared-cache stats at the last batch
-	statsMu              sync.Mutex
 }
 
-// pending is one admitted placement request waiting for its batch.
+// pending is one admitted placement request, owned by its caller until it
+// is queued and by exactly one worker from dequeue until done is closed.
 type pending struct {
 	req     PlaceRequest
 	id      string
@@ -145,7 +132,7 @@ type pending struct {
 	done    chan struct{}
 }
 
-// New builds and starts a Service (its dispatcher runs until Close).
+// New builds and starts a Service (its workers run until Close).
 func New(cfg Config) (*Service, error) {
 	if cfg.NumHosts <= 0 || cfg.SlotsPerHost <= 0 {
 		return nil, errors.New("serve: non-positive cluster dimensions")
@@ -159,26 +146,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > cfg.MaxBatch {
-		cfg.Workers = cfg.MaxBatch
 	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.Nop()
 	}
 	s := &Service{
-		cfg:    cfg,
-		log:    log,
-		shared: core.NewSharedPredictionCache(),
-		queue:  make(chan *pending, cfg.QueueDepth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:   cfg,
+		log:   log,
+		queue: make(chan *pending, cfg.QueueDepth),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		s.reqPlace = reg.Counter(telemetry.Label(MetricRequests, "endpoint", "place"))
@@ -186,81 +164,59 @@ func New(cfg Config) (*Service, error) {
 		s.rejected = reg.Counter(MetricRejected)
 		s.errs = reg.Counter(MetricErrors)
 		s.panics = reg.Counter(MetricPanics)
-		s.batches = reg.Counter(MetricBatches)
-		s.cacheHits = reg.Counter(MetricCacheHits)
-		s.cacheMisses = reg.Counter(MetricCacheMisses)
 		s.combineHits = reg.Counter(MetricCombineHits)
 		s.combineMisses = reg.Counter(MetricCombineMisses)
-		s.batchSize = reg.Gauge(MetricBatchSize)
 		s.queueDepth = reg.Gauge(MetricQueueDepth)
 		s.queueHist = reg.Histogram(HistQueue, latencyBuckets())
 		s.serviceHist = reg.Histogram(HistService, latencyBuckets())
 		s.e2eHist = reg.Histogram(HistE2E, latencyBuckets())
+		reg.ExportQuantiles(HistQueue, HistService, HistE2E)
 		reg.SetHelp(MetricRequests, "Placement-service requests completed, by endpoint.")
 		reg.SetHelp(MetricRejected, "Requests refused on a full admission queue.")
 		reg.SetHelp(MetricErrors, "Requests failing validation or search.")
 		reg.SetHelp(MetricPanics, "Searches that panicked; each was contained to its own request (HTTP 500).")
-		reg.SetHelp(MetricBatches, "Dispatcher batches executed.")
-		reg.SetHelp(MetricBatchSize, "Size of the last executed batch.")
 		reg.SetHelp(MetricQueueDepth, "Admission-queue occupancy.")
-		reg.SetHelp(MetricCacheHits, "Shared prediction-cache hits accumulated by serving.")
-		reg.SetHelp(MetricCacheMisses, "Shared prediction-cache misses accumulated by serving.")
 		reg.SetHelp(MetricCombineHits, "Per-search combine-memo hits accumulated by serving.")
 		reg.SetHelp(MetricCombineMisses, "Per-search combine-memo misses accumulated by serving.")
-		reg.SetHelp(HistQueue, "Seconds spent queued before batch execution.")
+		reg.SetHelp(HistQueue, "Seconds spent queued before a worker took the request.")
 		reg.SetHelp(HistService, "Seconds spent executing the placement search.")
 		reg.SetHelp(HistE2E, "End-to-end seconds from admission to response.")
 	}
-	go s.dispatch()
+	s.workers.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go s.work()
+	}
 	return s, nil
 }
 
 // SetBackend arms the service with models; until then every request is
-// answered 503. Predictors are wrapped by the service's shared prediction
-// cache, so repeated pressure points across requests skip recomputation.
+// answered 503. The maps are copied, so the caller may go on using its own.
 func (s *Service) SetBackend(b Backend) {
-	wrapped := s.shared.WrapAll(b.Predictors)
-	scores := make(map[string]float64, len(b.Scores))
-	for k, v := range b.Scores {
-		scores[k] = v
-	}
-	s.mu.Lock()
-	s.preds = wrapped
-	s.scores = scores
-	s.mu.Unlock()
+	s.backend.Store(&Backend{Predictors: maps.Clone(b.Predictors), Scores: maps.Clone(b.Scores)})
 }
 
 // Ready reports whether a backend is armed.
-func (s *Service) Ready() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.preds != nil
-}
+func (s *Service) Ready() bool { return s.backend.Load() != nil }
 
-// Close stops the dispatcher and rejects anything still queued.
+// Close stops admitting, answers 503 to whatever is still queued, and
+// returns once the searches already on a worker have finished and been
+// answered. Safe to call more than once.
 func (s *Service) Close() {
 	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.queue) // admissions send under closeMu.RLock, so none is mid-send
 	}
-	s.closed = true
 	s.closeMu.Unlock()
-	close(s.stop)
-	<-s.done
-	for {
-		select {
-		case p := <-s.queue:
-			s.reject(p, http.StatusServiceUnavailable, errors.New("serve: service closed"))
-		default:
-			return
-		}
+	for p := range s.queue {
+		s.reject(p, http.StatusServiceUnavailable, errClosed)
 	}
+	s.workers.Wait()
 }
 
-// Place admits one placement request, waits for its batch to execute, and
-// returns the response with the HTTP status it maps to. It is the
-// programmatic entry the HTTP handler and the benchmarks share.
+// Place admits one placement request, waits for a worker to run its
+// search, and returns the response with the HTTP status it maps to. It is
+// the programmatic entry the HTTP handler and the benchmarks share.
 func (s *Service) Place(req PlaceRequest) (Response, int, error) {
 	id := req.requestID()
 	root := s.cfg.Tracer.StartSpan("serve.place").SetRequest(id)
@@ -273,7 +229,7 @@ func (s *Service) Place(req PlaceRequest) (Response, int, error) {
 		s.countError()
 		return Response{}, http.StatusBadRequest, err
 	}
-	if err := s.checkBackend(req.Apps); err != nil {
+	if err := s.backend.Load().check(req.Apps); err != nil {
 		admit.End()
 		root.End()
 		s.countError()
@@ -289,8 +245,7 @@ func (s *Service) Place(req PlaceRequest) (Response, int, error) {
 	if s.closed {
 		s.closeMu.RUnlock()
 		admit.End()
-		s.reject(p, http.StatusServiceUnavailable, errors.New("serve: service closed"))
-		<-p.done
+		s.reject(p, http.StatusServiceUnavailable, errClosed)
 		return p.resp, p.status, p.err
 	}
 	p.enq = time.Now()
@@ -329,133 +284,80 @@ func (s *Service) countError() {
 	}
 }
 
-var errNotReady = errors.New("serve: no backend armed yet")
+var (
+	errNotReady = errors.New("serve: no backend armed yet")
+	errClosed   = errors.New("serve: service closed")
+)
 
-// checkBackend verifies every requested app has a model.
-func (s *Service) checkBackend(apps []AppDemand) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.preds == nil {
+// check verifies every requested app has a model; a nil backend is the
+// unarmed service.
+func (b *Backend) check(apps []AppDemand) error {
+	if b == nil {
 		return errNotReady
 	}
 	for _, a := range apps {
-		if _, ok := s.preds[a.App]; !ok {
+		if _, ok := b.Predictors[a.App]; !ok {
 			return fmt.Errorf("serve: no model for app %q", a.App)
 		}
-		if _, ok := s.scores[a.App]; !ok {
+		if _, ok := b.Scores[a.App]; !ok {
 			return fmt.Errorf("serve: no bubble score for app %q", a.App)
 		}
 	}
 	return nil
 }
 
-// backendFor snapshots the predictor/score subset a request needs.
-func (s *Service) backendFor(apps []AppDemand) (map[string]core.Predictor, map[string]float64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	preds := make(map[string]core.Predictor, len(apps))
-	scores := make(map[string]float64, len(apps))
-	for _, a := range apps {
-		preds[a.App] = s.preds[a.App]
-		scores[a.App] = s.scores[a.App]
-	}
-	return preds, scores
-}
-
-// dispatch is the admission loop: it blocks for the next request, drains
-// whatever else is already queued (up to MaxBatch) into one batch — the
-// serial plan, in admission order — and executes the batch.
-func (s *Service) dispatch() {
-	defer close(s.done)
-	for {
-		var first *pending
-		select {
-		case first = <-s.queue:
-		case <-s.stop:
-			return
-		}
-		batch := []*pending{first}
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			default:
-				goto run
-			}
-		}
-	run:
+// work is one pool worker: it takes admitted requests off the queue one at
+// a time until Close closes it, and owns each from dequeue to reply — the
+// search, then the request's own side effects (histograms, SLO, spans,
+// counters), then the release of its caller. Workers share nothing
+// mutable, so a slow search delays only the requests queued behind a
+// fully busy pool, never one a free worker could have taken.
+func (s *Service) work() {
+	defer s.workers.Done()
+	for p := range s.queue {
+		p.waitSp.End()
 		if s.queueDepth != nil {
 			s.queueDepth.Set(float64(len(s.queue)))
+			s.queueHist.Observe(time.Since(p.enq).Seconds())
 		}
-		s.runBatch(batch)
-	}
-}
+		search := p.root.StartChild("search")
+		t0 := time.Now()
+		p.resp, p.status, p.err = s.searchContained(p.req, p.id)
+		search.SetSimSeconds(p.resp.SimServiceSeconds)
+		search.End()
+		if s.serviceHist != nil {
+			s.serviceHist.Observe(time.Since(t0).Seconds())
+		}
 
-// runBatch executes one admission batch with the measurement engine's
-// discipline: the plan is the admission order, execution is the ordered
-// fan-out claiming items in plan order, and completion is an ordered
-// merge — so observable side effects (metrics, SLO, span ends, response
-// delivery) happen in admission order, while each response itself depends
-// only on its request.
-func (s *Service) runBatch(batch []*pending) {
-	if s.batches != nil {
-		s.batches.Inc()
-		s.batchSize.Set(float64(len(batch)))
-	}
-	sim.FanOut(len(batch), s.cfg.Workers, func(i int) { s.executeOne(batch[i]) })
-
-	// Ordered merge: finalize in admission order.
-	for _, p := range batch {
 		respond := p.root.StartChild("respond")
 		e2e := time.Since(p.started).Seconds()
 		if s.e2eHist != nil {
 			s.e2eHist.Observe(e2e)
 		}
-		if p.err == nil && s.reqPlace != nil {
-			s.reqPlace.Inc()
-		}
 		if p.err != nil {
 			s.countError()
+		} else if s.reqPlace != nil {
+			s.reqPlace.Inc()
 		}
 		s.cfg.SLO.Observe(e2e)
 		respond.End()
 		p.root.End()
 		close(p.done)
 	}
-	s.accountCache()
-	s.refreshQuantiles()
-}
-
-// executeOne runs the search for one admitted request. Called from batch
-// workers; it records the queue-wait and search stages but leaves
-// admission-ordered side effects to the merge.
-func (s *Service) executeOne(p *pending) {
-	p.waitSp.End()
-	if s.queueHist != nil {
-		s.queueHist.Observe(time.Since(p.enq).Seconds())
-	}
-	search := p.root.StartChild("search")
-	t0 := time.Now()
-	p.resp, p.status, p.err = s.searchContained(p.req, p.id)
-	search.SetSimSeconds(p.resp.SimServiceSeconds)
-	search.End()
-	if s.serviceHist != nil {
-		s.serviceHist.Observe(time.Since(t0).Seconds())
-	}
 }
 
 // searchContained is search with the HTTP status its outcome maps to, and
 // with a panic below it — a predictor, the search engine — contained to
-// this request: it is answered 500 and counted, the daemon and the rest
-// of the batch carry on.
+// this request: it is answered 500 and counted, the daemon and the
+// requests on the other workers carry on.
 func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, status int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s.panics != nil {
 				s.panics.Inc()
 			}
-			// The panic value (and, from a fan-out worker, its stack)
-			// goes to the log, not to the client.
+			// The panic value (and, from a restart worker below the
+			// search, its stack) goes to the log, not to the client.
 			s.log.Error("search panicked", "request", id, "panic", r)
 			resp, status, err = Response{}, http.StatusInternalServerError, errors.New("serve: internal error: search panicked")
 		}
@@ -469,14 +371,16 @@ func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, s
 // search runs the placement search for a request — a pure function of the
 // request content and the armed backend.
 func (s *Service) search(req PlaceRequest, id string) (Response, error) {
-	preds, scores := s.backendFor(req.Apps)
+	// The whole backend rides along: the search binds only the demanded
+	// apps, and the published maps are never mutated.
+	b := s.backend.Load()
 	preq := placement.Request{
 		NumHosts:         s.cfg.NumHosts,
 		SlotsPerHost:     s.cfg.SlotsPerHost,
 		AppsPerHostLimit: s.cfg.AppsPerHostLimit,
 		Demands:          req.demands(),
-		Predictors:       preds,
-		Scores:           scores,
+		Predictors:       b.Predictors,
+		Scores:           b.Scores,
 		DownHosts:        s.cfg.DownHosts,
 	}
 	pcfg := placement.Config{
@@ -516,9 +420,9 @@ func (s *Service) search(req PlaceRequest, id string) (Response, error) {
 	}, nil
 }
 
-// WhatIf scores one concrete placement inline (no queue — a single model
-// evaluation needs no batching) with the same observability: span tree,
-// latency histograms, SLO feed.
+// WhatIf scores one concrete placement inline, on the caller's goroutine
+// (a single model evaluation is cheaper than a queue hand-off), with the
+// same observability: span tree, latency histograms, SLO feed.
 func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	id := req.ID
 	if id == "" {
@@ -541,10 +445,8 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	}
 
 	admit := root.StartChild("admit")
-	s.mu.RLock()
-	ready := s.preds != nil
-	s.mu.RUnlock()
-	if !ready {
+	b := s.backend.Load()
+	if b == nil {
 		admit.End()
 		return finish(http.StatusServiceUnavailable, errNotReady)
 	}
@@ -566,7 +468,7 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	for i, a := range apps {
 		demands[i] = AppDemand{App: a, Units: p.UnitsOf(a)}
 	}
-	if err := s.checkBackend(demands); err != nil {
+	if err := b.check(demands); err != nil {
 		admit.End()
 		return finish(http.StatusBadRequest, err)
 	}
@@ -574,7 +476,6 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 
 	predictSp := root.StartChild("predict")
 	t0 := time.Now()
-	preds, scores := s.backendFor(demands)
 	var qos *placement.QoS
 	if req.QoSApp != "" {
 		qos = &placement.QoS{App: req.QoSApp, MaxNormalized: req.QoSMax}
@@ -583,8 +484,8 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 		NumHosts:         s.cfg.NumHosts,
 		SlotsPerHost:     s.cfg.SlotsPerHost,
 		AppsPerHostLimit: s.cfg.AppsPerHostLimit,
-		Predictors:       preds,
-		Scores:           scores,
+		Predictors:       b.Predictors,
+		Scores:           b.Scores,
 	}, qos)
 	predictSp.End()
 	if s.serviceHist != nil {
@@ -615,57 +516,5 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 		s.reqWhatIf.Inc()
 	}
 	root.End()
-	s.accountCache()
-	s.refreshQuantiles()
 	return resp, http.StatusOK, nil
-}
-
-// whatIfHash digests a what-if request for ID derivation.
-func whatIfHash(req WhatIfRequest) uint64 {
-	r := PlaceRequest{QoSApp: req.QoSApp, QoSMax: req.QoSMax}
-	for h, row := range req.Placement {
-		for s, app := range row {
-			if app != "" {
-				r.Apps = append(r.Apps, AppDemand{App: fmt.Sprintf("%d/%d/%s", h, s, app), Units: 1})
-			}
-		}
-	}
-	return r.hash()
-}
-
-// accountCache folds the shared cache's stats delta into the serve_*
-// counters.
-func (s *Service) accountCache() {
-	if s.cacheHits == nil {
-		return
-	}
-	hits, misses := s.shared.Stats()
-	s.statsMu.Lock()
-	dh, dm := hits-s.lastHits, misses-s.lastMisses
-	s.lastHits, s.lastMisses = hits, misses
-	s.statsMu.Unlock()
-	s.cacheHits.Add(dh)
-	s.cacheMisses.Add(dm)
-}
-
-// refreshQuantiles recomputes the interpolated latency percentiles for
-// each serve_* histogram.
-func (s *Service) refreshQuantiles() {
-	if s.cfg.Telemetry == nil {
-		return
-	}
-	for name, h := range map[string]*telemetry.Histogram{
-		HistQueue: s.queueHist, HistService: s.serviceHist, HistE2E: s.e2eHist,
-	} {
-		snap := telemetry.HistogramSnapshot{Uppers: h.Uppers(), Counts: h.BucketCounts(), Count: h.Count()}
-		if snap.Count == 0 {
-			continue
-		}
-		for _, q := range []struct {
-			suffix string
-			q      float64
-		}{{"_p50", 0.5}, {"_p95", 0.95}, {"_p99", 0.99}} {
-			s.cfg.Telemetry.Gauge(name + q.suffix).Set(snap.Quantile(q.q))
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -25,15 +26,57 @@ func (f linPred) PredictPressures(ps []float64) (float64, error) {
 	return 1 + f.w*sum, nil
 }
 
-// gatePred blocks every prediction until the gate channel closes.
+// gatePred blocks every prediction until the gate channel closes, and
+// announces each arrival on entered (when set; it must have room) — so a
+// test knows a request is inside its search, on a worker, and held there.
 type gatePred struct {
-	inner core.Predictor
-	gate  <-chan struct{}
+	inner   core.Predictor
+	gate    <-chan struct{}
+	entered chan<- struct{}
 }
 
 func (g gatePred) PredictPressures(ps []float64) (float64, error) {
+	if g.entered != nil {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+	}
 	<-g.gate
 	return g.inner.PredictPressures(ps)
+}
+
+// gatedBackend is testBackend with app held behind a gate.
+func gatedBackend(app string) (b Backend, entered <-chan struct{}, release func()) {
+	// 64: far more arrivals than any test holds at once, so none is dropped.
+	in, gate := make(chan struct{}, 64), make(chan struct{})
+	b = testBackend()
+	b.Predictors[app] = gatePred{inner: b.Predictors[app], gate: gate, entered: in}
+	return b, in, sync.OnceFunc(func() { close(gate) })
+}
+
+// waitQueued blocks until n admitted requests sit in the queue.
+func waitQueued(t *testing.T, s *Service, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d (at %d)", n, len(s.queue))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// await receives from ch or fails the test at the deadline.
+func await[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
 }
 
 func testBackend() Backend {
@@ -131,11 +174,11 @@ func TestPlaceBasics(t *testing.T) {
 	}
 }
 
-// TestPlaceDeterministicUnderConcurrency is the tentpole's core claim:
+// TestPlaceDeterministicUnderConcurrency is the service's core claim:
 // identical requests produce byte-identical responses no matter how they
-// interleave with other traffic or how batches form.
+// interleave with other traffic or which worker runs them.
 func TestPlaceDeterministicUnderConcurrency(t *testing.T) {
-	s, _, _ := newTestService(t, func(c *Config) { c.MaxBatch = 4; c.QueueDepth = 64 })
+	s, _, _ := newTestService(t, func(c *Config) { c.Workers = 4; c.QueueDepth = 64 })
 
 	// Serial reference responses for three distinct request contents.
 	reqs := []PlaceRequest{
@@ -258,37 +301,84 @@ func TestNotReadyBeforeBackend(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejects fills the admission queue behind a gated backend
-// and checks the overflow request is refused with 429, then drains.
+// placed is what one Place call returned, the response as JSON.
+type placed struct {
+	body   []byte
+	status int
+	err    error
+}
+
+// placeAsync runs s.Place(req) on its own goroutine.
+func placeAsync(s *Service, req PlaceRequest) <-chan placed {
+	out := make(chan placed, 1)
+	go func() {
+		resp, status, err := s.Place(req)
+		body, _ := json.Marshal(resp)
+		out <- placed{body, status, err}
+	}()
+	return out
+}
+
+// referenceBodies answers reqs on an unloaded service of its own.
+func referenceBodies(t *testing.T, reqs []PlaceRequest) [][]byte {
+	t.Helper()
+	ref, _, _ := newTestService(t, nil)
+	out := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		out[i], _ = json.Marshal(mustPlace(t, ref, req))
+	}
+	return out
+}
+
+// TestSideBySide: a request admitted behind a search that is still
+// running is taken by the free worker and answered while the first is
+// still held — requests do not wait for one another unless every worker
+// is busy — and both answers are the unloaded service's.
+func TestSideBySide(t *testing.T) {
+	reqs := []PlaceRequest{
+		{ID: "held", Apps: fourApps()},
+		{ID: "free", Apps: []AppDemand{{App: "sens", Units: 4}, {App: "noisy1", Units: 6}}},
+	}
+	want := referenceBodies(t, reqs)
+
+	s, _, _ := newTestService(t, func(c *Config) { c.Workers = 2 })
+	b, entered, release := gatedBackend("quiet")
+	defer release()
+	s.SetBackend(b)
+
+	held := placeAsync(s, reqs[0])
+	await(t, "the held request to reach its search", entered)
+	free := await(t, "the second request to be answered beside the held one", placeAsync(s, reqs[1]))
+	select {
+	case <-held:
+		t.Fatal("the gated request was answered before its gate opened")
+	default:
+	}
+	release()
+	for i, r := range []placed{await(t, "the held request", held), free} {
+		if r.err != nil || r.status != http.StatusOK || string(r.body) != string(want[i]) {
+			t.Errorf("%s: status %d err %v\n got %s\nwant %s", reqs[i].ID, r.status, r.err, r.body, want[i])
+		}
+	}
+}
+
+// TestQueueFullRejects: with every worker inside a search and the queue
+// full, the next request is refused with 429 and counted once; the held
+// and queued requests are all answered once the workers move again.
 func TestQueueFullRejects(t *testing.T) {
-	gate := make(chan struct{})
-	reg := telemetry.NewRegistry()
-	cfg := Config{
-		NumHosts: 8, SlotsPerHost: 2, Seed: 1,
-		Iterations: 2, Restarts: 1,
-		QueueDepth: 1, MaxBatch: 1, Workers: 1,
-		Telemetry: reg,
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	b := testBackend()
-	for app, p := range b.Predictors {
-		b.Predictors[app] = gatePred{p, gate}
-	}
+	s, reg, _ := newTestService(t, func(c *Config) { c.Workers, c.QueueDepth = 2, 1 })
+	b, entered, release := gatedBackend("quiet")
+	defer release()
 	s.SetBackend(b)
 
 	req := PlaceRequest{Apps: []AppDemand{{App: "quiet", Units: 2}}}
-	results := make(chan int, 2)
-	// First request: dequeued into a batch, blocked on the gate.
-	go func() { _, st, _ := s.Place(req); results <- st }()
-	waitCounter(t, reg, MetricBatches, 1)
-	// Second request: sits in the queue.
-	go func() { _, st, _ := s.Place(req); results <- st }()
-	waitGauge(t, reg, MetricQueueDepth, 1)
-	// Third request: queue full — rejected immediately.
+	var admitted []<-chan placed
+	for i := 0; i < 2; i++ { // one per worker, each held inside its search
+		admitted = append(admitted, placeAsync(s, req))
+		await(t, "a worker to take the request", entered)
+	}
+	admitted = append(admitted, placeAsync(s, req)) // no worker left: it waits
+	waitQueued(t, s, 1)
 	_, status, err := s.Place(req)
 	if err == nil || status != http.StatusTooManyRequests {
 		t.Errorf("overflow: status %d err %v", status, err)
@@ -296,38 +386,17 @@ func TestQueueFullRejects(t *testing.T) {
 	if got := reg.Counter(MetricRejected).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricRejected, got)
 	}
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if st := <-results; st != http.StatusOK {
-			t.Errorf("queued request %d: status %d", i, st)
+	release()
+	for i, ch := range admitted {
+		if r := await(t, "an admitted request", ch); r.status != http.StatusOK {
+			t.Errorf("admitted request %d: status %d err %v", i, r.status, r.err)
 		}
 	}
 }
 
-func waitCounter(t *testing.T, reg *telemetry.Registry, name string, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(name).Value() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached %d (at %d)", name, want, reg.Counter(name).Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func waitGauge(t *testing.T, reg *telemetry.Registry, name string, want float64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Gauge(name).Value() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached %v (at %v)", name, want, reg.Gauge(name).Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestCloseRejectsQueued: Close drains the queue with 503s and further
-// admissions refuse.
+// TestCloseRejectsQueued: after Close, admissions answer 503, and a second
+// Close is a no-op (TestCloseUnderLoad covers what Close does to requests
+// it finds queued and in flight).
 func TestCloseRejectsQueued(t *testing.T) {
 	s, _, _ := newTestService(t, nil)
 	s.Close()
@@ -336,6 +405,65 @@ func TestCloseRejectsQueued(t *testing.T) {
 		t.Errorf("after close: status %d err %v", status, err)
 	}
 	s.Close() // idempotent
+}
+
+// TestCloseUnderLoad: Close answers 503 to what is still queued, lets the
+// searches already on a worker finish with 200, refuses everything after,
+// and leaves no goroutine of the service behind.
+func TestCloseUnderLoad(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections() // other tests' keep-alives are not this one's goroutines
+	time.Sleep(10 * time.Millisecond)
+	before := runtime.NumGoroutine()
+
+	s, err := New(Config{NumHosts: 8, SlotsPerHost: 2, Seed: 42, Iterations: 60, Workers: 2, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, entered, release := gatedBackend("quiet")
+	defer release()
+	s.SetBackend(b)
+
+	req := PlaceRequest{Apps: []AppDemand{{App: "quiet", Units: 2}}}
+	var inFlight, queued []<-chan placed
+	for i := 0; i < 2; i++ {
+		inFlight = append(inFlight, placeAsync(s, req))
+		await(t, "a worker to take the request", entered)
+	}
+	for i := 0; i < 3; i++ {
+		queued = append(queued, placeAsync(s, req))
+	}
+	waitQueued(t, s, 3)
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	for i, ch := range queued {
+		if r := await(t, "a queued request to be refused", ch); r.status != http.StatusServiceUnavailable || r.err == nil {
+			t.Errorf("queued request %d: status %d err %v, want 503", i, r.status, r.err)
+		}
+	}
+	if _, status, err := s.Place(req); err == nil || status != http.StatusServiceUnavailable {
+		t.Errorf("admission during close: status %d err %v, want 503", status, err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while searches were still in flight")
+	default:
+	}
+	release()
+	for i, ch := range inFlight {
+		if r := await(t, "an in-flight request to finish", ch); r.status != http.StatusOK || r.err != nil {
+			t.Errorf("in-flight request %d: status %d err %v, want 200", i, r.status, r.err)
+		}
+	}
+	await(t, "Close to return", closed)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSpanTreePerRequest: one placement produces the admit → wait →
@@ -379,7 +507,8 @@ func TestSpanTreePerRequest(t *testing.T) {
 }
 
 // TestMetricsAndQuantiles: the serve_* family is populated after traffic,
-// including the interpolated latency percentile gauges.
+// including the interpolated latency percentile gauges every read of the
+// registry derives.
 func TestMetricsAndQuantiles(t *testing.T) {
 	s, reg, _ := newTestService(t, nil)
 	for i := 0; i < 3; i++ {
@@ -388,12 +517,6 @@ func TestMetricsAndQuantiles(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters[telemetry.Label(MetricRequests, "endpoint", "place")]; got != 3 {
 		t.Errorf("place requests = %d, want 3", got)
-	}
-	if got := snap.Counters[MetricBatches]; got == 0 {
-		t.Error("no batches counted")
-	}
-	if snap.Counters[MetricCacheMisses] == 0 {
-		t.Error("shared cache misses not accounted")
 	}
 	// The combine memo sits under every search the service ran; its
 	// traffic was previously invisible to the serve_* family.
@@ -465,77 +588,44 @@ type panicPred struct{}
 func (panicPred) PredictPressures([]float64) (float64, error) { panic("predictor blew up") }
 
 // TestPanicContainedToItsRequest: a panic under one request's search — on
-// the batch worker itself, or on a restart worker below it — is that
-// request's 500 and one serve_panics_total; the service survives and the
-// rest of the batch is answered exactly as it is without the panics.
+// its pool worker, or on a restart worker below it — is that request's
+// 500 and one serve_panics_total, while healthy requests are in flight on
+// the other workers; those are answered exactly as an unloaded service
+// answers them, and the service goes on serving.
 func TestPanicContainedToItsRequest(t *testing.T) {
 	good := []PlaceRequest{
 		{ID: "g0", Apps: fourApps()},
-		{ID: "g1", Apps: []AppDemand{{App: "sens", Units: 4}, {App: "noisy1", Units: 6}}, Restarts: 2},
-		{ID: "g2", Apps: fourApps(), QoSApp: "sens", QoSMax: 1.5},
+		{ID: "g1", Apps: fourApps(), QoSApp: "sens", QoSMax: 1.5},
+		{ID: "g2", Apps: []AppDemand{{App: "sens", Units: 4}, {App: "noisy1", Units: 6}}, Restarts: 2},
 	}
-	ref, _, _ := newTestService(t, nil)
-	want := make([][]byte, len(good))
-	for i, req := range good {
-		want[i], _ = json.Marshal(mustPlace(t, ref, req))
-	}
+	want := referenceBodies(t, good)
 
-	gate := make(chan struct{})
-	s, reg, _ := newTestService(t, func(c *Config) { c.MaxBatch, c.Workers = 8, 4 })
-	b := testBackend()
-	b.Predictors["quiet"] = gatePred{b.Predictors["quiet"], gate}
+	s, reg, _ := newTestService(t, func(c *Config) { c.Workers = 4 })
+	b, entered, release := gatedBackend("quiet")
+	defer release()
 	b.Predictors["boom"], b.Scores["boom"] = panicPred{}, 3
 	s.SetBackend(b)
 
-	// Hold the dispatcher on a gated first batch so the mixed requests
-	// behind it are drained into one batch.
+	// g0 and g1 place "quiet" and so are held inside their searches, on
+	// two of the four workers, for as long as the panics take.
+	var healthy []<-chan placed
+	for _, req := range good[:2] {
+		healthy = append(healthy, placeAsync(s, req))
+		await(t, "a healthy request to reach its search", entered)
+	}
 	boom := []AppDemand{{App: "sens", Units: 4}, {App: "boom", Units: 4}}
-	batch := []PlaceRequest{
-		good[0], {ID: "p0", Apps: boom}, good[1], {ID: "p1", Apps: boom, Restarts: 3}, good[2],
-	}
-	type result struct {
-		body   []byte
-		status int
-		err    error
-	}
-	results := make([]result, len(batch))
-	var wg sync.WaitGroup
-	place := func(i int, req PlaceRequest) {
-		defer wg.Done()
-		resp, status, err := s.Place(req)
-		body, _ := json.Marshal(resp)
-		results[i] = result{body, status, err}
-	}
-	wg.Add(1)
-	var held result
-	go func() {
-		defer wg.Done()
-		_, held.status, held.err = s.Place(PlaceRequest{ID: "held", Apps: []AppDemand{{App: "quiet", Units: 2}}})
-	}()
-	waitCounter(t, reg, MetricBatches, 1)
-	for i, req := range batch {
-		wg.Add(1)
-		go place(i, req)
-	}
-	waitGauge(t, reg, MetricQueueDepth, float64(len(batch)))
-	close(gate)
-	wg.Wait()
-
-	if held.err != nil || held.status != http.StatusOK {
-		t.Fatalf("held request: status %d err %v", held.status, held.err)
-	}
-	if got := reg.Counter(MetricBatches).Value(); got != 2 {
-		t.Fatalf("%s = %d, want 2 (the mixed requests must share a batch)", MetricBatches, got)
-	}
-	for i, j := range []int{0, 2, 4} {
-		if r := results[j]; r.err != nil || r.status != http.StatusOK || string(r.body) != string(want[i]) {
-			t.Errorf("%s beside a panicking request: status %d err %v\n got %s\nwant %s",
-				good[i].ID, r.status, r.err, r.body, want[i])
+	p0, p1 := placeAsync(s, PlaceRequest{ID: "p0", Apps: boom}), placeAsync(s, PlaceRequest{ID: "p1", Apps: boom, Restarts: 3})
+	for i, ch := range []<-chan placed{p0, p1} {
+		if r := await(t, "a panicking request to be answered", ch); r.err == nil || r.status != http.StatusInternalServerError {
+			t.Errorf("p%d: status %d err %v, want 500", i, r.status, r.err)
 		}
 	}
-	for _, j := range []int{1, 3} {
-		if r := results[j]; r.err == nil || r.status != http.StatusInternalServerError {
-			t.Errorf("%s: status %d err %v, want 500", batch[j].ID, r.status, r.err)
+	healthy = append(healthy, placeAsync(s, good[2])) // on a worker a panic just unwound
+	release()
+	for i, ch := range healthy {
+		if r := await(t, "a healthy request", ch); r.err != nil || r.status != http.StatusOK || string(r.body) != string(want[i]) {
+			t.Errorf("%s beside a panicking request: status %d err %v\n got %s\nwant %s",
+				good[i].ID, r.status, r.err, r.body, want[i])
 		}
 	}
 	if got := reg.Counter(MetricPanics).Value(); got != 2 {

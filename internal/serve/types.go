@@ -1,18 +1,26 @@
-// Package serve turns the placement engine into a service: an admission
-// queue batches concurrent placement requests and executes each batch with
-// the serial-plan / parallel-execute / ordered-merge discipline the
-// measurement engine established, so throughput scales with cores while
-// every response stays a pure function of its request content. Request
-// observability rides on the existing planes: a propagated request ID and
-// a causal span tree per request in the telemetry tracer, per-stage
-// latency histograms with interpolated p50/p95/p99 gauges, and a latency
-// SLO tracker publishing burn-rate breaches on the event bus.
+// Package serve turns the placement engine into a service. Admission
+// validates a request and puts it on a bounded queue (QueueDepth; a full
+// queue answers 429); a pool of Workers goroutines takes requests off it
+// one at a time, and each worker owns its request from dequeue to reply —
+// the search, the request's metrics and spans, the release of the caller.
+// Concurrent requests therefore run side by side, up to Workers of them,
+// and share nothing mutable: the armed backend is an immutable snapshot
+// and every search brings its own prediction cache. Every response is a
+// pure function of its request content (seeds derive from content, never
+// from arrival), so identical bodies get identical bytes whatever else is
+// in flight. What is *not* ordered is the requests' side effects: counters,
+// histograms, SLO observations and span ends land in completion order,
+// not admission order — all of them are commutative, and no response
+// depends on them. Request observability rides on the existing planes: a
+// propagated request ID and a causal span tree per request in the
+// telemetry tracer, per-stage latency histograms with interpolated
+// p50/p95/p99 gauges derived when the registry is read, and a latency SLO
+// tracker publishing burn-rate breaches on the event bus.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -28,7 +36,7 @@ type AppDemand struct {
 // placement search for the listed applications on the service's cluster.
 // Every field besides Apps is optional. The response is a deterministic
 // function of this content — two identical requests always produce
-// bit-identical responses, regardless of arrival order or batching.
+// bit-identical responses, regardless of arrival order or concurrency.
 type PlaceRequest struct {
 	// ID names the request in spans and logs; derived from the content
 	// hash when empty.
@@ -71,7 +79,7 @@ type Response struct {
 	SimServiceSeconds float64            `json:"sim_service_seconds"`
 }
 
-// Ceilings on what one request may ask of the shared search workers: a
+// Ceilings on what one request may ask of the pool's workers: a
 // body can lengthen its own search, not occupy the daemon with it.
 const (
 	maxRequestUnits      = 1 << 20 // per app; also keeps the unit total from overflowing
@@ -107,24 +115,74 @@ func (r PlaceRequest) validate() error {
 	return nil
 }
 
+// digest is a running FNV-64a (the parameters of hash/fnv.New64a) over
+// NUL-terminated parts, kept as a value so hashing a request allocates
+// nothing.
+type digest uint64
+
+const (
+	fnvOffset64 digest = 14695981039346656037
+	fnvPrime64  digest = 1099511628211
+)
+
+func (d digest) bytes(b []byte) digest {
+	for _, c := range b {
+		d = (d ^ digest(c)) * fnvPrime64
+	}
+	return d
+}
+
+// end folds the NUL that terminates a part (d ^ 0 is d).
+func (d digest) end() digest { return d * fnvPrime64 }
+
+// str folds s as one part.
+func (d digest) str(s string) digest {
+	for i := 0; i < len(s); i++ {
+		d = (d ^ digest(s[i])) * fnvPrime64
+	}
+	return d.end()
+}
+
+// num folds v in decimal.
+func (d digest) num(v int64) digest {
+	var buf [24]byte
+	return d.bytes(strconv.AppendInt(buf[:0], v, 10)).end()
+}
+
+// tail folds the parts every digested request ends with.
+func (d digest) tail(qosApp string, qosMax float64, seed int64, iterations, restarts int) uint64 {
+	var buf [32]byte
+	d = d.str(qosApp).bytes(strconv.AppendFloat(buf[:0], qosMax, 'g', -1, 64)).end()
+	return uint64(d.num(seed).num(int64(iterations)).num(int64(restarts)))
+}
+
 // hash folds the request content into an FNV-64a digest — the basis for
 // the derived request ID and search seed, so identical content means an
-// identical search no matter when or in which batch it runs.
+// identical search no matter when or beside what it runs.
 func (r PlaceRequest) hash() uint64 {
-	h := fnv.New64a()
-	write := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
+	d := fnvOffset64.str("place")
+	for _, a := range r.Apps {
+		d = d.str(a.App).num(int64(a.Units))
+	}
+	return d.tail(r.QoSApp, r.QoSMax, r.Seed, r.Iterations, r.Restarts)
+}
+
+// whatIfHash digests a what-if request for ID derivation: the digest of
+// the placement request that demands one unit of "<host>/<slot>/<app>"
+// per occupied slot.
+func whatIfHash(req WhatIfRequest) uint64 {
+	d := fnvOffset64.str("place")
+	var buf [48]byte
+	for h, row := range req.Placement {
+		for s, app := range row {
+			if app != "" {
+				b := strconv.AppendInt(buf[:0], int64(h), 10)
+				b = strconv.AppendInt(append(b, '/'), int64(s), 10)
+				d = d.bytes(append(b, '/')).str(app).num(1)
+			}
 		}
 	}
-	write("place")
-	for _, a := range r.Apps {
-		write(a.App, strconv.Itoa(a.Units))
-	}
-	write(r.QoSApp, strconv.FormatFloat(r.QoSMax, 'g', -1, 64),
-		strconv.FormatInt(r.Seed, 10), strconv.Itoa(r.Iterations), strconv.Itoa(r.Restarts))
-	return h.Sum64()
+	return d.tail(req.QoSApp, req.QoSMax, 0, 0, 0)
 }
 
 // requestID returns the explicit ID or one derived from the content hash.
@@ -137,7 +195,7 @@ func (r PlaceRequest) requestID() string {
 
 // searchSeed mixes the service's base seed with the request: an explicit
 // request seed wins, otherwise the content hash decides — never arrival
-// order, so batching cannot perturb a response.
+// order, so concurrency cannot perturb a response.
 func (r PlaceRequest) searchSeed(base int64) int64 {
 	if r.Seed != 0 {
 		return r.Seed

@@ -103,6 +103,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.series {
 		series[k] = v
 	}
+	quantile := r.quantile // append-only: the elements under this header never change
 	r.mu.RUnlock()
 	for k, c := range counters {
 		snap.Counters[k] = c.Value()
@@ -117,6 +118,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, s := range series {
 		snap.Series[k] = s.Points()
+	}
+	for _, name := range quantile {
+		if h := snap.Histograms[name]; h.Count > 0 {
+			for _, g := range quantileGauges {
+				snap.Gauges[name+g.suffix] = h.Quantile(g.q)
+			}
+		}
 	}
 	return snap
 }

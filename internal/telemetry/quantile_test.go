@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -129,5 +130,47 @@ func TestQuantileFromLiveHistogram(t *testing.T) {
 	}
 	if p50 >= p99 {
 		t.Errorf("p50 %v not below p99 %v", p50, p99)
+	}
+}
+
+// TestExportQuantilesDerivedAtRead: a histogram named to ExportQuantiles
+// gains <name>_p50/_p95/_p99 gauges in every read of the registry — equal
+// to the quantiles of the histogram state the same read carries, fresh on
+// each read with no call in between — and in the Prometheus exposition;
+// an empty histogram and an unnamed one gain none.
+func TestExportQuantilesDerivedAtRead(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat", []float64{0.001, 0.01, 0.1, 1})
+	reg.Histogram("idle", []float64{1})
+	reg.Histogram("plain", []float64{1}).Observe(0.5)
+	reg.ExportQuantiles("lat", "idle")
+
+	if g := reg.Snapshot().Gauges; len(g) != 0 {
+		t.Errorf("gauges before any observation: %v", g)
+	}
+	for round, v := range []float64{0.005, 0.5} {
+		for i := 0; i < 50; i++ {
+			h.Observe(v)
+		}
+		got := reg.Snapshot()
+		for _, q := range []struct {
+			suffix string
+			q      float64
+		}{{"_p50", 0.5}, {"_p95", 0.95}, {"_p99", 0.99}} {
+			g, ok := got.Gauges["lat"+q.suffix]
+			if want := got.Histograms["lat"].Quantile(q.q); !ok || g != want {
+				t.Errorf("round %d: lat%s = %v (present %v), want %v", round, q.suffix, g, ok, want)
+			}
+		}
+		if len(got.Gauges) != 3 {
+			t.Errorf("round %d: gauges = %v, want the three of lat only", round, got.Gauges)
+		}
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE lat_p99 gauge\nlat_p99 ") {
+		t.Errorf("exposition lacks the derived gauge:\n%s", buf.String())
 	}
 }

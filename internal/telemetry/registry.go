@@ -183,6 +183,7 @@ type Registry struct {
 	hists    map[string]*Histogram
 	series   map[string]*Series
 	help     map[string]string
+	quantile []string // histograms whose quantile gauges Snapshot derives
 }
 
 // NewRegistry returns an empty registry.
@@ -194,6 +195,23 @@ func NewRegistry() *Registry {
 		series:   map[string]*Series{},
 		help:     map[string]string{},
 	}
+}
+
+// quantileGauges are the gauges ExportQuantiles derives: <histogram><suffix>.
+var quantileGauges = []struct {
+	suffix string
+	q      float64
+}{{"_p50", 0.5}, {"_p95", 0.95}, {"_p99", 0.99}}
+
+// ExportQuantiles makes every read of the registry (Snapshot, and so
+// WritePrometheus and RunReport) carry interpolated <name>_p50/_p95/_p99
+// gauges for the named histograms, computed from the histogram state the
+// same read exports. Nothing is computed as observations arrive, and an
+// empty histogram exports no quantiles.
+func (r *Registry) ExportQuantiles(histograms ...string) {
+	r.mu.Lock()
+	r.quantile = append(r.quantile, histograms...)
+	r.mu.Unlock()
 }
 
 // SetHelp attaches Prometheus help text to a metric base name (the name
