@@ -36,8 +36,11 @@ repro:
 quick:
 	go run ./cmd/paperrepro -quick
 
-# Start the long-running interference daemon with its observability plane
-# on :8080 (/metrics, /healthz, /readyz, /api/events, /debug/pprof/).
-# Ctrl-C drains the round in flight and writes interfd-report.json.
+# Start the long-running interference daemon on :8080: the placement API
+# (/api/place, /api/whatif), its in-process self-driver, and the
+# observability plane (/metrics, /healthz, /readyz, /api/events,
+# /api/decisions, /debug/pprof/). Ctrl-C drains — in-flight decisions
+# finish and are verified — and writes interfd-report.json and
+# interfd-decisions.jsonl.
 run-daemon:
 	go run ./cmd/interfd -listen :8080

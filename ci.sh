@@ -5,8 +5,10 @@
 # observability-plane handler tests in internal/obs and cmd/interfd), the
 # bench/ module's own vet and unit tests, a second uncached race pass for
 # determinism, a soak of the placement service's concurrency tests, a fuzz
-# smoke of every target, and the loadgen determinism smoke against a live
-# serve-only daemon. Timings are not gated here: the benchmark of record is
+# smoke of every target, and two smokes of the interfd binary: same-seed
+# self-driven runs leave byte-identical decision audits, and the loadgen
+# determinism smoke against a live serve-only daemon, whose drain must leave
+# its report and audit on disk. Timings are not gated here: the benchmark of record is
 # bench/ (`make bench`). Run it before every commit.
 set -eu
 cd "$(dirname "$0")"
@@ -72,12 +74,6 @@ for target in $fuzz_targets; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
 
-echo "== loadgen smoke (deterministic placement-service reports) =="
-# End-to-end determinism contract of the serving plane over real HTTP:
-# start a serve-only daemon on an ephemeral port, replay the same seeded
-# open-loop trace twice with the load generator, and require the two
-# reports to be byte-identical with zero errors and nonzero sustained
-# throughput.
 smokedir="$(mktemp -d)"
 daemon_pid=""
 cleanup_smoke() {
@@ -87,6 +83,28 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 go build -o "$smokedir/interfd" ./cmd/interfd
 go build -o "$smokedir/loadgen" ./cmd/loadgen
+
+echo "== self-driver smoke (same seed, same decision audit) =="
+# The daemon's own determinism contract, at the binary: three self-driven
+# rounds — each a request to the daemon's own placement service, verified
+# on the ground truth and audited — run twice with one seed must flush
+# byte-identical audit files of three records.
+for run in a b; do
+  "$smokedir/interfd" -rounds 3 -seed 7 -mix M.lmps,C.libq -profile-samples 4 \
+    -listen 127.0.0.1:0 -log-level warn \
+    -report "$smokedir/$run-report.json" -drift-audit "$smokedir/$run.jsonl"
+  [ "$(wc -l < "$smokedir/$run.jsonl")" -eq 3 ]
+done
+cmp "$smokedir/a.jsonl" "$smokedir/b.jsonl"
+echo "self-driver smoke: two same-seed runs of 3 rounds, byte-identical audits"
+
+echo "== loadgen smoke (deterministic placement-service reports) =="
+# End-to-end determinism contract of the serving plane over real HTTP:
+# start a serve-only daemon on an ephemeral port, replay the same seeded
+# open-loop trace twice with the load generator, and require the two
+# reports to be byte-identical with zero errors and nonzero sustained
+# throughput; then signal the daemon and require its drain to have written
+# a report that parses and the decision audit.
 "$smokedir/interfd" -serve-only -listen 127.0.0.1:0 -addr-file "$smokedir/addr" \
   -mix M.lmps,C.libq -profile-samples 4 -log-level warn \
   -report "$smokedir/interfd-report.json" -drift-audit "$smokedir/decisions.jsonl" &
@@ -100,10 +118,21 @@ grep -q '"errors": 0' "$smokedir/r1.json"
 awk '$1 == "\"sustained_rps\":" { gsub(/,/, "", $2); if ($2 + 0 > 0) ok = 1 }
   END { exit ok ? 0 : 1 }' "$smokedir/r1.json"
 kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
+wait "$daemon_pid"
 daemon_pid=""
+[ -f "$smokedir/decisions.jsonl" ]
+# The drained report: whole (an object from first line to last), this
+# daemon's, counting all 48 placements — and parsed, where there is a
+# python3 to parse it.
+report="$smokedir/interfd-report.json"
+[ "$(head -n 1 "$report")" = "{" ] && [ "$(tail -n 1 "$report")" = "}" ]
+grep -q '"tool": "interfd"' "$report"
+grep -q '"serve_requests_total{endpoint=\\"place\\"}": 48,' "$report"
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$report"
+fi
 cleanup_smoke
 trap - EXIT
-echo "loadgen smoke: two same-seed replays byte-identical, nonzero throughput"
+echo "loadgen smoke: two same-seed replays byte-identical, nonzero throughput, drain flushed report and audit"
 
 echo "ci: all checks passed"

@@ -129,7 +129,7 @@ func TestDaemonDriftUnderDegradedHosts(t *testing.T) {
 	// nonzero pressure on the tracked cells) is guaranteed.
 	base, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
 		c.faultsPath = writePlan(t, degradeAllHostsPlan(c.hosts, 1.6))
-		c.driftMinObs = 2
+		c.drift.MinObservations = 2
 		auditPath = c.driftAuditPath
 	})
 	defer cancel()
@@ -252,7 +252,7 @@ func TestDaemonDriftAuditDeterministic(t *testing.T) {
 		var auditPath string
 		_, cancel, errCh, _ := startTestDaemon(t, func(c *daemonConfig) {
 			c.faultsPath = writePlan(t, degradeAllHostsPlan(c.hosts, 1.6))
-			c.driftMinObs = 2
+			c.drift.MinObservations = 2
 			c.rounds = 3
 			c.workers = 1
 			auditPath = c.driftAuditPath

@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/drift"
 	"repro/internal/obs"
-	"repro/internal/placement"
-	"repro/internal/schedule"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -28,7 +28,6 @@ func startTestDaemon(t *testing.T, mutate func(*daemonConfig)) (string, context.
 	cfg.listen = "127.0.0.1:0"
 	cfg.mix = []string{"M.lmps", "C.libq", "H.KM", "N.cg"}
 	cfg.samples = 6
-	cfg.batch = 6
 	cfg.searchIters = 300
 	cfg.reportPath = filepath.Join(dir, "report.json")
 	cfg.driftAuditPath = filepath.Join(dir, "decisions.jsonl")
@@ -92,9 +91,9 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 
 // TestDaemonObservabilityPlane is the end-to-end acceptance test: readiness
 // flips 503 -> 200 after the model build, /metrics serves valid Prometheus
-// text with live scheduler counters and build_info, /api/events streams
-// convergence samples and job completions, pprof profiles, and shutdown
-// drains and writes the final RunReport.
+// text with the self-driver's request and round counters and build_info,
+// /api/events streams one decision event per verified decision, pprof
+// profiles, and shutdown drains and writes the final RunReport.
 func TestDaemonObservabilityPlane(t *testing.T) {
 	base, cancel, errCh, reportPath := startTestDaemon(t, nil)
 	defer cancel()
@@ -111,7 +110,7 @@ func TestDaemonObservabilityPlane(t *testing.T) {
 		t.Errorf("/healthz = %d", code)
 	}
 
-	// SSE: convergence samples and job completions must both arrive.
+	// SSE: the self-driver's verified decisions must arrive.
 	sseCtx, sseCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer sseCancel()
 	req, err := http.NewRequestWithContext(sseCtx, "GET", base+"/api/events", nil)
@@ -125,10 +124,10 @@ func TestDaemonObservabilityPlane(t *testing.T) {
 	defer resp.Body.Close()
 	seen := map[string]bool{}
 	reader := bufio.NewReader(resp.Body)
-	for !(seen["placement_sample"] && seen["job_completed"]) {
+	for !seen["decision"] {
 		line, err := reader.ReadString('\n')
 		if err != nil {
-			t.Fatalf("SSE stream ended before both event kinds arrived (saw %v): %v", seen, err)
+			t.Fatalf("SSE stream ended before a decision event arrived (saw %v): %v", seen, err)
 		}
 		if strings.HasPrefix(line, "event: ") {
 			seen[strings.TrimSpace(strings.TrimPrefix(line, "event: "))] = true
@@ -136,19 +135,15 @@ func TestDaemonObservabilityPlane(t *testing.T) {
 	}
 	sseCancel()
 
-	// Metrics: valid exposition text carrying scheduler and build
-	// identity metrics.
-	waitFor(t, "scheduler metrics to appear", 30*time.Second, func() bool {
-		_, body := get(t, base+"/metrics")
-		return strings.Contains(body, schedule.MetricJobsCompleted)
-	})
+	// Metrics: valid exposition text carrying the driver's traffic and
+	// build identity metrics.
 	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
 		"# TYPE " + telemetry.BuildInfoMetric + " gauge",
-		"# TYPE placement_iterations_total counter",
+		telemetry.Label(serve.MetricRequests, "endpoint", "place"),
 		"interfd_rounds_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -207,7 +202,8 @@ func TestDaemonObservabilityPlane(t *testing.T) {
 }
 
 // TestDaemonBoundedRounds runs a fixed round budget to completion without
-// any signal and checks the loop terminates by itself.
+// any signal and checks the self-driver terminates by itself, every one of
+// its decisions served by the placement service and audited.
 func TestDaemonBoundedRounds(t *testing.T) {
 	base, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
 		c.rounds = 2
@@ -233,51 +229,11 @@ func TestDaemonBoundedRounds(t *testing.T) {
 	if got := rep.Metrics.Counters["interfd_rounds_total"]; got != 2 {
 		t.Errorf("rounds = %d, want 2", got)
 	}
-	if rep.Metrics.Counters[schedule.MetricJobsCompleted] == 0 {
-		t.Error("no jobs completed across the bounded run")
+	if got := rep.Metrics.Counters[telemetry.Label(serve.MetricRequests, "endpoint", "place")]; got != 2 {
+		t.Errorf("placement requests served = %d, want 2", got)
 	}
-}
-
-// TestDaemonSpeculativeExchangeTelemetry runs bounded rounds with the
-// hierarchical search and checks the exchange-phase telemetry —
-// proposals, accepted, conflicts, batch occupancy, live at every
-// evaluator count — lands in the final RunReport.
-func TestDaemonSpeculativeExchangeTelemetry(t *testing.T) {
-	_, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
-		c.rounds = 2
-		c.searchCells = 4
-	})
-	defer cancel()
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("daemon exit: %v", err)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("bounded daemon never finished")
-	}
-	raw, err := os.ReadFile(reportPath)
-	if err != nil {
-		t.Fatalf("report missing: %v", err)
-	}
-	var rep telemetry.RunReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Metrics.Counters[placement.MetricExchangeProposals]; got == 0 {
-		t.Error("no exchange proposals recorded in the report")
-	}
-	if _, ok := rep.Metrics.Counters[placement.MetricExchangeAccepted]; !ok {
-		t.Errorf("%s missing from the report", placement.MetricExchangeAccepted)
-	}
-	if _, ok := rep.Metrics.Counters[placement.MetricExchangeConflicts]; !ok {
-		t.Errorf("%s missing from the report", placement.MetricExchangeConflicts)
-	}
-	occ, ok := rep.Metrics.Gauges[placement.MetricExchangeBatchOccupancy]
-	if !ok {
-		t.Fatalf("%s missing from the report", placement.MetricExchangeBatchOccupancy)
-	}
-	if occ < 0 || occ > 1 {
-		t.Errorf("batch occupancy %v outside [0, 1]", occ)
+	// Four apps observed per verified decision.
+	if got := rep.Metrics.Counters[drift.MetricObservations]; got != 8 {
+		t.Errorf("drift observations = %d, want 8 (two verified four-app decisions)", got)
 	}
 }

@@ -170,9 +170,9 @@ func TestDaemonPlacementAPI(t *testing.T) {
 // /metrics and an slo_breach frame on /api/events.
 func TestDaemonSLOBreach(t *testing.T) {
 	base, cancel, _ := serveOnlyDaemon(t, func(c *daemonConfig) {
-		c.sloTarget = 1e-9
-		c.sloMinRequests = 1
-		c.sloCooldown = 0
+		c.slo.TargetSeconds = 1e-9
+		c.slo.MinRequests = 1
+		c.slo.Cooldown = 0
 	})
 	defer cancel()
 

@@ -11,13 +11,18 @@ import (
 	"sync"
 )
 
-// Decision is one structured audit record: everything a placement round
-// decided and what production then observed, enough to replay *why* the
-// round chose what it chose. All fields are plain data with deterministic
-// JSON encodings (Go maps marshal with sorted keys, and there are no
-// wall-clock fields), so a fixed seed produces byte-identical JSONL.
+// Decision is one structured audit record: everything one verified
+// placement decision chose and what production then observed, enough to
+// replay *why* it chose what it chose. All fields are plain data with
+// deterministic JSON encodings (Go maps marshal with sorted keys, and
+// there are no wall-clock fields), so a fixed seed produces byte-identical
+// JSONL.
 type Decision struct {
-	Round int `json:"round"`
+	// Round is the record's sequence number — the count of decisions
+	// verified before it — and Request the ID of the placement request
+	// that was verified.
+	Round   int    `json:"round"`
+	Request string `json:"request"`
 	// Assignment maps application name -> its unit positions as
 	// "host:slot" strings, the chosen placement in replayable form.
 	Assignment   map[string][]string `json:"assignment"`
@@ -30,17 +35,17 @@ type Decision struct {
 	Predicted map[string]float64 `json:"predicted"`
 	Observed  map[string]float64 `json:"observed,omitempty"`
 	Residuals map[string]float64 `json:"residuals,omitempty"`
-	// PredCacheHits/Misses are this round's deltas of the placement
-	// prediction cache counters.
-	PredCacheHits   uint64 `json:"pred_cache_hits"`
-	PredCacheMisses uint64 `json:"pred_cache_misses"`
-	// DownHosts lists hosts the fault injector had crashed when the
-	// round ran; DegradedHosts maps host -> slowdown factor.
+	// CombineHits/Misses are the search's own combine-memo traffic
+	// (placement.Result).
+	CombineHits   uint64 `json:"combine_hits"`
+	CombineMisses uint64 `json:"combine_misses"`
+	// DownHosts lists the crashed hosts the search avoided;
+	// DegradedHosts maps host -> slowdown factor at verification.
 	DownHosts     []int           `json:"down_hosts,omitempty"`
 	DegradedHosts map[int]float64 `json:"degraded_hosts,omitempty"`
 	// FaultEvents counts injected faults observed so far.
 	FaultEvents uint64 `json:"fault_events,omitempty"`
-	// DriftEvents holds the drift events EndRound fired for this round.
+	// DriftEvents holds the drift events EndRound fired for this record.
 	DriftEvents []Event `json:"drift_events,omitempty"`
 }
 

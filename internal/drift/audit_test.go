@@ -24,7 +24,7 @@ func mustJSON(t *testing.T, v any) []byte {
 
 func sampleDecision(round int) Decision {
 	return Decision{
-		Round: round,
+		Round: round, Request: fmt.Sprintf("round-%d", round),
 		Assignment: map[string][]string{
 			"M.lmps": {"0:0", "0:1", "1:0", "1:1"},
 			"C.libq": {"2:0", "2:1"},
@@ -35,7 +35,8 @@ func sampleDecision(round int) Decision {
 		Predicted:     map[string]float64{"M.lmps": 1.21, "C.libq": 1.08},
 		Observed:      map[string]float64{"M.lmps": 1.33, "C.libq": 1.07},
 		Residuals:     map[string]float64{"M.lmps": 0.0991, "C.libq": -0.0093},
-		PredCacheHits: 40, PredCacheMisses: 12,
+		CombineHits:   40,
+		CombineMisses: 12,
 		DownHosts:     []int{3},
 		DegradedHosts: map[int]float64{1: 1.5},
 		FaultEvents:   2,

@@ -19,9 +19,10 @@
 // returns drift Events that name the cells to re-profile, ranked by how
 // badly they disagree with production.
 //
-// Observe is the hot path — one call per application per placement round,
-// O(1) and allocation-free — so it can sit inside the daemon's round loop
-// (and, later, a per-request serving path) without showing up in profiles.
+// Observe is the hot path — one call per application per verified placement
+// decision, O(1) and allocation-free — so it can sit behind the daemon's
+// serving path without showing up in profiles. A "round" here is whatever
+// the caller counts; interfd counts verified decisions.
 // The companion decision audit log lives in audit.go.
 package drift
 

@@ -2,10 +2,11 @@
 // for the simulated cluster: node crashes, node slowdowns, profile-cell
 // loss, and transient profiling-run failures. A Plan is a declarative
 // list of faults (loaded from a JSON file via the daemons' -faults
-// flag); an Injector activates them — by profiling round, or by
-// simulated time when armed on a sim.Engine — and exposes the state the
-// rest of the stack consumes to degrade gracefully: the down-host set
-// for placement and scheduling, per-host slowdown factors and a
+// flag); an Injector activates them — by round (interfd: the count of
+// verified placement decisions), or by simulated time when armed on a
+// sim.Engine — and exposes the state the rest of the stack consumes to
+// degrade gracefully: the down-host set for placement, per-host slowdown
+// factors and a
 // measurement failure hook for measure.Env, and a cell-dropping
 // transform for profile.Matrix that forces core predictors onto their
 // naive fallback.
@@ -28,7 +29,7 @@ type Kind uint8
 // Fault kinds.
 const (
 	// NodeCrash marks a host down: its slots stop accepting units and
-	// the placement search and scheduler route around it.
+	// the placement search routes around it.
 	NodeCrash Kind = iota
 	// NodeDegrade multiplies every measurement touching the host by
 	// Factor — the "slow node" an unmeasured background tenant causes.
@@ -94,7 +95,7 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 // Fault is one injected fault. Which fields matter depends on Kind:
 // Host for NodeCrash/NodeDegrade, Factor (> 1) for NodeDegrade,
 // Fraction (0,1] for ProfileCellLoss, Rate (0,1] for ProfilingFailure.
-// A fault activates at profiling round Round (via Injector.Activate) or,
+// A fault activates at round Round (via Injector.Activate) or,
 // when At > 0, at that simulated time instead (via Injector.Arm).
 type Fault struct {
 	Kind     Kind    `json:"kind"`
@@ -182,12 +183,21 @@ func LoadPlan(path string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	var p Plan
-	if err := json.Unmarshal(raw, &p); err != nil {
+	p, err := parsePlan(raw)
+	if err != nil {
 		return Plan{}, fmt.Errorf("fault: %s: %w", path, err)
 	}
+	return p, nil
+}
+
+// parsePlan decodes and validates the bytes of a plan file.
+func parsePlan(raw []byte) (Plan, error) {
+	var p Plan
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return Plan{}, err
+	}
 	if err := p.Validate(); err != nil {
-		return Plan{}, fmt.Errorf("fault: %s: %w", path, err)
+		return Plan{}, err
 	}
 	return p, nil
 }

@@ -288,11 +288,10 @@ const (
 )
 
 // AdaptiveCells derives a cell count from the fleet size and available
-// workers — the Cells=0 "pick for me" policy used by the command-line
-// layers (cmd/placer, cmd/interfd). It is deliberately not applied
-// inside Search itself: the library contract is that Cells=0 runs the
-// flat search bit-identically to the pre-cell engine, so opting into
-// sizing is the caller's choice.
+// workers — the Cells=0 "pick for me" policy cmd/placer uses. It is
+// deliberately not applied inside Search itself: the library contract is
+// that Cells=0 runs the flat search bit-identically to the pre-cell
+// engine, so opting into sizing is the caller's choice.
 //
 // The formula: numHosts < 256 → 1 (flat); otherwise
 // max(numHosts/128, min(workers, numHosts/64)), clamped to [2,

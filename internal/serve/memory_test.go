@@ -23,7 +23,7 @@ func liveHeap() uint64 {
 // nothing per request. 10 000 distinct placements (eighteen apps with
 // distinct bubble scores, four of them per request at varying unit counts,
 // a fresh seed each, the default 600 iterations) go through one service —
-// registry, tracer ring and all — and the live heap between the 2 000th
+// registry, tracer ring, decision sink and all — and the live heap between the 2 000th
 // and the last request may grow by at most 1 MB, i.e. ~130 bytes per
 // request. The cross-request prediction cache this service used to own
 // never evicted and grew ~2.5 KB per such request: ~20 MB over this window.
@@ -41,7 +41,11 @@ func TestMemoryBoundedUnderDistinctTraffic(t *testing.T) {
 		b.Predictors[app] = linPred{0.01 + 0.02*float64(i)}
 		b.Scores[app] = 0.5 + 0.37*float64(i)
 	}
-	s, _, _ := newTestService(t, func(c *Config) { c.Iterations, c.Workers = 0, 1 })
+	handedOn := 0 // one worker: only it writes, and Close joins it
+	s, _, _ := newTestService(t, func(c *Config) {
+		c.Iterations, c.Workers = 0, 1
+		c.OnDecision = func(Decision) { handedOn++ }
+	})
 	s.SetBackend(b)
 
 	rng := rand.New(rand.NewSource(1))
@@ -57,6 +61,9 @@ func TestMemoryBoundedUnderDistinctTraffic(t *testing.T) {
 		mustPlace(t, s, req)
 	}
 	end := liveHeap()
+	if s.Close(); handedOn != requests {
+		t.Errorf("sink saw %d of %d decisions", handedOn, requests)
+	}
 	t.Logf("live heap %d -> %d over %d requests", base, end, requests-warm)
 	if end > base+maxGrowth {
 		t.Errorf("live heap grew %d bytes over %d requests (%d -> %d), want at most %d",

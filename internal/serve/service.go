@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +26,8 @@ const (
 	MetricRejected = "serve_rejected_total"
 	// MetricErrors counts requests that failed validation or search.
 	MetricErrors = "serve_errors_total"
-	// MetricPanics counts searches that panicked and were answered 500.
+	// MetricPanics counts searches that panicked and were answered 500,
+	// and decision sinks that panicked after the answer.
 	MetricPanics = "serve_panics_total"
 	// MetricQueueDepth is the current admission-queue occupancy.
 	MetricQueueDepth = "serve_queue_depth"
@@ -61,8 +63,6 @@ type Config struct {
 	NumHosts         int
 	SlotsPerHost     int
 	AppsPerHostLimit int
-	// DownHosts lists crashed hosts the search must avoid.
-	DownHosts []int
 	// Seed is the base seed mixed into per-request search seeds.
 	Seed int64
 	// Iterations/Restarts are the search defaults when a request does
@@ -84,14 +84,30 @@ type Config struct {
 	Tracer    *telemetry.Tracer
 	SLO       *obs.SLOTracker
 	Logger    *slog.Logger
+	// OnDecision, when set, is handed every placement the service
+	// decided (status 200), on the worker that searched it and after the
+	// request's caller has been released — so whatever it does delays the
+	// worker's next request, never this one's answer. Close waits for it.
+	OnDecision func(Decision)
+}
+
+// Decision is one finished placement search as OnDecision sees it: the
+// request's identity, the search result, and the crashed-host set the
+// search avoided (the backend's slice, shared and read-only).
+type Decision struct {
+	ID        string // explicit or derived request ID
+	Hash      uint64 // content hash of the request
+	Result    placement.Result
+	DownHosts []int
 }
 
 // Backend is the model state requests are served against: one predictor
 // and bubble score per application, typically built by profiling at
-// daemon startup.
+// daemon startup, and the crashed hosts every search must avoid.
 type Backend struct {
 	Predictors map[string]core.Predictor
 	Scores     map[string]float64
+	DownHosts  []int
 }
 
 // Service is the placement-as-a-service engine. Construct with New, arm
@@ -174,7 +190,7 @@ func New(cfg Config) (*Service, error) {
 		reg.SetHelp(MetricRequests, "Placement-service requests completed, by endpoint.")
 		reg.SetHelp(MetricRejected, "Requests refused on a full admission queue.")
 		reg.SetHelp(MetricErrors, "Requests failing validation or search.")
-		reg.SetHelp(MetricPanics, "Searches that panicked; each was contained to its own request (HTTP 500).")
+		reg.SetHelp(MetricPanics, "Searches (answered HTTP 500) and decision sinks that panicked; each was contained to its own request.")
 		reg.SetHelp(MetricQueueDepth, "Admission-queue occupancy.")
 		reg.SetHelp(MetricCombineHits, "Per-search combine-memo hits accumulated by serving.")
 		reg.SetHelp(MetricCombineMisses, "Per-search combine-memo misses accumulated by serving.")
@@ -190,17 +206,21 @@ func New(cfg Config) (*Service, error) {
 }
 
 // SetBackend arms the service with models; until then every request is
-// answered 503. The maps are copied, so the caller may go on using its own.
+// answered 503; arming again swaps models and down hosts together. The
+// contents are copied, so the caller may go on using its own.
 func (s *Service) SetBackend(b Backend) {
-	s.backend.Store(&Backend{Predictors: maps.Clone(b.Predictors), Scores: maps.Clone(b.Scores)})
+	s.backend.Store(&Backend{
+		Predictors: maps.Clone(b.Predictors), Scores: maps.Clone(b.Scores),
+		DownHosts: slices.Clone(b.DownHosts),
+	})
 }
 
 // Ready reports whether a backend is armed.
 func (s *Service) Ready() bool { return s.backend.Load() != nil }
 
 // Close stops admitting, answers 503 to whatever is still queued, and
-// returns once the searches already on a worker have finished and been
-// answered. Safe to call more than once.
+// returns once the searches already on a worker have finished, been
+// answered and been through OnDecision. Safe to call more than once.
 func (s *Service) Close() {
 	s.closeMu.Lock()
 	if !s.closed {
@@ -309,9 +329,9 @@ func (b *Backend) check(apps []AppDemand) error {
 // work is one pool worker: it takes admitted requests off the queue one at
 // a time until Close closes it, and owns each from dequeue to reply — the
 // search, then the request's own side effects (histograms, SLO, spans,
-// counters), then the release of its caller. Workers share nothing
-// mutable, so a slow search delays only the requests queued behind a
-// fully busy pool, never one a free worker could have taken.
+// counters), then the release of its caller, then OnDecision. Workers
+// share nothing mutable, so a slow search delays only the requests queued
+// behind a fully busy pool, never one a free worker could have taken.
 func (s *Service) work() {
 	defer s.workers.Done()
 	for p := range s.queue {
@@ -322,7 +342,8 @@ func (s *Service) work() {
 		}
 		search := p.root.StartChild("search")
 		t0 := time.Now()
-		p.resp, p.status, p.err = s.searchContained(p.req, p.id)
+		var dec Decision
+		p.resp, dec, p.status, p.err = s.searchContained(p.req, p.id)
 		search.SetSimSeconds(p.resp.SimServiceSeconds)
 		search.End()
 		if s.serviceHist != nil {
@@ -342,15 +363,33 @@ func (s *Service) work() {
 		s.cfg.SLO.Observe(e2e)
 		respond.End()
 		p.root.End()
-		close(p.done)
+		decided := p.err == nil && s.cfg.OnDecision != nil
+		close(p.done) // p is the caller's again
+		if decided {
+			s.handOn(dec)
+		}
 	}
+}
+
+// handOn gives a decision to the sink; a panic in there is logged and
+// counted like one below the search, and costs the worker nothing else.
+func (s *Service) handOn(dec Decision) {
+	defer func() {
+		if r := recover(); r != nil {
+			if s.panics != nil {
+				s.panics.Inc()
+			}
+			s.log.Error("decision sink panicked", "request", dec.ID, "panic", r)
+		}
+	}()
+	s.cfg.OnDecision(dec)
 }
 
 // searchContained is search with the HTTP status its outcome maps to, and
 // with a panic below it — a predictor, the search engine — contained to
 // this request: it is answered 500 and counted, the daemon and the
 // requests on the other workers carry on.
-func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, status int, err error) {
+func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, dec Decision, status int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s.panics != nil {
@@ -359,18 +398,18 @@ func (s *Service) searchContained(req PlaceRequest, id string) (resp Response, s
 			// The panic value (and, from a restart worker below the
 			// search, its stack) goes to the log, not to the client.
 			s.log.Error("search panicked", "request", id, "panic", r)
-			resp, status, err = Response{}, http.StatusInternalServerError, errors.New("serve: internal error: search panicked")
+			resp, dec, status, err = Response{}, Decision{}, http.StatusInternalServerError, errors.New("serve: internal error: search panicked")
 		}
 	}()
-	if resp, err = s.search(req, id); err != nil {
-		return Response{}, http.StatusBadRequest, err
+	if resp, dec, err = s.search(req, id); err != nil {
+		return Response{}, Decision{}, http.StatusBadRequest, err
 	}
-	return resp, http.StatusOK, nil
+	return resp, dec, http.StatusOK, nil
 }
 
 // search runs the placement search for a request — a pure function of the
 // request content and the armed backend.
-func (s *Service) search(req PlaceRequest, id string) (Response, error) {
+func (s *Service) search(req PlaceRequest, id string) (Response, Decision, error) {
 	// The whole backend rides along: the search binds only the demanded
 	// apps, and the published maps are never mutated.
 	b := s.backend.Load()
@@ -381,7 +420,7 @@ func (s *Service) search(req PlaceRequest, id string) (Response, error) {
 		Demands:          req.demands(),
 		Predictors:       b.Predictors,
 		Scores:           b.Scores,
-		DownHosts:        s.cfg.DownHosts,
+		DownHosts:        b.DownHosts,
 	}
 	pcfg := placement.Config{
 		Iterations: s.cfg.Iterations,
@@ -399,7 +438,7 @@ func (s *Service) search(req PlaceRequest, id string) (Response, error) {
 	}
 	res, err := placement.Search(preq, pcfg)
 	if err != nil {
-		return Response{}, err
+		return Response{}, Decision{}, err
 	}
 	// The combine memo lives in the per-search caches, so its traffic is
 	// accounted from the search result.
@@ -417,7 +456,7 @@ func (s *Service) search(req PlaceRequest, id string) (Response, error) {
 		QoSSatisfied:      res.QoSSatisfied,
 		Evaluations:       res.Evaluations,
 		SimServiceSeconds: SimCostBase + SimCostPerEval*float64(res.Evaluations),
-	}, nil
+	}, Decision{ID: id, Hash: req.hash(), Result: res, DownHosts: b.DownHosts}, nil
 }
 
 // WhatIf scores one concrete placement inline, on the caller's goroutine

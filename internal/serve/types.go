@@ -11,7 +11,9 @@
 // in flight. What is *not* ordered is the requests' side effects: counters,
 // histograms, SLO observations and span ends land in completion order,
 // not admission order — all of them are commutative, and no response
-// depends on them. Request observability rides on the existing planes: a
+// depends on them. A finished decision can be handed on (Config.OnDecision:
+// the daemon audits and drift-checks what it served) once its caller has
+// been released. Request observability rides on the existing planes: a
 // propagated request ID and a causal span tree per request in the
 // telemetry tracer, per-stage latency histograms with interpolated
 // p50/p95/p99 gauges derived when the registry is read, and a latency SLO

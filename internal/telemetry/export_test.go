@@ -173,23 +173,6 @@ func TestWriteJSONFileStdout(t *testing.T) {
 	}
 }
 
-func TestSeriesTrim(t *testing.T) {
-	reg := NewRegistry()
-	s := reg.Series("trace")
-	for i := 0; i < 10; i++ {
-		s.Append(float64(i), float64(i)*2)
-	}
-	reg.TrimSeries(3)
-	pts := s.Points()
-	if len(pts) != 3 || pts[0].X != 7 || pts[2].X != 9 {
-		t.Errorf("TrimTo kept %v, want the last 3 points", pts)
-	}
-	s.TrimTo(0)
-	if s.Len() != 0 {
-		t.Errorf("TrimTo(0) left %d points", s.Len())
-	}
-}
-
 // TestJSONDeterministic re-encodes the same registry state twice and
 // demands byte equality — the determinism the placement regression test
 // builds on.

@@ -155,23 +155,6 @@ func (s *Series) Points() []Sample {
 	return append([]Sample(nil), s.pts...)
 }
 
-// TrimTo discards all but the most recent n samples. Long-running
-// processes (cmd/interfd) call it between rounds so append-only
-// convergence series stay bounded; n <= 0 clears the series.
-func (s *Series) TrimTo(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		s.pts = nil
-		return
-	}
-	if len(s.pts) > n {
-		kept := make([]Sample, n)
-		copy(kept, s.pts[len(s.pts)-n:])
-		s.pts = kept
-	}
-}
-
 // Registry is a concurrency-safe collection of named metrics. The zero
 // value is not usable; construct with NewRegistry. Metric handles are
 // get-or-create: callers should look a handle up once and hold it across
@@ -305,19 +288,6 @@ func (r *Registry) Series(name string) *Series {
 	s = &Series{}
 	r.series[name] = s
 	return s
-}
-
-// TrimSeries applies Series.TrimTo(n) to every series in the registry.
-func (r *Registry) TrimSeries(n int) {
-	r.mu.RLock()
-	series := make([]*Series, 0, len(r.series))
-	for _, s := range r.series {
-		series = append(series, s)
-	}
-	r.mu.RUnlock()
-	for _, s := range series {
-		s.TrimTo(n)
-	}
 }
 
 // Label renders a metric name with label pairs in Prometheus form:
