@@ -120,8 +120,8 @@ func BenchmarkContentionSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkBSPRun measures one discrete-event execution of a BSP
-// application across 8 nodes.
+// BenchmarkBSPRun measures one run of a BSP application across 8 nodes
+// (its closed form).
 func BenchmarkBSPRun(b *testing.B) {
 	w, err := workloads.ByName("M.milc")
 	if err != nil {
@@ -231,25 +231,36 @@ func BenchmarkModelPredict(b *testing.B) {
 }
 
 // BenchmarkBuildModel measures full model construction (binary-optimized
-// profiling + policy selection + bubble score) for one workload.
+// profiling + policy selection + bubble score) for one workload, bare and
+// with a telemetry registry attached to the measurement environment as
+// interfd attaches it. The ratio of the two is telemetry's own cost
+// (docs/OBSERVABILITY.md, "Overhead budget").
 func BenchmarkBuildModel(b *testing.B) {
-	env, err := newEnv(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env.Reps = 2
-	w, err := workloads.ByName("M.zeus")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultBuildConfig()
-	cfg.Samples = 15
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := core.BuildModel(env, w, cfg); err != nil {
-			b.Fatal(err)
+	w := mustWorkload(b, "M.zeus")
+	for _, instrumented := range []bool{false, true} {
+		name := "bare"
+		if instrumented {
+			name = "instrumented"
 		}
+		b.Run(name, func(b *testing.B) {
+			env, err := newEnv(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			env.Reps = 2
+			if instrumented {
+				env.Telemetry = telemetry.NewRegistry()
+			}
+			cfg := core.DefaultBuildConfig()
+			cfg.Samples = 15
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				if _, err := core.BuildModel(env, w, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -512,12 +523,15 @@ func totalAllocOf(fn func()) uint64 {
 }
 
 // TestAppRunAllocCeiling: a warm application run allocates no generator
-// state and no scheduling state. Its per-node jitter streams are pooled and
-// re-targeted in place, and the task engines' stage state and completion
-// callbacks live in a pooled workspace, so what is left is the run's own
-// small change; one fastSource is 4.9 KB and a run used to allocate one per
-// node, and a task-engine run used to allocate a closure per task launch
-// (103 KB per H.KM run).
+// state and no scheduling state, with or without a telemetry registry
+// attached. Its per-node jitter streams are pooled and re-targeted in
+// place, and the task engines' stage state and completion callbacks live
+// in a pooled workspace, so what is left is the run's own small change;
+// one fastSource is 4.9 KB and a run used to allocate one per node, and a
+// task-engine run used to allocate a closure per task launch (103 KB per
+// H.KM run). An instrumented run adds a handful of counter updates and no
+// per-event work: BSP and wavefront keep their closed forms and the task
+// engines' event engine flushes its counts once per run.
 func TestAppRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -531,22 +545,28 @@ func TestAppRunAllocCeiling(t *testing.T) {
 		if w.App.NoiseSigma <= 0 {
 			t.Fatalf("%s draws no jitter; the test would prove nothing", name)
 		}
-		const runs = 200
-		seed := int64(0)
-		run := func() {
-			for i := 0; i < runs; i++ {
-				seed++
-				if _, err := w.App.Run(app.Params{Slowdown: sd, Net: net, RNG: sim.NewRNG(seed)}); err != nil {
-					t.Fatal(err)
+		for _, reg := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+			mode := "bare"
+			if reg != nil {
+				mode = "instrumented"
+			}
+			const runs = 200
+			seed := int64(0)
+			run := func() {
+				for i := 0; i < runs; i++ {
+					seed++
+					if _, err := w.App.Run(app.Params{Slowdown: sd, Net: net, RNG: sim.NewRNG(seed), Telemetry: reg}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
+			run() // warm the stream pool and the registry's handles
+			perRun := totalAllocOf(run) / runs
+			if perRun > ceiling {
+				t.Errorf("%s (%v, %s): %d B per warm run, ceiling %d", name, w.App.Engine, mode, perRun, ceiling)
+			}
+			t.Logf("%s (%v, %s): %d B per warm run", name, w.App.Engine, mode, perRun)
 		}
-		run() // warm the stream pool
-		perRun := totalAllocOf(run) / runs
-		if perRun > ceiling {
-			t.Errorf("%s (%v): %d B per warm run, ceiling %d", name, w.App.Engine, perRun, ceiling)
-		}
-		t.Logf("%s (%v): %d B per warm run", name, w.App.Engine, perRun)
 	}
 }
 

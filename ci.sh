@@ -6,7 +6,8 @@
 # bench/ module's own vet and unit tests, a second uncached race pass for
 # determinism, a soak of the placement service's concurrency tests, a fuzz
 # smoke of every target, and two smokes of the interfd binary: same-seed
-# self-driven runs leave byte-identical decision audits, and the loadgen
+# self-driven runs leave byte-identical decision audits and equal nonzero
+# event and measurement counts in their reports, and the loadgen
 # determinism smoke against a live serve-only daemon, whose drain must leave
 # its report and audit on disk. Timings are not gated here: the benchmark of record is
 # bench/ (`make bench`). Run it before every commit.
@@ -96,7 +97,21 @@ for run in a b; do
   [ "$(wc -l < "$smokedir/$run.jsonl")" -eq 3 ]
 done
 cmp "$smokedir/a.jsonl" "$smokedir/b.jsonl"
-echo "self-driver smoke: two same-seed runs of 3 rounds, byte-identical audits"
+# Startup profiling runs instrumented, and BSP and wavefront runs report
+# the event counts their schedule implies rather than counting events: the
+# two reports must carry the same nonzero counts.
+report_value() {
+  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2; exit }' "$1"
+}
+for key in sim_events_scheduled_total sim_events_fired_total measure_runs_total; do
+  va="$(report_value "$smokedir/a-report.json" "$key")"
+  vb="$(report_value "$smokedir/b-report.json" "$key")"
+  if [ -z "$va" ] || [ "$va" = 0 ] || [ "$va" != "$vb" ]; then
+    echo "ci: $key is missing, zero or unequal across same-seed reports: a=$va b=$vb" >&2
+    exit 1
+  fi
+done
+echo "self-driver smoke: two same-seed runs of 3 rounds, byte-identical audits, equal event and run counts"
 
 echo "== loadgen smoke (deterministic placement-service reports) =="
 # End-to-end determinism contract of the serving plane over real HTTP:

@@ -299,10 +299,10 @@ func (d *daemon) profile(ctx context.Context) error {
 		env.FailureHook = dp.inj.FailureHook
 	}
 	// Failures, counters and the content cache are for profiling. The
-	// verification runs that follow keep the span: an instrumented run
-	// allocates 63 KB where a bare one allocates 17, and the cache's 1.3 MB
-	// would lift the serving heap off the collector's fixed 4 MB floor
-	// (docs/OBSERVABILITY.md, "What verification keeps in memory").
+	// verification runs that follow keep the span but stay out of the
+	// profiling counters, and the cache's 1.3 MB would lift the serving
+	// heap off the collector's fixed 4 MB floor (docs/OBSERVABILITY.md,
+	// "What verification keeps in memory").
 	defer func() { env.FailureHook, env.Telemetry, env.Cache = nil, nil, nil }()
 	dp.env = env
 

@@ -162,9 +162,12 @@ type Params struct {
 	Slowdown []float64 // one entry per node the app occupies; >= 1 each
 	Net      netsim.Network
 	RNG      *sim.RNG
-	// Telemetry, when non-nil, instruments the run's event engine (see
-	// sim.Engine.Instrument) and records per-engine run counters and
-	// simulated-makespan histograms. Nil costs nothing.
+	// Telemetry, when non-nil, receives the run's event counts under the
+	// sim.Engine.Instrument metric names (the task engines flush their
+	// event engine's; BSP and Wavefront add what their event schedule
+	// would have produced) and per-engine run counters and
+	// simulated-makespan histograms. Nil costs nothing, and attaching a
+	// registry costs a few counter updates per run, none per event.
 	Telemetry *telemetry.Registry
 }
 
@@ -178,12 +181,23 @@ const (
 // appRunBuckets cover simulated makespans from 1 s to ~65k s.
 var appRunBuckets = telemetry.ExpBuckets(1, 4, 9)
 
-// enginePool recycles event engines across application runs, and engineHW
-// remembers the deepest event queue any run has needed so reused engines
-// start pre-sized and never regrow their heap mid-run. A reset engine is
-// bit-identical to a fresh one (sim.Engine.Reset), so pooling does not
-// affect results; the pool is safe for the measurement layer's concurrent
-// batch workers.
+// runMetricNames holds each engine's labelled run-metric names, rendered
+// once so that recording a run formats nothing.
+var runMetricNames = func() (names [Independent + 1]struct{ runs, seconds string }) {
+	for e := range names {
+		eng := Engine(e).String()
+		names[e].runs = telemetry.Label(MetricAppRuns, "engine", eng)
+		names[e].seconds = telemetry.Label(MetricAppRunSeconds, "engine", eng)
+	}
+	return names
+}()
+
+// enginePool recycles the task engines' event engines across runs, and
+// engineHW remembers the deepest event queue any run has needed so reused
+// engines start pre-sized and never regrow their heap mid-run. A reset
+// engine is bit-identical to a fresh one (sim.Engine.Reset), so pooling
+// does not affect results; the pool is safe for the measurement layer's
+// concurrent batch workers.
 var (
 	enginePool = sync.Pool{New: func() any { return sim.NewEngine() }}
 	engineHW   atomic.Int64
@@ -218,9 +232,21 @@ func (s Spec) record(p Params, makespan float64) {
 	if p.Telemetry == nil {
 		return
 	}
-	eng := s.Engine.String()
-	p.Telemetry.Counter(telemetry.Label(MetricAppRuns, "engine", eng)).Inc()
-	p.Telemetry.Histogram(telemetry.Label(MetricAppRunSeconds, "engine", eng), appRunBuckets).Observe(makespan)
+	names := &runMetricNames[s.Engine]
+	p.Telemetry.Counter(names.runs).Inc()
+	p.Telemetry.Histogram(names.seconds, appRunBuckets).Observe(makespan)
+}
+
+// recordEvents adds a closed-form run's event counts to an instrumented
+// run's registry: the events its engine schedule would have scheduled and
+// fired (each one fires), and that schedule's queue high-water mark.
+func (p Params) recordEvents(events uint64, highWater int) {
+	if p.Telemetry == nil {
+		return
+	}
+	p.Telemetry.Counter(sim.MetricEventsScheduled).Add(events)
+	p.Telemetry.Counter(sim.MetricEventsFired).Add(events)
+	p.Telemetry.Gauge(sim.MetricQueueHighWater).SetMax(float64(highWater))
 }
 
 func (p Params) validate() error {
@@ -301,19 +327,6 @@ func acquireStreams(rng *sim.RNG, n int) *runStreams {
 	return rs
 }
 
-// runBSP executes bulk-synchronous iterations: all nodes compute, the
-// slowest gates the iteration, then collectives run. Uninstrumented runs
-// take the closed-form path — the BSP event schedule is statically known,
-// so replaying the engine's arithmetic directly is bit-identical and
-// skips the heap entirely. Instrumented runs keep the engine so the
-// sim_events_* metrics and per-kind histograms stay populated.
-func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
-	if p.Telemetry == nil {
-		return s.runBSPDirect(p, rs)
-	}
-	return s.runBSPEngine(p, rs)
-}
-
 // bspCollective computes the fixed per-iteration collective cost.
 func (s Spec) bspCollective(p Params, nodes int) float64 {
 	procs := nodes * s.ProcsPerNode
@@ -328,8 +341,8 @@ func (s Spec) bspCollective(p Params, nodes int) float64 {
 	return collective + s.SyncDrag*s.IterSec*meanExcess
 }
 
-// checkDelay mirrors the engine's scheduling validation so the direct
-// paths reject exactly the delays AfterKind would.
+// checkDelay mirrors the engine's scheduling validation so the closed
+// forms reject exactly the delays sim.Engine.After would.
 func checkDelay(d float64) error {
 	if d < 0 {
 		return fmt.Errorf("%w: negative delay %v", sim.ErrPastEvent, d)
@@ -340,12 +353,17 @@ func checkDelay(d float64) error {
 	return nil
 }
 
-// runBSPDirect is the engine-free BSP evaluation. It must stay
-// bit-identical to runBSPEngine: per-iteration jitter is drawn in node
-// order at scheduling time, an iteration ends at max_i(now + Time(d_i)),
-// and the collective extends that via the same sim.Time additions the
-// engine's AfterKind performs.
-func (s Spec) runBSPDirect(p Params, rs *runStreams) (float64, error) {
+// runBSP executes bulk-synchronous iterations: all nodes compute, the
+// slowest gates the iteration, then collectives run. The event schedule is
+// statically known — a start event, then per iteration one compute event
+// per node and one collective event — so the run replays the engine's
+// arithmetic directly, bit-identically and without a heap: jitter is drawn
+// in node order at scheduling time, an iteration ends at
+// max_i(now + Time(d_i)), and the collective extends that via the same
+// sim.Time additions sim.Engine.After performs. That schedule fires
+// 1 + I·(n+1) events with at most n queued at once (Validate and
+// Params.validate guarantee I ≥ 1 and n ≥ 1).
+func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
 	nodes := len(p.Slowdown)
 	streams := rs.node
 	collective := s.bspCollective(p, nodes)
@@ -366,71 +384,19 @@ func (s Spec) runBSPDirect(p Params, rs *runStreams) (float64, error) {
 		}
 		now = worst + sim.Time(collective)
 	}
+	p.recordEvents(1+uint64(s.Iterations)*uint64(nodes+1), nodes)
 	return float64(now), nil
 }
 
-// runBSPEngine is the event-driven BSP evaluation, used when the run is
-// instrumented.
-func (s Spec) runBSPEngine(p Params, rs *runStreams) (float64, error) {
-	eng := engineFor(p)
-	defer releaseEngine(eng)
-	nodes := len(p.Slowdown)
-	streams := rs.node
-	collective := s.bspCollective(p, nodes)
-
-	iter := 0
-	var schedErr error
-	var startIter func()
-	startIter = func() {
-		if iter >= s.Iterations {
-			return
-		}
-		iter++
-		remaining := nodes
-		for i := 0; i < nodes; i++ {
-			d := s.IterSec * p.Slowdown[i] * streams[i].JitterAround1(s.NoiseSigma)
-			if err := eng.AfterKind(d, "bsp.compute", func() {
-				remaining--
-				if remaining == 0 {
-					if err := eng.AfterKind(collective, "bsp.collective", startIter); err != nil {
-						schedErr = err
-						eng.Halt()
-					}
-				}
-			}); err != nil {
-				schedErr = err
-				eng.Halt()
-				return
-			}
-		}
-	}
-	if err := eng.At(0, startIter); err != nil {
-		return 0, err
-	}
-	end := eng.Run()
-	if schedErr != nil {
-		return 0, schedErr
-	}
-	return float64(end), nil
-}
-
 // runWavefront executes iterations whose per-node stages are serialized:
-// node 0 computes and hands off to node 1, and so on. Each node's slowdown
-// therefore contributes additively to the iteration. Like runBSP,
-// uninstrumented runs take a bit-identical closed-form path.
+// node 0 computes and hands off to node 1, and so on, so each node's
+// slowdown contributes additively to the iteration. The event schedule is
+// a strict chain — start, stage, hop, stage, hop, ... — with no hop after
+// the very last stage of the last iteration, and jitter drawn one stage at
+// a time in (iteration, node) order; the run replays exactly that
+// arithmetic via the same sim.Time additions, like runBSP. The chain fires
+// 2·I·n events with one queued at a time.
 func (s Spec) runWavefront(p Params, rs *runStreams) (float64, error) {
-	if p.Telemetry == nil {
-		return s.runWavefrontDirect(p, rs)
-	}
-	return s.runWavefrontEngine(p, rs)
-}
-
-// runWavefrontDirect is the engine-free wavefront evaluation. The engine
-// schedule is a strict chain — stage, hop, stage, hop, ... — with no hop
-// after the very last stage of the last iteration, and jitter drawn one
-// stage at a time in (iteration, node) order; this replays exactly that
-// arithmetic via the same sim.Time additions.
-func (s Spec) runWavefrontDirect(p Params, rs *runStreams) (float64, error) {
 	nodes := len(p.Slowdown)
 	streams := rs.node
 	hop := p.Net.PointToPoint(256 * 1024) // stage hand-off message
@@ -440,6 +406,8 @@ func (s Spec) runWavefrontDirect(p Params, rs *runStreams) (float64, error) {
 	now := sim.Time(0)
 	for iter := 0; iter < s.Iterations; iter++ {
 		for node := 0; node < nodes; node++ {
+			// Per-node stage: the solo iteration costs IterSec in total,
+			// split evenly across the serialized node stages.
 			d := s.IterSec / float64(nodes) * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
 			if err := checkDelay(d); err != nil {
 				return 0, err
@@ -450,56 +418,8 @@ func (s Spec) runWavefrontDirect(p Params, rs *runStreams) (float64, error) {
 			}
 		}
 	}
+	p.recordEvents(2*uint64(s.Iterations)*uint64(nodes), 1)
 	return float64(now), nil
-}
-
-// runWavefrontEngine is the event-driven wavefront evaluation, used when
-// the run is instrumented.
-func (s Spec) runWavefrontEngine(p Params, rs *runStreams) (float64, error) {
-	eng := engineFor(p)
-	defer releaseEngine(eng)
-	nodes := len(p.Slowdown)
-	streams := rs.node
-	hop := p.Net.PointToPoint(256 * 1024) // stage hand-off message
-
-	iter, node := 0, 0
-	var schedErr error
-	var step func()
-	step = func() {
-		if iter >= s.Iterations {
-			return
-		}
-		// Per-node stage: the solo iteration costs IterSec in total,
-		// split evenly across the serialized node stages.
-		d := s.IterSec / float64(nodes) * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
-		cur := node
-		if err := eng.AfterKind(d, "wavefront.stage", func() {
-			_ = cur
-			node++
-			if node == nodes {
-				node = 0
-				iter++
-				if iter >= s.Iterations {
-					return
-				}
-			}
-			if err := eng.AfterKind(hop, "wavefront.hop", step); err != nil {
-				schedErr = err
-				eng.Halt()
-			}
-		}); err != nil {
-			schedErr = err
-			eng.Halt()
-		}
-	}
-	if err := eng.At(0, step); err != nil {
-		return 0, err
-	}
-	end := eng.Run()
-	if schedErr != nil {
-		return 0, schedErr
-	}
-	return float64(end), nil
 }
 
 // taskState tracks one logical task during a stage, including a possible
@@ -693,7 +613,7 @@ func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
 		r.running = append(r.running, int32(id))
 	}
 	r.slotTask[slot] = int32(id)
-	if err := r.eng.AfterKind(d, "task.complete", r.completeFn[r.stage-1][slot]); err != nil {
+	if err := r.eng.After(d, r.completeFn[r.stage-1][slot]); err != nil {
 		r.fail(err)
 	}
 }
@@ -757,7 +677,7 @@ func (r *taskRun) finishStage() {
 	if r.s.ShuffleBytesPerNode > 0 {
 		gap = r.p.Net.Shuffle(r.nodes, r.s.ShuffleBytesPerNode)
 	}
-	if err := r.eng.AfterKind(gap, "task.stage-start", r.startFn); err != nil {
+	if err := r.eng.After(gap, r.startFn); err != nil {
 		r.fail(err)
 	}
 }

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -11,71 +12,179 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestClosedFormMatchesEngine: BSP and Wavefront take a closed-form path
-// when the run is uninstrumented and the event-engine path when telemetry
-// is attached; the makespans must be bit-identical, since the closed form
-// replays the exact engine arithmetic (same draws, same additions).
-func TestClosedFormMatchesEngine(t *testing.T) {
-	specs := []Spec{bspSpec(), wavefrontSpec()}
-	slowdowns := [][]float64{
-		{1, 1, 1, 1},
-		{2.5, 1, 1, 1, 1, 1, 1, 1},
-		{1.3, 1.7},
-		{1},
-		{4, 3, 2, 1, 1.5, 2.5},
+// refBSPEngine is the event-driven BSP evaluation the closed form in
+// runBSP replays: a start event, then per iteration one compute event per
+// node and, when the last of them fires, one collective event that starts
+// the next iteration.
+func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
+	rs := acquireStreams(p.RNG, len(p.Slowdown))
+	defer streamPool.Put(rs)
+	nodes := len(p.Slowdown)
+	collective := s.bspCollective(p, nodes)
+	iter := 0
+	var schedErr error
+	var startIter func()
+	startIter = func() {
+		if iter >= s.Iterations {
+			return
+		}
+		iter++
+		remaining := nodes
+		for i := 0; i < nodes; i++ {
+			d := s.IterSec * p.Slowdown[i] * rs.node[i].JitterAround1(s.NoiseSigma)
+			if err := eng.After(d, func() {
+				remaining--
+				if remaining == 0 {
+					if err := eng.After(collective, startIter); err != nil {
+						schedErr = err
+						eng.Halt()
+					}
+				}
+			}); err != nil {
+				schedErr = err
+				eng.Halt()
+				return
+			}
+		}
 	}
-	for _, s := range specs {
-		for _, seed := range []int64{1, 7, 42} {
-			for _, sd := range slowdowns {
-				base := Params{Slowdown: sd, Net: netsim.TenGbE()}
-				direct := base
-				direct.RNG = sim.NewRNG(seed).Stream("fastpath")
-				engine := base
-				engine.RNG = sim.NewRNG(seed).Stream("fastpath")
-				engine.Telemetry = telemetry.NewRegistry()
-				d, err := s.Run(direct)
-				if err != nil {
-					t.Fatal(err)
+	if err := eng.At(0, startIter); err != nil {
+		return 0, err
+	}
+	end := eng.Run()
+	return float64(end), schedErr
+}
+
+// refWavefrontEngine is the event-driven wavefront evaluation the closed
+// form in runWavefront replays: a strict chain of stage and hop events.
+func refWavefrontEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
+	rs := acquireStreams(p.RNG, len(p.Slowdown))
+	defer streamPool.Put(rs)
+	nodes := len(p.Slowdown)
+	hop := p.Net.PointToPoint(256 * 1024)
+	iter, node := 0, 0
+	var schedErr error
+	var step func()
+	step = func() {
+		if iter >= s.Iterations {
+			return
+		}
+		d := s.IterSec / float64(nodes) * p.Slowdown[node] * rs.node[node].JitterAround1(s.NoiseSigma)
+		if err := eng.After(d, func() {
+			node++
+			if node == nodes {
+				node = 0
+				iter++
+				if iter >= s.Iterations {
+					return
 				}
-				e, err := s.Run(engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d != e {
-					t.Errorf("%s seed=%d sd=%v: direct %v != engine %v", s.Name, seed, sd, d, e)
+			}
+			if err := eng.After(hop, step); err != nil {
+				schedErr = err
+				eng.Halt()
+			}
+		}); err != nil {
+			schedErr = err
+			eng.Halt()
+		}
+	}
+	if err := eng.At(0, step); err != nil {
+		return 0, err
+	}
+	end := eng.Run()
+	return float64(end), schedErr
+}
+
+// eventCounts reads the three event metrics an instrumented run leaves.
+func eventCounts(reg *telemetry.Registry) [3]float64 {
+	return [3]float64{
+		float64(reg.Counter(sim.MetricEventsScheduled).Value()),
+		float64(reg.Counter(sim.MetricEventsFired).Value()),
+		reg.Gauge(sim.MetricQueueHighWater).Value(),
+	}
+}
+
+// TestClosedFormMatchesEngine: BSP and Wavefront always take their closed
+// forms, which replay the exact arithmetic of the event-driven reference
+// (same draws, same additions). At every (iterations, nodes) tried, bare
+// and instrumented runs must match the reference's makespan bit for bit,
+// and an instrumented run must report exactly the scheduled and fired
+// counts and queue high-water mark the reference engine counted.
+func TestClosedFormMatchesEngine(t *testing.T) {
+	refs := []struct {
+		spec Spec
+		run  func(Spec, Params, *sim.Engine) (float64, error)
+	}{{bspSpec(), refBSPEngine}, {wavefrontSpec(), refWavefrontEngine}}
+	for _, ref := range refs {
+		for _, iters := range []int{1, 2, 3, 40} {
+			for _, nodes := range []int{1, 2, 3, 4, 8, 12} {
+				for _, seed := range []int64{1, 7, 42} {
+					s := ref.spec
+					s.Iterations = iters
+					sd := make([]float64, nodes)
+					for i := range sd {
+						sd[i] = 1 + 0.37*float64((i*5+int(seed))%7)
+					}
+					params := func(reg *telemetry.Registry) Params {
+						return Params{Slowdown: sd, Net: netsim.TenGbE(), RNG: sim.NewRNG(seed).Stream("fastpath"), Telemetry: reg}
+					}
+					name := fmt.Sprintf("%s I=%d n=%d seed=%d", s.Name, iters, nodes, seed)
+
+					eng := sim.NewEngine()
+					refReg := telemetry.NewRegistry()
+					eng.Instrument(refReg)
+					want, err := ref.run(s, params(nil), eng)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					bare, err := s.Run(params(nil))
+					if err != nil {
+						t.Fatal(err)
+					}
+					reg := telemetry.NewRegistry()
+					instr, err := s.Run(params(reg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(bare) != math.Float64bits(want) || math.Float64bits(instr) != math.Float64bits(want) {
+						t.Errorf("%s: bare %v, instrumented %v, engine %v", name, bare, instr, want)
+					}
+					if got, want := eventCounts(reg), eventCounts(refReg); got != want {
+						t.Errorf("%s: scheduled/fired/high-water %v, engine %v", name, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestEnginePoolReuseDeterministic: repeated runs recycle engines and task
-// workspaces through their pools; a reused one must not leak state into
-// later runs — not even one whose previous run died mid-stage.
+// TestEnginePoolReuseDeterministic: task-engine runs recycle event engines
+// and workspaces through their pools; a reused one must not leak state into
+// later runs — not even one whose previous run died mid-stage, nor a
+// registry from an instrumented run into a bare one.
 func TestEnginePoolReuseDeterministic(t *testing.T) {
 	// The second node's first task overflows to +Inf: the engine halts
 	// inside the first dispatch with tasks in flight and events queued.
 	broken := taskPoolSpec()
 	broken.TaskSec = 1e308
-	specs := []Spec{taskPoolSpec(), stagesSpec(), bspSpec()}
-	for _, s := range specs {
-		run := func() float64 {
-			p := Params{
-				Slowdown: []float64{2, 1, 1.5, 1},
-				Net:      netsim.TenGbE(),
-				RNG:      sim.NewRNG(11).Stream("pool"),
-			}
-			if s.Engine == BSP {
-				// Force the engine path so BSP exercises the pool too.
-				p.Telemetry = telemetry.NewRegistry()
-			}
-			v, err := s.Run(p)
+	for _, s := range []Spec{taskPoolSpec(), stagesSpec()} {
+		run := func(reg *telemetry.Registry) float64 {
+			v, err := s.Run(Params{
+				Slowdown:  []float64{2, 1, 1.5, 1},
+				Net:       netsim.TenGbE(),
+				RNG:       sim.NewRNG(11).Stream("pool"),
+				Telemetry: reg,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return v
 		}
-		want := run()
+		want := run(nil)
+		first := telemetry.NewRegistry()
+		if got := run(first); got != want {
+			t.Fatalf("%s: instrumented run = %v, bare %v", s.Name, got, want)
+		}
+		counts := eventCounts(first)
 		for i := 0; i < 5; i++ {
 			if _, err := broken.Run(Params{
 				Slowdown: []float64{1, 2, 1.5, 1},
@@ -84,9 +193,19 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 			}); err == nil || !strings.Contains(err.Error(), "non-finite event time") {
 				t.Fatalf("overflowing task delay: err = %v, want a non-finite event time", err)
 			}
-			if got := run(); got != want {
+			if got := run(nil); got != want {
 				t.Fatalf("%s: run %d = %v, want %v (pooled engine leaked state)", s.Name, i, got, want)
 			}
+			reg := telemetry.NewRegistry()
+			if got := run(reg); got != want {
+				t.Fatalf("%s: instrumented run %d = %v, want %v", s.Name, i, got, want)
+			}
+			if got := eventCounts(reg); got != counts {
+				t.Fatalf("%s: instrumented run %d counted %v, the first %v", s.Name, i, got, counts)
+			}
+		}
+		if got := eventCounts(first); got != counts {
+			t.Errorf("%s: later runs added to the first run's registry: %v, was %v", s.Name, got, counts)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (inj *Injector) Arm(e *sim.Engine) error {
 			continue
 		}
 		i := i
-		if err := e.AtKind(sim.Time(f.At), "fault/"+f.Kind.String(), func() { inj.applyIdx(i) }); err != nil {
+		if err := e.At(sim.Time(f.At), func() { inj.applyIdx(i) }); err != nil {
 			return err
 		}
 	}

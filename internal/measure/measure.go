@@ -56,8 +56,8 @@ type Env struct {
 	UnitCores int // cores per application unit on one host
 	// Background, when non-nil, adds unmeasured interference per host.
 	Background BackgroundFunc
-	// Telemetry, when non-nil, counts measurements, instruments every
-	// application run's event engine, and publishes per-app
+	// Telemetry, when non-nil, counts measurements and every application
+	// run's events (app.Params.Telemetry), and publishes per-app
 	// predicted-vs-actual gauges from RunPlacement. Tracer, when
 	// non-nil, records one span per measurement. Both may be nil.
 	Telemetry *telemetry.Registry

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -28,42 +27,50 @@ type Engine struct {
 	highWater int
 
 	// Telemetry handles, resolved once by Instrument; all nil when the
-	// engine is uninstrumented, which keeps the hot path branch-cheap.
-	scheduledC *telemetry.Counter
-	firedC     *telemetry.Counter
-	queueHW    *telemetry.Gauge
-	reg        *telemetry.Registry
-	kindHists  map[string]*telemetry.Histogram
+	// engine is uninstrumented. Nothing touches them per event: Run and
+	// RunUntil flush the counts accrued since flushedSeq/flushedFired once
+	// per call.
+	scheduledC   *telemetry.Counter
+	firedC       *telemetry.Counter
+	queueHW      *telemetry.Gauge
+	flushedSeq   uint64
+	flushedFired uint64
 }
 
-// eventWallBuckets are the upper bounds (seconds) of the per-event-kind
-// wall-time histograms: 1µs up to ~65ms.
-var eventWallBuckets = telemetry.ExpBuckets(1e-6, 4, 9)
-
-// Instrument attaches a telemetry registry: the engine then maintains
-// MetricEventsScheduled, MetricEventsFired, and MetricQueueHighWater, and
-// times events scheduled through AtKind into per-kind wall-time
-// histograms. Passing nil detaches.
+// Instrument attaches a telemetry registry: every Run and RunUntil call
+// then adds the events scheduled and fired since the previous flush to
+// MetricEventsScheduled and MetricEventsFired and raises
+// MetricQueueHighWater to the queue's high-water mark. Events scheduled
+// before Instrument are not counted. Passing nil detaches.
 func (e *Engine) Instrument(reg *telemetry.Registry) {
-	e.reg = reg
+	e.flushedSeq, e.flushedFired = e.seq, e.fired
 	if reg == nil {
-		e.scheduledC, e.firedC, e.queueHW, e.kindHists = nil, nil, nil, nil
+		e.scheduledC, e.firedC, e.queueHW = nil, nil, nil
 		return
 	}
 	e.scheduledC = reg.Counter(MetricEventsScheduled)
 	e.firedC = reg.Counter(MetricEventsFired)
 	e.queueHW = reg.Gauge(MetricQueueHighWater)
-	e.kindHists = map[string]*telemetry.Histogram{}
 }
 
-// Metric names maintained by an instrumented engine. The per-kind event
-// histograms are named Label(MetricEventWallSeconds, "kind", kind).
+// Metric names maintained by an instrumented engine.
 const (
-	MetricEventsScheduled  = "sim_events_scheduled_total"
-	MetricEventsFired      = "sim_events_fired_total"
-	MetricQueueHighWater   = "sim_queue_high_water"
-	MetricEventWallSeconds = "sim_event_wall_seconds"
+	MetricEventsScheduled = "sim_events_scheduled_total"
+	MetricEventsFired     = "sim_events_fired_total"
+	MetricQueueHighWater  = "sim_queue_high_water"
 )
+
+// flush adds the counts accrued since the last flush to an instrumented
+// engine's registry.
+func (e *Engine) flush() {
+	if e.scheduledC == nil {
+		return
+	}
+	e.scheduledC.Add(e.seq - e.flushedSeq)
+	e.firedC.Add(e.fired - e.flushedFired)
+	e.queueHW.SetMax(float64(e.highWater))
+	e.flushedSeq, e.flushedFired = e.seq, e.fired
+}
 
 // QueueHighWater returns the deepest the event queue has ever been.
 func (e *Engine) QueueHighWater() int { return e.highWater }
@@ -74,7 +81,8 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its initial state (clock 0, empty queue,
-// zeroed counters, detached telemetry preserved) while keeping the event
+// zeroed counters; an attached registry stays attached, and counts not yet
+// flushed to it by Run or RunUntil are dropped) while keeping the event
 // queue's allocated storage, so one engine can be reused across the
 // thousands of short runs the measurement layer performs. sizeHint, when
 // larger than the current capacity, pre-grows the queue — callers pass a
@@ -94,6 +102,7 @@ func (e *Engine) Reset(sizeHint int) {
 	e.fired = 0
 	e.halted = false
 	e.highWater = 0
+	e.flushedSeq, e.flushedFired = 0, 0
 }
 
 // Now returns the current simulated time.
@@ -112,29 +121,16 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // At schedules fn to run at absolute time t. Events at equal timestamps run
 // in scheduling order. Scheduling in the past is an error.
 func (e *Engine) At(t Time, fn func()) error {
-	return e.AtKind(t, "", fn)
-}
-
-// AtKind schedules fn like At and tags the event with a kind. On an
-// instrumented engine, events with a non-empty kind are wall-clock timed
-// into a per-kind histogram when they fire.
-func (e *Engine) AtKind(t Time, kind string, fn func()) error {
 	if t < e.now {
 		return fmt.Errorf("%w: at %v, now %v", ErrPastEvent, t, e.now)
 	}
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: non-finite event time %v", t)
 	}
-	e.push(event{at: t, seq: e.seq, kind: kind, fn: fn})
+	e.push(event{at: t, seq: e.seq, fn: fn})
 	e.seq++
 	if len(e.queue) > e.highWater {
 		e.highWater = len(e.queue)
-		if e.queueHW != nil {
-			e.queueHW.SetMax(float64(e.highWater))
-		}
-	}
-	if e.scheduledC != nil {
-		e.scheduledC.Inc()
 	}
 	return nil
 }
@@ -142,39 +138,20 @@ func (e *Engine) AtKind(t Time, kind string, fn func()) error {
 // After schedules fn to run d seconds after the current time. Negative
 // delays are errors.
 func (e *Engine) After(d float64, fn func()) error {
-	return e.AfterKind(d, "", fn)
-}
-
-// AfterKind is After with an event kind, as AtKind is to At.
-func (e *Engine) AfterKind(d float64, kind string, fn func()) error {
 	if d < 0 {
 		return fmt.Errorf("%w: negative delay %v", ErrPastEvent, d)
 	}
-	return e.AtKind(e.now+Time(d), kind, fn)
+	return e.At(e.now+Time(d), fn)
 }
 
 // Halt stops the run loop after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
-// fire executes one event, updating counters and per-kind timing when the
-// engine is instrumented.
-func (e *Engine) fire(ev event) {
+// fireNext pops the earliest event and executes it.
+func (e *Engine) fireNext() {
+	ev := e.pop()
 	e.now = ev.at
 	e.fired++
-	if e.firedC != nil {
-		e.firedC.Inc()
-		if ev.kind != "" {
-			h, ok := e.kindHists[ev.kind]
-			if !ok {
-				h = e.reg.Histogram(telemetry.Label(MetricEventWallSeconds, "kind", ev.kind), eventWallBuckets)
-				e.kindHists[ev.kind] = h
-			}
-			start := time.Now()
-			ev.fn()
-			h.Observe(time.Since(start).Seconds())
-			return
-		}
-	}
 	ev.fn()
 }
 
@@ -183,8 +160,9 @@ func (e *Engine) fire(ev event) {
 func (e *Engine) Run() Time {
 	e.halted = false
 	for len(e.queue) > 0 && !e.halted {
-		e.fire(e.pop())
+		e.fireNext()
 	}
+	e.flush()
 	return e.now
 }
 
@@ -196,11 +174,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.queue[0].at > deadline {
 			break
 		}
-		e.fire(e.pop())
+		e.fireNext()
 	}
 	if e.now < deadline && len(e.queue) > 0 && e.queue[0].at > deadline {
 		e.now = deadline
 	}
+	e.flush()
 	return e.now
 }
 
@@ -208,10 +187,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 func (e *Engine) Pending() int { return len(e.queue) }
 
 type event struct {
-	at   Time
-	seq  uint64
-	kind string
-	fn   func()
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // before is the queue order: earlier timestamp first, scheduling order

@@ -65,6 +65,38 @@ func TestNamesUniqueAndResolvable(t *testing.T) {
 	}
 }
 
+// TestByNameIndex: ByName looks names up in an index built once over the
+// package's table. Every workload of All round-trips through its name to an
+// equal value, an unknown name errors, a warm lookup allocates nothing, and
+// nothing a caller does to what All or ByName returned reaches the table.
+func TestByNameIndex(t *testing.T) {
+	for _, w := range All() {
+		got, err := ByName(w.Name)
+		if err != nil || got != w {
+			t.Errorf("ByName(%q) = %+v, %v; want the All entry", w.Name, got, err)
+		}
+	}
+	for _, name := range []string{"", "m.milc", "M.milc ", "nope"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) succeeded", name)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("S.CF"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm ByName allocates %v times, want 0", allocs)
+	}
+	all := All()
+	all[0].Name = "changed"
+	w, _ := ByName("M.milc")
+	w.App.Iterations = -1
+	if fresh := All(); fresh[0].Name != "M.milc" || fresh[0].App.Iterations != 30 {
+		t.Errorf("a caller's copy reached the table: %+v", fresh[0])
+	}
+}
+
 func TestDistributedAndBatchSplit(t *testing.T) {
 	d := DistributedAll()
 	b := BatchAll()
