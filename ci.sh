@@ -85,6 +85,24 @@ trap cleanup_smoke EXIT
 go build -o "$smokedir/interfd" ./cmd/interfd
 go build -o "$smokedir/loadgen" ./cmd/loadgen
 
+echo "== interfd flag set =="
+# Drift and SLO tuning are constants: a deleted knob must not come back
+# quietly, and a run that passes one must fail rather than ignore it
+# (with -h after it, a flag that came back would exit 0 at once).
+want_flags="addr-file drift-audit faults listen log-format log-level mix profile-samples report rounds search-iters search-restarts seed serve-only serve-queue trace workers"
+got_flags="$("$smokedir/interfd" -h 2>&1 | awk '$1 ~ /^-/ { sub(/^-/, "", $1); print $1 }' | sort | tr '\n' ' ' | sed 's/ $//')"
+if [ "$got_flags" != "$want_flags" ]; then
+  echo "ci: interfd flags changed:" >&2
+  echo "  want: $want_flags" >&2
+  echo "  got:  $got_flags" >&2
+  exit 1
+fi
+if "$smokedir/interfd" -drift-threshold 0.2 -h >/dev/null 2>&1; then
+  echo "ci: interfd accepted the removed -drift-threshold flag" >&2
+  exit 1
+fi
+echo "interfd flag set: 17 flags, removed knobs rejected"
+
 echo "== self-driver smoke (same seed, same decision audit) =="
 # The daemon's own determinism contract, at the binary: three self-driven
 # rounds — each a request to the daemon's own placement service, verified

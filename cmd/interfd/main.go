@@ -25,7 +25,7 @@
 //
 //	interfd -listen :8080
 //	interfd -listen :8080 -rounds 10 -report -
-//	interfd -listen :8080 -serve-only -slo-target 0.25
+//	interfd -listen :8080 -serve-only
 //	curl localhost:8080/readyz; curl localhost:8080/metrics
 //	curl -XPOST -d '{"apps":[{"app":"M.lmps","units":4}]}' localhost:8080/api/place
 //	curl -N localhost:8080/api/events
@@ -77,13 +77,12 @@ type daemonConfig struct {
 	profileBackoff time.Duration // initial retry backoff, doubled per attempt
 
 	// Drift observability (internal/drift): the residual tracker's tuning
-	// and the decision audit log.
+	// (fixed; tests lower the warm-up) and the decision audit log.
 	drift          drift.Config
 	driftAuditPath string // JSONL decision audit file ("" = none)
-	driftAuditCap  int    // decision records retained in the ring
 
 	// Placement-as-a-service plane (internal/serve) and its latency SLO
-	// (only target and budget are flags; the rest are test hooks).
+	// (fixed at obs.DefaultSLOConfig; tests tighten it).
 	serveOnly  bool   // no self-driver; serve the API until signalled
 	addrFile   string // write the bound listen address to this file ("" = none)
 	serveQueue int    // admission-queue depth
@@ -104,7 +103,6 @@ func defaultDaemonConfig() daemonConfig {
 		profileRetries: 3, profileBackoff: 50 * time.Millisecond,
 		drift:          drift.DefaultConfig(),
 		driftAuditPath: "interfd-decisions.jsonl",
-		driftAuditCap:  drift.DefaultAuditCap,
 		serveQueue:     64,
 		slo:            obs.DefaultSLOConfig(),
 	}
@@ -121,17 +119,10 @@ func main() {
 	flag.IntVar(&cfg.searchIters, "search-iters", cfg.searchIters, "placement-search iterations per request that does not set its own")
 	flag.IntVar(&cfg.searchRestarts, "search-restarts", cfg.searchRestarts, "independent annealing restarts per request, run in parallel")
 	flag.StringVar(&cfg.faultsPath, "faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
-	flag.Float64Var(&cfg.drift.Alpha, "drift-alpha", cfg.drift.Alpha, "EWMA learning rate for model-drift residual tracking, in (0,1]")
-	flag.Float64Var(&cfg.drift.ResidualThreshold, "drift-threshold", cfg.drift.ResidualThreshold, "relative residual beyond which a matrix cell or app counts as drifting")
-	flag.IntVar(&cfg.drift.StaleAfter, "drift-stale-after", cfg.drift.StaleAfter, "verified decisions without a confirming observation before a cell counts stale")
-	flag.IntVar(&cfg.drift.MinObservations, "drift-min-obs", cfg.drift.MinObservations, "per-app observations before drift events may fire")
 	flag.StringVar(&cfg.driftAuditPath, "drift-audit", cfg.driftAuditPath, "write the placement decision audit log (JSON Lines) to this file at drain ('' = none)")
-	flag.IntVar(&cfg.driftAuditCap, "drift-audit-cap", cfg.driftAuditCap, "decision records retained in the audit ring buffer")
 	flag.BoolVar(&cfg.serveOnly, "serve-only", cfg.serveOnly, "no self-driver: profile, arm the placement API, and serve until SIGINT/SIGTERM")
 	flag.StringVar(&cfg.addrFile, "addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
 	flag.IntVar(&cfg.serveQueue, "serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
-	flag.Float64Var(&cfg.slo.TargetSeconds, "slo-target", cfg.slo.TargetSeconds, "placement API latency SLO target, seconds")
-	flag.Float64Var(&cfg.slo.Budget, "slo-budget", cfg.slo.Budget, "placement API error budget: allowed violating request fraction in (0,1)")
 	flag.StringVar(&cfg.reportPath, "report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
 	var of obs.Flags
 	of.RegisterLogging(flag.CommandLine)
@@ -206,7 +197,7 @@ func planeUp(cfg daemonConfig, logger *slog.Logger) (*daemon, error) {
 	}
 	d.report.SetDriftSource(tracker.SnapshotAny)
 	d.dp = &driftPlane{
-		tracker: tracker, audit: drift.NewAuditLog(cfg.driftAuditCap),
+		tracker: tracker, audit: drift.NewAuditLog(drift.DefaultAuditCap),
 		reg: d.reg, bus: d.bus, log: logger,
 		hosts: cfg.hosts, driven: make(chan struct{}, 1),
 	}

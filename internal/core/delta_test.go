@@ -58,40 +58,6 @@ func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[s
 	return p, preds, scores, calls
 }
 
-// TestDeltaPredictMatchesFull: DeltaPredictPos over all apps reproduces
-// PredictPlacement exactly, cached or not — the contract in its smallest
-// form (TestDeltaPredictPosEquivalence walks it).
-func TestDeltaPredictMatchesFull(t *testing.T) {
-	p, preds, scores, _ := deltaFixture(t)
-	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-		newPosEngine(t, p, preds, scores, cache).check(t, "full")
-	}
-}
-
-// TestDeltaPredictAfterSwap: a swap re-predicts only the two touched
-// hosts' apps yet leaves the whole slice equal to a full re-prediction,
-// and undoing or redoing it revisits memoized points only — the reject
-// path costs no predictor call.
-func TestDeltaPredictAfterSwap(t *testing.T) {
-	p, preds, scores, calls := deltaFixture(t)
-	e := newPosEngine(t, p, preds, scores, NewPredictionCache())
-	rng := sim.NewRNG(11)
-	for i := 0; i < 200; i++ {
-		ha, sa, hb, sb := rng.Intn(8), rng.Intn(2), rng.Intn(8), rng.Intn(2)
-		if p.At(ha, sa) == p.At(hb, sb) {
-			continue
-		}
-		e.swap(t, ha, sa, hb, sb)
-		e.check(t, "after swap")
-		before := *calls
-		e.swap(t, ha, sa, hb, sb) // undo
-		e.swap(t, ha, sa, hb, sb) // redo, so the walk moves on
-		if *calls != before {
-			t.Fatalf("step %d: undo+redo called the predictor %d times, want 0", i, *calls-before)
-		}
-	}
-}
-
 // TestPredictionCacheHitsAndPurity: revisiting an identical placement
 // must hit the cache without calling the predictor again, and hits must
 // return the exact value of the original computation.

@@ -159,40 +159,175 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 	e.walk(t, fmt.Sprintf("seed=%d sph=%d", seed, sph), sim.NewRNG(seed+1000), 60)
 }
 
-// TestDeltaPredictPosEquivalence: across random placements and swap/undo
-// walks — pairwise (2 slots) and generic (3 slots) layouts, cached and
-// nil-cache — the incrementally maintained predictions stay bit-identical
-// to PredictPlacement (the production reference behind
-// placement.Evaluate) and the postings to a from-scratch Rebuild; the
-// warm path allocates nothing; a Postings copy is independent.
-func TestDeltaPredictPosEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		for _, sph := range []int{2, 3} {
-			testPosEquivalence(t, seed, sph, seed%3 == 2)
+// propPred is a synthetic pure predictor with app-specific shape: linear
+// in the pressure sum plus a max term, so swaps genuinely move it.
+type propPred struct{ per, atMax float64 }
+
+func (f propPred) PredictPressures(ps []float64) (float64, error) {
+	var sum, max float64
+	for _, p := range ps {
+		sum += p
+		if p > max {
+			max = p
 		}
 	}
+	return 1 + f.per*sum + f.atMax*max, nil
+}
 
-	for _, sph := range []int{2, 3} {
-		p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
-			[]cluster.Demand{{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}}, 0)
-		if err != nil {
-			t.Fatal(err)
+// randomProblem draws a random cluster shape, app set, and valid
+// placement. The per-host app limit equals the slot count, so every
+// slot assignment is valid and swaps are never rejected.
+func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, map[string]Predictor, map[string]float64) {
+	t.Helper()
+	numHosts := 4 + r.Intn(5) // 4..8
+	slots := 2
+	numApps := 2 + r.Intn(3) // 2..4
+	names := []string{"alpha", "beta", "gamma", "delta"}[:numApps]
+
+	capacity := numHosts * slots
+	demands := make([]cluster.Demand, numApps)
+	total := 0
+	for i, n := range names {
+		u := 1 + r.Intn(3)
+		if total+u > capacity-(numApps-1-i) {
+			u = 1
 		}
-		e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
-			map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
-		if allocs := testing.AllocsPerRun(200, func() {
-			if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, e.inc); err != nil {
-				t.Fatal(err)
+		demands[i] = cluster.Demand{App: n, Units: u}
+		total += u
+	}
+	preds := map[string]Predictor{}
+	scores := map[string]float64{}
+	for _, n := range names {
+		preds[n] = propPred{per: r.Uniform(0.01, 0.4), atMax: r.Uniform(0, 0.2)}
+		scores[n] = r.Uniform(0.3, 7)
+	}
+	p, err := cluster.RandomValidLimit(r.Stream("placement"), numHosts, slots, slots, demands, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, preds, scores
+}
+
+// TestDeltaPredictPosEquivalence is the contract behind the incremental
+// search engine, one row per case: the incrementally maintained
+// predictions stay bit-identical to PredictPlacement (the production
+// reference behind placement.Evaluate) and the postings to a from-scratch
+// Rebuild, cached or not, pairwise (2 slots) or generic (3 slots); the
+// reject path costs no predictor call; the warm path allocates nothing;
+// a Postings copy is independent.
+func TestDeltaPredictPosEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		// Over all apps at once, DeltaPredictPos reproduces
+		// PredictPlacement exactly — the contract in its smallest form.
+		{"full-predict", func(t *testing.T) {
+			p, preds, scores, _ := deltaFixture(t)
+			for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
+				newPosEngine(t, p, preds, scores, cache).check(t, "full")
 			}
-		}); allocs != 0 {
-			t.Errorf("sph=%d: warm DeltaPredictPos allocates %v/run, want 0", sph, allocs)
-		}
+		}},
+		// A swap re-predicts only the two touched hosts' apps yet leaves
+		// the whole slice equal to a full re-prediction, and undoing or
+		// redoing it revisits memoized points only.
+		{"swap-undo-redo-memoized", func(t *testing.T) {
+			p, preds, scores, calls := deltaFixture(t)
+			e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+			rng := sim.NewRNG(11)
+			for i := 0; i < 200; i++ {
+				ha, sa, hb, sb := rng.Intn(8), rng.Intn(2), rng.Intn(8), rng.Intn(2)
+				if p.At(ha, sa) == p.At(hb, sb) {
+					continue
+				}
+				e.swap(t, ha, sa, hb, sb)
+				e.check(t, "after swap")
+				before := *calls
+				e.swap(t, ha, sa, hb, sb) // undo
+				e.swap(t, ha, sa, hb, sb) // redo, so the walk moves on
+				if *calls != before {
+					t.Fatalf("step %d: undo+redo called the predictor %d times, want 0", i, *calls-before)
+				}
+			}
+		}},
+		// Swap/undo walks on the key-breaking fixture, both layouts,
+		// every third seed without a cache.
+		{"key-breaking-walks", func(t *testing.T) {
+			for seed := int64(0); seed < 12; seed++ {
+				for _, sph := range []int{2, 3} {
+					testPosEquivalence(t, seed, sph, seed%3 == 2)
+				}
+			}
+		}},
+		// Random problem shapes (host, app and unit counts, predictors
+		// with a max term), with real cache traffic.
+		{"random-shapes", func(t *testing.T) {
+			rng := sim.NewRNG(2016).Stream("property")
+			for trial := 0; trial < 25; trial++ {
+				r := rng.StreamN("trial", trial)
+				p, preds, scores := randomProblem(t, r)
+				e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+				e.walk(t, fmt.Sprintf("trial %d", trial), r, 40)
+				if hits, misses := e.cache.Stats(); hits == 0 || misses == 0 {
+					t.Errorf("trial %d: degenerate cache traffic (hits=%d misses=%d)", trial, hits, misses)
+				}
+			}
+		}},
+		// On the same random shapes, a cached walk (the pairwise
+		// specialization and its index-keyed memo) and a nil-cache walk
+		// (the generic path, always recomputing) over the same swaps
+		// agree bit for bit at every step.
+		{"cached-equals-uncached", func(t *testing.T) {
+			rng := sim.NewRNG(2016).Stream("cache-property")
+			for trial := 0; trial < 25; trial++ {
+				r := rng.StreamN("trial", trial)
+				p, preds, scores := randomProblem(t, r)
+				cached := newPosEngine(t, p.Clone(), preds, scores, NewPredictionCache())
+				bare := newPosEngine(t, p, preds, scores, nil)
+				slots := p.NumHosts * p.HostSlots
+				for step := 0; step < 30; step++ {
+					a, b := r.Intn(slots), r.Intn(slots)
+					ha, sa, hb, sb := a/p.HostSlots, a%p.HostSlots, b/p.HostSlots, b%p.HostSlots
+					if p.At(ha, sa) == p.At(hb, sb) {
+						continue
+					}
+					cached.swap(t, ha, sa, hb, sb)
+					bare.swap(t, ha, sa, hb, sb)
+					for i, app := range bare.ix.Apps {
+						if math.Float64bits(cached.inc[i]) != math.Float64bits(bare.inc[i]) {
+							t.Fatalf("trial %d step %d app %s: cached %v != uncached %v",
+								trial, step, app, cached.inc[i], bare.inc[i])
+						}
+					}
+				}
+			}
+		}},
+		{"warm-zero-alloc-and-copy", func(t *testing.T) {
+			for _, sph := range []int{2, 3} {
+				p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
+					[]cluster.Demand{{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
+					map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
+				if allocs := testing.AllocsPerRun(200, func() {
+					if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, e.inc); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("sph=%d: warm DeltaPredictPos allocates %v/run, want 0", sph, allocs)
+				}
 
-		var cp Postings
-		cp.CopyFrom(e.pst)
-		checkPostings(t, "copy", e.g, &cp, len(e.ix.Apps))
-		cp.pos[0] = -99
-		checkPostings(t, "copy-independent", e.g, e.pst, len(e.ix.Apps))
+				var cp Postings
+				cp.CopyFrom(e.pst)
+				checkPostings(t, "copy", e.g, &cp, len(e.ix.Apps))
+				cp.pos[0] = -99
+				checkPostings(t, "copy-independent", e.g, e.pst, len(e.ix.Apps))
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 

@@ -36,59 +36,50 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The tracker's fixed tuning (docs/OBSERVABILITY.md, "Why these values").
+const (
+	// alpha is the EWMA learning rate for residuals.
+	alpha = 0.25
+	// residualThreshold is the absolute relative residual (a fraction)
+	// beyond which an observation stops confirming the cells it touches,
+	// and beyond which a warm cell or application counts as drifting.
+	residualThreshold = 0.10
+	// maxCellsPerEvent caps the re-profiling recommendation list of one
+	// event.
+	maxCellsPerEvent = 16
+)
+
 // Config tunes a Tracker. The zero value is invalid; start from
 // DefaultConfig.
 type Config struct {
-	// Alpha is the EWMA learning rate for residuals, in (0, 1].
-	Alpha float64
-	// ResidualThreshold is the absolute relative residual (a fraction)
-	// beyond which an observation stops confirming the cells it touches,
-	// and beyond which a warm cell or application counts as drifting.
-	ResidualThreshold float64
 	// StaleAfter is the number of rounds a cell may go without a
 	// confirming observation before it counts stale.
 	StaleAfter int
 	// MinObservations is the per-application warm-up before drift events
 	// can fire.
 	MinObservations int
-	// MaxCellsPerEvent caps the re-profiling recommendation list of one
-	// event.
-	MaxCellsPerEvent int
 	// EventCooldown is the minimum number of rounds between two events
 	// for the same application, so a persistently drifted model does not
 	// fire every round.
 	EventCooldown int
 }
 
-// DefaultConfig returns the tuning the daemon and the drift experiment
-// use: moderately fast EWMA, a 10% residual threshold, staleness after 20
-// unconfirmed rounds.
+// DefaultConfig returns the daemon's tuning: staleness after 20
+// unconfirmed rounds, an 8-observation warm-up and a 10-round cooldown.
 func DefaultConfig() Config {
 	return Config{
-		Alpha:             0.25,
-		ResidualThreshold: 0.10,
-		StaleAfter:        20,
-		MinObservations:   8,
-		MaxCellsPerEvent:  16,
-		EventCooldown:     10,
+		StaleAfter:      20,
+		MinObservations: 8,
+		EventCooldown:   10,
 	}
 }
 
 func (c Config) validate() error {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("drift: alpha %v outside (0,1]", c.Alpha)
-	}
-	if c.ResidualThreshold <= 0 {
-		return errors.New("drift: non-positive residual threshold")
-	}
 	if c.StaleAfter <= 0 {
 		return errors.New("drift: non-positive stale-after")
 	}
 	if c.MinObservations < 1 {
 		return errors.New("drift: min observations < 1")
-	}
-	if c.MaxCellsPerEvent < 1 {
-		return errors.New("drift: max cells per event < 1")
 	}
 	if c.EventCooldown < 0 {
 		return errors.New("drift: negative event cooldown")
@@ -238,9 +229,6 @@ func New(cfg Config, reg *telemetry.Registry) (*Tracker, error) {
 	return t, nil
 }
 
-// Config returns the tracker's configuration.
-func (t *Tracker) Config() Config { return t.cfg }
-
 // Register adds an application whose propagation matrix has the given
 // dimensions (pressure rows x interfering-node columns, excluding the
 // definitional column 0). round anchors staleness for never-confirmed
@@ -312,7 +300,7 @@ func (t *Tracker) Observe(app string, pressure, count, predicted, observed float
 	if st.observations == 1 {
 		st.absErrEWMA = absErr
 	} else {
-		st.absErrEWMA = (1-t.cfg.Alpha)*st.absErrEWMA + t.cfg.Alpha*absErr
+		st.absErrEWMA = (1-alpha)*st.absErrEWMA + alpha*absErr
 	}
 	st.predictedSum += predicted
 	st.observedSum += observed
@@ -332,7 +320,7 @@ func (t *Tracker) Observe(app string, pressure, count, predicted, observed float
 	if count > float64(st.nodes) {
 		count = float64(st.nodes)
 	}
-	confirming := absErr <= t.cfg.ResidualThreshold
+	confirming := absErr <= residualThreshold
 
 	// Bilinear credit over the surrounding integer cells — row i holds
 	// pressure i+1, row -1 is the virtual all-ones row, column 0 is
@@ -360,7 +348,7 @@ func (t *Tracker) Observe(app string, pressure, count, predicted, observed float
 			continue
 		}
 		c := st.cell(i, j)
-		rate := t.cfg.Alpha * w
+		rate := alpha * w
 		if c.obs == 0 {
 			c.resid = relErr
 			c.absResid = absErr
@@ -483,7 +471,7 @@ func (t *Tracker) eventFor(st *appState, round, stale int) (Event, bool) {
 	}
 	reason := ""
 	switch {
-	case st.absErrEWMA > t.cfg.ResidualThreshold:
+	case st.absErrEWMA > residualThreshold:
 		reason = ReasonResidual
 	case stale > 0:
 		reason = ReasonStaleness
@@ -504,7 +492,7 @@ func (t *Tracker) eventFor(st *appState, round, stale int) (Event, bool) {
 // recommendLocked ranks the application's cells worth re-profiling: every
 // observed cell whose EWMA absolute residual exceeds the threshold or
 // whose staleness passed the window, worst residual first (ties broken by
-// matrix position for determinism), capped at MaxCellsPerEvent. When no
+// matrix position for determinism), capped at maxCellsPerEvent. When no
 // individual cell crosses a threshold (early drift dilutes over bilinear
 // weights) the event still recommends the worst observed cells, so a
 // re-profiling pass always has concrete targets.
@@ -524,7 +512,7 @@ func (t *Tracker) recommendLocked(st *appState, round int) []CellRef {
 				Staleness: staleness, Observations: c.obs,
 			}
 			all = append(all, ref)
-			if c.absResid <= t.cfg.ResidualThreshold && staleness <= t.cfg.StaleAfter {
+			if c.absResid <= residualThreshold && staleness <= t.cfg.StaleAfter {
 				continue
 			}
 			if staleness > t.cfg.StaleAfter {
@@ -545,8 +533,8 @@ func (t *Tracker) recommendLocked(st *appState, round int) []CellRef {
 		}
 		return out[a].Interfering < out[b].Interfering
 	})
-	if len(out) > t.cfg.MaxCellsPerEvent {
-		out = out[:t.cfg.MaxCellsPerEvent]
+	if len(out) > maxCellsPerEvent {
+		out = out[:maxCellsPerEvent]
 	}
 	return out
 }

@@ -27,12 +27,8 @@ func TestConfigValidation(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"zero alpha", func(c *Config) { c.Alpha = 0 }},
-		{"alpha above one", func(c *Config) { c.Alpha = 1.5 }},
-		{"zero threshold", func(c *Config) { c.ResidualThreshold = 0 }},
 		{"zero stale-after", func(c *Config) { c.StaleAfter = 0 }},
 		{"zero min observations", func(c *Config) { c.MinObservations = 0 }},
-		{"zero max cells", func(c *Config) { c.MaxCellsPerEvent = 0 }},
 		{"negative cooldown", func(c *Config) { c.EventCooldown = -1 }},
 	} {
 		cfg := DefaultConfig()
@@ -197,7 +193,7 @@ func TestResidualEventFiresAndCoolsDown(t *testing.T) {
 			if ev.App != "bad" || ev.Reason != ReasonResidual {
 				t.Errorf("event = %+v, want residual event for bad", ev)
 			}
-			if ev.RecentAbsResidual <= cfg.ResidualThreshold {
+			if ev.RecentAbsResidual <= residualThreshold {
 				t.Errorf("event residual %v not above threshold", ev.RecentAbsResidual)
 			}
 			if len(ev.Cells) == 0 {
@@ -207,7 +203,7 @@ func TestResidualEventFiresAndCoolsDown(t *testing.T) {
 			if c.Pressure != 2 || c.Interfering != 2 {
 				t.Errorf("worst cell (%v, %d), want (2, 2)", c.Pressure, c.Interfering)
 			}
-			if c.AbsResidual <= cfg.ResidualThreshold {
+			if c.AbsResidual <= residualThreshold {
 				t.Errorf("recommended cell residual %v not above threshold", c.AbsResidual)
 			}
 		}

@@ -85,18 +85,6 @@ func TestGoldenFigure11(t *testing.T) {
 	checkGolden(t, "figure11", out)
 }
 
-// TestGoldenDrift pins the drift scenario's rendered report: the timeline,
-// the tracker summary, and the fired events are all byte-deterministic at
-// the fixed quick-mode seed, which is exactly the replayability the drift
-// observability plane promises.
-func TestGoldenDrift(t *testing.T) {
-	out, err := quickLab(t).Drift()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "drift", out)
-}
-
 // TestGoldenDetectsCellPerturbation demonstrates the corpus's
 // sensitivity: nudging a single cell of the Figure 3 matrix by 5% must
 // break the byte comparison against the committed golden file.

@@ -310,7 +310,6 @@ func ExtraRunners() []Runner {
 		{"multiway", (*Lab).Multiway},
 		{"energy", (*Lab).Energy},
 		{"faults", (*Lab).FaultInjection},
-		{"drift", (*Lab).Drift},
 		{"fleet", (*Lab).Fleet},
 	}
 }
