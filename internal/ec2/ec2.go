@@ -113,7 +113,7 @@ func NewEnv(seed int64) (*measure.Env, error) {
 		return nil, err
 	}
 	env.UnitCores = UnitCores
-	env.Background = func(host int, r *sim.RNG) []contention.Occupant {
+	env.Background = func(host int, r *sim.RNG) (contention.Occupant, bool) {
 		// The handed stream's seed already identifies the (measurement,
 		// repetition) context; hash it with splitmix64 instead of seeding
 		// math/rand sources. Seeding the legacy generator costs ~600
@@ -131,17 +131,17 @@ func NewEnv(seed int64) (*measure.Env, error) {
 		era := 0.4 + 1.2*unit01(mix64(base^eraSalt))
 		h := mix64(base ^ mix64(hostSalt+uint64(host)))
 		if unit01(h) >= tenantProb {
-			return nil
+			return contention.Occupant{}, false
 		}
 		p := (tenantMinPressure + (tenantMaxPressure-tenantMinPressure)*unit01(mix64(h))) * era
 		if p > float64(2*tenantMaxPressure) {
 			p = 2 * tenantMaxPressure
 		}
-		return []contention.Occupant{{
+		return contention.Occupant{
 			Name:  "tenant",
 			Prof:  tenantProfile(p),
 			Cores: tenantCores,
-		}}
+		}, true
 	}
 	return env, nil
 }

@@ -38,11 +38,11 @@ type Batch struct {
 	fins []func()
 	// solo maps a solo-cache key to the in-flight job measuring it, so a
 	// batch measures each baseline once (mirroring Env.soloCache hits).
-	solo map[string]*batchJob
+	solo map[soloKey]*batchJob
 	// keyed maps a content-cache key to the first job planned for it, so
 	// duplicate requests within one batch alias deterministically onto
 	// the earliest submission instead of racing for the cache.
-	keyed map[string]*batchJob
+	keyed map[cacheKey]*batchJob
 
 	planErr    error
 	planErrIdx int
@@ -52,7 +52,7 @@ type Batch struct {
 
 // NewBatch starts an empty measurement batch on the environment.
 func (e *Env) NewBatch() *Batch {
-	return &Batch{env: e, solo: map[string]*batchJob{}, keyed: map[string]*batchJob{}}
+	return &Batch{env: e, solo: map[soloKey]*batchJob{}, keyed: map[cacheKey]*batchJob{}}
 }
 
 type jobKind int
@@ -63,18 +63,21 @@ const (
 	jobGroup
 )
 
+// batchJob is one planned measurement. It names its workloads by the
+// Env's interned references, so a job costs the same few words whatever
+// the size of the definitions it measures.
 type batchJob struct {
 	idx       int
 	kind      jobKind
-	w, co     workloads.Workload
-	group     []workloads.Workload
+	w, co     *workloadRef
+	group     []*workloadRef
 	pressures []float64
 	nodes     int
 	coSet     map[int]bool
 	nonce     int
 
-	key     string    // content-cache key; "" when caching is disabled
-	soloKey string    // set when this job doubles as a solo baseline
+	key     cacheKey  // content-cache key; zero when caching is disabled
+	solo    bool      // this job doubles as the solo baseline of (w, nodes)
 	aliasOf *batchJob // earlier in-batch job with the same content key
 	done    bool      // resolved at plan time (cache hit or alias)
 
@@ -130,7 +133,7 @@ func (b *Batch) failAt(err error, idx int) {
 // cache hit or deduplicating it onto an identical in-batch twin.
 func (b *Batch) addJob(j *batchJob) {
 	e := b.env
-	if j.key != "" {
+	if j.key != (cacheKey{}) {
 		if v, ok := e.Cache.get(j.key); ok {
 			j.vals, j.done = v, true
 			e.count(MetricCacheHits)
@@ -153,15 +156,16 @@ func (b *Batch) planBubbles(w workloads.Workload, pressures []float64, idx int) 
 	if err := e.checkBubbles(pressures); err != nil {
 		return nil, err
 	}
-	if err := e.failure("bubbles/" + w.Name); err != nil {
+	if err := e.failure("bubbles", w.Name); err != nil {
 		return nil, err
 	}
 	e.count(MetricMeasureRuns)
 	nonce := e.nextNonce()
+	ref := e.intern(w)
 	pressures = append([]float64(nil), pressures...) // callers may reuse the slice
 	j := &batchJob{
-		idx: idx, kind: jobBubbles, w: w, pressures: pressures,
-		nonce: nonce, key: e.bubblesCacheKey(w, pressures),
+		idx: idx, kind: jobBubbles, w: ref, pressures: pressures,
+		nonce: nonce, key: e.bubblesCacheKey(ref, pressures),
 	}
 	b.addJob(j)
 	return j, nil
@@ -172,7 +176,7 @@ func (b *Batch) planBubbles(w workloads.Workload, pressures []float64, idx int) 
 // this batch; otherwise it is a zero-pressure bubble measurement.
 func (b *Batch) planSolo(w workloads.Workload, nodes, idx int) (soloRef, error) {
 	e := b.env
-	key := fmt.Sprintf("%s/%d", w.Name, nodes)
+	key := soloKey{w.Name, nodes}
 	e.mu.Lock()
 	t, ok := e.soloCache[key]
 	e.mu.Unlock()
@@ -186,7 +190,7 @@ func (b *Batch) planSolo(w workloads.Workload, nodes, idx int) (soloRef, error) 
 	if err != nil {
 		return soloRef{}, err
 	}
-	j.soloKey = key
+	j.solo = true
 	b.solo[key] = j
 	return soloRef{job: j}, nil
 }
@@ -197,15 +201,15 @@ func (b *Batch) planGroup(apps []workloads.Workload, nodes, idx int) (*batchJob,
 	if err := e.checkGroup(apps, nodes); err != nil {
 		return nil, err
 	}
-	if err := e.failure("group"); err != nil {
+	if err := e.failure("group", ""); err != nil {
 		return nil, err
 	}
 	e.count(MetricMeasureRuns)
 	nonce := e.nextNonce()
-	apps = append([]workloads.Workload(nil), apps...)
+	refs := e.internAll(apps)
 	j := &batchJob{
-		idx: idx, kind: jobGroup, group: apps, nodes: nodes,
-		nonce: nonce, key: e.groupCacheKey(apps, nodes),
+		idx: idx, kind: jobGroup, group: refs, nodes: nodes,
+		nonce: nonce, key: e.groupCacheKey(refs, nodes),
 	}
 	b.addJob(j)
 	return j, nil
@@ -291,7 +295,7 @@ func (b *Batch) Normalized(w workloads.Workload, pressures []float64) *Value {
 			return
 		}
 		if s <= 0 {
-			h.err = fmt.Errorf("measure: non-positive solo time for %s", w.Name)
+			h.err = fmt.Errorf("measure: non-positive solo time for %s", jt.w.w.Name)
 			return
 		}
 		h.v, h.err = v[0]/s, nil
@@ -315,15 +319,16 @@ func (b *Batch) CoRunner(w, co workloads.Workload, nodes int, coNodes []int) *Va
 		h.err = err
 		return h
 	}
-	if err := e.failure("co-runner/" + w.Name); err != nil {
+	if err := e.failure("co-runner", w.Name); err != nil {
 		b.failAt(err, idx)
 		h.err = err
 		return h
 	}
 	nonce := e.nextNonce()
+	wr, cr := e.intern(w), e.intern(co)
 	j := &batchJob{
-		idx: idx, kind: jobCoRunner, w: w, co: co, nodes: nodes, coSet: coSet,
-		nonce: nonce, key: e.coRunnerCacheKey(w, co, nodes, coSet),
+		idx: idx, kind: jobCoRunner, w: wr, co: cr, nodes: nodes, coSet: coSet,
+		nonce: nonce, key: e.coRunnerCacheKey(wr, cr, nodes, coSet),
 	}
 	b.addJob(j)
 	b.fins = append(b.fins, func() {
@@ -352,8 +357,8 @@ func (b *Batch) Group(apps []workloads.Workload, nodes int) *GroupResult {
 		h.err = err
 		return h
 	}
-	solos := make([]soloRef, len(jg.group))
-	for i, a := range jg.group {
+	solos := make([]soloRef, len(apps))
+	for i, a := range apps {
 		s, err := b.planSolo(a, nodes, idx)
 		if err != nil {
 			b.failAt(err, idx)
@@ -454,10 +459,11 @@ func (b *Batch) Run() error {
 			continue
 		}
 		e.cachePut(j.key, j.vals)
-		if j.soloKey != "" {
+		if j.solo {
+			key := soloKey{j.w.w.Name, len(j.pressures)}
 			e.mu.Lock()
-			if _, ok := e.soloCache[j.soloKey]; !ok {
-				e.soloCache[j.soloKey] = j.vals[0]
+			if _, ok := e.soloCache[key]; !ok {
+				e.soloCache[key] = j.vals[0]
 			}
 			e.mu.Unlock()
 		}

@@ -1,9 +1,12 @@
 package measure
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,18 +21,18 @@ import (
 // other (host, rep, nonce) combination hosts one extra tenant whose memory
 // intensity is drawn from the per-combination stream, like the EC2
 // environment but without importing it (which would cycle).
-func testBackground(host int, r *sim.RNG) []contention.Occupant {
+func testBackground(host int, r *sim.RNG) (contention.Occupant, bool) {
 	if !r.Bool(0.6) {
-		return nil
+		return contention.Occupant{}, false
 	}
-	return []contention.Occupant{{
+	return contention.Occupant{
 		Name: "bg-tenant",
 		Prof: contention.MemProfile{
 			CPICore: 1.0, APKI: r.Uniform(3, 10), WSSMB: r.Uniform(4, 16),
 			MRMin: 0.3, MRMax: 0.6, Gamma: 2, MLP: 2,
 		},
 		Cores: 2,
-	}}
+	}, true
 }
 
 // newBatchEnv builds an env with a fresh content cache. workers controls
@@ -232,41 +235,85 @@ func TestCacheFileRoundTrip(t *testing.T) {
 		t.Error("reloaded cache recorded no hits")
 	}
 
-	// Loading a missing file is a silent no-op, not an error.
+	// Loading a missing file is a silent no-op, not an error, and so is
+	// loading a version-1 file, whose plain-text keys are not digests.
 	e3 := newBatchEnv(t, 1, false)
 	if err := e3.Cache.LoadFile(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatal(err)
 	}
+	old := filepath.Join(t.TempDir(), "v1.json")
+	if err := os.WriteFile(old, []byte(`{"version":1,"entries":{"v1|seed=77|bubbles|n=8":[1.5]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e3.Cache.LoadFile(old); err != nil || e3.Cache.Len() != 0 {
+		t.Errorf("version-1 file: err %v, %d entries loaded; want a silent no-op", err, e3.Cache.Len())
+	}
 }
 
-// TestCacheKeyBytes pins the content-cache keys to the format persisted
-// cache files were written with: the workload renderings are memoized per
-// env, and a memoized key must be byte for byte the one fmt builds from
-// scratch — including for two workloads that share a name.
+// TestCacheKeyBytes pins the content-cache keys to their documented
+// encoding — the SHA-256 of the kind, the digest of the env fingerprint,
+// the digests of fmt's %+v of each workload, and the request as
+// little-endian words — rebuilt here from scratch, and checks that a key
+// built through the Env's interned workloads equals it, cold and memoized,
+// including for two workloads that share a name. Requests that differ in
+// any part, -0 against +0 included, get different keys.
 func TestCacheKeyBytes(t *testing.T) {
 	e := newBatchEnv(t, 1, false)
 	a, b, c, grids := batchSuite(t)
 	renamed := c
 	renamed.Name = a.Name // same name, different definition
-	fp := e.fingerprint()
+	fp := sha256.Sum256([]byte(fmt.Sprintf("v1|seed=%d|reps=%d|unit=%d|cluster=%+v|bg=false",
+		e.Seed, e.Reps, e.UnitCores, e.Cluster)))
+	digest := func(w workloads.Workload) []byte {
+		d := sha256.Sum256([]byte(fmt.Sprintf("%+v", w)))
+		return d[:]
+	}
+	word := func(v int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	key := func(kind byte, parts ...[]byte) cacheKey {
+		enc := append([]byte{kind}, fp[:]...)
+		for _, p := range parts {
+			enc = append(enc, p...)
+		}
+		return sha256.Sum256(enc)
+	}
+	bubbles := func(w workloads.Workload, ps []float64) cacheKey {
+		parts := [][]byte{digest(w), word(len(ps))}
+		for _, p := range ps {
+			parts = append(parts, binary.LittleEndian.AppendUint64(nil, math.Float64bits(p)))
+		}
+		return key('b', parts...)
+	}
 	for pass := 0; pass < 2; pass++ { // cold, then from the memo
 		for _, w := range []workloads.Workload{a, renamed} {
-			want := fp + fmt.Sprintf("|bubbles|%+v|n=%d", w, len(grids[1]))
-			for _, p := range grids[1] {
-				want += "|" + strconv.FormatFloat(p, 'x', -1, 64)
-			}
-			if got := e.bubblesCacheKey(w, grids[1]); got != want {
-				t.Errorf("pass %d, bubbles key:\n got  %s\n want %s", pass, got, want)
+			if got, want := e.bubblesCacheKey(e.intern(w), grids[1]), bubbles(w, grids[1]); got != want {
+				t.Errorf("pass %d, bubbles key of %s: got %x, want %x", pass, w.Name, got, want)
 			}
 		}
-		want := fp + fmt.Sprintf("|corunner|%+v|co=%+v|n=%d|at=%v", a, b, 8, []int{0, 2, 5})
-		if got := e.coRunnerCacheKey(a, b, 8, map[int]bool{5: true, 0: true, 2: true}); got != want {
-			t.Errorf("pass %d, co-runner key:\n got  %s\n want %s", pass, got, want)
+		want := key('c', digest(a), digest(b), word(8), word(3), word(0), word(2), word(5))
+		if got := e.coRunnerCacheKey(e.intern(a), e.intern(b), 8, map[int]bool{5: true, 0: true, 2: true}); got != want {
+			t.Errorf("pass %d, co-runner key: got %x, want %x", pass, got, want)
 		}
-		want = fp + fmt.Sprintf("|group|n=%d|%+v|%+v|%+v", 8, a, b, c)
-		if got := e.groupCacheKey([]workloads.Workload{a, b, c}, 8); got != want {
-			t.Errorf("pass %d, group key:\n got  %s\n want %s", pass, got, want)
+		want = key('g', word(8), word(3), digest(a), digest(b), digest(c))
+		if got := e.groupCacheKey(e.internAll([]workloads.Workload{a, b, c}), 8); got != want {
+			t.Errorf("pass %d, group key: got %x, want %x", pass, got, want)
 		}
+	}
+	distinct := map[cacheKey]string{}
+	for name, k := range map[string]cacheKey{
+		"a":         e.bubblesCacheKey(e.intern(a), []float64{0, 1}),
+		"renamed":   e.bubblesCacheKey(e.intern(renamed), []float64{0, 1}),
+		"-0":        e.bubblesCacheKey(e.intern(a), []float64{math.Copysign(0, -1), 1}),
+		"wider":     e.bubblesCacheKey(e.intern(a), []float64{0, 1, 0}),
+		"co-runner": e.coRunnerCacheKey(e.intern(a), e.intern(a), 2, map[int]bool{1: true}),
+		"group":     e.groupCacheKey(e.internAll([]workloads.Workload{a}), 2),
+	} {
+		if k == (cacheKey{}) {
+			t.Errorf("%s: zero key with caching enabled", name)
+		}
+		if prev, ok := distinct[k]; ok {
+			t.Errorf("%s and %s share a key", name, prev)
+		}
+		distinct[k] = name
 	}
 }
 

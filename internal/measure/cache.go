@@ -1,6 +1,8 @@
 package measure
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,31 +11,51 @@ import (
 )
 
 // Cache is a content-addressed store of completed measurements. Keys are
-// exact strings built by the Env key functions — environment fingerprint
-// first, then the measurement kind and its bit-precise request parameters
-// — so two requests share an entry only when a fresh measurement would be
-// forced to produce the same value (background-interfered environments are
-// the deliberate exception: their entries pin the value of the first nonce
-// that computed one, which is the cross-experiment dedup the EC2 sweeps
-// rely on; see docs/PERFORMANCE.md).
+// SHA-256 digests of an exact encoding built by the Env key functions —
+// environment fingerprint first, then the measurement kind and its
+// bit-precise request parameters — so two requests share an entry only
+// when a fresh measurement would be forced to produce the same value
+// (background-interfered environments are the deliberate exception: their
+// entries pin the value of the first nonce that computed one, which is the
+// cross-experiment dedup the EC2 sweeps rely on; see docs/PERFORMANCE.md).
 //
 // A Cache is safe for concurrent use and may be shared across several
 // environments and persisted to disk between runs with SaveFile/LoadFile.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string][]float64
+	entries map[cacheKey][]float64
 	hits    uint64
 	misses  uint64
 }
 
+// cacheKey is the content address of one measurement. A fixed-size value,
+// so building and looking up a key allocates nothing however long the
+// request it encodes; the zero key means "not cached". In a cache file it
+// is 64 lower-case hex digits.
+type cacheKey [sha256.Size]byte
+
+// MarshalText renders the key as hex, the form a cache file stores.
+func (k cacheKey) MarshalText() ([]byte, error) {
+	return hex.AppendEncode(nil, k[:]), nil
+}
+
+// UnmarshalText parses the hex form MarshalText writes.
+func (k *cacheKey) UnmarshalText(text []byte) error {
+	if len(text) != hex.EncodedLen(len(k)) {
+		return fmt.Errorf("measure: cache key %q is not %d hex digits", text, hex.EncodedLen(len(k)))
+	}
+	_, err := hex.Decode(k[:], text)
+	return err
+}
+
 // NewCache returns an empty measurement cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string][]float64{}}
+	return &Cache{entries: map[cacheKey][]float64{}}
 }
 
 // get returns the stored vector for key. The returned slice is shared:
 // callers must not mutate it.
-func (c *Cache) get(key string) ([]float64, bool) {
+func (c *Cache) get(key cacheKey) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.entries[key]
@@ -47,7 +69,7 @@ func (c *Cache) get(key string) ([]float64, bool) {
 
 // put stores a measurement vector; first write wins so replayed
 // measurements can never flip an entry.
-func (c *Cache) put(key string, v []float64) {
+func (c *Cache) put(key cacheKey, v []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
@@ -84,14 +106,14 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// cacheFileVersion guards the on-disk format; keys additionally embed the
+// cacheFileVersion guards the on-disk format; keys additionally digest the
 // environment fingerprint version ("v1|..."), so either bump invalidates
-// stale files.
-const cacheFileVersion = 1
+// stale files. Version 1 files held the keys' plain-text encodings.
+const cacheFileVersion = 2
 
 type cacheFile struct {
-	Version int                  `json:"version"`
-	Entries map[string][]float64 `json:"entries"`
+	Version int                    `json:"version"`
+	Entries map[cacheKey][]float64 `json:"entries"`
 }
 
 // SaveFile persists the cache as JSON. Go's JSON encoding round-trips
@@ -123,16 +145,26 @@ func (c *Cache) LoadFile(path string) error {
 	if err != nil {
 		return err
 	}
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	// The version is read first: an older file's keys need not parse.
+	var head struct {
+		Version int             `json:"version"`
+		Entries json.RawMessage `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
 		return fmt.Errorf("measure: decoding cache %s: %w", path, err)
 	}
-	if f.Version != cacheFileVersion {
+	if head.Version != cacheFileVersion {
 		return nil
+	}
+	var entries map[cacheKey][]float64
+	if len(head.Entries) > 0 {
+		if err := json.Unmarshal(head.Entries, &entries); err != nil {
+			return fmt.Errorf("measure: decoding cache %s: %w", path, err)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, v := range f.Entries {
+	for k, v := range entries {
 		if _, ok := c.entries[k]; !ok {
 			c.entries[k] = v
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,13 +16,14 @@ import (
 // second save writes the same bytes as the first. The committed corpus
 // holds a file the profiler wrote.
 func FuzzCacheLoadFile(f *testing.F) {
+	key := func(digit string) string { return strings.Repeat(digit, 64) }
 	for _, seed := range []string{
-		`{"version":1,"entries":{"v1|a":[1.5,-0,5e-324,1.7976931348623157e308],"v1|b":[],"v1|c":null}}`,
-		`{"version":2,"entries":{"v2|a":[1]}}`,
-		`{"version":1,"entries":{"\ud800":[1],"dup":[1],"dup":[2]}}`,
-		`{"version":1,"entries":{"a":[1e400]}}`,
-		`{"version":1}`,
-		`{"entries":{"a":[1]}}`,
+		`{"version":2,"entries":{"` + key("a") + `":[1.5,-0,5e-324,1.7976931348623157e308],"` + key("b") + `":[],"` + key("c") + `":null}}`,
+		`{"version":1,"entries":{"v1|a":[1]}}`,
+		`{"version":2,"entries":{"` + key("D") + `":[1],"` + key("d") + `":[2]}}`,
+		`{"version":2,"entries":{"` + key("0") + `":[1e400]}}`,
+		`{"version":2}`,
+		`{"version":2,"entries":{"a":[1]}}`,
 		`null`,
 		`[]`,
 		``,
@@ -55,11 +57,11 @@ func FuzzCacheLoadFile(f *testing.F) {
 		for k, v := range c.entries {
 			w, ok := again.entries[k]
 			if !ok || len(w) != len(v) {
-				t.Fatalf("entry %q: saved %v, loaded %v (present %t)", k, v, w, ok)
+				t.Fatalf("entry %x: saved %v, loaded %v (present %t)", k, v, w, ok)
 			}
 			for i := range v {
 				if math.Float64bits(w[i]) != math.Float64bits(v[i]) {
-					t.Fatalf("entry %q[%d]: saved %v, loaded %v", k, i, v[i], w[i])
+					t.Fatalf("entry %x[%d]: saved %v, loaded %v", k, i, v[i], w[i])
 				}
 			}
 		}

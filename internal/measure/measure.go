@@ -8,13 +8,12 @@
 package measure
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/app"
@@ -28,14 +27,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// BackgroundFunc injects uncontrolled co-located occupants on a host (the
+// BackgroundFunc injects an uncontrolled co-located tenant on a host (the
 // EC2 environment of Section 6). It is called once per host per
-// measurement repetition; returning nil means a quiet host. The stream r
-// identifies the *measurement repetition* (not the host): derive per-host
-// randomness via r.StreamN("host", host), and use direct draws from
-// r.Stream(...) for conditions shared by all hosts during the measurement
-// (e.g. how busy the region is right now).
-type BackgroundFunc func(host int, r *sim.RNG) []contention.Occupant
+// measurement repetition; ok false means a quiet host. One tenant stands for
+// everything else on the physical host: only its pressure matters, so a
+// host never needs more, and returning it by value costs nothing. The
+// stream r identifies the *measurement repetition* (not the host): derive
+// per-host randomness via r.StreamN("host", host), and use direct draws
+// from r.Stream(...) for conditions shared by all hosts during the
+// measurement (e.g. how busy the region is right now).
+type BackgroundFunc func(host int, r *sim.RNG) (tenant contention.Occupant, ok bool)
 
 // Env is a measurement environment: a cluster, a seed, and measurement
 // policy. Construct with NewEnv; the zero value is not usable.
@@ -84,15 +85,15 @@ type Env struct {
 	Cache *Cache
 
 	mu        sync.Mutex
-	soloCache map[string]float64
+	soloCache map[soloKey]float64
 	nonce     int
 
 	fpOnce sync.Once
-	fp     string
+	fp     cacheKey
 
-	// workloadKeys holds each workload's rendering for the content-cache
-	// keys (guarded by mu); see workloadKey.
-	workloadKeys map[workloads.Workload]string
+	// interned holds each workload definition a measurement has named
+	// (guarded by mu); see intern.
+	interned map[workloads.Workload]*workloadRef
 
 	// solveCache memoizes the slowdowns of background-free hosts, keyed by
 	// the ordered occupants' bit patterns (see hostKey). The equilibrium
@@ -110,8 +111,14 @@ type Env struct {
 // (Hosts with background tenants never reach the memo.)
 const solveCacheCap = 4096
 
-// workloadKeyCap bounds Env.workloadKeys the same way.
-const workloadKeyCap = 256
+// internCap bounds Env.interned the same way.
+const internCap = 256
+
+// soloKey identifies a solo baseline: the workload's name and its width.
+type soloKey struct {
+	name  string
+	nodes int
+}
 
 // Metric names recorded by an instrumented Env. The actual-normalized
 // gauge carries an app label.
@@ -145,16 +152,19 @@ func (e *Env) nextNonce() int {
 	return e.nonce
 }
 
-// backgroundStream returns the stream the background function is handed
-// for every host in one repetition of the measurement identified by nonce,
-// or nil on a background-free environment. It is per-(measurement,
-// repetition), not per host, so that implementations can model conditions
-// shared across hosts.
-func (e *Env) backgroundStream(rep, nonce int) *sim.RNG {
+// backgroundStream re-targets dst at the stream the background function is
+// handed for every host in one repetition of the measurement identified by
+// nonce, Stream("background").StreamN("nonce", nonce).StreamN("rep", rep),
+// and returns it; it returns nil on a background-free environment. It is
+// per-(measurement, repetition), not per host, so that implementations can
+// model conditions shared across hosts. A measurement re-targets one
+// stream for all its repetitions.
+func (e *Env) backgroundStream(dst *sim.RNG, rep, nonce int) *sim.RNG {
 	if e.Background == nil {
 		return nil
 	}
-	return e.rng().Stream("background").StreamN("nonce", nonce).StreamN("rep", rep)
+	e.rng().Stream("background").StreamN("nonce", nonce).StreamNInto(dst, "rep", rep)
+	return dst
 }
 
 // NewEnv returns an environment over the given cluster with the paper's
@@ -170,13 +180,13 @@ func NewEnv(c cluster.Cluster, seed int64) (*Env, error) {
 		return nil, fmt.Errorf("measure: a %d-core unit does not fit a %d-core host", cluster.UnitCores, c.HostSpec.Cores)
 	}
 	return &Env{
-		Cluster:      c,
-		Seed:         seed,
-		Reps:         3,
-		UnitCores:    cluster.UnitCores,
-		soloCache:    map[string]float64{},
-		workloadKeys: map[workloads.Workload]string{},
-		solveCache:   map[hostKey][maxKeyedOccupants]float64{},
+		Cluster:    c,
+		Seed:       seed,
+		Reps:       3,
+		UnitCores:  cluster.UnitCores,
+		soloCache:  map[soloKey]float64{},
+		interned:   map[workloads.Workload]*workloadRef{},
+		solveCache: map[hostKey][maxKeyedOccupants]float64{},
 	}, nil
 }
 
@@ -189,16 +199,17 @@ func (e *Env) workerCount() int {
 }
 
 // fingerprint identifies everything a measurement's outcome depends on
-// besides the request itself; it prefixes every content-cache key so one
+// besides the request itself; it leads every content-cache key so one
 // Cache can safely serve several environments (and survive on disk).
 // Background interference is fingerprinted by presence only: entries made
 // under background interference are keyed to the first nonce that computed
-// them (see docs/PERFORMANCE.md). Computed lazily so NewEnv callers can
-// finish configuring Reps/UnitCores/Background first.
-func (e *Env) fingerprint() string {
+// them (see docs/PERFORMANCE.md). It is the SHA-256 of the rendering,
+// computed lazily so NewEnv callers can finish configuring
+// Reps/UnitCores/Background first.
+func (e *Env) fingerprint() cacheKey {
 	e.fpOnce.Do(func() {
-		e.fp = fmt.Sprintf("v1|seed=%d|reps=%d|unit=%d|cluster=%+v|bg=%t",
-			e.Seed, e.Reps, e.UnitCores, e.Cluster, e.Background != nil)
+		e.fp = sha256.Sum256(fmt.Appendf(nil, "v1|seed=%d|reps=%d|unit=%d|cluster=%+v|bg=%t",
+			e.Seed, e.Reps, e.UnitCores, e.Cluster, e.Background != nil))
 	})
 	return e.fp
 }
@@ -208,9 +219,9 @@ func (e *Env) fingerprint() string {
 func (e *Env) cacheEnabled() bool { return e.Cache != nil && e.HostDegrade == nil }
 
 // cacheGet looks up a measurement by key, maintaining the hit/miss
-// counters. An empty key (caching disabled) is a silent miss.
-func (e *Env) cacheGet(key string) ([]float64, bool) {
-	if key == "" {
+// counters. The zero key (caching disabled) is a silent miss.
+func (e *Env) cacheGet(key cacheKey) ([]float64, bool) {
+	if key == (cacheKey{}) {
 		return nil, false
 	}
 	v, ok := e.Cache.get(key)
@@ -222,100 +233,119 @@ func (e *Env) cacheGet(key string) ([]float64, bool) {
 	return v, ok
 }
 
-// cachePut stores a completed measurement under key (no-op when empty).
-func (e *Env) cachePut(key string, v []float64) {
-	if key != "" {
+// cachePut stores a completed measurement under key (no-op when zero).
+func (e *Env) cachePut(key cacheKey, v []float64) {
+	if key != (cacheKey{}) {
 		e.Cache.put(key, v)
 	}
 }
 
-// hexFloats appends the exact hex representation of each float to the key
-// builder — bit-precise, so distinct pressure vectors can never collide.
-func hexFloats(b *strings.Builder, vs []float64) {
-	for _, v := range vs {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(v, 'x', -1, 64))
-	}
+// workloadRef is an Env's interned copy of one workload definition: what a
+// planned measurement points at instead of carrying the definition, and
+// the digest the content-cache keys embed for it.
+type workloadRef struct {
+	w workloads.Workload
+	// key is the SHA-256 of fmt's %+v of the whole definition, so
+	// workloads that differ in any parameter never share an entry.
+	key cacheKey
 }
 
-// workloadKey is w as the content-cache keys embed it — fmt's %+v of the
-// whole definition, so workloads that differ in any parameter never share
-// an entry. Rendering some forty fields through reflection costs more than
-// the rest of a key together and a sweep plans thousands of jobs over the
-// same few workloads, so each distinct workload is rendered once per Env.
-func (e *Env) workloadKey(w workloads.Workload) string {
+// intern returns the Env's reference for w. Rendering some forty fields
+// through reflection costs more than the rest of a key together and a
+// sweep plans thousands of jobs over the same few workloads, so each
+// distinct definition is rendered once per Env — keyed by value, so two
+// definitions that share a name stay apart. Past internCap definitions a
+// reference is built per call.
+func (e *Env) intern(w workloads.Workload) *workloadRef {
 	e.mu.Lock()
-	s, ok := e.workloadKeys[w]
+	r, ok := e.interned[w]
 	e.mu.Unlock()
 	if ok {
-		return s
+		return r
 	}
-	s = fmt.Sprintf("%+v", w)
+	r = &workloadRef{w: w, key: sha256.Sum256(fmt.Appendf(nil, "%+v", w))}
 	e.mu.Lock()
-	if len(e.workloadKeys) < workloadKeyCap {
-		e.workloadKeys[w] = s
+	if prev, ok := e.interned[w]; ok {
+		r = prev
+	} else if len(e.interned) < internCap {
+		e.interned[w] = r
 	}
 	e.mu.Unlock()
-	return s
+	return r
 }
 
+// Content-cache key kinds: the first byte of a key's encoding.
+const (
+	keyBubbles  byte = 'b'
+	keyCoRunner byte = 'c'
+	keyGroup    byte = 'g'
+)
+
+// keyBufLen sizes the stack buffer a key's encoding is built in; a bubble
+// measurement across 32 nodes or a group of eight fits.
+const keyBufLen = 512
+
+// keyHead starts a key's encoding: the kind, then the env fingerprint.
+// The measurement's parameters follow as fixed-width words and digests,
+// every variable-length part preceded by its length, so the encoding is
+// injective and no two kinds can produce the same bytes.
+func (e *Env) keyHead(buf []byte, kind byte) []byte {
+	fp := e.fingerprint()
+	return append(append(buf, kind), fp[:]...)
+}
+
+// appendWord appends v as eight little-endian bytes.
+func appendWord(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
 // bubblesCacheKey is the content address of a RunWithBubbles measurement,
-// or "" when caching is disabled.
-func (e *Env) bubblesCacheKey(w workloads.Workload, pressures []float64) string {
+// or the zero key when caching is disabled. Pressures enter as bit
+// patterns, so -0 and +0 stay apart and no two vectors can be conflated.
+func (e *Env) bubblesCacheKey(w *workloadRef, pressures []float64) cacheKey {
 	if !e.cacheEnabled() {
-		return ""
+		return cacheKey{}
 	}
-	fp, wk := e.fingerprint(), e.workloadKey(w)
-	var b strings.Builder
-	b.Grow(len(fp) + len(wk) + 16 + 24*len(pressures)) // '|' and a pressure in hex: at most 24 bytes
-	b.WriteString(fp)
-	b.WriteString("|bubbles|")
-	b.WriteString(wk)
-	b.WriteString("|n=")
-	b.WriteString(strconv.Itoa(len(pressures)))
-	hexFloats(&b, pressures)
-	return b.String()
+	var buf [keyBufLen]byte
+	b := append(e.keyHead(buf[:0], keyBubbles), w.key[:]...)
+	b = appendWord(b, uint64(len(pressures)))
+	for _, p := range pressures {
+		b = appendWord(b, math.Float64bits(p))
+	}
+	return sha256.Sum256(b)
 }
 
 // coRunnerCacheKey is the content address of a RunWithCoRunner
-// measurement; the co-runner node set is canonicalized to sorted order.
-func (e *Env) coRunnerCacheKey(w, co workloads.Workload, nodes int, coSet map[int]bool) string {
+// measurement; the co-runner node set enters in ascending order. Every
+// member of coSet is below nodes (checkCoRunner).
+func (e *Env) coRunnerCacheKey(w, co *workloadRef, nodes int, coSet map[int]bool) cacheKey {
 	if !e.cacheEnabled() {
-		return ""
+		return cacheKey{}
 	}
-	coNodes := make([]int, 0, len(coSet))
-	for c := range coSet {
-		coNodes = append(coNodes, c)
+	var buf [keyBufLen]byte
+	b := append(e.keyHead(buf[:0], keyCoRunner), w.key[:]...)
+	b = append(b, co.key[:]...)
+	b = appendWord(b, uint64(nodes))
+	b = appendWord(b, uint64(len(coSet)))
+	for i := 0; i < nodes; i++ {
+		if coSet[i] {
+			b = appendWord(b, uint64(i))
+		}
 	}
-	sortInts(coNodes)
-	var b strings.Builder
-	b.WriteString(e.fingerprint())
-	b.WriteString("|corunner|")
-	b.WriteString(e.workloadKey(w))
-	b.WriteString("|co=")
-	b.WriteString(e.workloadKey(co))
-	fmt.Fprintf(&b, "|n=%d|at=%v", nodes, coNodes)
-	return b.String()
+	return sha256.Sum256(b)
 }
 
 // groupCacheKey is the content address of a RunGroup measurement (the
 // per-app mean-time vector; solo baselines are cached separately).
-func (e *Env) groupCacheKey(apps []workloads.Workload, nodes int) string {
+func (e *Env) groupCacheKey(apps []*workloadRef, nodes int) cacheKey {
 	if !e.cacheEnabled() {
-		return ""
+		return cacheKey{}
 	}
-	var b strings.Builder
-	b.WriteString(e.fingerprint())
-	fmt.Fprintf(&b, "|group|n=%d", nodes)
+	var buf [keyBufLen]byte
+	b := appendWord(e.keyHead(buf[:0], keyGroup), uint64(nodes))
+	b = appendWord(b, uint64(len(apps)))
 	for _, a := range apps {
-		b.WriteByte('|')
-		b.WriteString(e.workloadKey(a))
+		b = append(b, a.key[:]...)
 	}
-	return b.String()
-}
-
-func sortInts(v []int) {
-	sort.Ints(v)
+	return sha256.Sum256(b)
 }
 
 func (e *Env) net() netsim.Network {
@@ -346,8 +376,8 @@ func (e *Env) solveHost(dst []float64, occ []contention.Occupant, host int, bg *
 		// what a background function draws from it directly is shared by
 		// all hosts of the repetition.
 		bg.Reset(bg.Seed())
-		if tenants := e.Background(host, bg); len(tenants) > 0 {
-			return contention.Slowdowns(e.Cluster.HostSpec, append(occ, tenants...), dst)
+		if tenant, ok := e.Background(host, bg); ok {
+			return contention.Slowdowns(e.Cluster.HostSpec, append(occ, tenant), dst)
 		}
 	}
 	return e.solveShared(dst, occ)
@@ -432,20 +462,34 @@ func (e *Env) degrade(host int) float64 {
 	return 1
 }
 
-// failure consults the fault layer's measurement failure hook.
-func (e *Env) failure(op string) error {
+// failure consults the fault layer's measurement failure hook about the
+// operation kind/name ("bubbles/M.milc"), which is only spelled out when a
+// hook is attached.
+func (e *Env) failure(kind, name string) error {
 	if e.FailureHook == nil {
 		return nil
 	}
-	return e.FailureHook(op)
+	if name != "" {
+		kind += "/" + name
+	}
+	return e.FailureHook(kind)
 }
 
-// runOnce executes the workload once with the given per-node slowdowns.
-func (e *Env) runOnce(w workloads.Workload, sd []float64, rep int) (float64, error) {
+// streams is one measurement's random streams: run is re-targeted for
+// every application run and bg for every repetition, so a measurement
+// derives all of them into the one pair instead of allocating a stream per
+// run (sim.RNG.StreamNInto).
+type streams struct{ run, bg sim.RNG }
+
+// runOnce executes the workload once with the given per-node slowdowns on
+// the stream Stream("run").Stream(w.Name).StreamN("rep", rep), re-targeting
+// st.run at it.
+func (e *Env) runOnce(w *workloads.Workload, sd []float64, rep int, st *streams) (float64, error) {
+	e.rng().Stream("run").Stream(w.Name).StreamNInto(&st.run, "rep", rep)
 	return w.App.Run(app.Params{
 		Slowdown:  sd,
 		Net:       e.net(),
-		RNG:       e.rng().Stream("run").Stream(w.Name).StreamN("rep", rep),
+		RNG:       &st.run,
 		Telemetry: e.Telemetry,
 	})
 }
@@ -466,13 +510,18 @@ func (e *Env) checkBubbles(pressures []float64) error {
 // failure injection, accounting, and nonce assignment. It is a pure
 // function of (env configuration, w, pressures, nonce) and therefore safe
 // to run on a batch worker.
-func (e *Env) bubblesBody(w workloads.Workload, pressures []float64, nonce int) (float64, error) {
-	span := e.Tracer.StartSpan("measure.bubbles/" + w.Name)
+func (e *Env) bubblesBody(ref *workloadRef, pressures []float64, nonce int) (float64, error) {
+	w := &ref.w
+	var span *telemetry.Span
+	if e.Tracer != nil {
+		span = e.Tracer.StartSpan("measure.bubbles/" + w.Name)
+	}
 	times := make([]float64, 0, e.Reps)
 	sd := make([]float64, len(pressures))
+	st := new(streams)
 	var scratch [maxKeyedOccupants]contention.Occupant
 	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(rep, nonce)
+		bg := e.backgroundStream(&st.bg, rep, nonce)
 		for i, p := range pressures {
 			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
 			if p > 0 {
@@ -484,7 +533,7 @@ func (e *Env) bubblesBody(w workloads.Workload, pressures []float64, nonce int) 
 			}
 			sd[i] = s
 		}
-		t, err := e.runOnce(w, sd, rep)
+		t, err := e.runOnce(w, sd, rep, st)
 		if err != nil {
 			return 0, err
 		}
@@ -502,16 +551,17 @@ func (e *Env) RunWithBubbles(w workloads.Workload, pressures []float64) (float64
 	if err := e.checkBubbles(pressures); err != nil {
 		return 0, err
 	}
-	if err := e.failure("bubbles/" + w.Name); err != nil {
+	if err := e.failure("bubbles", w.Name); err != nil {
 		return 0, err
 	}
 	e.count(MetricMeasureRuns)
 	nonce := e.nextNonce()
-	key := e.bubblesCacheKey(w, pressures)
+	ref := e.intern(w)
+	key := e.bubblesCacheKey(ref, pressures)
 	if v, ok := e.cacheGet(key); ok {
 		return v[0], nil
 	}
-	mean, err := e.bubblesBody(w, pressures, nonce)
+	mean, err := e.bubblesBody(ref, pressures, nonce)
 	if err != nil {
 		return 0, err
 	}
@@ -522,7 +572,7 @@ func (e *Env) RunWithBubbles(w workloads.Workload, pressures []float64) (float64
 // Solo returns the workload's execution time with no controlled
 // interference on the given number of nodes, cached per (workload, nodes).
 func (e *Env) Solo(w workloads.Workload, nodes int) (float64, error) {
-	key := fmt.Sprintf("%s/%d", w.Name, nodes)
+	key := soloKey{w.Name, nodes}
 	e.mu.Lock()
 	if t, ok := e.soloCache[key]; ok {
 		e.mu.Unlock()
@@ -578,15 +628,16 @@ func (e *Env) RunWithCoRunner(w, co workloads.Workload, nodes int, coNodes []int
 	if err != nil {
 		return 0, err
 	}
-	if err := e.failure("co-runner/" + w.Name); err != nil {
+	if err := e.failure("co-runner", w.Name); err != nil {
 		return 0, err
 	}
 	nonce := e.nextNonce()
-	key := e.coRunnerCacheKey(w, co, nodes, coSet)
+	wr, cr := e.intern(w), e.intern(co)
+	key := e.coRunnerCacheKey(wr, cr, nodes, coSet)
 	if v, ok := e.cacheGet(key); ok {
 		return v[0], nil
 	}
-	mean, err := e.coRunnerBody(w, co, nodes, coSet, nonce)
+	mean, err := e.coRunnerBody(wr, cr, nodes, coSet, nonce)
 	if err != nil {
 		return 0, err
 	}
@@ -611,12 +662,14 @@ func (e *Env) checkCoRunner(nodes int, coNodes []int) (map[int]bool, error) {
 }
 
 // coRunnerBody is the worker-safe measurement body of RunWithCoRunner.
-func (e *Env) coRunnerBody(w, co workloads.Workload, nodes int, coSet map[int]bool, nonce int) (float64, error) {
+func (e *Env) coRunnerBody(wr, cr *workloadRef, nodes int, coSet map[int]bool, nonce int) (float64, error) {
+	w, co := &wr.w, &cr.w
 	times := make([]float64, 0, e.Reps)
 	sd := make([]float64, nodes)
+	st := new(streams)
 	var scratch [maxKeyedOccupants]contention.Occupant
 	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(rep, nonce)
+		bg := e.backgroundStream(&st.bg, rep, nonce)
 		for i := 0; i < nodes; i++ {
 			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
 			if coSet[i] {
@@ -628,7 +681,7 @@ func (e *Env) coRunnerBody(w, co workloads.Workload, nodes int, coSet map[int]bo
 			}
 			sd[i] = s
 		}
-		t, err := e.runOnce(w, sd, rep)
+		t, err := e.runOnce(w, sd, rep, st)
 		if err != nil {
 			return 0, err
 		}
@@ -665,22 +718,32 @@ func (e *Env) RunGroup(apps []workloads.Workload, nodes int) ([]AppOutcome, erro
 	if err := e.checkGroup(apps, nodes); err != nil {
 		return nil, err
 	}
-	if err := e.failure("group"); err != nil {
+	if err := e.failure("group", ""); err != nil {
 		return nil, err
 	}
 	e.count(MetricMeasureRuns)
 	nonce := e.nextNonce()
-	key := e.groupCacheKey(apps, nodes)
+	refs := e.internAll(apps)
+	key := e.groupCacheKey(refs, nodes)
 	means, ok := e.cacheGet(key)
 	if !ok {
 		var err error
-		means, err = e.groupBody(apps, nodes, nonce)
+		means, err = e.groupBody(refs, nodes, nonce)
 		if err != nil {
 			return nil, err
 		}
 		e.cachePut(key, means)
 	}
 	return e.groupOutcomes(apps, nodes, means)
+}
+
+// internAll interns every workload of a group.
+func (e *Env) internAll(apps []workloads.Workload) []*workloadRef {
+	refs := make([]*workloadRef, len(apps))
+	for i, a := range apps {
+		refs[i] = e.intern(a)
+	}
+	return refs
 }
 
 // checkGroup validates a group co-run request.
@@ -700,18 +763,19 @@ func (e *Env) checkGroup(apps []workloads.Workload, nodes int) error {
 // groupBody is the worker-safe measurement body of RunGroup: the per-app
 // mean execution times, without the solo baselines (those are planned and
 // cached separately).
-func (e *Env) groupBody(apps []workloads.Workload, nodes, nonce int) ([]float64, error) {
+func (e *Env) groupBody(apps []*workloadRef, nodes, nonce int) ([]float64, error) {
 	defer e.Tracer.StartSpan("measure.group").End()
 	sums := make([]float64, len(apps))
 	sl := make([]float64, len(apps))       // one host's slowdowns
 	sd := make([]float64, len(apps)*nodes) // app j's per-node slowdowns at [j*nodes:]
-	// One spare entry so a single background tenant is appended in place.
+	// One spare entry so the background tenant is appended in place.
 	occ := make([]contention.Occupant, len(apps), len(apps)+1)
+	st := new(streams)
 	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(rep, nonce)
+		bg := e.backgroundStream(&st.bg, rep, nonce)
 		for i := 0; i < nodes; i++ {
 			for j, a := range apps {
-				occ[j] = contention.Occupant{Name: a.Name, Prof: a.GenProfile(i), Cores: e.UnitCores}
+				occ[j] = contention.Occupant{Name: a.w.Name, Prof: a.w.GenProfile(i), Cores: e.UnitCores}
 			}
 			if err := e.solveHost(sl, occ, i, bg); err != nil {
 				return nil, err
@@ -722,7 +786,7 @@ func (e *Env) groupBody(apps []workloads.Workload, nodes, nonce int) ([]float64,
 			}
 		}
 		for j, a := range apps {
-			t, err := e.runOnce(a, sd[j*nodes:(j+1)*nodes], rep)
+			t, err := e.runOnce(&a.w, sd[j*nodes:(j+1)*nodes], rep, st)
 			if err != nil {
 				return nil, err
 			}
@@ -781,47 +845,53 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 			return nil, fmt.Errorf("measure: placement references unknown workload %q", a)
 		}
 	}
-	if err := e.failure("placement"); err != nil {
+	if err := e.failure("placement", ""); err != nil {
 		return nil, err
 	}
 	e.count(MetricPlacementRuns)
 	span := e.Tracer.StartSpan("measure.placement")
 	defer span.End()
-	// unitIdx maps (app, host, slot) to the unit's logical node index.
-	unitIdx := map[cluster.UnitPos]int{}
-	positions := map[string][]cluster.UnitPos{}
-	for _, a := range apps {
+	// Unit i of app j (in UnitPositions order) is node i of j's run, so its
+	// slowdown goes to sd[first[j]+i]; unit[k] is that index for the unit
+	// in slot k = host*HostSlots+slot. The occupants are the same in every
+	// repetition, so they are built once, one per unit: sibling units of
+	// the same application interfere like any other co-location.
+	refs := make([]*workloadRef, len(apps))
+	first := make([]int, len(apps)+1)
+	slotOcc := make([]contention.Occupant, p.NumHosts*p.HostSlots)
+	unit := make([]int, len(slotOcc))
+	for j, a := range apps {
+		refs[j] = e.intern(reg[a])
 		pos := p.UnitPositions(a)
-		positions[a] = pos
 		for i, up := range pos {
-			unitIdx[up] = i
+			k := up.Host*p.HostSlots + up.Slot
+			slotOcc[k] = contention.Occupant{
+				Name:  fmt.Sprintf("%s#%d", a, i),
+				Prof:  refs[j].w.GenProfile(i),
+				Cores: e.UnitCores,
+			}
+			unit[k] = first[j] + i
 		}
+		first[j+1] = first[j] + len(pos)
 	}
 
 	nonce := e.nextNonce()
-	sums := map[string]float64{}
+	sums := make([]float64, len(apps))
 	sl := make([]float64, p.HostSlots)
+	sd := make([]float64, first[len(apps)])
+	// One spare entry so the background tenant is appended in place.
+	occ := make([]contention.Occupant, 0, p.HostSlots+1)
+	st := new(streams)
 	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(rep, nonce)
-		// Solve every host once per repetition; one occupant per unit,
-		// so sibling units of the same application interfere like any
-		// other co-location.
-		slotSlowdown := map[cluster.UnitPos]float64{}
+		bg := e.backgroundStream(&st.bg, rep, nonce)
+		// Solve every host once per repetition.
 		for h := 0; h < p.NumHosts; h++ {
-			var occ []contention.Occupant
-			var occPos []cluster.UnitPos
-			for s := 0; s < p.HostSlots; s++ {
-				a := p.At(h, s)
-				if a == "" {
-					continue
+			row := p.Slots(h)
+			occ = occ[:0]
+			for s, a := range row {
+				if a != "" {
+					occ = append(occ, slotOcc[h*p.HostSlots+s])
 				}
-				up := cluster.UnitPos{Host: h, Slot: s}
-				occ = append(occ, contention.Occupant{
-					Name:  fmt.Sprintf("%s#%d", a, unitIdx[up]),
-					Prof:  reg[a].GenProfile(unitIdx[up]),
-					Cores: e.UnitCores,
-				})
-				occPos = append(occPos, up)
 			}
 			if len(occ) == 0 {
 				continue
@@ -830,31 +900,30 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 				return nil, fmt.Errorf("measure: host %d: %w", h, err)
 			}
 			f := e.degrade(h)
-			for i, up := range occPos {
-				slotSlowdown[up] = sl[i] * f
+			n := 0
+			for s, a := range row {
+				if a != "" {
+					sd[unit[h*p.HostSlots+s]] = sl[n] * f
+					n++
+				}
 			}
 		}
-		for _, a := range apps {
-			pos := positions[a]
-			sd := make([]float64, len(pos))
-			for i, up := range pos {
-				sd[i] = slotSlowdown[up]
-			}
-			t, err := e.runOnce(reg[a], sd, rep)
+		for j := range apps {
+			t, err := e.runOnce(&refs[j].w, sd[first[j]:first[j+1]], rep, st)
 			if err != nil {
 				return nil, err
 			}
-			sums[a] += t
+			sums[j] += t
 		}
 	}
 	outcomes := map[string]AppOutcome{}
-	for _, a := range apps {
-		units := len(positions[a])
-		solo, err := e.Solo(reg[a], units)
+	for j, a := range apps {
+		units := first[j+1] - first[j]
+		solo, err := e.Solo(refs[j].w, units)
 		if err != nil {
 			return nil, err
 		}
-		mean := sums[a] / float64(e.Reps)
+		mean := sums[j] / float64(e.Reps)
 		outcomes[a] = AppOutcome{
 			Time: mean, Solo: solo, Normalized: mean / solo, Nodes: units,
 		}

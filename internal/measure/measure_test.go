@@ -289,13 +289,13 @@ func TestBackgroundInjection(t *testing.T) {
 	e := newTestEnv(t)
 	e.UnitCores = 4 // leave room for background occupants
 	calls := 0
-	e.Background = func(host int, r *sim.RNG) []contention.Occupant {
+	e.Background = func(host int, r *sim.RNG) (contention.Occupant, bool) {
 		calls++
-		return []contention.Occupant{{
+		return contention.Occupant{
 			Name:  "bg",
 			Prof:  contention.MemProfile{CPICore: 1, APKI: 20, WSSMB: 64, MRMin: 0.8, MRMax: 0.8, Gamma: 1, MLP: 4},
 			Cores: 4,
-		}}
+		}, true
 	}
 	w := wl(t, "M.milc")
 	withBG, err := e.RunWithBubbles(w, make([]float64, 4))
@@ -334,9 +334,9 @@ func TestBackgroundStreamContract(t *testing.T) {
 		draw float64
 	}
 	var calls []call
-	e.Background = func(host int, r *sim.RNG) []contention.Occupant {
+	e.Background = func(host int, r *sim.RNG) (contention.Occupant, bool) {
 		calls = append(calls, call{host, r.Seed(), r.Float64()})
-		return nil
+		return contention.Occupant{}, false
 	}
 	w := wl(t, "M.milc")
 	for m := 0; m < 2; m++ {
