@@ -84,6 +84,20 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 go build -o "$smokedir/interfd" ./cmd/interfd
 go build -o "$smokedir/loadgen" ./cmd/loadgen
+go build -o "$smokedir/paperrepro" ./cmd/paperrepro
+
+echo "== EXPERIMENTS.md is what paperrepro prints =="
+# The checked-in results must be the code's: from the first artifact to
+# the end, EXPERIMENTS.md must be `paperrepro -markdown -extras` byte for
+# byte, the one wall-clock line masked.
+artifacts() { sed -n '/^## Figure 2 /,$p' "$1" | sed 's/^total runtime: .*/total runtime: -/'; }
+"$smokedir/paperrepro" -markdown -extras -log-level warn -o "$smokedir/experiments.md"
+artifacts EXPERIMENTS.md > "$smokedir/experiments.want"
+artifacts "$smokedir/experiments.md" > "$smokedir/experiments.got"
+if ! diff -u "$smokedir/experiments.want" "$smokedir/experiments.got"; then
+  echo "ci: EXPERIMENTS.md is stale: regenerate it from paperrepro -markdown -extras" >&2
+  exit 1
+fi
 
 echo "== interfd flag set =="
 # Drift and SLO tuning are constants: a deleted knob must not come back

@@ -38,7 +38,7 @@ func TestWorkerCountDoesNotChangeOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out string
-		for _, run := range []func() (Output, error){lab.Figure2, lab.Figure3, lab.Figure12} {
+		for _, run := range []func() (Output, error){lab.Figure2, lab.Figure3, lab.Figure12, lab.Table6, lab.Figure13} {
 			o, err := run()
 			if err != nil {
 				t.Fatal(err)

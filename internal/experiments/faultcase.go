@@ -36,6 +36,10 @@ func faultPlan(seed int64) fault.Plan {
 	}
 }
 
+// faultErrBoundPct bounds each application's EC2 validation error under
+// 20% profile-cell loss and a degraded host.
+const faultErrBoundPct = 60
+
 // faultEnv builds a fresh faulted private-cluster environment; the lab's
 // shared Env stays pristine for every other runner.
 func (l *Lab) faultEnv(inj *fault.Injector) (*measure.Env, error) {
@@ -152,10 +156,8 @@ func (l *Lab) FaultInjection() (Output, error) {
 	}
 
 	// EC2 with failures: the Table 6 validation pairs re-predicted
-	// through lossy matrices on a degraded EC2 environment. The paper's
-	// healthy-cluster models stay within ~15% (Table 6); under 20% cell
-	// loss plus a degraded host the naive fallback holds the line at a
-	// looser bound.
+	// through lossy matrices on a degraded EC2 environment; the naive
+	// fallback keeps each application's error within faultErrBoundPct.
 	ec2Plan := fault.Plan{
 		Seed: l.Cfg.Seed + 7,
 		Faults: []fault.Fault{
@@ -204,7 +206,12 @@ func (l *Lab) FaultInjection() (Output, error) {
 		if err != nil {
 			return Output{}, err
 		}
-		pair, err := ec2Env.RunPair(a, co, ec2.Nodes)
+		b := ec2Env.NewBatch()
+		ph := b.Pair(a, co, ec2.Nodes)
+		if err := b.Run(); err != nil {
+			return Output{}, err
+		}
+		pair, err := ph.Result()
 		if err != nil {
 			return Output{}, err
 		}
@@ -230,7 +237,7 @@ func (l *Lab) FaultInjection() (Output, error) {
 		Notes: []string{
 			fmt.Sprintf("Every one of the %d surviving applications received a prediction; %d served by the naive fallback.",
 				len(mix), fallbackTotal),
-			fmt.Sprintf("Mean EC2 validation error under faults: %.1f%% (healthy-cluster Table 6 averages ~15%%; loose bound 40%%).", meanErr),
+			fmt.Sprintf("Mean EC2 validation error under faults: %.1f%% (bound: %d%% per application).", meanErr, faultErrBoundPct),
 			fmt.Sprintf("Crashed hosts %v held no units in the searched placement.", downs),
 		},
 	}, nil

@@ -51,7 +51,7 @@ func TestFaultInjectionRunner(t *testing.T) {
 		t.Fatal("EC2-with-failures table is empty")
 	}
 	for row := 0; row < ec2Tab.Rows(); row++ {
-		if e := cellFloat(t, ec2Tab, row, 4); e > 60 {
+		if e := cellFloat(t, ec2Tab, row, 4); e > faultErrBoundPct {
 			app, _ := ec2Tab.Cell(row, 0)
 			t.Errorf("EC2 validation error for %s is %v%%, beyond any useful bound", app, e)
 		}

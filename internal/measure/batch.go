@@ -2,47 +2,41 @@ package measure
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// Batch collects independent measurement requests and executes them over a
-// bounded worker pool, bit-identically to issuing the same calls serially
-// in submission order. The trick that makes that possible is splitting
-// every measurement into a sequential *plan* step and a parallel *body*:
+// Batch collects independent measurement requests and executes their
+// bodies over a bounded worker pool. Each submission is planned when it is
+// made, on the caller's goroutine and in submission order: validation, the
+// fault layer's FailureHook, the telemetry run counter, the content-cache
+// lookup and — crucially — the nonce draw from Env.nextNonce. Background
+// interference derives its RNG stream from the nonce, so pre-assigning
+// nonces in submission order pins every measurement's randomness before
+// any worker starts, and a body is a pure function of the environment, its
+// layout and its nonce: the workers' completion order cannot affect any
+// value. Run then publishes every result to the content and solo caches in
+// submission order and resolves the handles. One batch therefore computes
+// exactly what the same submissions compute split over several batches, or
+// through the serial methods, in the same order. A batch is built and Run
+// on one goroutine; handles are read after Run returns.
 //
-//   - Planning happens at submission time on the caller's goroutine, in
-//     submission order: validation, the fault layer's FailureHook, the
-//     telemetry run counters, and — crucially — the nonce draw from
-//     Env.nextNonce. Background interference derives its RNG stream from
-//     the nonce, so pre-assigning nonces in submission order pins every
-//     measurement's randomness before any worker starts.
-//   - The body (contention solves + application runs) is a pure function
-//     of the environment configuration, the request, and the pre-assigned
-//     nonce, so the workers' completion order cannot affect any value.
-//
-// Results merge back in submission order: content-cache and solo-cache
-// publication, then the per-handle finalizers. A batch is built and Run on
-// one goroutine; handles are read after Run returns.
-//
-// Plan-time failures mirror the serial early-return: the first failing
+// A plan failure mirrors a serial loop's early return: the first failing
 // submission poisons the batch, later submissions consume nothing (no
 // nonce, no counters, no failure-hook draws) and their handles report the
-// poisoning error. Already-planned jobs still execute, exactly as they
-// would already have run serially.
+// poisoning error. Already-planned jobs still execute.
 type Batch struct {
 	env  *Env
-	jobs []*batchJob
+	jobs []*job
 	fins []func()
-	// solo maps a solo-cache key to the in-flight job measuring it, so a
-	// batch measures each baseline once (mirroring Env.soloCache hits).
-	solo map[soloKey]*batchJob
+	// solo maps a baseline to the job measuring it, so a batch measures
+	// each baseline once, as a later batch finds it in the solo cache.
+	solo map[soloKey]*job
 	// keyed maps a content-cache key to the first job planned for it, so
 	// duplicate requests within one batch alias deterministically onto
 	// the earliest submission instead of racing for the cache.
-	keyed map[cacheKey]*batchJob
+	keyed map[cacheKey]*job
 
 	planErr    error
 	planErrIdx int
@@ -52,37 +46,7 @@ type Batch struct {
 
 // NewBatch starts an empty measurement batch on the environment.
 func (e *Env) NewBatch() *Batch {
-	return &Batch{env: e, solo: map[soloKey]*batchJob{}, keyed: map[cacheKey]*batchJob{}}
-}
-
-type jobKind int
-
-const (
-	jobBubbles jobKind = iota
-	jobCoRunner
-	jobGroup
-)
-
-// batchJob is one planned measurement. It names its workloads by the
-// Env's interned references, so a job costs the same few words whatever
-// the size of the definitions it measures.
-type batchJob struct {
-	idx       int
-	kind      jobKind
-	w, co     *workloadRef
-	group     []*workloadRef
-	pressures []float64
-	nodes     int
-	coSet     map[int]bool
-	nonce     int
-
-	key     cacheKey  // content-cache key; zero when caching is disabled
-	solo    bool      // this job doubles as the solo baseline of (w, nodes)
-	aliasOf *batchJob // earlier in-batch job with the same content key
-	done    bool      // resolved at plan time (cache hit or alias)
-
-	vals []float64
-	err  error
+	return &Batch{env: e, solo: map[soloKey]*job{}, keyed: map[cacheKey]*job{}}
 }
 
 // errBatchNotRun is what handles report before Batch.Run has been called.
@@ -119,278 +83,186 @@ func (p *PairValue) Result() (PairResult, error) { return p.res, p.err }
 // pending as a batch job.
 type soloRef struct {
 	val float64
-	job *batchJob
+	job *job
 }
 
-// failAt records the first plan failure and its submission position.
-func (b *Batch) failAt(err error, idx int) {
-	if b.planErr == nil {
-		b.planErr, b.planErrIdx = err, idx
+// value returns a planned baseline once the batch has run.
+func (s soloRef) value() (float64, error) {
+	if s.job == nil {
+		return s.val, nil
 	}
+	return first(s.job.result())
 }
 
-// addJob registers a planned job, resolving it immediately on a content
-// cache hit or deduplicating it onto an identical in-batch twin.
-func (b *Batch) addJob(j *batchJob) {
-	e := b.env
-	if j.key != (cacheKey{}) {
-		if v, ok := e.Cache.get(j.key); ok {
-			j.vals, j.done = v, true
-			e.count(MetricCacheHits)
-		} else if prev, ok := b.keyed[j.key]; ok {
+// submit numbers one submission and, unless an earlier one poisoned the
+// batch, plans it. It returns what the submission's handle reports until
+// Run: the poisoning or plan error, or errBatchNotRun. A plan error
+// poisons every later submission.
+func (b *Batch) submit(plan func(idx int) error) error {
+	idx := b.nsub
+	b.nsub++
+	if b.planErr != nil {
+		return b.planErr
+	}
+	if err := plan(idx); err != nil {
+		b.planErr, b.planErrIdx = err, idx
+		return err
+	}
+	return errBatchNotRun
+}
+
+// add makes a job through one of the Env's plan steps and registers it,
+// aliasing it onto an earlier job of the batch with the same content key.
+func (b *Batch) add(idx int, plan func(*job) error) (*job, error) {
+	j := &job{idx: idx}
+	if err := plan(j); err != nil {
+		return nil, err
+	}
+	if !j.done && j.key != (cacheKey{}) {
+		if prev, ok := b.keyed[j.key]; ok {
 			j.aliasOf, j.done = prev, true
-			e.Cache.creditHit()
-			e.count(MetricCacheHits)
+			b.env.Cache.creditHit()
+			b.env.count(MetricCacheHits)
 		} else {
 			b.keyed[j.key] = j
-			e.count(MetricCacheMisses)
 		}
 	}
 	b.jobs = append(b.jobs, j)
-}
-
-// planBubbles mirrors the serial RunWithBubbles prefix — validation,
-// failure hook, run counter, nonce — and defers the body to Run.
-func (b *Batch) planBubbles(w workloads.Workload, pressures []float64, idx int) (*batchJob, error) {
-	e := b.env
-	if err := e.checkBubbles(pressures); err != nil {
-		return nil, err
-	}
-	if err := e.failure("bubbles", w.Name); err != nil {
-		return nil, err
-	}
-	e.count(MetricMeasureRuns)
-	nonce := e.nextNonce()
-	ref := e.intern(w)
-	pressures = append([]float64(nil), pressures...) // callers may reuse the slice
-	j := &batchJob{
-		idx: idx, kind: jobBubbles, w: ref, pressures: pressures,
-		nonce: nonce, key: e.bubblesCacheKey(ref, pressures),
-	}
-	b.addJob(j)
 	return j, nil
 }
 
-// planSolo plans the solo baseline for (w, nodes), mirroring Env.Solo: a
-// solo-cache hit consumes nothing, as does a baseline already pending in
-// this batch; otherwise it is a zero-pressure bubble measurement.
-func (b *Batch) planSolo(w workloads.Workload, nodes, idx int) (soloRef, error) {
-	e := b.env
-	key := soloKey{w.Name, nodes}
-	e.mu.Lock()
-	t, ok := e.soloCache[key]
-	e.mu.Unlock()
-	if ok {
+// planSolo plans the solo baseline of (w, nodes) as Env.Solo does: a
+// known baseline consumes nothing, nor does one already pending in this
+// batch; otherwise it is a zero-pressure bubble measurement.
+func (b *Batch) planSolo(w *workloadRef, nodes, idx int) (soloRef, error) {
+	key := soloKey{w.key, nodes}
+	if t, ok := b.env.soloValue(key); ok {
 		return soloRef{val: t}, nil
 	}
 	if j, ok := b.solo[key]; ok {
 		return soloRef{job: j}, nil
 	}
-	j, err := b.planBubbles(w, make([]float64, nodes), idx)
+	j, err := b.add(idx, func(j *job) error {
+		j.solo = true
+		return b.env.planBubbles(j, w, make([]float64, nodes))
+	})
 	if err != nil {
 		return soloRef{}, err
 	}
-	j.solo = true
 	b.solo[key] = j
 	return soloRef{job: j}, nil
 }
 
-// planGroup mirrors the serial RunGroup prefix.
-func (b *Batch) planGroup(apps []workloads.Workload, nodes, idx int) (*batchJob, error) {
-	e := b.env
-	if err := e.checkGroup(apps, nodes); err != nil {
-		return nil, err
-	}
-	if err := e.failure("group", ""); err != nil {
-		return nil, err
-	}
-	e.count(MetricMeasureRuns)
-	nonce := e.nextNonce()
-	refs := e.internAll(apps)
-	j := &batchJob{
-		idx: idx, kind: jobGroup, group: refs, nodes: nodes,
-		nonce: nonce, key: e.groupCacheKey(refs, nodes),
-	}
-	b.addJob(j)
-	return j, nil
+// scalar submits a one-application measurement planned by plan.
+func (b *Batch) scalar(plan func(*job) error) *Value {
+	h := new(Value)
+	h.err = b.submit(func(idx int) error {
+		j, err := b.add(idx, plan)
+		if err == nil {
+			b.fins = append(b.fins, func() { h.v, h.err = first(j.result()) })
+		}
+		return err
+	})
+	return h
 }
 
-// resolved returns a job's measurement, following an in-batch alias.
-func resolved(j *batchJob) ([]float64, error) {
-	if j.aliasOf != nil {
-		j = j.aliasOf
-	}
-	return j.vals, j.err
+// Bubbles submits a RunWithBubbles measurement.
+func (b *Batch) Bubbles(w workloads.Workload, pressures []float64) *Value {
+	ref := b.env.intern(w)
+	return b.scalar(func(j *job) error {
+		// Callers may reuse the slice.
+		return b.env.planBubbles(j, ref, append([]float64(nil), pressures...))
+	})
 }
 
-// resolveSolo returns a planned baseline's value.
-func resolveSolo(s soloRef) (float64, error) {
-	if s.job == nil {
-		return s.val, nil
-	}
-	v, err := resolved(s.job)
+// CoRunner submits a measurement of w across nodes with a unit of co —
+// its slave-generation profile; its master, if any, lives elsewhere — on
+// each node listed in coNodes.
+func (b *Batch) CoRunner(w, co workloads.Workload, nodes int, coNodes []int) *Value {
+	wr, cr := b.env.intern(w), b.env.intern(co)
+	return b.scalar(func(j *job) error { return b.env.planCoRunner(j, wr, cr, nodes, coNodes) })
+}
+
+// Normalized submits a NormalizedWithBubbles measurement: the interfered
+// run plus (at most once per batch) its solo baseline.
+func (b *Batch) Normalized(w workloads.Workload, pressures []float64) *Value {
+	h := new(Value)
+	ref := b.env.intern(w)
+	h.err = b.submit(func(idx int) error {
+		jt, err := b.add(idx, func(j *job) error {
+			return b.env.planBubbles(j, ref, append([]float64(nil), pressures...))
+		})
+		if err != nil {
+			return err
+		}
+		solo, err := b.planSolo(ref, len(pressures), idx)
+		if err != nil {
+			return err
+		}
+		b.fins = append(b.fins, func() { h.v, h.err = normalized(jt, solo) })
+		return nil
+	})
+	return h
+}
+
+// normalized resolves a Normalized submission once the batch has run.
+func normalized(jt *job, solo soloRef) (float64, error) {
+	t, err := first(jt.result())
 	if err != nil {
 		return 0, err
 	}
-	return v[0], nil
+	s, err := solo.value()
+	if err != nil {
+		return 0, err
+	}
+	return normalize(t, s, jt.w.w.Name)
 }
 
-// Bubbles submits a RunWithBubbles-equivalent measurement.
-func (b *Batch) Bubbles(w workloads.Workload, pressures []float64) *Value {
-	h := &Value{err: errBatchNotRun}
-	idx := b.nsub
-	b.nsub++
-	if b.planErr != nil {
-		h.err = b.planErr
-		return h
-	}
-	j, err := b.planBubbles(w, pressures, idx)
-	if err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	b.fins = append(b.fins, func() {
-		v, err := resolved(j)
-		if err != nil {
-			h.err = err
-			return
-		}
-		h.v, h.err = v[0], nil
-	})
-	return h
-}
-
-// Normalized submits a NormalizedWithBubbles-equivalent measurement: the
-// interfered run plus (at most once per batch) its solo baseline.
-func (b *Batch) Normalized(w workloads.Workload, pressures []float64) *Value {
-	h := &Value{err: errBatchNotRun}
-	idx := b.nsub
-	b.nsub++
-	if b.planErr != nil {
-		h.err = b.planErr
-		return h
-	}
-	jt, err := b.planBubbles(w, pressures, idx)
-	if err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	solo, err := b.planSolo(w, len(pressures), idx)
-	if err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	b.fins = append(b.fins, func() {
-		v, err := resolved(jt)
-		if err != nil {
-			h.err = err
-			return
-		}
-		s, err := resolveSolo(solo)
-		if err != nil {
-			h.err = err
-			return
-		}
-		if s <= 0 {
-			h.err = fmt.Errorf("measure: non-positive solo time for %s", jt.w.w.Name)
-			return
-		}
-		h.v, h.err = v[0]/s, nil
-	})
-	return h
-}
-
-// CoRunner submits a RunWithCoRunner-equivalent measurement.
-func (b *Batch) CoRunner(w, co workloads.Workload, nodes int, coNodes []int) *Value {
-	h := &Value{err: errBatchNotRun}
-	idx := b.nsub
-	b.nsub++
-	if b.planErr != nil {
-		h.err = b.planErr
-		return h
-	}
-	e := b.env
-	coSet, err := e.checkCoRunner(nodes, coNodes)
-	if err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	if err := e.failure("co-runner", w.Name); err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	nonce := e.nextNonce()
-	wr, cr := e.intern(w), e.intern(co)
-	j := &batchJob{
-		idx: idx, kind: jobCoRunner, w: wr, co: cr, nodes: nodes, coSet: coSet,
-		nonce: nonce, key: e.coRunnerCacheKey(wr, cr, nodes, coSet),
-	}
-	b.addJob(j)
-	b.fins = append(b.fins, func() {
-		v, err := resolved(j)
-		if err != nil {
-			h.err = err
-			return
-		}
-		h.v, h.err = v[0], nil
-	})
-	return h
-}
-
-// Group submits a RunGroup-equivalent co-run of apps across nodes.
+// Group submits a co-run of apps across nodes, each node holding one unit
+// of every application, with the members' solo baselines.
 func (b *Batch) Group(apps []workloads.Workload, nodes int) *GroupResult {
-	h := &GroupResult{err: errBatchNotRun}
-	idx := b.nsub
-	b.nsub++
-	if b.planErr != nil {
-		h.err = b.planErr
-		return h
-	}
-	jg, err := b.planGroup(apps, nodes, idx)
-	if err != nil {
-		b.failAt(err, idx)
-		h.err = err
-		return h
-	}
-	solos := make([]soloRef, len(apps))
-	for i, a := range apps {
-		s, err := b.planSolo(a, nodes, idx)
+	h := new(GroupResult)
+	h.err = b.submit(func(idx int) error {
+		refs := b.env.internAll(apps)
+		jg, err := b.add(idx, func(j *job) error { return b.env.planGroup(j, refs, nodes) })
 		if err != nil {
-			b.failAt(err, idx)
-			h.err = err
-			return h
+			return err
 		}
-		solos[i] = s
-	}
-	b.fins = append(b.fins, func() {
-		means, err := resolved(jg)
-		if err != nil {
-			h.err = err
-			return
-		}
-		outs := make([]AppOutcome, len(jg.group))
-		for i := range jg.group {
-			solo, err := resolveSolo(solos[i])
-			if err != nil {
-				h.err = err
-				return
+		solos := make([]soloRef, len(refs))
+		for i, r := range refs {
+			if solos[i], err = b.planSolo(r, nodes, idx); err != nil {
+				return err
 			}
-			outs[i] = AppOutcome{Time: means[i], Solo: solo, Normalized: means[i] / solo, Nodes: nodes}
 		}
-		h.outs, h.err = outs, nil
+		b.fins = append(b.fins, func() { h.outs, h.err = outcomes(jg, solos) })
+		return nil
 	})
 	return h
 }
 
-// Pair submits a RunPair-equivalent co-run of a and c.
+// outcomes combines a co-run's mean times with its members' baselines
+// once the batch has run.
+func outcomes(jg *job, solos []soloRef) ([]AppOutcome, error) {
+	means, err := jg.result()
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]AppOutcome, len(solos))
+	for i, s := range solos {
+		solo, err := s.value()
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = AppOutcome{Time: means[i], Solo: solo, Normalized: means[i] / solo, Nodes: jg.nodes}
+	}
+	return outs, nil
+}
+
+// Pair submits a co-run of a and c across nodes, each node holding one
+// unit of each (Section 4.3's validation setup).
 func (b *Batch) Pair(a, c workloads.Workload, nodes int) *PairValue {
-	h := &PairValue{err: errBatchNotRun}
 	g := b.Group([]workloads.Workload{a, c}, nodes)
+	h := &PairValue{err: g.err}
 	b.fins = append(b.fins, func() {
 		outs, err := g.Outcomes()
 		if err != nil {
@@ -406,25 +278,11 @@ func (b *Batch) Pair(a, c workloads.Workload, nodes int) *PairValue {
 	return h
 }
 
-// execJob runs one job's measurement body with its pre-assigned nonce.
-func (e *Env) execJob(j *batchJob) {
-	switch j.kind {
-	case jobBubbles:
-		v, err := e.bubblesBody(j.w, j.pressures, j.nonce)
-		j.vals, j.err = []float64{v}, err
-	case jobCoRunner:
-		v, err := e.coRunnerBody(j.w, j.co, j.nodes, j.coSet, j.nonce)
-		j.vals, j.err = []float64{v}, err
-	case jobGroup:
-		j.vals, j.err = e.groupBody(j.group, j.nodes, j.nonce)
-	}
-}
-
-// Run executes every planned job over the worker pool, publishes results
-// to the caches in submission order, resolves all handles, and returns the
-// first error in submission order (mirroring where a serial loop would
-// have stopped). It must be called exactly once, from the goroutine that
-// built the batch.
+// Run executes every planned job's body over the worker pool, publishes
+// the results in submission order, resolves all handles, and returns the
+// first error in submission order (where a serial loop would have
+// stopped). It must be called exactly once, from the goroutine that built
+// the batch.
 func (b *Batch) Run() error {
 	if b.ran {
 		return errors.New("measure: batch already run")
@@ -436,7 +294,7 @@ func (b *Batch) Run() error {
 		e.Telemetry.Counter(MetricBatchJobs).Add(uint64(len(b.jobs)))
 	}
 
-	todo := make([]*batchJob, 0, len(b.jobs))
+	todo := make([]*job, 0, len(b.jobs))
 	for _, j := range b.jobs {
 		if !j.done {
 			todo = append(todo, j)
@@ -449,39 +307,23 @@ func (b *Batch) Run() error {
 	if e.Telemetry != nil && workers > 0 {
 		e.Telemetry.Gauge(MetricBatchWorkers).Set(float64(workers))
 	}
-	sim.FanOut(len(todo), workers, func(i int) { e.execJob(todo[i]) })
+	sim.FanOut(len(todo), workers, func(i int) { e.exec(todo[i]) })
 
-	// Merge in submission order: cache publication first (first write
-	// wins, so the earliest submission defines an entry, exactly like
-	// serial execution), then the handle finalizers.
+	// First write wins in both caches, so the earliest submission defines
+	// an entry, as it would in a batch of its own.
 	for _, j := range b.jobs {
-		if j.done || j.err != nil {
-			continue
-		}
-		e.cachePut(j.key, j.vals)
-		if j.solo {
-			key := soloKey{j.w.w.Name, len(j.pressures)}
-			e.mu.Lock()
-			if _, ok := e.soloCache[key]; !ok {
-				e.soloCache[key] = j.vals[0]
-			}
-			e.mu.Unlock()
-		}
+		e.publish(j)
 	}
 	for _, f := range b.fins {
 		f()
 	}
-
-	var firstErr error
-	firstIdx := -1
 	for _, j := range b.jobs {
 		if j.err != nil {
-			firstErr, firstIdx = j.err, j.idx
-			break
+			if b.planErr != nil && b.planErrIdx < j.idx {
+				return b.planErr
+			}
+			return j.err
 		}
 	}
-	if b.planErr != nil && (firstIdx == -1 || b.planErrIdx < firstIdx) {
-		return b.planErr
-	}
-	return firstErr
+	return b.planErr
 }

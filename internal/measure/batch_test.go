@@ -78,81 +78,84 @@ func batchSuite(t *testing.T) (a, b, c workloads.Workload, grids [][]float64) {
 	return a, b, c, grids
 }
 
-// runSerial performs the suite through the serial Env methods, in the same
-// order the batch submits them, and flattens every scalar produced.
-func runSerial(t *testing.T, e *Env) []float64 {
+// suiteSteps is the equivalence suite in submission order: each step
+// submits one request to a batch and returns what reads the request's
+// scalars once that batch has run.
+func suiteSteps(t *testing.T) []func(*Batch) func() []float64 {
 	t.Helper()
 	a, b, c, grids := batchSuite(t)
-	var out []float64
+	scalar := func(h *Value) func() []float64 {
+		return func() []float64 {
+			v, err := h.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []float64{v}
+		}
+	}
+	var steps []func(*Batch) func() []float64
 	for _, ps := range grids {
-		v, err := e.NormalizedWithBubbles(a, ps)
-		if err != nil {
+		steps = append(steps, func(bt *Batch) func() []float64 { return scalar(bt.Normalized(a, ps)) })
+	}
+	return append(steps,
+		func(bt *Batch) func() []float64 { return scalar(bt.CoRunner(a, b, 8, []int{0, 1, 2})) },
+		func(bt *Batch) func() []float64 {
+			h := bt.Pair(a, b, 8)
+			return func() []float64 {
+				pr, err := h.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []float64{pr.TimeA, pr.TimeB, pr.NormalizedA, pr.NormalizedB}
+			}
+		},
+		func(bt *Batch) func() []float64 {
+			h := bt.Group([]workloads.Workload{a, b, c}, 8)
+			return func() []float64 {
+				outs, err := h.Outcomes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []float64
+				for _, o := range outs {
+					out = append(out, o.Time, o.Solo, o.Normalized)
+				}
+				return out
+			}
+		})
+}
+
+// runSuite performs the suite in batches of at most per submissions, all
+// in one batch when per is 0, and flattens every scalar produced.
+func runSuite(t *testing.T, e *Env, per int) []float64 {
+	t.Helper()
+	steps := suiteSteps(t)
+	if per == 0 {
+		per = len(steps)
+	}
+	var out []float64
+	for len(steps) > 0 {
+		n := min(per, len(steps))
+		bt := e.NewBatch()
+		var reads []func() []float64
+		for _, s := range steps[:n] {
+			reads = append(reads, s(bt))
+		}
+		if err := bt.Run(); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, v)
-	}
-	v, err := e.RunWithCoRunner(a, b, 8, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, v)
-	pr, err := e.RunPair(a, b, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, pr.TimeA, pr.TimeB, pr.NormalizedA, pr.NormalizedB)
-	outs, err := e.RunGroup([]workloads.Workload{a, b, c}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
-		out = append(out, o.Time, o.Solo, o.Normalized)
+		for _, r := range reads {
+			out = append(out, r()...)
+		}
+		steps = steps[n:]
 	}
 	return out
 }
 
-// runBatched performs the identical suite through one Batch.
-func runBatched(t *testing.T, e *Env) []float64 {
-	t.Helper()
-	a, b, c, grids := batchSuite(t)
-	bt := e.NewBatch()
-	var norms []*Value
-	for _, ps := range grids {
-		norms = append(norms, bt.Normalized(a, ps))
-	}
-	co := bt.CoRunner(a, b, 8, []int{0, 1, 2})
-	pair := bt.Pair(a, b, 8)
-	group := bt.Group([]workloads.Workload{a, b, c}, 8)
-	if err := bt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var out []float64
-	for _, h := range norms {
-		v, err := h.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, v)
-	}
-	v, err := co.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, v)
-	pr, err := pair.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, pr.TimeA, pr.TimeB, pr.NormalizedA, pr.NormalizedB)
-	outs, err := group.Outcomes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
-		out = append(out, o.Time, o.Solo, o.Normalized)
-	}
-	return out
-}
+// runSerial performs the suite one batch per submission, as a caller of
+// the serial methods would; runBatched performs it as one batch.
+func runSerial(t *testing.T, e *Env) []float64  { return runSuite(t, e, 1) }
+func runBatched(t *testing.T, e *Env) []float64 { return runSuite(t, e, 0) }
 
 func assertSame(t *testing.T, label string, got, want []float64) {
 	t.Helper()
@@ -166,24 +169,29 @@ func assertSame(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestBatchMatchesSerialPrivate: on the private cluster a Batch must return
-// byte-identical values to the serial methods, at any worker count.
+// TestBatchMatchesSerialPrivate: on the private cluster one batch must
+// return byte-identical values to one batch per submission and to the
+// suite split over two batches, at any worker count.
 func TestBatchMatchesSerialPrivate(t *testing.T) {
 	want := runSerial(t, newBatchEnv(t, 1, false))
+	assertSame(t, "two batches", runSuite(t, newBatchEnv(t, 4, false), 4), want)
 	for _, workers := range []int{1, 4, 8} {
-		got := runBatched(t, newBatchEnv(t, workers, false))
-		assertSame(t, "private", got, want)
+		assertSame(t, "private", runBatched(t, newBatchEnv(t, workers, false)), want)
 	}
 }
 
 // TestBatchMatchesSerialBackground: with uncontrolled background tenants
 // the results depend on the pre-assigned nonces, so this is the real
-// determinism proof: serial, workers=1 and workers=8 all byte-identical.
+// determinism proof. One batch per submission, the suite split over two
+// batches, and one batch at workers 1, 4 and 8 must agree to the bit —
+// which holds only if a batch leaves in the solo cache every baseline it
+// resolved, measured or not (the suite's first grid cell is its own
+// baseline).
 func TestBatchMatchesSerialBackground(t *testing.T) {
 	want := runSerial(t, newBatchEnv(t, 1, true))
-	for _, workers := range []int{1, 8} {
-		got := runBatched(t, newBatchEnv(t, workers, true))
-		assertSame(t, "background", got, want)
+	assertSame(t, "two batches", runSuite(t, newBatchEnv(t, 4, true), 4), want)
+	for _, workers := range []int{1, 4, 8} {
+		assertSame(t, "background", runBatched(t, newBatchEnv(t, workers, true)), want)
 	}
 }
 

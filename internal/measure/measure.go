@@ -1,10 +1,20 @@
 // Package measure is the experiment harness: it runs distributed workloads
 // on the simulated consolidated cluster under controlled interference
 // (bubbles at chosen pressures on chosen nodes, real co-runner
-// applications, or whole placements) and reports raw and normalized
-// execution times. It is the stand-in for the paper's testbed runs: every
-// profiling, validation, and placement experiment ultimately calls into
-// this package.
+// applications, groups, or whole placements) and reports raw and
+// normalized execution times. It is the stand-in for the paper's testbed
+// runs: every profiling, validation, and placement experiment ultimately
+// calls into this package.
+//
+// Every measurement takes one path: plan → body → publish. The plan step
+// (validation, failure hook, run counter, nonce, content-cache lookup)
+// runs on the caller's goroutine in submission order; the body runs the
+// measurement's host layout and is a pure function of the environment,
+// the layout and the nonce; the publish step records the result in the
+// content and solo caches. A Batch fans the bodies of many plans out over
+// a worker pool; the serial methods (RunWithBubbles, Solo,
+// NormalizedWithBubbles, RunPlacement) are one-submission plans through
+// the same three steps.
 package measure
 
 import (
@@ -22,7 +32,6 @@ import (
 	"repro/internal/contention"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -74,7 +83,7 @@ type Env struct {
 	HostDegrade func(host int) float64
 	// Workers bounds the worker pool a Batch fans out over; <= 0 means
 	// GOMAXPROCS. Workers == 1 executes batch jobs serially on the
-	// calling goroutine (the proven-identical reference path).
+	// calling goroutine.
 	Workers int
 	// Cache, when non-nil, memoizes whole measurements content-addressed
 	// by (environment fingerprint, measurement kind, workload, pressure
@@ -114,9 +123,11 @@ const solveCacheCap = 4096
 // internCap bounds Env.interned the same way.
 const internCap = 256
 
-// soloKey identifies a solo baseline: the workload's name and its width.
+// soloKey identifies a solo baseline: the digest of the workload's
+// definition (as in the content-cache keys) and its width, so two
+// definitions that share a name keep apart.
 type soloKey struct {
-	name  string
+	w     cacheKey
 	nodes int
 }
 
@@ -218,31 +229,9 @@ func (e *Env) fingerprint() cacheKey {
 // effect.
 func (e *Env) cacheEnabled() bool { return e.Cache != nil && e.HostDegrade == nil }
 
-// cacheGet looks up a measurement by key, maintaining the hit/miss
-// counters. The zero key (caching disabled) is a silent miss.
-func (e *Env) cacheGet(key cacheKey) ([]float64, bool) {
-	if key == (cacheKey{}) {
-		return nil, false
-	}
-	v, ok := e.Cache.get(key)
-	if ok {
-		e.count(MetricCacheHits)
-	} else {
-		e.count(MetricCacheMisses)
-	}
-	return v, ok
-}
-
-// cachePut stores a completed measurement under key (no-op when zero).
-func (e *Env) cachePut(key cacheKey, v []float64) {
-	if key != (cacheKey{}) {
-		e.Cache.put(key, v)
-	}
-}
-
 // workloadRef is an Env's interned copy of one workload definition: what a
 // planned measurement points at instead of carrying the definition, and
-// the digest the content-cache keys embed for it.
+// the digest the content-cache and solo keys embed for it.
 type workloadRef struct {
 	w workloads.Workload
 	// key is the SHA-256 of fmt's %+v of the whole definition, so
@@ -274,6 +263,15 @@ func (e *Env) intern(w workloads.Workload) *workloadRef {
 	return r
 }
 
+// internAll interns every workload of a group.
+func (e *Env) internAll(apps []workloads.Workload) []*workloadRef {
+	refs := make([]*workloadRef, len(apps))
+	for i, a := range apps {
+		refs[i] = e.intern(a)
+	}
+	return refs
+}
+
 // Content-cache key kinds: the first byte of a key's encoding.
 const (
 	keyBubbles  byte = 'b'
@@ -297,9 +295,9 @@ func (e *Env) keyHead(buf []byte, kind byte) []byte {
 // appendWord appends v as eight little-endian bytes.
 func appendWord(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// bubblesCacheKey is the content address of a RunWithBubbles measurement,
-// or the zero key when caching is disabled. Pressures enter as bit
-// patterns, so -0 and +0 stay apart and no two vectors can be conflated.
+// bubblesCacheKey is the content address of a bubble measurement, or the
+// zero key when caching is disabled. Pressures enter as bit patterns, so
+// -0 and +0 stay apart and no two vectors can be conflated.
 func (e *Env) bubblesCacheKey(w *workloadRef, pressures []float64) cacheKey {
 	if !e.cacheEnabled() {
 		return cacheKey{}
@@ -313,9 +311,9 @@ func (e *Env) bubblesCacheKey(w *workloadRef, pressures []float64) cacheKey {
 	return sha256.Sum256(b)
 }
 
-// coRunnerCacheKey is the content address of a RunWithCoRunner
-// measurement; the co-runner node set enters in ascending order. Every
-// member of coSet is below nodes (checkCoRunner).
+// coRunnerCacheKey is the content address of a co-runner measurement; the
+// co-runner node set enters in ascending order. Every member of coSet is
+// below nodes (checkCoRunner).
 func (e *Env) coRunnerCacheKey(w, co *workloadRef, nodes int, coSet map[int]bool) cacheKey {
 	if !e.cacheEnabled() {
 		return cacheKey{}
@@ -333,8 +331,8 @@ func (e *Env) coRunnerCacheKey(w, co *workloadRef, nodes int, coSet map[int]bool
 	return sha256.Sum256(b)
 }
 
-// groupCacheKey is the content address of a RunGroup measurement (the
-// per-app mean-time vector; solo baselines are cached separately).
+// groupCacheKey is the content address of a group co-run (the per-app
+// mean-time vector; solo baselines are cached separately).
 func (e *Env) groupCacheKey(apps []*workloadRef, nodes int) cacheKey {
 	if !e.cacheEnabled() {
 		return cacheKey{}
@@ -353,17 +351,6 @@ func (e *Env) net() netsim.Network {
 }
 
 func (e *Env) rng() *sim.RNG { return sim.NewRNG(e.Seed) }
-
-// slowdownOn solves one host's contention equilibrium and returns the
-// slowdown of the occupant at index 0 (the measured application). bg is
-// the repetition's background stream (see solveHost).
-func (e *Env) slowdownOn(host int, occ []contention.Occupant, bg *sim.RNG) (float64, error) {
-	var sl [1]float64
-	if err := e.solveHost(sl[:], occ, host, bg); err != nil {
-		return 0, fmt.Errorf("measure: host %d: %w", host, err)
-	}
-	return sl[0] * e.degrade(host), nil
-}
 
 // solveHost fills dst with the slowdowns of the first len(dst) occupants
 // when the host additionally carries whatever background interference the
@@ -462,19 +449,6 @@ func (e *Env) degrade(host int) float64 {
 	return 1
 }
 
-// failure consults the fault layer's measurement failure hook about the
-// operation kind/name ("bubbles/M.milc"), which is only spelled out when a
-// hook is attached.
-func (e *Env) failure(kind, name string) error {
-	if e.FailureHook == nil {
-		return nil
-	}
-	if name != "" {
-		kind += "/" + name
-	}
-	return e.FailureHook(kind)
-}
-
 // streams is one measurement's random streams: run is re-targeted for
 // every application run and bg for every repetition, so a measurement
 // derives all of them into the one pair instead of allocating a stream per
@@ -494,6 +468,86 @@ func (e *Env) runOnce(w *workloads.Workload, sd []float64, rep int, st *streams)
 	})
 }
 
+// job is one measurement: its host layout, its plan-time state and its
+// result. Host h (0 <= h < nodes) holds, in slot order, the measured
+// units — unit h of every application, or for a placement the units its
+// slot row names — then at most one unmeasured extra occupant: a bubble at
+// pressures[h], or a unit of co on the hosts in coSet. A serial
+// measurement keeps its job on the stack, and a job names its workloads by
+// the Env's interned references, so planning one costs the same few words
+// whatever it measures.
+type job struct {
+	op string // the failure hook's and the span's operation kind
+	// w is the one measured application of a bubble or co-runner
+	// measurement, which runs w's base profile on every node. A co-run
+	// measures group instead, node i of each on GenProfile(i).
+	w         *workloadRef
+	group     []*workloadRef
+	nodes     int
+	pressures []float64
+	co        *workloadRef
+	coSet     map[int]bool
+	// slots, for a placement, holds each slot's unit (host h's slot s at
+	// h*HostSlots+s; -1 when empty) as an index into the slowdown vector,
+	// where app a's units occupy [starts[a], starts[a+1]). Otherwise app
+	// a's units occupy [a*nodes, (a+1)*nodes).
+	slots, starts []int
+
+	idx     int // submission position in a batch
+	nonce   int
+	key     cacheKey // content-cache key; zero when caching is disabled
+	aliasOf *job     // earlier in-batch job with the same content key
+	solo    bool     // the job is the solo baseline of (w, nodes)
+	done    bool     // resolved at plan time (cache hit or alias)
+
+	vals []float64 // each measured application's mean time
+	err  error
+}
+
+// subject is the measured application's name for a one-application
+// measurement, "" for a co-run.
+func (j *job) subject() string {
+	if j.group != nil {
+		return ""
+	}
+	return j.w.w.Name
+}
+
+// unitsOf returns the range app a's units occupy in the slowdown vector.
+func (j *job) unitsOf(a int) (lo, hi int) {
+	if j.starts == nil {
+		return a * j.nodes, (a + 1) * j.nodes
+	}
+	return j.starts[a], j.starts[a+1]
+}
+
+// extra returns host h's unmeasured occupant, if it has one.
+func (j *job) extra(h int) (occ contention.Occupant, ok bool) {
+	switch {
+	case j.pressures != nil && j.pressures[h] > 0:
+		return contention.Occupant{Name: "bubble", Prof: bubble.Profile(j.pressures[h])}, true
+	case j.co != nil && j.coSet[h]:
+		return contention.Occupant{Name: j.co.w.Name, Prof: j.co.w.GenProfile(1)}, true
+	}
+	return occ, false
+}
+
+// result returns a job's measurement, following an in-batch alias.
+func (j *job) result() ([]float64, error) {
+	if j.aliasOf != nil {
+		j = j.aliasOf
+	}
+	return j.vals, j.err
+}
+
+// first returns a one-application measurement's value.
+func first(v []float64, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
+}
+
 // checkBubbles validates a bubble-measurement request.
 func (e *Env) checkBubbles(pressures []float64) error {
 	nodes := len(pressures)
@@ -504,145 +558,6 @@ func (e *Env) checkBubbles(pressures []float64) error {
 		return fmt.Errorf("measure: %d nodes on a %d-host cluster", nodes, e.Cluster.NumHosts)
 	}
 	return nil
-}
-
-// bubblesBody is the measurement itself — everything after validation,
-// failure injection, accounting, and nonce assignment. It is a pure
-// function of (env configuration, w, pressures, nonce) and therefore safe
-// to run on a batch worker.
-func (e *Env) bubblesBody(ref *workloadRef, pressures []float64, nonce int) (float64, error) {
-	w := &ref.w
-	var span *telemetry.Span
-	if e.Tracer != nil {
-		span = e.Tracer.StartSpan("measure.bubbles/" + w.Name)
-	}
-	times := make([]float64, 0, e.Reps)
-	sd := make([]float64, len(pressures))
-	st := new(streams)
-	var scratch [maxKeyedOccupants]contention.Occupant
-	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(&st.bg, rep, nonce)
-		for i, p := range pressures {
-			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
-			if p > 0 {
-				occ = append(occ, contention.Occupant{Name: "bubble", Prof: bubble.Profile(p), Cores: e.UnitCores})
-			}
-			s, err := e.slowdownOn(i, occ, bg)
-			if err != nil {
-				return 0, err
-			}
-			sd[i] = s
-		}
-		t, err := e.runOnce(w, sd, rep, st)
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, t)
-	}
-	mean := stats.Mean(times)
-	span.SetSimSeconds(mean).End()
-	return mean, nil
-}
-
-// RunWithBubbles runs w across len(pressures) nodes with a bubble at
-// pressures[i] co-located on node i (0 disables that node's bubble) and
-// returns the mean execution time over the environment's repetitions.
-func (e *Env) RunWithBubbles(w workloads.Workload, pressures []float64) (float64, error) {
-	if err := e.checkBubbles(pressures); err != nil {
-		return 0, err
-	}
-	if err := e.failure("bubbles", w.Name); err != nil {
-		return 0, err
-	}
-	e.count(MetricMeasureRuns)
-	nonce := e.nextNonce()
-	ref := e.intern(w)
-	key := e.bubblesCacheKey(ref, pressures)
-	if v, ok := e.cacheGet(key); ok {
-		return v[0], nil
-	}
-	mean, err := e.bubblesBody(ref, pressures, nonce)
-	if err != nil {
-		return 0, err
-	}
-	e.cachePut(key, []float64{mean})
-	return mean, nil
-}
-
-// Solo returns the workload's execution time with no controlled
-// interference on the given number of nodes, cached per (workload, nodes).
-func (e *Env) Solo(w workloads.Workload, nodes int) (float64, error) {
-	key := soloKey{w.Name, nodes}
-	e.mu.Lock()
-	if t, ok := e.soloCache[key]; ok {
-		e.mu.Unlock()
-		return t, nil
-	}
-	e.mu.Unlock()
-	t, err := e.RunWithBubbles(w, make([]float64, nodes))
-	if err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	e.soloCache[key] = t
-	e.mu.Unlock()
-	return t, nil
-}
-
-// NormalizedWithBubbles returns the execution time under the given bubble
-// pressures normalized to the same-width solo run.
-func (e *Env) NormalizedWithBubbles(w workloads.Workload, pressures []float64) (float64, error) {
-	t, err := e.RunWithBubbles(w, pressures)
-	if err != nil {
-		return 0, err
-	}
-	solo, err := e.Solo(w, len(pressures))
-	if err != nil {
-		return 0, err
-	}
-	if solo <= 0 {
-		return 0, fmt.Errorf("measure: non-positive solo time for %s", w.Name)
-	}
-	return t / solo, nil
-}
-
-// HomogeneousPressures builds a pressure vector of `nodes` entries whose
-// first `interfering` nodes carry `pressure` (the Fig. 3 configurations).
-func HomogeneousPressures(nodes, interfering int, pressure float64) ([]float64, error) {
-	if nodes <= 0 || interfering < 0 || interfering > nodes {
-		return nil, fmt.Errorf("measure: bad homogeneous config nodes=%d interfering=%d", nodes, interfering)
-	}
-	out := make([]float64, nodes)
-	for i := 0; i < interfering; i++ {
-		out[i] = pressure
-	}
-	return out, nil
-}
-
-// RunWithCoRunner runs w across `nodes` nodes with a co-runner application
-// unit on each node listed in coNodes and returns w's mean execution time.
-// The co-runner's units use its slave-generation profile (its master, if
-// any, is assumed to live elsewhere).
-func (e *Env) RunWithCoRunner(w, co workloads.Workload, nodes int, coNodes []int) (float64, error) {
-	coSet, err := e.checkCoRunner(nodes, coNodes)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.failure("co-runner", w.Name); err != nil {
-		return 0, err
-	}
-	nonce := e.nextNonce()
-	wr, cr := e.intern(w), e.intern(co)
-	key := e.coRunnerCacheKey(wr, cr, nodes, coSet)
-	if v, ok := e.cacheGet(key); ok {
-		return v[0], nil
-	}
-	mean, err := e.coRunnerBody(wr, cr, nodes, coSet, nonce)
-	if err != nil {
-		return 0, err
-	}
-	e.cachePut(key, []float64{mean})
-	return mean, nil
 }
 
 // checkCoRunner validates a co-runner request and canonicalizes the node
@@ -661,33 +576,299 @@ func (e *Env) checkCoRunner(nodes int, coNodes []int) (map[int]bool, error) {
 	return coSet, nil
 }
 
-// coRunnerBody is the worker-safe measurement body of RunWithCoRunner.
-func (e *Env) coRunnerBody(wr, cr *workloadRef, nodes int, coSet map[int]bool, nonce int) (float64, error) {
-	w, co := &wr.w, &cr.w
-	times := make([]float64, 0, e.Reps)
-	sd := make([]float64, nodes)
-	st := new(streams)
-	var scratch [maxKeyedOccupants]contention.Occupant
-	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(&st.bg, rep, nonce)
-		for i := 0; i < nodes; i++ {
-			occ := append(scratch[:0], contention.Occupant{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores})
-			if coSet[i] {
-				occ = append(occ, contention.Occupant{Name: co.Name, Prof: co.GenProfile(1), Cores: e.UnitCores})
-			}
-			s, err := e.slowdownOn(i, occ, bg)
-			if err != nil {
-				return 0, err
-			}
-			sd[i] = s
-		}
-		t, err := e.runOnce(w, sd, rep, st)
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, t)
+// checkGroup validates a co-run of n applications.
+func (e *Env) checkGroup(n, nodes int) error {
+	if n == 0 {
+		return errors.New("measure: empty application group")
 	}
-	return stats.Mean(times), nil
+	if nodes <= 0 || nodes > e.Cluster.NumHosts {
+		return fmt.Errorf("measure: bad node count %d", nodes)
+	}
+	if n*e.UnitCores > e.Cluster.HostSpec.Cores {
+		return fmt.Errorf("measure: %d units of %d cores exceed host cores", n, e.UnitCores)
+	}
+	return nil
+}
+
+// planBubbles plans w across len(pressures) nodes with a bubble at
+// pressures[i] on node i (0 disables that node's bubble).
+func (e *Env) planBubbles(j *job, w *workloadRef, pressures []float64) error {
+	if err := e.checkBubbles(pressures); err != nil {
+		return err
+	}
+	j.op, j.w, j.nodes, j.pressures = "bubbles", w, len(pressures), pressures
+	j.key = e.bubblesCacheKey(w, pressures)
+	return e.plan(j)
+}
+
+// planCoRunner plans w across nodes with a unit of co — its
+// slave-generation profile; its master, if any, lives elsewhere — on each
+// node listed in coNodes.
+func (e *Env) planCoRunner(j *job, w, co *workloadRef, nodes int, coNodes []int) error {
+	coSet, err := e.checkCoRunner(nodes, coNodes)
+	if err != nil {
+		return err
+	}
+	j.op, j.w, j.co, j.nodes, j.coSet = "co-runner", w, co, nodes, coSet
+	j.key = e.coRunnerCacheKey(w, co, nodes, coSet)
+	return e.plan(j)
+}
+
+// planGroup plans a co-run of apps across nodes, each node holding one
+// unit of every application. Groups larger than two exercise the
+// multi-way co-location extension (Section 4.4); the host must have enough
+// cores for len(apps) units.
+func (e *Env) planGroup(j *job, apps []*workloadRef, nodes int) error {
+	if err := e.checkGroup(len(apps), nodes); err != nil {
+		return err
+	}
+	j.op, j.group, j.nodes = "group", apps, nodes
+	j.key = e.groupCacheKey(apps, nodes)
+	return e.plan(j)
+}
+
+// plan is every measurement's prefix once its request is validated and
+// laid out, run on the caller's goroutine in submission order: the failure
+// hook, the run counter, the nonce, and the content-cache lookup, which
+// resolves j on a hit.
+func (e *Env) plan(j *job) error {
+	if err := e.failure(j.op, j.subject()); err != nil {
+		return err
+	}
+	if j.slots != nil {
+		e.count(MetricPlacementRuns)
+	} else {
+		e.count(MetricMeasureRuns)
+	}
+	j.nonce = e.nextNonce()
+	if j.key == (cacheKey{}) {
+		return nil
+	}
+	if v, ok := e.Cache.get(j.key); ok {
+		j.vals, j.done = v, true
+		e.count(MetricCacheHits)
+	} else {
+		e.count(MetricCacheMisses)
+	}
+	return nil
+}
+
+// failure consults the fault layer's measurement failure hook about the
+// operation kind/name ("bubbles/M.milc"), which is only spelled out when a
+// hook is attached.
+func (e *Env) failure(kind, name string) error {
+	if e.FailureHook == nil {
+		return nil
+	}
+	if name != "" {
+		kind += "/" + name
+	}
+	return e.FailureHook(kind)
+}
+
+// exec runs a planned job's body under one span, leaving each measured
+// application's mean time in j.vals.
+func (e *Env) exec(j *job) {
+	var span *telemetry.Span
+	if e.Tracer != nil {
+		name := "measure." + j.op
+		if s := j.subject(); s != "" {
+			name += "/" + s
+		}
+		span = e.Tracer.StartSpan(name)
+	}
+	j.vals, j.err = e.body(j)
+	if j.err == nil && j.group == nil {
+		span.SetSimSeconds(j.vals[0])
+	}
+	span.End()
+}
+
+// body runs a job's host layout with its pre-assigned nonce and returns
+// the measured applications' mean times. Per repetition it solves every
+// occupied host once — the measured units, the extra and whatever
+// background tenant the repetition draws — scales the slowdowns by the
+// host's degradation, and runs every application on its units' slowdowns.
+// It is a pure function of the environment's configuration, the layout and
+// the nonce, so it is safe on a batch worker. (Solving all occupants and
+// reading the measured ones gives the bits a solve of the measured prefix
+// would: each slowdown is computed alone from the shared equilibrium.)
+func (e *Env) body(j *job) ([]float64, error) {
+	apps := j.group
+	if apps == nil {
+		one := [1]*workloadRef{j.w}
+		apps = one[:]
+	}
+	width := len(apps) // measured slots per host
+	if j.slots != nil {
+		width = len(j.slots) / j.nodes
+	}
+	_, units := j.unitsOf(len(apps) - 1)
+	sums := make([]float64, len(apps))
+	sd := make([]float64, units)
+	// A host's occupants — the measured units, the extra and a background
+	// tenant — live on the stack unless a wide group or slot row outgrows it.
+	var (
+		occBuf [maxKeyedOccupants + 1]contention.Occupant
+		slBuf  [maxKeyedOccupants + 1]float64
+		atBuf  [maxKeyedOccupants]int
+	)
+	occ, sl, at := occBuf[:0], slBuf[:], atBuf[:0]
+	if width+2 > len(occBuf) {
+		occ, sl, at = make([]contention.Occupant, 0, width+2), make([]float64, width+1), make([]int, 0, width)
+	}
+	st := new(streams)
+	for rep := 0; rep < e.Reps; rep++ {
+		bg := e.backgroundStream(&st.bg, rep, j.nonce)
+		for h := 0; h < j.nodes; h++ {
+			occ, at = occ[:0], at[:0]
+			for s := 0; s < width; s++ {
+				a, u := s, s*j.nodes+h // unit h of application s
+				if j.slots != nil {
+					if u = j.slots[h*width+s]; u < 0 {
+						continue
+					}
+					for a = 0; u >= j.starts[a+1]; a++ {
+					}
+				}
+				w := &apps[a].w
+				prof := w.Prof
+				if j.group != nil {
+					lo, _ := j.unitsOf(a)
+					prof = w.GenProfile(u - lo)
+				}
+				occ = append(occ, contention.Occupant{Name: w.Name, Prof: prof, Cores: e.UnitCores})
+				at = append(at, u)
+			}
+			if x, ok := j.extra(h); ok {
+				x.Cores = e.UnitCores
+				occ = append(occ, x)
+			}
+			if len(occ) == 0 {
+				continue
+			}
+			if err := e.solveHost(sl[:len(occ)], occ, h, bg); err != nil {
+				return nil, fmt.Errorf("measure: host %d: %w", h, err)
+			}
+			f := e.degrade(h)
+			for k, u := range at {
+				sd[u] = sl[k] * f
+			}
+		}
+		for a, r := range apps {
+			lo, hi := j.unitsOf(a)
+			t, err := e.runOnce(&r.w, sd[lo:hi], rep, st)
+			if err != nil {
+				return nil, err
+			}
+			sums[a] += t
+		}
+	}
+	for a := range sums {
+		sums[a] /= float64(e.Reps)
+	}
+	return sums, nil
+}
+
+// publish records a job's outcome once it is known: a measurement the
+// body ran goes into the content cache, and a solo baseline into the solo
+// cache however it was resolved — measured, found in the content cache, or
+// aliased onto an earlier job. First write wins in both.
+func (e *Env) publish(j *job) {
+	v, err := j.result()
+	if err != nil {
+		return
+	}
+	if !j.done && j.key != (cacheKey{}) {
+		e.Cache.put(j.key, v)
+	}
+	if j.solo {
+		key := soloKey{j.w.key, j.nodes}
+		e.mu.Lock()
+		if _, ok := e.soloCache[key]; !ok {
+			e.soloCache[key] = v[0]
+		}
+		e.mu.Unlock()
+	}
+}
+
+// measure finishes a one-submission plan: the body, unless the plan
+// resolved it, then the publish step.
+func (e *Env) measure(j *job) ([]float64, error) {
+	if !j.done {
+		e.exec(j)
+	}
+	e.publish(j)
+	return j.result()
+}
+
+// soloValue returns a known solo baseline.
+func (e *Env) soloValue(key soloKey) (float64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t, ok := e.soloCache[key]
+	return t, ok
+}
+
+// RunWithBubbles runs w across len(pressures) nodes with a bubble at
+// pressures[i] co-located on node i (0 disables that node's bubble) and
+// returns the mean execution time over the environment's repetitions.
+func (e *Env) RunWithBubbles(w workloads.Workload, pressures []float64) (float64, error) {
+	var j job
+	if err := e.planBubbles(&j, e.intern(w), pressures); err != nil {
+		return 0, err
+	}
+	return first(e.measure(&j))
+}
+
+// Solo returns the workload's execution time with no controlled
+// interference on the given number of nodes, cached per (workload
+// definition, nodes).
+func (e *Env) Solo(w workloads.Workload, nodes int) (float64, error) {
+	ref := e.intern(w)
+	if t, ok := e.soloValue(soloKey{ref.key, nodes}); ok {
+		return t, nil
+	}
+	j := job{solo: true}
+	if err := e.planBubbles(&j, ref, make([]float64, nodes)); err != nil {
+		return 0, err
+	}
+	return first(e.measure(&j))
+}
+
+// NormalizedWithBubbles returns the execution time under the given bubble
+// pressures normalized to the same-width solo run.
+func (e *Env) NormalizedWithBubbles(w workloads.Workload, pressures []float64) (float64, error) {
+	t, err := e.RunWithBubbles(w, pressures)
+	if err != nil {
+		return 0, err
+	}
+	solo, err := e.Solo(w, len(pressures))
+	if err != nil {
+		return 0, err
+	}
+	return normalize(t, solo, w.Name)
+}
+
+// normalize divides a time by its solo baseline.
+func normalize(t, solo float64, name string) (float64, error) {
+	if solo <= 0 {
+		return 0, fmt.Errorf("measure: non-positive solo time for %s", name)
+	}
+	return t / solo, nil
+}
+
+// HomogeneousPressures builds a pressure vector of `nodes` entries whose
+// first `interfering` nodes carry `pressure` (the Fig. 3 configurations).
+func HomogeneousPressures(nodes, interfering int, pressure float64) ([]float64, error) {
+	if nodes <= 0 || interfering < 0 || interfering > nodes {
+		return nil, fmt.Errorf("measure: bad homogeneous config nodes=%d interfering=%d", nodes, interfering)
+	}
+	out := make([]float64, nodes)
+	for i := 0; i < interfering; i++ {
+		out[i] = pressure
+	}
+	return out, nil
 }
 
 // PairResult reports a pairwise co-run (Section 4.3's validation setup:
@@ -695,121 +876,6 @@ func (e *Env) coRunnerBody(wr, cr *workloadRef, nodes int, coSet map[int]bool, n
 type PairResult struct {
 	TimeA, TimeB             float64
 	NormalizedA, NormalizedB float64
-}
-
-// RunPair co-runs applications a and b across `nodes` nodes, each holding
-// one unit of each on every node.
-func (e *Env) RunPair(a, b workloads.Workload, nodes int) (PairResult, error) {
-	outs, err := e.RunGroup([]workloads.Workload{a, b}, nodes)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return PairResult{
-		TimeA: outs[0].Time, TimeB: outs[1].Time,
-		NormalizedA: outs[0].Normalized, NormalizedB: outs[1].Normalized,
-	}, nil
-}
-
-// RunGroup co-runs any number of applications across `nodes` nodes, each
-// holding one unit of every application on every node. Groups larger than
-// two exercise the multi-way co-location extension (Section 4.4); the
-// host must have enough cores for len(apps) units.
-func (e *Env) RunGroup(apps []workloads.Workload, nodes int) ([]AppOutcome, error) {
-	if err := e.checkGroup(apps, nodes); err != nil {
-		return nil, err
-	}
-	if err := e.failure("group", ""); err != nil {
-		return nil, err
-	}
-	e.count(MetricMeasureRuns)
-	nonce := e.nextNonce()
-	refs := e.internAll(apps)
-	key := e.groupCacheKey(refs, nodes)
-	means, ok := e.cacheGet(key)
-	if !ok {
-		var err error
-		means, err = e.groupBody(refs, nodes, nonce)
-		if err != nil {
-			return nil, err
-		}
-		e.cachePut(key, means)
-	}
-	return e.groupOutcomes(apps, nodes, means)
-}
-
-// internAll interns every workload of a group.
-func (e *Env) internAll(apps []workloads.Workload) []*workloadRef {
-	refs := make([]*workloadRef, len(apps))
-	for i, a := range apps {
-		refs[i] = e.intern(a)
-	}
-	return refs
-}
-
-// checkGroup validates a group co-run request.
-func (e *Env) checkGroup(apps []workloads.Workload, nodes int) error {
-	if len(apps) == 0 {
-		return errors.New("measure: empty application group")
-	}
-	if nodes <= 0 || nodes > e.Cluster.NumHosts {
-		return fmt.Errorf("measure: bad node count %d", nodes)
-	}
-	if len(apps)*e.UnitCores > e.Cluster.HostSpec.Cores {
-		return fmt.Errorf("measure: %d units of %d cores exceed host cores", len(apps), e.UnitCores)
-	}
-	return nil
-}
-
-// groupBody is the worker-safe measurement body of RunGroup: the per-app
-// mean execution times, without the solo baselines (those are planned and
-// cached separately).
-func (e *Env) groupBody(apps []*workloadRef, nodes, nonce int) ([]float64, error) {
-	defer e.Tracer.StartSpan("measure.group").End()
-	sums := make([]float64, len(apps))
-	sl := make([]float64, len(apps))       // one host's slowdowns
-	sd := make([]float64, len(apps)*nodes) // app j's per-node slowdowns at [j*nodes:]
-	// One spare entry so the background tenant is appended in place.
-	occ := make([]contention.Occupant, len(apps), len(apps)+1)
-	st := new(streams)
-	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(&st.bg, rep, nonce)
-		for i := 0; i < nodes; i++ {
-			for j, a := range apps {
-				occ[j] = contention.Occupant{Name: a.w.Name, Prof: a.w.GenProfile(i), Cores: e.UnitCores}
-			}
-			if err := e.solveHost(sl, occ, i, bg); err != nil {
-				return nil, err
-			}
-			f := e.degrade(i)
-			for j := range apps {
-				sd[j*nodes+i] = sl[j] * f
-			}
-		}
-		for j, a := range apps {
-			t, err := e.runOnce(&a.w, sd[j*nodes:(j+1)*nodes], rep, st)
-			if err != nil {
-				return nil, err
-			}
-			sums[j] += t
-		}
-	}
-	for j := range sums {
-		sums[j] /= float64(e.Reps)
-	}
-	return sums, nil
-}
-
-// groupOutcomes combines group mean times with the per-app solo baselines.
-func (e *Env) groupOutcomes(apps []workloads.Workload, nodes int, means []float64) ([]AppOutcome, error) {
-	outs := make([]AppOutcome, len(apps))
-	for j, a := range apps {
-		solo, err := e.Solo(a, nodes)
-		if err != nil {
-			return nil, err
-		}
-		outs[j] = AppOutcome{Time: means[j], Solo: solo, Normalized: means[j] / solo, Nodes: nodes}
-	}
-	return outs, nil
 }
 
 // AppOutcome is the measured result for one application in a placement.
@@ -845,90 +911,39 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 			return nil, fmt.Errorf("measure: placement references unknown workload %q", a)
 		}
 	}
-	if err := e.failure("placement", ""); err != nil {
+	// Unit i of app a, in UnitPositions (slot) order, is node i of a's run.
+	j := job{
+		op: "placement", group: make([]*workloadRef, len(apps)), nodes: p.NumHosts,
+		slots: make([]int, p.NumHosts*p.HostSlots), starts: make([]int, len(apps)+1),
+	}
+	for k := range j.slots {
+		j.slots[k] = -1
+	}
+	for a, name := range apps {
+		j.group[a] = e.intern(reg[name])
+		pos := p.UnitPositions(name)
+		for i, up := range pos {
+			j.slots[up.Host*p.HostSlots+up.Slot] = j.starts[a] + i
+		}
+		j.starts[a+1] = j.starts[a] + len(pos)
+	}
+	if err := e.plan(&j); err != nil {
 		return nil, err
 	}
-	e.count(MetricPlacementRuns)
-	span := e.Tracer.StartSpan("measure.placement")
-	defer span.End()
-	// Unit i of app j (in UnitPositions order) is node i of j's run, so its
-	// slowdown goes to sd[first[j]+i]; unit[k] is that index for the unit
-	// in slot k = host*HostSlots+slot. The occupants are the same in every
-	// repetition, so they are built once, one per unit: sibling units of
-	// the same application interfere like any other co-location.
-	refs := make([]*workloadRef, len(apps))
-	first := make([]int, len(apps)+1)
-	slotOcc := make([]contention.Occupant, p.NumHosts*p.HostSlots)
-	unit := make([]int, len(slotOcc))
-	for j, a := range apps {
-		refs[j] = e.intern(reg[a])
-		pos := p.UnitPositions(a)
-		for i, up := range pos {
-			k := up.Host*p.HostSlots + up.Slot
-			slotOcc[k] = contention.Occupant{
-				Name:  fmt.Sprintf("%s#%d", a, i),
-				Prof:  refs[j].w.GenProfile(i),
-				Cores: e.UnitCores,
-			}
-			unit[k] = first[j] + i
-		}
-		first[j+1] = first[j] + len(pos)
-	}
-
-	nonce := e.nextNonce()
-	sums := make([]float64, len(apps))
-	sl := make([]float64, p.HostSlots)
-	sd := make([]float64, first[len(apps)])
-	// One spare entry so the background tenant is appended in place.
-	occ := make([]contention.Occupant, 0, p.HostSlots+1)
-	st := new(streams)
-	for rep := 0; rep < e.Reps; rep++ {
-		bg := e.backgroundStream(&st.bg, rep, nonce)
-		// Solve every host once per repetition.
-		for h := 0; h < p.NumHosts; h++ {
-			row := p.Slots(h)
-			occ = occ[:0]
-			for s, a := range row {
-				if a != "" {
-					occ = append(occ, slotOcc[h*p.HostSlots+s])
-				}
-			}
-			if len(occ) == 0 {
-				continue
-			}
-			if err := e.solveHost(sl[:len(occ)], occ, h, bg); err != nil {
-				return nil, fmt.Errorf("measure: host %d: %w", h, err)
-			}
-			f := e.degrade(h)
-			n := 0
-			for s, a := range row {
-				if a != "" {
-					sd[unit[h*p.HostSlots+s]] = sl[n] * f
-					n++
-				}
-			}
-		}
-		for j := range apps {
-			t, err := e.runOnce(&refs[j].w, sd[first[j]:first[j+1]], rep, st)
-			if err != nil {
-				return nil, err
-			}
-			sums[j] += t
-		}
+	means, err := e.measure(&j)
+	if err != nil {
+		return nil, err
 	}
 	outcomes := map[string]AppOutcome{}
-	for j, a := range apps {
-		units := first[j+1] - first[j]
-		solo, err := e.Solo(refs[j].w, units)
+	for a, name := range apps {
+		lo, hi := j.unitsOf(a)
+		solo, err := e.Solo(reg[name], hi-lo)
 		if err != nil {
 			return nil, err
 		}
-		mean := sums[j] / float64(e.Reps)
-		outcomes[a] = AppOutcome{
-			Time: mean, Solo: solo, Normalized: mean / solo, Nodes: units,
-		}
+		outcomes[name] = AppOutcome{Time: means[a], Solo: solo, Normalized: means[a] / solo, Nodes: hi - lo}
 		if e.Telemetry != nil {
-			e.Telemetry.Gauge(telemetry.Label(MetricActualNormalized, "app", a)).Set(mean / solo)
+			e.Telemetry.Gauge(telemetry.Label(MetricActualNormalized, "app", name)).Set(means[a] / solo)
 		}
 	}
 	return outcomes, nil

@@ -156,11 +156,11 @@ func TestRunWithCoRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := e.RunWithCoRunner(lmps, libq, 8, []int{0})
+	t1, err := coRunner(e, lmps, libq, 8, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := e.RunWithCoRunner(lmps, libq, 8, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	t8, err := coRunner(e, lmps, libq, 8, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,52 @@ func TestRunWithCoRunner(t *testing.T) {
 	if jump < 0.4 {
 		t.Errorf("lammps jump fraction = %v, want the high-propagation shape (>0.4)", jump)
 	}
-	if _, err := e.RunWithCoRunner(lmps, libq, 8, []int{9}); err == nil {
+	if _, err := coRunner(e, lmps, libq, 8, []int{9}); err == nil {
 		t.Error("out-of-range co-runner node should fail")
 	}
-	if _, err := e.RunWithCoRunner(lmps, libq, 0, nil); err == nil {
+	if _, err := coRunner(e, lmps, libq, 0, nil); err == nil {
 		t.Error("zero nodes should fail")
+	}
+}
+
+// coRunner measures w beside co in a batch of its own.
+func coRunner(e *Env, w, co workloads.Workload, nodes int, coNodes []int) (float64, error) {
+	b := e.NewBatch()
+	h := b.CoRunner(w, co, nodes, coNodes)
+	_ = b.Run() // the handle reports the same error
+	return h.Result()
+}
+
+// TestSoloKeyedByDefinition: a workload that shares its name with another
+// but not its definition normalizes against its own solo baseline, not the
+// other's, serially and in a batch. Without bubbles its normalized time is
+// then exactly 1.
+func TestSoloKeyedByDefinition(t *testing.T) {
+	lmps := wl(t, "M.lmps")
+	longer := lmps
+	longer.App.Iterations *= 2
+	quiet := make([]float64, 8)
+	for _, batched := range []bool{false, true} {
+		e := newTestEnv(t)
+		if _, err := e.Solo(lmps, 8); err != nil {
+			t.Fatal(err)
+		}
+		var got float64
+		var err error
+		if batched {
+			b := e.NewBatch()
+			h := b.Normalized(longer, quiet)
+			_ = b.Run() // the handle reports the same error
+			got, err = h.Result()
+		} else {
+			got, err = e.NormalizedWithBubbles(longer, quiet)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 1 {
+			t.Errorf("batched %t: %s with twice the iterations normalizes to %v alone, want 1", batched, longer.Name, got)
+		}
 	}
 }
 
@@ -187,7 +228,7 @@ func TestRunPair(t *testing.T) {
 	e := newTestEnv(t)
 	a := wl(t, "M.milc")
 	b := wl(t, "C.libq")
-	res, err := e.RunPair(a, b, 8)
+	res, err := pair(e, a, b, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +241,7 @@ func TestRunPair(t *testing.T) {
 	if res.TimeA <= 0 || res.TimeB <= 0 {
 		t.Error("non-positive times")
 	}
-	if _, err := e.RunPair(a, b, 0); err == nil {
+	if _, err := pair(e, a, b, 0); err == nil {
 		t.Error("zero nodes should fail")
 	}
 }
