@@ -525,14 +525,18 @@ func totalAllocOf(fn func()) uint64 {
 
 // TestAppRunAllocCeiling: a warm application run allocates no generator
 // state and no scheduling state, with or without a telemetry registry
-// attached. Its per-node jitter streams are pooled and re-targeted in
+// attached, and whether it reads a shared jitter table or fills its own.
+// A run's view of its factors — a cursor per node and, without a shared
+// table, a private table whose storage the next run refills — lives in a
+// pool, the generators that fill tables are pooled and re-targeted in
 // place, and the task engines' stage state and completion callbacks live
 // in a pooled workspace, so what is left is the run's own small change;
 // one fastSource is 4.9 KB and a run used to allocate one per node, and a
 // task-engine run used to allocate a closure per task launch (103 KB per
 // H.KM run). An instrumented run adds a handful of counter updates and no
 // per-event work: BSP and wavefront keep their closed forms and the task
-// engines' event engine flushes its counts once per run.
+// engines' event engine flushes its counts once per run. A run over a
+// shared table reads what the first run filled and draws nothing.
 func TestAppRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -546,27 +550,39 @@ func TestAppRunAllocCeiling(t *testing.T) {
 		if w.App.NoiseSigma <= 0 {
 			t.Fatalf("%s draws no jitter; the test would prove nothing", name)
 		}
-		for _, reg := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
-			mode := "bare"
-			if reg != nil {
-				mode = "instrumented"
-			}
+		for _, mode := range []struct {
+			name   string
+			reg    *telemetry.Registry
+			shared bool
+		}{
+			{"bare", nil, false},
+			{"instrumented", telemetry.NewRegistry(), false},
+			{"shared-table", nil, true},
+		} {
 			const runs = 200
 			seed := int64(0)
+			var table *app.Factors
+			rng := sim.NewRNG(seed)
+			if mode.shared {
+				table = new(app.Factors)
+			}
 			run := func() {
 				for i := 0; i < runs; i++ {
-					seed++
-					if _, err := w.App.Run(app.Params{Slowdown: sd, Net: net, RNG: sim.NewRNG(seed), Telemetry: reg}); err != nil {
+					if !mode.shared { // a new run stream every run
+						seed++
+						rng = sim.NewRNG(seed)
+					}
+					if _, err := w.App.Run(app.Params{Slowdown: sd, Net: net, RNG: rng, Factors: table, Telemetry: mode.reg}); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			run() // warm the stream pool and the registry's handles
+			run() // warm the pools, the registry's handles and the shared table
 			perRun := totalAllocOf(run) / runs
 			if perRun > ceiling {
-				t.Errorf("%s (%v, %s): %d B per warm run, ceiling %d", name, w.App.Engine, mode, perRun, ceiling)
+				t.Errorf("%s (%v, %s): %d B per warm run, ceiling %d", name, w.App.Engine, mode.name, perRun, ceiling)
 			}
-			t.Logf("%s (%v, %s): %d B per warm run", name, w.App.Engine, mode, perRun)
+			t.Logf("%s (%v, %s): %d B per warm run", name, w.App.Engine, mode.name, perRun)
 		}
 	}
 }
@@ -631,11 +647,13 @@ func TestPlaceAllocCeiling(t *testing.T) {
 // is re-targeted into — never per host, per repetition or per run. On a
 // background-free host the solve is memoized under a value key and the
 // occupant list lives on the body's stack; on an EC2 host the noisy
-// neighbour comes back by value. A placement builds its occupants once,
-// not once per repetition. Measured before this contract: 184 B
-// per private bubble measurement, 2 142 B per EC2 one (a one-tenant slice
-// per host and repetition) and 16.5 KB per placement (maps, slices and
-// names per host and repetition); 128 B, 176 B and 4.2 KB now.
+// neighbour comes back by value. Every run reads its jitter from the
+// Env's table for its (workload, repetition), which the warm-up filled, so
+// no run draws or derives a per-node stream. A placement builds its
+// occupants once, not once per repetition. Measured before this contract:
+// 184 B per private bubble measurement, 2 142 B per EC2 one (a one-tenant
+// slice per host and repetition) and 16.5 KB per placement (maps, slices
+// and names per host and repetition); 104 B, 152 B and 1.4 KB now.
 func TestMeasureBodyAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -661,11 +679,11 @@ func TestMeasureBodyAllocCeiling(t *testing.T) {
 		}
 	}
 	reg := workloads.Registry()
-	// Keep the application stream pool the warm-up fills where the
-	// measured runs find it: a collection in between would empty it, and
-	// on several Ps the goroutine can move away from the P whose private
-	// pool slot holds it. Either way the measured runs would pay for eight
-	// generators again (~40 KB).
+	// Keep the pooled per-run jitter views the warm-up fills where the
+	// measured runs find them: a collection in between would empty the
+	// pool, and on several Ps the goroutine can move away from the P whose
+	// private pool slot holds them. Either way the measured runs would pay
+	// for a view's cursors again.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
@@ -685,7 +703,7 @@ func TestMeasureBodyAllocCeiling(t *testing.T) {
 				}
 			}
 		}
-		run() // warm the solve memo, the interned workloads and the stream pool
+		run() // warm the solve memo, the interned workloads, the jitter tables and the pools
 		perRun := totalAllocOf(run) / runs
 		if perRun > tc.ceiling {
 			t.Errorf("%s: %d B per warm measurement, ceiling %d", tc.name, perRun, tc.ceiling)

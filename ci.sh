@@ -4,13 +4,14 @@
 # race detector (which covers the command smokes in cmd/ and the
 # observability-plane handler tests in internal/obs and cmd/interfd), the
 # bench/ module's own vet and unit tests, a second uncached race pass for
-# determinism, a soak of the placement service's concurrency tests, a fuzz
-# smoke of every target, and two smokes of the interfd binary: same-seed
-# self-driven runs leave byte-identical decision audits and equal nonzero
-# event and measurement counts in their reports, and the loadgen
-# determinism smoke against a live serve-only daemon, whose drain must leave
-# its report and audit on disk. Timings are not gated here: the benchmark of record is
-# bench/ (`make bench`). Run it before every commit.
+# determinism, soaks of the placement service's concurrency tests and of
+# the shared jitter tables, a fuzz smoke of every target, and two smokes
+# of the interfd binary: same-seed self-driven runs leave byte-identical
+# decision audits and equal nonzero event and measurement counts in their
+# reports, and the loadgen determinism smoke against a live serve-only
+# daemon, whose drain must leave its report and audit on disk. Timings are
+# not gated here: the benchmark of record is bench/ (`make bench`). Run it
+# before every commit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -39,11 +40,11 @@ echo "== go test -race -count=2 (determinism: every package but the exclusions b
 # the parallel placement search (flat and cell-sharded), the fault plan,
 # the measurement batch engine, the drift tracker, the experiment goldens,
 # the placement service under concurrent admission, the fleet generator —
-# and much of it runs on pooled state (event engines, run streams, search
-# workspaces) that a second pass in the same process finds warm. So every
-# package is run twice, uncached, under the race detector. The list is
-# derived, so a new package is covered without anyone listing it; only
-# this is left out:
+# and much of it runs on pooled or shared state (event engines, jitter
+# tables, search workspaces) that a second pass in the same process finds
+# warm. So every package is run twice, uncached, under the race detector.
+# The list is derived, so a new package is covered without anyone listing
+# it; only this is left out:
 #   repro/cmd/      each test drives a real daemon or CLI over sockets,
 #                   files and wall-clock deadlines; raced once above
 # (internal/obs is in: its SSE tests wait on the subscriber's progress,
@@ -58,6 +59,15 @@ echo "== serve soak (-race -count=20 of the worker pool's concurrency tests) =="
 # Close under load, determinism under concurrent admission). Twice is not
 # a soak for those: run them twenty times under the race detector.
 go test -race -count=20 ./internal/serve -run 'SideBySide|QueueFull|Panic|Close|DeterministicUnderConcurrency'
+
+echo "== jitter-table soak (-race -count=20 of the concurrent-fill and worker-count tests) =="
+# An Env's jitter tables are shared state that batch workers grow while
+# they run the same (workload, repetition) side by side: soak the tests
+# that fill one table from eight goroutines and that require any worker
+# count to render the same bytes.
+go test -race -count=20 ./internal/app -run '^TestSharedFactorsConcurrentFill$'
+go test -race -count=20 ./internal/measure -run '^TestJitterTablesKeyedByDefinition$'
+go test -race -count=20 ./internal/experiments -run '^TestWorkerCountDoesNotChangeOutputs$'
 
 echo "== fuzz smoke (10s per target) =="
 # Short exploratory runs of every fuzz target in the tree (the committed

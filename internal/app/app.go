@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -162,6 +161,10 @@ type Params struct {
 	Slowdown []float64 // one entry per node the app occupies; >= 1 each
 	Net      netsim.Network
 	RNG      *sim.RNG
+	// Factors, when non-nil, is a table of RNG's jitter shared by every run
+	// on that stream: the run reads its factors there instead of drawing
+	// them, with bit-identical results. Nil gives the run a private table.
+	Factors *Factors
 	// Telemetry, when non-nil, receives the run's event counts under the
 	// sim.Engine.Instrument metric names (the task engines flush their
 	// event engine's; BSP and Wavefront add what their event schedule
@@ -276,19 +279,22 @@ func (s Spec) Run(p Params) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	rs := acquireStreams(p.RNG, len(p.Slowdown))
-	defer streamPool.Put(rs)
+	want, step := s.nodeDraws(len(p.Slowdown))
+	j, err := s.openJitter(p, want, step)
+	if err != nil {
+		return 0, err
+	}
+	defer j.release()
 	var t float64
-	var err error
 	switch s.Engine {
 	case BSP:
-		t, err = s.runBSP(p, rs)
+		t, err = s.runBSP(p, j.node)
 	case Wavefront:
-		t, err = s.runWavefront(p, rs)
+		t, err = s.runWavefront(p, j.node)
 	case TaskPool, Stages:
-		t, err = s.runTasks(p, rs)
+		t, err = s.runTasks(p, j)
 	case Independent:
-		t, err = s.runIndependent(p, rs)
+		t = s.runIndependent(p, j.node)
 	default:
 		return 0, fmt.Errorf("app %s: unknown engine", s.Name)
 	}
@@ -299,32 +305,25 @@ func (s Spec) Run(p Params) (float64, error) {
 	return t, nil
 }
 
-// runStreams is a run's random streams: one jitter stream per node, so
-// adding nodes never perturbs the draws of existing ones, and the
-// per-stage task-skew stream of the task engines. They live in a pool and
-// are re-targeted in place (sim.RNG.StreamNInto), so a warm run allocates
-// no generator state; a re-targeted stream is indistinguishable from a
-// freshly derived one, so pooling does not affect results.
-type runStreams struct {
-	node []sim.RNG
-	skew sim.RNG
-}
-
-var streamPool = sync.Pool{New: func() any { return new(runStreams) }}
-
-// acquireStreams takes streams from the pool with node[i] re-targeted at
-// rng.StreamN("node", i) for i < n.
-func acquireStreams(rng *sim.RNG, n int) *runStreams {
-	rs := streamPool.Get().(*runStreams)
-	if cap(rs.node) < n {
-		// Keep the generators already grown; the new tail starts empty.
-		rs.node = append(rs.node[:cap(rs.node)], make([]sim.RNG, n-cap(rs.node))...)
+// nodeDraws returns how many factors a run over n nodes reads from each
+// node's sequence up front (want) and how many more a read past the filled
+// end fills (step). The fixed-count engines read exactly want: Iterations
+// per node, or one batch instance. A task engine's per-node count follows
+// its schedule: want is a node's mean share of the launches plus a quarter
+// (the nodes that run more than their share run about that much more), and
+// the sequence grows in steps of a quarter of want. Every growth replays
+// the sequence's draws so far, so a private table, filled afresh each run,
+// rarely grows, and a shared one holds few factors no run reads.
+func (s Spec) nodeDraws(n int) (want, step int) {
+	switch s.Engine {
+	case BSP, Wavefront:
+		return s.Iterations, s.Iterations
+	case TaskPool, Stages:
+		want = s.NumStages * ((s.TasksPerStage + n - 1) / n)
+		want += want / 4
+		return want, max(want/4, 4)
 	}
-	rs.node = rs.node[:n]
-	for i := range rs.node {
-		rng.StreamNInto(&rs.node[i], "node", i)
-	}
-	return rs
+	return 1, 1
 }
 
 // bspCollective computes the fixed per-iteration collective cost.
@@ -363,9 +362,8 @@ func checkDelay(d float64) error {
 // sim.Time additions sim.Engine.After performs. That schedule fires
 // 1 + I·(n+1) events with at most n queued at once (Validate and
 // Params.validate guarantee I ≥ 1 and n ≥ 1).
-func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
+func (s Spec) runBSP(p Params, jit []cursor) (float64, error) {
 	nodes := len(p.Slowdown)
-	streams := rs.node
 	collective := s.bspCollective(p, nodes)
 	if err := checkDelay(collective); err != nil {
 		return 0, err
@@ -374,7 +372,7 @@ func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
 	for iter := 0; iter < s.Iterations; iter++ {
 		var worst sim.Time
 		for i := 0; i < nodes; i++ {
-			d := s.IterSec * p.Slowdown[i] * streams[i].JitterAround1(s.NoiseSigma)
+			d := s.IterSec * p.Slowdown[i] * jit[i].next()
 			if err := checkDelay(d); err != nil {
 				return 0, err
 			}
@@ -396,9 +394,8 @@ func (s Spec) runBSP(p Params, rs *runStreams) (float64, error) {
 // a time in (iteration, node) order; the run replays exactly that
 // arithmetic via the same sim.Time additions, like runBSP. The chain fires
 // 2·I·n events with one queued at a time.
-func (s Spec) runWavefront(p Params, rs *runStreams) (float64, error) {
+func (s Spec) runWavefront(p Params, jit []cursor) (float64, error) {
 	nodes := len(p.Slowdown)
-	streams := rs.node
 	hop := p.Net.PointToPoint(256 * 1024) // stage hand-off message
 	if err := checkDelay(hop); err != nil {
 		return 0, err
@@ -408,7 +405,7 @@ func (s Spec) runWavefront(p Params, rs *runStreams) (float64, error) {
 		for node := 0; node < nodes; node++ {
 			// Per-node stage: the solo iteration costs IterSec in total,
 			// split evenly across the serialized node stages.
-			d := s.IterSec / float64(nodes) * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
+			d := s.IterSec / float64(nodes) * p.Slowdown[node] * jit[node].next()
 			if err := checkDelay(d); err != nil {
 				return 0, err
 			}
@@ -437,7 +434,7 @@ type taskState struct {
 
 // taskRun is the workspace of one task-engine run: the run's context and
 // the current stage's scheduling state, all in slices that the next run
-// reuses. Workspaces live in a pool like the engines and the run streams;
+// reuses. Workspaces live in a pool like the engines and the jitter views;
 // startStage rewrites every per-stage field, so nothing a run (or a run
 // that failed mid-stage) leaves behind reaches the next one.
 //
@@ -450,7 +447,7 @@ type taskRun struct {
 	s     Spec
 	p     Params
 	eng   *sim.Engine
-	rs    *runStreams
+	jit   *runJitter
 	nodes int
 	err   error
 
@@ -463,9 +460,9 @@ type taskRun struct {
 	endTime sim.Time
 
 	tasks []taskState
-	// skew is the per-task size skew, drawn up-front from a stage-level
-	// stream so a task keeps its size whichever node (or speculative copy)
-	// runs it and regardless of dispatch order.
+	// skew is the per-task size skew, read up-front from the stage's skew
+	// sequence so a task keeps its size whichever node (or speculative
+	// copy) runs it and regardless of dispatch order.
 	skew []float64
 	// Locality: the first pinnedCount tasks are pinned to a home node
 	// round-robin (task id is at home on node id % nodes), so node n's
@@ -493,14 +490,14 @@ var taskRunPool = sync.Pool{New: func() any {
 // shared by the TaskPool (Hadoop) and Stages (Spark) engines: the
 // difference is entirely in the spec parameters (task granularity,
 // speculation, shuffle volume).
-func (s Spec) runTasks(p Params, rs *runStreams) (float64, error) {
+func (s Spec) runTasks(p Params, jit *runJitter) (float64, error) {
 	r := taskRunPool.Get().(*taskRun)
-	r.s, r.p, r.rs, r.eng = s, p, rs, engineFor(p)
+	r.s, r.p, r.jit, r.eng = s, p, jit, engineFor(p)
 	r.nodes = len(p.Slowdown)
 	r.stage, r.endTime = 0, 0
 	defer func() {
 		releaseEngine(r.eng)
-		r.p, r.rs, r.eng, r.err = Params{}, nil, nil, nil
+		r.p, r.jit, r.eng, r.err = Params{}, nil, nil, nil
 		taskRunPool.Put(r)
 	}()
 	if err := r.eng.At(0, r.startFn); err != nil {
@@ -518,7 +515,7 @@ func (r *taskRun) fail(err error) {
 	r.eng.Halt()
 }
 
-// startStage resets the per-stage state, draws the stage's task skew and
+// startStage resets the per-stage state, reads the stage's task skew and
 // hands every slot of every node to dispatch.
 func (r *taskRun) startStage() {
 	s := &r.s
@@ -530,11 +527,7 @@ func (r *taskRun) startStage() {
 
 	r.tasks = resize(r.tasks, s.TasksPerStage)
 	clear(r.tasks)
-	r.skew = resize(r.skew, s.TasksPerStage)
-	r.p.RNG.StreamNInto(&r.rs.skew, "skew", r.stage)
-	for i := range r.skew {
-		r.skew[i] = r.rs.skew.JitterAround1(s.TaskSkewSigma)
-	}
+	r.skew = r.jit.f.skewInto(r.skew, r.stage, s.TasksPerStage)
 	r.pinnedCount = int(s.LocalityFrac * float64(s.TasksPerStage))
 	r.pinnedNext = resize(r.pinnedNext, r.nodes)
 	for n := range r.pinnedNext {
@@ -605,7 +598,7 @@ func (r *taskRun) dispatch() {
 // launch starts a copy of task id on the slot; clone marks a speculative
 // second copy, which does not move the task's expected finish.
 func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
-	d := r.s.TaskSec * r.skew[id] * r.p.Slowdown[node] * r.rs.node[node].JitterAround1(r.s.NoiseSigma)
+	d := r.s.TaskSec * r.skew[id] * r.p.Slowdown[node] * r.jit.node[node].next()
 	if !clone {
 		t := &r.tasks[id]
 		t.finish = r.eng.Now() + sim.Time(d)
@@ -686,10 +679,12 @@ func (r *taskRun) finishStage() {
 // own instances, and the reported time is the mean per-instance runtime
 // (the quantity the paper's throughput metric weighs for SPEC CPU2006
 // co-runners).
-func (s Spec) runIndependent(p Params, rs *runStreams) (float64, error) {
-	times := make([]float64, len(p.Slowdown))
+func (s Spec) runIndependent(p Params, jit []cursor) float64 {
+	// Summed in node order and divided by the count: stats.Mean's
+	// arithmetic, without the slice of times.
+	var sum float64
 	for i, sd := range p.Slowdown {
-		times[i] = s.BatchSec * sd * rs.node[i].JitterAround1(s.NoiseSigma)
+		sum += s.BatchSec * sd * jit[i].next()
 	}
-	return stats.Mean(times), nil
+	return sum / float64(len(p.Slowdown))
 }

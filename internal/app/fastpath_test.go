@@ -12,13 +12,23 @@ import (
 	"repro/internal/telemetry"
 )
 
+// freshStreams derives a run's node jitter streams straight from its run
+// stream, bypassing the factor tables: the references below draw from
+// them, so they check the tables as well as the closed forms.
+func freshStreams(rng *sim.RNG, n int) []*sim.RNG {
+	streams := make([]*sim.RNG, n)
+	for i := range streams {
+		streams[i] = rng.StreamN("node", i)
+	}
+	return streams
+}
+
 // refBSPEngine is the event-driven BSP evaluation the closed form in
 // runBSP replays: a start event, then per iteration one compute event per
 // node and, when the last of them fires, one collective event that starts
 // the next iteration.
 func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
-	rs := acquireStreams(p.RNG, len(p.Slowdown))
-	defer streamPool.Put(rs)
+	streams := freshStreams(p.RNG, len(p.Slowdown))
 	nodes := len(p.Slowdown)
 	collective := s.bspCollective(p, nodes)
 	iter := 0
@@ -31,7 +41,7 @@ func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
 		iter++
 		remaining := nodes
 		for i := 0; i < nodes; i++ {
-			d := s.IterSec * p.Slowdown[i] * rs.node[i].JitterAround1(s.NoiseSigma)
+			d := s.IterSec * p.Slowdown[i] * streams[i].JitterAround1(s.NoiseSigma)
 			if err := eng.After(d, func() {
 				remaining--
 				if remaining == 0 {
@@ -57,8 +67,7 @@ func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
 // refWavefrontEngine is the event-driven wavefront evaluation the closed
 // form in runWavefront replays: a strict chain of stage and hop events.
 func refWavefrontEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
-	rs := acquireStreams(p.RNG, len(p.Slowdown))
-	defer streamPool.Put(rs)
+	streams := freshStreams(p.RNG, len(p.Slowdown))
 	nodes := len(p.Slowdown)
 	hop := p.Net.PointToPoint(256 * 1024)
 	iter, node := 0, 0
@@ -68,7 +77,7 @@ func refWavefrontEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
 		if iter >= s.Iterations {
 			return
 		}
-		d := s.IterSec / float64(nodes) * p.Slowdown[node] * rs.node[node].JitterAround1(s.NoiseSigma)
+		d := s.IterSec / float64(nodes) * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
 		if err := eng.After(d, func() {
 			node++
 			if node == nodes {
@@ -210,11 +219,12 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamPoolReuseDeterministic: runs take their node and skew streams
-// from a pool and re-target them in place, so a run's result must not
-// depend on which runs — how many nodes, which seeds, how many draws —
-// used those generators before it, nor on other goroutines doing the same
-// at the same time.
+// TestStreamPoolReuseDeterministic: a run without a shared table fills a
+// private one from a pool, in storage earlier runs filled, with generators
+// borrowed from another pool and re-targeted in place, so a run's result
+// must not depend on which runs — how many nodes, which seeds, how many
+// draws — used that storage and those generators before it, nor on other
+// goroutines doing the same at the same time.
 func TestStreamPoolReuseDeterministic(t *testing.T) {
 	type job struct {
 		spec  Spec
@@ -251,7 +261,7 @@ func TestStreamPoolReuseDeterministic(t *testing.T) {
 		want[i] = run(j)
 	}
 	// The independent engine has a closed form over freshly derived
-	// streams: the pooled ones must draw exactly what those draw.
+	// streams: the private tables must hold exactly what those draw.
 	for i, j := range jobs {
 		if j.spec.Engine != Independent {
 			continue

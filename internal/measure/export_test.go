@@ -1,0 +1,11 @@
+package measure
+
+// DropJitterTables releases every jitter table e holds, for the external
+// test that weighs them.
+func DropJitterTables(e *Env) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, r := range e.interned {
+		clear(r.jitter)
+	}
+}

@@ -51,10 +51,11 @@ type BackgroundFunc func(host int, r *sim.RNG) (tenant contention.Occupant, ok b
 // policy. Construct with NewEnv; the zero value is not usable.
 //
 // Concurrency contract: all exported methods are safe for concurrent use —
-// the solo cache, the nonce counter, and the shared contention-solve memo
-// are mutex-guarded, and Telemetry/Tracer/FailureHook/HostDegrade are only
-// ever handed thread-safe implementations by this repository. Note however
-// that concurrent *callers* racing on nextNonce get nondeterministic nonce
+// the solo cache, the nonce counter, the shared contention-solve memo and
+// the jitter tables are mutex-guarded, and
+// Telemetry/Tracer/FailureHook/HostDegrade are only ever handed
+// thread-safe implementations by this repository. Note however that
+// concurrent *callers* racing on nextNonce get nondeterministic nonce
 // assignment; deterministic parallelism is what Batch provides (nonces are
 // pre-assigned during single-threaded planning, only the nonce-bearing
 // bodies fan out). Configuration fields must not be mutated once
@@ -113,6 +114,11 @@ type Env struct {
 	// setting, which this collapses.
 	solveMu    sync.Mutex
 	solveCache map[hostKey][maxKeyedOccupants]float64
+
+	// jitterMu guards the interned references' jitter tables and counts
+	// them; see factors.
+	jitterMu sync.Mutex
+	tables   int
 }
 
 // solveCacheCap bounds the per-env solve memo, so a caller that draws
@@ -122,6 +128,9 @@ const solveCacheCap = 4096
 
 // internCap bounds Env.interned the same way.
 const internCap = 256
+
+// jitterCap bounds the Env's jitter tables the same way.
+const jitterCap = 1024
 
 // soloKey identifies a solo baseline: the digest of the workload's
 // definition (as in the content-cache keys) and its width, so two
@@ -237,6 +246,9 @@ type workloadRef struct {
 	// key is the SHA-256 of fmt's %+v of the whole definition, so
 	// workloads that differ in any parameter never share an entry.
 	key cacheKey
+	// jitter holds the shared jitter table of each repetition's run
+	// stream, created on first use; nil on a reference past internCap.
+	jitter []*app.Factors
 }
 
 // intern returns the Env's reference for w. Rendering some forty fields
@@ -257,6 +269,7 @@ func (e *Env) intern(w workloads.Workload) *workloadRef {
 	if prev, ok := e.interned[w]; ok {
 		r = prev
 	} else if len(e.interned) < internCap {
+		r.jitter = make([]*app.Factors, e.Reps)
 		e.interned[w] = r
 	}
 	e.mu.Unlock()
@@ -455,15 +468,38 @@ func (e *Env) degrade(host int) float64 {
 // run (sim.RNG.StreamNInto).
 type streams struct{ run, bg sim.RNG }
 
+// factors returns the shared jitter table of w's run stream at rep. Every
+// measurement runs repetition rep of w on the same stream, whatever the
+// pressures, co-runners or nonce, so each factor is drawn once per Env and
+// read by every run after. Tables hang off the interned definition, not
+// its name: two definitions that share a name share their run streams but
+// not necessarily their sigmas. It returns nil — the run fills a private
+// table — for a definition past internCap or once jitterCap tables exist.
+func (e *Env) factors(w *workloadRef, rep int) *app.Factors {
+	if w.jitter == nil {
+		return nil
+	}
+	e.jitterMu.Lock()
+	defer e.jitterMu.Unlock()
+	f := w.jitter[rep]
+	if f == nil && e.tables < jitterCap {
+		f = new(app.Factors)
+		w.jitter[rep] = f
+		e.tables++
+	}
+	return f
+}
+
 // runOnce executes the workload once with the given per-node slowdowns on
 // the stream Stream("run").Stream(w.Name).StreamN("rep", rep), re-targeting
-// st.run at it.
-func (e *Env) runOnce(w *workloads.Workload, sd []float64, rep int, st *streams) (float64, error) {
-	e.rng().Stream("run").Stream(w.Name).StreamNInto(&st.run, "rep", rep)
-	return w.App.Run(app.Params{
+// st.run at it, and reads the stream's jitter from its shared table.
+func (e *Env) runOnce(w *workloadRef, sd []float64, rep int, st *streams) (float64, error) {
+	e.rng().Stream("run").Stream(w.w.Name).StreamNInto(&st.run, "rep", rep)
+	return w.w.App.Run(app.Params{
 		Slowdown:  sd,
 		Net:       e.net(),
 		RNG:       &st.run,
+		Factors:   e.factors(w, rep),
 		Telemetry: e.Telemetry,
 	})
 }
@@ -487,11 +523,10 @@ type job struct {
 	pressures []float64
 	co        *workloadRef
 	coSet     map[int]bool
-	// slots, for a placement, holds each slot's unit (host h's slot s at
-	// h*HostSlots+s; -1 when empty) as an index into the slowdown vector,
-	// where app a's units occupy [starts[a], starts[a+1]). Otherwise app
-	// a's units occupy [a*nodes, (a+1)*nodes).
-	slots, starts []int
+	// place is a placement's slot layout; without one, app a's units
+	// occupy [a*nodes, (a+1)*nodes) of the slowdown vector. A pointer, so
+	// the jobs a batch allocates stay in a smaller size class.
+	place *placeLayout
 
 	idx     int // submission position in a batch
 	nonce   int
@@ -504,6 +539,11 @@ type job struct {
 	err  error
 }
 
+// placeLayout is a placement's host layout: slots holds each slot's unit
+// (host h's slot s at h*HostSlots+s; -1 when empty) as an index into the
+// slowdown vector, where app a's units occupy [starts[a], starts[a+1]).
+type placeLayout struct{ slots, starts []int }
+
 // subject is the measured application's name for a one-application
 // measurement, "" for a co-run.
 func (j *job) subject() string {
@@ -515,10 +555,10 @@ func (j *job) subject() string {
 
 // unitsOf returns the range app a's units occupy in the slowdown vector.
 func (j *job) unitsOf(a int) (lo, hi int) {
-	if j.starts == nil {
+	if j.place == nil {
 		return a * j.nodes, (a + 1) * j.nodes
 	}
-	return j.starts[a], j.starts[a+1]
+	return j.place.starts[a], j.place.starts[a+1]
 }
 
 // extra returns host h's unmeasured occupant, if it has one.
@@ -635,7 +675,7 @@ func (e *Env) plan(j *job) error {
 	if err := e.failure(j.op, j.subject()); err != nil {
 		return err
 	}
-	if j.slots != nil {
+	if j.place != nil {
 		e.count(MetricPlacementRuns)
 	} else {
 		e.count(MetricMeasureRuns)
@@ -700,8 +740,8 @@ func (e *Env) body(j *job) ([]float64, error) {
 		apps = one[:]
 	}
 	width := len(apps) // measured slots per host
-	if j.slots != nil {
-		width = len(j.slots) / j.nodes
+	if j.place != nil {
+		width = len(j.place.slots) / j.nodes
 	}
 	_, units := j.unitsOf(len(apps) - 1)
 	sums := make([]float64, len(apps))
@@ -724,11 +764,11 @@ func (e *Env) body(j *job) ([]float64, error) {
 			occ, at = occ[:0], at[:0]
 			for s := 0; s < width; s++ {
 				a, u := s, s*j.nodes+h // unit h of application s
-				if j.slots != nil {
-					if u = j.slots[h*width+s]; u < 0 {
+				if j.place != nil {
+					if u = j.place.slots[h*width+s]; u < 0 {
 						continue
 					}
-					for a = 0; u >= j.starts[a+1]; a++ {
+					for a = 0; u >= j.place.starts[a+1]; a++ {
 					}
 				}
 				w := &apps[a].w
@@ -757,7 +797,7 @@ func (e *Env) body(j *job) ([]float64, error) {
 		}
 		for a, r := range apps {
 			lo, hi := j.unitsOf(a)
-			t, err := e.runOnce(&r.w, sd[lo:hi], rep, st)
+			t, err := e.runOnce(r, sd[lo:hi], rep, st)
 			if err != nil {
 				return nil, err
 			}
@@ -912,20 +952,18 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 		}
 	}
 	// Unit i of app a, in UnitPositions (slot) order, is node i of a's run.
-	j := job{
-		op: "placement", group: make([]*workloadRef, len(apps)), nodes: p.NumHosts,
-		slots: make([]int, p.NumHosts*p.HostSlots), starts: make([]int, len(apps)+1),
-	}
-	for k := range j.slots {
-		j.slots[k] = -1
+	l := placeLayout{slots: make([]int, p.NumHosts*p.HostSlots), starts: make([]int, len(apps)+1)}
+	j := job{op: "placement", group: make([]*workloadRef, len(apps)), nodes: p.NumHosts, place: &l}
+	for k := range l.slots {
+		l.slots[k] = -1
 	}
 	for a, name := range apps {
 		j.group[a] = e.intern(reg[name])
 		pos := p.UnitPositions(name)
 		for i, up := range pos {
-			j.slots[up.Host*p.HostSlots+up.Slot] = j.starts[a] + i
+			l.slots[up.Host*p.HostSlots+up.Slot] = l.starts[a] + i
 		}
-		j.starts[a+1] = j.starts[a] + len(pos)
+		l.starts[a+1] = l.starts[a] + len(pos)
 	}
 	if err := e.plan(&j); err != nil {
 		return nil, err

@@ -119,6 +119,18 @@ func (g *RNG) JitterAround1(sigma float64) float64 {
 	return g.LogNormal(-sigma*sigma/2, sigma)
 }
 
+// SkipJitter advances g past n JitterAround1(sigma) draws without computing
+// them: the stream then continues exactly as if they had been drawn.
+func (g *RNG) SkipJitter(n int, sigma float64) {
+	if sigma == 0 || n <= 0 {
+		return
+	}
+	r := g.src()
+	for ; n > 0; n-- {
+		r.NormFloat64()
+	}
+}
+
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 

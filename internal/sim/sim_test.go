@@ -198,6 +198,29 @@ func TestJitterAround1(t *testing.T) {
 	}
 }
 
+// TestSkipJitter: skipping n jitter draws leaves a stream where drawing
+// them would have, including across the normal sampler's rare rejections;
+// σ = 0 skips nothing because it draws nothing.
+func TestSkipJitter(t *testing.T) {
+	for _, sigma := range []float64{0, 0.05, 0.35} {
+		for _, n := range []int{0, 1, 30, 700} {
+			drawn, skipped := NewRNG(7).StreamN("skip", n), NewRNG(7).StreamN("skip", n)
+			for i := 0; i < n; i++ {
+				drawn.JitterAround1(sigma)
+			}
+			skipped.SkipJitter(n, sigma)
+			for i := 0; i < 5; i++ {
+				if a, b := drawn.JitterAround1(sigma), skipped.JitterAround1(sigma); a != b {
+					t.Fatalf("sigma %v, %d skipped: draw %d = %v, %v after drawing them", sigma, n, i, b, a)
+				}
+			}
+			if a, b := drawn.Float64(), skipped.Float64(); a != b {
+				t.Errorf("sigma %v, %d skipped: the streams diverge (%v, %v)", sigma, n, b, a)
+			}
+		}
+	}
+}
+
 func TestUniformAndBool(t *testing.T) {
 	g := NewRNG(5)
 	for i := 0; i < 1000; i++ {
