@@ -4,14 +4,15 @@
 # race detector (which covers the command smokes in cmd/ and the
 # observability-plane handler tests in internal/obs and cmd/interfd), the
 # bench/ module's own vet and unit tests, a second uncached race pass for
-# determinism, soaks of the placement service's concurrency tests and of
-# the shared jitter tables, a fuzz smoke of every target, and two smokes
-# of the interfd binary: same-seed self-driven runs leave byte-identical
-# decision audits and equal nonzero event and measurement counts in their
-# reports, and the loadgen determinism smoke against a live serve-only
-# daemon, whose drain must leave its report and audit on disk. Timings are
-# not gated here: the benchmark of record is bench/ (`make bench`). Run it
-# before every commit.
+# determinism, soaks of the placement service's concurrency tests, of
+# the shared jitter tables and of the exchange's evaluators, a fuzz smoke
+# of every target, and two smokes of the interfd binary: same-seed
+# self-driven runs leave byte-identical decision audits and equal nonzero
+# event and measurement counts in their reports, and the loadgen
+# determinism smoke against a live serve-only daemon, whose drain must
+# leave its report and audit on disk. Timings are not gated here: the
+# benchmark of record is bench/ (`make bench`). Run it before every
+# commit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -68,6 +69,13 @@ echo "== jitter-table soak (-race -count=20 of the concurrent-fill and worker-co
 go test -race -count=20 ./internal/app -run '^TestSharedFactorsConcurrentFill$'
 go test -race -count=20 ./internal/measure -run '^TestJitterTablesKeyedByDefinition$'
 go test -race -count=20 ./internal/experiments -run '^TestWorkerCountDoesNotChangeOutputs$'
+
+echo "== exchange soak (-race -count=20 of the evaluator determinism and mirror-replay tests) =="
+# The exchange's evaluators keep their grid mirrors across batches and
+# replay each batch's commits instead of re-copying the fleet: soak the
+# tests that require every evaluator count to give the same trajectory
+# and every mirror to match the authoritative state at each batch start.
+go test -race -count=20 ./internal/placement -run '^(TestExchangeWorkersDeterministic|TestExchangeMirrorsReplayCommits)$'
 
 echo "== fuzz smoke (10s per target) =="
 # Short exploratory runs of every fuzz target in the tree (the committed

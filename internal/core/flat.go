@@ -147,8 +147,8 @@ func (g *Grid) Row(h int) []int32 {
 func (g *Grid) Cell(h, s int) int32 { return g.cells[h*g.SlotsPerHost+s] }
 
 // CopyFrom makes g an independent copy of src, reusing capacity. The
-// speculative exchange workers resynchronize their grids from the
-// authoritative state once per batch with this.
+// speculative exchange workers copy the authoritative grid once per
+// search with this, then follow it by replaying its swaps.
 func (g *Grid) CopyFrom(src *Grid) {
 	g.Hosts, g.SlotsPerHost = src.Hosts, src.SlotsPerHost
 	g.cells = append(g.cells[:0], src.cells...)

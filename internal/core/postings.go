@@ -61,8 +61,8 @@ func (p *Postings) Rebuild(g *Grid, napps int) {
 }
 
 // CopyFrom makes p an independent copy of src, reusing capacity. The
-// speculative exchange workers resynchronize their engines from the
-// authoritative state once per batch with this.
+// speculative exchange workers copy the authoritative postings once per
+// search with this, then follow them by replaying their swaps.
 func (p *Postings) CopyFrom(src *Postings) {
 	p.off = append(p.off[:0], src.off...)
 	p.pos = append(p.pos[:0], src.pos...)
@@ -143,16 +143,29 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 	}
 	if cache != nil && g.SlotsPerHost == 2 {
 		// The pairwise hot loop: per affected app, int loads, a handful of
-		// multiply-folds, and one probe — no float hashing, no allocation.
+		// multiply-folds, and one probe — no float hashing, no allocation,
+		// and no pressure vector unless the probe misses.
 		for _, id := range affected {
-			ps, kw, h, err := appendPressuresPairPos(g, pst, id, ix, cache)
+			kw, h, err := pairKey(g, pst, id, ix, cache)
 			if err != nil {
 				return err
 			}
 			if v, ok := cache.ptW.getW(h, id, kw); ok {
+				// The entry was stored after every unit's combine was
+				// memoized, so each unit is a combine-memo hit, as
+				// building the vector would have counted it.
+				cache.combineHits += uint64(len(kw))
 				cache.hits++
 				out[id] = v
 				continue
+			}
+			ps := scratch(&cache.ps, len(kw))
+			for i, p := range pst.seg(id) {
+				c, err := cache.combinedOf(ix, g.cells[p^1])
+				if err != nil {
+					return err
+				}
+				ps[i] = c
 			}
 			v, err := ix.preds[id].PredictPressures(ps)
 			if err != nil {
@@ -178,37 +191,40 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 	return nil
 }
 
-// appendPressuresPairPos builds app id's pressure vector under the
-// paper's pairwise co-location rule (two slots per host): position p's
-// sole co-runner slot is p^1, so each unit is one load and one combine
-// probe (cache.c1 / cache.cEmpty on the hit path). A host carrying the
-// app in both slots contributes position 2h then 2h+1, each with the
-// app's own score as co-runner — the order PressuresFor emits. Alongside
-// the float vector it returns the unit co-runner indexes encoded as key
-// words plus their multiply-fold hash, which DeltaPredictPos uses to
-// probe the prediction memo without touching the floats again.
-func appendPressuresPairPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, []uint64, uint64, error) {
-	out := cache.ps[:0]
-	kw := cache.kw[:0]
+// pairKey encodes app id's units under the paper's pairwise co-location
+// rule (two slots per host) as prediction-memo key words: position p's
+// sole co-runner slot is p^1, so each unit is one load and one word
+// naming the co-runner (or the empty slot). Under one AppsIndex binding
+// that sequence determines the pressure vector exactly — a host carrying
+// the app in both slots yields position 2h then 2h+1, each with the app
+// itself as co-runner, the order PressuresFor emits — so DeltaPredictPos
+// probes with it and builds the floats only on a miss. It returns the
+// words with their multiply-fold hash.
+func pairKey(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]uint64, uint64, error) {
+	seg := pst.seg(id)
+	if len(seg) == 0 {
+		return nil, 0, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
+	}
+	kw := scratch(&cache.kw, len(seg))
 	h := uint64(id) ^ 0x9e3779b97f4a7c15
 	cells := g.cells
-	seg := pst.seg(id)
-	for _, p := range seg {
-		other := cells[p^1]
-		v, err := cache.combinedOf(ix, other)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		out = append(out, v)
-		w := uint64(uint32(other)) + 2
-		kw = append(kw, w)
+	for i, p := range seg {
+		w := uint64(uint32(cells[p^1])) + 2
+		kw[i] = w
 		h = (h ^ w) * 0x9ddfea08eb382d69
 	}
-	if len(out) == 0 {
-		return nil, nil, 0, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
+	return kw, mix64(h), nil
+}
+
+// scratch returns the first n elements of the scratch buffer *buf,
+// growing it only when it is too short: the pairwise path reuses its
+// buffers without storing a slice header — and paying a GC write
+// barrier — on every call.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n, 2*n)
 	}
-	cache.ps, cache.kw = out, kw
-	return out, kw, mix64(h), nil
+	return (*buf)[:n]
 }
 
 // appendPressuresPos builds app id's pressure vector for any slot count:

@@ -302,6 +302,58 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 				}
 			}
 		}},
+		// The pairwise path probes the prediction memo before it builds
+		// a pressure vector, yet counts combine-memo traffic per unit
+		// exactly as building every vector would: a unit is a hit when
+		// its co-runner's combine is memoized, else a miss that memoizes
+		// it. A reference model of that rule must agree after every call.
+		{"pairwise-combine-counts", func(t *testing.T) {
+			rng := sim.NewRNG(2016).Stream("combine-counts")
+			for trial := 0; trial < 25; trial++ {
+				r := rng.StreamN("trial", trial)
+				p, preds, scores := randomProblem(t, r)
+				e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+				memo := map[int32]bool{}
+				var hits, misses uint64
+				count := func(affected []int32) {
+					for _, id := range affected {
+						for _, pos := range e.pst.seg(id) {
+							if other := e.g.cells[pos^1]; memo[other] {
+								hits++
+							} else {
+								memo[other] = true
+								misses++
+							}
+						}
+					}
+				}
+				count(e.all)
+				slots := p.NumHosts * p.HostSlots
+				for step := 0; step < 40; step++ {
+					a, b := r.Intn(slots), r.Intn(slots)
+					ha, sa, hb, sb := a/2, a%2, b/2, b%2
+					if p.At(ha, sa) == p.At(hb, sb) {
+						continue
+					}
+					e.swap(t, ha, sa, hb, sb)
+					var affected []int32
+					for _, h := range []int{ha, hb} {
+						for _, id := range e.g.Row(h) {
+							if id >= 0 && !slices.Contains(affected, id) {
+								affected = append(affected, id)
+							}
+						}
+					}
+					count(affected)
+					if h, m := e.cache.CombineStats(); h != hits || m != misses {
+						t.Fatalf("trial %d step %d: combine hits/misses %d/%d, per-unit rule %d/%d", trial, step, h, m, hits, misses)
+					}
+				}
+				if h, _ := e.cache.Stats(); h == 0 {
+					t.Errorf("trial %d: no prediction-memo hit, so the probe-first path went untested", trial)
+				}
+			}
+		}},
 		{"warm-zero-alloc-and-copy", func(t *testing.T) {
 			for _, sph := range []int{2, 3} {
 				p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,

@@ -313,18 +313,68 @@ func TestEC2ExperimentsDegradeGracefully(t *testing.T) {
 	}
 }
 
+// TestFigure12Shapes asserts the two shapes of Fig. 3 that survive the
+// EC2 tenants' noise at every seed of a quick lab, 1–10 and the shared
+// lab's alike (at one point a single cell can read as low as 0.72):
+//   - every app slows more under the highest bubble pressure than under
+//     the lowest, averaged over the interfering-node counts;
+//   - M.Gems, the proportional app, slows more with 24–32 interfering
+//     nodes than with 1–2, averaged over the pressures.
+//
+// Fig. 3's third shape, the high-propagation jump at one node, does not
+// survive: at some seeds M.milc grows with nodes as much as M.Gems does.
 func TestFigure12Shapes(t *testing.T) {
-	out, err := quickLab(t).Figure12()
-	if err != nil {
-		t.Fatal(err)
+	labs := []*Lab{quickLab(t)}
+	for seed := int64(1); seed <= 10; seed++ {
+		l, err := NewLab(Config{Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		labs = append(labs, l)
 	}
-	if len(out.Tables) != 4 {
-		t.Fatalf("tables = %d, want 4 EC2 workloads", len(out.Tables))
-	}
-	for _, tb := range out.Tables {
-		// 9 columns: label + 8 interfering counts.
-		if _, err := tb.Cell(0, 8); err != nil {
-			t.Errorf("%s: missing columns", tb.Title)
+	for _, l := range labs {
+		out, err := l.Figure12()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Tables) != 4 {
+			t.Fatalf("seed %d: tables = %d, want 4 EC2 workloads", l.Cfg.Seed, len(out.Tables))
+		}
+		for _, tb := range out.Tables {
+			// Columns: the pressure label, then one per interfering-node
+			// count; rows ascend in pressure.
+			col := map[string]int{}
+			for c, h := range tb.Headers {
+				col[h] = c
+			}
+			mean := func(rows []int, counts ...string) float64 {
+				var sum float64
+				for _, r := range rows {
+					for _, k := range counts {
+						c, ok := col[k]
+						if !ok {
+							t.Fatalf("%s: no column for %s interfering nodes", tb.Title, k)
+						}
+						sum += cellFloat(t, tb, r, c)
+					}
+				}
+				return sum / float64(len(rows)*len(counts))
+			}
+			all := []int{}
+			for r := 0; r < tb.Rows(); r++ {
+				all = append(all, r)
+			}
+			interfered := []string{"1", "2", "4", "8", "16", "24", "32"}
+			low, high := mean(all[:1], interfered...), mean(all[len(all)-1:], interfered...)
+			if high <= low {
+				t.Errorf("seed %d %s: mean %.3f at the highest pressure, %.3f at the lowest", l.Cfg.Seed, tb.Title, high, low)
+			}
+			if strings.Contains(tb.Title, "M.Gems") {
+				few, many := mean(all, "1", "2"), mean(all, "24", "32")
+				if many <= few {
+					t.Errorf("seed %d %s: mean %.3f at 24-32 nodes, %.3f at 1-2: not proportional", l.Cfg.Seed, tb.Title, many, few)
+				}
+			}
 		}
 	}
 }

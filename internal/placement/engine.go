@@ -52,6 +52,17 @@ type workspace struct {
 	sub    core.AppsIndex
 	demand []appUnits
 	down   []bool
+	// stale lists the apps the walk's start must predict: every app for
+	// a restart, the apps split across cells for the exchange.
+	stale []int32
+	// The exchange phase's scratch (exchange.go): its evaluators, one
+	// batch of proposals, the dirtiness epochs, the batch's commits, and
+	// the commit loop's objective groups.
+	evaluators    []*workspace
+	props         []exProposal
+	hostEp, appEp []int
+	commits       []swapMove
+	objs          objGroup
 }
 
 var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
@@ -86,8 +97,16 @@ type problem struct {
 	qosIdx       int32  // the QoS app's index in ix when qos != nil
 }
 
-// sample draws a random valid initial placement into ws.e.grid.
+// sample draws a random valid initial placement into ws.e.grid. The
+// state has no prediction yet, so it sizes ws.e.pred and lists every app
+// in ws.stale for the walk's start.
 func (p *problem) sample(ws *workspace, rng *sim.RNG) error {
+	n := len(p.ix.Apps)
+	ws.e.pred = slices.Grow(ws.e.pred[:0], n)[:n]
+	ws.stale = ws.stale[:0]
+	for i := 0; i < n; i++ {
+		ws.stale = append(ws.stale, int32(i))
+	}
 	g := &ws.e.grid
 	g.Reset(p.hosts, p.slots)
 	ws.units = ws.units[:0]
@@ -205,25 +224,24 @@ type incEval struct {
 }
 
 // start binds the engine to p over the cells already in e.grid: it
-// builds the postings and unit weights and fully predicts the state,
-// seeding the workspace's (empty) memo cache.
-func (e *incEval) start(p *problem) error {
+// builds the postings and unit weights and predicts the stale apps into
+// e.pred, which holds one entry per app of p and whose other entries
+// already hold their apps' predictions on this grid.
+func (e *incEval) start(p *problem, stale []int32) error {
 	n := len(p.ix.Apps)
 	e.ix, e.qos, e.qosIdx, e.limit = p.ix, p.qos, p.qosIdx, p.limit
 	e.pst.Rebuild(&e.grid, n)
-	e.units, e.pred, e.cand, e.affected = e.units[:0], e.pred[:0], e.cand[:0], e.affected[:0]
+	e.units = e.units[:0]
 	e.weight = 0
 	for i := 0; i < n; i++ {
 		w := float64(e.pst.Units(int32(i)))
 		e.units = append(e.units, w)
 		e.weight += w
-		e.pred = append(e.pred, 0)
-		e.affected = append(e.affected, int32(i))
 	}
-	if err := core.DeltaPredictPos(&e.grid, &e.pst, e.affected, e.ix, &e.cache, e.pred); err != nil {
+	if err := core.DeltaPredictPos(&e.grid, &e.pst, stale, e.ix, &e.cache, e.pred); err != nil {
 		return err
 	}
-	e.cand = append(e.cand, e.pred...)
+	e.cand = append(e.cand[:0], e.pred...)
 	return nil
 }
 
@@ -269,7 +287,9 @@ func (e *incEval) swap(ha, sa, hb, sb int) {
 func (e *incEval) propose(ha, sa, hb, sb int) (valid bool, err error) {
 	e.swap(ha, sa, hb, sb)
 	rows := [2][]int32{e.grid.Row(ha), e.grid.Row(hb)}
-	if cluster.Distinct(rows[0], -1) > e.limit || cluster.Distinct(rows[1], -1) > e.limit {
+	// A row cannot hold more distinct apps than it has slots, so the
+	// rule needs checking only when the limit is below the slot count.
+	if e.limit < len(rows[0]) && (cluster.Distinct(rows[0], -1) > e.limit || cluster.Distinct(rows[1], -1) > e.limit) {
 		e.swap(ha, sa, hb, sb)
 		return false, nil
 	}
@@ -288,10 +308,11 @@ func (e *incEval) propose(ha, sa, hb, sb int) (valid bool, err error) {
 }
 
 // mirror makes e a frozen copy of src's grid and postings for
-// speculative evaluation. Its memo cache persists across calls within
-// one workspace acquisition (memo contents are pure, so reuse can only
-// save work). Predictions are not copied: a speculator reads only the
-// entries of e.cand that propose has just written.
+// speculative evaluation; replaying src's later swaps (swap) keeps it
+// one. Its memo cache persists within one workspace acquisition (memo
+// contents are pure, so reuse can only save work). Predictions are not
+// copied: a speculator reads only the entries of e.cand that propose has
+// just written.
 func (e *incEval) mirror(src *incEval) {
 	e.ix, e.limit = src.ix, src.limit
 	e.grid.CopyFrom(&src.grid)
@@ -329,10 +350,11 @@ type walk struct {
 	curObj, curEnergy float64
 }
 
-// begin starts a walk from the cells already in ws.e.grid.
+// begin starts a walk from the cells already in ws.e.grid, predicting
+// the apps in ws.stale (see incEval.start).
 func (w *walk) begin(ws *workspace, p *problem, cfg *Config, sign float64) error {
 	w.e, w.best, w.method, w.sign = &ws.e, &ws.best, cfg.Method, sign
-	if err := w.e.start(p); err != nil {
+	if err := w.e.start(p, ws.stale); err != nil {
 		return err
 	}
 	w.evals++

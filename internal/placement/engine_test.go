@@ -50,7 +50,7 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.start(&b.problem); err != nil {
+		if err := e.start(&b.problem, ws.stale); err != nil {
 			t.Fatal(err)
 		}
 		check := func(step int, obj, energy float64) {

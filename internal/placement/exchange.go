@@ -43,6 +43,12 @@
 // spread across both pairs), and its speculated prediction would then
 // be stale.
 //
+// A mirror is copied from the fleet grid once per search; at each later
+// batch its evaluator replays the swaps the previous batch committed, in
+// commit order. A grid is a pure function of its swap sequence, and
+// sorted postings segments are canonical, so the replayed mirror is the
+// authoritative state again without re-copying thousands of cells.
+//
 // This is the one exchange algorithm at every evaluator count, one
 // included: Config.ExchangeWorkers only caps how many goroutines score a
 // batch, it never selects a different trajectory.
@@ -52,6 +58,7 @@ package placement
 import (
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -108,6 +115,9 @@ func (p *exProposal) speculate(e *incEval) {
 	e.reject()
 }
 
+// swapMove is one committed swap, as the evaluators replay it.
+type swapMove struct{ ha, sa, hb, sb int }
+
 // exchangeOutcome carries the exchange phase's counters: the walk's
 // tally plus conflicts (proposals re-evaluated serially) and occupancy
 // (mean per-batch fraction of speculative evaluations consumed as-is).
@@ -123,8 +133,12 @@ type exchangeOutcome struct {
 // trajectory — objective, placement, predictions, evaluation count — is
 // a pure function of (Request, Config.Seed), identical for every
 // evaluator count; only the cache hit/miss split varies with it (each
-// evaluator warms its own memo). The best state is left in ws.best.
-func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int) (exchangeOutcome, error) {
+// evaluator warms its own memo). The walk starts from the predictions
+// the cell phase left in ws.e.pred, re-predicting only ws.stale. The
+// best state is left in ws.best. onBatch, when non-nil, sees the
+// authoritative engine and the evaluators once each batch's speculation
+// is done, before its commits (tests check the mirrors there).
+func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int, onBatch func(auth *incEval, evaluators []*workspace)) (exchangeOutcome, error) {
 	span := cfg.Tracer.StartSpan("placement.exchange")
 	defer span.End()
 	var w walk
@@ -146,26 +160,29 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 	if evaluators <= 0 {
 		evaluators = runtime.GOMAXPROCS(0)
 	}
-	workers := make([]*workspace, min(evaluators, exchangeBatch))
-	for i := range workers {
-		workers[i] = acquireWorkspace()
+	workers := ws.evaluators[:0]
+	for range min(evaluators, exchangeBatch) {
+		workers = append(workers, acquireWorkspace())
 	}
-	props := make([]exProposal, exchangeBatch)
-	for i := range props {
-		props[i].aff = make([]int32, 0, 2*b.slots)
-		props[i].val = make([]float64, 0, 2*b.slots)
+	ws.evaluators = workers
+	if len(ws.props) < exchangeBatch {
+		ws.props = make([]exProposal, exchangeBatch)
 	}
+	props := ws.props
 	// Dirtiness epochs: hostEp/appEp hold the last batch epoch that
 	// committed a change to the host/app; comparing against the current
 	// epoch makes per-batch clearing free.
-	hostEp := make([]int, b.hosts)
-	appEp := make([]int, len(b.ix.Apps))
+	hostEp := resetEpochs(&ws.hostEp, b.hosts)
+	appEp := resetEpochs(&ws.appEp, len(b.ix.Apps))
 	ep := 0
+	// commits is the current batch's committed swaps, in commit order:
+	// what the evaluators replay at the next batch's start.
+	commits := ws.commits[:0]
 
 	var o exchangeOutcome
 	finish := func(temp float64) {
 		w.finish(temp)
-		for _, wk := range workers {
+		for i, wk := range workers {
 			h, m := wk.e.cache.Stats()
 			w.hits += h
 			w.misses += m
@@ -173,7 +190,9 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 			w.chits += ch
 			w.cmisses += cm
 			releaseWorkspace(wk)
+			workers[i] = nil
 		}
+		ws.commits = commits
 		o.tally = w.tally
 	}
 
@@ -181,12 +200,38 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 	cool := math.Pow(1e-3, 1/float64(iters))
 	var batches, occSum float64
 
-	// speculate scores evaluator wi's deterministic stripe of the current
-	// batch (its first n proposals) against the frozen pre-batch state.
+	// clean reports whether no commit of the current batch has touched
+	// p's hosts or, for an evaluated proposal, its affected apps.
+	clean := func(p *exProposal) bool {
+		if hostEp[p.ha] == ep || hostEp[p.hb] == ep {
+			return false
+		}
+		if p.kind == exEvaled {
+			for _, id := range p.aff {
+				if appEp[id] == ep {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	objs := &ws.objs
+	objs.drop()
+
+	// speculate brings evaluator wi's mirror to the pre-batch state — a
+	// full copy at the first batch, a replay of the previous batch's
+	// commits after that — and scores its deterministic stripe of the
+	// current batch (its first n proposals) against it.
 	var n int
 	speculate := func(wi int) {
 		wk := &workers[wi].e
-		wk.mirror(e)
+		if ep == 1 {
+			wk.mirror(e)
+		} else {
+			for _, m := range commits {
+				wk.swap(m.ha, m.sa, m.hb, m.sb)
+			}
+		}
 		for k := wi; k < n; k += len(workers) {
 			if props[k].kind == exPending {
 				props[k].speculate(wk)
@@ -219,6 +264,11 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 			p.kind = exPending
 		}
 		sim.FanOut(len(workers), len(workers), speculate)
+		if onBatch != nil {
+			onBatch(e, workers)
+		}
+		commits = commits[:0]
+		objs.drop()
 		speculated, used := 0, 0
 		for k := 0; k < n; k++ {
 			if props[k].kind == exEvaled {
@@ -238,17 +288,8 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 				w.invalid++
 				continue
 			}
-			clean := hostEp[p.ha] != ep && hostEp[p.hb] != ep
-			if clean && p.kind == exEvaled {
-				for _, id := range p.aff {
-					if appEp[id] == ep {
-						clean = false
-						break
-					}
-				}
-			}
 			aff := p.aff
-			if clean {
+			if clean(p) {
 				switch p.kind {
 				case exSame:
 					continue
@@ -264,12 +305,16 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 				for i, id := range aff {
 					e.cand[id] = p.val[i]
 				}
-				candObj := e.objective(e.cand)
+				if !objs.holds(k) {
+					objs.form(e, props[:n], k, clean)
+				}
+				candObj := objs.take()
 				candEnergy := e.energy(candObj, e.cand)
 				if !w.accepts(candEnergy, temp, ra) {
 					for _, id := range aff {
 						e.cand[id] = e.pred[id]
 					}
+					objs.drop()
 					continue
 				}
 				e.swap(p.ha, p.sa, p.hb, p.sb)
@@ -291,8 +336,10 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 				if !accepted {
 					continue
 				}
+				objs.drop()
 				aff = e.affected
 			}
+			commits = append(commits, swapMove{p.ha, p.sa, p.hb, p.sb})
 			hostEp[p.ha], hostEp[p.hb] = ep, ep
 			for _, id := range aff {
 				appEp[id] = ep
@@ -309,4 +356,139 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int)
 	}
 	finish(temp)
 	return o, nil
+}
+
+// resetEpochs sizes *buf to n zeroed epochs, reusing its capacity.
+func resetEpochs(buf *[]int, n int) []int {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// objGroupSize is how many candidate objectives objGroup sums in one
+// pass: four chains of dependent adds keep the adder busy where one
+// waits out each add's latency.
+const objGroupSize = 4
+
+// objGroup computes the commit loop's candidate objectives a few
+// proposals at a time. The objective is a sum over every app in index
+// order — its rounding pins that order, so one sum cannot be split — and
+// at fleet scale it is most of the serial commit loop's work. But the
+// sums of consecutive clean proposals are independent of one another
+// once each is assumed to follow the accepted ones before it, so one
+// pass over the apps carries up to objGroupSize of them side by side,
+// each accumulated term by term exactly as incEval.objective would.
+type objGroup struct {
+	members [objGroupSize]int     // proposal indexes, in commit order
+	sums    [objGroupSize]float64 // their candidate objectives
+	m, used int                   // members formed, members consumed
+	ov      []groupOverlay        // the members' predictions, by app
+}
+
+// groupOverlay is one member's prediction for one app.
+type groupOverlay struct {
+	id     int32
+	member int
+	val    float64
+}
+
+// holds reports whether proposal k is the group's next member.
+func (g *objGroup) holds(k int) bool { return g.used < g.m && g.members[g.used] == k }
+
+// take returns the next member's candidate objective.
+func (g *objGroup) take() float64 {
+	g.used++
+	return g.sums[g.used-1]
+}
+
+// drop discards the group: a member was rejected, or the state moved
+// some other way, so the sums of the members after it no longer hold.
+func (g *objGroup) drop() { g.m, g.used = 0, 0 }
+
+// form starts a group at clean evaluated proposal k and extends it with
+// the later proposals of the batch that would commit on an unchanged
+// footing if every member before them is accepted: evaluated, clean,
+// and disjoint in hosts and affected apps from every member — so their
+// candidate is the current state plus the deltas of the members up to
+// and including them. Proposals that cannot change the state (skipped,
+// on a down host, or clean no-ops on other hosts) are passed over; the
+// scan stops at anything else.
+func (g *objGroup) form(e *incEval, props []exProposal, k int, clean func(*exProposal) bool) {
+	g.members[0], g.m, g.used = k, 1, 0
+	g.ov = g.ov[:0]
+	add := func(j int) {
+		p := &props[j]
+		for i, id := range p.aff {
+			g.ov = append(g.ov, groupOverlay{id: id, member: g.m - 1, val: p.val[i]})
+		}
+	}
+	add(k)
+	disjoint := func(p *exProposal) bool {
+		for _, mj := range g.members[:g.m] {
+			q := &props[mj]
+			if p.ha == q.ha || p.ha == q.hb || p.hb == q.ha || p.hb == q.hb {
+				return false
+			}
+			if p.kind != exEvaled {
+				continue
+			}
+			for _, id := range p.aff {
+				if slices.Contains(q.aff, id) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+scan:
+	for j := k + 1; j < len(props) && g.m < objGroupSize; j++ {
+		p := &props[j]
+		switch {
+		case p.kind == exSkip || p.kind == exDown:
+		case (p.kind == exSame || p.kind == exInvalid) && clean(p) && disjoint(p):
+		case p.kind == exEvaled && clean(p) && disjoint(p):
+			g.members[g.m] = j
+			g.m++
+			add(j)
+		default:
+			break scan
+		}
+	}
+	// Apps in index order: every chain adds the same term except at the
+	// apps a member re-predicted, where the chains of that member and
+	// the ones after it add the member's value instead.
+	slices.SortFunc(g.ov, func(a, b groupOverlay) int { return int(a.id - b.id) })
+	var s [objGroupSize]float64
+	lo := 0
+	for _, o := range g.ov {
+		sumChains(&s, e.pred[lo:o.id], e.units[lo:o.id])
+		cur, u := e.pred[o.id], e.units[o.id]
+		for c := range s {
+			if c < o.member {
+				s[c] += cur * u
+			} else {
+				s[c] += o.val * u
+			}
+		}
+		lo = int(o.id) + 1
+	}
+	sumChains(&s, e.pred[lo:], e.units[lo:])
+	for c := range g.sums {
+		g.sums[c] = s[c] / e.weight
+	}
+}
+
+// sumChains adds pred[i]*units[i] in order to each of the four running
+// sums.
+func sumChains(s *[objGroupSize]float64, pred, units []float64) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	units = units[:len(pred)]
+	for i, p := range pred {
+		u := units[i]
+		s0 += p * u
+		s1 += p * u
+		s2 += p * u
+		s3 += p * u
+	}
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
 }

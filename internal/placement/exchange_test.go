@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -117,7 +121,7 @@ func TestSplitQoSRestartsGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := assignDemands(b, cluster.Partition(req.NumHosts, 3))
+	asg, _, err := assignDemands(b, cluster.Partition(req.NumHosts, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,5 +323,129 @@ func TestAdaptiveCells(t *testing.T) {
 	}
 	if _, err := Search(req, Config{Iterations: 20, Seed: 1, Restarts: 1, Cells: cells, ExchangeIters: 20, ExchangeWorkers: 2}); err != nil {
 		t.Fatalf("Search rejected adaptive cell count %d: %v", cells, err)
+	}
+}
+
+// postingsEqual compares two postings' segment layouts and positions.
+// Postings keeps them unexported, so this reads them by reflection.
+func postingsEqual(a, b *core.Postings) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, f := range []string{"off", "pos"} {
+		x, y := va.FieldByName(f), vb.FieldByName(f)
+		if x.Len() != y.Len() {
+			return false
+		}
+		for i := 0; i < x.Len(); i++ {
+			if x.Index(i).Int() != y.Index(i).Int() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestExchangeMirrorsReplayCommits: evaluators copy the fleet grid once
+// per search and then replay each batch's commits. At every batch start
+// — checked once the batch's speculation has been undone — every mirror
+// must equal the authoritative grid and postings, and those postings a
+// from-scratch build of the grid.
+func TestExchangeMirrorsReplayCommits(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, cells := range []int{2, 5} {
+			for _, workers := range []int{1, 3} {
+				tag := fmt.Sprintf("seed=%d cells=%d workers=%d", seed, cells, workers)
+				b, q := boundFleetRequest(t, seed, 2, seed == 2)
+				cfg := searchCellsConfig(seed, cells, q)
+				cfg.ExchangeWorkers = workers
+				ws := acquireWorkspace()
+				parts, _, err := searchCells(ws, b, &cfg, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				batches := 0
+				check := func(auth *incEval, evaluators []*workspace) {
+					batches++
+					if !postingsEqual(&auth.pst, core.NewPostings(&auth.grid, len(b.ix.Apps))) {
+						t.Fatalf("%s batch %d: authoritative postings differ from a rebuild", tag, batches)
+					}
+					for i, wk := range evaluators {
+						if !slices.Equal(wk.e.grid.Cells(), auth.grid.Cells()) {
+							t.Fatalf("%s batch %d: evaluator %d grid differs from the authoritative one", tag, batches, i)
+						}
+						if !postingsEqual(&wk.e.pst, &auth.pst) {
+							t.Fatalf("%s batch %d: evaluator %d postings differ from the authoritative ones", tag, batches, i)
+						}
+					}
+				}
+				ex, err := exchange(ws, b, &cfg, 1, parts, check)
+				releaseWorkspace(ws)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if want := (cfg.ExchangeIters + exchangeBatch - 1) / exchangeBatch; batches != want {
+					t.Fatalf("%s: checked %d batches, want %d", tag, batches, want)
+				}
+				if ex.accepted == 0 {
+					t.Fatalf("%s: no exchange accepted, so no commit was replayed", tag)
+				}
+			}
+		}
+	}
+}
+
+// TestObjGroupMatchesObjective: one pass of objGroup yields, for each
+// member, bit for bit the objective incEval.objective computes for the
+// current predictions with that member's deltas and those of the members
+// before it — and a group passes over skipped proposals and stops at the
+// first proposal that shares an app or a host with a member.
+func TestObjGroupMatchesObjective(t *testing.T) {
+	r := sim.NewRNG(5).Stream("objgroup")
+	for trial := 0; trial < 50; trial++ {
+		n := 24 + r.Intn(300)
+		e := &incEval{}
+		for i := 0; i < n; i++ {
+			e.pred = append(e.pred, 1+r.Float64())
+			e.units = append(e.units, float64(1+r.Intn(6)))
+			e.weight += e.units[i]
+		}
+		perm := r.Perm(n)
+		props := make([]exProposal, 7)
+		for k := range props {
+			p := &props[k]
+			p.kind, p.ha, p.hb = exEvaled, 2*k, 2*k+1
+			for _, id := range perm[3*k : 3*k+1+r.Intn(3)] {
+				p.aff = append(p.aff, int32(id))
+				p.val = append(p.val, 1+r.Float64())
+			}
+		}
+		// A proposal that shares an app with member 0 ends the group,
+		// even when it could hold one more.
+		stop := 4 + r.Intn(3)
+		props[stop].aff = append(props[stop].aff, props[0].aff[0])
+		props[stop].val = append(props[stop].val, 1)
+		want := []int{0, 1, 3, 4, 5}[:min(objGroupSize, stop-1)]
+		// Proposal 2 is passed over when skipped; as a no-op swap on
+		// member 1's host it ends the group, since member 1's commit
+		// would make it re-run.
+		props[2].kind = exSkip
+		if trial%2 == 1 {
+			props[2].kind, props[2].ha = exSame, props[1].hb
+			want = want[:2]
+		}
+
+		var g objGroup
+		g.form(e, props, 0, func(*exProposal) bool { return true })
+		if !slices.Equal(g.members[:g.m], want) {
+			t.Fatalf("trial %d: members %v, want %v", trial, g.members[:g.m], want)
+		}
+		cand := slices.Clone(e.pred)
+		for c, k := range want {
+			for i, id := range props[k].aff {
+				cand[id] = props[k].val[i]
+			}
+			if got, ref := g.sums[c], e.objective(cand); math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("trial %d member %d: grouped objective %v, sequential %v", trial, c, got, ref)
+			}
+		}
 	}
 }

@@ -3,7 +3,10 @@ package placement
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -270,5 +273,203 @@ func TestHierExchangeImproves(t *testing.T) {
 			t.Errorf("exchange budget %d worsened the objective: %v > %v", iters, res.Objective, prev)
 		}
 		prev = res.Objective
+	}
+}
+
+// searchCellsConfig is a hierarchical Config with every default Search
+// would fill in set explicitly, for tests that drive the phases directly.
+func searchCellsConfig(seed int64, cells int, qos *QoS) Config {
+	return Config{Iterations: 150, InitTemp: 0.5, CoolRate: math.Pow(1e-3, 1.0/150), Seed: seed,
+		Restarts: 2, Cells: cells, ExchangeIters: 600, ExchangeWorkers: 3, QoS: qos}
+}
+
+// boundFleetRequest binds a generated-fleet request (with its QoS, if
+// any) the way Search does.
+func boundFleetRequest(t *testing.T, fleetSeed int64, round int, qos bool) (*bound, *QoS) {
+	t.Helper()
+	spec := propFleetSpec()
+	f, err := fleet.Generate(spec, fleetSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := fleetRequest(t, spec, f.DownAt(round), fleetSeed*100+int64(round), 24)
+	b, err := bind(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *QoS
+	if qos {
+		// The last app in request order is the one the spread splits.
+		q = &QoS{App: req.Demands[len(req.Demands)-1].App, MaxNormalized: 1.02}
+		if err := b.constrain(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, q
+}
+
+// TestExchangeStartsFromCellPredictions pins the hand-off between the
+// phases: the exchange starts from the predictions the cells left behind,
+// re-predicting only the apps split across cells, and the state it starts
+// from must equal a from-scratch DeltaPredictPos of the fleet grid, bit
+// for bit — across seeds, cell counts, down hosts and QoS.
+func TestExchangeStartsFromCellPredictions(t *testing.T) {
+	var split, whole int
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, cells := range []int{2, 5, 50} {
+			for _, round := range []int{0, 2} {
+				for _, qos := range []bool{false, true} {
+					tag := fmt.Sprintf("seed=%d cells=%d round=%d qos=%v", seed, cells, round, qos)
+					b, q := boundFleetRequest(t, seed, round, qos)
+					cfg := searchCellsConfig(seed, cells, q)
+					ws := acquireWorkspace()
+					if _, _, err := searchCells(ws, b, &cfg, 1); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					e := &ws.e
+					if err := e.start(&b.problem, ws.stale); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					n := len(b.ix.Apps)
+					all := make([]int32, n)
+					for i := range all {
+						all[i] = int32(i)
+					}
+					want := make([]float64, n)
+					if err := core.DeltaPredictPos(&e.grid, core.NewPostings(&e.grid, n), all, b.ix, nil, want); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					for i, v := range want {
+						if math.Float64bits(e.pred[i]) != math.Float64bits(v) {
+							t.Fatalf("%s: app %s starts at %v, from-scratch prediction %v", tag, b.ix.Apps[i], e.pred[i], v)
+						}
+					}
+					split += len(ws.stale)
+					whole += n - len(ws.stale)
+					releaseWorkspace(ws)
+				}
+			}
+		}
+	}
+	if split == 0 || whole == 0 {
+		t.Fatalf("%d split and %d whole apps across the grid: both hand-off paths must be exercised", split, whole)
+	}
+}
+
+// TestAssignDemandsMatchesLinearScan: the heap spread makes the pick a
+// scan of every cell makes — most free slots, lowest index on ties —
+// over random cell sizes, down hosts and demands large enough to split.
+func TestAssignDemandsMatchesLinearScan(t *testing.T) {
+	// linear is the spread as a scan of every cell per pick.
+	linear := func(b *bound, cells [][]int) ([][]appUnits, []int32) {
+		free := make([]int, len(cells))
+		for c, hs := range cells {
+			for _, h := range hs {
+				if b.down == nil || !b.down[h] {
+					free[c] += b.slots
+				}
+			}
+		}
+		out := make([][]appUnits, len(cells))
+		var split []int32
+		for _, d := range b.demand {
+			for units := d.units; units > 0; {
+				best := -1
+				for c := range free {
+					if free[c] > 0 && (best < 0 || free[c] > free[best]) {
+						best = c
+					}
+				}
+				take := min(units, free[best])
+				if take < d.units && units == d.units {
+					split = append(split, d.id)
+				}
+				out[best] = append(out[best], appUnits{id: d.id, units: take})
+				free[best] -= take
+				units -= take
+			}
+		}
+		return out, split
+	}
+	r := sim.NewRNG(31).Stream("assign")
+	splits := 0
+	for trial := 0; trial < 300; trial++ {
+		hosts, slots := 2+r.Intn(60), 1+r.Intn(3)
+		b := &bound{problem: problem{hosts: hosts, slots: slots}}
+		var cells [][]int
+		for h := 0; h < hosts; {
+			n := min(1+r.Intn(8), hosts-h)
+			cell := make([]int, n)
+			for i := range cell {
+				cell[i] = h + i
+			}
+			cells = append(cells, cell)
+			h += n
+		}
+		capacity := hosts * slots
+		if r.Bool(0.5) {
+			b.down = make([]bool, hosts)
+			for h := range b.down {
+				if r.Bool(0.2) {
+					b.down[h] = true
+					capacity -= slots
+				}
+			}
+		}
+		for id := int32(0); capacity > 0 && r.Bool(0.95); id++ {
+			units := min(1+r.Intn(3*slots+4), capacity)
+			b.demand = append(b.demand, appUnits{id: id, units: units})
+			capacity -= units
+		}
+		if len(b.demand) == 0 {
+			continue
+		}
+		got, gotSplit, err := assignDemands(b, cells, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, wantSplit := linear(b, cells)
+		for c := range cells {
+			if !slices.Equal(got[c], want[c]) {
+				t.Fatalf("trial %d cell %d: heap spread %v, linear scan %v", trial, c, got[c], want[c])
+			}
+		}
+		if !slices.Equal(gotSplit, wantSplit) {
+			t.Fatalf("trial %d: split apps %v, linear scan %v", trial, gotSplit, wantSplit)
+		}
+		splits += len(gotSplit)
+	}
+	if splits == 0 {
+		t.Fatal("no trial split a demand")
+	}
+}
+
+// TestSearchLeavesNoGoroutines: the cell, restart and evaluator fan-outs
+// all join before Search returns.
+func TestSearchLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := propFleetSpec()
+	f, err := fleet.Generate(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := fleetRequest(t, spec, f.DownAt(2), 202, 24)
+	qos := &QoS{App: req.Demands[len(req.Demands)-1].App, MaxNormalized: 1.02}
+	for _, cfg := range []Config{
+		{Iterations: 100, Seed: 1, Restarts: 3},
+		{Iterations: 100, Seed: 1, Restarts: 3, Cells: 5, ExchangeIters: 300, ExchangeWorkers: 4, QoS: qos},
+	} {
+		if _, err := Search(req, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A worker that has signalled the join may not have exited yet.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Search, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -16,9 +16,22 @@ import (
 // stream costs the words it draws, not the 5 KB state behind them.
 // Neither laziness changes a sequence — a source seeded with the same
 // seed produces the same draws no matter when it is created.
+//
+// RNG stays two words (seed and one pointer): a third field would move
+// every NewRNG into a larger size class, and reproductions allocate a
+// great many of them.
 type RNG struct {
 	seed int64
-	r    *rand.Rand
+	st   *rngState
+}
+
+// rngState is a stream's generator in one allocation: the source and the
+// rand.Rand over it. Intn and PermInto, the search's hot draws, read the
+// source directly; every other method goes through r, which consumes the
+// same words.
+type rngState struct {
+	src fastSource
+	r   rand.Rand
 }
 
 // NewRNG returns a stream seeded with seed.
@@ -32,19 +45,26 @@ func NewRNG(seed int64) *RNG {
 // (see StreamNInto) instead of allocating a source for each.
 func (g *RNG) Reset(seed int64) {
 	g.seed = seed
-	if g.r != nil {
-		g.r.Seed(seed)
+	if g.st != nil {
+		g.st.r.Seed(seed)
 	}
 }
 
-// src returns the underlying generator, allocating it on first use. The
-// source is fastSource — bit-identical draws to rand.NewSource(g.seed).
-func (g *RNG) src() *rand.Rand {
-	if g.r == nil {
-		g.r = newRand(g.seed)
+// state returns the generator, allocating and seeding it on first use.
+// The source is fastSource — bit-identical draws to
+// rand.NewSource(g.seed).
+func (g *RNG) state() *rngState {
+	if g.st == nil {
+		st := &rngState{}
+		st.src.Seed(g.seed)
+		st.r = *rand.New(&st.src)
+		g.st = st
 	}
-	return g.r
+	return g.st
 }
+
+// src returns the rand.Rand over the stream's source.
+func (g *RNG) src() *rand.Rand { return &g.state().r }
 
 // Seed returns the seed this stream was created with.
 func (g *RNG) Seed() int64 { return g.seed }
@@ -96,9 +116,15 @@ func (g *RNG) StreamNInto(dst *RNG, name string, n int) {
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.src().Float64() }
 
-// Intn returns a uniform draw in [0,n). It panics if n <= 0, matching
-// math/rand semantics.
-func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
+// Intn returns a uniform draw in [0,n), consuming exactly the words
+// rand.Rand.Intn does and returning the same value. It panics if n <= 0,
+// matching math/rand semantics.
+func (g *RNG) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	return g.state().src.intn(n)
+}
 
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.src().Float64() }
@@ -138,9 +164,9 @@ func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 // exactly the draws Perm(len(m)) does and producing the same order, with
 // no allocation.
 func (g *RNG) PermInto(m []int32) {
-	r := g.src()
+	s := &g.state().src
 	for i := range m {
-		j := r.Intn(i + 1)
+		j := s.intn(i + 1)
 		m[i] = m[j]
 		m[j] = int32(i)
 	}

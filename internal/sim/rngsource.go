@@ -1,7 +1,5 @@
 package sim
 
-import "math/rand"
-
 // fastSource is a drop-in replacement for math/rand's default Source that
 // produces the bit-identical draw sequence for every seed but seeds in
 // O(1). Stream derivation (Stream/StreamN) makes a short-lived generator
@@ -154,11 +152,30 @@ func (s *fastSource) Int63() int64 {
 	return s.step() & rngMask
 }
 
-// newRand returns a *rand.Rand over a freshly seeded fastSource. rand.New
-// detects the Source64 implementation, so every rand.Rand method consumes
-// the identical word stream it would from rand.NewSource(seed).
-func newRand(seed int64) *rand.Rand {
-	s := &fastSource{}
-	s.Seed(seed)
-	return rand.New(s)
+// intn is rand.Rand.Intn's rule for n > 0 — Int31n's rejection loop up
+// to 2³¹−1, Int63n's past it — drawn without the two interface calls
+// rand.Rand makes per word: same words consumed, same value.
+func (s *fastSource) intn(n int) int {
+	if n <= int31max {
+		n := int32(n)
+		if n&(n-1) == 0 {
+			return int(int32(s.Int63()>>32) & (n - 1))
+		}
+		max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		v := int32(s.Int63() >> 32)
+		for v > max {
+			v = int32(s.Int63() >> 32)
+		}
+		return int(v % n)
+	}
+	m := int64(n)
+	if m&(m-1) == 0 {
+		return int(s.Int63() & (m - 1))
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(m))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return int(v % m)
 }

@@ -4,7 +4,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // stdSeeds covers the special cases in Seed: 0, negatives, and values at
@@ -40,7 +42,7 @@ func TestFastSourceMatchesStdlib(t *testing.T) {
 	// loops in NormFloat64/ExpFloat64.
 	for _, seed := range stdSeeds {
 		ref := rand.New(rand.NewSource(seed))
-		fast := newRand(seed)
+		fast := NewRNG(seed).src()
 		for i := 0; i < 500; i++ {
 			if got, want := fast.Float64(), ref.Float64(); got != want {
 				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, got, want)
@@ -292,4 +294,71 @@ func BenchmarkFastSourceSeed(b *testing.B) {
 			}
 		}
 	})
+}
+
+// intnBounds spans both of rand.Rand.Intn's rules — Int31n's up to
+// 2³¹−1, Int63n's past it — with powers of two, where each masks instead
+// of rejecting, and bounds just past a power of two, where about half of
+// all draws are rejected.
+var intnBounds = []int{1, 2, 3, 7, 64, 100, 1 << 30, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1 << 40, 1<<62 + 1}
+
+// TestIntnMatchesStdlib: RNG.Intn and PermInto draw from the source
+// directly, so they must match rand.New(rand.NewSource(seed)) draw for
+// draw — interleaved with Float64 and NormFloat64 on the same stream,
+// which go through rand.Rand, so the two paths must leave the word
+// stream exactly where the other expects it.
+func TestIntnMatchesStdlib(t *testing.T) {
+	for _, seed := range stdSeeds {
+		g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 300; i++ {
+			for _, n := range intnBounds {
+				if got, want := g.Intn(n), ref.Intn(n); got != want {
+					t.Fatalf("seed %d round %d: Intn(%d) = %d, stdlib %d", seed, i, n, got, want)
+				}
+			}
+			if got, want := g.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d round %d: Float64 %v, stdlib %v", seed, i, got, want)
+			}
+			if got, want := g.LogNormal(0, 1), math.Exp(ref.NormFloat64()); got != want {
+				t.Fatalf("seed %d round %d: NormFloat64 %v, stdlib %v", seed, i, got, want)
+			}
+			m := make([]int32, i%40)
+			g.PermInto(m)
+			for j, v := range ref.Perm(len(m)) {
+				if int(m[j]) != v {
+					t.Fatalf("seed %d round %d: PermInto %v, stdlib Perm differs at %d", seed, i, m, j)
+				}
+			}
+		}
+	}
+}
+
+var rngSink *RNG
+
+// TestNewRNGAllocation guards the stream's footprint: RNG is two words,
+// and a new stream plus its first draw costs two allocations — the
+// 16-byte RNG and one generator state holding source and rand.Rand —
+// and no more bytes than the three it took when those were separate.
+func TestNewRNGAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(RNG{}); size != 16 {
+		t.Fatalf("RNG is %d bytes, want 16 (seed and one pointer)", size)
+	}
+	if n := testing.AllocsPerRun(200, func() { rngSink = NewRNG(7); rngSink.Intn(10) }); n > 2 {
+		t.Errorf("NewRNG plus one draw: %v allocations, want <= 2", n)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rngSink = NewRNG(int64(i))
+		rngSink.Intn(10)
+	}
+	runtime.ReadMemStats(&after)
+	// 16 (RNG) + 5376 (fastSource's size class) + 48 (rand.Rand): the
+	// bytes a stream cost while source and rand.Rand were allocated apart.
+	const separate = 16 + 5376 + 48
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > separate {
+		t.Errorf("NewRNG plus one draw: %d bytes, want <= %d", per, separate)
+	}
 }
