@@ -3,42 +3,31 @@
 // hosts — so only the applications with units on those hosts can see a
 // different pressure vector. DeltaPredictPos (postings.go) re-predicts
 // exactly that affected set, and PredictionCache memoizes predictions by
-// (app index, pressure vector) so proposals that revisit a configuration
-// skip the policy conversion and matrix lookup entirely.
+// the app's dense index and the co-runners at its units, so proposals
+// that revisit a configuration skip the combine, the policy conversion
+// and the matrix lookup entirely.
 //
-// The cache is deliberately not a Go map keyed by bytes: profiling that
-// scheme showed ~3/4 of a delta prediction spent hashing and comparing
-// byte keys (aeshash + mapaccess + memequal). Instead apps are dense
-// integer IDs and the (id, pressure-vector) pairs live in open-addressed
-// tables whose keys are normalized float bits in a shared arena — probing
-// is integer compares over contiguous memory and a lookup allocates
-// nothing. Integer IDs also make the name/vector boundary structural (a
-// byte key could collide for app names containing NUL), and keyBits
-// folds +0/-0, which are semantically identical inputs.
+// The key is integers, not floats: each unit contributes one word per
+// other slot of its host, naming the app there by dense index (or the
+// empty slot). Under one AppsIndex binding those words determine the
+// pressure vector exactly, so a hit returns the bits a recomputation
+// would. The memos are open-addressed tables over a shared word arena
+// rather than Go maps keyed by bytes: profiling that scheme showed ~3/4 of
+// a delta prediction spent hashing and comparing byte keys, and a probe
+// here is integer compares over contiguous memory that allocates nothing.
 package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bubble"
 )
 
-// keyBits returns the hash/equality bits of one pressure entry: the
-// IEEE-754 payload with -0 normalized to +0. Every Predictor in this
-// package is a pure function of the float *values*, and +0 == -0, so
-// folding the two zeros can only turn a spurious miss into a hit — it
-// never changes a prediction.
-func keyBits(p float64) uint64 {
-	if p == 0 {
-		return 0 // +0 and -0 share one key
-	}
-	return math.Float64bits(p)
-}
+// emptyWord is the key word of an empty slot; app index i is word i+2.
+const emptyWord = 1
 
 // mix64 is the splitmix64 finalizer: a cheap, statistically strong
-// 64-bit mixer (Vigna 2015). It is the per-word hash step for the
-// open-addressed tables below.
+// 64-bit mixer (Vigna 2015). It finishes every key hash.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -48,22 +37,25 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashKey folds seed (the app ID, or 0 for the combine table)
-// and the normalized bits of ps into a table hash. The seed enters the
-// first element's mix unmixed — one mix64 per element is plenty, and
-// every stored vector is non-empty so the seed never surfaces raw.
-func hashKey(seed uint64, ps []float64) uint64 {
-	h := seed ^ 0x9e3779b97f4a7c15
-	for _, p := range ps {
-		h = mix64(h ^ keyBits(p))
+// foldWord is the per-word step of a key hash; a key's hash starts at
+// seed ^ hashSeed and ends with mix64.
+func foldWord(h, w uint64) uint64 { return (h ^ w) * 0x9ddfea08eb382d69 }
+
+const hashSeed = 0x9e3779b97f4a7c15
+
+// hashWords is the hash of key words kw under seed.
+func hashWords(seed uint64, kw []uint64) uint64 {
+	h := seed ^ hashSeed
+	for _, w := range kw {
+		h = foldWord(h, w)
 	}
-	return h
+	return mix64(h)
 }
 
-// fkEntry is one slot of a floatKeyTable. The key's normalized bits
-// live in the table arena at [off, off+n); app disambiguates entries of
-// the prediction table (0 in the combine table).
-type fkEntry struct {
+// wordEntry is one slot of a wordTable. The key's words live in the
+// table arena at [off, off+n); app disambiguates entries of the
+// prediction table (0 in the combine table).
+type wordEntry struct {
 	hash uint64
 	val  float64
 	off  int32
@@ -72,68 +64,18 @@ type fkEntry struct {
 	full bool
 }
 
-// floatKeyTable is an open-addressed (power-of-two, linear-probe) map
-// from (app ID, float vector) to float64. Keys are stored once, as
-// normalized bits appended to a shared arena, so the table is three
-// flat allocations total no matter how many entries it holds — and a
-// lookup touches only contiguous memory.
-type floatKeyTable struct {
-	entries []fkEntry
+// wordTable is an open-addressed (power-of-two, linear-probe) map from
+// (app index, key words) to float64. Keys are stored once, appended to a
+// shared arena, so the table is two flat allocations no matter how many
+// entries it holds — and a lookup touches only contiguous memory.
+type wordTable struct {
+	entries []wordEntry
 	arena   []uint64
 	n       int
 }
 
-// get returns the value stored under (h, app, ps), if any.
-func (t *floatKeyTable) get(h uint64, app int32, ps []float64) (float64, bool) {
-	if len(t.entries) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(t.entries) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if !e.full {
-			return 0, false
-		}
-		if e.hash == h && e.app == app && int(e.n) == len(ps) &&
-			keyEqual(t.arena[e.off:int(e.off)+int(e.n)], ps) {
-			return e.val, true
-		}
-	}
-}
-
-func keyEqual(stored []uint64, ps []float64) bool {
-	for i := range stored {
-		if stored[i] != keyBits(ps[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// put inserts v under (h, app, ps). The key must not already be
-// present (callers insert only after a failed get).
-func (t *floatKeyTable) put(h uint64, app int32, ps []float64, v float64) {
-	if 4*(t.n+1) > 3*len(t.entries) {
-		t.grow()
-	}
-	off := int32(len(t.arena))
-	for _, p := range ps {
-		t.arena = append(t.arena, keyBits(p))
-	}
-	mask := uint64(len(t.entries) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if !e.full {
-			*e = fkEntry{hash: h, val: v, off: off, n: int32(len(ps)), app: app, full: true}
-			t.n++
-			return
-		}
-	}
-}
-
-// getW is get over a raw pre-encoded key-word slice (no per-element
-// normalization; the caller owns the encoding).
-func (t *floatKeyTable) getW(h uint64, app int32, kw []uint64) (float64, bool) {
+// get returns the value stored under (h, app, kw), if any.
+func (t *wordTable) get(h uint64, app int32, kw []uint64) (float64, bool) {
 	if len(t.entries) == 0 {
 		return 0, false
 	}
@@ -159,8 +101,9 @@ func wordsEqual(stored, kw []uint64) bool {
 	return true
 }
 
-// putW is put over a raw pre-encoded key-word slice.
-func (t *floatKeyTable) putW(h uint64, app int32, kw []uint64, v float64) {
+// put inserts v under (h, app, kw). The key must not already be present
+// (callers insert only after a failed get).
+func (t *wordTable) put(h uint64, app int32, kw []uint64, v float64) {
 	if 4*(t.n+1) > 3*len(t.entries) {
 		t.grow()
 	}
@@ -170,30 +113,16 @@ func (t *floatKeyTable) putW(h uint64, app int32, kw []uint64, v float64) {
 	for i := h & mask; ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if !e.full {
-			*e = fkEntry{hash: h, val: v, off: off, n: int32(len(kw)), app: app, full: true}
+			*e = wordEntry{hash: h, val: v, off: off, n: int32(len(kw)), app: app, full: true}
 			t.n++
 			return
 		}
 	}
 }
 
-// memo returns the value stored under (app, ps), computing it with pred
-// and storing it on a miss; hit reports which happened.
-func (t *floatKeyTable) memo(app int32, pred Predictor, ps []float64) (v float64, hit bool, err error) {
-	h := hashKey(uint64(app), ps)
-	if v, ok := t.get(h, app, ps); ok {
-		return v, true, nil
-	}
-	if v, err = pred.PredictPressures(ps); err != nil {
-		return 0, false, err
-	}
-	t.put(h, app, ps, v)
-	return v, false, nil
-}
-
 // reset empties the table, keeping the slot array and arena capacity
 // for reuse; an already-empty table is left untouched.
-func (t *floatKeyTable) reset() {
+func (t *wordTable) reset() {
 	if t.n == 0 {
 		return
 	}
@@ -204,13 +133,13 @@ func (t *floatKeyTable) reset() {
 
 // grow doubles the slot array (min 64) and rehashes in place; the key
 // arena is untouched, entries just carry their offsets across.
-func (t *floatKeyTable) grow() {
+func (t *wordTable) grow() {
 	old := t.entries
 	size := 2 * len(old)
 	if size == 0 {
 		size = 64
 	}
-	t.entries = make([]fkEntry, size)
+	t.entries = make([]wordEntry, size)
 	mask := uint64(size - 1)
 	for i := range old {
 		e := old[i]
@@ -227,11 +156,11 @@ func (t *floatKeyTable) grow() {
 }
 
 // PredictionCache memoizes Predictor results for one AppsIndex binding,
-// keyed by the app's dense index and the exact (canonically unit-ordered,
-// host-then-slot) pressure vector its model consumes. Predictors must be
-// pure functions of that vector — every model in this package is, since
-// the Section 3.3 policies and the propagation matrix are deterministic —
-// so a hit is bit-identical to recomputation and never perturbs a search
+// keyed by the app's dense index and the co-runner words at its units
+// (see DeltaPredictPos). Predictors must be pure functions of their
+// pressure vector — every model in this package is, since the Section
+// 3.3 policies and the propagation matrix are deterministic — so a hit
+// is bit-identical to recomputation and never perturbs a search
 // trajectory.
 //
 // A cache is not safe for concurrent use; give each goroutine its own
@@ -240,26 +169,15 @@ func (t *floatKeyTable) grow() {
 // Predictor in the tree costs about what a probe of a table too large for
 // the processor's caches costs.
 type PredictionCache struct {
-	pt floatKeyTable // (app index, pressure vector) -> prediction
-	ct floatKeyTable // co-runner score vector -> combined pressure
-	// ptW is the pairwise path's prediction memo, keyed by the co-runner
-	// index sequence at the app's units instead of the float vector
-	// itself: under one AppsIndex binding the index sequence determines
-	// the pressure vector exactly (each element is the single-co-runner
-	// combine of that index), so a hit returns the same bits — but
-	// probing needs no float normalization or hashing. Kept separate from
-	// pt so the two key encodings can never alias.
-	ptW floatKeyTable
-	// Combine fast memos: under the paper's pairwise co-location rule a
-	// unit has at most one co-runner, so the combine value is a function
-	// of that co-runner's dense app index alone — a direct array load
-	// instead of a hashed probe.
-	c1                         []float64 // single-co-runner combine value, by app index
+	pt wordTable // (app index, every unit's co-runner words) -> prediction
+	ct wordTable // one unit's co-runner words, two or more -> combined pressure
+	// c1 memoizes the combined pressure of one-word unit keys — every
+	// unit under the paper's pairwise rule — by the word itself: a direct
+	// array load instead of a hashed probe.
+	c1                         []float64
 	c1ok                       []bool
-	cEmpty                     float64 // combine value of the empty co-runner vector
-	cEmptyOK                   bool
 	ps, co                     []float64 // scratch pressure / co-runner score buffers
-	kw                         []uint64  // scratch co-runner index key words (pairwise path)
+	kw                         []uint64  // scratch prediction key words
 	hits, misses               uint64
 	combineHits, combineMisses uint64
 }
@@ -275,125 +193,121 @@ func NewPredictionCache() *PredictionCache { return &PredictionCache{} }
 // must start empty. Because every memoized value is a pure function of
 // its key, starting empty changes no result — only the hit/miss counters.
 func (c *PredictionCache) Reset() {
-	if c == nil {
-		return
-	}
 	c.pt.reset()
 	c.ct.reset()
-	c.ptW.reset()
 	c.c1 = c.c1[:0]
 	c.c1ok = c.c1ok[:0]
-	c.cEmpty, c.cEmptyOK = 0, false
 	c.hits, c.misses = 0, 0
 	c.combineHits, c.combineMisses = 0, 0
 }
 
-// combine returns bubble.CombineScores(co, bubble.DefaultCollision),
-// memoized — the collision exponent is a package constant, so the value
-// is a pure function of co. Vectors of length 0 and 1, the only lengths
-// under pairwise co-location, hit direct memos (a constant, and an array
-// indexed by the single co-runner's dense app index); longer vectors are
-// memoized by their exact scores in the hashed table. The short keys are
-// finer-grained than the scores (one per co-runner index instead of one
-// per distinct score), which can only re-compute, never alias.
-func (c *PredictionCache) combine(co []float64, single int32) (float64, error) {
-	if c == nil {
-		return bubble.CombineScores(co, bubble.DefaultCollision)
-	}
-	var h uint64
-	switch len(co) {
-	case 0:
-		if c.cEmptyOK {
-			c.combineHits++
-			return c.cEmpty, nil
-		}
+// key writes the prediction-memo key of app id, whose units sit at
+// positions seg, into the scratch words and returns it with its hash:
+// for each unit, in postings order, one word per other slot of its host,
+// in slot order. A 1-slot host gives each unit one empty word; on 2-slot
+// hosts a unit's word is the single load of its sibling slot.
+func (c *PredictionCache) key(g *Grid, seg []int32, id int32) ([]uint64, uint64) {
+	sph := int32(g.SlotsPerHost)
+	kw := scratch(&c.kw, len(seg)*int(max(sph-1, 1)))
+	h := uint64(id) ^ hashSeed
+	cells := g.cells
+	switch sph {
 	case 1:
-		if int(single) < len(c.c1) && c.c1ok[single] {
-			c.combineHits++
-			return c.c1[single], nil
+		for i := range kw {
+			kw[i] = emptyWord
+			h = foldWord(h, emptyWord)
+		}
+	case 2:
+		for i, p := range seg {
+			w := uint64(cells[p^1] + 2)
+			kw[i] = w
+			h = foldWord(h, w)
 		}
 	default:
-		h = hashKey(0, co)
-		if v, ok := c.ct.get(h, 0, co); ok {
-			c.combineHits++
-			return v, nil
+		k := 0
+		for _, p := range seg {
+			base := p - p%sph
+			for q := base; q < base+sph; q++ {
+				if q == p {
+					continue
+				}
+				w := uint64(cells[q] + 2)
+				kw[k] = w
+				k++
+				h = foldWord(h, w)
+			}
 		}
 	}
+	return kw, mix64(h)
+}
+
+// combined returns the memoized combined pressure on a unit whose other
+// slots hold the key words kw: bubble.CombineScores over the occupied
+// slots' scores, in slot order, at the package's collision exponent.
+// One-word keys live in the c1 array, longer ones in the combine table.
+func (c *PredictionCache) combined(ix *AppsIndex, kw []uint64) (float64, error) {
+	if len(kw) == 1 {
+		w := kw[0]
+		if w < uint64(len(c.c1)) && c.c1ok[w] {
+			c.combineHits++
+			return c.c1[w], nil
+		}
+		v, err := c.combine(ix, kw)
+		if err != nil {
+			return 0, err
+		}
+		for w >= uint64(len(c.c1)) {
+			c.c1 = append(c.c1, 0)
+			c.c1ok = append(c.c1ok, false)
+		}
+		c.c1[w], c.c1ok[w] = v, true
+		return v, nil
+	}
+	h := hashWords(0, kw)
+	if v, ok := c.ct.get(h, 0, kw); ok {
+		c.combineHits++
+		return v, nil
+	}
+	v, err := c.combine(ix, kw)
+	if err != nil {
+		return 0, err
+	}
+	c.ct.put(h, 0, kw, v)
+	return v, nil
+}
+
+// combine computes a combine-memo miss: CombineScores over the scores of
+// the apps kw names, skipping empty slots.
+func (c *PredictionCache) combine(ix *AppsIndex, kw []uint64) (float64, error) {
+	co := c.co[:0]
+	for _, w := range kw {
+		if w == emptyWord {
+			continue
+		}
+		other := int32(w - 2)
+		if !ix.ok[other] {
+			return 0, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
+		}
+		co = append(co, ix.scores[other])
+	}
+	c.co = co
 	v, err := bubble.CombineScores(co, bubble.DefaultCollision)
 	if err != nil {
 		return 0, err
 	}
-	switch len(co) {
-	case 0:
-		c.cEmpty, c.cEmptyOK = v, true
-	case 1:
-		for int(single) >= len(c.c1) {
-			c.c1 = append(c.c1, 0)
-			c.c1ok = append(c.c1ok, false)
-		}
-		c.c1[single], c.c1ok[single] = v, true
-	default:
-		c.ct.put(h, 0, co, v)
-	}
 	c.combineMisses++
-	return v, nil
-}
-
-// combinedOf returns the memoized combined pressure exerted on a unit
-// whose sole potential co-runner is other (-1: empty slot) — the
-// pairwise path's combine. The hit paths are a bool test and an array
-// load; misses delegate to the generic memo fill.
-func (c *PredictionCache) combinedOf(ix *AppsIndex, other int32) (float64, error) {
-	if other < 0 {
-		if c.cEmptyOK {
-			c.combineHits++
-			return c.cEmpty, nil
-		}
-		return c.combine(c.co[:0], -1)
-	}
-	if int(other) < len(c.c1) && c.c1ok[other] {
-		c.combineHits++
-		return c.c1[other], nil
-	}
-	if !ix.ok[other] {
-		return 0, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
-	}
-	c.co = append(c.co[:0], ix.scores[other])
-	return c.combine(c.co, other)
-}
-
-// predict returns the memoized prediction of app index id under
-// pressures, computing and storing it on a miss. A nil cache degrades to
-// a plain prediction.
-func (c *PredictionCache) predict(id int32, pred Predictor, pressures []float64) (float64, error) {
-	if c == nil {
-		return pred.PredictPressures(pressures)
-	}
-	v, hit, err := c.pt.memo(id, pred, pressures)
-	if err != nil {
-		return 0, err
-	}
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
 	return v, nil
 }
 
 // Stats reports prediction-memo hits and misses so far (the combine
 // memo is reported separately by CombineStats).
 func (c *PredictionCache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.hits, c.misses
 }
 
 // CombineStats reports co-runner combine-memo hits and misses so far.
+// Traffic is counted per unit: a unit whose combine is memoized is a hit,
+// and a prediction-memo hit counts one combine hit per unit.
 func (c *PredictionCache) CombineStats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.combineHits, c.combineMisses
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -63,7 +62,7 @@ func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[s
 // return the exact value of the original computation.
 func TestPredictionCacheHitsAndPurity(t *testing.T) {
 	p, preds, scores, calls := deltaFixture(t)
-	e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+	e := newPosEngine(t, p, preds, scores)
 	callsAfterFirst := *calls
 	if callsAfterFirst == 0 {
 		t.Fatal("no predictor calls on cold cache")
@@ -93,12 +92,6 @@ func TestPredictionCacheHitsAndPurity(t *testing.T) {
 	if *calls == callsAfterFirst {
 		t.Error("Reset kept memo contents: no predictor call on the next pass")
 	}
-
-	var nilCache *PredictionCache
-	nilCache.Reset()
-	if h, m := nilCache.Stats(); h != 0 || m != 0 {
-		t.Error("nil cache should report zero stats")
-	}
 }
 
 // TestCombineStatsVisible: the co-runner combine memo's traffic is
@@ -112,7 +105,7 @@ func TestCombineStatsVisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
-			map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
+			map[string]float64{"a": 0.5, "b": 2, "c": 6})
 		if _, misses := e.cache.CombineStats(); misses == 0 {
 			t.Errorf("sph=%d cold pass: combine misses = 0, want > 0", sph)
 		}
@@ -123,23 +116,22 @@ func TestCombineStatsVisible(t *testing.T) {
 			t.Errorf("sph=%d warm pass: combine hits = 0, want > 0", sph)
 		}
 	}
-	var nilCache *PredictionCache
-	if h, m := nilCache.CombineStats(); h != 0 || m != 0 {
-		t.Error("nil cache must report zero combine stats")
-	}
 }
 
 // TestDeltaPredictErrors covers the predictor's failure paths.
 func TestDeltaPredictErrors(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
-	e := newPosEngine(t, p, preds, scores, nil)
-	if err := DeltaPredictPos(nil, e.pst, e.all, e.ix, nil, e.inc); err == nil {
+	e := newPosEngine(t, p, preds, scores)
+	if err := DeltaPredictPos(nil, e.pst, e.all, e.ix, e.cache, e.inc); err == nil {
 		t.Error("nil grid should fail")
 	}
-	if err := DeltaPredictPos(e.g, nil, e.all, e.ix, nil, e.inc); err == nil {
+	if err := DeltaPredictPos(e.g, nil, e.all, e.ix, e.cache, e.inc); err == nil {
 		t.Error("nil postings should fail")
 	}
-	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, nil, nil); err == nil {
+	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, nil, e.inc); err == nil {
+		t.Error("nil cache should fail")
+	}
+	if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, nil); err == nil {
 		t.Error("nil out slice should fail")
 	}
 
@@ -151,15 +143,13 @@ func TestDeltaPredictErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost := int32(len(ghostIx.Apps) - 1)
-	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-		pst := NewPostings(e.g, len(ghostIx.Apps))
-		if err := DeltaPredictPos(e.g, pst, []int32{ghost}, ghostIx, cache, make([]float64, len(ghostIx.Apps))); err == nil {
-			t.Errorf("cache=%v: app missing from placement should fail", cache != nil)
-		}
+	pst := NewPostings(e.g, len(ghostIx.Apps))
+	if err := DeltaPredictPos(e.g, pst, []int32{ghost}, ghostIx, NewPredictionCache(), make([]float64, len(ghostIx.Apps))); err == nil {
+		t.Error("app missing from placement should fail")
 	}
 
-	// A missing co-runner score surfaces lazily, on both layouts' paths;
-	// so does a predictor error.
+	// A missing co-runner score surfaces lazily, when a combine is
+	// computed; so does a predictor error.
 	a, _ := e.ix.IndexOf("a")
 	badIx, err := NewAppsIndex(p.Apps(), preds, map[string]float64{"a": 0.5})
 	if err != nil {
@@ -170,46 +160,10 @@ func TestDeltaPredictErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-		if err := DeltaPredictPos(e.g, e.pst, []int32{a}, badIx, cache, e.inc); err == nil {
-			t.Errorf("cache=%v: missing co-runner score should fail", cache != nil)
-		}
-		if err := DeltaPredictPos(e.g, e.pst, []int32{a}, failIx, cache, e.inc); err == nil {
-			t.Errorf("cache=%v: predictor error should propagate", cache != nil)
-		}
+	if err := DeltaPredictPos(e.g, e.pst, []int32{a}, badIx, NewPredictionCache(), e.inc); err == nil {
+		t.Error("missing co-runner score should fail")
 	}
-}
-
-// TestCacheSignedZeroHits: +0 and -0 compare equal and every predictor
-// is a pure function of the float values, so a -0 entry must hit the +0
-// entry's memo instead of recomputing under a distinct key.
-func TestCacheSignedZeroHits(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	cache := NewPredictionCache()
-	calls := 0
-	pred := countingPred{sumPred{0.4}, &calls}
-
-	v1, err := cache.predict(0, pred, []float64{0, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("cold predict made %d calls, want 1", calls)
-	}
-	v2, err := cache.predict(0, pred, []float64{negZero, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("-0 vector recomputed (calls=%d): signed zero missed the cache", calls)
-	}
-	if v1 != v2 {
-		t.Errorf("predictions differ across zero signs: %v vs %v", v1, v2)
-	}
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Errorf("hits = %d, want 1 (the -0 lookup)", hits)
-	}
-	if keyBits(negZero) != 0 || keyBits(0.0) != 0 {
-		t.Error("keyBits(±0) must be 0")
+	if err := DeltaPredictPos(e.g, e.pst, []int32{a}, failIx, NewPredictionCache(), e.inc); err == nil {
+		t.Error("predictor error should propagate")
 	}
 }

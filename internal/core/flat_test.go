@@ -7,26 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestPredictHotPathZeroAllocs pins the steady-state memo probe at zero
-// allocations: a warm index-keyed predict must not touch the heap
-// (TestDeltaPredictPosEquivalence pins the whole warm delta prediction).
-func TestPredictHotPathZeroAllocs(t *testing.T) {
-	var pred Predictor = sumPred{0.3} // boxed once, not per call
-	ps := []float64{6, 0.5, 0.5}
-
-	cache := NewPredictionCache()
-	if _, err := cache.predict(0, pred, ps); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cache.predict(0, pred, ps); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("warm predict allocates %v/run, want 0", allocs)
-	}
-}
-
 // TestIndexedErrors covers the index-form construction error surfaces.
 func TestIndexedErrors(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)

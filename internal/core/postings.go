@@ -126,11 +126,13 @@ func (p *Postings) move(app, from, to int32) {
 // other entry untouched — the package's one incremental predictor.
 // Calling it with the apps on two swapped hosts turns a full placement
 // re-prediction into a two-host delta: an application with no unit on a
-// touched host keeps its pressure vector, hence its prediction. Each
-// pressure vector is built by walking the app's own unit positions, so
-// the per-app cost is O(units), not O(cluster), and results are
+// touched host keeps its pressure vector, hence its prediction. Per
+// affected app it builds the cache key by walking the app's own unit
+// positions, so the per-app cost is O(units), not O(cluster); on a
+// prediction-memo hit that is all it does, and on a miss it builds the
+// pressure vector from the memoized per-unit combines. Results are
 // bit-identical to PredictPlacement on the named form of g. pst must
-// mirror g; cache may be nil (plain prediction).
+// mirror g, and cache must be bound to ix (see PredictionCache.Reset).
 func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
 	if g == nil {
 		return errors.New("core: nil grid")
@@ -138,139 +140,55 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 	if pst == nil {
 		return errors.New("core: nil postings")
 	}
+	if cache == nil {
+		return errors.New("core: nil prediction cache")
+	}
 	if out == nil {
 		return errors.New("core: nil prediction slice")
 	}
-	if cache != nil && g.SlotsPerHost == 2 {
-		// The pairwise hot loop: per affected app, int loads, a handful of
-		// multiply-folds, and one probe — no float hashing, no allocation,
-		// and no pressure vector unless the probe misses.
-		for _, id := range affected {
-			kw, h, err := pairKey(g, pst, id, ix, cache)
-			if err != nil {
-				return err
-			}
-			if v, ok := cache.ptW.getW(h, id, kw); ok {
-				// The entry was stored after every unit's combine was
-				// memoized, so each unit is a combine-memo hit, as
-				// building the vector would have counted it.
-				cache.combineHits += uint64(len(kw))
-				cache.hits++
-				out[id] = v
-				continue
-			}
-			ps := scratch(&cache.ps, len(kw))
-			for i, p := range pst.seg(id) {
-				c, err := cache.combinedOf(ix, g.cells[p^1])
-				if err != nil {
-					return err
-				}
-				ps[i] = c
-			}
-			v, err := ix.preds[id].PredictPressures(ps)
-			if err != nil {
-				return err
-			}
-			cache.ptW.putW(h, id, kw, v)
-			cache.misses++
-			out[id] = v
-		}
-		return nil
-	}
+	per := max(g.SlotsPerHost-1, 1) // key words per unit
 	for _, id := range affected {
-		ps, err := appendPressuresPos(g, pst, id, ix, cache)
+		seg := pst.seg(id)
+		units := len(seg)
+		if units == 0 {
+			return fmt.Errorf("core: app %q not in placement", ix.Apps[id])
+		}
+		kw, h := cache.key(g, seg, id)
+		if v, ok := cache.pt.get(h, id, kw); ok {
+			// The entry was stored after every unit's combine was
+			// memoized, so each unit is a combine-memo hit, as building
+			// the vector would have counted it.
+			cache.combineHits += uint64(units)
+			cache.hits++
+			out[id] = v
+			continue
+		}
+		ps := scratch(&cache.ps, units)
+		for u := range ps {
+			c, err := cache.combined(ix, kw[u*per:(u+1)*per])
+			if err != nil {
+				return err
+			}
+			ps[u] = c
+		}
+		v, err := ix.preds[id].PredictPressures(ps)
 		if err != nil {
 			return err
 		}
-		v, err := cache.predict(id, ix.preds[id], ps)
-		if err != nil {
-			return err
-		}
+		cache.pt.put(h, id, kw, v)
+		cache.misses++
 		out[id] = v
 	}
 	return nil
 }
 
-// pairKey encodes app id's units under the paper's pairwise co-location
-// rule (two slots per host) as prediction-memo key words: position p's
-// sole co-runner slot is p^1, so each unit is one load and one word
-// naming the co-runner (or the empty slot). Under one AppsIndex binding
-// that sequence determines the pressure vector exactly — a host carrying
-// the app in both slots yields position 2h then 2h+1, each with the app
-// itself as co-runner, the order PressuresFor emits — so DeltaPredictPos
-// probes with it and builds the floats only on a miss. It returns the
-// words with their multiply-fold hash.
-func pairKey(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]uint64, uint64, error) {
-	seg := pst.seg(id)
-	if len(seg) == 0 {
-		return nil, 0, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
-	}
-	kw := scratch(&cache.kw, len(seg))
-	h := uint64(id) ^ 0x9e3779b97f4a7c15
-	cells := g.cells
-	for i, p := range seg {
-		w := uint64(uint32(cells[p^1])) + 2
-		kw[i] = w
-		h = (h ^ w) * 0x9ddfea08eb382d69
-	}
-	return kw, mix64(h), nil
-}
-
 // scratch returns the first n elements of the scratch buffer *buf,
-// growing it only when it is too short: the pairwise path reuses its
-// buffers without storing a slice header — and paying a GC write
-// barrier — on every call.
+// growing it only when it is too short: the hot path reuses its buffers
+// without storing a slice header — and paying a GC write barrier — on
+// every call.
 func scratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n, 2*n)
 	}
 	return (*buf)[:n]
-}
-
-// appendPressuresPos builds app id's pressure vector for any slot count:
-// per unit, the co-runners are the other occupied slots of its host in
-// slot order (skipping self and empties), exactly as PressuresFor walks
-// them. With a cache the vector lives in its scratch buffers and is only
-// valid until the next call; a nil cache allocates fresh slices.
-func appendPressuresPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, error) {
-	var out, co []float64
-	if cache != nil {
-		out, co = cache.ps[:0], cache.co[:0]
-	}
-	sph := g.SlotsPerHost
-	cells := g.cells
-	for _, pi := range pst.seg(id) {
-		p := int(pi)
-		s := p % sph
-		base := p - s
-		row := cells[base : base+sph]
-		co = co[:0]
-		single := int32(-1)
-		for o := range row {
-			if o == s {
-				continue
-			}
-			other := row[o]
-			if other < 0 {
-				continue
-			}
-			if !ix.ok[other] {
-				return nil, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
-			}
-			single = other
-			co = append(co, ix.scores[other])
-		}
-		combined, err := cache.combine(co, single)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, combined)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: app %q not in placement", ix.Apps[id])
-	}
-	if cache != nil {
-		cache.ps, cache.co = out, co
-	}
-	return out, nil
 }

@@ -33,12 +33,13 @@ type posEngine struct {
 	ix     *AppsIndex
 	g      *Grid
 	pst    *Postings
-	cache  *PredictionCache // nil: plain prediction
+	cache  *PredictionCache
+	reset  bool // empty the cache before every call, so nothing is memoized
 	all    []int32
 	inc    []float64
 }
 
-func newPosEngine(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64, cache *PredictionCache) *posEngine {
+func newPosEngine(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64) *posEngine {
 	t.Helper()
 	ix, err := NewAppsIndex(p.Apps(), preds, scores)
 	if err != nil {
@@ -48,15 +49,25 @@ func newPosEngine(t testing.TB, p *cluster.Placement, preds map[string]Predictor
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &posEngine{p: p, preds: preds, scores: scores, ix: ix, g: g, pst: NewPostings(g, len(ix.Apps)), cache: cache,
+	e := &posEngine{p: p, preds: preds, scores: scores, ix: ix, g: g, pst: NewPostings(g, len(ix.Apps)), cache: NewPredictionCache(),
 		inc: make([]float64, len(ix.Apps))}
 	for i := range ix.Apps {
 		e.all = append(e.all, int32(i))
 	}
-	if err := DeltaPredictPos(g, e.pst, e.all, ix, cache, e.inc); err != nil {
+	e.predict(t, e.all)
+	return e
+}
+
+// predict re-predicts affected into e.inc, first emptying the cache if
+// e.reset is set.
+func (e *posEngine) predict(t testing.TB, affected []int32) {
+	t.Helper()
+	if e.reset {
+		e.cache.Reset()
+	}
+	if err := DeltaPredictPos(e.g, e.pst, affected, e.ix, e.cache, e.inc); err != nil {
 		t.Fatal(err)
 	}
-	return e
 }
 
 // swap applies one swap to the named placement, the grid and the
@@ -77,9 +88,7 @@ func (e *posEngine) swap(t testing.TB, ha, sa, hb, sb int) {
 			}
 		}
 	}
-	if err := DeltaPredictPos(e.g, e.pst, affected, e.ix, e.cache, e.inc); err != nil {
-		t.Fatal(err)
-	}
+	e.predict(t, affected)
 }
 
 // check demands that the incrementally maintained predictions equal a
@@ -132,9 +141,11 @@ func (e *posEngine) walk(t testing.TB, tag string, r *sim.RNG, steps int) {
 // testPosEquivalence is the property behind the incremental search
 // engine, on a fixture built to break key schemes: an app name holding a
 // NUL byte, a -0 bubble score (so pressures of both zero signs occur),
-// apps with several units per host, and — beyond two slots per host —
-// multi-co-runner combines.
-func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
+// apps with several units per host, one-slot hosts (no co-runner ever)
+// and — beyond two slots per host — multi-co-runner combines. With reset
+// the cache is emptied before every call, so the memo cannot change a
+// value unseen.
+func testPosEquivalence(t testing.TB, seed int64, sph int, reset bool) {
 	demands := []cluster.Demand{
 		{App: "a", Units: 3}, {App: "b", Units: 4},
 		{App: "c\x00c", Units: 4}, {App: "d", Units: 2},
@@ -143,7 +154,11 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 	if sph != 2 {
 		limit = sph // beyond the pairwise rule: allow sph distinct apps
 	}
-	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), 7, sph, limit, demands, 0)
+	hosts := 7
+	if sph == 1 {
+		hosts = 14 // room for all 13 units
+	}
+	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), hosts, sph, limit, demands, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +166,8 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 	preds := map[string]Predictor{
 		"a": sumPred{0.3}, "b": sumPred{0.01}, "c\x00c": sumPred{0.02}, "d": sumPred{0.05},
 	}
-	cache := NewPredictionCache()
-	if nilCache {
-		cache = nil
-	}
-	e := newPosEngine(t, p, preds, scores, cache)
+	e := newPosEngine(t, p, preds, scores)
+	e.reset = reset
 	e.walk(t, fmt.Sprintf("seed=%d sph=%d", seed, sph), sim.NewRNG(seed+1000), 60)
 }
 
@@ -174,14 +186,13 @@ func (f propPred) PredictPressures(ps []float64) (float64, error) {
 	return 1 + f.per*sum + f.atMax*max, nil
 }
 
-// randomProblem draws a random cluster shape, app set, and valid
-// placement. The per-host app limit equals the slot count, so every
-// slot assignment is valid and swaps are never rejected.
-func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, map[string]Predictor, map[string]float64) {
+// randomProblem draws a random cluster shape with slots slots per host,
+// app set, and valid placement. The per-host app limit equals the slot
+// count, so every slot assignment is valid and swaps are never rejected.
+func randomProblem(t *testing.T, r *sim.RNG, slots int) (*cluster.Placement, map[string]Predictor, map[string]float64) {
 	t.Helper()
 	numHosts := 4 + r.Intn(5) // 4..8
-	slots := 2
-	numApps := 2 + r.Intn(3) // 2..4
+	numApps := 2 + r.Intn(3)  // 2..4
 	names := []string{"alpha", "beta", "gamma", "delta"}[:numApps]
 
 	capacity := numHosts * slots
@@ -212,9 +223,9 @@ func randomProblem(t *testing.T, r *sim.RNG) (*cluster.Placement, map[string]Pre
 // search engine, one row per case: the incrementally maintained
 // predictions stay bit-identical to PredictPlacement (the production
 // reference behind placement.Evaluate) and the postings to a from-scratch
-// Rebuild, cached or not, pairwise (2 slots) or generic (3 slots); the
-// reject path costs no predictor call; the warm path allocates nothing;
-// a Postings copy is independent.
+// Rebuild, with a warm cache or one emptied before every call, at 1 to 4
+// slots per host; the reject path costs no predictor call; the warm path
+// allocates nothing; a Postings copy is independent.
 func TestDeltaPredictPosEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -224,16 +235,14 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 		// PredictPlacement exactly — the contract in its smallest form.
 		{"full-predict", func(t *testing.T) {
 			p, preds, scores, _ := deltaFixture(t)
-			for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-				newPosEngine(t, p, preds, scores, cache).check(t, "full")
-			}
+			newPosEngine(t, p, preds, scores).check(t, "full")
 		}},
 		// A swap re-predicts only the two touched hosts' apps yet leaves
 		// the whole slice equal to a full re-prediction, and undoing or
 		// redoing it revisits memoized points only.
 		{"swap-undo-redo-memoized", func(t *testing.T) {
 			p, preds, scores, calls := deltaFixture(t)
-			e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+			e := newPosEngine(t, p, preds, scores)
 			rng := sim.NewRNG(11)
 			for i := 0; i < 200; i++ {
 				ha, sa, hb, sb := rng.Intn(8), rng.Intn(2), rng.Intn(8), rng.Intn(2)
@@ -250,11 +259,11 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 				}
 			}
 		}},
-		// Swap/undo walks on the key-breaking fixture, both layouts,
-		// every third seed without a cache.
+		// Swap/undo walks on the key-breaking fixture, 1 to 3 slots per
+		// host, every third seed emptying the cache before every call.
 		{"key-breaking-walks", func(t *testing.T) {
 			for seed := int64(0); seed < 12; seed++ {
-				for _, sph := range []int{2, 3} {
+				for _, sph := range []int{1, 2, 3} {
 					testPosEquivalence(t, seed, sph, seed%3 == 2)
 				}
 			}
@@ -265,25 +274,26 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 			rng := sim.NewRNG(2016).Stream("property")
 			for trial := 0; trial < 25; trial++ {
 				r := rng.StreamN("trial", trial)
-				p, preds, scores := randomProblem(t, r)
-				e := newPosEngine(t, p, preds, scores, NewPredictionCache())
+				p, preds, scores := randomProblem(t, r, 2)
+				e := newPosEngine(t, p, preds, scores)
 				e.walk(t, fmt.Sprintf("trial %d", trial), r, 40)
 				if hits, misses := e.cache.Stats(); hits == 0 || misses == 0 {
 					t.Errorf("trial %d: degenerate cache traffic (hits=%d misses=%d)", trial, hits, misses)
 				}
 			}
 		}},
-		// On the same random shapes, a cached walk (the pairwise
-		// specialization and its index-keyed memo) and a nil-cache walk
-		// (the generic path, always recomputing) over the same swaps
-		// agree bit for bit at every step.
+		// On the same random shapes, a warm-cache walk and a walk that
+		// empties its cache before every call (so every value is
+		// recomputed) over the same swaps agree bit for bit at every
+		// step: the memo never changes a value.
 		{"cached-equals-uncached", func(t *testing.T) {
 			rng := sim.NewRNG(2016).Stream("cache-property")
 			for trial := 0; trial < 25; trial++ {
 				r := rng.StreamN("trial", trial)
-				p, preds, scores := randomProblem(t, r)
-				cached := newPosEngine(t, p.Clone(), preds, scores, NewPredictionCache())
-				bare := newPosEngine(t, p, preds, scores, nil)
+				p, preds, scores := randomProblem(t, r, 2)
+				cached := newPosEngine(t, p.Clone(), preds, scores)
+				bare := newPosEngine(t, p, preds, scores)
+				bare.reset = true
 				slots := p.NumHosts * p.HostSlots
 				for step := 0; step < 30; step++ {
 					a, b := r.Intn(slots), r.Intn(slots)
@@ -302,55 +312,66 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 				}
 			}
 		}},
-		// The pairwise path probes the prediction memo before it builds
-		// a pressure vector, yet counts combine-memo traffic per unit
+		// DeltaPredictPos probes the prediction memo before it builds a
+		// pressure vector, yet counts combine-memo traffic per unit
 		// exactly as building every vector would: a unit is a hit when
-		// its co-runner's combine is memoized, else a miss that memoizes
-		// it. A reference model of that rule must agree after every call.
+		// the combine of its co-runner words (its host's other slots, in
+		// slot order) is memoized, else a miss that memoizes it. A
+		// reference model of that rule must agree after every call, at 1
+		// to 4 slots per host.
 		{"pairwise-combine-counts", func(t *testing.T) {
-			rng := sim.NewRNG(2016).Stream("combine-counts")
-			for trial := 0; trial < 25; trial++ {
-				r := rng.StreamN("trial", trial)
-				p, preds, scores := randomProblem(t, r)
-				e := newPosEngine(t, p, preds, scores, NewPredictionCache())
-				memo := map[int32]bool{}
-				var hits, misses uint64
-				count := func(affected []int32) {
-					for _, id := range affected {
-						for _, pos := range e.pst.seg(id) {
-							if other := e.g.cells[pos^1]; memo[other] {
-								hits++
-							} else {
-								memo[other] = true
-								misses++
+			for sph := 1; sph <= 4; sph++ {
+				rng := sim.NewRNG(2016).Stream("combine-counts")
+				for trial := 0; trial < 25; trial++ {
+					r := rng.StreamN("trial", trial)
+					p, preds, scores := randomProblem(t, r, sph)
+					e := newPosEngine(t, p, preds, scores)
+					memo := map[string]bool{}
+					var hits, misses uint64
+					count := func(affected []int32) {
+						for _, id := range affected {
+							for _, pos := range e.pst.seg(id) {
+								h := int(pos) / sph
+								var others []int32
+								for s, other := range e.g.Row(h) {
+									if h*sph+s != int(pos) {
+										others = append(others, other)
+									}
+								}
+								if k := fmt.Sprint(others); memo[k] {
+									hits++
+								} else {
+									memo[k] = true
+									misses++
+								}
 							}
 						}
 					}
-				}
-				count(e.all)
-				slots := p.NumHosts * p.HostSlots
-				for step := 0; step < 40; step++ {
-					a, b := r.Intn(slots), r.Intn(slots)
-					ha, sa, hb, sb := a/2, a%2, b/2, b%2
-					if p.At(ha, sa) == p.At(hb, sb) {
-						continue
-					}
-					e.swap(t, ha, sa, hb, sb)
-					var affected []int32
-					for _, h := range []int{ha, hb} {
-						for _, id := range e.g.Row(h) {
-							if id >= 0 && !slices.Contains(affected, id) {
-								affected = append(affected, id)
+					count(e.all)
+					slots := p.NumHosts * sph
+					for step := 0; step < 40; step++ {
+						a, b := r.Intn(slots), r.Intn(slots)
+						ha, sa, hb, sb := a/sph, a%sph, b/sph, b%sph
+						if p.At(ha, sa) == p.At(hb, sb) {
+							continue
+						}
+						e.swap(t, ha, sa, hb, sb)
+						var affected []int32
+						for _, h := range []int{ha, hb} {
+							for _, id := range e.g.Row(h) {
+								if id >= 0 && !slices.Contains(affected, id) {
+									affected = append(affected, id)
+								}
 							}
 						}
+						count(affected)
+						if h, m := e.cache.CombineStats(); h != hits || m != misses {
+							t.Fatalf("sph=%d trial %d step %d: combine hits/misses %d/%d, per-unit rule %d/%d", sph, trial, step, h, m, hits, misses)
+						}
 					}
-					count(affected)
-					if h, m := e.cache.CombineStats(); h != hits || m != misses {
-						t.Fatalf("trial %d step %d: combine hits/misses %d/%d, per-unit rule %d/%d", trial, step, h, m, hits, misses)
+					if h, _ := e.cache.Stats(); h == 0 {
+						t.Errorf("sph=%d trial %d: no prediction-memo hit, so the probe-first path went untested", sph, trial)
 					}
-				}
-				if h, _ := e.cache.Stats(); h == 0 {
-					t.Errorf("trial %d: no prediction-memo hit, so the probe-first path went untested", trial)
 				}
 			}
 		}},
@@ -362,7 +383,7 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
-					map[string]float64{"a": 0.5, "b": 2, "c": 6}, NewPredictionCache())
+					map[string]float64{"a": 0.5, "b": 2, "c": 6})
 				if allocs := testing.AllocsPerRun(200, func() {
 					if err := DeltaPredictPos(e.g, e.pst, e.all, e.ix, e.cache, e.inc); err != nil {
 						t.Fatal(err)
@@ -388,8 +409,9 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 func FuzzDeltaPredictPosEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), false)
 	f.Add(int64(2), uint8(3), false)
-	f.Add(int64(3), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, sphRaw uint8, nilCache bool) {
-		testPosEquivalence(t, seed, 2+int(sphRaw%3), nilCache) // 2..4 slots per host
+	f.Add(int64(3), uint8(1), true)
+	f.Add(int64(4), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, sphRaw uint8, reset bool) {
+		testPosEquivalence(t, seed, 1+int(sphRaw%4), reset) // 1..4 slots per host
 	})
 }

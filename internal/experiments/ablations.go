@@ -58,29 +58,13 @@ func (l *Lab) Ablations() (Output, error) {
 }
 
 // curveAtPressure measures the normalized-time curve of a workload over
-// 0..8 interfering nodes at one pressure, as one measurement batch.
+// 0..8 interfering nodes of the lab's 8-node cluster at one pressure.
 func (l *Lab) curveAtPressure(w workloads.Workload, pressure float64) ([]float64, error) {
-	b := l.Env.NewBatch()
-	handles := make([]*measure.Value, 9)
-	for k := 0; k <= 8; k++ {
-		ps, err := measure.HomogeneousPressures(8, k, pressure)
-		if err != nil {
-			return nil, err
-		}
-		handles[k] = b.Normalized(w, ps)
-	}
-	if err := b.Run(); err != nil {
+	curves, err := propagation(l.Env, w, 8, privateCounts, []float64{pressure})
+	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 9)
-	for k, h := range handles {
-		v, err := h.Result()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
+	return curves[0], nil
 }
 
 func curveRow(tb *report.Table, label string, curve []float64) {

@@ -85,56 +85,12 @@ func (l *Lab) figure2() (Output, error) {
 // workload, normalized execution time vs. number of interfering nodes at
 // each bubble pressure.
 func (l *Lab) Figure3() (Output, error) {
-	return l.figure3(l.Env, 8, distributedNames(), "Figure 3")
-}
-
-func (l *Lab) figure3(env *measure.Env, nodes int, names []string, id string) (Output, error) {
-	pressures := l.Cfg.pressures()
-	var tables []*report.Table
-	counts := make([]int, nodes+1)
-	for i := range counts {
-		counts[i] = i
-	}
-	for _, name := range names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return Output{}, err
-		}
-		headers := []string{"pressure \\ nodes"}
-		for _, c := range counts {
-			headers = append(headers, fmt.Sprint(c))
-		}
-		tb := report.NewTable(fmt.Sprintf("%s: %s normalized execution time", id, name), headers...)
-		b := env.NewBatch()
-		handles := make([][]*measure.Value, len(pressures))
-		for pi, p := range pressures {
-			handles[pi] = make([]*measure.Value, len(counts))
-			for ci, c := range counts {
-				ps, err := measure.HomogeneousPressures(nodes, c, p)
-				if err != nil {
-					return Output{}, err
-				}
-				handles[pi][ci] = b.Normalized(w, ps)
-			}
-		}
-		if err := b.Run(); err != nil {
-			return Output{}, err
-		}
-		for pi, p := range pressures {
-			row := []string{report.F(p, 0)}
-			for ci := range counts {
-				v, err := handles[pi][ci].Result()
-				if err != nil {
-					return Output{}, err
-				}
-				row = append(row, report.Norm(v))
-			}
-			tb.MustAddRow(row...)
-		}
-		tables = append(tables, tb)
+	tables, err := l.figure3(l.Env, 8, privateCounts, distributedNames(), "Figure 3: %s normalized execution time")
+	if err != nil {
+		return Output{}, err
 	}
 	return Output{
-		ID:     id,
+		ID:     "Figure 3",
 		Title:  "Interference propagation: execution time vs. interfering nodes per bubble pressure",
 		Tables: tables,
 		Notes: []string{
@@ -142,6 +98,76 @@ func (l *Lab) figure3(env *measure.Env, nodes int, names []string, id string) (O
 			"M.Gems grows roughly linearly; H.KM and S.PR stay close to 1.",
 		},
 	}, nil
+}
+
+// privateCounts are the interfering-node counts of the 8-node private
+// cluster's propagation curves.
+var privateCounts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+
+// figure3 measures one propagation table per named workload on env's
+// nodes-node cluster: a row per bubble pressure, a column per count of
+// interfering nodes. titleFmt formats each table's title from the
+// workload name.
+func (l *Lab) figure3(env *measure.Env, nodes int, counts []int, names []string, titleFmt string) ([]*report.Table, error) {
+	pressures := l.Cfg.pressures()
+	headers := []string{"pressure \\ nodes"}
+	for _, c := range counts {
+		headers = append(headers, fmt.Sprint(c))
+	}
+	var tables []*report.Table
+	for _, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		curves, err := propagation(env, w, nodes, counts, pressures)
+		if err != nil {
+			return nil, err
+		}
+		tb := report.NewTable(fmt.Sprintf(titleFmt, name), headers...)
+		for pi, p := range pressures {
+			row := []string{report.F(p, 0)}
+			for _, v := range curves[pi] {
+				row = append(row, report.Norm(v))
+			}
+			tb.MustAddRow(row...)
+		}
+		tables = append(tables, tb)
+	}
+	return tables, nil
+}
+
+// propagation measures w's normalized execution time on a nodes-node
+// cluster with counts[ci] nodes interfered at pressures[pi], as one
+// measurement batch; the result is indexed [pi][ci].
+func propagation(env *measure.Env, w workloads.Workload, nodes int, counts []int, pressures []float64) ([][]float64, error) {
+	b := env.NewBatch()
+	handles := make([][]*measure.Value, len(pressures))
+	for pi, p := range pressures {
+		handles[pi] = make([]*measure.Value, len(counts))
+		for ci, c := range counts {
+			ps, err := measure.HomogeneousPressures(nodes, c, p)
+			if err != nil {
+				return nil, err
+			}
+			handles[pi][ci] = b.Normalized(w, ps)
+		}
+	}
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(pressures))
+	for pi := range handles {
+		out[pi] = make([]float64, len(counts))
+		for ci, h := range handles[pi] {
+			v, err := h.Result()
+			if err != nil {
+				return nil, err
+			}
+			out[pi][ci] = v
+		}
+	}
+	return out, nil
 }
 
 // Table2Figure4 regenerates the heterogeneity study: per-policy error

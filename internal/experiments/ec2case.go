@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/measure"
 	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 
 	ec2env "repro/internal/ec2"
 )
@@ -19,54 +17,19 @@ func (l *Lab) Figure12() (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	pressures := l.Cfg.pressures()
-	counts := ec2env.InterferingCounts()
-	var tables []*report.Table
-	for _, name := range ec2env.ValidationWorkloads() {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return Output{}, err
-		}
-		headers := []string{"pressure \\ nodes"}
-		for _, c := range counts {
-			headers = append(headers, fmt.Sprint(c))
-		}
-		tb := report.NewTable(fmt.Sprintf("Figure 12: %s on EC2 (32 VMs)", name), headers...)
-		b := env.NewBatch()
-		handles := make([][]*measure.Value, len(pressures))
-		for pi, p := range pressures {
-			handles[pi] = make([]*measure.Value, len(counts))
-			for ci, c := range counts {
-				ps, err := measure.HomogeneousPressures(ec2env.Nodes, c, p)
-				if err != nil {
-					return Output{}, err
-				}
-				handles[pi][ci] = b.Normalized(w, ps)
-			}
-		}
-		if err := b.Run(); err != nil {
-			return Output{}, err
-		}
-		for pi, p := range pressures {
-			row := []string{report.F(p, 0)}
-			for ci := range counts {
-				v, err := handles[pi][ci].Result()
-				if err != nil {
-					return Output{}, err
-				}
-				row = append(row, report.Norm(v))
-			}
-			tb.MustAddRow(row...)
-		}
-		tables = append(tables, tb)
+	tables, err := l.figure3(env, ec2env.Nodes, ec2env.InterferingCounts(), ec2env.ValidationWorkloads(), "Figure 12: %s on EC2 (32 VMs)")
+	if err != nil {
+		return Output{}, err
 	}
 	return Output{
 		ID:     "Figure 12",
 		Title:  "EC2 propagation curves under uncontrolled background interference",
 		Tables: tables,
 		Notes: []string{
-			"Same qualitative shapes as the private cluster (Fig. 3), noisier because of",
-			"unmeasured tenant interference that varies between runs.",
+			"TestFigure12Shapes asserts two of Fig. 3's shapes on quick labs at seeds 1-10: every app slows more at",
+			"the highest pressure than at the lowest, and M.Gems slows more with 24-32 interfering VMs than with 1-2.",
+			"It does not assert the high-propagation jump at one VM, which fails at some seeds, nor that cells read",
+			"at least 1.0: unmeasured tenant noise makes some read below 1.0, a spurious speed-up.",
 		},
 	}, nil
 }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/hetero"
+	"repro/internal/measure"
 )
 
 // The experiments are integration tests of the whole stack; they share one
@@ -283,6 +285,53 @@ func TestFigure11PlacementOrdering(t *testing.T) {
 		if best+0.02 < random {
 			t.Errorf("mix %s: model best %v should not lose to random %v", mixID, best, random)
 		}
+	}
+	// The energy table: the best placement wastes no more node-time than
+	// the worst, and every waste fraction is a fraction.
+	waste := out.Tables[2]
+	if waste.Rows() != perf.Rows() {
+		t.Fatalf("energy rows = %d, want one per mix (%d)", waste.Rows(), perf.Rows())
+	}
+	for r := 0; r < waste.Rows(); r++ {
+		mixID, _ := waste.Cell(r, 0)
+		best := cellFloat(t, waste, r, 1)
+		random := cellFloat(t, waste, r, 2)
+		worst := cellFloat(t, waste, r, 3)
+		if best > worst {
+			t.Errorf("mix %s: best placement wastes more (%v) than worst (%v)", mixID, best, worst)
+		}
+		for _, f := range []float64{best, random, worst} {
+			if f < 0 || f > 1 {
+				t.Errorf("mix %s: waste fraction %v out of [0, 1]", mixID, f)
+			}
+		}
+	}
+}
+
+// TestWasteAccounting pins the energy table's arithmetic: an app on u
+// units at normalized time T wastes u*(T-1) node-time, a time below 1
+// counts as 1, and the eliminated share is relative to the worse waste.
+func TestWasteAccounting(t *testing.T) {
+	p, err := cluster.PackedPlacement(4, 2, []cluster.Demand{{App: "A", Units: 4}, {App: "B", Units: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := waste(p, map[string]measure.AppOutcome{"A": {Normalized: 1.5}, "B": {Normalized: 1}})
+	if w.useful != 8 || w.waste != 2 || w.fraction() != 0.2 {
+		t.Errorf("account = %+v (fraction %v), want useful 8, waste 2, fraction 0.2", w, w.fraction())
+	}
+	if noise := waste(p, map[string]measure.AppOutcome{"A": {Normalized: 0.9}, "B": {Normalized: 1}}); noise.waste != 0 {
+		t.Errorf("normalized time below 1 wasted %v, want 0", noise.waste)
+	}
+	worse, better := wasted{useful: 8, waste: 4}, wasted{useful: 8, waste: 1}
+	if got := worse.eliminatedBy(better); got != 0.75 {
+		t.Errorf("eliminated = %v, want 0.75", got)
+	}
+	if got := better.eliminatedBy(worse); got >= 0 {
+		t.Errorf("a placement wasting more eliminated %v, want < 0", got)
+	}
+	if got := (wasted{}).eliminatedBy(better); got != 0 {
+		t.Errorf("zero-waste baseline eliminated %v, want 0", got)
 	}
 }
 

@@ -85,39 +85,19 @@ func TestExtraRunnersRegistered(t *testing.T) {
 		}
 	}
 	// Drift is measured on the daemon's verified decisions, not simulated
-	// by an extra.
-	if _, err := RunnerByID("drift"); err == nil {
-		t.Error(`RunnerByID("drift") resolved a deleted runner`)
+	// by an extra; the energy use-case is a table of Figure 11's output.
+	for _, id := range []string{"drift", "energy"} {
+		if _, err := RunnerByID(id); err == nil {
+			t.Errorf("RunnerByID(%q) resolved a deleted runner", id)
+		}
 	}
-	if n := len(ExtraRunners()); n != 6 {
-		t.Errorf("ExtraRunners() has %d entries, want 6", n)
+	if n := len(ExtraRunners()); n != 5 {
+		t.Errorf("ExtraRunners() has %d entries, want 5", n)
 	}
 	// Extras stay out of the paper-artifact list.
 	for _, r := range Runners() {
 		if strings.HasPrefix(r.ID, "ablation") || r.ID == "multiway" {
 			t.Errorf("extra runner %s leaked into paper artifacts", r.ID)
-		}
-	}
-}
-
-func TestEnergyRunner(t *testing.T) {
-	out, err := quickLab(t).Energy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	if tb.Rows() < 3 {
-		t.Fatalf("rows = %d", tb.Rows())
-	}
-	for r := 0; r < tb.Rows(); r++ {
-		best := cellFloat(t, tb, r, 1)
-		worst := cellFloat(t, tb, r, 3)
-		if best > worst {
-			mixID, _ := tb.Cell(r, 0)
-			t.Errorf("mix %s: best placement wastes more (%v) than worst (%v)", mixID, best, worst)
-		}
-		if best < 0 || worst > 1 {
-			t.Errorf("waste fractions out of range: %v, %v", best, worst)
 		}
 	}
 }

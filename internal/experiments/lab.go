@@ -308,7 +308,6 @@ func ExtraRunners() []Runner {
 		{"figure1", (*Lab).Figure1},
 		{"ablations", (*Lab).Ablations},
 		{"multiway", (*Lab).Multiway},
-		{"energy", (*Lab).Energy},
 		{"faults", (*Lab).FaultInjection},
 		{"fleet", (*Lab).Fleet},
 	}

@@ -336,7 +336,7 @@ func TestExchangeStartsFromCellPredictions(t *testing.T) {
 						all[i] = int32(i)
 					}
 					want := make([]float64, n)
-					if err := core.DeltaPredictPos(&e.grid, core.NewPostings(&e.grid, n), all, b.ix, nil, want); err != nil {
+					if err := core.DeltaPredictPos(&e.grid, core.NewPostings(&e.grid, n), all, b.ix, core.NewPredictionCache(), want); err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
 					for i, v := range want {
