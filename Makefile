@@ -28,9 +28,14 @@ ci:
 bench:
 	go run -C bench .
 
-# Regenerate EXPERIMENTS.md from the full experiment suite.
+# Regenerate EXPERIMENTS.md from the full experiment suite: the
+# hand-written part above `## Figure 2` stays, and everything from there
+# on is `paperrepro -markdown -extras` (the part ci.sh diffs).
 repro:
-	go run ./cmd/paperrepro -markdown -o EXPERIMENTS.md
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/paperrepro -markdown -extras -log-level warn -o "$$tmp/gen.md" && \
+	{ sed '/^## Figure 2 /,$$d' EXPERIMENTS.md; sed -n '/^## Figure 2 /,$$p' "$$tmp/gen.md"; } > "$$tmp/new.md" && \
+	mv "$$tmp/new.md" EXPERIMENTS.md
 
 # A fast sanity pass over every experiment.
 quick:

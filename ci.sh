@@ -102,7 +102,9 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 go build -o "$smokedir/interfd" ./cmd/interfd
 go build -o "$smokedir/loadgen" ./cmd/loadgen
-go build -o "$smokedir/paperrepro" ./cmd/paperrepro
+for tool in paperrepro placer interfsim profiler; do
+  go build -o "$smokedir/$tool" "./cmd/$tool"
+done
 
 echo "== EXPERIMENTS.md is what paperrepro prints =="
 # The checked-in results must be the code's: from the first artifact to
@@ -117,23 +119,41 @@ if ! diff -u "$smokedir/experiments.want" "$smokedir/experiments.got"; then
   exit 1
 fi
 
-echo "== interfd flag set =="
-# Drift and SLO tuning are constants: a deleted knob must not come back
-# quietly, and a run that passes one must fail rather than ignore it
-# (with -h after it, a flag that came back would exit 0 at once).
-want_flags="addr-file drift-audit faults listen log-format log-level mix profile-samples report rounds search-iters search-restarts seed serve-only serve-queue trace workers"
-got_flags="$("$smokedir/interfd" -h 2>&1 | awk '$1 ~ /^-/ { sub(/^-/, "", $1); print $1 }' | sort | tr '\n' ' ' | sed 's/ $//')"
-if [ "$got_flags" != "$want_flags" ]; then
-  echo "ci: interfd flags changed:" >&2
-  echo "  want: $want_flags" >&2
-  echo "  got:  $got_flags" >&2
-  exit 1
-fi
-if "$smokedir/interfd" -drift-threshold 0.2 -h >/dev/null 2>&1; then
-  echo "ci: interfd accepted the removed -drift-threshold flag" >&2
-  exit 1
-fi
-echo "interfd flag set: 17 flags, removed knobs rejected"
+echo "== flag sets (interfd and the four batch tools) =="
+# Drift and SLO tuning are interfd constants, and the batch tools report
+# once, at exit, with no live plane and no cache file: a deleted knob must
+# not come back quietly, and a run that passes one must fail rather than
+# ignore it (with -h after it, a flag that came back would exit 0 at once).
+flags_of() { "$smokedir/$1" -h 2>&1 | awk '$1 ~ /^-/ { sub(/^-/, "", $1); print $1 }' | sort | tr '\n' ' ' | sed 's/ $//'; }
+check_flags() {
+  got_flags="$(flags_of "$1")"
+  if [ "$got_flags" != "$2" ]; then
+    echo "ci: $1 flags changed:" >&2
+    echo "  want: $2" >&2
+    echo "  got:  $got_flags" >&2
+    exit 1
+  fi
+}
+reject_flag() {
+  if "$smokedir/$1" "-$2" x -h >/dev/null 2>&1; then
+    echo "ci: $1 accepted the removed -$2 flag" >&2
+    exit 1
+  fi
+}
+check_flags interfd "addr-file drift-audit faults listen log-format log-level mix profile-samples report rounds search-iters search-restarts seed serve-only serve-queue trace workers"
+check_flags paperrepro "extras log-format log-level markdown metrics o only quick seed trace workers"
+check_flags placer "apps bound goal iters log-format log-level metrics qos restarts seed trace"
+check_flags interfsim "ec2 faults interfering list log-format log-level metrics nodes pressure pressures seed trace workload"
+check_flags profiler "alg log-format log-level metrics nodes samples seed trace workers workload"
+reject_flag interfd drift-threshold
+for tool in paperrepro placer interfsim profiler; do
+  reject_flag "$tool" listen
+done
+reject_flag paperrepro measure-cache
+reject_flag profiler measure-cache
+reject_flag placer cells
+reject_flag placer exchange
+echo "flag sets: interfd 17 flags, batch tools 45, removed knobs rejected"
 
 echo "== self-driver smoke (same seed, same decision audit) =="
 # The daemon's own determinism contract, at the binary: three self-driven

@@ -7,7 +7,7 @@
 //	interfsim -workload M.lmps -nodes 8 -interfering 2 -pressure 6
 //	interfsim -workload M.milc -ec2 -nodes 32 -interfering 16 -pressure 4
 //	interfsim -workload M.lesl -pressures 8,5,0,0,3,0,0,0
-//	interfsim -workload M.lmps -metrics - -listen :9090
+//	interfsim -workload M.lmps -metrics -
 package main
 
 import (
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		list        = fs.Bool("list", false, "list available workloads and exit")
 		of          obs.Flags
 	)
-	of.Register(fs, true)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -140,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			env.HostDegrade = inj.DegradeFactor
 		}
 	}
-	o.Ready()
 
 	if len(pressures) > survivingHosts {
 		return fmt.Errorf("workload spans %d nodes but only %d hosts survive the fault plan",

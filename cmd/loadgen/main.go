@@ -363,7 +363,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		wait       = fs.Duration("wait", 30*time.Second, "how long to wait for the target to become ready")
 		of         obs.Flags
 	)
-	of.Register(fs, false) // a client: it has no plane of its own to serve
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -7,17 +7,15 @@
 //	placer -apps M.milc,C.libq,H.KM,M.lmps
 //	placer -apps M.lmps,C.libq,H.KM,N.cg -qos M.lmps -bound 1.25
 //	placer -apps M.milc,C.libq,H.KM,M.lmps -goal worst
-//	placer -apps M.milc,C.libq,H.KM,M.lmps -metrics - -trace - -listen :9090
+//	placer -apps M.milc,C.libq,H.KM,M.lmps -metrics - -trace -
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -52,12 +50,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		goalName = fs.String("goal", "best", "search goal: best or worst")
 		iters    = fs.Int("iters", 4000, "annealing iterations")
 		restarts = fs.Int("restarts", 0, "independent annealing restarts, run in parallel (0 = search default)")
-		cells    = fs.Int("cells", 0, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
-		exchange = fs.Int("exchange", 0, "cross-cell exchange proposals after the cell phase (0 = iters; needs cells > 1)")
 		seed     = fs.Int64("seed", 1, "experiment seed")
 		of       obs.Flags
 	)
-	of.Register(fs, true)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -124,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		scores[alias] = m.BubbleScore
 		demands = append(demands, cluster.Demand{App: alias, Units: unitsPerApp})
 	}
-	o.Ready()
 
 	req := placement.Request{
 		NumHosts: 8, SlotsPerHost: 2,
@@ -136,21 +131,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *restarts > 0 {
 		pcfg.Restarts = *restarts
 	}
-	pcfg.Cells = *cells
-	if *cells == 0 {
-		pcfg.Cells = placement.AdaptiveCells(req.NumHosts, runtime.GOMAXPROCS(0))
-	}
-	pcfg.ExchangeIters = *exchange
 	pcfg.Telemetry = reg
 	pcfg.Tracer = tracer
-	pcfg.OnProgress = func(s placement.ProgressSample) {
-		if s.Step%25 != 0 {
-			return
-		}
-		if data, err := json.Marshal(s); err == nil {
-			o.Bus.Publish("placement_sample", data)
-		}
-	}
 	if *qosApp != "" {
 		pcfg.QoS = &placement.QoS{App: *qosApp, MaxNormalized: *bound}
 	}

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	profiler -workload M.milc -alg binary-optimized -samples 60
-//	profiler -workload M.milc -metrics - -trace - -listen :9090
+//	profiler -workload M.milc -metrics - -trace -
 package main
 
 import (
@@ -39,16 +39,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("profiler", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		name      = fs.String("workload", "M.milc", "workload name")
-		algName   = fs.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
-		samples   = fs.Int("samples", 60, "heterogeneous samples for policy selection")
-		nodes     = fs.Int("nodes", 8, "nodes the application spans while profiled")
-		seed      = fs.Int64("seed", 1, "experiment seed")
-		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
-		cachePath = fs.String("measure-cache", "", "persist the measurement cache to this JSON file (loaded at start, saved at exit)")
-		of        obs.Flags
+		name    = fs.String("workload", "M.milc", "workload name")
+		algName = fs.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
+		samples = fs.Int("samples", 60, "heterogeneous samples for policy selection")
+		nodes   = fs.Int("nodes", 8, "nodes the application spans while profiled")
+		seed    = fs.Int64("seed", 1, "experiment seed")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
+		of      obs.Flags
 	)
-	of.Register(fs, true)
+	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,11 +79,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	env.Workers = *workers
 	cache := measure.NewCache()
 	env.Cache = cache
-	if *cachePath != "" {
-		if err := cache.LoadFile(*cachePath); err != nil {
-			return err
-		}
-	}
 	cfg := core.DefaultBuildConfig()
 	cfg.Algorithm = alg
 	cfg.Samples = *samples
@@ -97,16 +91,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	o.Ready()
 	logger.Info("model built", "workload", model.Workload,
 		"bubble_score", model.BubbleScore, "policy", model.Policy.String())
 	logger.Info("measurement cache", "hits", cache.Hits(), "misses", cache.Misses(), "entries", cache.Len())
-	if *cachePath != "" {
-		if err := cache.SaveFile(*cachePath); err != nil {
-			return err
-		}
-		logger.Info("measurement cache saved", "path", *cachePath)
-	}
 
 	out.KV("workload", "%s", model.Workload)
 	out.KV("bubble score", "%.2f (paper: %.1f)", model.BubbleScore, w.TargetBubbleScore)

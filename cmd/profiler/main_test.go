@@ -72,16 +72,12 @@ func TestRejectsBadInputBeforeProfiling(t *testing.T) {
 }
 
 // TestFailedRunStillWritesMetrics: a run that fails after it opened (here
-// on a corrupt measurement-cache file) still closes — the -metrics report
-// is on disk.
+// on -nodes 0, which the model build rejects) still closes — the -metrics
+// report is on disk.
 func TestFailedRunStillWritesMetrics(t *testing.T) {
-	dir := t.TempDir()
-	cache, metrics := filepath.Join(dir, "cache.json"), filepath.Join(dir, "m.json")
-	if err := os.WriteFile(cache, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cli("-samples", "6", "-measure-cache", cache, "-metrics", metrics, "-log-level", "error"); err == nil {
-		t.Fatal("corrupt measurement cache: accepted")
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	if _, _, err := cli("-samples", "6", "-nodes", "0", "-metrics", metrics, "-log-level", "error"); err == nil {
+		t.Fatal("-nodes 0: accepted")
 	}
 	raw, err := os.ReadFile(metrics)
 	if err != nil {

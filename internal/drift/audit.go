@@ -137,9 +137,8 @@ func (l *AuditLog) WriteJSONL(w io.Writer) error {
 }
 
 // SaveFile writes the JSONL audit to path atomically — temp file in the
-// same directory, then rename, the same crash-safe pattern as
-// measure.Cache.SaveFile — so a drain interrupted mid-write never leaves a
-// truncated decision log. An empty path is a no-op.
+// same directory, then rename — so a drain interrupted mid-write never
+// leaves a truncated decision log. An empty path is a no-op.
 func (l *AuditLog) SaveFile(path string) error {
 	if path == "" {
 		return nil

@@ -119,8 +119,7 @@ type Lab struct {
 	// Cache is the content-addressed measurement cache shared by every
 	// environment the lab creates, so overlapping settings across
 	// experiment families (Figure 12 / Table 6 / Figure 13, the Table 3
-	// algorithm comparison, ...) are measured once. It can be persisted
-	// across runs with measure.Cache.SaveFile/LoadFile.
+	// algorithm comparison, ...) are measured once.
 	Cache *measure.Cache
 
 	mu      sync.Mutex
@@ -352,7 +351,7 @@ func (l *Lab) RunAll() ([]Output, error) {
 }
 
 // PlacementConfig returns the placement-search configuration for the given
-// seed, carrying the lab's telemetry so annealing convergence is recorded
+// seed, carrying the lab's telemetry so the search counters are recorded
 // when the lab is instrumented.
 func (l *Lab) PlacementConfig(seed int64) placement.Config {
 	cfg := placement.DefaultConfig(seed)

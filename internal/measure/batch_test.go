@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -216,45 +214,6 @@ func TestBatchConcurrentEnvUse(t *testing.T) {
 	for g, got := range results {
 		assertSame(t, "goroutine", got, want)
 		_ = g
-	}
-}
-
-// TestCacheFileRoundTrip: a cache persisted to disk and loaded into a
-// fresh env with the same fingerprint must satisfy the whole suite without
-// a single new measurement, with byte-identical values.
-func TestCacheFileRoundTrip(t *testing.T) {
-	e1 := newBatchEnv(t, 2, false)
-	want := runBatched(t, e1)
-	path := filepath.Join(t.TempDir(), "measure-cache.json")
-	if err := e1.Cache.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := newBatchEnv(t, 2, false)
-	if err := e2.Cache.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got := runBatched(t, e2)
-	assertSame(t, "reloaded", got, want)
-	if m := e2.Cache.Misses(); m != 0 {
-		t.Errorf("reloaded cache took %d misses, want 0", m)
-	}
-	if e2.Cache.Hits() == 0 {
-		t.Error("reloaded cache recorded no hits")
-	}
-
-	// Loading a missing file is a silent no-op, not an error, and so is
-	// loading a version-1 file, whose plain-text keys are not digests.
-	e3 := newBatchEnv(t, 1, false)
-	if err := e3.Cache.LoadFile(filepath.Join(t.TempDir(), "absent.json")); err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(t.TempDir(), "v1.json")
-	if err := os.WriteFile(old, []byte(`{"version":1,"entries":{"v1|seed=77|bubbles|n=8":[1.5]}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e3.Cache.LoadFile(old); err != nil || e3.Cache.Len() != 0 {
-		t.Errorf("version-1 file: err %v, %d entries loaded; want a silent no-op", err, e3.Cache.Len())
 	}
 }
 

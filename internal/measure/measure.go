@@ -89,9 +89,9 @@ type Env struct {
 	// Cache, when non-nil, memoizes whole measurements content-addressed
 	// by (environment fingerprint, measurement kind, workload, pressure
 	// vector / co-runner set, nodes) — see docs/PERFORMANCE.md for the
-	// key scheme. It may be shared by several environments and persisted
-	// to disk between runs. Caching is disabled while HostDegrade is set:
-	// fault-injected degradation makes measurements time-varying.
+	// key scheme. It may be shared by several environments. Caching is
+	// disabled while HostDegrade is set: fault-injected degradation makes
+	// measurements time-varying.
 	Cache *Cache
 
 	mu        sync.Mutex
@@ -220,7 +220,7 @@ func (e *Env) workerCount() int {
 
 // fingerprint identifies everything a measurement's outcome depends on
 // besides the request itself; it leads every content-cache key so one
-// Cache can safely serve several environments (and survive on disk).
+// Cache can safely serve several environments.
 // Background interference is fingerprinted by presence only: entries made
 // under background interference are keyed to the first nonce that computed
 // them (see docs/PERFORMANCE.md). It is the SHA-256 of the rendering,

@@ -5,50 +5,31 @@ import (
 	"errors"
 	"flag"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// probe returns the HTTP status of GET url.
-func probe(t *testing.T, url string) int {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // TestBatchRunLifecycle drives the shared CLI prologue end to end: flags
-// register → Start → Ready → Close, with and without a plane, on a clean
-// and on a failed run.
+// register → Start → Close, on a clean and on a failed run.
 func TestBatchRunLifecycle(t *testing.T) {
 	boom := errors.New("run failed")
 	for _, tc := range []struct {
 		name   string
-		listen bool  // register and set -listen
 		runErr error // what the tool's run body returned
 	}{
-		{"no plane, clean run", false, nil},
-		{"plane, clean run", true, nil},
-		{"plane, failed run", true, boom},
+		{"clean run", nil},
+		{"failed run", boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
 			args := []string{"-metrics", metrics, "-trace", trace, "-log-format", "json", "-log-level", "debug"}
-			if tc.listen {
-				args = append(args, "-listen", "127.0.0.1:0")
-			}
 			var f Flags
 			fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			f.Register(fs, tc.listen)
+			f.Register(fs)
 			if err := fs.Parse(args); err != nil {
 				t.Fatal(err)
 			}
@@ -59,23 +40,7 @@ func TestBatchRunLifecycle(t *testing.T) {
 			}
 			r.Registry.Counter("work_total").Add(3)
 			r.Tracer.StartSpan("work").End()
-
-			var base string
-			if tc.listen {
-				base = "http://" + r.plane.Addr
-				if got := probe(t, base+"/readyz"); got != http.StatusServiceUnavailable {
-					t.Errorf("/readyz before Ready = %d, want 503", got)
-				}
-				r.Ready()
-				if got := probe(t, base+"/readyz"); got != http.StatusOK {
-					t.Errorf("/readyz after Ready = %d, want 200", got)
-				}
-				if got := probe(t, base+"/api/report"); got != http.StatusOK {
-					t.Errorf("/api/report = %d, want 200", got)
-				}
-			} else {
-				r.Ready() // a no-op without a plane
-			}
+			r.Logger.Info("working")
 
 			err = tc.runErr
 			r.Close(&err)
@@ -102,16 +67,8 @@ func TestBatchRunLifecycle(t *testing.T) {
 			if raw, err := os.ReadFile(trace); err != nil || !strings.Contains(string(raw), `"work"`) {
 				t.Errorf("trace dump: err %v, content %s", err, raw)
 			}
-			if tc.listen {
-				if !strings.Contains(logs.String(), `"msg":"observability plane listening"`) {
-					t.Errorf("logger is not the JSON logger on stderr: %s", logs.String())
-				}
-				// Close freed the port.
-				ln, err := net.Listen("tcp", r.plane.Addr)
-				if err != nil {
-					t.Fatalf("port still held after Close: %v", err)
-				}
-				ln.Close()
+			if !strings.Contains(logs.String(), `"msg":"working"`) {
+				t.Errorf("logger is not the JSON logger on stderr: %s", logs.String())
 			}
 		})
 	}
@@ -125,9 +82,6 @@ func TestBatchRunRejectsAndReports(t *testing.T) {
 		if _, err := f.Start("tool", 1, nil, io.Discard); err == nil {
 			t.Errorf("%+v: Start accepted", f)
 		}
-	}
-	if _, err := (&Flags{Listen: "256.0.0.1:bad"}).Start("tool", 1, nil, io.Discard); err == nil {
-		t.Error("unbindable -listen: Start accepted")
 	}
 
 	f := Flags{Metrics: filepath.Join(t.TempDir(), "no", "such", "dir", "m.json")}
@@ -151,8 +105,7 @@ func TestBatchRunRejectsAndReports(t *testing.T) {
 }
 
 // TestRegisterLoggingIsTheSharedSubset: the daemon's subset registers
-// exactly -trace, -log-format and -log-level; the batch set adds -metrics
-// and, on request, -listen.
+// exactly -trace, -log-format and -log-level; the batch set adds -metrics.
 func TestRegisterLoggingIsTheSharedSubset(t *testing.T) {
 	names := func(register func(*flag.FlagSet)) string {
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
@@ -165,10 +118,7 @@ func TestRegisterLoggingIsTheSharedSubset(t *testing.T) {
 	if got := names(f.RegisterLogging); got != "log-format log-level trace" {
 		t.Errorf("RegisterLogging registered %q", got)
 	}
-	if got := names(func(fs *flag.FlagSet) { f.Register(fs, false) }); got != "log-format log-level metrics trace" {
-		t.Errorf("Register(false) registered %q", got)
-	}
-	if got := names(func(fs *flag.FlagSet) { f.Register(fs, true) }); got != "listen log-format log-level metrics trace" {
-		t.Errorf("Register(true) registered %q", got)
+	if got := names(f.Register); got != "log-format log-level metrics trace" {
+		t.Errorf("Register registered %q", got)
 	}
 }

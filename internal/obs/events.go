@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Event is one observability-plane notification: a placement-search
-// convergence sample, a scheduler job completion, a daemon round marker.
+// Event is one observability-plane notification: a verified placement
+// decision, a drift or SLO alert, an injected fault.
 // Data must be JSON-marshalable; the SSE handler encodes it verbatim.
 type Event struct {
 	Seq  uint64 `json:"seq"`

@@ -2,9 +2,8 @@
 // HTTP server exposing Prometheus metrics, health and readiness probes,
 // live RunReport and span snapshots, a Server-Sent-Events stream of
 // simulation events, and the net/http/pprof profilers — plus the shared
-// slog-based structured logging the cmd/ tools use. The batch binaries
-// serve the plane for the duration of a run via their -listen flag;
-// cmd/interfd serves it continuously.
+// slog-based structured logging the cmd/ tools use. cmd/interfd serves
+// the plane; the batch tools report once, at exit.
 //
 // The package is standard-library-only and imports only internal/telemetry,
 // so any layer above the simulation kernel can embed it.
@@ -79,8 +78,8 @@ func New(opts Options) *Server {
 	return &Server{opts: opts, log: log}
 }
 
-// SetReady flips the /readyz probe: the daemon and the batch tools call
-// SetReady(true) once their models are built and the run is live.
+// SetReady flips the /readyz probe: the daemon calls SetReady(true) once
+// its models are built and it serves.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Ready reports the current readiness state.

@@ -68,7 +68,6 @@ func TestMetricsUnderConcurrentScrapes(t *testing.T) {
 		defer writer.Done()
 		c := reg.Counter("chaos_total")
 		h := reg.Histogram("chaos_seconds", []float64{1, 2, 4})
-		s := reg.Series("chaos_trace")
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -78,9 +77,6 @@ func TestMetricsUnderConcurrentScrapes(t *testing.T) {
 			c.Inc()
 			reg.Gauge(telemetry.Label("chaos_gauge", "i", fmt.Sprint(i%7))).Set(float64(i))
 			h.Observe(float64(i % 5))
-			if i%100 == 0 {
-				s.Append(float64(i), float64(i))
-			}
 		}
 	}()
 
@@ -181,7 +177,7 @@ func TestSSEDeliveryAndDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	bus.Publish("placement_sample", map[string]any{"step": 1, "best": 1.25})
+	bus.Publish("decision", map[string]any{"request": "r-1", "objective": 1.25})
 	bus.Publish("job_completed", map[string]any{"job_id": 42})
 
 	reader := bufio.NewReader(resp.Body)
@@ -200,7 +196,7 @@ func TestSSEDeliveryAndDisconnect(t *testing.T) {
 			payloads = append(payloads, strings.TrimPrefix(line, "data: "))
 		}
 	}
-	if types[0] != "placement_sample" || types[1] != "job_completed" {
+	if types[0] != "decision" || types[1] != "job_completed" {
 		t.Errorf("event types = %v", types)
 	}
 	for _, p := range payloads {

@@ -119,17 +119,12 @@ func (p *problem) sample(ws *workspace, rng *sim.RNG) error {
 	return cluster.SampleCells(rng, g.Cells(), ws.perm, p.slots, p.limit, ws.units, p.down, 0)
 }
 
-// bestSnap is the comparable skeleton of a best-so-far state, recorded
-// per step so multi-restart telemetry can be replayed in serial order.
+// bestSnap is the comparable skeleton of a best-so-far state, the part
+// restart merging compares.
 type bestSnap struct {
 	obj   float64
 	qosOK bool
 }
-
-// stepEmit receives one annealing step: the iteration index within the
-// restart, the temperature after cooling, and the restart-local best at
-// the top of the step (before the step's proposal is processed).
-type stepEmit func(it int, temp float64, bs bestSnap)
 
 // bestState is the compact best-so-far record of one walk: the
 // objective/feasibility skeleton plus raw grid cells and predictions,
@@ -174,13 +169,11 @@ func (t *tally) add(o *tally) {
 }
 
 // restartOutcome is everything one restart produces: its workspace
-// (holding the compact local best), its tally, and (when recording) the
-// per-step best snapshots for deterministic replay.
+// (holding the compact local best) and its tally.
 type restartOutcome struct {
 	tally
-	ws    *workspace
-	bests []bestSnap
-	err   error
+	ws  *workspace
+	err error
 }
 
 // betterSnap reports whether cand should replace best under the
@@ -439,11 +432,8 @@ func (w *walk) finish(temp float64) {
 }
 
 // runRestart executes one independent annealing restart of p on the
-// stream seeded by seed. When record is true it fills o.bests with one
-// snapshot per step; when live is non-nil it additionally emits each
-// step as it happens (used for restart 0, whose steps lead the serial
-// order). The caller owns o.ws.
-func runRestart(p *problem, cfg *Config, sign float64, seed int64, record bool, live stepEmit) (o restartOutcome) {
+// stream seeded by seed. The caller owns o.ws.
+func runRestart(p *problem, cfg *Config, sign float64, seed int64) (o restartOutcome) {
 	span := cfg.Tracer.StartSpan("placement.restart")
 	defer span.End()
 
@@ -459,19 +449,10 @@ func runRestart(p *problem, cfg *Config, sign float64, seed int64, record bool, 
 	if o.err = w.begin(ws, p, cfg, sign); o.err != nil {
 		return o
 	}
-	if record {
-		o.bests = make([]bestSnap, cfg.Iterations)
-	}
 	temp := cfg.InitTemp
 	slots := p.hosts * p.slots
 	for it := 0; it < cfg.Iterations; it++ {
 		temp *= cfg.CoolRate
-		if record {
-			o.bests[it] = ws.best.snap()
-		}
-		if live != nil {
-			live(it, temp, ws.best.snap())
-		}
 		// Propose: swap two slots holding different contents.
 		a := r.Intn(slots)
 		b := r.Intn(slots)
@@ -496,18 +477,13 @@ func runRestart(p *problem, cfg *Config, sign float64, seed int64, record bool, 
 // NewRNG(seed).Stream("placement").StreamN("restart", i), fanned out one
 // worker each — and returns their outcomes in restart order plus the
 // index of the winner (ties keep the earlier restart, as a serial sweep's
-// strict-improvement rule does). live applies to restart 0, whose steps
-// lead the serial order. The caller reads the winner's best state from
-// outs[win].ws and must releaseOutcomes(outs), error or not.
-func anneal(p *problem, cfg *Config, sign float64, seed int64, record bool, live stepEmit) (outs []restartOutcome, win int, err error) {
+// strict-improvement rule does). The caller reads the winner's best
+// state from outs[win].ws and must releaseOutcomes(outs), error or not.
+func anneal(p *problem, cfg *Config, sign float64, seed int64) (outs []restartOutcome, win int, err error) {
 	rng := sim.NewRNG(seed).Stream("placement")
 	outs = make([]restartOutcome, cfg.Restarts)
 	sim.FanOut(cfg.Restarts, cfg.Restarts, func(i int) {
-		emit := live
-		if i > 0 {
-			emit = nil
-		}
-		outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed(), record, emit)
+		outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed())
 	})
 	for i := range outs {
 		if outs[i].err != nil {

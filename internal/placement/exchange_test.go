@@ -289,43 +289,6 @@ func TestExchangeWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCells: the cmd-level sizing helper must keep small
-// clusters flat, and on large ones produce a cell count Search accepts
-// with at least adaptiveMinCellHosts hosts per cell.
-func TestAdaptiveCells(t *testing.T) {
-	for _, workers := range []int{0, 1, 4, 64} {
-		for _, hosts := range []int{1, 8, 64, 255} {
-			if got := AdaptiveCells(hosts, workers); got != 1 {
-				t.Errorf("AdaptiveCells(%d, %d) = %d, want 1 (flat below %d hosts)", hosts, workers, got, adaptiveFlatBelow)
-			}
-		}
-		for _, hosts := range []int{256, 300, 1000, 5000, 10000, 100000} {
-			got := AdaptiveCells(hosts, workers)
-			if got < 2 || got > hosts {
-				t.Fatalf("AdaptiveCells(%d, %d) = %d out of [2, hosts]", hosts, workers, got)
-			}
-			if hosts/got < adaptiveMinCellHosts {
-				t.Errorf("AdaptiveCells(%d, %d) = %d leaves %d hosts/cell, want >= %d", hosts, workers, got, hosts/got, adaptiveMinCellHosts)
-			}
-		}
-	}
-	// Search must accept the adaptive output on a real request.
-	spec := propFleetSpec()
-	spec.TotalHosts = 300
-	f, err := fleet.Generate(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := fleetRequest(t, spec, f.DownAt(0), 42, 12)
-	cells := AdaptiveCells(spec.TotalHosts, 4)
-	if cells < 2 {
-		t.Fatalf("AdaptiveCells(300, 4) = %d, want >= 2", cells)
-	}
-	if _, err := Search(req, Config{Iterations: 20, Seed: 1, Restarts: 1, Cells: cells, ExchangeIters: 20, ExchangeWorkers: 2}); err != nil {
-		t.Fatalf("Search rejected adaptive cell count %d: %v", cells, err)
-	}
-}
-
 // postingsEqual compares two postings' segment layouts and positions.
 // Postings keeps them unexported, so this reads them by reflection.
 func postingsEqual(a, b *core.Postings) bool {

@@ -273,7 +273,7 @@ func searchCell(b *bound, cfg *Config, sign float64, hosts []int, demand []appUn
 			p.qos, p.qosIdx = b.qos, int32(j)
 		}
 	}
-	outs, win, err := anneal(&p, cfg, sign, seed, false, nil)
+	outs, win, err := anneal(&p, cfg, sign, seed)
 	defer releaseOutcomes(outs)
 	if err != nil {
 		o.err = err

@@ -191,8 +191,6 @@ type Config struct {
 	// units between cells through the same incremental delta/undo
 	// machinery, merged deterministically in cell order. 0 or 1 runs the
 	// flat single-list search, bit-identical to the pre-cell engine.
-	// The hierarchical path reports aggregate telemetry counters only —
-	// no per-step convergence series or OnProgress samples.
 	Cells int
 	// ExchangeIters is the number of cross-cell exchange proposals run
 	// after the cell phase (hierarchical search only; 0 defaults to
@@ -207,28 +205,13 @@ type Config struct {
 	// validation error.
 	ExchangeWorkers int
 
-	// Telemetry, when non-nil, receives the search counters, acceptance
-	// rate, and the convergence series named by the Metric* constants
-	// (one sample per temperature step). Tracer, when non-nil, receives
-	// one span per restart. Both are ignored when nil and never affect
-	// the search trajectory, which depends only on Seed.
+	// Telemetry, when non-nil, receives the search counters and the
+	// closing gauges named by the Metric* constants once the search
+	// ends. Tracer, when non-nil, receives one span per restart. Both
+	// are ignored when nil and never affect the search trajectory, which
+	// depends only on Seed.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-
-	// OnProgress, when non-nil, is called once per annealing step with
-	// the live convergence state — the hook the observability plane's
-	// event stream consumes. Like Telemetry, it only reads search state
-	// and must never feed back into the trajectory.
-	OnProgress func(ProgressSample)
-}
-
-// ProgressSample is one step of the search as reported to
-// Config.OnProgress.
-type ProgressSample struct {
-	Restart       int     `json:"restart"`
-	Step          int     `json:"step"` // global step index across restarts
-	Temperature   float64 `json:"temperature"`
-	BestObjective float64 `json:"best_objective"`
 }
 
 // Metric names recorded by Search when Config.Telemetry is set.
@@ -263,58 +246,11 @@ const (
 	MetricExchangeAccepted       = "placement_exchange_accepted_total"
 	MetricExchangeConflicts      = "placement_exchange_conflicts_total"
 	MetricExchangeBatchOccupancy = "placement_exchange_batch_occupancy"
-	// SeriesTemperature and SeriesBestObjective are convergence series:
-	// x is the global step index across restarts, y the temperature and
-	// the best objective seen so far, respectively.
-	SeriesTemperature   = "placement_temperature"
-	SeriesBestObjective = "placement_best_objective_trace"
 )
 
 // DefaultConfig returns the tuning used by the experiments.
 func DefaultConfig(seed int64) Config {
 	return Config{Iterations: 4000, InitTemp: 0.5, Seed: seed, Restarts: 3}
-}
-
-// Adaptive cell sizing (AdaptiveCells): fleets below the flat threshold
-// search flat (the paper-scale 8/32-host configurations must keep their
-// golden trajectories), larger fleets target ~128 hosts per cell, and
-// the cell count is raised toward the worker count — never past one
-// cell per 64 hosts — so the parallel cell phase can keep every worker
-// busy.
-const (
-	adaptiveFlatBelow       = 256
-	adaptiveTargetCellHosts = 128
-	adaptiveMinCellHosts    = 64
-)
-
-// AdaptiveCells derives a cell count from the fleet size and available
-// workers — the Cells=0 "pick for me" policy cmd/placer uses. It is
-// deliberately not applied inside Search itself: the library contract is
-// that Cells=0 runs the flat search bit-identically to the pre-cell
-// engine, so opting into sizing is the caller's choice.
-//
-// The formula: numHosts < 256 → 1 (flat); otherwise
-// max(numHosts/128, min(workers, numHosts/64)), clamped to [2,
-// numHosts].
-func AdaptiveCells(numHosts, workers int) int {
-	if numHosts < adaptiveFlatBelow {
-		return 1
-	}
-	cells := numHosts / adaptiveTargetCellHosts
-	if workers > cells {
-		if m := numHosts / adaptiveMinCellHosts; workers < m {
-			cells = workers
-		} else {
-			cells = m
-		}
-	}
-	if cells < 2 {
-		cells = 2
-	}
-	if cells > numHosts {
-		cells = numHosts
-	}
-	return cells
 }
 
 // Result is the outcome of a placement search.
@@ -411,13 +347,6 @@ func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 // independent trajectory on its own derived RNG stream, so the restarts
 // run in parallel (one goroutine each) and are merged in restart order —
 // the Result is bit-identical to a serial sweep for a given seed.
-//
-// Telemetry series and OnProgress samples are emitted live for the
-// first restart (whose steps lead the serial order) and replayed in
-// deterministic serial order for the remaining restarts once they have
-// joined — so multi-restart progress for restarts beyond the first
-// arrives only after the search completes, with values identical to a
-// serial run.
 func Search(req Request, cfg Config) (Result, error) {
 	b, err := bind(req)
 	if err != nil {
@@ -486,37 +415,7 @@ func Search(req Request, cfg Config) (Result, error) {
 // searchFlat is the flat search: the whole request as one problem, no
 // exchange phase.
 func searchFlat(b *bound, cfg *Config, sign float64) (Result, error) {
-	record := cfg.Telemetry != nil || cfg.OnProgress != nil
-
-	// Optional telemetry; everything stays nil on an uninstrumented
-	// search so the restarts pay nothing.
-	var tempSeries, bestSeries *telemetry.Series
-	if cfg.Telemetry != nil {
-		tempSeries = cfg.Telemetry.Series(SeriesTemperature)
-		bestSeries = cfg.Telemetry.Series(SeriesBestObjective)
-	}
-	// emit publishes one step of one restart with the merged
-	// best-so-far snapshot a serial run would have seen at that step.
-	emit := func(restart, it int, temp float64, bs bestSnap) {
-		step := restart*cfg.Iterations + it + 1
-		if tempSeries != nil {
-			tempSeries.Append(float64(step), temp)
-			bestSeries.Append(float64(step), bs.obj)
-		}
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(ProgressSample{
-				Restart: restart, Step: step,
-				Temperature: temp, BestObjective: bs.obj,
-			})
-		}
-	}
-	// Restart 0's steps lead the serial order, so it can emit live (its
-	// local best IS the merged best).
-	var live stepEmit
-	if record {
-		live = func(it int, temp float64, bs bestSnap) { emit(0, it, temp, bs) }
-	}
-	outs, win, err := anneal(&b.problem, cfg, sign, cfg.Seed, record, live)
+	outs, win, err := anneal(&b.problem, cfg, sign, cfg.Seed)
 	defer releaseOutcomes(outs)
 	if err != nil {
 		return Result{}, err
@@ -533,27 +432,6 @@ func searchFlat(b *bound, cfg *Config, sign float64) (Result, error) {
 	}
 	best.Evaluations = sum.evals
 	best.CombineHits, best.CombineMisses = sum.chits, sum.cmisses
-
-	// Replay the buffered restarts in serial order, merging each step's
-	// restart-local best with the best of all earlier restarts.
-	if record && cfg.Restarts > 1 {
-		merged := outs[0].ws.best.snap()
-		for r := 1; r < cfg.Restarts; r++ {
-			temp := cfg.InitTemp
-			for it := 0; it < cfg.Iterations; it++ {
-				temp *= cfg.CoolRate
-				bs := outs[r].bests[it]
-				if !betterSnap(cfg.QoS != nil, sign, bs, merged) {
-					bs = merged
-				}
-				emit(r, it, temp, bs)
-			}
-			fin := outs[r].ws.best.snap()
-			if betterSnap(cfg.QoS != nil, sign, fin, merged) {
-				merged = fin
-			}
-		}
-	}
 
 	if cfg.Telemetry != nil {
 		sum.finalTemp = outs[cfg.Restarts-1].finalTemp

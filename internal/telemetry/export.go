@@ -75,7 +75,6 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string][]Sample          `json:"series,omitempty"`
 }
 
 // Snapshot copies the registry's current state.
@@ -84,7 +83,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-		Series:     map[string][]Sample{},
 	}
 	r.mu.RLock()
 	counters := make(map[string]*Counter, len(r.counters))
@@ -99,10 +97,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	series := make(map[string]*Series, len(r.series))
-	for k, v := range r.series {
-		series[k] = v
-	}
 	quantile := r.quantile // append-only: the elements under this header never change
 	r.mu.RUnlock()
 	for k, c := range counters {
@@ -115,9 +109,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[k] = HistogramSnapshot{
 			Uppers: h.Uppers(), Counts: h.BucketCounts(), Count: h.Count(), Sum: h.Sum(),
 		}
-	}
-	for k, s := range series {
-		snap.Series[k] = s.Points()
 	}
 	for _, name := range quantile {
 		if h := snap.Histograms[name]; h.Count > 0 {
@@ -262,9 +253,8 @@ func promFloat(v float64) string {
 }
 
 // WritePrometheus writes counters, gauges, and histograms in the
-// Prometheus text exposition format. Series have no Prometheus equivalent
-// and are skipped (use the JSON exporter for them). Output is sorted by
-// metric name so it is deterministic.
+// Prometheus text exposition format. Output is sorted by metric name so
+// it is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
 	r.mu.RLock()

@@ -29,9 +29,6 @@ func goldenRegistry() *Registry {
 	}
 	hl := reg.Histogram(Label("run_seconds", "engine", "bsp"), []float64{1, 2})
 	hl.Observe(1.5)
-	s := reg.Series("best_objective_trace")
-	s.Append(1, 4.5)
-	s.Append(2, 4.1)
 	reg.SetHelp("events_total", "Total events recorded by the golden registry.")
 	reg.SetHelp("runs_total", "Profiling runs by algorithm.")
 	reg.SetHelp("run_seconds", "Run wall time in seconds.")
@@ -220,9 +217,6 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 	if back.Metrics.Counters["events_total"] != 42 {
 		t.Errorf("counters did not survive the round trip: %v", back.Metrics.Counters)
-	}
-	if len(back.Metrics.Series["best_objective_trace"]) != 2 {
-		t.Errorf("series did not survive the round trip: %v", back.Metrics.Series)
 	}
 
 	rawT, err := os.ReadFile(trace)

@@ -1,6 +1,6 @@
 // Package telemetry is the repository's observability layer: a
-// concurrency-safe registry of named counters, gauges, fixed-bucket
-// histograms, and append-only series; a lightweight span tracer backed by a
+// concurrency-safe registry of named counters, gauges and fixed-bucket
+// histograms; a lightweight span tracer backed by a
 // ring buffer; and exporters to JSON and the Prometheus text format, plus a
 // RunReport that snapshots a whole experiment for the cmd/ tools.
 //
@@ -120,41 +120,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 	return out
 }
 
-// Sample is one (x, y) point of a Series.
-type Sample struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-// Series is an append-only sequence of samples — the registry's vehicle for
-// traces that need plotting later (annealing convergence, temperature
-// schedules). Series are exported to JSON but not to Prometheus.
-type Series struct {
-	mu  sync.Mutex
-	pts []Sample
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.mu.Lock()
-	s.pts = append(s.pts, Sample{X: x, Y: y})
-	s.mu.Unlock()
-}
-
-// Len returns the number of recorded points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pts)
-}
-
-// Points returns a copy of the recorded samples.
-func (s *Series) Points() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Sample(nil), s.pts...)
-}
-
 // Registry is a concurrency-safe collection of named metrics. The zero
 // value is not usable; construct with NewRegistry. Metric handles are
 // get-or-create: callers should look a handle up once and hold it across
@@ -164,7 +129,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	series   map[string]*Series
 	help     map[string]string
 	quantile []string // histograms whose quantile gauges Snapshot derives
 }
@@ -175,7 +139,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		series:   map[string]*Series{},
 		help:     map[string]string{},
 	}
 }
@@ -270,24 +233,6 @@ func (r *Registry) Histogram(name string, uppers []float64) *Histogram {
 	h = newHistogram(uppers)
 	r.hists[name] = h
 	return h
-}
-
-// Series returns the series with the given name, creating it on first use.
-func (r *Registry) Series(name string) *Series {
-	r.mu.RLock()
-	s, ok := r.series[name]
-	r.mu.RUnlock()
-	if ok {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.series[name]; ok {
-		return s
-	}
-	s = &Series{}
-	r.series[name] = s
-	return s
 }
 
 // Label renders a metric name with label pairs in Prometheus form:

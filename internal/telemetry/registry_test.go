@@ -24,7 +24,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				reg.Counter("shared_total").Inc()
 				reg.Gauge("hw").SetMax(float64(g*perG + i))
 				reg.Histogram("h", []float64{0.5}).Observe(float64(i % 2))
-				reg.Series("s").Append(float64(i), float64(g))
 			}
 		}(g)
 	}
@@ -39,9 +38,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	h := reg.Histogram("h", []float64{0.5})
 	if got := h.Count(); got != goroutines*perG {
 		t.Errorf("histogram lost observations: got %d, want %d", got, goroutines*perG)
-	}
-	if got := reg.Series("s").Len(); got != goroutines*perG {
-		t.Errorf("series lost points: got %d, want %d", got, goroutines*perG)
 	}
 }
 
@@ -60,9 +56,6 @@ func TestRegistryHandleIdentity(t *testing.T) {
 	}
 	if reg.Histogram("h", []float64{1}) != reg.Histogram("h", nil) {
 		t.Error("Histogram(h) returned two distinct handles")
-	}
-	if reg.Series("s") != reg.Series("s") {
-		t.Error("Series(s) returned two distinct handles")
 	}
 }
 
