@@ -10,7 +10,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// Ablations quantifies the design choices DESIGN.md section 5 calls out:
+// ablationsResult holds one measurement per design choice DESIGN.md
+// section 5 calls out:
 //
 //  1. propagation class is produced by the synchronization pattern, not by
 //     the memory profile — swapping the engine under a fixed profile flips
@@ -22,183 +23,151 @@ import (
 //     engine absorbs; and
 //  5. propagation modelling (the full model vs. the naive proportional
 //     baseline) is where the prediction accuracy comes from.
-func (l *Lab) Ablations() (Output, error) {
-	var tables []*report.Table
+type ablationsResult struct {
+	syncPattern, noise, syncDrag curves
+	taskEngine                   [][]float64 // [taskVariants][pressure 2, 5, 8]
+	modelVsNaive                 []modelVsNaive
+}
 
-	t1, err := l.ablationSyncPattern()
-	if err != nil {
-		return Output{}, err
+func (l *Lab) ablations() (*ablationsResult, error) {
+	r := &ablationsResult{}
+	var err error
+	if r.syncPattern, err = l.ablationSyncPattern(); err != nil {
+		return nil, err
 	}
-	t2, err := l.ablationNoise()
+	// Ablation 2: the per-iteration compute jitter of a BSP code.
+	r.noise, err = l.ablationSweep("Ablation 2: BSP compute noise sigma (M.milc, pressure 8); noise drives post-jump growth",
+		"milc-sigma-%v", "sigma=%.3f", []float64{0, 0.035, 0.10}, func(s *app.Spec, v float64) { s.NoiseSigma = v })
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	t3, err := l.ablationSyncDrag()
+	// Ablation 3: the collective straggler-drag term, without noise to
+	// isolate its effect.
+	r.syncDrag, err = l.ablationSweep("Ablation 3: collective sync drag (M.milc, pressure 8); the drag term is what N+1 max models",
+		"milc-drag-%v", "drag=%.2f", []float64{0, 0.12, 0.30}, func(s *app.Spec, v float64) { s.SyncDrag, s.NoiseSigma = v, 0 })
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	t4, err := l.ablationTaskEngine()
-	if err != nil {
-		return Output{}, err
+	if r.taskEngine, err = l.ablationTaskEngine(); err != nil {
+		return nil, err
 	}
-	t5, err := l.ablationModelVsNaive()
-	if err != nil {
-		return Output{}, err
+	if r.modelVsNaive, err = l.ablationModelVsNaive(); err != nil {
+		return nil, err
 	}
-	tables = append(tables, t1, t2, t3, t4, t5)
+	return r, nil
+}
+
+func (r ablationsResult) output() Output {
+	engine := report.NewTable(
+		"Ablation 4: task-engine speculation and locality (H.KM profile, one interfered node, by pressure)",
+		"variant", "p=2", "p=5", "p=8")
+	for i, v := range taskVariants {
+		row := []string{v.label}
+		for _, val := range r.taskEngine[i] {
+			row = append(row, report.Norm(val))
+		}
+		engine.MustAddRow(row...)
+	}
+	mvn := report.NewTable(
+		"Ablation 5: prediction error, full model vs. naive proportional baseline (heterogeneous samples)",
+		"workload", "model avg err(%)", "naive avg err(%)")
+	for _, m := range r.modelVsNaive {
+		mvn.MustAddRow(m.app, report.F(m.model, 2), report.F(m.naive, 2))
+	}
 	return Output{
 		ID:     "Ablations",
 		Title:  "Design-choice ablations (not a paper artifact)",
-		Tables: tables,
+		Tables: []*report.Table{r.syncPattern.table(), r.noise.table(), r.syncDrag.table(), engine, mvn},
 		Notes: []string{
 			"Each table isolates one mechanism of the substrate or the model;",
 			"see DESIGN.md section 5 for the design rationale they validate.",
 		},
-	}, nil
+	}
 }
 
-// curveAtPressure measures the normalized-time curve of a workload over
-// 0..8 interfering nodes of the lab's 8-node cluster at one pressure.
-func (l *Lab) curveAtPressure(w workloads.Workload, pressure float64) ([]float64, error) {
-	curves, err := propagation(l.Env, w, 8, privateCounts, []float64{pressure})
-	if err != nil {
-		return nil, err
+// ablationCurves measures each variant's normalized-time curve over 0..8
+// interfering nodes of the lab's 8-node cluster at pressure 8.
+func (l *Lab) ablationCurves(title string, labels []string, variants []workloads.Workload) (curves, error) {
+	c := curves{title: title, corner: "variant \\ interfering nodes", rows: labels, counts: privateCounts}
+	for _, w := range variants {
+		values, err := propagation(l.Env, w, 8, privateCounts, []float64{8})
+		if err != nil {
+			return curves{}, err
+		}
+		c.values = append(c.values, values[0])
 	}
-	return curves[0], nil
-}
-
-func curveRow(tb *report.Table, label string, curve []float64) {
-	row := []string{label}
-	for _, v := range curve {
-		row = append(row, report.Norm(v))
-	}
-	tb.MustAddRow(row...)
-}
-
-func curveHeaders() []string {
-	h := []string{"variant \\ interfering nodes"}
-	for k := 0; k <= 8; k++ {
-		h = append(h, fmt.Sprint(k))
-	}
-	return h
+	return c, nil
 }
 
 // ablationSyncPattern runs M.milc's memory profile under each engine.
-func (l *Lab) ablationSyncPattern() (*report.Table, error) {
+func (l *Lab) ablationSyncPattern() (curves, error) {
 	base, err := workloads.ByName("M.milc")
 	if err != nil {
-		return nil, err
+		return curves{}, err
 	}
 	km, err := workloads.ByName("H.KM")
 	if err != nil {
-		return nil, err
+		return curves{}, err
 	}
 	gems, err := workloads.ByName("M.Gems")
 	if err != nil {
-		return nil, err
+		return curves{}, err
 	}
-	tb := report.NewTable(
-		"Ablation 1: same memory profile (M.milc), different synchronization pattern (pressure 8)",
-		curveHeaders()...)
-	variants := []struct {
-		label string
-		spec  app.Spec
-	}{
-		{"BSP (original)", base.App},
-		{"Wavefront", func() app.Spec {
-			s := gems.App
-			s.Name = "milc-as-wavefront"
-			return s
-		}()},
-		{"TaskPool", func() app.Spec {
-			s := km.App
-			s.Name = "milc-as-taskpool"
-			return s
-		}()},
-	}
-	for _, v := range variants {
+	wave, pool := gems.App, km.App
+	wave.Name, pool.Name = "milc-as-wavefront", "milc-as-taskpool"
+	var variants []workloads.Workload
+	for _, spec := range []app.Spec{base.App, wave, pool} {
 		w := base
-		w.Name = v.spec.Name
-		w.App = v.spec
-		curve, err := l.curveAtPressure(w, 8)
-		if err != nil {
-			return nil, err
-		}
-		curveRow(tb, v.label, curve)
+		w.Name, w.App = spec.Name, spec
+		variants = append(variants, w)
 	}
-	return tb, nil
+	return l.ablationCurves("Ablation 1: same memory profile (M.milc), different synchronization pattern (pressure 8)",
+		[]string{"BSP (original)", "Wavefront", "TaskPool"}, variants)
 }
 
-// ablationNoise sweeps the per-iteration compute jitter of a BSP code.
-func (l *Lab) ablationNoise() (*report.Table, error) {
+// ablationSweep measures M.milc's curves at pressure 8 with one spec
+// parameter, which set applies, swept over vals; name and label format
+// each variant's workload name and row label from its value.
+func (l *Lab) ablationSweep(title, name, label string, vals []float64, set func(*app.Spec, float64)) (curves, error) {
 	base, err := workloads.ByName("M.milc")
 	if err != nil {
-		return nil, err
+		return curves{}, err
 	}
-	tb := report.NewTable(
-		"Ablation 2: BSP compute noise sigma (M.milc, pressure 8); noise drives post-jump growth",
-		curveHeaders()...)
-	for _, sigma := range []float64{0, 0.035, 0.10} {
+	var labels []string
+	var variants []workloads.Workload
+	for _, v := range vals {
 		w := base
-		w.App.NoiseSigma = sigma
-		w.App.Name = fmt.Sprintf("milc-sigma-%v", sigma)
+		set(&w.App, v)
+		w.App.Name = fmt.Sprintf(name, v)
 		w.Name = w.App.Name
-		curve, err := l.curveAtPressure(w, 8)
-		if err != nil {
-			return nil, err
-		}
-		curveRow(tb, fmt.Sprintf("sigma=%.3f", sigma), curve)
+		labels = append(labels, fmt.Sprintf(label, v))
+		variants = append(variants, w)
 	}
-	return tb, nil
+	return l.ablationCurves(title, labels, variants)
 }
 
-// ablationSyncDrag toggles the collective straggler-drag term.
-func (l *Lab) ablationSyncDrag() (*report.Table, error) {
-	base, err := workloads.ByName("M.milc")
-	if err != nil {
-		return nil, err
-	}
-	tb := report.NewTable(
-		"Ablation 3: collective sync drag (M.milc, pressure 8); the drag term is what N+1 max models",
-		curveHeaders()...)
-	for _, drag := range []float64{0, 0.12, 0.30} {
-		w := base
-		w.App.SyncDrag = drag
-		w.App.NoiseSigma = 0 // isolate the drag effect
-		w.App.Name = fmt.Sprintf("milc-drag-%v", drag)
-		w.Name = w.App.Name
-		curve, err := l.curveAtPressure(w, 8)
-		if err != nil {
-			return nil, err
-		}
-		curveRow(tb, fmt.Sprintf("drag=%.2f", drag), curve)
-	}
-	return tb, nil
+// taskVariants are ablation 4's speculation and locality settings.
+var taskVariants = []struct {
+	label       string
+	speculative bool
+	locality    float64
+}{
+	{"speculation on, locality 0.5 (original)", true, 0.5},
+	{"speculation off, locality 0.5", false, 0.5},
+	{"speculation off, locality 0.9", false, 0.9},
+	{"speculation on, locality 0.0", true, 0.0},
 }
 
 // ablationTaskEngine toggles speculation and locality on the Hadoop
-// engine.
-func (l *Lab) ablationTaskEngine() (*report.Table, error) {
+// engine; the result is indexed [variant][pressure 2, 5, 8].
+func (l *Lab) ablationTaskEngine() ([][]float64, error) {
 	base, err := workloads.ByName("H.KM")
 	if err != nil {
 		return nil, err
 	}
-	tb := report.NewTable(
-		"Ablation 4: task-engine speculation and locality (H.KM profile, one interfered node, by pressure)",
-		"variant", "p=2", "p=5", "p=8")
-	variants := []struct {
-		label       string
-		speculative bool
-		locality    float64
-	}{
-		{"speculation on, locality 0.5 (original)", true, 0.5},
-		{"speculation off, locality 0.5", false, 0.5},
-		{"speculation off, locality 0.9", false, 0.9},
-		{"speculation on, locality 0.0", true, 0.0},
-	}
 	b := l.Env.NewBatch()
-	handles := make([][]*measure.Value, len(variants))
-	for vi, v := range variants {
+	handles := make([][]*measure.Value, len(taskVariants))
+	for vi, v := range taskVariants {
 		w := base
 		w.App.Speculative = v.speculative
 		w.App.LocalityFrac = v.locality
@@ -216,34 +185,37 @@ func (l *Lab) ablationTaskEngine() (*report.Table, error) {
 	if err := b.Run(); err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
-		row := []string{v.label}
+	out := make([][]float64, len(taskVariants))
+	for vi := range handles {
 		for _, h := range handles[vi] {
 			val, err := h.Result()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, report.Norm(val))
+			out[vi] = append(out[vi], val)
 		}
-		tb.MustAddRow(row...)
 	}
-	return tb, nil
+	return out, nil
+}
+
+// modelVsNaive is one app's mean prediction error (percent) under the
+// full model and under the naive proportional baseline.
+type modelVsNaive struct {
+	app          string
+	model, naive float64
 }
 
 // ablationModelVsNaive compares prediction errors of the full model and
 // the naive proportional baseline over heterogeneous configurations.
-func (l *Lab) ablationModelVsNaive() (*report.Table, error) {
-	tb := report.NewTable(
-		"Ablation 5: prediction error, full model vs. naive proportional baseline (heterogeneous samples)",
-		"workload", "model avg err(%)", "naive avg err(%)")
-	names := []string{"M.milc", "M.Gems", "H.KM"}
+func (l *Lab) ablationModelVsNaive() ([]modelVsNaive, error) {
 	configs := [][]float64{
 		{7, 0, 0, 0, 0, 0, 0, 0},
 		{5, 5, 0, 0, 0, 0, 0, 0},
 		{8, 4, 2, 1, 0, 0, 0, 0},
 		{3, 3, 3, 3, 3, 3, 3, 3},
 	}
-	for _, name := range names {
+	var out []modelVsNaive
+	for _, name := range []string{"M.milc", "M.Gems", "H.KM"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
@@ -252,7 +224,7 @@ func (l *Lab) ablationModelVsNaive() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nm, err := l.Naive(name)
+		nm, err := l.naive(name)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +253,7 @@ func (l *Lab) ablationModelVsNaive() (*report.Table, error) {
 			modelErrs = append(modelErrs, stats.RelErrPct(mp, actual))
 			naiveErrs = append(naiveErrs, stats.RelErrPct(np, actual))
 		}
-		tb.MustAddRow(name, report.F(stats.Mean(modelErrs), 2), report.F(stats.Mean(naiveErrs), 2))
+		out = append(out, modelVsNaive{name, stats.Mean(modelErrs), stats.Mean(naiveErrs)})
 	}
-	return tb, nil
+	return out, nil
 }

@@ -12,11 +12,11 @@ func TestSharedCacheDedupAcrossExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.Figure12(); err != nil {
+	if _, err := lab.figure12(); err != nil {
 		t.Fatal(err)
 	}
 	hits := lab.Cache.Hits()
-	if _, err := lab.Table6(); err != nil {
+	if _, err := lab.table6(); err != nil {
 		t.Fatal(err)
 	}
 	if got := lab.Cache.Hits(); got <= hits {
@@ -38,8 +38,12 @@ func TestWorkerCountDoesNotChangeOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out string
-		for _, run := range []func() (Output, error){lab.Figure2, lab.Figure3, lab.Figure12, lab.Table6, lab.Figure13} {
-			o, err := run()
+		for _, id := range []string{"figure2", "figure3", "figure12", "table6", "figure13"} {
+			r, err := RunnerByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := r.Run(lab)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,78 +9,93 @@ import (
 	ec2env "repro/internal/ec2"
 )
 
-// Figure12 regenerates the EC2 propagation curves: normalized execution
+// figure12Result is Figure 12's curves, one per EC2 validation workload.
+type figure12Result []curves
+
+// figure12 regenerates the EC2 propagation curves: normalized execution
 // time of the four validation workloads with 0-32 interfering VMs at each
 // bubble pressure, under unmeasured background-tenant interference.
-func (l *Lab) Figure12() (Output, error) {
-	env, err := l.EC2Env()
+func (l *Lab) figure12() (figure12Result, error) {
+	env, err := l.ec2Env()
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	tables, err := l.figure3(env, ec2env.Nodes, ec2env.InterferingCounts(), ec2env.ValidationWorkloads(), "Figure 12: %s on EC2 (32 VMs)")
-	if err != nil {
-		return Output{}, err
-	}
+	return l.propagationCurves(env, ec2env.Nodes, ec2env.InterferingCounts(), ec2env.ValidationWorkloads(), "Figure 12: %s on EC2 (32 VMs)")
+}
+
+func (r figure12Result) output() Output {
 	return Output{
 		ID:     "Figure 12",
 		Title:  "EC2 propagation curves under uncontrolled background interference",
-		Tables: tables,
+		Tables: tables(r),
 		Notes: []string{
 			"TestFigure12Shapes asserts two of Fig. 3's shapes on quick labs at seeds 1-10: every app slows more at",
 			"the highest pressure than at the lowest, and M.Gems slows more with 24-32 interfering VMs than with 1-2.",
 			"It does not assert the high-propagation jump at one VM, which fails at some seeds, nor that cells read",
 			"at least 1.0: unmeasured tenant noise makes some read below 1.0, a spurious speed-up.",
 		},
-	}, nil
+	}
 }
 
-// Table6 regenerates the EC2 heterogeneity policy selection (100 samples
+// table6Result is each EC2 validation workload's policy search on EC2 and
+// on the private cluster.
+type table6Result struct{ ec2, private []appSelection }
+
+// table6 regenerates the EC2 heterogeneity policy selection (100 samples
 // per workload) with the expected accuracy degradation relative to the
 // private cluster.
-func (l *Lab) Table6() (Output, error) {
-	tb := report.NewTable("Table 6: best heterogeneity mapping policy on EC2",
-		"workload", "best policy", "avg error(%)", "std dev")
-	var ec2Errs, privErrs []float64
+func (l *Lab) table6() (*table6Result, error) {
+	r := &table6Result{}
 	for _, name := range ec2env.ValidationWorkloads() {
-		m, err := l.EC2Model(name)
+		m, err := l.ec2Model(name)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		tb.MustAddRow(name, m.Policy.String(),
-			report.F(m.Selection.BestStats.AvgPct, 2), report.F(m.Selection.BestStats.StdPct, 2))
-		ec2Errs = append(ec2Errs, m.Selection.BestStats.AvgPct)
 		pm, err := l.Model(name)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		privErrs = append(privErrs, pm.Selection.BestStats.AvgPct)
+		r.ec2 = append(r.ec2, appSelection{name, m.Selection})
+		r.private = append(r.private, appSelection{name, pm.Selection})
 	}
+	return r, nil
+}
+
+func (r table6Result) output() Output {
 	return Output{
 		ID:     "Table 6",
 		Title:  "Heterogeneity policies on EC2",
-		Tables: []*report.Table{tb},
+		Tables: []*report.Table{bestPolicyTable("Table 6: best heterogeneity mapping policy on EC2", r.ec2, nil)},
 		Notes: []string{
 			fmt.Sprintf("Mean best-policy error: EC2 %.2f%% vs. private cluster %.2f%% —",
-				stats.Mean(ec2Errs), stats.Mean(privErrs)),
+				meanBestErr(r.ec2), meanBestErr(r.private)),
 			"uncontrolled neighbours raise the error, as the paper reports.",
 		},
-	}, nil
+	}
 }
 
-// Figure13 regenerates the EC2 model validation: each of the four
+// figure13Row is one EC2 workload's validation error (percent) against
+// the other three.
+type figure13Row struct {
+	app       string
+	mean, max float64
+}
+
+type figure13Result []figure13Row
+
+// figure13 regenerates the EC2 model validation: each of the four
 // workloads co-run with the others, prediction error per application.
-func (l *Lab) Figure13() (Output, error) {
-	env, err := l.EC2Env()
+func (l *Lab) figure13() (figure13Result, error) {
+	env, err := l.ec2Env()
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	names := ec2env.ValidationWorkloads()
-	tb := report.NewTable("Figure 13: EC2 validation error per application",
-		"workload", "avg error(%)", "max error(%)")
+	var r figure13Result
 	for _, appName := range names {
-		model, err := l.EC2Model(appName)
+		model, err := l.ec2Model(appName)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		var coNames []string
 		for _, coName := range names {
@@ -88,15 +103,28 @@ func (l *Lab) Figure13() (Output, error) {
 				coNames = append(coNames, coName)
 			}
 		}
-		_, _, errs, err := l.validationErrors(env, model, appName, coNames, ec2env.Nodes)
+		pairs, err := validationErrors(env, model, appName, coNames, ec2env.Nodes)
 		if err != nil {
-			return Output{}, err
+			return nil, err
+		}
+		var errs []float64
+		for _, p := range pairs {
+			errs = append(errs, p.errPct)
 		}
 		mx, err := stats.Max(errs)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		tb.MustAddRow(appName, report.F(stats.Mean(errs), 2), report.F(mx, 2))
+		r = append(r, figure13Row{appName, stats.Mean(errs), mx})
+	}
+	return r, nil
+}
+
+func (r figure13Result) output() Output {
+	tb := report.NewTable("Figure 13: EC2 validation error per application",
+		"workload", "avg error(%)", "max error(%)")
+	for _, row := range r {
+		tb.MustAddRow(row.app, report.F(row.mean, 2), report.F(row.max, 2))
 	}
 	return Output{
 		ID:     "Figure 13",
@@ -106,5 +134,5 @@ func (l *Lab) Figure13() (Output, error) {
 			"Expected range: mid single digits to ~10% — higher than the private cluster",
 			"because background interference is present but invisible to the model.",
 		},
-	}, nil
+	}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hetero"
 	"repro/internal/measure"
+	"repro/internal/stats"
 )
 
 // The experiments are integration tests of the whole stack; they share one
@@ -30,36 +31,16 @@ func quickLab(t *testing.T) *Lab {
 	return lab
 }
 
-// cellFloat parses a numeric table cell.
-func cellFloat(t *testing.T, tb interface {
-	Cell(int, int) (string, error)
-}, row, col int) float64 {
-	t.Helper()
-	s, err := tb.Cell(row, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q not numeric: %v", row, col, s, err)
-	}
-	return v
-}
-
 func TestFigure2ShapeMatchesPaper(t *testing.T) {
-	out, err := quickLab(t).Figure2()
+	r, err := quickLab(t).figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := out.Tables[0]
-	if tb.Rows() != 9 {
-		t.Fatalf("rows = %d, want 9 (0..8 interfering nodes)", tb.Rows())
+	if len(r.real) != 9 {
+		t.Fatalf("rows = %d, want 9 (0..8 interfering nodes)", len(r.real))
 	}
 	// Naive grows ~linearly; real jumps at k=1.
-	naive1 := cellFloat(t, tb, 1, 1)
-	naive8 := cellFloat(t, tb, 8, 1)
-	real1 := cellFloat(t, tb, 1, 2)
-	real8 := cellFloat(t, tb, 8, 2)
+	naive1, naive8, real1, real8 := r.naive[1], r.naive[8], r.real[1], r.real[8]
 	if real1 < 1.3 {
 		t.Errorf("real at k=1 = %v, want a big jump", real1)
 	}
@@ -77,28 +58,21 @@ func TestFigure2ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFigure3PropagationClasses(t *testing.T) {
-	out, err := quickLab(t).Figure3()
+	r, err := quickLab(t).figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Tables) != 12 {
-		t.Fatalf("tables = %d, want 12 distributed workloads", len(out.Tables))
+	if len(r) != 12 {
+		t.Fatalf("curves = %d, want 12 distributed workloads", len(r))
 	}
-	byName := map[string]*tableRef{}
-	for _, tb := range out.Tables {
-		for _, name := range []string{"M.milc", "M.Gems", "H.KM"} {
-			if strings.Contains(tb.Title, name+" ") {
-				byName[name] = &tableRef{tb}
-			}
-		}
+	// The highest-pressure row, at k interfering nodes.
+	at := func(name string, k int) float64 {
+		c := r[slices.Index(distributedNames(), name)]
+		return c.values[len(c.values)-1][k]
 	}
-	// Use the highest-pressure row (last row; quick mode rows are 2,5,8).
-	lastRow := 2
-	milc1 := cellFloat(t, byName["M.milc"], lastRow, 2) // k=1
-	milc8 := cellFloat(t, byName["M.milc"], lastRow, 9) // k=8
-	gems1 := cellFloat(t, byName["M.Gems"], lastRow, 2)
-	gems8 := cellFloat(t, byName["M.Gems"], lastRow, 9)
-	km8 := cellFloat(t, byName["H.KM"], lastRow, 9)
+	milc1, milc8 := at("M.milc", 1), at("M.milc", 8)
+	gems1, gems8 := at("M.Gems", 1), at("M.Gems", 8)
+	km8 := at("H.KM", 8)
 	if milc1 < 1.5 || (milc8-milc1) > 0.5*(milc1-1) {
 		t.Errorf("M.milc should be high-propagation: k1=%v k8=%v", milc1, milc8)
 	}
@@ -112,56 +86,39 @@ func TestFigure3PropagationClasses(t *testing.T) {
 	}
 }
 
-type tableRef struct {
-	t interface {
-		Cell(int, int) (string, error)
-	}
-}
-
-func (r *tableRef) Cell(i, j int) (string, error) { return r.t.Cell(i, j) }
-
 func TestTable2PolicySelection(t *testing.T) {
-	out, err := quickLab(t).Table2Figure4()
+	r, err := quickLab(t).table2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab2 := out.Tables[1]
-	if tab2.Rows() != 12 {
-		t.Fatalf("rows = %d, want 12", tab2.Rows())
+	if len(r) != 12 {
+		t.Fatalf("rows = %d, want 12", len(r))
 	}
-	policies := map[string]string{}
-	for r := 0; r < tab2.Rows(); r++ {
-		name, _ := tab2.Cell(r, 0)
-		pol, _ := tab2.Cell(r, 1)
-		policies[name] = pol
-		avgErr := cellFloat(t, tab2, r, 2)
-		if avgErr > 9 {
-			t.Errorf("%s best-policy error %v%% exceeds the paper's 9%% bound", name, avgErr)
+	policies := map[string]hetero.Policy{}
+	for _, a := range r {
+		policies[a.app] = a.sel.Best
+		if e := a.sel.BestStats.AvgPct; e > 9 {
+			t.Errorf("%s best-policy error %v%% exceeds the paper's 9%% bound", a.app, e)
 		}
 	}
-	if policies["M.Gems"] != hetero.Interpolate.String() {
+	if policies["M.Gems"] != hetero.Interpolate {
 		t.Errorf("M.Gems policy = %s, want INTERPOLATE", policies["M.Gems"])
 	}
-	maxFamily := func(p string) bool { return p == "N MAX" || p == "N+1 MAX" }
 	for _, bsp := range []string{"M.milc", "M.lesl", "M.lmps", "M.zeus", "M.lu", "N.cg", "N.mg"} {
-		if !maxFamily(policies[bsp]) {
-			t.Errorf("%s policy = %s, want a max-family policy", bsp, policies[bsp])
+		if p := policies[bsp]; p != hetero.NMax && p != hetero.NPlus1Max {
+			t.Errorf("%s policy = %s, want a max-family policy", bsp, p)
 		}
 	}
 }
 
 func TestTable3CostOrdering(t *testing.T) {
-	out, err := quickLab(t).Table3Figures67()
+	r, err := quickLab(t).table3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab3 := out.Tables[0]
-	// Rows: binary-optimized, binary-brute, random-50%, random-30%.
-	costOpt := cellFloat(t, tab3, 0, 1)
-	errOpt := cellFloat(t, tab3, 0, 2)
-	costBrute := cellFloat(t, tab3, 1, 1)
-	errBrute := cellFloat(t, tab3, 1, 2)
-	err30 := cellFloat(t, tab3, 3, 2)
+	// Profilers: binary-optimized, binary-brute, random-50%, random-30%.
+	costOpt, costBrute := stats.Mean(r.cost[0]), stats.Mean(r.cost[1])
+	errOpt, errBrute, err30 := stats.Mean(r.err[0]), stats.Mean(r.err[1]), stats.Mean(r.err[3])
 	if costOpt >= costBrute {
 		t.Errorf("binary-optimized cost %v should undercut brute %v", costOpt, costBrute)
 	}
@@ -182,18 +139,16 @@ func TestTable3CostOrdering(t *testing.T) {
 }
 
 func TestTable4ScoreOrdering(t *testing.T) {
-	out, err := quickLab(t).Table4()
+	r, err := quickLab(t).table4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := out.Tables[0]
-	if tb.Rows() != 18 {
-		t.Fatalf("rows = %d, want 18", tb.Rows())
+	if len(r.scores) != 18 {
+		t.Fatalf("rows = %d, want 18", len(r.scores))
 	}
 	scores := map[string]float64{}
-	for r := 0; r < tb.Rows(); r++ {
-		name, _ := tb.Cell(r, 0)
-		scores[name] = cellFloat(t, tb, r, 1)
+	for i, w := range r.ws {
+		scores[w.Name] = r.scores[i]
 	}
 	if !(scores["C.libq"] > scores["M.milc"] && scores["M.milc"] > scores["H.KM"]) {
 		t.Errorf("score ordering broken: libq=%v milc=%v km=%v",
@@ -202,33 +157,28 @@ func TestTable4ScoreOrdering(t *testing.T) {
 }
 
 func TestFigure8ValidationErrors(t *testing.T) {
-	out, err := quickLab(t).Figure8()
+	r, err := quickLab(t).figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := out.Tables[0]
-	if tb.Rows() == 0 {
+	if len(r) == 0 {
 		t.Fatal("no validation rows")
 	}
-	for r := 0; r < tb.Rows(); r++ {
-		name, _ := tb.Cell(r, 0)
-		avg := cellFloat(t, tb, r, 1)
-		if avg > 15 {
-			t.Errorf("%s validation error %v%% too high (paper: mostly <10%%)", name, avg)
+	for _, a := range r {
+		if a.errs.Mean > 15 {
+			t.Errorf("%s validation error %v%% too high (paper: mostly <10%%)", a.app, a.errs.Mean)
 		}
 	}
 }
 
 func TestFigure9GemsIsHardWithBurstyCoRunners(t *testing.T) {
-	out, err := quickLab(t).Figure9()
+	r, err := quickLab(t).figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := out.Tables[1]
 	errs := map[string]float64{}
-	for r := 0; r < rev.Rows(); r++ {
-		name, _ := rev.Cell(r, 0)
-		errs[name] = cellFloat(t, rev, r, 3)
+	for _, p := range r.gems {
+		errs[p.name] = p.errPct
 	}
 	// The Dom0 effect: bursty frameworks must be harder to predict for
 	// M.Gems than the steady MPI/batch co-runners.
@@ -240,23 +190,19 @@ func TestFigure9GemsIsHardWithBurstyCoRunners(t *testing.T) {
 }
 
 func TestFigure10QoS(t *testing.T) {
-	out, err := quickLab(t).Figure10()
+	r, err := quickLab(t).figure10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	qos := out.Tables[0]
-	if qos.Rows() != 4 {
-		t.Fatalf("rows = %d, want 4 mixes", qos.Rows())
+	if len(r) != 4 {
+		t.Fatalf("rows = %d, want 4 mixes", len(r))
 	}
 	naiveViolations := 0
-	for r := 0; r < qos.Rows(); r++ {
-		propOK, _ := qos.Cell(r, 3)
-		naiveOK, _ := qos.Cell(r, 5)
-		if propOK != "yes" {
-			mixID, _ := qos.Cell(r, 0)
-			t.Errorf("mix %s: proposed model violated QoS", mixID)
+	for _, row := range r {
+		if !row.proposed.ok() {
+			t.Errorf("mix %s: proposed model violated QoS", row.mix.id)
 		}
-		if naiveOK != "yes" {
+		if !row.naive.ok() {
 			naiveViolations++
 		}
 	}
@@ -266,43 +212,28 @@ func TestFigure10QoS(t *testing.T) {
 }
 
 func TestFigure11PlacementOrdering(t *testing.T) {
-	out, err := quickLab(t).Figure11Table5()
+	r, err := quickLab(t).figure11()
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf := out.Tables[1]
-	for r := 0; r < perf.Rows(); r++ {
-		mixID, _ := perf.Cell(r, 0)
-		best := cellFloat(t, perf, r, 1)
-		naive := cellFloat(t, perf, r, 2)
-		random := cellFloat(t, perf, r, 3)
-		if best < 1 {
-			t.Errorf("mix %s: best speedup %v below worst", mixID, best)
+	for _, row := range r {
+		if row.best < 1 {
+			t.Errorf("mix %s: best speedup %v below worst", row.mix.id, row.best)
 		}
-		if best+0.02 < naive {
-			t.Errorf("mix %s: model best %v should not lose to naive %v", mixID, best, naive)
+		if row.best+0.02 < row.naive {
+			t.Errorf("mix %s: model best %v should not lose to naive %v", row.mix.id, row.best, row.naive)
 		}
-		if best+0.02 < random {
-			t.Errorf("mix %s: model best %v should not lose to random %v", mixID, best, random)
+		if row.best+0.02 < row.random {
+			t.Errorf("mix %s: model best %v should not lose to random %v", row.mix.id, row.best, row.random)
 		}
-	}
-	// The energy table: the best placement wastes no more node-time than
-	// the worst, and every waste fraction is a fraction.
-	waste := out.Tables[2]
-	if waste.Rows() != perf.Rows() {
-		t.Fatalf("energy rows = %d, want one per mix (%d)", waste.Rows(), perf.Rows())
-	}
-	for r := 0; r < waste.Rows(); r++ {
-		mixID, _ := waste.Cell(r, 0)
-		best := cellFloat(t, waste, r, 1)
-		random := cellFloat(t, waste, r, 2)
-		worst := cellFloat(t, waste, r, 3)
-		if best > worst {
-			t.Errorf("mix %s: best placement wastes more (%v) than worst (%v)", mixID, best, worst)
+		// The energy table: the best placement wastes no more node-time
+		// than the worst, and every waste fraction is a fraction.
+		if row.wasteBest > row.wasteWorst {
+			t.Errorf("mix %s: best placement wastes more (%v) than worst (%v)", row.mix.id, row.wasteBest, row.wasteWorst)
 		}
-		for _, f := range []float64{best, random, worst} {
+		for _, f := range []float64{row.wasteBest, row.wasteRandom, row.wasteWorst} {
 			if f < 0 || f > 1 {
-				t.Errorf("mix %s: waste fraction %v out of [0, 1]", mixID, f)
+				t.Errorf("mix %s: waste fraction %v out of [0, 1]", row.mix.id, f)
 			}
 		}
 	}
@@ -335,29 +266,33 @@ func TestWasteAccounting(t *testing.T) {
 	}
 }
 
+// TestEC2ExperimentsDegradeGracefully bounds the EC2 errors and asserts
+// Table 6's claim: uncontrolled neighbours raise the mean best-policy
+// error above the private cluster's.
 func TestEC2ExperimentsDegradeGracefully(t *testing.T) {
 	l := quickLab(t)
-	t6, err := l.Table6()
+	t6, err := l.table6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t6.Tables[0].Rows() != 4 {
+	if len(t6.ec2) != 4 {
 		t.Fatal("Table 6 should cover 4 workloads")
 	}
-	for r := 0; r < 4; r++ {
-		e := cellFloat(t, t6.Tables[0], r, 2)
-		if e > 25 {
-			t.Errorf("EC2 policy error %v%% implausibly high", e)
+	for _, a := range t6.ec2 {
+		if e := a.sel.BestStats.AvgPct; e > 25 {
+			t.Errorf("%s: EC2 policy error %v%% implausibly high", a.app, e)
 		}
 	}
-	f13, err := l.Figure13()
+	if ec2, private := meanBestErr(t6.ec2), meanBestErr(t6.private); ec2 <= private {
+		t.Errorf("mean best-policy error on EC2 %.2f%% does not exceed the private cluster's %.2f%%", ec2, private)
+	}
+	f13, err := l.figure13()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < f13.Tables[0].Rows(); r++ {
-		e := cellFloat(t, f13.Tables[0], r, 1)
-		if e > 30 {
-			t.Errorf("EC2 validation error %v%% implausibly high", e)
+	for _, row := range f13 {
+		if row.mean > 30 {
+			t.Errorf("%s: EC2 validation error %v%% implausibly high", row.app, row.mean)
 		}
 	}
 }
@@ -382,46 +317,38 @@ func TestFigure12Shapes(t *testing.T) {
 		labs = append(labs, l)
 	}
 	for _, l := range labs {
-		out, err := l.Figure12()
+		r, err := l.figure12()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.Tables) != 4 {
-			t.Fatalf("seed %d: tables = %d, want 4 EC2 workloads", l.Cfg.Seed, len(out.Tables))
+		if len(r) != 4 {
+			t.Fatalf("seed %d: curves = %d, want 4 EC2 workloads", l.Cfg.Seed, len(r))
 		}
-		for _, tb := range out.Tables {
-			// Columns: the pressure label, then one per interfering-node
-			// count; rows ascend in pressure.
-			col := map[string]int{}
-			for c, h := range tb.Headers {
-				col[h] = c
-			}
-			mean := func(rows []int, counts ...string) float64 {
+		for _, c := range r {
+			// mean averages rows (ascending in pressure) over the
+			// interfering-node counts in [lo, hi].
+			mean := func(rows [][]float64, lo, hi int) float64 {
 				var sum float64
-				for _, r := range rows {
-					for _, k := range counts {
-						c, ok := col[k]
-						if !ok {
-							t.Fatalf("%s: no column for %s interfering nodes", tb.Title, k)
+				var n int
+				for _, row := range rows {
+					for i, k := range c.counts {
+						if lo <= k && k <= hi {
+							sum += row[i]
+							n++
 						}
-						sum += cellFloat(t, tb, r, c)
 					}
 				}
-				return sum / float64(len(rows)*len(counts))
+				return sum / float64(n)
 			}
-			all := []int{}
-			for r := 0; r < tb.Rows(); r++ {
-				all = append(all, r)
-			}
-			interfered := []string{"1", "2", "4", "8", "16", "24", "32"}
-			low, high := mean(all[:1], interfered...), mean(all[len(all)-1:], interfered...)
+			last := len(c.values) - 1
+			low, high := mean(c.values[:1], 1, 32), mean(c.values[last:], 1, 32)
 			if high <= low {
-				t.Errorf("seed %d %s: mean %.3f at the highest pressure, %.3f at the lowest", l.Cfg.Seed, tb.Title, high, low)
+				t.Errorf("seed %d %s: mean %.3f at the highest pressure, %.3f at the lowest", l.Cfg.Seed, c.title, high, low)
 			}
-			if strings.Contains(tb.Title, "M.Gems") {
-				few, many := mean(all, "1", "2"), mean(all, "24", "32")
+			if strings.Contains(c.title, "M.Gems") {
+				few, many := mean(c.values, 1, 2), mean(c.values, 24, 32)
 				if many <= few {
-					t.Errorf("seed %d %s: mean %.3f at 24-32 nodes, %.3f at 1-2: not proportional", l.Cfg.Seed, tb.Title, many, few)
+					t.Errorf("seed %d %s: mean %.3f at 24-32 nodes, %.3f at 1-2: not proportional", l.Cfg.Seed, c.title, many, few)
 				}
 			}
 		}

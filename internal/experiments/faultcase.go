@@ -40,18 +40,14 @@ func faultPlan(seed int64) fault.Plan {
 // 20% profile-cell loss and a degraded host.
 const faultErrBoundPct = 60
 
-// faultEnv builds a fresh faulted private-cluster environment; the lab's
-// shared Env stays pristine for every other runner.
-func (l *Lab) faultEnv(inj *fault.Injector) (*measure.Env, error) {
-	env, err := measure.NewEnv(cluster.Default(), l.Cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+// faulted sets up a fresh environment for the scenario: the lab's
+// repetitions and instrumentation, and inj's degraded hosts. The lab's own
+// envs stay pristine for every other runner.
+func (l *Lab) faulted(env *measure.Env, inj *fault.Injector) {
 	env.Reps = l.Cfg.reps()
 	env.Telemetry = l.Cfg.Telemetry
 	env.Tracer = l.Cfg.Tracer
 	env.HostDegrade = inj.DegradeFactor
-	return env, nil
 }
 
 // resilientFor profiles w on env, applies the injector's cell loss to the
@@ -75,84 +71,89 @@ func (l *Lab) resilientFor(inj *fault.Injector, env *measure.Env, name string, n
 	return core.NewResilient(name, core.Partial{M: &lm}, naive, l.Cfg.Telemetry), m.BubbleScore, nil
 }
 
-// FaultInjection regenerates the QoS placement case study and a slice of
-// the EC2 validation (Table 6's error story) under the fault plan.
-func (l *Lab) FaultInjection() (Output, error) {
+// faultPrediction is one surviving app's prediction under the fault plan,
+// tagged with the predictor that served it, against the simulated outcome.
+type faultPrediction struct {
+	app            string
+	units          int // units placed; 0 in the EC2 validation
+	pred           float64
+	src            core.Source
+	actual, errPct float64
+}
+
+// faultsResult is the fault scenario: the QoS placement on the surviving
+// hosts and the EC2 validation pairs through lossy matrices.
+type faultsResult struct {
+	downs     []int
+	place     []faultPrediction
+	ec2       []faultPrediction
+	fallbacks uint64 // predictions of the placement apps, search included, served by the naive fallback
+}
+
+// faults regenerates the QoS placement case study and a slice of the EC2
+// validation (Table 6's error story) under the fault plan.
+func (l *Lab) faults() (*faultsResult, error) {
 	plan := faultPlan(l.Cfg.Seed)
 	inj, err := fault.New(plan, l.Cfg.Telemetry)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	inj.Activate(0)
 
-	env, err := l.faultEnv(inj)
+	env, err := measure.NewEnv(cluster.Default(), l.Cfg.Seed)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
+	l.faulted(env, inj)
 
 	// Placement under failures: the Figure 10 "a" mix on the 6 surviving
 	// hosts. Units per app contract from 4 to 12/4 = 3.
 	mix := []string{"M.lmps", "C.libq", "H.KM", "N.cg"}
-	downs := inj.DownHosts()
-	units := (cluster.Default().NumHosts - len(downs)) * 2 / len(mix)
+	r := &faultsResult{downs: inj.DownHosts()}
+	units := (cluster.Default().NumHosts - len(r.downs)) * 2 / len(mix)
 	bcfg := l.buildCfg()
 	bcfg.Nodes = 8
 
+	req := placement.Request{NumHosts: 8, SlotsPerHost: 2, DownHosts: r.downs,
+		Predictors: map[string]core.Predictor{}, Scores: map[string]float64{}}
 	reg := map[string]workloads.Workload{}
-	preds := map[string]core.Predictor{}
 	resilients := map[string]*core.Resilient{}
-	scores := map[string]float64{}
-	demands := make([]cluster.Demand, 0, len(mix))
 	for _, name := range mix {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		r, score, err := l.resilientFor(inj, env, name, 8, bcfg)
+		rs, score, err := l.resilientFor(inj, env, name, 8, bcfg)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		reg[name] = w
-		preds[name] = r
-		resilients[name] = r
-		scores[name] = score
-		demands = append(demands, cluster.Demand{App: name, Units: units})
+		reg[name], resilients[name] = w, rs
+		req.Predictors[name], req.Scores[name] = rs, score
+		req.Demands = append(req.Demands, cluster.Demand{App: name, Units: units})
 	}
-
-	req := placement.Request{
-		NumHosts: 8, SlotsPerHost: 2,
-		Demands: demands, Predictors: preds, Scores: scores,
-		DownHosts: downs,
-	}
-	cfg := l.PlacementConfig(l.Cfg.Seed + 53)
-	cfg.Iterations = l.Cfg.placementIters()
+	cfg := l.placementConfig(l.Cfg.Seed + 53)
 	cfg.QoS = &placement.QoS{App: mix[0], MaxNormalized: qosBound}
 	res, err := placement.Search(req, cfg)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	actual, err := env.RunPlacement(res.Placement, reg)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-
-	placeTab := report.NewTable(
-		fmt.Sprintf("Faulted QoS placement: hosts %v crashed, host 1 degraded 1.5x, 20%% profile cells lost", downs),
-		"app", "units", "predicted", "source", "actual", "err(%)")
-	var fallbackTotal uint64
 	for _, name := range mix {
-		ps, err := core.PressuresFor(res.Placement, name, scores)
+		ps, err := core.PressuresFor(res.Placement, name, req.Scores)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		pred, src, err := resilients[name].PredictTagged(ps)
 		if err != nil {
-			return Output{}, fmt.Errorf("experiments: no prediction for surviving app %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: no prediction for surviving app %s: %w", name, err)
 		}
 		_, fb := resilients[name].Sources()
-		fallbackTotal += fb
-		placeTab.MustAddRow(name, fmt.Sprint(units), report.F(pred, 3), src.String(),
-			report.F(actual[name].Normalized, 3), report.F(stats.RelErrPct(pred, actual[name].Normalized), 1))
+		r.fallbacks += fb
+		a := actual[name].Normalized
+		r.place = append(r.place, faultPrediction{name, units, pred, src, a, stats.RelErrPct(pred, a)})
 	}
 
 	// EC2 with failures: the Table 6 validation pairs re-predicted
@@ -167,17 +168,14 @@ func (l *Lab) FaultInjection() (Output, error) {
 	}
 	ec2Inj, err := fault.New(ec2Plan, l.Cfg.Telemetry)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	ec2Inj.Activate(0)
 	ec2Env, err := ec2.NewEnv(l.Cfg.Seed + 6)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	ec2Env.Reps = l.Cfg.reps()
-	ec2Env.Telemetry = l.Cfg.Telemetry
-	ec2Env.Tracer = l.Cfg.Tracer
-	ec2Env.HostDegrade = ec2Inj.DegradeFactor
+	l.faulted(ec2Env, ec2Inj)
 
 	apps := ec2.ValidationWorkloads()
 	if l.Cfg.Quick {
@@ -186,59 +184,69 @@ func (l *Lab) FaultInjection() (Output, error) {
 	ec2Bcfg := l.buildCfg()
 	ec2Bcfg.Nodes = ec2.Nodes
 	ec2Bcfg.Samples = l.Cfg.ec2Samples()
-	ec2Tab := report.NewTable("EC2 with failures: pairwise validation through lossy matrices (co-runner M.Gems)",
-		"app", "predicted", "source", "actual", "err(%)")
-	var ec2Errs []float64
 	for _, name := range apps {
-		r, _, err := l.resilientFor(ec2Inj, ec2Env, name, ec2.Nodes, ec2Bcfg)
+		rs, _, err := l.resilientFor(ec2Inj, ec2Env, name, ec2.Nodes, ec2Bcfg)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		a, err := workloads.ByName(name)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		co, err := workloads.ByName("M.Gems")
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		coScore, err := core.MeasureBubbleScore(ec2Env, co)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		b := ec2Env.NewBatch()
 		ph := b.Pair(a, co, ec2.Nodes)
 		if err := b.Run(); err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		pair, err := ph.Result()
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		pressures := make([]float64, ec2.Nodes)
 		for i := range pressures {
 			pressures[i] = coScore
 		}
-		pred, src, err := r.PredictTagged(pressures)
+		pred, src, err := rs.PredictTagged(pressures)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		e := stats.RelErrPct(pred, pair.NormalizedA)
-		ec2Errs = append(ec2Errs, e)
-		ec2Tab.MustAddRow(name, report.F(pred, 3), src.String(),
-			report.F(pair.NormalizedA, 3), report.F(e, 1))
+		r.ec2 = append(r.ec2, faultPrediction{name, 0, pred, src, pair.NormalizedA, stats.RelErrPct(pred, pair.NormalizedA)})
 	}
-	meanErr := stats.Mean(ec2Errs)
+	return r, nil
+}
 
+func (r faultsResult) output() Output {
+	placeTab := report.NewTable(
+		fmt.Sprintf("Faulted QoS placement: hosts %v crashed, host 1 degraded 1.5x, 20%% profile cells lost", r.downs),
+		"app", "units", "predicted", "source", "actual", "err(%)")
+	for _, p := range r.place {
+		placeTab.MustAddRow(p.app, fmt.Sprint(p.units), report.F(p.pred, 3), p.src.String(),
+			report.F(p.actual, 3), report.F(p.errPct, 1))
+	}
+	ec2Tab := report.NewTable("EC2 with failures: pairwise validation through lossy matrices (co-runner M.Gems)",
+		"app", "predicted", "source", "actual", "err(%)")
+	var ec2Errs []float64
+	for _, p := range r.ec2 {
+		ec2Tab.MustAddRow(p.app, report.F(p.pred, 3), p.src.String(), report.F(p.actual, 3), report.F(p.errPct, 1))
+		ec2Errs = append(ec2Errs, p.errPct)
+	}
 	return Output{
 		ID:     "Faults",
 		Title:  "Graceful degradation under injected faults (crashes, degrade, profile-cell loss)",
 		Tables: []*report.Table{placeTab, ec2Tab},
 		Notes: []string{
 			fmt.Sprintf("Every one of the %d surviving applications received a prediction; %d served by the naive fallback.",
-				len(mix), fallbackTotal),
-			fmt.Sprintf("Mean EC2 validation error under faults: %.1f%% (bound: %d%% per application).", meanErr, faultErrBoundPct),
-			fmt.Sprintf("Crashed hosts %v held no units in the searched placement.", downs),
+				len(r.place), r.fallbacks),
+			fmt.Sprintf("Mean EC2 validation error under faults: %.1f%% (bound: %d%% per application).", stats.Mean(ec2Errs), faultErrBoundPct),
+			fmt.Sprintf("Crashed hosts %v held no units in the searched placement.", r.downs),
 		},
-	}, nil
+	}
 }

@@ -10,7 +10,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// Figure1 reproduces the background procedure of Section 2.1 (the paper's
+// figure1Row is one ordered pair of Figure 1: A's slowdown next to B on
+// one node, predicted from A's sensitivity curve at B's bubble score and
+// solved by the contention model.
+type figure1Row struct {
+	a, b                         string
+	bScore, pred, actual, errPct float64
+}
+
+type figure1Result []figure1Row
+
+// figure1 reproduces the background procedure of Section 2.1 (the paper's
 // Figure 1): estimating the slowdown of two applications co-located on a
 // *single node* purely from their separately profiled sensitivity curves
 // and bubble scores — the Bubble-Up method this paper extends to
@@ -19,12 +29,12 @@ import (
 // For each ordered pair (A, B): A's predicted slowdown is A's sensitivity
 // curve evaluated at B's bubble score; the actual slowdown comes from
 // co-locating both profiles in the contention model.
-func (l *Lab) Figure1() (Output, error) {
+func (l *Lab) figure1() (figure1Result, error) {
 	node := l.Env.Cluster.HostSpec
 	cores := l.Env.UnitCores
 	scale, err := bubble.NewScale(node, cores)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	names := []string{"M.milc", "M.lmps", "C.libq", "C.mcf", "H.KM", "C.xbmk"}
 	if l.Cfg.Quick {
@@ -40,23 +50,20 @@ func (l *Lab) Figure1() (Output, error) {
 	for _, n := range names {
 		w, err := workloads.ByName(n)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		score, err := scale.Score(w.Prof, cores)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		ps := append([]float64{0}, bubble.IntegerPressures()...)
 		sens, err := bubble.Sensitivity(node, w.Prof, cores, ps)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		profs[n] = prof{w: w, score: score, sensP: ps, sensS: sens}
 	}
-	tb := report.NewTable(
-		"Figure 1: single-node Bubble-Up estimation — predicted vs. actual slowdown of A co-located with B",
-		"A", "B", "B's score", "predicted", "actual", "error(%)")
-	var errs []float64
+	var r figure1Result
 	for _, an := range names {
 		for _, bn := range names {
 			if an == bn {
@@ -65,20 +72,30 @@ func (l *Lab) Figure1() (Output, error) {
 			a, b := profs[an], profs[bn]
 			pred, err := stats.InterpAt(a.sensP, a.sensS, b.score)
 			if err != nil {
-				return Output{}, err
+				return nil, err
 			}
 			res, err := contention.Solve(node, []contention.Occupant{
 				{Name: an, Prof: a.w.Prof, Cores: cores},
 				{Name: bn, Prof: b.w.Prof, Cores: cores},
 			})
 			if err != nil {
-				return Output{}, err
+				return nil, err
 			}
 			actual := res.Slowdown[0]
-			e := stats.RelErrPct(pred, actual)
-			errs = append(errs, e)
-			tb.MustAddRow(an, bn, report.F(b.score, 2), report.Norm(pred), report.Norm(actual), report.F(e, 2))
+			r = append(r, figure1Row{an, bn, b.score, pred, actual, stats.RelErrPct(pred, actual)})
 		}
+	}
+	return r, nil
+}
+
+func (r figure1Result) output() Output {
+	tb := report.NewTable(
+		"Figure 1: single-node Bubble-Up estimation — predicted vs. actual slowdown of A co-located with B",
+		"A", "B", "B's score", "predicted", "actual", "error(%)")
+	var errs []float64
+	for _, p := range r {
+		tb.MustAddRow(p.a, p.b, report.F(p.bScore, 2), report.Norm(p.pred), report.Norm(p.actual), report.F(p.errPct, 2))
+		errs = append(errs, p.errPct)
 	}
 	return Output{
 		ID:     "Figure 1",
@@ -90,5 +107,5 @@ func (l *Lab) Figure1() (Output, error) {
 			"co-runners mix cache- and bandwidth-pressure differently — the same structural",
 			"error source the distributed model inherits (Figs. 8-9).",
 		},
-	}, nil
+	}
 }

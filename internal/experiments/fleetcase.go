@@ -82,77 +82,69 @@ func fleetRequest(spec fleet.Spec, seed int64, numApps int) placement.Request {
 	}
 }
 
-// Fleet generates the template fleet and runs the flat-vs-hierarchical
+// fleetArm is one search over the fleet request.
+type fleetArm struct {
+	name  string
+	cells int
+	res   placement.Result
+}
+
+// cellLoad is one cell of the hierarchical placement.
+type cellLoad struct{ hosts, units, apps int }
+
+// fleetResult is the fleet scenario: the generated fleet's composition,
+// the flat and hierarchical searches over one synthetic request, and the
+// hierarchical placement's per-cell occupancy.
+type fleetResult struct {
+	spec        fleet.Spec
+	seed        int64
+	classHosts  []int // hosts generated per template
+	digest      string
+	demands     []cluster.Demand
+	iters, exch int
+	arms        [2]fleetArm // flat, hierarchical
+	occupancy   []cellLoad
+}
+
+// fleet generates the template fleet and runs the flat-vs-hierarchical
 // placement comparison.
-func (l *Lab) Fleet() (Output, error) {
+func (l *Lab) fleet() (*fleetResult, error) {
 	return l.fleetWith(fleetSpec())
 }
 
-// fleetWith is Fleet over an explicit spec; the golden sensitivity test
+// fleetWith is fleet over an explicit spec; the golden sensitivity test
 // uses it to show that a one-template perturbation changes the report.
-func (l *Lab) fleetWith(spec fleet.Spec) (Output, error) {
+func (l *Lab) fleetWith(spec fleet.Spec) (*fleetResult, error) {
 	f, err := fleet.Generate(spec, l.Cfg.Seed)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	digest, err := f.Digest()
-	if err != nil {
-		return Output{}, err
-	}
-
-	counts := f.ClassCounts()
-	comp := report.NewTable(
-		fmt.Sprintf("Fleet composition: %d hosts from %d weighted templates (seed %d)",
-			spec.TotalHosts, len(spec.Templates), l.Cfg.Seed),
-		"template", "weight", "pinned", "hosts", "capacity", "degrade", "startup rounds")
-	for i, tpl := range spec.Templates {
-		comp.MustAddRow(tpl.Name, report.F(tpl.Weight, 0), fmt.Sprint(tpl.Count),
-			fmt.Sprint(counts[i]), report.F(tpl.ResolveCapacity(), 2),
-			report.F(tpl.ResolveDegrade(), 2), fmt.Sprint(tpl.StartupRounds))
+	r := &fleetResult{spec: spec, seed: l.Cfg.Seed, classHosts: f.ClassCounts()}
+	if r.digest, err = f.Digest(); err != nil {
+		return nil, err
 	}
 
-	numApps, iters, exch, restarts := 40, 1500, 3000, 2
+	numApps, restarts := 40, 2
+	r.iters, r.exch = 1500, 3000
 	if l.Cfg.Quick {
-		numApps, iters, exch, restarts = 16, 200, 400, 1
+		numApps, restarts = 16, 1
+		r.iters, r.exch = 200, 400
 	}
 	req := fleetRequest(spec, l.Cfg.Seed, numApps)
-
-	type arm struct {
-		name string
-		cfg  placement.Config
-	}
-	arms := []arm{
-		{"flat", placement.Config{Iterations: iters, Seed: l.Cfg.Seed, Restarts: restarts}},
-		{"hierarchical", placement.Config{Iterations: iters, Seed: l.Cfg.Seed, Restarts: restarts,
-			Cells: fleetCells, ExchangeIters: exch}},
-	}
-	cmp := report.NewTable(
-		fmt.Sprintf("Flat vs. cell-sharded search over the fleet (%d apps, %d units, %d iterations/cell, %d exchange)",
-			len(req.Demands), totalUnits(req.Demands), iters, exch),
-		"search", "cells", "objective", "evaluations", "norm. obj")
-	results := make([]placement.Result, len(arms))
-	for i, a := range arms {
-		res, err := placement.Search(req, a.cfg)
-		if err != nil {
-			return Output{}, err
+	r.demands = req.Demands
+	r.arms = [2]fleetArm{{name: "flat", cells: 1}, {name: "hierarchical", cells: fleetCells}}
+	for i := range r.arms {
+		cfg := placement.Config{Iterations: r.iters, Seed: l.Cfg.Seed, Restarts: restarts}
+		if r.arms[i].cells > 1 {
+			cfg.Cells, cfg.ExchangeIters = fleetCells, r.exch
 		}
-		results[i] = res
-	}
-	for i, a := range arms {
-		cells := a.cfg.Cells
-		if cells == 0 {
-			cells = 1
+		if r.arms[i].res, err = placement.Search(req, cfg); err != nil {
+			return nil, err
 		}
-		cmp.MustAddRow(a.name, fmt.Sprint(cells),
-			report.F(results[i].Objective, 4), fmt.Sprint(results[i].Evaluations),
-			report.Norm(results[i].Objective/results[0].Objective))
 	}
 
-	occ := report.NewTable(
-		fmt.Sprintf("Cell occupancy of the hierarchical placement (%d cells)", fleetCells),
-		"cell", "hosts", "units", "distinct apps")
-	hier := results[1].Placement
-	for c, hosts := range f.Cells(fleetCells) {
+	hier := r.arms[1].res.Placement
+	for _, hosts := range f.Cells(fleetCells) {
 		units, distinct := 0, map[string]bool{}
 		for _, h := range hosts {
 			for s := 0; s < spec.SlotsPerHost; s++ {
@@ -162,19 +154,46 @@ func (l *Lab) fleetWith(spec fleet.Spec) (Output, error) {
 				}
 			}
 		}
-		occ.MustAddRow(fmt.Sprint(c), fmt.Sprint(len(hosts)), fmt.Sprint(units), fmt.Sprint(len(distinct)))
+		r.occupancy = append(r.occupancy, cellLoad{len(hosts), units, len(distinct)})
 	}
+	return r, nil
+}
 
+func (r fleetResult) output() Output {
+	comp := report.NewTable(
+		fmt.Sprintf("Fleet composition: %d hosts from %d weighted templates (seed %d)",
+			r.spec.TotalHosts, len(r.spec.Templates), r.seed),
+		"template", "weight", "pinned", "hosts", "capacity", "degrade", "startup rounds")
+	for i, tpl := range r.spec.Templates {
+		comp.MustAddRow(tpl.Name, report.F(tpl.Weight, 0), fmt.Sprint(tpl.Count),
+			fmt.Sprint(r.classHosts[i]), report.F(tpl.ResolveCapacity(), 2),
+			report.F(tpl.ResolveDegrade(), 2), fmt.Sprint(tpl.StartupRounds))
+	}
+	cmp := report.NewTable(
+		fmt.Sprintf("Flat vs. cell-sharded search over the fleet (%d apps, %d units, %d iterations/cell, %d exchange)",
+			len(r.demands), totalUnits(r.demands), r.iters, r.exch),
+		"search", "cells", "objective", "evaluations", "norm. obj")
+	for _, a := range r.arms {
+		cmp.MustAddRow(a.name, fmt.Sprint(a.cells),
+			report.F(a.res.Objective, 4), fmt.Sprint(a.res.Evaluations),
+			report.Norm(a.res.Objective/r.arms[0].res.Objective))
+	}
+	occ := report.NewTable(
+		fmt.Sprintf("Cell occupancy of the hierarchical placement (%d cells)", fleetCells),
+		"cell", "hosts", "units", "distinct apps")
+	for c, o := range r.occupancy {
+		occ.MustAddRow(fmt.Sprint(c), fmt.Sprint(o.hosts), fmt.Sprint(o.units), fmt.Sprint(o.apps))
+	}
 	return Output{
 		ID:     "Fleet",
 		Title:  "Template-driven fleet generation and cell-sharded placement at 200 hosts",
 		Tables: []*report.Table{comp, cmp, occ},
 		Notes: []string{
-			fmt.Sprintf("Fleet digest %s — same spec and seed regenerate this inventory byte-for-byte.", digest),
+			fmt.Sprintf("Fleet digest %s — same spec and seed regenerate this inventory byte-for-byte.", r.digest),
 			fmt.Sprintf("Hierarchical objective is %s of flat on the same seed; both placements are full-model evaluations.",
-				report.Norm(results[1].Objective/results[0].Objective)),
+				report.Norm(r.arms[1].res.Objective/r.arms[0].res.Objective)),
 		},
-	}, nil
+	}
 }
 
 // totalUnits sums a demand list.

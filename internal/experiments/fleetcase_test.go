@@ -19,41 +19,38 @@ func TestFleetGoldenDetectsTemplatePerturbation(t *testing.T) {
 	}
 	spec := fleetSpec()
 	spec.Templates[0].Weight += 5
-	out, err := quickLab(t).fleetWith(spec)
+	r, err := quickLab(t).fleetWith(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal([]byte(out.Render()), want) {
+	if bytes.Equal([]byte(r.output().Render()), want) {
 		t.Error("a one-template weight perturbation went undetected by the golden comparison")
 	}
 }
 
 // TestFleetRunner checks the scenario's semantics beyond byte equality:
-// the runner is reachable by ID, both search arms fill the comparison
-// table, and the hierarchical placement's occupancy sums to the demand.
+// the runner is reachable by ID, both search arms ran, and the
+// hierarchical placement's occupancy sums to the demand.
 func TestFleetRunner(t *testing.T) {
 	if _, err := RunnerByID("fleet"); err != nil {
 		t.Fatalf("fleet runner unreachable: %v", err)
 	}
-	out, err := quickLab(t).Fleet()
+	r, err := quickLab(t).fleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Tables) != 3 {
-		t.Fatalf("fleet report has %d tables, want 3", len(out.Tables))
+	for _, a := range r.arms {
+		if a.res.Placement == nil || a.res.Evaluations == 0 {
+			t.Errorf("%s search returned no placement or no evaluations", a.name)
+		}
 	}
-	cmp := out.Tables[1]
-	if cmp.Rows() != 2 {
-		t.Fatalf("comparison table has %d rows, want 2 (flat, hierarchical)", cmp.Rows())
-	}
-	occ := out.Tables[2]
-	if occ.Rows() != fleetCells {
-		t.Fatalf("occupancy table has %d rows, want %d cells", occ.Rows(), fleetCells)
+	if len(r.occupancy) != fleetCells {
+		t.Fatalf("occupancy has %d cells, want %d", len(r.occupancy), fleetCells)
 	}
 	placed, hosts := 0, 0
-	for r := 0; r < occ.Rows(); r++ {
-		hosts += int(cellFloat(t, occ, r, 1))
-		placed += int(cellFloat(t, occ, r, 2))
+	for _, c := range r.occupancy {
+		hosts += c.hosts
+		placed += c.units
 	}
 	if hosts != fleetSpec().TotalHosts {
 		t.Errorf("occupancy covers %d hosts, want %d", hosts, fleetSpec().TotalHosts)

@@ -5,15 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
-
-	"repro/internal/report"
 )
 
-// The golden corpus pins the exact rendered bytes of the headline paper
-// artifacts at the fixed quick-mode seed (2016). Regenerate after an
-// intentional change with:
+// The golden corpus pins the exact rendered bytes of every runner at the
+// fixed quick-mode seed (2016). Regenerate after an intentional change
+// with:
 //
 //	go test ./internal/experiments -run Golden -update
 var update = flag.Bool("update", false, "rewrite the golden corpus from the current output")
@@ -22,35 +19,13 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".txt")
 }
 
-func checkGolden(t *testing.T, name string, out Output) {
-	t.Helper()
-	got := []byte(out.Render())
-	path := goldenPath(name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden file missing (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from its golden copy; if the change is intentional, rerun with -update.\n--- got ---\n%s--- want ---\n%s", name, got, want)
-	}
-}
-
-// TestGolden pins every runner's rendered bytes exactly as
-// `paperrepro -quick -extras` prints them: one fresh quick lab at seed
-// 2016, the paper artifacts and then the extras, in registry order. The
-// EC2 env draws a fresh background nonce per measurement, so Figure 12,
-// Table 6 and Figure 13 depend on what ran before them on the same lab;
-// the shared quickLab is not used because other tests touch its EC2 env.
+// TestGolden checks every runner's rendering against
+// testdata/golden/<id>.txt exactly as `paperrepro -quick -extras` prints
+// it: one fresh quick lab at seed 2016, the paper artifacts and then the
+// extras, in registry order. The EC2 env draws a fresh background nonce
+// per measurement, so Figure 12, Table 6 and Figure 13 depend on what ran
+// before them on the same lab; the shared quickLab is not used because
+// other tests touch its EC2 env.
 func TestGolden(t *testing.T) {
 	l, err := NewLab(Config{Seed: 2016, Quick: true})
 	if err != nil {
@@ -61,18 +36,31 @@ func TestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		checkGolden(t, r.ID, out)
+		got, path := []byte(out.Render()), goldenPath(r.ID)
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("golden file missing (regenerate with -update): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from its golden copy; if the change is intentional, rerun with -update.\n--- got ---\n%s--- want ---\n%s", r.ID, got, want)
+		}
 	}
 }
 
 // TestGoldenDetectsCellPerturbation demonstrates the corpus's
-// sensitivity: nudging a single cell of the Figure 3 matrix by 5% must
-// break the byte comparison against the committed golden file.
+// sensitivity: scaling a single value of the typed Figure 3 curves by 5%
+// must break the byte comparison against the committed golden file.
 func TestGoldenDetectsCellPerturbation(t *testing.T) {
 	if *update {
 		t.Skip("perturbation check is meaningless while rewriting goldens")
 	}
-	out, err := quickLab(t).Figure3()
+	r, err := quickLab(t).figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,35 +68,12 @@ func TestGoldenDetectsCellPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden file missing (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal([]byte(out.Render()), want) {
+	if !bytes.Equal([]byte(r.output().Render()), want) {
 		t.Fatal("figure3 does not match its golden copy; fix that before testing perturbation")
 	}
-
-	// Rebuild the first table with cell (0, 1) — the lowest pressure at
-	// zero interfering nodes — inflated by 5%.
-	orig := out.Tables[0]
-	perturbed := report.NewTable(orig.Title, orig.Headers...)
-	for r := 0; r < orig.Rows(); r++ {
-		row := make([]string, len(orig.Headers))
-		for c := range orig.Headers {
-			cell, err := orig.Cell(r, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r == 0 && c == 1 {
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					t.Fatalf("cell (0,1) = %q not numeric: %v", cell, err)
-				}
-				cell = report.Norm(v * 1.05)
-			}
-			row[c] = cell
-		}
-		perturbed.MustAddRow(row...)
-	}
-	mutant := out
-	mutant.Tables = append([]*report.Table{perturbed}, out.Tables[1:]...)
-	if bytes.Equal([]byte(mutant.Render()), want) {
-		t.Error("a 5% one-cell perturbation of the Figure 3 matrix went undetected by the golden comparison")
+	// The lowest pressure at zero interfering nodes of the first app.
+	r[0].values[0][0] *= 1.05
+	if bytes.Equal([]byte(r.output().Render()), want) {
+		t.Error("a 5% one-value perturbation of the Figure 3 curves went undetected by the golden comparison")
 	}
 }

@@ -67,34 +67,20 @@ func (c Config) log() *slog.Logger {
 // DefaultConfig is the full-fidelity configuration.
 func DefaultConfig() Config { return Config{Seed: 2016} }
 
-// knobs derived from Config.
-func (c Config) reps() int {
+// pick returns quick in quick mode and full otherwise.
+func (c Config) pick(quick, full int) int {
 	if c.Quick {
-		return 2
+		return quick
 	}
-	return 3
+	return full
 }
 
-func (c Config) heteroSamples() int {
-	if c.Quick {
-		return 15
-	}
-	return 60 // the paper's 60-sample search (Section 3.3)
-}
-
-func (c Config) ec2Samples() int {
-	if c.Quick {
-		return 20
-	}
-	return 100 // the paper's EC2 sample count (Section 6)
-}
-
-func (c Config) placementIters() int {
-	if c.Quick {
-		return 600
-	}
-	return 4000
-}
+// Knobs derived from Config. Full mode keeps the paper's 60-sample policy
+// search (Section 3.3) and its EC2 sample count (Section 6).
+func (c Config) reps() int           { return c.pick(2, 3) }
+func (c Config) heteroSamples() int  { return c.pick(15, 60) }
+func (c Config) ec2Samples() int     { return c.pick(20, 100) }
+func (c Config) placementIters() int { return c.pick(600, 4000) }
 
 func (c Config) pressures() []float64 {
 	if c.Quick {
@@ -125,7 +111,7 @@ type Lab struct {
 	mu      sync.Mutex
 	models  map[string]*core.Model
 	naives  map[string]*core.NaiveModel
-	ec2Env  *measure.Env
+	ec2     *measure.Env
 	ec2Mods map[string]*core.Model
 }
 
@@ -162,64 +148,61 @@ func (l *Lab) buildCfg() core.BuildConfig {
 	return cfg
 }
 
+// memo returns cache[name], building it from the named workload on first
+// use.
+func memo[T any](l *Lab, cache map[string]T, name string, build func(workloads.Workload) (T, error)) (T, error) {
+	l.mu.Lock()
+	v, ok := cache[name]
+	l.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	w, err := workloads.ByName(name)
+	if err == nil {
+		v, err = build(w)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	l.mu.Lock()
+	cache[name] = v
+	l.mu.Unlock()
+	return v, nil
+}
+
 // Model returns (building and caching on first use) the interference model
 // of the named workload on the private cluster.
 func (l *Lab) Model(name string) (*core.Model, error) {
-	l.mu.Lock()
-	if m, ok := l.models[name]; ok {
-		l.mu.Unlock()
+	return memo(l, l.models, name, func(w workloads.Workload) (*core.Model, error) {
+		// Batch workloads are profiled across 8 nodes like distributed
+		// ones: they aggregate proportionally by construction, but their
+		// propagation matrix is still well-defined and the placement layer
+		// treats every application uniformly.
+		cfg := l.buildCfg()
+		cfg.Nodes = 8
+		l.Cfg.log().Info("building interference model", "workload", name, "env", "private")
+		m, err := core.BuildModel(l.Env, w, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: model for %s: %w", name, err)
+		}
 		return m, nil
-	}
-	l.mu.Unlock()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	// Batch workloads are profiled across 8 nodes like distributed ones:
-	// they aggregate proportionally by construction, but their
-	// propagation matrix is still well-defined and the placement layer
-	// treats every application uniformly.
-	cfg := l.buildCfg()
-	cfg.Nodes = 8
-	l.Cfg.log().Info("building interference model", "workload", name, "env", "private")
-	m, err := core.BuildModel(l.Env, w, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: model for %s: %w", name, err)
-	}
-	l.mu.Lock()
-	l.models[name] = m
-	l.mu.Unlock()
-	return m, nil
+	})
 }
 
-// Naive returns the baseline proportional model for the named workload.
-func (l *Lab) Naive(name string) (*core.NaiveModel, error) {
-	l.mu.Lock()
-	if m, ok := l.naives[name]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.BuildNaiveModel(l.Env, w, 8)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.naives[name] = m
-	l.mu.Unlock()
-	return m, nil
+// naive returns the baseline proportional model for the named workload.
+func (l *Lab) naive(name string) (*core.NaiveModel, error) {
+	return memo(l, l.naives, name, func(w workloads.Workload) (*core.NaiveModel, error) {
+		return core.BuildNaiveModel(l.Env, w, 8)
+	})
 }
 
-// EC2Env returns (lazily) the EC2 measurement environment.
-func (l *Lab) EC2Env() (*measure.Env, error) {
+// ec2Env returns (lazily) the EC2 measurement environment.
+func (l *Lab) ec2Env() (*measure.Env, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.ec2Env != nil {
-		return l.ec2Env, nil
+	if l.ec2 != nil {
+		return l.ec2, nil
 	}
 	env, err := ec2.NewEnv(l.Cfg.Seed + 6)
 	if err != nil {
@@ -230,39 +213,28 @@ func (l *Lab) EC2Env() (*measure.Env, error) {
 	env.Tracer = l.Cfg.Tracer
 	env.Workers = l.Cfg.Workers
 	env.Cache = l.Cache
-	l.ec2Env = env
+	l.ec2 = env
 	return env, nil
 }
 
-// EC2Model returns (building and caching on first use) the model of the
+// ec2Model returns (building and caching on first use) the model of the
 // named workload on the EC2 environment (32 nodes).
-func (l *Lab) EC2Model(name string) (*core.Model, error) {
-	l.mu.Lock()
-	if m, ok := l.ec2Mods[name]; ok {
-		l.mu.Unlock()
+func (l *Lab) ec2Model(name string) (*core.Model, error) {
+	env, err := l.ec2Env()
+	if err != nil {
+		return nil, err
+	}
+	return memo(l, l.ec2Mods, name, func(w workloads.Workload) (*core.Model, error) {
+		cfg := l.buildCfg()
+		cfg.Nodes = ec2.Nodes
+		cfg.Samples = l.Cfg.ec2Samples()
+		l.Cfg.log().Info("building interference model", "workload", name, "env", "ec2")
+		m, err := core.BuildModel(env, w, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: EC2 model for %s: %w", name, err)
+		}
 		return m, nil
-	}
-	l.mu.Unlock()
-	env, err := l.EC2Env()
-	if err != nil {
-		return nil, err
-	}
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg := l.buildCfg()
-	cfg.Nodes = ec2.Nodes
-	cfg.Samples = l.Cfg.ec2Samples()
-	l.Cfg.log().Info("building interference model", "workload", name, "env", "ec2")
-	m, err := core.BuildModel(env, w, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: EC2 model for %s: %w", name, err)
-	}
-	l.mu.Lock()
-	l.ec2Mods[name] = m
-	l.mu.Unlock()
-	return m, nil
+	})
 }
 
 // distributedNames returns the 12 distributed workload names in Table 1
@@ -281,34 +253,49 @@ type Runner struct {
 	Run func(*Lab) (Output, error)
 }
 
-// Runners lists every experiment in paper order.
+// run adapts a runner's measuring half, which returns a typed result, to
+// the Runner signature: the result's output method renders it.
+func run[R interface{ output() Output }](f func(*Lab) (R, error)) func(*Lab) (Output, error) {
+	return func(l *Lab) (Output, error) {
+		r, err := f(l)
+		if err != nil {
+			return Output{}, err
+		}
+		return r.output(), nil
+	}
+}
+
+// Runners lists every experiment in paper order. The order is part of the
+// output: the EC2 env draws a fresh background nonce per measurement, so
+// Figure 12, Table 6 and Figure 13 depend on what ran before them on the
+// same lab.
 func Runners() []Runner {
 	return []Runner{
-		{"figure2", (*Lab).Figure2},
-		{"figure3", (*Lab).Figure3},
-		{"table2", (*Lab).Table2Figure4},
-		{"table3", (*Lab).Table3Figures67},
-		{"table4", (*Lab).Table4},
-		{"figure8", (*Lab).Figure8},
-		{"figure9", (*Lab).Figure9},
-		{"figure10", (*Lab).Figure10},
-		{"figure11", (*Lab).Figure11Table5},
-		{"figure12", (*Lab).Figure12},
-		{"table6", (*Lab).Table6},
-		{"figure13", (*Lab).Figure13},
+		{"figure2", run((*Lab).figure2)},
+		{"figure3", run((*Lab).figure3)},
+		{"table2", run((*Lab).table2)},
+		{"table3", run((*Lab).table3)},
+		{"table4", run((*Lab).table4)},
+		{"figure8", run((*Lab).figure8)},
+		{"figure9", run((*Lab).figure9)},
+		{"figure10", run((*Lab).figure10)},
+		{"figure11", run((*Lab).figure11)},
+		{"figure12", run((*Lab).figure12)},
+		{"table6", run((*Lab).table6)},
+		{"figure13", run((*Lab).figure13)},
 	}
 }
 
 // ExtraRunners lists additional experiments that are not paper artifacts
 // (design-choice ablations); they are reachable by ID but excluded from
-// All().
+// RunAll.
 func ExtraRunners() []Runner {
 	return []Runner{
-		{"figure1", (*Lab).Figure1},
-		{"ablations", (*Lab).Ablations},
-		{"multiway", (*Lab).Multiway},
-		{"faults", (*Lab).FaultInjection},
-		{"fleet", (*Lab).Fleet},
+		{"figure1", run((*Lab).figure1)},
+		{"ablations", run((*Lab).ablations)},
+		{"multiway", run((*Lab).multiway)},
+		{"faults", run((*Lab).faults)},
+		{"fleet", run((*Lab).fleet)},
 	}
 }
 
@@ -323,18 +310,8 @@ func RunnerByID(id string) (Runner, error) {
 	return Runner{}, errors.New("experiments: unknown runner " + id)
 }
 
-// All runs every experiment and returns their outputs in paper order.
-func All(cfg Config) ([]Output, error) {
-	lab, err := NewLab(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return lab.RunAll()
-}
-
 // RunAll runs every experiment on the lab and returns their outputs in
-// paper order. Callers that need the lab afterwards (e.g. to persist its
-// measurement cache) use this instead of All.
+// paper order.
 func (l *Lab) RunAll() ([]Output, error) {
 	var outs []Output
 	for _, r := range Runners() {
@@ -350,11 +327,12 @@ func (l *Lab) RunAll() ([]Output, error) {
 	return outs, nil
 }
 
-// PlacementConfig returns the placement-search configuration for the given
-// seed, carrying the lab's telemetry so the search counters are recorded
-// when the lab is instrumented.
-func (l *Lab) PlacementConfig(seed int64) placement.Config {
+// placementConfig returns the placement-search configuration for the given
+// seed at the lab's iteration count, carrying the lab's telemetry so the
+// search counters are recorded when the lab is instrumented.
+func (l *Lab) placementConfig(seed int64) placement.Config {
 	cfg := placement.DefaultConfig(seed)
+	cfg.Iterations = l.Cfg.placementIters()
 	cfg.Telemetry = l.Cfg.Telemetry
 	cfg.Tracer = l.Cfg.Tracer
 	return cfg

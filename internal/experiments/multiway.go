@@ -13,7 +13,27 @@ import (
 	"repro/internal/workloads"
 )
 
-// Multiway evaluates the extension the paper sketches in Section 4.4 to
+// multiwayRow is one triple: the first app's measured normalized time and
+// its prediction and error (percent) with the co-runner scores folded by
+// each rule: combined, sum and max.
+type multiwayRow struct {
+	triple       [3]string
+	actual       float64
+	pred, errPct [3]float64
+}
+
+type multiwayResult []multiwayRow
+
+// meanErr is rule i's mean error (percent) over the triples.
+func (r multiwayResult) meanErr(i int) float64 {
+	var errs []float64
+	for _, row := range r {
+		errs = append(errs, row.errPct[i])
+	}
+	return stats.Mean(errs)
+}
+
+// multiway evaluates the extension the paper sketches in Section 4.4 to
 // lift its pairwise-co-location limitation: when three applications share
 // a host, the two co-runners' bubble scores are folded into one with
 // bubble.CombineScores (volume sum on the 2^s scale plus a cache-collision
@@ -28,13 +48,13 @@ import (
 //   - sum: plain addition of scores (naively treating the scale as linear,
 //     which overestimates because the scale is logarithmic);
 //   - max: the stronger co-runner only (underestimates).
-func (l *Lab) Multiway() (Output, error) {
+func (l *Lab) multiway() (multiwayResult, error) {
 	// A dedicated environment with 4-core units so three units plus
 	// headroom fit on a 16-core host; the models must be built with the
 	// same unit size they are validated at.
 	env, err := measure.NewEnv(cluster.Default(), l.Cfg.Seed+77)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
 	env.Reps = l.Cfg.reps()
 	env.UnitCores = 4
@@ -75,9 +95,6 @@ func (l *Lab) Multiway() (Output, error) {
 	if l.Cfg.Quick {
 		triples = triples[:2]
 	}
-	tb := report.NewTable(
-		"Multi-way co-location: prediction error for the first app of each triple (all hosts share 3 apps)",
-		"triple", "actual", "combined (Sec 4.4)", "err(%)", "sum", "err(%)", "max", "err(%)")
 
 	// Build every triple's models first (profiling is data-dependent),
 	// then run all the triple co-runs as one measurement batch.
@@ -87,71 +104,61 @@ func (l *Lab) Multiway() (Output, error) {
 		var group []workloads.Workload
 		for _, n := range tr {
 			if _, err := model(n); err != nil {
-				return Output{}, err
+				return nil, err
 			}
 			w, err := workloads.ByName(n)
 			if err != nil {
-				return Output{}, err
+				return nil, err
 			}
 			group = append(group, w)
 		}
 		groupHandles[ti] = b.Group(group, 8)
 	}
 	if err := b.Run(); err != nil {
-		return Output{}, err
+		return nil, err
 	}
 
-	var combErrs, sumErrs, maxErrs []float64
+	var r multiwayResult
 	for ti, tr := range triples {
 		m, err := model(tr[0])
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		outs, err := groupHandles[ti].Outcomes()
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		actual := outs[0].Normalized
-
-		coScores := []float64{scores[tr[1]], scores[tr[2]]}
-		combined, err := bubble.CombineScores(coScores, bubble.DefaultCollision)
+		row := multiwayRow{triple: tr, actual: outs[0].Normalized}
+		s1, s2 := scores[tr[1]], scores[tr[2]]
+		combined, err := bubble.CombineScores([]float64{s1, s2}, bubble.DefaultCollision)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		sum := coScores[0] + coScores[1]
-		max := coScores[0]
-		if coScores[1] > max {
-			max = coScores[1]
-		}
-		predictAt := func(score float64) (float64, error) {
+		for i, score := range [3]float64{combined, s1 + s2, max(s1, s2)} {
 			ps := make([]float64, 8)
-			for i := range ps {
-				ps[i] = score
+			for j := range ps {
+				ps[j] = score
 			}
-			return m.PredictPressures(ps)
+			if row.pred[i], err = m.PredictPressures(ps); err != nil {
+				return nil, err
+			}
+			row.errPct[i] = stats.RelErrPct(row.pred[i], row.actual)
 		}
-		pComb, err := predictAt(combined)
-		if err != nil {
-			return Output{}, err
+		r = append(r, row)
+	}
+	return r, nil
+}
+
+func (r multiwayResult) output() Output {
+	tb := report.NewTable(
+		"Multi-way co-location: prediction error for the first app of each triple (all hosts share 3 apps)",
+		"triple", "actual", "combined (Sec 4.4)", "err(%)", "sum", "err(%)", "max", "err(%)")
+	for _, row := range r {
+		cells := []string{strings.Join(row.triple[:], "+"), report.Norm(row.actual)}
+		for i, p := range row.pred {
+			cells = append(cells, report.Norm(p), report.F(row.errPct[i], 1))
 		}
-		pSum, err := predictAt(sum)
-		if err != nil {
-			return Output{}, err
-		}
-		pMax, err := predictAt(max)
-		if err != nil {
-			return Output{}, err
-		}
-		eComb := stats.RelErrPct(pComb, actual)
-		eSum := stats.RelErrPct(pSum, actual)
-		eMax := stats.RelErrPct(pMax, actual)
-		combErrs = append(combErrs, eComb)
-		sumErrs = append(sumErrs, eSum)
-		maxErrs = append(maxErrs, eMax)
-		tb.MustAddRow(strings.Join(tr[:], "+"), report.Norm(actual),
-			report.Norm(pComb), report.F(eComb, 1),
-			report.Norm(pSum), report.F(eSum, 1),
-			report.Norm(pMax), report.F(eMax, 1))
+		tb.MustAddRow(cells...)
 	}
 	return Output{
 		ID:     "Multiway",
@@ -159,9 +166,9 @@ func (l *Lab) Multiway() (Output, error) {
 		Tables: []*report.Table{tb},
 		Notes: []string{
 			fmt.Sprintf("Mean error: combined %.1f%%, plain sum %.1f%%, max-only %.1f%%.",
-				stats.Mean(combErrs), stats.Mean(sumErrs), stats.Mean(maxErrs)),
+				r.meanErr(0), r.meanErr(1), r.meanErr(2)),
 			"The combination rule should beat both naive alternatives, validating the",
 			"paper's proposed extension path.",
 		},
-	}, nil
+	}
 }

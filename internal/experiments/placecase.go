@@ -56,16 +56,18 @@ func table5Mixes() []mix {
 // unitsPerApp is Section 5's sizing: 16 VMs = 4 units per application.
 const unitsPerApp = 4
 
-// mixSetup resolves a mix into placement demands, a workload registry
-// (with duplicate names aliased), and the placement-name -> base-name map.
-func mixSetup(m mix) (demands []cluster.Demand, reg map[string]workloads.Workload, base map[string]string, err error) {
-	reg = map[string]workloads.Workload{}
-	base = map[string]string{}
+// mixRequest resolves a mix into a placement request, with either the
+// interference model or the naive baseline as the predictor family, and
+// the workload registry the simulator runs it from. A duplicate name is
+// aliased "name(2)".
+func (l *Lab) mixRequest(m mix, naive bool) (placement.Request, map[string]workloads.Workload, error) {
+	req := placement.Request{NumHosts: 8, SlotsPerHost: 2, Predictors: map[string]core.Predictor{}, Scores: map[string]float64{}}
+	reg := map[string]workloads.Workload{}
 	counts := map[string]int{}
 	for _, name := range m.names {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			return nil, nil, nil, err
+			return placement.Request{}, nil, err
 		}
 		counts[name]++
 		alias := name
@@ -74,47 +76,21 @@ func mixSetup(m mix) (demands []cluster.Demand, reg map[string]workloads.Workloa
 			w.Name = alias
 			w.App.Name = alias
 		}
-		demands = append(demands, cluster.Demand{App: alias, Units: unitsPerApp})
-		reg[alias] = w
-		base[alias] = name
-	}
-	return demands, reg, base, nil
-}
-
-// mixRequest builds a placement.Request with either the interference model
-// or the naive baseline as the predictor family.
-func (l *Lab) mixRequest(m mix, naive bool) (placement.Request, map[string]workloads.Workload, error) {
-	demands, reg, base, err := mixSetup(m)
-	if err != nil {
-		return placement.Request{}, nil, err
-	}
-	preds := map[string]core.Predictor{}
-	scores := map[string]float64{}
-	for alias, bn := range base {
-		var pred core.Predictor
-		var score float64
 		if naive {
-			nm, err := l.Naive(bn)
+			nm, err := l.naive(name)
 			if err != nil {
 				return placement.Request{}, nil, err
 			}
-			pred, score = nm, nm.BubbleScore
+			req.Predictors[alias], req.Scores[alias] = nm, nm.BubbleScore
 		} else {
-			mdl, err := l.Model(bn)
+			mdl, err := l.Model(name)
 			if err != nil {
 				return placement.Request{}, nil, err
 			}
-			pred, score = mdl, mdl.BubbleScore
+			req.Predictors[alias], req.Scores[alias] = mdl, mdl.BubbleScore
 		}
-		preds[alias] = pred
-		scores[alias] = score
-	}
-	req := placement.Request{
-		NumHosts:     8,
-		SlotsPerHost: 2,
-		Demands:      demands,
-		Predictors:   preds,
-		Scores:       scores,
+		req.Demands = append(req.Demands, cluster.Demand{App: alias, Units: unitsPerApp})
+		reg[alias] = w
 	}
 	return req, reg, nil
 }
@@ -140,51 +116,73 @@ func (l *Lab) weightedNormalizedSum(p *cluster.Placement, reg map[string]workloa
 	return wm * 4, out, nil // sum over the 4 equally weighted apps
 }
 
-// Figure10 regenerates the QoS-aware placement study: per mix, whether the
+// qosRun is one placement of a Figure 10 mix, evaluated on the simulator:
+// the protected app's normalized time and the mix's unit-weighted sum.
+type qosRun struct{ actual, sum float64 }
+
+// ok reports whether the protected app kept its QoS bound.
+func (q qosRun) ok() bool { return q.actual <= qosBound }
+
+// figure10Row is one QoS mix placed with the proposed and the naive model.
+type figure10Row struct {
+	mix             mix
+	proposed, naive qosRun
+}
+
+type figure10Result []figure10Row
+
+// figure10 regenerates the QoS-aware placement study: per mix, whether the
 // QoS of the protected application holds under the proposed model and
 // under the naive model, plus the weighted runtime sums.
-func (l *Lab) Figure10() (Output, error) {
+func (l *Lab) figure10() (figure10Result, error) {
+	var r figure10Result
+	for _, m := range figure10Mixes() {
+		target := m.names[0]
+		run := func(naive bool) (qosRun, error) {
+			req, reg, err := l.mixRequest(m, naive)
+			if err != nil {
+				return qosRun{}, err
+			}
+			cfg := l.placementConfig(l.Cfg.Seed + int64(len(m.id)))
+			cfg.QoS = &placement.QoS{App: target, MaxNormalized: qosBound}
+			res, err := placement.Search(req, cfg)
+			if err != nil {
+				return qosRun{}, err
+			}
+			sum, out, err := l.weightedNormalizedSum(res.Placement, reg)
+			if err != nil {
+				return qosRun{}, err
+			}
+			return qosRun{out[target].Normalized, sum}, nil
+		}
+		row := figure10Row{mix: m}
+		var err error
+		if row.proposed, err = run(false); err != nil {
+			return nil, err
+		}
+		if row.naive, err = run(true); err != nil {
+			return nil, err
+		}
+		r = append(r, row)
+	}
+	return r, nil
+}
+
+func (r figure10Result) output() Output {
 	qosTab := report.NewTable("Figure 10 (left): QoS status of the protected application (normalized time; bound 1.25)",
 		"mix", "QoS app", "proposed: actual", "proposed OK", "naive: actual", "naive OK")
 	sumTab := report.NewTable("Figure 10 (right): sum of normalized runtimes (4 apps, unit-weighted)",
 		"mix", "proposed", "naive")
-	for _, m := range figure10Mixes() {
-		target := m.names[0]
-		run := func(naive bool) (float64, float64, error) {
-			req, reg, err := l.mixRequest(m, naive)
-			if err != nil {
-				return 0, 0, err
-			}
-			cfg := l.PlacementConfig(l.Cfg.Seed + int64(len(m.id)))
-			cfg.Iterations = l.Cfg.placementIters()
-			cfg.QoS = &placement.QoS{App: target, MaxNormalized: qosBound}
-			res, err := placement.Search(req, cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			sum, out, err := l.weightedNormalizedSum(res.Placement, reg)
-			if err != nil {
-				return 0, 0, err
-			}
-			return out[target].Normalized, sum, nil
+	ok := func(q qosRun) string {
+		if q.ok() {
+			return "yes"
 		}
-		propActual, propSum, err := run(false)
-		if err != nil {
-			return Output{}, err
-		}
-		naiveActual, naiveSum, err := run(true)
-		if err != nil {
-			return Output{}, err
-		}
-		ok := func(v float64) string {
-			if v <= qosBound {
-				return "yes"
-			}
-			return "VIOLATED"
-		}
-		qosTab.MustAddRow(m.id, target, report.Norm(propActual), ok(propActual),
-			report.Norm(naiveActual), ok(naiveActual))
-		sumTab.MustAddRow(m.id, report.F(propSum, 3), report.F(naiveSum, 3))
+		return "VIOLATED"
+	}
+	for _, row := range r {
+		qosTab.MustAddRow(row.mix.id, row.mix.names[0], report.Norm(row.proposed.actual), ok(row.proposed),
+			report.Norm(row.naive.actual), ok(row.naive))
+		sumTab.MustAddRow(row.mix.id, report.F(row.proposed.sum, 3), report.F(row.naive.sum, 3))
 	}
 	return Output{
 		ID:     "Figure 10",
@@ -194,72 +192,72 @@ func (l *Lab) Figure10() (Output, error) {
 			"The proposed model keeps the protected app within 80% of its solo performance;",
 			"the naive model, blind to interference propagation, can violate the bound.",
 		},
-	}, nil
+	}
 }
 
-// Figure11Table5 regenerates the throughput placement study over the ten
-// mixes of Table 5: weighted-average speedup over the worst placement for
-// the model-driven best placement, the naive-model best, and random
+// figure11Row is one Table 5 mix: the mean per-app speedup over the worst
+// placement of the model's best, the naive model's best and five random
+// placements, and the share of node-time each wastes to interference.
+type figure11Row struct {
+	mix                                mix
+	best, naive, random                float64
+	wasteBest, wasteRandom, wasteWorst float64
+	saved                              float64 // share of the worst's waste the best avoids
+}
+
+type figure11Result []figure11Row
+
+// figure11 regenerates the throughput placement study over the ten mixes
+// of Table 5: weighted-average speedup over the worst placement for the
+// model-driven best placement, the naive-model best, and random
 // placements. From the same simulated outcomes it also quantifies the
 // conclusion's energy use-case: the share of CPU node-time each placement
 // wastes to interference, and how much of the worst placement's waste the
 // model-driven placement eliminates.
-func (l *Lab) Figure11Table5() (Output, error) { return l.figure11() }
-
-func (l *Lab) figure11() (Output, error) {
-	mixTab := report.NewTable("Table 5: selected workload combinations", "mix", "workloads")
-	perf := report.NewTable("Figure 11: weighted speedup over the worst placement",
-		"mix", "best (model)", "naive best", "random (5 avg)", "worst")
-	wasteTab := report.NewTable(
-		"Energy: wasted node-time per placement (fraction of total CPU time; simulated)",
-		"mix", "best (model)", "random (5 avg)", "worst", "waste eliminated")
+func (l *Lab) figure11() (figure11Result, error) {
 	mixes := table5Mixes()
 	if l.Cfg.Quick {
 		mixes = []mix{mixes[0], mixes[5], mixes[9]} // one per difference class
 	}
-	var improvements, savings []float64
+	search := func(req placement.Request, seed int64, goal placement.Goal) (*cluster.Placement, error) {
+		cfg := l.placementConfig(l.Cfg.Seed + seed)
+		cfg.Goal = goal
+		res, err := placement.Search(req, cfg)
+		return res.Placement, err
+	}
+	var r figure11Result
 	for _, m := range mixes {
-		mixTab.MustAddRow(m.id, strings.Join(m.names[:], " "))
 		req, reg, err := l.mixRequest(m, false)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		naiveReq, _, err := l.mixRequest(m, true)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		iters := l.Cfg.placementIters()
-
-		bestCfg := l.PlacementConfig(l.Cfg.Seed + 17)
-		bestCfg.Iterations = iters
-		best, err := placement.Search(req, bestCfg)
+		best, err := search(req, 17, placement.Best)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		worstCfg := l.PlacementConfig(l.Cfg.Seed + 29)
-		worstCfg.Iterations = iters
-		worstCfg.Goal = placement.Worst
-		worst, err := placement.Search(req, worstCfg)
+		worst, err := search(req, 29, placement.Worst)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		naiveCfg := l.PlacementConfig(l.Cfg.Seed + 31)
-		naiveCfg.Iterations = iters
-		naiveBest, err := placement.Search(naiveReq, naiveCfg)
+		naiveBest, err := search(naiveReq, 31, placement.Best)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		randoms, err := placement.RandomOutcome(req, 5, l.Cfg.Seed+41, nil)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 
 		// Evaluate all placements on the simulator; speedups are
 		// computed per app against the worst placement, then averaged
 		// with unit weights (all equal here).
-		_, worstOut, err := l.weightedNormalizedSum(worst.Placement, reg)
+		_, worstOut, err := l.weightedNormalizedSum(worst, reg)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		speedup := func(p *cluster.Placement) (float64, wasted, error) {
 			_, out, err := l.weightedNormalizedSum(p, reg)
@@ -272,32 +270,47 @@ func (l *Lab) figure11() (Output, error) {
 			}
 			return stats.Mean(sp), waste(p, out), nil
 		}
-		bestSp, bestW, err := speedup(best.Placement)
-		if err != nil {
-			return Output{}, err
+		row := figure11Row{mix: m}
+		var bestW wasted
+		if row.best, bestW, err = speedup(best); err != nil {
+			return nil, err
 		}
-		naiveSp, _, err := speedup(naiveBest.Placement)
-		if err != nil {
-			return Output{}, err
+		if row.naive, _, err = speedup(naiveBest); err != nil {
+			return nil, err
 		}
 		var rndSum, rndWaste float64
-		for _, r := range randoms {
-			s, w, err := speedup(r.Placement)
+		for _, rp := range randoms {
+			s, w, err := speedup(rp.Placement)
 			if err != nil {
-				return Output{}, err
+				return nil, err
 			}
 			rndSum += s
 			rndWaste += w.fraction()
 		}
-		rndSp := rndSum / float64(len(randoms))
-		perf.MustAddRow(m.id, report.F(bestSp, 3), report.F(naiveSp, 3), report.F(rndSp, 3), "1.000")
-		improvements = append(improvements, 100*(bestSp-1))
+		worstW := waste(worst, worstOut)
+		row.random = rndSum / float64(len(randoms))
+		row.wasteBest, row.wasteRandom, row.wasteWorst = bestW.fraction(), rndWaste/float64(len(randoms)), worstW.fraction()
+		row.saved = worstW.eliminatedBy(bestW)
+		r = append(r, row)
+	}
+	return r, nil
+}
 
-		worstW := waste(worst.Placement, worstOut)
-		saved := worstW.eliminatedBy(bestW)
-		savings = append(savings, 100*saved)
-		wasteTab.MustAddRow(m.id, report.F(bestW.fraction(), 3), report.F(rndWaste/float64(len(randoms)), 3),
-			report.F(worstW.fraction(), 3), report.Pct(100*saved))
+func (r figure11Result) output() Output {
+	mixTab := report.NewTable("Table 5: selected workload combinations", "mix", "workloads")
+	perf := report.NewTable("Figure 11: weighted speedup over the worst placement",
+		"mix", "best (model)", "naive best", "random (5 avg)", "worst")
+	wasteTab := report.NewTable(
+		"Energy: wasted node-time per placement (fraction of total CPU time; simulated)",
+		"mix", "best (model)", "random (5 avg)", "worst", "waste eliminated")
+	var improvements, savings []float64
+	for _, row := range r {
+		mixTab.MustAddRow(row.mix.id, strings.Join(row.mix.names[:], " "))
+		perf.MustAddRow(row.mix.id, report.F(row.best, 3), report.F(row.naive, 3), report.F(row.random, 3), "1.000")
+		wasteTab.MustAddRow(row.mix.id, report.F(row.wasteBest, 3), report.F(row.wasteRandom, 3),
+			report.F(row.wasteWorst, 3), report.Pct(100*row.saved))
+		improvements = append(improvements, 100*(row.best-1))
+		savings = append(savings, 100*row.saved)
 	}
 	return Output{
 		ID:     "Table 5 / Figure 11",
@@ -310,7 +323,7 @@ func (l *Lab) figure11() (Output, error) {
 			fmt.Sprintf("Mean waste eliminated by the model-driven placement vs. the worst: %.0f%% (energy use-case; not a paper artifact).",
 				stats.Mean(savings)),
 		},
-	}, nil
+	}
 }
 
 // wasted is the energy account of one placement in node-time, normalized

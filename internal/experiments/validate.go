@@ -11,47 +11,35 @@ import (
 	"repro/internal/workloads"
 )
 
-// pairPrediction predicts app's normalized time when co-running with co on
-// every one of `nodes` hosts, using app's interference model and co's
-// average bubble score — exactly the information a deployment would have.
-func (l *Lab) pairPrediction(env *measure.Env, model *core.Model, coScore float64, nodes int) (float64, error) {
-	pressures := make([]float64, nodes)
-	for i := range pressures {
-		pressures[i] = coScore
-	}
-	return model.PredictPressures(pressures)
-}
-
-// validationError measures one co-run pair on the environment and returns
-// app's prediction error (percent).
-func (l *Lab) validationError(env *measure.Env, model *core.Model, appName, coName string, nodes int) (predicted, actual, errPct float64, err error) {
-	preds, actuals, errPcts, err := l.validationErrors(env, model, appName, []string{coName}, nodes)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return preds[0], actuals[0], errPcts[0], nil
+// pairError is one validation co-run: the model's prediction of the app's
+// normalized time, the measured one, and the relative error (percent).
+type pairError struct {
+	name                 string // the row label: the co-runner, or the app
+	pred, actual, errPct float64
 }
 
 // validationErrors measures app co-run pairwise with every named co-runner
-// and returns the per-pair prediction, actual normalized time, and error
-// (percent), in coNames order. The co-runners' bubble scores are measured
-// first; the pair co-runs then go through one measurement batch, so
-// repeated pairs across experiments hit the lab's shared cache.
-func (l *Lab) validationErrors(env *measure.Env, model *core.Model, appName string, coNames []string, nodes int) (preds, actuals, errPcts []float64, err error) {
+// and returns one pairError per co-runner, in coNames order. The
+// prediction uses app's model at the co-runner's bubble score on every
+// one of `nodes` hosts — exactly the information a deployment would have.
+// The co-runners' bubble scores are measured first; the pair co-runs then
+// go through one measurement batch, so repeated pairs across experiments
+// hit the lab's shared cache.
+func validationErrors(env *measure.Env, model *core.Model, appName string, coNames []string, nodes int) ([]pairError, error) {
 	a, err := workloads.ByName(appName)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	cos := make([]workloads.Workload, len(coNames))
 	scores := make([]float64, len(coNames))
 	for i, coName := range coNames {
 		co, err := workloads.ByName(coName)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		score, err := core.MeasureBubbleScore(env, co)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		cos[i], scores[i] = co, score
 	}
@@ -61,61 +49,80 @@ func (l *Lab) validationErrors(env *measure.Env, model *core.Model, appName stri
 		handles[i] = b.Pair(a, cos[i], nodes)
 	}
 	if err := b.Run(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	preds = make([]float64, len(cos))
-	actuals = make([]float64, len(cos))
-	errPcts = make([]float64, len(cos))
+	out := make([]pairError, len(cos))
 	for i := range cos {
 		res, err := handles[i].Result()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		pred, err := l.pairPrediction(env, model, scores[i], nodes)
+		pressures := make([]float64, nodes)
+		for j := range pressures {
+			pressures[j] = scores[i]
+		}
+		pred, err := model.PredictPressures(pressures)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		preds[i], actuals[i], errPcts[i] = pred, res.NormalizedA, stats.RelErrPct(pred, res.NormalizedA)
+		out[i] = pairError{coNames[i], pred, res.NormalizedA, stats.RelErrPct(pred, res.NormalizedA)}
 	}
-	return preds, actuals, errPcts, nil
+	return out, nil
 }
 
-// Figure8 regenerates the model validation: every distributed application
+// figure8Row is one application's validation errors over its co-runs.
+type figure8Row struct {
+	app    string
+	errs   stats.Summary
+	noGems float64 // mean error without the M.Gems co-runner
+}
+
+type figure8Result []figure8Row
+
+// figure8 regenerates the model validation: every distributed application
 // co-run pairwise with all 18 workloads (including itself); per app the
 // average error with 25th-75th percentile spread.
-func (l *Lab) Figure8() (Output, error) {
+func (l *Lab) figure8() (figure8Result, error) {
 	coRunners := workloads.Names()
 	apps := distributedNames()
 	if l.Cfg.Quick {
 		apps = apps[:4]
 		coRunners = coRunners[:6]
 	}
-	tb := report.NewTable("Figure 8: model validation error per application (co-run with every workload)",
-		"workload", "avg error(%)", "p25(%)", "p75(%)", "max(%)")
-	withoutGems := report.NewTable("Figure 8 (aux): average error excluding the M.Gems co-runner",
-		"workload", "avg error(%)")
+	var r figure8Result
 	for _, appName := range apps {
 		model, err := l.Model(appName)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		_, _, errPcts, err := l.validationErrors(l.Env, model, appName, coRunners, 8)
+		pairs, err := validationErrors(l.Env, model, appName, coRunners, 8)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
 		var errs, errsNoGems []float64
-		for i, coName := range coRunners {
-			errs = append(errs, errPcts[i])
-			if coName != "M.Gems" {
-				errsNoGems = append(errsNoGems, errPcts[i])
+		for _, p := range pairs {
+			errs = append(errs, p.errPct)
+			if p.name != "M.Gems" {
+				errsNoGems = append(errsNoGems, p.errPct)
 			}
 		}
 		sum, err := stats.Summarize(errs)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		tb.MustAddRow(appName, report.F(sum.Mean, 2), report.F(sum.P25, 2), report.F(sum.P75, 2), report.F(sum.Max, 2))
-		withoutGems.MustAddRow(appName, report.F(stats.Mean(errsNoGems), 2))
+		r = append(r, figure8Row{appName, sum, stats.Mean(errsNoGems)})
+	}
+	return r, nil
+}
+
+func (r figure8Result) output() Output {
+	tb := report.NewTable("Figure 8: model validation error per application (co-run with every workload)",
+		"workload", "avg error(%)", "p25(%)", "p75(%)", "max(%)")
+	withoutGems := report.NewTable("Figure 8 (aux): average error excluding the M.Gems co-runner",
+		"workload", "avg error(%)")
+	for _, a := range r {
+		tb.MustAddRow(a.app, report.F(a.errs.Mean, 2), report.F(a.errs.P25, 2), report.F(a.errs.P75, 2), report.F(a.errs.Max, 2))
+		withoutGems.MustAddRow(a.app, report.F(a.noGems, 2))
 	}
 	return Output{
 		ID:     "Figure 8",
@@ -125,68 +132,75 @@ func (l *Lab) Figure8() (Output, error) {
 			"Expected shape: most workloads under ~10% average error, many under 5%;",
 			"errors drop for several apps once the unpredictable M.Gems co-runner is excluded.",
 		},
-	}, nil
+	}
 }
 
-// Figure9 regenerates the M.Gems case study: predicted vs. actual
+// figure9Result is the M.Gems case study: each distributed app co-run
+// with M.Gems (rows labelled by app), and M.Gems itself under each
+// co-runner (rows labelled by co-runner).
+type figure9Result struct{ withGems, gems []pairError }
+
+// figure9 regenerates the M.Gems case study: predicted vs. actual
 // normalized runtimes of every distributed application co-run with M.Gems,
 // and of M.Gems itself against every co-runner (the Dom0 blocked-I/O
 // effect makes the latter the hard direction).
-func (l *Lab) Figure9() (Output, error) {
+func (l *Lab) figure9() (*figure9Result, error) {
 	apps := distributedNames()
 	if l.Cfg.Quick {
 		apps = apps[:5]
 	}
-	tb := report.NewTable("Figure 9: predicted vs. actual normalized time, co-running with M.Gems",
-		"workload", "predicted", "actual", "error(%)")
+	r := &figure9Result{}
 	for _, appName := range apps {
 		model, err := l.Model(appName)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		pred, actual, e, err := l.validationError(l.Env, model, appName, "M.Gems", 8)
+		pairs, err := validationErrors(l.Env, model, appName, []string{"M.Gems"}, 8)
 		if err != nil {
-			return Output{}, err
+			return nil, err
 		}
-		tb.MustAddRow(appName, report.Norm(pred), report.Norm(actual), report.F(e, 2))
+		pairs[0].name = appName
+		r.withGems = append(r.withGems, pairs[0])
 	}
-	// The reverse direction: M.Gems predicted under each co-runner class.
 	gemsModel, err := l.Model("M.Gems")
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	rev := report.NewTable("Figure 9 (aux): M.Gems itself under each co-runner",
-		"co-runner", "predicted", "actual", "error(%)")
-	coNames := []string{"M.milc", "C.libq", "H.KM", "S.WC"}
-	type row struct {
-		name string
-		e    float64
-	}
-	var rows []row
-	preds, actuals, errPcts, err := l.validationErrors(l.Env, gemsModel, "M.Gems", coNames, 8)
+	r.gems, err = validationErrors(l.Env, gemsModel, "M.Gems", []string{"M.milc", "C.libq", "H.KM", "S.WC"}, 8)
 	if err != nil {
-		return Output{}, err
+		return nil, err
 	}
-	for i, coName := range coNames {
-		rev.MustAddRow(coName, report.Norm(preds[i]), report.Norm(actuals[i]), report.F(errPcts[i], 2))
-		rows = append(rows, row{coName, errPcts[i]})
+	return r, nil
+}
+
+// pairTable renders validation co-runs, one row per pair.
+func pairTable(title, label string, pairs []pairError) *report.Table {
+	tb := report.NewTable(title, label, "predicted", "actual", "error(%)")
+	for _, p := range pairs {
+		tb.MustAddRow(p.name, report.Norm(p.pred), report.Norm(p.actual), report.F(p.errPct, 2))
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].e < rows[j].e })
+	return tb
+}
+
+func (r figure9Result) output() Output {
+	ordered := append([]pairError(nil), r.gems...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].errPct < ordered[j].errPct })
+	var names []string
+	for _, p := range ordered {
+		names = append(names, p.name)
+	}
 	return Output{
-		ID:     "Figure 9",
-		Title:  "The unpredictable workload: validation with M.Gems",
-		Tables: []*report.Table{tb, rev},
+		ID:    "Figure 9",
+		Title: "The unpredictable workload: validation with M.Gems",
+		Tables: []*report.Table{
+			pairTable("Figure 9: predicted vs. actual normalized time, co-running with M.Gems", "workload", r.withGems),
+			pairTable("Figure 9 (aux): M.Gems itself under each co-runner", "co-runner", r.gems),
+		},
 		Notes: []string{
 			"M.Gems uses latency-sensitive blocked I/O; co-runners with fluctuating CPU load",
 			"(Hadoop/Spark) starve the Xen driver domain, which the bubble-profiled model cannot",
 			"see — so M.Gems' own predictions degrade most under those co-runners.",
-			fmt.Sprintf("Observed error ordering for M.Gems (low to high): %v", func() []string {
-				var out []string
-				for _, r := range rows {
-					out = append(out, r.name)
-				}
-				return out
-			}()),
+			fmt.Sprintf("Observed error ordering for M.Gems (low to high): %v", names),
 		},
-	}, nil
+	}
 }

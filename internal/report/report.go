@@ -3,7 +3,6 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -35,17 +34,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	if err := t.AddRow(cells...); err != nil {
 		panic(err)
 	}
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// Cell returns the cell at (row, col).
-func (t *Table) Cell(row, col int) (string, error) {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.Headers) {
-		return "", errors.New("report: cell out of range")
-	}
-	return t.rows[row][col], nil
 }
 
 // String renders the table with aligned columns.

@@ -44,24 +44,6 @@ func TestAddRowValidation(t *testing.T) {
 	tb.MustAddRow("just-one")
 }
 
-func TestCellAccess(t *testing.T) {
-	tb := NewTable("x", "a", "b")
-	tb.MustAddRow("1", "2")
-	got, err := tb.Cell(0, 1)
-	if err != nil || got != "2" {
-		t.Errorf("Cell = %q, %v", got, err)
-	}
-	if _, err := tb.Cell(1, 0); err == nil {
-		t.Error("row out of range should fail")
-	}
-	if _, err := tb.Cell(0, 2); err == nil {
-		t.Error("col out of range should fail")
-	}
-	if tb.Rows() != 1 {
-		t.Errorf("Rows = %d", tb.Rows())
-	}
-}
-
 func TestMarkdown(t *testing.T) {
 	tb := NewTable("T", "h1", "h2")
 	tb.MustAddRow("a", "b")
