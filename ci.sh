@@ -1,5 +1,5 @@
 #!/bin/sh
-# ci.sh — the repository's continuous-integration gate: vet, build, a
+# ci.sh — the repository's continuous-integration gate: vet, gofmt, build, a
 # guard that no package is without tests, the full test suite with the
 # race detector (which covers the command smokes in cmd/ and the
 # observability-plane handler tests in internal/obs and cmd/interfd), the
@@ -18,6 +18,14 @@ cd "$(dirname "$0")"
 
 echo "== go vet =="
 go vet ./...
+echo "== gofmt =="
+# gofmt -l also walks bench/ (its own module), but only reads it.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "ci: files not gofmt-clean (run gofmt -w on them):" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 echo "== go build =="
 go build ./...
 echo "== every package has tests =="
