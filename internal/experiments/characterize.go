@@ -394,28 +394,25 @@ func (r table3Result) output() Output {
 
 // table4Result is every workload's measured bubble score, in
 // workloads.All order.
-type table4Result struct {
-	ws     []workloads.Workload
-	scores []float64
-}
+type table4Result []float64
 
 // table4 regenerates the bubble scores of all 18 workloads.
-func (l *Lab) table4() (*table4Result, error) {
-	r := &table4Result{ws: workloads.All()}
-	for _, w := range r.ws {
+func (l *Lab) table4() (table4Result, error) {
+	var r table4Result
+	for _, w := range workloads.All() {
 		score, err := core.MeasureBubbleScore(l.Env, w)
 		if err != nil {
 			return nil, err
 		}
-		r.scores = append(r.scores, score)
+		r = append(r, score)
 	}
 	return r, nil
 }
 
 func (r table4Result) output() Output {
 	tb := report.NewTable("Table 4: bubble scores", "workload", "measured score", "paper score")
-	for i, w := range r.ws {
-		tb.MustAddRow(w.Name, report.F(r.scores[i], 2), report.F(w.TargetBubbleScore, 1))
+	for i, w := range workloads.All() {
+		tb.MustAddRow(w.Name, report.F(r[i], 2), report.F(w.TargetBubbleScore, 1))
 	}
 	return Output{
 		ID:     "Table 4",

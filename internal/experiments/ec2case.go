@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/report"
-	"repro/internal/stats"
 
 	ec2env "repro/internal/ec2"
 )
@@ -74,14 +73,7 @@ func (r table6Result) output() Output {
 	}
 }
 
-// figure13Row is one EC2 workload's validation error (percent) against
-// the other three.
-type figure13Row struct {
-	app       string
-	mean, max float64
-}
-
-type figure13Result []figure13Row
+type figure13Result []appErrors
 
 // figure13 regenerates the EC2 model validation: each of the four
 // workloads co-run with the others, prediction error per application.
@@ -107,15 +99,11 @@ func (l *Lab) figure13() (figure13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var errs []float64
-		for _, p := range pairs {
-			errs = append(errs, p.errPct)
-		}
-		mx, err := stats.Max(errs)
+		row, err := summarize(appName, pairs)
 		if err != nil {
 			return nil, err
 		}
-		r = append(r, figure13Row{appName, stats.Mean(errs), mx})
+		r = append(r, row)
 	}
 	return r, nil
 }
@@ -124,7 +112,7 @@ func (r figure13Result) output() Output {
 	tb := report.NewTable("Figure 13: EC2 validation error per application",
 		"workload", "avg error(%)", "max error(%)")
 	for _, row := range r {
-		tb.MustAddRow(row.app, report.F(row.mean, 2), report.F(row.max, 2))
+		tb.MustAddRow(row.app, report.F(row.errs.Mean, 2), report.F(row.errs.Max, 2))
 	}
 	return Output{
 		ID:     "Figure 13",

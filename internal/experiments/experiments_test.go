@@ -10,6 +10,7 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/measure"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // The experiments are integration tests of the whole stack; they share one
@@ -143,12 +144,12 @@ func TestTable4ScoreOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.scores) != 18 {
-		t.Fatalf("rows = %d, want 18", len(r.scores))
+	if len(r) != 18 {
+		t.Fatalf("rows = %d, want 18", len(r))
 	}
 	scores := map[string]float64{}
-	for i, w := range r.ws {
-		scores[w.Name] = r.scores[i]
+	for i, w := range workloads.All() {
+		scores[w.Name] = r[i]
 	}
 	if !(scores["C.libq"] > scores["M.milc"] && scores["M.milc"] > scores["H.KM"]) {
 		t.Errorf("score ordering broken: libq=%v milc=%v km=%v",
@@ -291,8 +292,8 @@ func TestEC2ExperimentsDegradeGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range f13 {
-		if row.mean > 30 {
-			t.Errorf("%s: EC2 validation error %v%% implausibly high", row.app, row.mean)
+		if row.errs.Mean > 30 {
+			t.Errorf("%s: EC2 validation error %v%% implausibly high", row.app, row.errs.Mean)
 		}
 	}
 }

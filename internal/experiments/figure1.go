@@ -43,9 +43,9 @@ func (l *Lab) figure1() (figure1Result, error) {
 	type prof struct {
 		w     workloads.Workload
 		score float64
-		sensP []float64
-		sensS []float64
+		sens  []float64 // slowdown at each of ps
 	}
+	ps := append([]float64{0}, bubble.IntegerPressures()...)
 	profs := map[string]prof{}
 	for _, n := range names {
 		w, err := workloads.ByName(n)
@@ -56,12 +56,11 @@ func (l *Lab) figure1() (figure1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps := append([]float64{0}, bubble.IntegerPressures()...)
 		sens, err := bubble.Sensitivity(node, w.Prof, cores, ps)
 		if err != nil {
 			return nil, err
 		}
-		profs[n] = prof{w: w, score: score, sensP: ps, sensS: sens}
+		profs[n] = prof{w, score, sens}
 	}
 	var r figure1Result
 	for _, an := range names {
@@ -70,7 +69,7 @@ func (l *Lab) figure1() (figure1Result, error) {
 				continue
 			}
 			a, b := profs[an], profs[bn]
-			pred, err := stats.InterpAt(a.sensP, a.sensS, b.score)
+			pred, err := stats.InterpAt(ps, a.sens, b.score)
 			if err != nil {
 				return nil, err
 			}

@@ -65,7 +65,6 @@ func (l *Lab) multiway() (multiwayResult, error) {
 
 	buildCfg := l.buildCfg()
 	models := map[string]*core.Model{}
-	scores := map[string]float64{}
 	model := func(name string) (*core.Model, error) {
 		if m, ok := models[name]; ok {
 			return m, nil
@@ -79,7 +78,6 @@ func (l *Lab) multiway() (multiwayResult, error) {
 			return nil, err
 		}
 		models[name] = m
-		scores[name] = m.BubbleScore
 		return m, nil
 	}
 
@@ -129,7 +127,7 @@ func (l *Lab) multiway() (multiwayResult, error) {
 			return nil, err
 		}
 		row := multiwayRow{triple: tr, actual: outs[0].Normalized}
-		s1, s2 := scores[tr[1]], scores[tr[2]]
+		s1, s2 := models[tr[1]].BubbleScore, models[tr[2]].BubbleScore
 		combined, err := bubble.CombineScores([]float64{s1, s2}, bubble.DefaultCollision)
 		if err != nil {
 			return nil, err

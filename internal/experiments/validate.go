@@ -70,14 +70,28 @@ func validationErrors(env *measure.Env, model *core.Model, appName string, coNam
 	return out, nil
 }
 
-// figure8Row is one application's validation errors over its co-runs.
-type figure8Row struct {
+// appErrors is one application's validation errors (percent) over its
+// co-runs.
+type appErrors struct {
 	app    string
 	errs   stats.Summary
 	noGems float64 // mean error without the M.Gems co-runner
 }
 
-type figure8Result []figure8Row
+// summarize reduces app's validation co-runs to appErrors.
+func summarize(app string, pairs []pairError) (appErrors, error) {
+	var errs, noGems []float64
+	for _, p := range pairs {
+		errs = append(errs, p.errPct)
+		if p.name != "M.Gems" {
+			noGems = append(noGems, p.errPct)
+		}
+	}
+	sum, err := stats.Summarize(errs)
+	return appErrors{app, sum, stats.Mean(noGems)}, err
+}
+
+type figure8Result []appErrors
 
 // figure8 regenerates the model validation: every distributed application
 // co-run pairwise with all 18 workloads (including itself); per app the
@@ -99,18 +113,11 @@ func (l *Lab) figure8() (figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var errs, errsNoGems []float64
-		for _, p := range pairs {
-			errs = append(errs, p.errPct)
-			if p.name != "M.Gems" {
-				errsNoGems = append(errsNoGems, p.errPct)
-			}
-		}
-		sum, err := stats.Summarize(errs)
+		row, err := summarize(appName, pairs)
 		if err != nil {
 			return nil, err
 		}
-		r = append(r, figure8Row{appName, sum, stats.Mean(errsNoGems)})
+		r = append(r, row)
 	}
 	return r, nil
 }
