@@ -103,7 +103,7 @@ type curves struct {
 }
 
 func (c curves) table() *report.Table {
-	headers := []string{c.corner}
+	headers := append(make([]string, 0, 1+len(c.counts)), c.corner)
 	for _, n := range c.counts {
 		headers = append(headers, fmt.Sprint(n))
 	}
@@ -164,7 +164,7 @@ func (l *Lab) propagationCurves(env *measure.Env, nodes int, counts []int, names
 	for _, p := range pressures {
 		rows = append(rows, report.F(p, 0))
 	}
-	var out []curves
+	out := make([]curves, 0, len(names))
 	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -237,7 +237,7 @@ func bestPolicyTable(title string, rs []appSelection, paper map[string]hetero.Po
 	tb := report.NewTable(title, headers...)
 	for _, r := range rs {
 		st := r.sel.BestStats
-		row := []string{r.app, r.sel.Best.String(), report.F(st.AvgPct, 2), report.F(st.StdPct, 2)}
+		row := append(make([]string, 0, len(headers)), r.app, r.sel.Best.String(), report.F(st.AvgPct, 2), report.F(st.StdPct, 2))
 		if paper != nil {
 			row = append(row, paper[r.app].String())
 		}
@@ -262,8 +262,9 @@ type table2Result []appSelection
 // sampled heterogeneous configurations (Figure 4) and the best policy per
 // application (Table 2).
 func (l *Lab) table2() (table2Result, error) {
-	var r table2Result
-	for _, name := range distributedNames() {
+	names := distributedNames()
+	r := make(table2Result, 0, len(names))
+	for _, name := range names {
 		m, err := l.Model(name)
 		if err != nil {
 			return nil, err
@@ -392,27 +393,29 @@ func (r table3Result) output() Output {
 	}
 }
 
-// table4Result is every workload's measured bubble score, in
-// workloads.All order.
-type table4Result []float64
+// table4Result is every workload's measured bubble score.
+type table4Result struct {
+	ws     []workloads.Workload
+	scores []float64
+}
 
 // table4 regenerates the bubble scores of all 18 workloads.
-func (l *Lab) table4() (table4Result, error) {
-	var r table4Result
-	for _, w := range workloads.All() {
+func (l *Lab) table4() (*table4Result, error) {
+	r := &table4Result{ws: workloads.All()}
+	for _, w := range r.ws {
 		score, err := core.MeasureBubbleScore(l.Env, w)
 		if err != nil {
 			return nil, err
 		}
-		r = append(r, score)
+		r.scores = append(r.scores, score)
 	}
 	return r, nil
 }
 
 func (r table4Result) output() Output {
 	tb := report.NewTable("Table 4: bubble scores", "workload", "measured score", "paper score")
-	for i, w := range workloads.All() {
-		tb.MustAddRow(w.Name, report.F(r[i], 2), report.F(w.TargetBubbleScore, 1))
+	for i, w := range r.ws {
+		tb.MustAddRow(w.Name, report.F(r.scores[i], 2), report.F(w.TargetBubbleScore, 1))
 	}
 	return Output{
 		ID:     "Table 4",

@@ -83,7 +83,7 @@ func (l *Lab) figure13() (figure13Result, error) {
 		return nil, err
 	}
 	names := ec2env.ValidationWorkloads()
-	var r figure13Result
+	r := make(figure13Result, 0, len(names))
 	for _, appName := range names {
 		model, err := l.ec2Model(appName)
 		if err != nil {

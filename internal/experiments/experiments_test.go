@@ -10,7 +10,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/measure"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // The experiments are integration tests of the whole stack; they share one
@@ -144,12 +143,12 @@ func TestTable4ScoreOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r) != 18 {
-		t.Fatalf("rows = %d, want 18", len(r))
+	if len(r.scores) != 18 {
+		t.Fatalf("rows = %d, want 18", len(r.scores))
 	}
 	scores := map[string]float64{}
-	for i, w := range workloads.All() {
-		scores[w.Name] = r[i]
+	for i, w := range r.ws {
+		scores[w.Name] = r.scores[i]
 	}
 	if !(scores["C.libq"] > scores["M.milc"] && scores["M.milc"] > scores["H.KM"]) {
 		t.Errorf("score ordering broken: libq=%v milc=%v km=%v",

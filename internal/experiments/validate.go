@@ -103,7 +103,7 @@ func (l *Lab) figure8() (figure8Result, error) {
 		apps = apps[:4]
 		coRunners = coRunners[:6]
 	}
-	var r figure8Result
+	r := make(figure8Result, 0, len(apps))
 	for _, appName := range apps {
 		model, err := l.Model(appName)
 		if err != nil {
