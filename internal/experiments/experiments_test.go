@@ -239,6 +239,23 @@ func TestFigure11PlacementOrdering(t *testing.T) {
 	}
 }
 
+// TestFigure11OrderingVerdict feeds Figure 11's rendering two synthetic
+// row sets: in one every high-difference mix gains more than L, as the
+// paper expects, and in the other HM1 does not; the verdict must flip and
+// name HM1.
+func TestFigure11OrderingVerdict(t *testing.T) {
+	verdict := func(hm1 float64) string {
+		r := figure11Result{{mix: mix{id: "HW1"}, best: 1.30}, {mix: mix{id: "HM1"}, best: hm1}, {mix: mix{id: "L"}, best: 1.05}}
+		return r.output().Notes[2]
+	}
+	if got := verdict(1.25); !strings.HasPrefix(got, "That holds here") {
+		t.Errorf("HM1 gains 25%% over L's 5%%, verdict %q", got)
+	}
+	if got := verdict(1.02); !strings.HasPrefix(got, "That does not hold here") || !strings.Contains(got, "HM1 (2.0%)") {
+		t.Errorf("HM1 gains 2%% under L's 5%%, verdict %q", got)
+	}
+}
+
 // TestWasteAccounting pins the energy table's arithmetic: an app on u
 // units at normalized time T wastes u*(T-1) node-time, a time below 1
 // counts as 1, and the eliminated share is relative to the worse waste.

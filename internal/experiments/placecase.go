@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -205,7 +206,30 @@ type figure11Row struct {
 	saved                              float64 // share of the worst's waste the best avoids
 }
 
+// gain is the model best's improvement over the worst placement, percent.
+func (r figure11Row) gain() float64 { return 100 * (r.best - 1) }
+
 type figure11Result []figure11Row
+
+// ordering says whether the paper's ordering holds among the mixes that
+// ran: every high-difference (HW*/HM*) mix gains more than L. It names the
+// mixes that break it.
+func (r figure11Result) ordering() string {
+	i := slices.IndexFunc(r, func(row figure11Row) bool { return row.mix.id == "L" })
+	if i < 0 {
+		return "L did not run, so that ordering is not checked here."
+	}
+	var below []string
+	for _, row := range r {
+		if strings.HasPrefix(row.mix.id, "H") && row.gain() <= r[i].gain() {
+			below = append(below, fmt.Sprintf("%s (%.1f%%)", row.mix.id, row.gain()))
+		}
+	}
+	if len(below) == 0 {
+		return fmt.Sprintf("That holds here: every HW*/HM* mix gains more than L (%.1f%%).", r[i].gain())
+	}
+	return fmt.Sprintf("That does not hold here: L gains %.1f%%, at least as much as %s.", r[i].gain(), strings.Join(below, ", "))
+}
 
 // figure11 regenerates the throughput placement study over the ten mixes
 // of Table 5: weighted-average speedup over the worst placement for the
@@ -309,7 +333,7 @@ func (r figure11Result) output() Output {
 		perf.MustAddRow(row.mix.id, report.F(row.best, 3), report.F(row.naive, 3), report.F(row.random, 3), "1.000")
 		wasteTab.MustAddRow(row.mix.id, report.F(row.wasteBest, 3), report.F(row.wasteRandom, 3),
 			report.F(row.wasteWorst, 3), report.Pct(100*row.saved))
-		improvements = append(improvements, 100*(row.best-1))
+		improvements = append(improvements, row.gain())
 		savings = append(savings, 100*row.saved)
 	}
 	return Output{
@@ -318,8 +342,11 @@ func (r figure11Result) output() Output {
 		Tables: []*report.Table{mixTab, perf, wasteTab},
 		Notes: []string{
 			fmt.Sprintf("Mean best-over-worst improvement across mixes: %.1f%%.", stats.Mean(improvements)),
-			"Expected shape: large gains for the high-difference (HW*/HM*) mixes, small for L;",
-			"the naive best is erratic — sometimes near the model, sometimes near random.",
+			"The paper expects larger gains for the high-difference (HW*/HM*) mixes than for L.",
+			r.ordering(),
+			"Magnitudes are smaller than the paper's because the simulator caps them: over all placements of a mix,",
+			"best over worst averages ~19% here, against the paper's 56.6% mean for its high-difference mixes.",
+			"The naive best is erratic — sometimes near the model, sometimes near random.",
 			fmt.Sprintf("Mean waste eliminated by the model-driven placement vs. the worst: %.0f%% (energy use-case; not a paper artifact).",
 				stats.Mean(savings)),
 		},
