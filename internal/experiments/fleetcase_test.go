@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// TestGoldenFleet pins the fleet scenario's rendered report: the
+// template composition, the flat-vs-hierarchical comparison, and the
+// cell occupancy are all byte-deterministic at the fixed quick-mode
+// seed — the determinism contract of both fleet.Generate and the
+// hierarchical search, observed end to end.
+func TestGoldenFleet(t *testing.T) { checkGoldenRunner(t, "fleet") }
+
 // TestFleetGoldenDetectsTemplatePerturbation: nudging a single template
 // weight reshapes the apportionment and therefore the whole report — the
 // golden comparison must notice.

@@ -19,6 +19,48 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".txt")
 }
 
+// checkGolden compares a runner's rendering with testdata/golden/<id>.txt,
+// or rewrites that file under -update.
+func checkGolden(t *testing.T, id string, out Output) {
+	t.Helper()
+	got, path := []byte(out.Render()), goldenPath(id)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from its golden copy; if the change is intentional, rerun with -update.\n--- got ---\n%s--- want ---\n%s", id, got, want)
+	}
+}
+
+// checkGoldenRunner runs one runner on the shared quick lab and checks its
+// golden copy. Only runners that leave the EC2 env alone may use it: their
+// output does not depend on what ran before them.
+func checkGoldenRunner(t *testing.T, id string) {
+	t.Helper()
+	r, err := RunnerByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := r.Run(quickLab(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, id, out)
+}
+
+func TestGoldenFigure2(t *testing.T)  { checkGoldenRunner(t, "figure2") }
+func TestGoldenFigure3(t *testing.T)  { checkGoldenRunner(t, "figure3") }
+func TestGoldenTable2(t *testing.T)   { checkGoldenRunner(t, "table2") }
+func TestGoldenFigure10(t *testing.T) { checkGoldenRunner(t, "figure10") }
+func TestGoldenFigure11(t *testing.T) { checkGoldenRunner(t, "figure11") }
+
 // TestGolden checks every runner's rendering against
 // testdata/golden/<id>.txt exactly as `paperrepro -quick -extras` prints
 // it: one fresh quick lab at seed 2016, the paper artifacts and then the
@@ -36,20 +78,7 @@ func TestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		got, path := []byte(out.Render()), goldenPath(r.ID)
-		if *update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("golden file missing (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from its golden copy; if the change is intentional, rerun with -update.\n--- got ---\n%s--- want ---\n%s", r.ID, got, want)
-		}
+		checkGolden(t, r.ID, out)
 	}
 }
 

@@ -109,6 +109,12 @@ func TestSearchTelemetryAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	// A flat search runs on one goroutine. With more than one P, a
+	// rescheduled test goroutine meets another P's empty pool and the
+	// runtime grows that P's pool storage, which MemStats charges to
+	// whichever search was running; one P keeps the pool where it was
+	// warmed.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	req := testRequest()
 	bare, instr := DefaultConfig(5), DefaultConfig(5)
 	instr.Telemetry = telemetry.NewRegistry()
