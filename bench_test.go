@@ -102,23 +102,43 @@ func BenchmarkFigure13(b *testing.B) { benchRunner(b, "figure13") }
 // ---- micro-benchmarks of the library's hot paths ----
 
 // BenchmarkContentionSolve measures the single-node equilibrium solver,
-// the innermost operation of every measurement.
+// the innermost operation of every measurement. private is the testbed's
+// two-unit host through Solve, a shape the measurement layer memoises;
+// ec2-host is the shape that carries almost all of a full reproduction's
+// solves and never repeats: a 4-core application unit and a 4-core bubble
+// beside an 8-core flat noisy tenant at a continuous pressure, through
+// Slowdowns as the measurement layer calls it.
 func BenchmarkContentionSolve(b *testing.B) {
 	node := contention.DefaultNode()
 	w, err := workloads.ByName("M.milc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	occ := []contention.Occupant{
-		{Name: "app", Prof: w.Prof, Cores: 8},
-		{Name: "bubble", Prof: bubble.Profile(6), Cores: 8},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := contention.Solve(node, occ); err != nil {
-			b.Fatal(err)
+	b.Run("private", func(b *testing.B) {
+		occ := []contention.Occupant{
+			{Name: "app", Prof: w.Prof, Cores: 8},
+			{Name: "bubble", Prof: bubble.Profile(6), Cores: 8},
 		}
-	}
+		for i := 0; i < b.N; i++ {
+			if _, err := contention.Solve(node, occ); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ec2-host", func(b *testing.B) {
+		occ := []contention.Occupant{
+			{Name: "app", Prof: w.Prof, Cores: ec2.UnitCores},
+			{Name: "bubble", Prof: bubble.Profile(5), Cores: ec2.UnitCores},
+			{Name: "tenant", Prof: bubble.Profile(3.3), Cores: 2 * ec2.UnitCores},
+		}
+		var sd [2]float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := contention.Slowdowns(node, occ, sd[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkBSPRun measures one run of a BSP application across 8 nodes

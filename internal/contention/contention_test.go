@@ -74,19 +74,19 @@ func TestProfileValidate(t *testing.T) {
 
 func TestMissRatioShape(t *testing.T) {
 	p := cacheHeavy()
-	if got := p.MissRatio(0); !almostEq(got, p.MRMax, 1e-12) {
-		t.Errorf("MissRatio(0) = %v, want MRMax %v", got, p.MRMax)
+	if got := p.missRatio(0); !almostEq(got, p.MRMax, 1e-12) {
+		t.Errorf("missRatio(0) = %v, want MRMax %v", got, p.MRMax)
 	}
-	if got := p.MissRatio(p.WSSMB); !almostEq(got, p.MRMin, 1e-12) {
-		t.Errorf("MissRatio(WSS) = %v, want MRMin %v", got, p.MRMin)
+	if got := p.missRatio(p.WSSMB); !almostEq(got, p.MRMin, 1e-12) {
+		t.Errorf("missRatio(WSS) = %v, want MRMin %v", got, p.MRMin)
 	}
-	if got := p.MissRatio(10 * p.WSSMB); !almostEq(got, p.MRMin, 1e-12) {
-		t.Errorf("MissRatio beyond WSS = %v, want MRMin", got)
+	if got := p.missRatio(10 * p.WSSMB); !almostEq(got, p.MRMin, 1e-12) {
+		t.Errorf("missRatio beyond WSS = %v, want MRMin", got)
 	}
 	// Monotone non-increasing in share.
 	prev := math.Inf(1)
 	for s := 0.0; s <= 40; s += 2 {
-		mr := p.MissRatio(s)
+		mr := p.missRatio(s)
 		if mr > prev+1e-12 {
 			t.Fatalf("miss ratio increased with share at %v", s)
 		}
@@ -94,8 +94,8 @@ func TestMissRatioShape(t *testing.T) {
 	}
 	zeroWSS := p
 	zeroWSS.WSSMB = 0
-	if got := zeroWSS.MissRatio(5); got != p.MRMin {
-		t.Errorf("zero-WSS MissRatio = %v, want MRMin", got)
+	if got := zeroWSS.missRatio(5); got != p.MRMin {
+		t.Errorf("zero-WSS missRatio = %v, want MRMin", got)
 	}
 }
 
@@ -263,14 +263,16 @@ func TestSoloMissGBpsDoublesWithBubblePressure(t *testing.T) {
 }
 
 func TestSoloCPIErrors(t *testing.T) {
+	// soloCPI trusts its caller; what a bad node, profile or core count
+	// meets is the validation of the Solve that would ask for it.
 	node := DefaultNode()
-	if _, err := SoloCPI(Node{}, Occupant{Prof: cacheHeavy(), Cores: 1}); err == nil {
+	if _, err := Solve(Node{}, []Occupant{{Prof: cacheHeavy(), Cores: 1}}); err == nil {
 		t.Error("invalid node should error")
 	}
-	if _, err := SoloCPI(node, Occupant{Prof: MemProfile{}, Cores: 1}); err == nil {
+	if _, err := Solve(node, []Occupant{{Prof: MemProfile{}, Cores: 1}}); err == nil {
 		t.Error("invalid profile should error")
 	}
-	if _, err := SoloCPI(node, Occupant{Prof: cacheHeavy(), Cores: 0}); err == nil {
+	if _, err := Solve(node, []Occupant{{Prof: cacheHeavy(), Cores: 0}}); err == nil {
 		t.Error("zero cores should error")
 	}
 }

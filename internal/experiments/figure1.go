@@ -73,15 +73,14 @@ func (l *Lab) figure1() (figure1Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := contention.Solve(node, []contention.Occupant{
+			var actual [1]float64
+			if err := contention.Slowdowns(node, []contention.Occupant{
 				{Name: an, Prof: a.w.Prof, Cores: cores},
 				{Name: bn, Prof: b.w.Prof, Cores: cores},
-			})
-			if err != nil {
+			}, actual[:]); err != nil {
 				return nil, err
 			}
-			actual := res.Slowdown[0]
-			r = append(r, figure1Row{an, bn, b.score, pred, actual, stats.RelErrPct(pred, actual)})
+			r = append(r, figure1Row{an, bn, b.score, pred, actual[0], stats.RelErrPct(pred, actual[0])})
 		}
 	}
 	return r, nil
