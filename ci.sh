@@ -1,18 +1,17 @@
 #!/bin/sh
 # ci.sh — the repository's continuous-integration gate: vet, gofmt, build, a
-# guard that no package is without tests, the full test suite with the
-# race detector (which covers the command smokes in cmd/ and the
-# observability-plane handler tests in internal/obs and cmd/interfd), the
-# bench/ module's own vet and unit tests, a second uncached race pass for
-# determinism, soaks of the placement service's concurrency tests, of
-# the shared jitter tables and of the exchange's evaluators, a fuzz smoke
-# of every target, and two smokes of the interfd binary: same-seed
-# self-driven runs leave byte-identical decision audits and equal nonzero
-# event and measurement counts in their reports, and the loadgen
-# determinism smoke against a live serve-only daemon, whose drain must
-# leave its report and audit on disk. Timings are not gated here: the
-# benchmark of record is bench/ (`make bench`). Run it before every
-# commit.
+# guard that no package is without tests, the full test suite run twice,
+# uncached, under the race detector (which covers the command smokes in
+# cmd/, the in-process daemon's replay, drain and handler tests, and the
+# observability-plane tests in internal/obs), the bench/ module's own vet
+# and unit tests, soaks of the placement service's concurrency tests, of
+# the daemon's lifecycle tests, of the shared jitter tables and of the
+# exchange's evaluators, a fuzz smoke of every target, a check that
+# EXPERIMENTS.md is what paperrepro prints, the pinned flag sets, and a
+# smoke of the interfd binary: same-seed self-driven runs leave
+# byte-identical decision audits and equal nonzero event and measurement
+# counts in their reports. Timings are not gated here: the benchmark of
+# record is bench/ (`make bench`). Run it before every commit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -37,30 +36,24 @@ if [ -n "$untested" ]; then
   echo "$untested" >&2
   exit 1
 fi
-echo "== go test -race (incl. internal/obs + cmd/interfd handler tests) =="
-go test -race ./...
+echo "== go test -race -count=2 (every package, twice, uncached) =="
+# Every result in this repository must be a pure function of its seed —
+# the parallel placement search (flat and cell-sharded), the fault plan,
+# the measurement batch engine, the drift tracker, the experiment goldens,
+# the placement service under concurrent admission, the daemon's replay
+# and drain, the fleet generator — and much of it runs on pooled or shared
+# state (event engines, jitter tables, search workspaces) that a second
+# pass in the same process finds warm. So every package is run twice,
+# uncached, under the race detector. Nothing is left out: internal/obs's
+# SSE tests wait on the subscriber's progress, not on the clock; each
+# daemon test in cmd/ binds an ephemeral port, and every test there
+# writes only into its own temp dir.
+go test -race -count=2 ./...
 echo "== bench module (vet + unit tests; its own go.mod, so ./... above skips it) =="
 # bench/ is the benchmark of record and drives the program through its
 # public surface (bench/surface.go); a refactor that breaks that surface
 # must fail here, not in the next benchmark run.
 go vet -C bench ./... && go test -C bench ./...
-echo "== go test -race -count=2 (determinism: every package but the exclusions below) =="
-# Every result in this repository must be a pure function of its seed —
-# the parallel placement search (flat and cell-sharded), the fault plan,
-# the measurement batch engine, the drift tracker, the experiment goldens,
-# the placement service under concurrent admission, the fleet generator —
-# and much of it runs on pooled or shared state (event engines, jitter
-# tables, search workspaces) that a second pass in the same process finds
-# warm. So every package is run twice, uncached, under the race detector.
-# The list is derived, so a new package is covered without anyone listing
-# it; only this is left out:
-#   repro/cmd/      each test drives a real daemon or CLI over sockets,
-#                   files and wall-clock deadlines; raced once above
-# (internal/obs is in: its SSE tests wait on the subscriber's progress,
-# not on the clock.)
-race_twice="$(go list ./... | grep -v -e '^repro/cmd/')"
-# shellcheck disable=SC2086 # one package per word
-go test -race -count=2 $race_twice
 
 echo "== serve soak (-race -count=20 of the worker pool's concurrency tests) =="
 # internal/serve is the one package whose tests hold requests in flight
@@ -68,6 +61,12 @@ echo "== serve soak (-race -count=20 of the worker pool's concurrency tests) =="
 # Close under load, determinism under concurrent admission). Twice is not
 # a soak for those: run them twenty times under the race detector.
 go test -race -count=20 ./internal/serve -run 'SideBySide|QueueFull|Panic|Close|DeterministicUnderConcurrency'
+
+echo "== daemon soak (-race -count=20 of interfd's lifecycle tests) =="
+# The daemon's drain under load, its placement API, its address file and
+# its two-daemon replay each start and stop a whole daemon in-process:
+# soak them so a leaked goroutine or an unordered audit write shows.
+go test -race -count=20 ./cmd/interfd -run 'Drain|PlacementAPI|AddrFile|Replay'
 
 echo "== jitter-table soak (-race -count=20 of the concurrent-fill and worker-count tests) =="
 # An Env's jitter tables are shared state that batch workers grow while
@@ -102,14 +101,8 @@ for target in $fuzz_targets; do
 done
 
 smokedir="$(mktemp -d)"
-daemon_pid=""
-cleanup_smoke() {
-  [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
-  rm -rf "$smokedir"
-}
-trap cleanup_smoke EXIT
+trap 'rm -rf "$smokedir"' EXIT
 go build -o "$smokedir/interfd" ./cmd/interfd
-go build -o "$smokedir/loadgen" ./cmd/loadgen
 for tool in paperrepro placer interfsim profiler; do
   go build -o "$smokedir/$tool" "./cmd/$tool"
 done
@@ -190,42 +183,5 @@ for key in sim_events_scheduled_total sim_events_fired_total measure_runs_total;
   fi
 done
 echo "self-driver smoke: two same-seed runs of 3 rounds, byte-identical audits, equal event and run counts"
-
-echo "== loadgen smoke (deterministic placement-service reports) =="
-# End-to-end determinism contract of the serving plane over real HTTP:
-# start a serve-only daemon on an ephemeral port, replay the same seeded
-# open-loop trace twice with the load generator, and require the two
-# reports to be byte-identical with zero errors and nonzero sustained
-# throughput; then signal the daemon and require its drain to have written
-# a report that parses and the decision audit.
-"$smokedir/interfd" -serve-only -listen 127.0.0.1:0 -addr-file "$smokedir/addr" \
-  -mix M.lmps,C.libq -profile-samples 4 -log-level warn \
-  -report "$smokedir/interfd-report.json" -drift-audit "$smokedir/decisions.jsonl" &
-daemon_pid=$!
-"$smokedir/loadgen" -addr-file "$smokedir/addr" -apps M.lmps,C.libq \
-  -n 24 -rate 200 -seed 7 -iters 80 -report "$smokedir/r1.json" -log-level warn
-"$smokedir/loadgen" -addr-file "$smokedir/addr" -apps M.lmps,C.libq \
-  -n 24 -rate 200 -seed 7 -iters 80 -report "$smokedir/r2.json" -log-level warn
-cmp "$smokedir/r1.json" "$smokedir/r2.json"
-grep -q '"errors": 0' "$smokedir/r1.json"
-awk '$1 == "\"sustained_rps\":" { gsub(/,/, "", $2); if ($2 + 0 > 0) ok = 1 }
-  END { exit ok ? 0 : 1 }' "$smokedir/r1.json"
-kill "$daemon_pid"
-wait "$daemon_pid"
-daemon_pid=""
-[ -f "$smokedir/decisions.jsonl" ]
-# The drained report: whole (an object from first line to last), this
-# daemon's, counting all 48 placements — and parsed, where there is a
-# python3 to parse it.
-report="$smokedir/interfd-report.json"
-[ "$(head -n 1 "$report")" = "{" ] && [ "$(tail -n 1 "$report")" = "}" ]
-grep -q '"tool": "interfd"' "$report"
-grep -q '"serve_requests_total{endpoint=\\"place\\"}": 48,' "$report"
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$report"
-fi
-cleanup_smoke
-trap - EXIT
-echo "loadgen smoke: two same-seed replays byte-identical, nonzero throughput, drain flushed report and audit"
 
 echo "ci: all checks passed"

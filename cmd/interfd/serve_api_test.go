@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -237,5 +238,98 @@ func TestDaemonAddrFile(t *testing.T) {
 	}
 	if got := "http://" + strings.TrimSpace(string(raw)); got != base {
 		t.Errorf("addr file = %q, daemon at %q", got, base)
+	}
+}
+
+// replayBodies draws a seeded request sequence: n bodies of one or both
+// of M.lmps and C.libq, 2 or 4 units each, an explicit search seed, and a
+// QoS bound of 1.5 on the first app of about a quarter of them. Each body
+// also draws an exponential gap first, the arrival offset this sequence
+// was once replayed open-loop with, so that seed 7 keeps its old trace.
+func replayBodies(seed int64, n int) []serve.PlaceRequest {
+	pool := []string{"M.lmps", "C.libq"}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]serve.PlaceRequest, n)
+	for i := range out {
+		rng.ExpFloat64()
+		k := 1 + rng.Intn(len(pool))
+		perm := rng.Perm(len(pool))
+		apps := make([]serve.AppDemand, k)
+		for j := range apps {
+			apps[j] = serve.AppDemand{App: pool[perm[j]], Units: 2 + 2*rng.Intn(2)}
+		}
+		out[i] = serve.PlaceRequest{
+			ID:         "replay-" + strconv.Itoa(i),
+			Apps:       apps,
+			Seed:       seed*1_000_003 + int64(i) + 1,
+			Iterations: 80,
+		}
+		if rng.Float64() < 0.25 {
+			out[i].QoSApp, out[i].QoSMax = apps[0].App, 1.5
+		}
+	}
+	return out
+}
+
+// TestDaemonReplayDeterministic is the serving plane's determinism
+// contract end to end: two fresh serve-only daemons, each sent the same
+// seeded sequence serially over HTTP, answer every request 200 with the
+// same bytes, and their drains flush byte-identical audits of the three
+// sampled decisions and reports that count every placement. One worker
+// and serial posting fix the audit's order: the worker that searched
+// records the decision.
+func TestDaemonReplayDeterministic(t *testing.T) {
+	bodies := append(replayBodies(7, 24), seededBodies(3, true)...)
+	type replay struct {
+		answers [][]byte
+		audit   []byte
+	}
+	run := func() replay {
+		var auditPath, reportPath string
+		base, cancel, errCh := serveOnlyDaemon(t, func(c *daemonConfig) {
+			c.workers = 1
+			auditPath, reportPath = c.driftAuditPath, c.reportPath
+		})
+		defer cancel()
+		var r replay
+		for i, body := range bodies {
+			code, raw := post(t, base+"/api/place", body)
+			if code != http.StatusOK {
+				t.Fatalf("request %d = %d: %s", i, code, raw)
+			}
+			r.answers = append(r.answers, raw)
+		}
+		cancel()
+		awaitExit(t, errCh)
+
+		var err error
+		if r.audit, err = os.ReadFile(auditPath); err != nil {
+			t.Fatalf("flushed decision audit missing: %v", err)
+		}
+		if got := len(loadAuditFile(t, auditPath)); got != 3 {
+			t.Errorf("flushed audit holds %d decisions, want the 3 sampled ones", got)
+		}
+		raw, err := os.ReadFile(reportPath)
+		if err != nil {
+			t.Fatalf("drained report missing: %v", err)
+		}
+		var rep telemetry.RunReport
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatalf("drained report is not a RunReport: %v", err)
+		}
+		key := telemetry.Label(serve.MetricRequests, "endpoint", "place")
+		if got := rep.Metrics.Counters[key]; got != uint64(len(bodies)) {
+			t.Errorf("report counts %s = %d, want %d", key, got, len(bodies))
+		}
+		return r
+	}
+	a, b := run(), run()
+	for i := range bodies {
+		if !bytes.Equal(a.answers[i], b.answers[i]) {
+			t.Errorf("request %d answered differently by two daemons:\n%s\n%s", i, a.answers[i], b.answers[i])
+		}
+	}
+	if !bytes.Equal(a.audit, b.audit) {
+		t.Errorf("flushed audits differ:\n%s\n%s", a.audit, b.audit)
 	}
 }

@@ -86,6 +86,8 @@ func TestWireParity(t *testing.T) {
 		{"whatif empty", "/api/whatif", "", `{"placement":[["",""],["",""],["",""],["",""],["",""],["",""],["",""],["",""]]}`},
 		{"whatif unknown app", "/api/whatif", "", `{"id":"wi-2","placement":[["ghost",""],["",""],["",""],["",""],["",""],["",""],["",""],["",""]]}`},
 		{"whatif qos without bound", "/api/whatif", "", `{"placement":` + grid + `,"qos_app":"sens"}`},
+		{"whatif qos app absent", "/api/whatif", "", `{"placement":` + grid + `,"qos_app":"ghost","qos_max":1.5}`},
+		{"whatif qos below one", "/api/whatif", "", `{"placement":` + grid + `,"qos_app":"sens","qos_max":0.5}`},
 	} {
 		post(c.name, base+c.path, c.header, c.body)
 	}

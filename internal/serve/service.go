@@ -44,16 +44,6 @@ const (
 	HistE2E     = "serve_e2e_seconds"
 )
 
-// Modeled service cost: the deterministic per-request "simulated" time
-// reported in responses (base admission overhead plus a per-evaluation
-// cost), a pure function of the evaluation count. The load generator's
-// virtual-time queueing model consumes it, keeping its report independent
-// of wall-clock jitter.
-const (
-	SimCostBase    = 0.001 // seconds per request
-	SimCostPerEval = 1e-6  // seconds per model evaluation
-)
-
 // latencyBuckets covers 0.5ms to ~4s in doubling steps.
 func latencyBuckets() []float64 { return telemetry.ExpBuckets(0.0005, 2, 14) }
 
@@ -344,7 +334,6 @@ func (s *Service) work() {
 		t0 := time.Now()
 		var dec Decision
 		p.resp, dec, p.status, p.err = s.searchContained(p.req, p.id)
-		search.SetSimSeconds(p.resp.SimServiceSeconds)
 		search.End()
 		if s.serviceHist != nil {
 			s.serviceHist.Observe(time.Since(t0).Seconds())
@@ -447,15 +436,14 @@ func (s *Service) search(req PlaceRequest, id string) (Response, Decision, error
 		s.combineMisses.Add(res.CombineMisses)
 	}
 	return Response{
-		ID:                id,
-		Endpoint:          "place",
-		Seed:              pcfg.Seed,
-		Placement:         encodePlacement(res.Placement),
-		Objective:         res.Objective,
-		Predicted:         res.Predicted,
-		QoSSatisfied:      res.QoSSatisfied,
-		Evaluations:       res.Evaluations,
-		SimServiceSeconds: SimCostBase + SimCostPerEval*float64(res.Evaluations),
+		ID:           id,
+		Endpoint:     "place",
+		Seed:         pcfg.Seed,
+		Placement:    encodePlacement(res.Placement),
+		Objective:    res.Objective,
+		Predicted:    res.Predicted,
+		QoSSatisfied: res.QoSSatisfied,
+		Evaluations:  res.Evaluations,
 	}, Decision{ID: id, Hash: req.hash(), Result: res, DownHosts: b.DownHosts}, nil
 }
 
@@ -503,6 +491,17 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 		admit.End()
 		return finish(http.StatusBadRequest, errors.New("serve: empty placement"))
 	}
+	// Evaluate reads an absent app's slowdown as 0 and would call any
+	// bound on it met, and no bound below 1 can be met; /api/place rejects
+	// both, so what-if does too.
+	if req.QoSApp != "" && !slices.Contains(apps, req.QoSApp) {
+		admit.End()
+		return finish(http.StatusBadRequest, fmt.Errorf("serve: qos app %q not among requested apps", req.QoSApp))
+	}
+	if req.QoSApp != "" && req.QoSMax < 1 {
+		admit.End()
+		return finish(http.StatusBadRequest, fmt.Errorf("serve: QoS bound %v below 1 is unsatisfiable", req.QoSMax))
+	}
 	demands := make([]AppDemand, len(apps))
 	for i, a := range apps {
 		demands[i] = AppDemand{App: a, Units: p.UnitsOf(a)}
@@ -536,14 +535,13 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 
 	respond := root.StartChild("respond")
 	resp := Response{
-		ID:                id,
-		Endpoint:          "whatif",
-		Placement:         req.Placement,
-		Objective:         ev.Objective,
-		Predicted:         ev.Predicted,
-		QoSSatisfied:      ev.QoSSatisfied,
-		Evaluations:       ev.Evaluations,
-		SimServiceSeconds: SimCostBase + SimCostPerEval*float64(ev.Evaluations),
+		ID:           id,
+		Endpoint:     "whatif",
+		Placement:    req.Placement,
+		Objective:    ev.Objective,
+		Predicted:    ev.Predicted,
+		QoSSatisfied: ev.QoSSatisfied,
+		Evaluations:  ev.Evaluations,
 	}
 	respond.End()
 	e2e := time.Since(started).Seconds()

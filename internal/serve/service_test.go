@@ -165,10 +165,6 @@ func TestPlaceBasics(t *testing.T) {
 	if resp.Evaluations <= 0 {
 		t.Error("no evaluations reported")
 	}
-	want := SimCostBase + SimCostPerEval*float64(resp.Evaluations)
-	if resp.SimServiceSeconds != want {
-		t.Errorf("sim service seconds %v, want %v", resp.SimServiceSeconds, want)
-	}
 	if !resp.QoSSatisfied {
 		t.Error("unconstrained request not QoS-satisfied")
 	}
@@ -500,9 +496,6 @@ func TestSpanTreePerRequest(t *testing.T) {
 		if sp.Request != "traced-1" {
 			t.Errorf("%s request = %q", stage, sp.Request)
 		}
-	}
-	if byName["search"].SimSeconds <= 0 {
-		t.Error("search span carries no simulated service time")
 	}
 }
 

@@ -65,20 +65,18 @@ type WhatIfRequest struct {
 	QoSMax    float64    `json:"qos_max,omitempty"`
 }
 
-// Response answers both endpoints. SimServiceSeconds is the modeled
-// service cost (a pure function of the evaluation count), not wall time —
-// wall-clock latency lives in the serve_* histograms and the SLO tracker,
-// never in the response, so responses stay byte-reproducible.
+// Response answers both endpoints. Wall-clock latency lives in the
+// serve_* histograms and the SLO tracker, never in the response, so
+// responses stay byte-reproducible.
 type Response struct {
-	ID                string             `json:"id"`
-	Endpoint          string             `json:"endpoint"`
-	Seed              int64              `json:"seed"`
-	Placement         [][]string         `json:"placement"`
-	Objective         float64            `json:"objective"`
-	Predicted         map[string]float64 `json:"predicted"`
-	QoSSatisfied      bool               `json:"qos_satisfied"`
-	Evaluations       int                `json:"evaluations"`
-	SimServiceSeconds float64            `json:"sim_service_seconds"`
+	ID           string             `json:"id"`
+	Endpoint     string             `json:"endpoint"`
+	Seed         int64              `json:"seed"`
+	Placement    [][]string         `json:"placement"`
+	Objective    float64            `json:"objective"`
+	Predicted    map[string]float64 `json:"predicted"`
+	QoSSatisfied bool               `json:"qos_satisfied"`
+	Evaluations  int                `json:"evaluations"`
 }
 
 // Ceilings on what one request may ask of the pool's workers: a
