@@ -107,7 +107,10 @@ func BenchmarkFigure13(b *testing.B) { benchRunner(b, "figure13") }
 // ec2-host is the shape that carries almost all of a full reproduction's
 // solves and never repeats: a 4-core application unit and a 4-core bubble
 // beside an 8-core flat noisy tenant at a continuous pressure, through
-// Slowdowns as the measurement layer calls it.
+// Slowdowns as the measurement layer calls it; zeus-probe is bubble.Score's
+// probe beside M.zeus (Table 4), whose equilibrium sits on the kink of the
+// probe's miss curve, where the damped iteration gives up and the
+// bracketing solve settles it.
 func BenchmarkContentionSolve(b *testing.B) {
 	node := contention.DefaultNode()
 	w, err := workloads.ByName("M.milc")
@@ -132,6 +135,23 @@ func BenchmarkContentionSolve(b *testing.B) {
 			{Name: "tenant", Prof: bubble.Profile(3.3), Cores: 2 * ec2.UnitCores},
 		}
 		var sd [2]float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := contention.Slowdowns(node, occ, sd[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("zeus-probe", func(b *testing.B) {
+		zeus, err := workloads.ByName("M.zeus")
+		if err != nil {
+			b.Fatal(err)
+		}
+		occ := []contention.Occupant{
+			{Name: "probe", Prof: contention.MemProfile{CPICore: 0.8, APKI: 15, WSSMB: 20, MRMin: 0.1, MRMax: 0.9, Gamma: 1.1, MLP: 2}, Cores: 8},
+			{Name: "M.zeus", Prof: zeus.Prof, Cores: 8},
+		}
+		var sd [1]float64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := contention.Slowdowns(node, occ, sd[:]); err != nil {

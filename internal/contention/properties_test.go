@@ -125,24 +125,14 @@ func TestAddingOccupantNeverLowersSlowdown(t *testing.T) {
 	}
 }
 
-// Raising one occupant's APKI never lowers another occupant's slowdown,
-// between solves that converge. The generator is not narrowed; a sample
-// whose solve the iteration bound cuts above residualEps (about one host in
-// four hundred: a wide limit cycle, which returns whichever phase the last
-// iteration lands on) is skipped, and apkiCycleHost, the first such sample
-// that broke the property, is pinned below as a known miss.
+// Raising one occupant's APKI never lowers another occupant's slowdown.
 func TestRaisingCoRunnerAPKINeverLowersSlowdown(t *testing.T) {
-	skipped := 0
 	f := func(h genHost, which uint8, factor uint8) bool {
 		if len(h.occ) < 2 {
 			return true
 		}
 		k := int(which) % len(h.occ)
 		raised := raiseAPKI(h.occ, k, factor)
-		if !converges(t, h.occ) || !converges(t, raised) {
-			skipped++
-			return true
-		}
 		base, got := mustSolve(t, h.occ), mustSolve(t, raised)
 		for i := range h.occ {
 			if i != k && got.Slowdown[i] < base.Slowdown[i]*(1-monoTol) {
@@ -156,17 +146,6 @@ func TestRaisingCoRunnerAPKINeverLowersSlowdown(t *testing.T) {
 	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Error(err)
 	}
-	t.Logf("%d samples skipped: a solve cut in a limit cycle", skipped)
-
-	// The known miss: raising occupant 2's APKI fourfold lowers occupant
-	// 0's slowdown, because the base solve returns a limit cycle's phase.
-	occ := apkiCycleHost()
-	raised := raiseAPKI(occ, 2, 192)
-	base, got := mustSolve(t, occ), mustSolve(t, raised)
-	if converges(t, occ) || got.Slowdown[0] >= base.Slowdown[0] {
-		t.Errorf("apkiCycleHost no longer breaks the property (slowdown %v -> %v); "+
-			"if the limit cycle is gone, drop the skip above", base.Slowdown[0], got.Slowdown[0])
-	}
 }
 
 // raiseAPKI returns occ with occupant k's APKI raised by (1+factor/64) and
@@ -175,16 +154,6 @@ func raiseAPKI(occ []Occupant, k int, factor uint8) []Occupant {
 	raised := append([]Occupant(nil), occ...)
 	raised[k].Prof.APKI = occ[k].Prof.APKI*(1+float64(factor)/64) + 0.5
 	return raised
-}
-
-// converges reports whether occ's solve ends within residualEps.
-func converges(t *testing.T, occ []Occupant) bool {
-	t.Helper()
-	_, run, err := refSolve(DefaultNode(), occ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return run.step <= residualEps
 }
 
 // Scaling the LLC and every working set by the same power of two leaves

@@ -1,18 +1,17 @@
 package contention
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
 
-// residualEps is the largest exit step (refRun.step: the last iteration's
-// largest relative change of the utilization, a share or a CPI) that
-// counts as converged. A solve stops at a bitwise fixpoint (step 0) or at
-// fixedPointIters; most of the latter sit in a last-bit 2-cycle, a step
-// below 1e-15.
-const residualEps = 1e-12
-
-// apkiCycleHost is a testing/quick counterexample to "raising a
-// co-runner's APKI never lowers anyone's slowdown": occupant 2's 6.5 MB
-// working set sits where its cover clamps at 1, and the solve is cut by
-// the iteration bound in a wide limit cycle.
+// apkiCycleHost is a testing/quick host on which the old bounded iteration
+// ended in a wide limit cycle: occupant 2's 6.5 MB working set sits where
+// its cover clamps at 1. Returning whichever phase the last iteration
+// landed on, it broke "raising a co-runner's APKI never lowers anyone's
+// slowdown".
 func apkiCycleHost() []Occupant {
 	return []Occupant{
 		{Prof: MemProfile{CPICore: 0.85286782836163, APKI: 12.355927838952551, WSSMB: 86.11336476259515, MRMin: 0.02235816682570646, MRMax: 0.8116207576585843, Gamma: 0.6203319728378668, MLP: 6.462843764487999, CPUFluct: 0.6554534616132187}, Cores: 1},
@@ -22,51 +21,119 @@ func apkiCycleHost() []Occupant {
 	}
 }
 
-// TestExitResidual computes the exit step of named solves. The converged
-// rows must stay within residualEps. The known misses are solves that the
-// iteration bound cuts in a wide limit cycle, so the slowdown they return
-// is whichever phase the last iteration lands on; each is pinned with its
-// amplitude, and a kernel change that makes them converge must move them
-// to the converged rows.
-func TestExitResidual(t *testing.T) {
-	type row struct {
-		name string
-		occ  []Occupant
-		// amplitude is a known miss's exit step; 0 for a converged row.
-		amplitude float64
-	}
-	rows := []row{
-		{"ec2-host", ec2Host(), 0},
-		{"apki-cycle", apkiCycleHost(), 0.5218},
-		// bubble.Score's probe beside M.zeus (Table 4): from its first
-		// iterations the probe's share swings 19.10 <-> 20.21 MB around
-		// its 20 MB working set and its CPI 0.929 <-> 0.979.
-		{"zeus-probe", zeusProbeHost(), 0.05626},
+// namedHosts are the reproduction's hosts the residual tests name: the EC2
+// shape, the two hosts the old iteration left in a limit cycle, and the
+// bubble scale's calibration and M.milc's sensitivity curve at each
+// pressure.
+func namedHosts() map[string][]Occupant {
+	hosts := map[string][]Occupant{
+		"ec2-host":   ec2Host(),
+		"apki-cycle": apkiCycleHost(),
+		// bubble.Score's probe beside M.zeus (Table 4): the probe's share
+		// settles on its 20 MB working set, the kink of its miss curve.
+		"zeus-probe": zeusProbeHost(),
 	}
 	for p := 1.0; p <= 8; p++ {
-		// The bubble scale's calibration, and M.milc's sensitivity curve.
-		rows = append(rows,
-			row{"probe-bubble", []Occupant{{Prof: probeProf(), Cores: 8}, {Prof: streamBubble(p), Cores: 8}}, 0},
-			row{"milc-bubble", []Occupant{{Prof: milcProf(), Cores: 8}, {Prof: streamBubble(p), Cores: 8}}, 0})
+		hosts[fmt.Sprint("probe-bubble-", p)] = []Occupant{{Prof: probeProf(), Cores: 8}, {Prof: streamBubble(p), Cores: 8}}
+		hosts[fmt.Sprint("milc-bubble-", p)] = []Occupant{{Prof: milcProf(), Cores: 8}, {Prof: streamBubble(p), Cores: 8}}
 	}
+	return hosts
+}
+
+// TestExitResidual: every named solve ends with its undamped residual
+// within residualEps and within refTol of the bisection reference.
+func TestExitResidual(t *testing.T) {
 	node := DefaultNode()
-	for _, r := range rows {
-		want, run, err := refSolve(node, r.occ)
-		if err != nil {
-			t.Fatal(err)
+	for name, occ := range namedHosts() {
+		got := mustSolve(t, occ)
+		if r := residual(node, occ, got); r > residualEps {
+			t.Errorf("%s: exit residual %g, want <= %g", name, r, residualEps)
 		}
-		// The step is the reference kernel's; the production kernel must
-		// have returned the same state.
-		got := mustSolve(t, r.occ)
-		if !sameFloats(got.ShareMB, want.ShareMB) || !sameFloats(got.CPI, want.CPI) || !sameFloat(got.BWUtil, want.BWUtil) {
-			t.Fatalf("%s: Solve differs from the reference", r.name)
-		}
-		switch {
-		case r.amplitude == 0 && run.step > residualEps:
-			t.Errorf("%s: exit step %g after %d iterations, want <= %g", r.name, run.step, run.iters, residualEps)
-		case r.amplitude != 0 && (run.iters != fixedPointIters || !within(run.step, r.amplitude, 1e-3)):
-			t.Errorf("%s: known miss changed: exit step %g after %d iterations, pinned %g after %d; "+
-				"if it converges now, make it a converged row", r.name, run.step, run.iters, r.amplitude, fixedPointIters)
+		if msg := agrees(node, got, refSolve(node, occ)); msg != "" {
+			t.Errorf("%s: %s", name, msg)
 		}
 	}
+}
+
+// fastPath runs iterate alone on occ, as equilibrium would.
+func fastPath(occ []Occupant) (res Result, iters int, ok bool) {
+	node := DefaultNode()
+	n := len(occ)
+	coef := make([]occCoef, n)
+	coefsOf(node, occ, coef)
+	res = Result{ShareMB: make([]float64, n), CPI: make([]float64, n), MissGBps: make([]float64, n)}
+	res.BWUtil, iters, ok = iterate(&node, coef, res.ShareMB, res.CPI, res.MissGBps, make([]float64, n))
+	return res, iters, ok
+}
+
+// settled runs settle alone on occ.
+func settled(occ []Occupant) Result {
+	node := DefaultNode()
+	n := len(occ)
+	coef := make([]occCoef, n)
+	coefsOf(node, occ, coef)
+	res := Result{ShareMB: make([]float64, n), CPI: make([]float64, n), MissGBps: make([]float64, n)}
+	res.BWUtil = settle(&node, coef, res.ShareMB, res.CPI, res.MissGBps, make([]float64, n))
+	return res
+}
+
+// ec2Budget is the fast path's iteration budget on ec2Host, the shape of
+// almost every solve of a full reproduction.
+const ec2Budget = 20
+
+// TestEC2HostIterationBudget: the fast path settles ec2Host within
+// ec2Budget iterations, so that a change that slows convergence fails here
+// and not only in the benchmark.
+func TestEC2HostIterationBudget(t *testing.T) {
+	if _, iters, ok := fastPath(ec2Host()); !ok || iters > ec2Budget {
+		t.Errorf("ec2Host: fast path took %d iterations (converged %v), budget %d", iters, ok, ec2Budget)
+	}
+}
+
+// TestConvergenceCensus: on 20 000 property-generator hosts and the named
+// ones, every solve ends within residualEps, and settle, forced on every
+// host, agrees with the fast path wherever the fast path converges and
+// with the bisection reference where it does not. It logs how many hosts
+// needed settle, the mean fast-path iterations and the largest relative
+// CPI difference between the two paths.
+func TestConvergenceCensus(t *testing.T) {
+	node := DefaultNode()
+	hosts := [][]Occupant{}
+	for _, occ := range namedHosts() {
+		hosts = append(hosts, occ)
+	}
+	r := rand.New(rand.NewSource(2))
+	for range 20000 {
+		hosts = append(hosts, genHost{}.Generate(r, 0).Interface().(genHost).occ)
+	}
+	fallbacks, iters, worst := 0, 0, 0.0
+	for _, occ := range hosts {
+		got := mustSolve(t, occ)
+		if res := residual(node, occ, got); res > residualEps {
+			t.Fatalf("%+v: exit residual %g, want <= %g", occ, res, residualEps)
+		}
+		fast, n, ok := fastPath(occ)
+		iters += n
+		forced := settled(occ)
+		if res := residual(node, occ, forced); res > residualEps {
+			t.Fatalf("%+v: settle's residual %g, want <= %g", occ, res, residualEps)
+		}
+		forced.Slowdown = got.Slowdown
+		if !ok {
+			fallbacks++
+			if msg := agrees(node, forced, refSolve(node, occ)); msg != "" {
+				t.Fatalf("%+v: settle against the reference: %s", occ, msg)
+			}
+			continue
+		}
+		fast.Slowdown = got.Slowdown
+		if msg := agrees(node, fast, forced); msg != "" {
+			t.Fatalf("%+v: fast path against settle: %s", occ, msg)
+		}
+		for i := range occ {
+			worst = max(worst, math.Abs(fast.CPI[i]-forced.CPI[i])/forced.CPI[i])
+		}
+	}
+	t.Logf("%d hosts: %d took settle, %.2f fast-path iterations per host, CPIs within %.2g of settle's",
+		len(hosts), fallbacks, float64(iters)/float64(len(hosts)), worst)
 }
