@@ -7,7 +7,8 @@
 # and unit tests, soaks of the placement service's concurrency tests, of
 # the daemon's lifecycle tests, of the shared jitter tables and of the
 # exchange's evaluators, a fuzz smoke of every target, a check that
-# EXPERIMENTS.md is what paperrepro prints, the pinned flag sets, and a
+# EXPERIMENTS.md is what paperrepro prints at the default worker count and
+# on the serial reference path (-workers 1), the pinned flag sets, and a
 # smoke of the interfd binary: same-seed self-driven runs leave
 # byte-identical decision audits and equal nonzero event and measurement
 # counts in their reports. Timings are not gated here: the benchmark of
@@ -110,15 +111,20 @@ done
 echo "== EXPERIMENTS.md is what paperrepro prints =="
 # The checked-in results must be the code's: from the first artifact to
 # the end, EXPERIMENTS.md must be `paperrepro -markdown -extras` byte for
-# byte, the one wall-clock line masked.
+# byte, the one wall-clock line masked. The serial reference path
+# (-workers 1) must print the same bytes: it is the one full-mode run of
+# all ten Table 5 mixes with every search and measurement one at a time,
+# which the quick-mode tests never reach.
 artifacts() { sed -n '/^## Figure 2 /,$p' "$1" | sed 's/^total runtime: .*/total runtime: -/'; }
-"$smokedir/paperrepro" -markdown -extras -log-level warn -o "$smokedir/experiments.md"
 artifacts EXPERIMENTS.md > "$smokedir/experiments.want"
-artifacts "$smokedir/experiments.md" > "$smokedir/experiments.got"
-if ! diff -u "$smokedir/experiments.want" "$smokedir/experiments.got"; then
-  echo "ci: EXPERIMENTS.md is stale: regenerate it from paperrepro -markdown -extras" >&2
-  exit 1
-fi
+for workers in 0 1; do
+  "$smokedir/paperrepro" -markdown -extras -workers "$workers" -log-level warn -o "$smokedir/experiments.md"
+  artifacts "$smokedir/experiments.md" > "$smokedir/experiments.got"
+  if ! diff -u "$smokedir/experiments.want" "$smokedir/experiments.got"; then
+    echo "ci: EXPERIMENTS.md is not what paperrepro -markdown -extras -workers $workers prints: regenerate it" >&2
+    exit 1
+  fi
+done
 
 echo "== flag sets (interfd and the four batch tools) =="
 # Drift and SLO tuning are interfd constants, and the batch tools report

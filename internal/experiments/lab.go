@@ -51,8 +51,10 @@ type Config struct {
 	// builds, experiment starts). Nil silences them.
 	Logger *slog.Logger
 	// Workers bounds the measurement batch worker pool in every
-	// environment the lab creates; <= 0 means GOMAXPROCS, 1 forces the
-	// serial reference path. Results are bit-identical either way.
+	// environment the lab creates and the fan-out of the placement
+	// studies' searches (placement.SearchAll); <= 0 means GOMAXPROCS, 1
+	// forces the serial reference path. Results are bit-identical either
+	// way.
 	Workers int
 }
 

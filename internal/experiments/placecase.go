@@ -96,13 +96,9 @@ func (l *Lab) mixRequest(m mix, naive bool) (placement.Request, map[string]workl
 	return req, reg, nil
 }
 
-// weightedNormalizedSum evaluates a placement on the simulator and returns
-// the unit-weighted sum of normalized runtimes plus the per-app outcomes.
-func (l *Lab) weightedNormalizedSum(p *cluster.Placement, reg map[string]workloads.Workload) (float64, map[string]measure.AppOutcome, error) {
-	out, err := l.Env.RunPlacement(p, reg)
-	if err != nil {
-		return 0, nil, err
-	}
+// weightedNormalizedSum is the unit-weighted sum of normalized runtimes
+// of placement p from its simulated per-app outcomes.
+func weightedNormalizedSum(p *cluster.Placement, out map[string]measure.AppOutcome) (float64, error) {
 	// Accumulate in sorted-app order: float sums are order-sensitive, and
 	// the golden corpus needs byte-identical output across runs.
 	var xs, ws []float64
@@ -112,9 +108,30 @@ func (l *Lab) weightedNormalizedSum(p *cluster.Placement, reg map[string]workloa
 	}
 	wm, err := stats.WeightedMean(xs, ws)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return wm * 4, out, nil // sum over the 4 equally weighted apps
+	return wm * 4, nil // sum over the 4 equally weighted apps
+}
+
+// measurePlacements measures placements in one batch, placement i
+// running from regs[i], and returns their outcomes in order.
+func (l *Lab) measurePlacements(ps []*cluster.Placement, regs []map[string]workloads.Workload) ([]map[string]measure.AppOutcome, error) {
+	b := l.Env.NewBatch()
+	hs := make([]*measure.PlacementResult, len(ps))
+	for i, p := range ps {
+		hs[i] = b.Placement(p, regs[i])
+	}
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	outs := make([]map[string]measure.AppOutcome, len(hs))
+	for i, h := range hs {
+		var err error
+		if outs[i], err = h.Outcomes(); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
 }
 
 // qosRun is one placement of a Figure 10 mix, evaluated on the simulator:
@@ -134,34 +151,48 @@ type figure10Result []figure10Row
 
 // figure10 regenerates the QoS-aware placement study: per mix, whether the
 // QoS of the protected application holds under the proposed model and
-// under the naive model, plus the weighted runtime sums.
+// under the naive model, plus the weighted runtime sums. Its requests
+// (and so its models) are built first, in mix order; the eight searches
+// then run side by side, and their placements are measured in one batch.
 func (l *Lab) figure10() (figure10Result, error) {
-	var r figure10Result
-	for _, m := range figure10Mixes() {
-		target := m.names[0]
-		run := func(naive bool) (qosRun, error) {
+	mixes := figure10Mixes()
+	var jobs []placement.Job
+	var regs []map[string]workloads.Workload
+	for _, m := range mixes {
+		for _, naive := range []bool{false, true} {
 			req, reg, err := l.mixRequest(m, naive)
 			if err != nil {
-				return qosRun{}, err
+				return nil, err
 			}
 			cfg := l.placementConfig(l.Cfg.Seed + int64(len(m.id)))
-			cfg.QoS = &placement.QoS{App: target, MaxNormalized: qosBound}
-			res, err := placement.Search(req, cfg)
-			if err != nil {
-				return qosRun{}, err
-			}
-			sum, out, err := l.weightedNormalizedSum(res.Placement, reg)
-			if err != nil {
-				return qosRun{}, err
-			}
-			return qosRun{out[target].Normalized, sum}, nil
+			cfg.QoS = &placement.QoS{App: m.names[0], MaxNormalized: qosBound}
+			jobs = append(jobs, placement.Job{Req: req, Cfg: cfg})
+			regs = append(regs, reg)
 		}
+	}
+	res, err := placement.SearchAll(jobs, l.Cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]*cluster.Placement, len(res))
+	for i := range res {
+		ps[i] = res[i].Placement
+	}
+	outs, err := l.measurePlacements(ps, regs)
+	if err != nil {
+		return nil, err
+	}
+	run := func(i int) (qosRun, error) {
+		sum, err := weightedNormalizedSum(ps[i], outs[i])
+		return qosRun{outs[i][jobs[i].Cfg.QoS.App].Normalized, sum}, err
+	}
+	var r figure10Result
+	for k, m := range mixes {
 		row := figure10Row{mix: m}
-		var err error
-		if row.proposed, err = run(false); err != nil {
+		if row.proposed, err = run(2 * k); err != nil {
 			return nil, err
 		}
-		if row.naive, err = run(true); err != nil {
+		if row.naive, err = run(2*k + 1); err != nil {
 			return nil, err
 		}
 		r = append(r, row)
@@ -237,20 +268,24 @@ func (r figure11Result) ordering() string {
 // placements. From the same simulated outcomes it also quantifies the
 // conclusion's energy use-case: the share of CPU node-time each placement
 // wastes to interference, and how much of the worst placement's waste the
-// model-driven placement eliminates.
+// model-driven placement eliminates. Its requests (and so its models) are
+// built first, in mix order; the three searches of every mix then run
+// side by side, and all the placements are measured in one batch.
 func (l *Lab) figure11() (figure11Result, error) {
 	mixes := table5Mixes()
 	if l.Cfg.Quick {
 		mixes = []mix{mixes[0], mixes[5], mixes[9]} // one per difference class
 	}
-	search := func(req placement.Request, seed int64, goal placement.Goal) (*cluster.Placement, error) {
+	const randomSamples = 5
+	job := func(req placement.Request, seed int64, goal placement.Goal) placement.Job {
 		cfg := l.placementConfig(l.Cfg.Seed + seed)
 		cfg.Goal = goal
-		res, err := placement.Search(req, cfg)
-		return res.Placement, err
+		return placement.Job{Req: req, Cfg: cfg}
 	}
-	var r figure11Result
-	for _, m := range mixes {
+	var jobs []placement.Job
+	regs := make([]map[string]workloads.Workload, len(mixes))
+	randoms := make([][]placement.Result, len(mixes))
+	for k, m := range mixes {
 		req, reg, err := l.mixRequest(m, false)
 		if err != nil {
 			return nil, err
@@ -259,61 +294,64 @@ func (l *Lab) figure11() (figure11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		best, err := search(req, 17, placement.Best)
-		if err != nil {
+		jobs = append(jobs, job(req, 29, placement.Worst), job(req, 17, placement.Best), job(naiveReq, 31, placement.Best))
+		if randoms[k], err = placement.RandomOutcome(req, randomSamples, l.Cfg.Seed+41, nil); err != nil {
 			return nil, err
 		}
-		worst, err := search(req, 29, placement.Worst)
-		if err != nil {
-			return nil, err
-		}
-		naiveBest, err := search(naiveReq, 31, placement.Best)
-		if err != nil {
-			return nil, err
-		}
-		randoms, err := placement.RandomOutcome(req, 5, l.Cfg.Seed+41, nil)
-		if err != nil {
-			return nil, err
-		}
+		regs[k] = reg
+	}
+	res, err := placement.SearchAll(jobs, l.Cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 
-		// Evaluate all placements on the simulator; speedups are
-		// computed per app against the worst placement, then averaged
-		// with unit weights (all equal here).
-		_, worstOut, err := l.weightedNormalizedSum(worst, reg)
-		if err != nil {
-			return nil, err
+	// Evaluate all placements on the simulator, mix by mix: the worst,
+	// the model best, the naive best, then the random samples.
+	const perMix = 3 + randomSamples
+	var ps []*cluster.Placement
+	var pregs []map[string]workloads.Workload
+	for k := range mixes {
+		for _, r := range res[3*k : 3*k+3] {
+			ps = append(ps, r.Placement)
 		}
-		speedup := func(p *cluster.Placement) (float64, wasted, error) {
-			_, out, err := l.weightedNormalizedSum(p, reg)
-			if err != nil {
-				return 0, wasted{}, err
-			}
+		for _, r := range randoms[k] {
+			ps = append(ps, r.Placement)
+		}
+		for range perMix {
+			pregs = append(pregs, regs[k])
+		}
+	}
+	outs, err := l.measurePlacements(ps, pregs)
+	if err != nil {
+		return nil, err
+	}
+
+	// Speedups are computed per app against the worst placement, then
+	// averaged with unit weights (all equal here).
+	var r figure11Result
+	for k, m := range mixes {
+		ps, outs := ps[k*perMix:(k+1)*perMix], outs[k*perMix:(k+1)*perMix]
+		worst, worstOut := ps[0], outs[0]
+		speedup := func(i int) (float64, wasted) {
 			var sp []float64
-			for _, a := range p.Apps() {
-				sp = append(sp, worstOut[a].Normalized/out[a].Normalized)
+			for _, a := range ps[i].Apps() {
+				sp = append(sp, worstOut[a].Normalized/outs[i][a].Normalized)
 			}
-			return stats.Mean(sp), waste(p, out), nil
+			return stats.Mean(sp), waste(ps[i], outs[i])
 		}
 		row := figure11Row{mix: m}
 		var bestW wasted
-		if row.best, bestW, err = speedup(best); err != nil {
-			return nil, err
-		}
-		if row.naive, _, err = speedup(naiveBest); err != nil {
-			return nil, err
-		}
+		row.best, bestW = speedup(1)
+		row.naive, _ = speedup(2)
 		var rndSum, rndWaste float64
-		for _, rp := range randoms {
-			s, w, err := speedup(rp.Placement)
-			if err != nil {
-				return nil, err
-			}
+		for i := 3; i < perMix; i++ {
+			s, w := speedup(i)
 			rndSum += s
 			rndWaste += w.fraction()
 		}
 		worstW := waste(worst, worstOut)
-		row.random = rndSum / float64(len(randoms))
-		row.wasteBest, row.wasteRandom, row.wasteWorst = bestW.fraction(), rndWaste/float64(len(randoms)), worstW.fraction()
+		row.random = rndSum / randomSamples
+		row.wasteBest, row.wasteRandom, row.wasteWorst = bestW.fraction(), rndWaste/randomSamples, worstW.fraction()
 		row.saved = worstW.eliminatedBy(bestW)
 		r = append(r, row)
 	}

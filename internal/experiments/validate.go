@@ -18,56 +18,95 @@ type pairError struct {
 	pred, actual, errPct float64
 }
 
-// validationErrors measures app co-run pairwise with every named co-runner
-// and returns one pairError per co-runner, in coNames order. The
-// prediction uses app's model at the co-runner's bubble score on every
-// one of `nodes` hosts — exactly the information a deployment would have.
-// The co-runners' bubble scores are measured first; the pair co-runs then
-// go through one measurement batch, so repeated pairs across experiments
-// hit the lab's shared cache.
-func validationErrors(env *measure.Env, model *core.Model, appName string, coNames []string, nodes int) ([]pairError, error) {
+// coRunner is one validation co-runner and its measured bubble score.
+type coRunner struct {
+	name  string
+	w     workloads.Workload
+	score float64
+}
+
+// coRunners resolves the named co-runners and measures their bubble
+// scores.
+func coRunners(env *measure.Env, names []string) ([]coRunner, error) {
+	cos := make([]coRunner, len(names))
+	for i, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		score, err := core.MeasureBubbleScore(env, w)
+		if err != nil {
+			return nil, err
+		}
+		cos[i] = coRunner{name, w, score}
+	}
+	return cos, nil
+}
+
+// validation is one application's planned validation co-runs: app
+// co-run pairwise with every co-runner, each prediction made by app's
+// model at the co-runner's bubble score on every one of `nodes` hosts —
+// exactly the information a deployment would have.
+type validation struct {
+	model *core.Model
+	cos   []coRunner
+	nodes int
+	pairs []*measure.PairValue
+}
+
+// planValidation submits app's pair co-runs to b, so repeated pairs
+// across experiments hit the lab's shared cache.
+func planValidation(b *measure.Batch, model *core.Model, appName string, cos []coRunner, nodes int) (*validation, error) {
 	a, err := workloads.ByName(appName)
 	if err != nil {
 		return nil, err
 	}
-	cos := make([]workloads.Workload, len(coNames))
-	scores := make([]float64, len(coNames))
-	for i, coName := range coNames {
-		co, err := workloads.ByName(coName)
+	v := &validation{model: model, cos: cos, nodes: nodes}
+	for _, co := range cos {
+		v.pairs = append(v.pairs, b.Pair(a, co.w, nodes))
+	}
+	return v, nil
+}
+
+// errors returns one pairError per co-runner, in order, once the batch
+// has run.
+func (v *validation) errors() ([]pairError, error) {
+	out := make([]pairError, len(v.pairs))
+	for i, h := range v.pairs {
+		res, err := h.Result()
 		if err != nil {
 			return nil, err
 		}
-		score, err := core.MeasureBubbleScore(env, co)
+		pressures := make([]float64, v.nodes)
+		for j := range pressures {
+			pressures[j] = v.cos[i].score
+		}
+		pred, err := v.model.PredictPressures(pressures)
 		if err != nil {
 			return nil, err
 		}
-		cos[i], scores[i] = co, score
+		out[i] = pairError{v.cos[i].name, pred, res.NormalizedA, stats.RelErrPct(pred, res.NormalizedA)}
+	}
+	return out, nil
+}
+
+// validationErrors measures app co-run pairwise with every named
+// co-runner, in one batch of their own, and returns one pairError per
+// co-runner, in coNames order.
+func validationErrors(env *measure.Env, model *core.Model, appName string, coNames []string, nodes int) ([]pairError, error) {
+	cos, err := coRunners(env, coNames)
+	if err != nil {
+		return nil, err
 	}
 	b := env.NewBatch()
-	handles := make([]*measure.PairValue, len(cos))
-	for i := range cos {
-		handles[i] = b.Pair(a, cos[i], nodes)
+	v, err := planValidation(b, model, appName, cos, nodes)
+	if err != nil {
+		return nil, err
 	}
 	if err := b.Run(); err != nil {
 		return nil, err
 	}
-	out := make([]pairError, len(cos))
-	for i := range cos {
-		res, err := handles[i].Result()
-		if err != nil {
-			return nil, err
-		}
-		pressures := make([]float64, nodes)
-		for j := range pressures {
-			pressures[j] = scores[i]
-		}
-		pred, err := model.PredictPressures(pressures)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pairError{coNames[i], pred, res.NormalizedA, stats.RelErrPct(pred, res.NormalizedA)}
-	}
-	return out, nil
+	return v.errors()
 }
 
 // appErrors is one application's validation errors (percent) over its
@@ -95,21 +134,40 @@ type figure8Result []appErrors
 
 // figure8 regenerates the model validation: every distributed application
 // co-run pairwise with all 18 workloads (including itself); per app the
-// average error with 25th-75th percentile spread.
+// average error with 25th-75th percentile spread. The models are built
+// first, in app order, and each co-runner's bubble score is measured
+// once; all the pairs then go through one measurement batch.
 func (l *Lab) figure8() (figure8Result, error) {
-	coRunners := workloads.Names()
+	coNames := workloads.Names()
 	apps := distributedNames()
 	if l.Cfg.Quick {
 		apps = apps[:4]
-		coRunners = coRunners[:6]
+		coNames = coNames[:6]
 	}
-	r := make(figure8Result, 0, len(apps))
-	for _, appName := range apps {
-		model, err := l.Model(appName)
-		if err != nil {
+	models := make([]*core.Model, len(apps))
+	for i, appName := range apps {
+		var err error
+		if models[i], err = l.Model(appName); err != nil {
 			return nil, err
 		}
-		pairs, err := validationErrors(l.Env, model, appName, coRunners, 8)
+	}
+	cos, err := coRunners(l.Env, coNames)
+	if err != nil {
+		return nil, err
+	}
+	b := l.Env.NewBatch()
+	vs := make([]*validation, len(apps))
+	for i, appName := range apps {
+		if vs[i], err = planValidation(b, models[i], appName, cos, 8); err != nil {
+			return nil, err
+		}
+	}
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	r := make(figure8Result, 0, len(apps))
+	for i, appName := range apps {
+		pairs, err := vs[i].errors()
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -256,6 +257,44 @@ func outcomes(jg *job, solos []soloRef) ([]AppOutcome, error) {
 		outs[i] = AppOutcome{Time: means[i], Solo: solo, Normalized: means[i] / solo, Nodes: jg.nodes}
 	}
 	return outs, nil
+}
+
+// PlacementResult is the handle to one placement co-run.
+type PlacementResult struct {
+	outs map[string]AppOutcome
+	err  error
+}
+
+// Outcomes returns the per-application outcomes after Batch.Run.
+func (p *PlacementResult) Outcomes() (map[string]AppOutcome, error) { return p.outs, p.err }
+
+// Placement submits a co-run of every application of placement p sharing
+// the cluster, with each application's solo baseline across as many nodes
+// as it has units (see Env.RunPlacement). reg maps application names to
+// workload definitions. As in Group, a baseline already pending in the
+// batch is measured once.
+func (b *Batch) Placement(p *cluster.Placement, reg map[string]workloads.Workload) *PlacementResult {
+	h := new(PlacementResult)
+	h.err = b.submit(func(idx int) error {
+		var apps []string
+		jp, err := b.add(idx, func(j *job) (err error) {
+			apps, err = b.env.planPlacement(j, p, reg)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		solos := make([]soloRef, len(apps))
+		for a, r := range jp.group {
+			lo, hi := jp.unitsOf(a)
+			if solos[a], err = b.planSolo(r, hi-lo, idx); err != nil {
+				return err
+			}
+		}
+		b.fins = append(b.fins, func() { h.outs, h.err = b.env.placementOutcomes(jp, apps, solos) })
+		return nil
+	})
+	return h
 }
 
 // Pair submits a co-run of a and c across nodes, each node holding one

@@ -13,8 +13,8 @@
 // the layout and the nonce; the publish step records the result in the
 // content and solo caches. A Batch fans the bodies of many plans out over
 // a worker pool; the serial methods (RunWithBubbles, Solo,
-// NormalizedWithBubbles, RunPlacement) are one-submission plans through
-// the same three steps.
+// NormalizedWithBubbles) are one-submission plans through the same three
+// steps, and RunPlacement is a batch of one.
 package measure
 
 import (
@@ -112,8 +112,13 @@ type Env struct {
 	// every repetition re-solves identical hosts, and across a profiling
 	// sweep the same few (workload, bubble pressure) hosts recur in every
 	// setting, which this collapses.
-	solveMu    sync.Mutex
-	solveCache map[hostKey][maxKeyedOccupants]float64
+	// A key being solved holds a pending slot, and a worker that asks for
+	// it waits on solveDone instead of solving it again. solveMisses
+	// counts the solves the memo ran.
+	solveMu     sync.Mutex
+	solveDone   sync.Cond
+	solveCache  map[hostKey]solveSlot
+	solveMisses int
 
 	// jitterMu guards the interned references' jitter tables and counts
 	// them; see factors.
@@ -199,15 +204,17 @@ func NewEnv(c cluster.Cluster, seed int64) (*Env, error) {
 	if cluster.UnitCores > c.HostSpec.Cores {
 		return nil, fmt.Errorf("measure: a %d-core unit does not fit a %d-core host", cluster.UnitCores, c.HostSpec.Cores)
 	}
-	return &Env{
+	e := &Env{
 		Cluster:    c,
 		Seed:       seed,
 		Reps:       3,
 		UnitCores:  cluster.UnitCores,
 		soloCache:  map[soloKey]float64{},
 		interned:   map[workloads.Workload]*workloadRef{},
-		solveCache: map[hostKey][maxKeyedOccupants]float64{},
-	}, nil
+		solveCache: map[hostKey]solveSlot{},
+	}
+	e.solveDone.L = &e.solveMu
+	return e, nil
 }
 
 // workerCount resolves the effective batch worker-pool size.
@@ -383,6 +390,13 @@ func (e *Env) solveHost(dst []float64, occ []contention.Occupant, host int, bg *
 	return e.solveShared(dst, occ)
 }
 
+// solveSlot is one solve memo entry: the slowdowns, or pending while the
+// worker that claimed the key solves it.
+type solveSlot struct {
+	sl      [maxKeyedOccupants]float64
+	pending bool
+}
+
 // maxKeyedOccupants is the longest occupant list the solve memo keys; the
 // paper's hosts hold two units. Longer lists (a wide group, a placement
 // with many slots per host) are solved directly.
@@ -424,29 +438,49 @@ func hostKeyOf(occ []contention.Occupant) (key hostKey, ok bool) {
 }
 
 // solveShared is a memoized contention.Slowdowns over the env's host spec,
-// filling dst with the slowdowns of the first len(dst) occupants. Racing
-// workers may compute the same key concurrently; both produce the
-// identical (pure-function) value, so whichever lands in the memo first is
-// indistinguishable from the other.
+// filling dst with the slowdowns of the first len(dst) occupants. The
+// first worker to ask for a key claims it and solves it; a worker that
+// asks while it is pending waits for that solve, so each key is solved
+// once however many workers want it. A failed solve stores nothing and
+// releases the key, and its waiters solve it themselves.
 func (e *Env) solveShared(dst []float64, occ []contention.Occupant) error {
 	key, ok := hostKeyOf(occ)
 	if !ok || len(dst) > len(occ) {
 		return contention.Slowdowns(e.Cluster.HostSpec, occ, dst)
 	}
 	e.solveMu.Lock()
-	sl, ok := e.solveCache[key]
+	slot, ok := e.solveCache[key]
+	for ok && slot.pending {
+		e.solveDone.Wait()
+		slot, ok = e.solveCache[key]
+	}
+	if ok {
+		e.solveMu.Unlock()
+		copy(dst, slot.sl[:])
+		return nil
+	}
+	claimed := len(e.solveCache) < solveCacheCap
+	if claimed {
+		e.solveCache[key] = solveSlot{pending: true}
+	}
+	e.solveMisses++
 	e.solveMu.Unlock()
-	if !ok {
-		if err := contention.Slowdowns(e.Cluster.HostSpec, occ, sl[:len(occ)]); err != nil {
-			return err
-		}
+
+	err := contention.Slowdowns(e.Cluster.HostSpec, occ, slot.sl[:len(occ)])
+	if claimed {
 		e.solveMu.Lock()
-		if len(e.solveCache) < solveCacheCap {
-			e.solveCache[key] = sl
+		if err == nil {
+			e.solveCache[key] = slot
+		} else {
+			delete(e.solveCache, key)
 		}
+		e.solveDone.Broadcast()
 		e.solveMu.Unlock()
 	}
-	copy(dst, sl[:])
+	if err != nil {
+		return err
+	}
+	copy(dst, slot.sl[:])
 	return nil
 }
 
@@ -935,7 +969,20 @@ type AppOutcome struct {
 // units packed onto the same host contend with each other exactly like
 // two distinct applications would. The solo baseline is the same
 // application with every unit on a dedicated host — the paper's solo run.
+// RunPlacement is a batch of one Batch.Placement submission.
 func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Workload) (map[string]AppOutcome, error) {
+	b := e.NewBatch()
+	h := b.Placement(p, reg)
+	if err := b.Run(); err != nil {
+		return nil, err
+	}
+	return h.Outcomes()
+}
+
+// planPlacement plans a placement co-run: unit i of app a, in
+// UnitPositions (slot) order, is node i of a's run. It returns the
+// placement's apps, in the order j.group holds them.
+func (e *Env) planPlacement(j *job, p *cluster.Placement, reg map[string]workloads.Workload) ([]string, error) {
 	if p == nil {
 		return nil, errors.New("measure: nil placement")
 	}
@@ -951,9 +998,8 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 			return nil, fmt.Errorf("measure: placement references unknown workload %q", a)
 		}
 	}
-	// Unit i of app a, in UnitPositions (slot) order, is node i of a's run.
 	l := placeLayout{slots: make([]int, p.NumHosts*p.HostSlots), starts: make([]int, len(apps)+1)}
-	j := job{op: "placement", group: make([]*workloadRef, len(apps)), nodes: p.NumHosts, place: &l}
+	j.op, j.group, j.nodes, j.place = "placement", make([]*workloadRef, len(apps)), p.NumHosts, &l
 	for k := range l.slots {
 		l.slots[k] = -1
 	}
@@ -965,24 +1011,28 @@ func (e *Env) RunPlacement(p *cluster.Placement, reg map[string]workloads.Worklo
 		}
 		l.starts[a+1] = l.starts[a] + len(pos)
 	}
-	if err := e.plan(&j); err != nil {
-		return nil, err
-	}
-	means, err := e.measure(&j)
+	return apps, e.plan(j)
+}
+
+// placementOutcomes combines a placement's mean times with its apps'
+// baselines once the batch has run, publishing each app's
+// actual-normalized gauge.
+func (e *Env) placementOutcomes(jp *job, apps []string, solos []soloRef) (map[string]AppOutcome, error) {
+	means, err := jp.result()
 	if err != nil {
 		return nil, err
 	}
-	outcomes := map[string]AppOutcome{}
+	outs := make(map[string]AppOutcome, len(apps))
 	for a, name := range apps {
-		lo, hi := j.unitsOf(a)
-		solo, err := e.Solo(reg[name], hi-lo)
+		solo, err := solos[a].value()
 		if err != nil {
 			return nil, err
 		}
-		outcomes[name] = AppOutcome{Time: means[a], Solo: solo, Normalized: means[a] / solo, Nodes: hi - lo}
+		lo, hi := jp.unitsOf(a)
+		outs[name] = AppOutcome{Time: means[a], Solo: solo, Normalized: means[a] / solo, Nodes: hi - lo}
 		if e.Telemetry != nil {
 			e.Telemetry.Gauge(telemetry.Label(MetricActualNormalized, "app", name)).Set(means[a] / solo)
 		}
 	}
-	return outcomes, nil
+	return outs, nil
 }

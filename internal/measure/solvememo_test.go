@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/bubble"
@@ -173,4 +174,60 @@ func FuzzSolveMemo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSolveMemo(t, occupantsFrom(data))
 	})
+}
+
+// TestSolveMemoSolvesEachKeyOnce: workers that ask for the same hosts side
+// by side share one solve per key — a worker that finds a key pending
+// waits for it rather than solving it again — and every one of them reads
+// the bits a direct solve gives.
+func TestSolveMemoSolvesEachKeyOnce(t *testing.T) {
+	e, err := NewEnv(cluster.Default(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := workloads.All()
+	var hosts [][]contention.Occupant
+	for i, w := range all {
+		co := all[(i+5)%len(all)]
+		hosts = append(hosts, []contention.Occupant{
+			{Name: w.Name, Prof: w.Prof, Cores: e.UnitCores},
+			{Name: co.Name, Prof: co.GenProfile(1), Cores: e.UnitCores},
+		})
+	}
+	want := make([][]float64, len(hosts))
+	for i, occ := range hosts {
+		want[i] = make([]float64, len(occ))
+		if err := contention.Slowdowns(e.Cluster.HostSpec, occ, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every worker walks the keys in the same order from the same start,
+	// so they ask for each key at about the same moment.
+	const workers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	bad := make([]int, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, 2)
+			<-start
+			for i := range hosts {
+				if err := e.solveShared(got, hosts[i]); err != nil || !sameBits(got, want[i]) {
+					bad[g]++
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, n := range bad {
+		if n > 0 {
+			t.Errorf("worker %d: %d solves failed or differ from a direct solve", g, n)
+		}
+	}
+	if e.solveMisses != len(hosts) {
+		t.Errorf("%d workers made %d kernel calls over %d keys, want one per key", workers, e.solveMisses, len(hosts))
+	}
 }

@@ -14,8 +14,9 @@
 // per cell on a sub-index sliced from the request's, and its exchange
 // phase drives the same walk over the fleet-wide grid. Restarts are
 // independent — each draws from its own StreamN("restart", i) seed — so
-// they run one goroutine each and are merged in restart order, making
-// the result bit-identical to a serial sweep.
+// one fan-out (annealAll) runs the restarts of one search or of many side
+// by side, and each search merges its own in restart order, making every
+// result bit-identical to a serial sweep.
 
 package placement
 
@@ -140,6 +141,13 @@ type bestState struct {
 // snap returns the comparable skeleton.
 func (b *bestState) snap() bestSnap { return bestSnap{obj: b.obj, qosOK: b.qosOK} }
 
+// copyFrom makes b a copy of src in b's own buffers.
+func (b *bestState) copyFrom(src *bestState) {
+	b.have, b.obj, b.qosOK = src.have, src.obj, src.qosOK
+	b.cells = append(b.cells[:0], src.cells...)
+	b.pred = append(b.pred[:0], src.pred...)
+}
+
 // tally is what one walk did: the counters a serial instrumented run
 // would have accumulated.
 type tally struct {
@@ -168,13 +176,30 @@ func (t *tally) add(o *tally) {
 	t.cmisses += o.cmisses
 }
 
-// restartOutcome is everything one restart produces: its workspace
-// (holding the compact local best) and its tally.
+// restartOutcome is everything one restart produces: its tally and a
+// copy of its best state, taken before its workspace went back to the
+// pool.
 type restartOutcome struct {
 	tally
-	ws  *workspace
-	err error
+	best bestState
+	err  error
 }
+
+// outcomes is pooled storage for a fan-out's restart outcomes: the
+// best-state copies reuse their buffers, so a warm search allocates none.
+type outcomes struct{ s []restartOutcome }
+
+var outcomesPool = sync.Pool{New: func() any { return new(outcomes) }}
+
+// acquireOutcomes returns storage for n restart outcomes, every field of
+// which runRestart overwrites.
+func acquireOutcomes(n int) *outcomes {
+	o := outcomesPool.Get().(*outcomes)
+	o.s = slices.Grow(o.s[:0], n)[:n]
+	return o
+}
+
+func releaseOutcomes(o *outcomes) { outcomesPool.Put(o) }
 
 // betterSnap reports whether cand should replace best under the
 // search's acceptance order: feasibility first when a QoS constraint is
@@ -432,22 +457,30 @@ func (w *walk) finish(temp float64) {
 }
 
 // runRestart executes one independent annealing restart of p on the
-// stream seeded by seed. The caller owns o.ws.
-func runRestart(p *problem, cfg *Config, sign float64, seed int64) (o restartOutcome) {
+// stream seeded by seed into o, and returns its workspace to the pool as
+// soon as it ends, so a fan-out holds no more workspaces than it has
+// workers.
+func runRestart(p *problem, cfg *Config, sign float64, seed int64, o *restartOutcome) {
 	span := cfg.Tracer.StartSpan("placement.restart")
 	defer span.End()
-
 	ws := acquireWorkspace()
-	o.ws = ws
+	defer releaseWorkspace(ws)
+	o.tally, o.err = walkRestart(ws, p, cfg, sign, seed)
+	o.best.copyFrom(&ws.best)
+}
+
+// walkRestart is one restart's trajectory on ws, which holds its best
+// state when it returns.
+func walkRestart(ws *workspace, p *problem, cfg *Config, sign float64, seed int64) (tally, error) {
 	r := &ws.draw
 	r.Reset(seed)
 	ws.aux.Reset(r.Stream("init").Seed())
-	if o.err = p.sample(ws, &ws.aux); o.err != nil {
-		return o
+	if err := p.sample(ws, &ws.aux); err != nil {
+		return tally{}, err
 	}
 	var w walk
-	if o.err = w.begin(ws, p, cfg, sign); o.err != nil {
-		return o
+	if err := w.begin(ws, p, cfg, sign); err != nil {
+		return tally{}, err
 	}
 	temp := cfg.InitTemp
 	slots := p.hosts * p.slots
@@ -464,45 +497,73 @@ func runRestart(p *problem, cfg *Config, sign float64, seed int64) (o restartOut
 			w.invalid++
 			continue
 		}
-		if _, o.err = w.try(ha, sa, hb, sb, temp, r); o.err != nil {
-			return o
+		if _, err := w.try(ha, sa, hb, sb, temp, r); err != nil {
+			return tally{}, err
 		}
 	}
 	w.finish(temp)
-	o.tally = w.tally
-	return o
+	return w.tally, nil
 }
 
-// anneal runs cfg.Restarts independent restarts of p — restart i on
-// NewRNG(seed).Stream("placement").StreamN("restart", i), fanned out one
-// worker each — and returns their outcomes in restart order plus the
-// index of the winner (ties keep the earlier restart, as a serial sweep's
-// strict-improvement rule does). The caller reads the winner's best
-// state from outs[win].ws and must releaseOutcomes(outs), error or not.
-func anneal(p *problem, cfg *Config, sign float64, seed int64) (outs []restartOutcome, win int, err error) {
-	rng := sim.NewRNG(seed).Stream("placement")
-	outs = make([]restartOutcome, cfg.Restarts)
-	sim.FanOut(cfg.Restarts, cfg.Restarts, func(i int) {
-		outs[i] = runRestart(p, cfg, sign, rng.StreamN("restart", i).Seed())
+// annealJob is one problem whose restarts a fan-out runs: restart i on
+// rng.StreamN("restart", i), its outcome landing in outs[i].
+type annealJob struct {
+	p    *problem
+	cfg  *Config
+	sign float64
+	rng  *sim.RNG // NewRNG(seed).Stream("placement")
+	outs []restartOutcome
+}
+
+// newAnnealJob is the job of cfg.Restarts restarts of p seeded by seed,
+// landing in outs.
+func newAnnealJob(p *problem, cfg *Config, sign float64, seed int64, outs *outcomes) annealJob {
+	return annealJob{p: p, cfg: cfg, sign: sign, rng: sim.NewRNG(seed).Stream("placement"), outs: outs.s}
+}
+
+// annealAll runs every restart of every job on one fan-out of workers
+// goroutines. Each restart is a pure function of its job and index, so
+// the outcomes do not depend on workers or on which worker ran what.
+func annealAll(jobs []annealJob, workers int) {
+	n := 0
+	for i := range jobs {
+		n += len(jobs[i].outs)
+	}
+	sim.FanOut(n, workers, func(k int) {
+		j := 0
+		for k >= len(jobs[j].outs) {
+			k -= len(jobs[j].outs)
+			j++
+		}
+		jb := &jobs[j]
+		runRestart(jb.p, jb.cfg, jb.sign, jb.rng.StreamN("restart", k).Seed(), &jb.outs[k])
 	})
+}
+
+// winner returns the index of the winning restart among outs — ties keep
+// the earlier restart, as a serial sweep's strict-improvement rule does —
+// or the first restart error.
+func winner(outs []restartOutcome, qos bool, sign float64) (int, error) {
+	win := 0
 	for i := range outs {
 		if outs[i].err != nil {
-			return outs, -1, outs[i].err
+			return -1, outs[i].err
 		}
-		if i > 0 && betterSnap(p.qos != nil, sign, outs[i].ws.best.snap(), outs[win].ws.best.snap()) {
+		if i > 0 && betterSnap(qos, sign, outs[i].best.snap(), outs[win].best.snap()) {
 			win = i
 		}
 	}
-	return outs, win, nil
+	return win, nil
 }
 
-// releaseOutcomes returns the restarts' workspaces to the pool.
-func releaseOutcomes(outs []restartOutcome) {
-	for i := range outs {
-		if outs[i].ws != nil {
-			releaseWorkspace(outs[i].ws)
-		}
-	}
+// anneal runs cfg.Restarts independent restarts of p, one goroutine
+// each, and returns their outcomes in restart order plus the index of
+// the winner. The caller must releaseOutcomes the outcomes, error or not.
+func anneal(p *problem, cfg *Config, sign float64, seed int64) (*outcomes, int, error) {
+	outs := acquireOutcomes(cfg.Restarts)
+	annealAll([]annealJob{newAnnealJob(p, cfg, sign, seed, outs)}, cfg.Restarts)
+	win, err := winner(outs.s, p.qos != nil, sign)
+	return outs, win, err
 }
 
 // materialize builds the public Result — the string Placement and the

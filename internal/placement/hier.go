@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // cellOutcome is what one cell's search contributes beyond the cells it
@@ -58,15 +59,23 @@ type cellOutcome struct {
 	err error
 }
 
-// searchHierarchical runs the cell-sharded search. Search has already
-// bound the request, applied config defaults, and checked the
-// cell/exchange knobs; cfg.Cells is > 1 here.
-func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
+// hierStats is what a hierarchical search leaves for its telemetry: its
+// exchange phase and its cell count.
+type hierStats struct {
+	ex    exchangeOutcome
+	cells int
+}
+
+// searchHierarchical runs the cell-sharded search, leaving in r.hier what
+// recordHierarchical publishes. The caller has prepared the request, and
+// r.cfg.Cells is > 1.
+func (r *prepared) searchHierarchical() (Result, error) {
+	b, cfg := r.b, &r.cfg
 	// fleet holds the fleet-wide grid and predictions the cells fill and
 	// the exchange phase then walks.
 	fleet := acquireWorkspace()
 	defer releaseWorkspace(fleet)
-	cells, sum, err := searchCells(fleet, b, cfg, sign)
+	cells, sum, err := searchCells(fleet, b, cfg, r.sign)
 	if err != nil {
 		return Result{}, err
 	}
@@ -74,7 +83,7 @@ func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
 	ctx := context.Background()
 	var ex exchangeOutcome
 	pprof.Do(ctx, pprof.Labels("placement_phase", "exchange"), func(context.Context) {
-		ex, err = exchange(fleet, b, cfg, sign, cells, nil)
+		ex, err = exchange(fleet, b, cfg, r.sign, cells, nil)
 	})
 	if err != nil {
 		return Result{}, err
@@ -86,19 +95,23 @@ func searchHierarchical(b *bound, cfg *Config, sign float64) (Result, error) {
 	best.Evaluations = sum.evals + ex.evals
 	best.CombineHits = sum.chits + ex.chits
 	best.CombineMisses = sum.cmisses + ex.cmisses
-
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.Gauge(MetricCells).Set(float64(len(cells)))
-		cfg.Telemetry.Counter(MetricExchangeProposals).Add(ex.proposals)
-		cfg.Telemetry.Counter(MetricExchangeAccepted).Add(ex.accepted)
-		cfg.Telemetry.Counter(MetricExchangeConflicts).Add(ex.conflicts)
-		cfg.Telemetry.Gauge(MetricExchangeBatchOccupancy).Set(ex.occupancy)
-		// Proposal and cache traffic is the exchange phase's; evaluations
-		// count the cells' too.
-		ex.evals = best.Evaluations
-		recordTally(cfg.Telemetry, &ex.tally, best.Objective)
-	}
+	r.hier = &hierStats{ex: ex, cells: len(cells)}
 	return best, nil
+}
+
+// recordHierarchical publishes a hierarchical search's telemetry.
+func (r *prepared) recordHierarchical(reg *telemetry.Registry, best *Result) {
+	h := r.hier
+	reg.Gauge(MetricCells).Set(float64(h.cells))
+	reg.Counter(MetricExchangeProposals).Add(h.ex.proposals)
+	reg.Counter(MetricExchangeAccepted).Add(h.ex.accepted)
+	reg.Counter(MetricExchangeConflicts).Add(h.ex.conflicts)
+	reg.Gauge(MetricExchangeBatchOccupancy).Set(h.ex.occupancy)
+	// Proposal and cache traffic is the exchange phase's; evaluations
+	// count the cells' too.
+	t := h.ex.tally
+	t.evals = best.Evaluations
+	recordTally(reg, &t, best.Objective)
 }
 
 // searchCells runs the spread and cell phases into fleet: the cells'
@@ -279,10 +292,10 @@ func searchCell(b *bound, cfg *Config, sign float64, hosts []int, demand []appUn
 		o.err = err
 		return o
 	}
-	for i := range outs {
-		o.add(&outs[i].tally)
+	for i := range outs.s {
+		o.add(&outs.s[i].tally)
 	}
-	best, dst := &outs[win].ws.best, fleet.e.grid.Cells()
+	best, dst := &outs.s[win].best, fleet.e.grid.Cells()
 	for i, gh := range hosts {
 		for s, id := range best.cells[i*b.slots : (i+1)*b.slots] {
 			if id >= 0 {

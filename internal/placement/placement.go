@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -346,11 +347,113 @@ func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 // itself never touches a string (see engine.go). Each restart is an
 // independent trajectory on its own derived RNG stream, so the restarts
 // run in parallel (one goroutine each) and are merged in restart order —
-// the Result is bit-identical to a serial sweep for a given seed.
+// the Result is bit-identical to a serial sweep for a given seed. Search
+// is SearchAll's one-search case.
 func Search(req Request, cfg Config) (Result, error) {
+	var res [1]Result
+	if err := searchAll([]Job{{Req: req, Cfg: cfg}}, 0, res[:]); err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// Job is one search of a SearchAll batch.
+type Job struct {
+	Req Request
+	Cfg Config
+}
+
+// SearchAll runs many searches side by side and returns their results in
+// job order. The restarts of every flat search share one fan-out of
+// workers goroutines (<= 0 means GOMAXPROCS); hierarchical searches
+// (Cells > 1) follow one at a time, each fanning out its own cells. Every
+// result is bit-identical to Search(job.Req, job.Cfg), whatever workers
+// is. The searches' telemetry is published in job order once all have
+// run, so a registry ends as the same searches run one by one leave it.
+// On failure SearchAll returns the first error in job order, having
+// published the telemetry of the searches before it only — what a loop of
+// Search calls that stops at its first error leaves behind.
+func SearchAll(jobs []Job, workers int) ([]Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]Result, len(jobs))
+	if err := searchAll(jobs, workers, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// prepared is one search validated, bound and given its defaults, then
+// what it leaves for its telemetry: a flat search's restarts, or a
+// hierarchical one's stats.
+type prepared struct {
+	b    *bound
+	cfg  Config
+	sign float64
+	outs *outcomes  // a flat search's restarts
+	hier *hierStats // a hierarchical search's
+}
+
+// searchAll is SearchAll into results, one per job, with workers 0
+// meaning one goroutine per restart.
+func searchAll(jobs []Job, workers int, results []Result) error {
+	runs := make([]prepared, 0, len(jobs))
+	var err error
+	for i := range jobs {
+		var r prepared
+		if r, err = prepare(jobs[i].Req, jobs[i].Cfg); err != nil {
+			break // no later search needs running: err is the first
+		}
+		runs = append(runs, r)
+	}
+	flat := make([]annealJob, 0, len(runs))
+	for i := range runs {
+		r := &runs[i]
+		if r.cfg.Cells <= 1 {
+			r.outs = acquireOutcomes(r.cfg.Restarts)
+			flat = append(flat, newAnnealJob(&r.b.problem, &r.cfg, r.sign, r.cfg.Seed, r.outs))
+		}
+	}
+	defer func() {
+		for i := range runs {
+			if runs[i].outs != nil {
+				releaseOutcomes(runs[i].outs)
+			}
+		}
+	}()
+	if workers == 0 {
+		for _, j := range flat {
+			workers += len(j.outs)
+		}
+	}
+	annealAll(flat, workers)
+
+	done := 0
+	for ; done < len(runs); done++ {
+		r := &runs[done]
+		var rerr error
+		if r.outs == nil {
+			results[done], rerr = r.searchHierarchical()
+		} else {
+			results[done], rerr = r.finishFlat()
+		}
+		if rerr != nil {
+			err = rerr
+			break
+		}
+	}
+	for i := range done {
+		runs[i].record(&results[i])
+	}
+	return err
+}
+
+// prepare validates and binds one search and applies its defaults.
+func prepare(req Request, cfg Config) (prepared, error) {
 	b, err := bind(req)
 	if err != nil {
-		return Result{}, err
+		return prepared{}, err
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 4000
@@ -371,79 +474,94 @@ func Search(req Request, cfg Config) (Result, error) {
 			// would turn the QoS penalty into a reward for violating
 			// the constraint — the search would actively hunt
 			// infeasible placements.
-			return Result{}, errors.New("placement: QoS constraint cannot be combined with Goal Worst (the inverted search direction rewards violating the constraint); drop the QoS or use Goal Best")
+			return prepared{}, errors.New("placement: QoS constraint cannot be combined with Goal Worst (the inverted search direction rewards violating the constraint); drop the QoS or use Goal Best")
 		}
 		if cfg.QoS.MaxNormalized < 1 {
-			return Result{}, fmt.Errorf("placement: QoS bound %v below 1 is unsatisfiable", cfg.QoS.MaxNormalized)
+			return prepared{}, fmt.Errorf("placement: QoS bound %v below 1 is unsatisfiable", cfg.QoS.MaxNormalized)
 		}
 		if err := b.constrain(cfg.QoS); err != nil {
-			return Result{}, err
+			return prepared{}, err
 		}
 	}
 
 	// Reject nonsensical cell configurations up front rather than letting
 	// them surface as partition panics or silently-ignored knobs.
 	if cfg.Cells < 0 {
-		return Result{}, fmt.Errorf("placement: negative cell count %d", cfg.Cells)
+		return prepared{}, fmt.Errorf("placement: negative cell count %d", cfg.Cells)
 	}
 	if cfg.Cells > req.NumHosts {
-		return Result{}, fmt.Errorf("placement: %d cells exceed %d hosts", cfg.Cells, req.NumHosts)
+		return prepared{}, fmt.Errorf("placement: %d cells exceed %d hosts", cfg.Cells, req.NumHosts)
 	}
 	if cfg.ExchangeIters < 0 {
-		return Result{}, fmt.Errorf("placement: negative exchange iterations %d", cfg.ExchangeIters)
+		return prepared{}, fmt.Errorf("placement: negative exchange iterations %d", cfg.ExchangeIters)
 	}
 	if cfg.ExchangeIters > 0 && cfg.Cells <= 1 {
-		return Result{}, errors.New("placement: exchange iterations require Cells > 1 (there is no cross-cell phase in the flat search)")
+		return prepared{}, errors.New("placement: exchange iterations require Cells > 1 (there is no cross-cell phase in the flat search)")
 	}
 	if cfg.ExchangeWorkers < 0 {
-		return Result{}, fmt.Errorf("placement: negative exchange workers %d", cfg.ExchangeWorkers)
+		return prepared{}, fmt.Errorf("placement: negative exchange workers %d", cfg.ExchangeWorkers)
 	}
 	if cfg.ExchangeWorkers > 0 && cfg.Cells <= 1 {
-		return Result{}, errors.New("placement: exchange workers require Cells > 1 (there is no cross-cell phase in the flat search)")
+		return prepared{}, errors.New("placement: exchange workers require Cells > 1 (there is no cross-cell phase in the flat search)")
 	}
 
 	sign := 1.0
 	if cfg.Goal == Worst {
 		sign = -1
 	}
-	if cfg.Cells > 1 {
-		return searchHierarchical(b, &cfg, sign)
-	}
-	return searchFlat(b, &cfg, sign)
+	return prepared{b: b, cfg: cfg, sign: sign}, nil
 }
 
-// searchFlat is the flat search: the whole request as one problem, no
-// exchange phase.
-func searchFlat(b *bound, cfg *Config, sign float64) (Result, error) {
-	outs, win, err := anneal(&b.problem, cfg, sign, cfg.Seed)
-	defer releaseOutcomes(outs)
+// finishFlat merges a flat search's restarts, which have run, into its
+// Result: only the winner's compact best state is materialized into a
+// Placement and prediction map.
+func (r *prepared) finishFlat() (Result, error) {
+	outs := r.outs.s
+	win, err := winner(outs, r.b.qos != nil, r.sign)
 	if err != nil {
 		return Result{}, err
 	}
-	// Only the winning restart's compact best state is materialized into
-	// a Placement + prediction map — the losers never allocate one.
-	best, err := b.materialize(&outs[win].ws.best)
+	best, err := r.b.materialize(&outs[win].best)
 	if err != nil {
 		return Result{}, err
 	}
-	var sum tally
-	for i := range outs {
-		sum.add(&outs[i].tally)
-	}
+	sum := r.sum()
 	best.Evaluations = sum.evals
 	best.CombineHits, best.CombineMisses = sum.chits, sum.cmisses
-
-	if cfg.Telemetry != nil {
-		sum.finalTemp = outs[cfg.Restarts-1].finalTemp
-		cfg.Telemetry.Counter(MetricIterations).Add(uint64(cfg.Restarts) * uint64(cfg.Iterations))
-		cfg.Telemetry.Counter(MetricRestarts).Add(uint64(cfg.Restarts))
-		recordTally(cfg.Telemetry, &sum, best.Objective)
-		propC, accC := cfg.Telemetry.Counter(MetricProposals), cfg.Telemetry.Counter(MetricAccepted)
-		if p := propC.Value(); p > 0 {
-			cfg.Telemetry.Gauge(MetricAcceptanceRate).Set(float64(accC.Value()) / float64(p))
-		}
-	}
 	return best, nil
+}
+
+// sum is a flat search's restarts summed, at the last one's final
+// temperature.
+func (r *prepared) sum() tally {
+	var sum tally
+	for i := range r.outs.s {
+		sum.add(&r.outs.s[i].tally)
+	}
+	sum.finalTemp = r.outs.s[len(r.outs.s)-1].finalTemp
+	return sum
+}
+
+// record publishes a finished search's telemetry, if it has a registry.
+func (r *prepared) record(best *Result) {
+	switch reg := r.cfg.Telemetry; {
+	case reg == nil:
+	case r.hier != nil:
+		r.recordHierarchical(reg, best)
+	default:
+		r.recordFlat(reg, best)
+	}
+}
+
+// recordFlat publishes a flat search's telemetry.
+func (r *prepared) recordFlat(reg *telemetry.Registry, best *Result) {
+	reg.Counter(MetricIterations).Add(uint64(r.cfg.Restarts) * uint64(r.cfg.Iterations))
+	reg.Counter(MetricRestarts).Add(uint64(r.cfg.Restarts))
+	sum := r.sum()
+	recordTally(reg, &sum, best.Objective)
+	if p := reg.Counter(MetricProposals).Value(); p > 0 {
+		reg.Gauge(MetricAcceptanceRate).Set(float64(reg.Counter(MetricAccepted).Value()) / float64(p))
+	}
 }
 
 // recordTally publishes the counters and closing gauges both search
