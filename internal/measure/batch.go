@@ -11,22 +11,20 @@ import (
 // Batch collects independent measurement requests and executes their
 // bodies over a bounded worker pool. Each submission is planned when it is
 // made, on the caller's goroutine and in submission order: validation, the
-// fault layer's FailureHook, the telemetry run counter, the content-cache
-// lookup and — crucially — the nonce draw from Env.nextNonce. Background
-// interference derives its RNG stream from the nonce, so pre-assigning
-// nonces in submission order pins every measurement's randomness before
-// any worker starts, and a body is a pure function of the environment, its
-// layout and its nonce: the workers' completion order cannot affect any
-// value. Run then publishes every result to the content and solo caches in
-// submission order and resolves the handles. One batch therefore computes
-// exactly what the same submissions compute split over several batches, or
-// through the serial methods, in the same order. A batch is built and Run
-// on one goroutine; handles are read after Run returns.
+// fault layer's FailureHook, the telemetry run counter and the
+// content-cache lookup. A body is a pure function of the environment and
+// its layout — background draws included — so the workers' completion
+// order cannot affect any value. Run then publishes every result to the
+// content and solo caches in submission order and resolves the handles.
+// One batch therefore computes exactly what the same submissions compute
+// split over several batches, or through the serial methods, in any order.
+// A batch is built and Run on one goroutine; handles are read after Run
+// returns.
 //
 // A plan failure mirrors a serial loop's early return: the first failing
 // submission poisons the batch, later submissions consume nothing (no
-// nonce, no counters, no failure-hook draws) and their handles report the
-// poisoning error. Already-planned jobs still execute.
+// counters, no failure-hook draws) and their handles report the poisoning
+// error. Already-planned jobs still execute.
 type Batch struct {
 	env  *Env
 	jobs []*job

@@ -1,6 +1,9 @@
 package measure
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -362,12 +365,14 @@ func TestBackgroundInjection(t *testing.T) {
 }
 
 // TestBackgroundStreamContract pins what a BackgroundFunc is handed: the
-// stream of the (measurement, repetition), identical for every host and at
+// stream of the (host layout, repetition), identical for every host and at
 // its start for every host — so direct draws model conditions all hosts
-// share — and a different one for the next repetition and the next
-// measurement.
+// share. The stream is rebuilt here from the layout's documented encoding.
+// Identical requests see the identical stream, and so does another entry
+// point that lays out the same hosts; a request that differs in one
+// pressure or one co-runner node, and the next repetition, see another.
 func TestBackgroundStreamContract(t *testing.T) {
-	e := newTestEnv(t) // 2 repetitions
+	e := newTestEnv(t) // 2 repetitions, no cache
 	e.UnitCores = 4
 	type call struct {
 		host int
@@ -379,32 +384,74 @@ func TestBackgroundStreamContract(t *testing.T) {
 		calls = append(calls, call{host, r.Seed(), r.Float64()})
 		return contention.Occupant{}, false
 	}
-	w := wl(t, "M.milc")
-	for m := 0; m < 2; m++ {
-		if _, err := e.RunWithBubbles(w, make([]float64, 4)); err != nil {
+	w, co := wl(t, "M.milc"), wl(t, "C.libq")
+	// streams measures one request and returns each repetition's stream
+	// seed, checking that every host of a repetition saw it from its start.
+	streams := func(name string, measure func() error) []int64 {
+		t.Helper()
+		calls = calls[:0]
+		if err := measure(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(calls) != 2*2*4 {
-		t.Fatalf("%d background calls, want 16 (2 measurements x 2 repetitions x 4 hosts)", len(calls))
-	}
-	want := sim.NewRNG(e.Seed).Stream("background").StreamN("nonce", 1).StreamN("rep", 0)
-	if calls[0].seed != want.Seed() || calls[0].draw != want.Float64() {
-		t.Errorf("first call saw seed %d draw %v, want the (nonce 1, rep 0) stream from its start", calls[0].seed, calls[0].draw)
-	}
-	seen := map[int64]bool{}
-	for g := 0; g < len(calls); g += 4 {
-		first := calls[g]
-		if seen[first.seed] {
-			t.Errorf("repetition %d reuses an earlier repetition's stream", g/4)
+		if len(calls) != 2*4 {
+			t.Fatalf("%s: %d background calls, want 8 (2 repetitions x 4 hosts)", name, len(calls))
 		}
-		seen[first.seed] = true
-		for i, c := range calls[g : g+4] {
-			if c.host != i || c.seed != first.seed || c.draw != first.draw {
-				t.Errorf("repetition %d: host call %+v, want host %d with the repetition's seed %d and first draw %v",
-					g/4, c, i, first.seed, first.draw)
+		var seeds []int64
+		for g := 0; g < len(calls); g += 4 {
+			first := calls[g]
+			for i, c := range calls[g : g+4] {
+				if c.host != i || c.seed != first.seed || c.draw != first.draw {
+					t.Errorf("%s, repetition %d: host call %+v, want host %d with the repetition's seed %d and first draw %v",
+						name, g/4, c, i, first.seed, first.draw)
+				}
 			}
+			seeds = append(seeds, first.seed)
 		}
+		if seeds[0] == seeds[1] {
+			t.Errorf("%s: both repetitions see stream %d", name, seeds[0])
+		}
+		return seeds
+	}
+	bubbles := func(ps ...float64) func() error {
+		return func() error { _, err := e.RunWithBubbles(w, ps); return err }
+	}
+	coRun := func(coNodes ...int) func() error {
+		return func() error { _, err := coRunner(e, w, co, 4, coNodes); return err }
+	}
+
+	base := streams("bubbles", bubbles(2, 0, 0, 0))
+	// The layout id of base, folded from scratch: per host its index, then
+	// the measured unit (digest word, base-profile mark), then the bubble.
+	id, fold := uint64(0), func(id, v uint64) uint64 { return mix64(id ^ v) }
+	digest := sha256.Sum256([]byte(fmt.Sprintf("%+v", w)))
+	for h := 0; h < 4; h++ {
+		id = fold(fold(fold(id, uint64(h)), binary.LittleEndian.Uint64(digest[:])), ^uint64(0))
+		if h == 0 {
+			id = fold(id, math.Float64bits(2))
+		}
+	}
+	for rep, got := range base {
+		want := sim.NewRNG(e.Seed).Stream("background").StreamN("layout", int(id)).StreamN("rep", rep)
+		if got != want.Seed() {
+			t.Errorf("repetition %d saw stream %d, want %d: the (layout, rep) stream", rep, got, want.Seed())
+		}
+	}
+	if again := streams("the same request again", bubbles(2, 0, 0, 0)); again[0] != base[0] || again[1] != base[1] {
+		t.Errorf("an identical request saw streams %v, want %v", again, base)
+	}
+	if got := streams("one pressure changed", bubbles(3, 0, 0, 0)); got[0] == base[0] || got[1] == base[1] {
+		t.Errorf("a request with one pressure changed saw streams %v, shared with %v", got, base)
+	}
+	quiet := streams("no bubble", bubbles(0, 0, 0, 0))
+	if got := streams("no co-runner", coRun()); got[0] != quiet[0] || got[1] != quiet[1] {
+		t.Errorf("a co-runner request with no co-runner saw streams %v, want the bare layout's %v", got, quiet)
+	}
+	one := streams("co-runner on node 1", coRun(1))
+	if got := streams("co-runner on node 2", coRun(2)); got[0] == one[0] || got[1] == one[1] {
+		t.Errorf("a request with its co-runner moved saw streams %v, shared with %v", got, one)
+	}
+	if one[0] == quiet[0] || one[1] == quiet[1] {
+		t.Errorf("a request with a co-runner saw streams %v, shared with the bare layout's %v", one, quiet)
 	}
 }
 

@@ -29,7 +29,7 @@ func fourByFour(t *testing.T, apps [4]string) *cluster.Placement {
 // TestBatchPlacementMatchesRunPlacement: placements submitted to one
 // batch measure bit for bit what the same placements measure one
 // RunPlacement at a time, on the private cluster and on the EC2
-// environment, whose background draws depend on every nonce; and two
+// environment, whose background draws depend on each layout; and two
 // placements that share an app (with as many units) measure its solo
 // baseline once.
 func TestBatchPlacementMatchesRunPlacement(t *testing.T) {
