@@ -26,12 +26,12 @@ const UnitCores = 4
 // Background tenancy parameters.
 const (
 	// tenantProb is the chance a physical host has a noisy neighbour in
-	// a given measurement run.
+	// a given measurement repetition.
 	tenantProb = 0.8
 	// tenantMinPressure/tenantMaxPressure bound the neighbour's
-	// bubble-equivalent pressure. Neighbours are redrawn per measurement
-	// (churn), so this range directly sets how inconsistent repeated
-	// measurements of the same configuration are.
+	// bubble-equivalent pressure. Neighbours are redrawn per distinct
+	// measurement and repetition (churn), so this range directly sets how
+	// inconsistent the repetitions of one configuration are.
 	tenantMinPressure = 1.0
 	tenantMaxPressure = 5.0
 	// tenantCores is the share of the physical host other tenants use.
@@ -105,8 +105,11 @@ const (
 
 // NewEnv returns a measurement environment over the EC2 cluster with
 // background-tenant interference enabled. The background draw depends on
-// the (repetition, host) stream it is handed, so it changes between runs —
-// the paper's relocation/churn effect.
+// the stream it is handed, which measure derives from what a measurement
+// runs and its repetition, and on the host; so neighbours change with
+// every distinct measurement and repetition — the paper's
+// relocation/churn effect — while the same measurement on the same seed
+// always meets the same ones.
 func NewEnv(seed int64) (*measure.Env, error) {
 	env, err := measure.NewEnv(Cluster(), seed)
 	if err != nil {
@@ -114,7 +117,7 @@ func NewEnv(seed int64) (*measure.Env, error) {
 	}
 	env.UnitCores = UnitCores
 	env.Background = func(host int, r *sim.RNG) (contention.Occupant, bool) {
-		// The handed stream's seed already identifies the (measurement,
+		// The handed stream's seed already identifies the (host layout,
 		// repetition) context; hash it with splitmix64 instead of seeding
 		// math/rand sources. Seeding the legacy generator costs ~600
 		// state-init steps per derived stream — it dominated the EC2
@@ -124,10 +127,11 @@ func NewEnv(seed int64) (*measure.Env, error) {
 		// occupants out.
 		base := uint64(r.Seed())
 		// Era: how busy this slice of the region is during this
-		// measurement — shared by all hosts (host is not mixed in),
-		// redrawn per measurement. This is what makes repeated
-		// measurements of the same configuration inconsistent, as the
-		// paper observed.
+		// repetition — shared by all hosts (host is not mixed in),
+		// redrawn per repetition and per distinct measurement. This is
+		// what makes the repetitions of one configuration, and
+		// neighbouring configurations, inconsistent, as the paper
+		// observed.
 		era := 0.4 + 1.2*unit01(mix64(base^eraSalt))
 		h := mix64(base ^ mix64(hostSalt+uint64(host)))
 		if unit01(h) >= tenantProb {

@@ -40,8 +40,7 @@ func checkGolden(t *testing.T, id string, out Output) {
 }
 
 // checkGoldenRunner runs one runner on the shared quick lab and checks its
-// golden copy. Only runners that leave the EC2 env alone may use it: their
-// output does not depend on what ran before them.
+// golden copy.
 func checkGoldenRunner(t *testing.T, id string) {
 	t.Helper()
 	r, err := RunnerByID(id)
@@ -64,10 +63,7 @@ func TestGoldenFigure11(t *testing.T) { checkGoldenRunner(t, "figure11") }
 // TestGolden checks every runner's rendering against
 // testdata/golden/<id>.txt exactly as `paperrepro -quick -extras` prints
 // it: one fresh quick lab at seed 2016, the paper artifacts and then the
-// extras, in registry order. The EC2 env draws a fresh background nonce
-// per measurement, so Figure 12, Table 6 and Figure 13 depend on what ran
-// before them on the same lab; the shared quickLab is not used because
-// other tests touch its EC2 env.
+// extras, in registry order.
 func TestGolden(t *testing.T) {
 	l, err := NewLab(Config{Seed: 2016, Quick: true})
 	if err != nil {
@@ -79,6 +75,39 @@ func TestGolden(t *testing.T) {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
 		checkGolden(t, r.ID, out)
+	}
+}
+
+// TestRunnerAloneMatchesFullRun: every paper runner, run alone on a fresh
+// lab as `paperrepro -only <id>` runs it, renders exactly its section of
+// one full RunAll on another fresh lab, in quick and in full mode at seed
+// 2016. No artifact depends on what the lab measured before it, on the EC2
+// env included.
+func TestRunnerAloneMatchesFullRun(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		cfg := Config{Seed: 2016, Quick: quick}
+		full, err := NewLab(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := full.RunAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range Runners() {
+			alone, err := NewLab(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := r.Run(alone)
+			if err != nil {
+				t.Fatalf("%s: %v", r.ID, err)
+			}
+			if got, want := out.Render(), outs[i].Render(); got != want {
+				t.Errorf("quick %t: %s alone differs from its section of the full run\n--- alone ---\n%s--- full run ---\n%s",
+					quick, r.ID, got, want)
+			}
+		}
 	}
 }
 

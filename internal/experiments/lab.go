@@ -267,10 +267,7 @@ func run[R interface{ output() Output }](f func(*Lab) (R, error)) func(*Lab) (Ou
 	}
 }
 
-// Runners lists every experiment in paper order. The order is part of the
-// output: the EC2 env draws a fresh background nonce per measurement, so
-// Figure 12, Table 6 and Figure 13 depend on what ran before them on the
-// same lab.
+// Runners lists every experiment in paper order.
 func Runners() []Runner {
 	return []Runner{
 		{"figure2", run((*Lab).figure2)},

@@ -183,8 +183,12 @@ func (inj *Injector) CellLossFraction() float64 {
 
 // FailureHook fails a measurement with the active transient-failure
 // probability. Its signature matches measure.Env's FailureHook. Draws
-// come from a dedicated plan-seeded stream, so a fixed plan fails a
-// fixed sequence of measurements.
+// come from a dedicated plan-seeded stream in call order, so a fixed plan
+// fails a fixed sequence of measurements. The stream is sequential on
+// purpose, unlike a measurement's background draws, which are keyed by
+// what it runs: a failure is transient, so a retry of the same
+// measurement must be able to succeed, and a failure keyed by content
+// would fail it forever.
 func (inj *Injector) FailureHook(op string) error {
 	inj.mu.Lock()
 	rate := inj.failRate
