@@ -8,10 +8,11 @@
 # the daemon's lifecycle tests, of the shared jitter tables and of the
 # exchange's evaluators, a fuzz smoke of every target, a check that
 # EXPERIMENTS.md is what paperrepro prints at the default worker count and
-# on the serial reference path (-workers 1), the pinned flag sets, and a
-# smoke of the interfd binary: same-seed self-driven runs leave
-# byte-identical decision audits and equal nonzero event and measurement
-# counts in their reports. Timings are not gated here: the benchmark of
+# on the serial reference path (-workers 1), the pinned flag sets (with
+# the rejection of removed flags and binaries, positional arguments and
+# unknown subcommands), and a smoke of the interfd binary: same-seed
+# self-driven runs leave byte-identical decision audits and equal nonzero
+# event and measurement counts in their reports. Timings are not gated here: the benchmark of
 # record is bench/ (`make bench`). Run it before every commit.
 set -eu
 cd "$(dirname "$0")"
@@ -103,10 +104,15 @@ done
 
 smokedir="$(mktemp -d)"
 trap 'rm -rf "$smokedir"' EXIT
-go build -o "$smokedir/interfd" ./cmd/interfd
-for tool in paperrepro placer interfsim profiler; do
+for tool in paperrepro interfd; do
   go build -o "$smokedir/$tool" "./cmd/$tool"
 done
+# The three offline stages are paperrepro subcommands; their old
+# standalone binaries must not come back.
+if go build -o "$smokedir/removed" ./cmd/placer ./cmd/interfsim ./cmd/profiler >/dev/null 2>&1; then
+  echo "ci: cmd/placer, cmd/interfsim or cmd/profiler builds again; the stages are paperrepro sim|profile|place" >&2
+  exit 1
+fi
 
 echo "== EXPERIMENTS.md is what paperrepro prints =="
 # The checked-in results must be the code's: from the first artifact to
@@ -126,12 +132,14 @@ for workers in 0 1; do
   fi
 done
 
-echo "== flag sets (interfd and the four batch tools) =="
-# Drift and SLO tuning are interfd constants, and the batch tools report
-# once, at exit, with no live plane and no cache file: a deleted knob must
-# not come back quietly, and a run that passes one must fail rather than
-# ignore it (with -h after it, a flag that came back would exit 0 at once).
-flags_of() { "$smokedir/$1" -h 2>&1 | awk '$1 ~ /^-/ { sub(/^-/, "", $1); print $1 }' | sort | tr '\n' ' ' | sed 's/ $//'; }
+echo "== flag sets (interfd, paperrepro and its three subcommands) =="
+# Drift and SLO tuning are interfd constants, and the batch commands
+# report once, at exit, with no live plane and no cache file: a deleted
+# knob must not come back quietly, and a run that passes one must fail
+# rather than ignore it (with -h after it, a flag that came back would
+# exit 0 at once). A command is a binary plus an optional subcommand,
+# passed as one word ("paperrepro place") and split here.
+flags_of() { "$smokedir/"$1 -h 2>&1 | awk '$1 ~ /^-/ { sub(/^-/, "", $1); print $1 }' | sort | tr '\n' ' ' | sed 's/ $//'; }
 check_flags() {
   got_flags="$(flags_of "$1")"
   if [ "$got_flags" != "$2" ]; then
@@ -142,25 +150,39 @@ check_flags() {
   fi
 }
 reject_flag() {
-  if "$smokedir/$1" "-$2" x -h >/dev/null 2>&1; then
+  if "$smokedir/"$1 "-$2" x -h >/dev/null 2>&1; then
     echo "ci: $1 accepted the removed -$2 flag" >&2
     exit 1
   fi
 }
 check_flags interfd "addr-file drift-audit faults listen log-format log-level mix profile-samples report rounds search-iters search-restarts seed serve-only serve-queue trace workers"
 check_flags paperrepro "extras log-format log-level markdown metrics o only quick seed trace workers"
-check_flags placer "apps bound goal iters log-format log-level metrics qos restarts seed trace"
-check_flags interfsim "ec2 faults interfering list log-format log-level metrics nodes pressure pressures seed trace workload"
-check_flags profiler "alg log-format log-level metrics nodes samples seed trace workers workload"
+check_flags "paperrepro place" "apps bound goal iters log-format log-level metrics qos seed trace"
+check_flags "paperrepro sim" "ec2 faults interfering list log-format log-level metrics nodes pressure pressures seed trace workload"
+check_flags "paperrepro profile" "alg log-format log-level metrics nodes samples seed trace workers workload"
 reject_flag interfd drift-threshold
-for tool in paperrepro placer interfsim profiler; do
-  reject_flag "$tool" listen
+for cmd in paperrepro "paperrepro place" "paperrepro sim" "paperrepro profile"; do
+  reject_flag "$cmd" listen
 done
 reject_flag paperrepro measure-cache
-reject_flag profiler measure-cache
-reject_flag placer cells
-reject_flag placer exchange
-echo "flag sets: interfd 17 flags, batch tools 45, removed knobs rejected"
+reject_flag "paperrepro profile" measure-cache
+reject_flag "paperrepro place" cells
+reject_flag "paperrepro place" exchange
+reject_flag "paperrepro place" restarts
+# No command takes a positional argument: one must fail, not be ignored.
+# -log-level loud comes first so that a binary that ignored the argument
+# would still exit at once; only the message tells the two apart.
+for cmd in interfd paperrepro "paperrepro place" "paperrepro sim" "paperrepro profile"; do
+  if ! "$smokedir/"$cmd -log-level loud stray 2>&1 | grep -q 'unexpected argument "stray"'; then
+    echo "ci: $cmd did not reject a positional argument" >&2
+    exit 1
+  fi
+done
+if "$smokedir/paperrepro" simulate -h >/dev/null 2>&1; then
+  echo "ci: paperrepro accepted an unknown subcommand" >&2
+  exit 1
+fi
+echo "flag sets: interfd 17 flags, paperrepro and its subcommands 44, removed knobs, positional arguments and unknown subcommands rejected"
 
 echo "== self-driver smoke (same seed, same decision audit) =="
 # The daemon's own determinism contract, at the binary: three self-driven

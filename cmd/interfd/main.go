@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -109,26 +110,14 @@ func defaultDaemonConfig() daemonConfig {
 }
 
 func main() {
-	cfg := defaultDaemonConfig()
-	mixCSV := flag.String("mix", strings.Join(cfg.mix, ","), "comma-separated workload mix to profile and serve")
-	flag.StringVar(&cfg.listen, "listen", cfg.listen, "listen address (/api/place, /api/whatif, /metrics, /healthz, /readyz, /api/*, /debug/pprof/)")
-	flag.Int64Var(&cfg.seed, "seed", cfg.seed, "experiment seed")
-	flag.IntVar(&cfg.rounds, "rounds", cfg.rounds, "self-driven placement decisions to make and verify (0 = until SIGINT/SIGTERM)")
-	flag.IntVar(&cfg.samples, "profile-samples", cfg.samples, "heterogeneity samples per startup model build")
-	flag.IntVar(&cfg.workers, "workers", cfg.workers, "measurement batch workers and placement API search workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-	flag.IntVar(&cfg.searchIters, "search-iters", cfg.searchIters, "placement-search iterations per request that does not set its own")
-	flag.IntVar(&cfg.searchRestarts, "search-restarts", cfg.searchRestarts, "independent annealing restarts per request, run in parallel")
-	flag.StringVar(&cfg.faultsPath, "faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
-	flag.StringVar(&cfg.driftAuditPath, "drift-audit", cfg.driftAuditPath, "write the placement decision audit log (JSON Lines) to this file at drain ('' = none)")
-	flag.BoolVar(&cfg.serveOnly, "serve-only", cfg.serveOnly, "no self-driver: profile, arm the placement API, and serve until SIGINT/SIGTERM")
-	flag.StringVar(&cfg.addrFile, "addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
-	flag.IntVar(&cfg.serveQueue, "serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
-	flag.StringVar(&cfg.reportPath, "report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
-	var of obs.Flags
-	of.RegisterLogging(flag.CommandLine)
-	flag.Parse()
-	cfg.mix, cfg.tracePath = strings.Split(*mixCSV, ","), of.Trace
-
+	cfg, of, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "interfd:", err)
+		os.Exit(1)
+	}
 	logger, err := of.Logger("interfd", os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "interfd:", err)
@@ -140,6 +129,39 @@ func main() {
 		logger.Error("daemon failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads the daemon's flags over the defaults. It rejects
+// positional arguments, which the daemon takes none of, before anything
+// is opened.
+func parseFlags(args []string, stderr io.Writer) (daemonConfig, obs.Flags, error) {
+	cfg := defaultDaemonConfig()
+	fs := flag.NewFlagSet("interfd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mixCSV := fs.String("mix", strings.Join(cfg.mix, ","), "comma-separated workload mix to profile and serve")
+	fs.StringVar(&cfg.listen, "listen", cfg.listen, "listen address (/api/place, /api/whatif, /metrics, /healthz, /readyz, /api/*, /debug/pprof/)")
+	fs.Int64Var(&cfg.seed, "seed", cfg.seed, "experiment seed")
+	fs.IntVar(&cfg.rounds, "rounds", cfg.rounds, "self-driven placement decisions to make and verify (0 = until SIGINT/SIGTERM)")
+	fs.IntVar(&cfg.samples, "profile-samples", cfg.samples, "heterogeneity samples per startup model build")
+	fs.IntVar(&cfg.workers, "workers", cfg.workers, "measurement batch workers and placement API search workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
+	fs.IntVar(&cfg.searchIters, "search-iters", cfg.searchIters, "placement-search iterations per request that does not set its own")
+	fs.IntVar(&cfg.searchRestarts, "search-restarts", cfg.searchRestarts, "independent annealing restarts per request, run in parallel")
+	fs.StringVar(&cfg.faultsPath, "faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
+	fs.StringVar(&cfg.driftAuditPath, "drift-audit", cfg.driftAuditPath, "write the placement decision audit log (JSON Lines) to this file at drain ('' = none)")
+	fs.BoolVar(&cfg.serveOnly, "serve-only", cfg.serveOnly, "no self-driver: profile, arm the placement API, and serve until SIGINT/SIGTERM")
+	fs.StringVar(&cfg.addrFile, "addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
+	fs.IntVar(&cfg.serveQueue, "serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
+	fs.StringVar(&cfg.reportPath, "report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
+	var of obs.Flags
+	of.RegisterLogging(fs)
+	if err := fs.Parse(args); err != nil {
+		return cfg, of, err
+	}
+	if fs.NArg() > 0 {
+		return cfg, of, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	cfg.mix, cfg.tracePath = strings.Split(*mixCSV, ","), of.Trace
+	return cfg, of, nil
 }
 
 // daemon is what the lifecycle phases hand to one another.

@@ -237,3 +237,21 @@ func TestDaemonBoundedRounds(t *testing.T) {
 		t.Errorf("drift observations = %d, want 8 (two verified four-app decisions)", got)
 	}
 }
+
+// TestRejectsBadInputBeforeRunning: a positional argument or a removed
+// flag fails flag parsing, before anything is opened; the defaults parse.
+func TestRejectsBadInputBeforeRunning(t *testing.T) {
+	for _, bad := range [][]string{
+		{"bogus"},
+		{"-rounds", "3", "extra-arg"},
+		{"-drift-threshold", "0.1"},
+	} {
+		if _, _, err := parseFlags(bad, io.Discard); err == nil {
+			t.Errorf("%v: accepted", bad)
+		}
+	}
+	cfg, _, err := parseFlags([]string{"-rounds", "3"}, io.Discard)
+	if err != nil || cfg.rounds != 3 {
+		t.Errorf("-rounds 3: rounds %d, err %v", cfg.rounds, err)
+	}
+}

@@ -1,6 +1,10 @@
 // Command paperrepro regenerates every table and figure of the paper's
 // evaluation on the simulated cluster and prints them (or writes a
-// markdown report suitable for EXPERIMENTS.md).
+// markdown report suitable for EXPERIMENTS.md). Its subcommands run the
+// method's three offline stages one at a time: sim measures one workload
+// under a chosen interference setting, profile builds one workload's
+// interference model, and place searches a placement for a mix and
+// simulates it.
 //
 // Examples:
 //
@@ -9,6 +13,9 @@
 //	paperrepro -only figure10      # one experiment
 //	paperrepro -markdown -o EXPERIMENTS.md
 //	paperrepro -quick -metrics -
+//	paperrepro sim -workload M.lesl -pressures 8,5,0,0,3,0,0,0
+//	paperrepro profile -workload M.milc -alg binary-optimized
+//	paperrepro place -apps M.lmps,C.libq,H.KM,N.cg -qos M.lmps -bound 1.25
 package main
 
 import (
@@ -21,7 +28,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/ec2"
 	"repro/internal/experiments"
+	"repro/internal/measure"
 	"repro/internal/obs"
 )
 
@@ -32,21 +43,116 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("paperrepro", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// subcommands are the method's offline stages, run one at a time.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"sim":     sim,
+	"profile": profile,
+	"place":   place,
+}
+
+// run dispatches on a first argument that names a subcommand; with none,
+// it runs the reproduction.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		sub, ok := subcommands[args[0]]
+		if !ok {
+			return fmt.Errorf("unknown subcommand %q (want sim, profile or place)", args[0])
+		}
+		return sub(args[1:], stdout, stderr)
+	}
+	return repro(args, stdout, stderr)
+}
+
+// command is the prologue every entry point shares: one flag set that
+// holds the command's own flags beside -seed and the observability flags.
+type command struct {
+	name string // the RunReport's tool, e.g. "paperrepro place"
+	fs   *flag.FlagSet
+	seed *int64
+	of   obs.Flags
+}
+
+func newCommand(name string, seed int64, stderr io.Writer) *command {
+	c := &command{name: name, fs: flag.NewFlagSet(name, flag.ContinueOnError)}
+	c.fs.SetOutput(stderr)
+	c.seed = c.fs.Int64("seed", seed, "experiment seed")
+	c.of.Register(c.fs)
+	return c
+}
+
+// parse parses args and rejects positional arguments, which no command
+// takes: ignored, they would hide a misplaced flag or subcommand.
+func (c *command) parse(args []string) error {
+	if err := c.fs.Parse(args); err != nil {
+		return err
+	}
+	if c.fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", c.fs.Arg(0))
+	}
+	return nil
+}
+
+// invocation is one opened run: its logger, registry and tracer, and
+// its seed.
+type invocation struct {
+	*obs.BatchRun
+	seed int64
+}
+
+// start opens the run once the command has validated its inputs. Every
+// successful start must be paired with a deferred Close.
+func (c *command) start(args []string, stderr io.Writer) (*invocation, error) {
+	o, err := c.of.Start(c.name, *c.seed, args, stderr)
+	if err != nil {
+		return nil, err
+	}
+	return &invocation{BatchRun: o, seed: *c.seed}, nil
+}
+
+// env is the simulated private cluster, or EC2, at the run's seed,
+// instrumented with the run's registry and tracer.
+func (r *invocation) env(onEC2 bool) (*measure.Env, error) {
+	var env *measure.Env
+	var err error
+	if onEC2 {
+		env, err = ec2.NewEnv(r.seed)
+	} else {
+		env, err = measure.NewEnv(cluster.Default(), r.seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	env.Telemetry = r.Registry
+	env.Tracer = r.Tracer
+	return env, nil
+}
+
+// buildConfig is the default model build at the run's seed, instrumented
+// with the run's registry and tracer.
+func (r *invocation) buildConfig() core.BuildConfig {
+	cfg := core.DefaultBuildConfig()
+	cfg.Seed = r.seed
+	cfg.Telemetry = r.Registry
+	cfg.Tracer = r.Tracer
+	return cfg
+}
+
+// repro regenerates the paper's evaluation.
+func repro(args []string, stdout, stderr io.Writer) (err error) {
+	c := newCommand("paperrepro", 2016, stderr)
 	var (
-		quick    = fs.Bool("quick", false, "reduced sampling (seconds instead of minutes)")
-		seed     = fs.Int64("seed", 2016, "experiment seed")
-		only     = fs.String("only", "", "run a single experiment (e.g. figure3, table2)")
-		markdown = fs.Bool("markdown", false, "emit markdown instead of aligned text")
-		extras   = fs.Bool("extras", false, "also run the non-paper extras (figure1, ablations, multiway, faults, fleet)")
-		outPath  = fs.String("o", "", "write to file instead of stdout")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch and placement search workers (1 = serial; results are identical either way)")
-		of       obs.Flags
+		quick    = c.fs.Bool("quick", false, "reduced sampling (seconds instead of minutes)")
+		only     = c.fs.String("only", "", "run a single experiment (e.g. figure3, table2)")
+		markdown = c.fs.Bool("markdown", false, "emit markdown instead of aligned text")
+		extras   = c.fs.Bool("extras", false, "also run the non-paper extras (figure1, ablations, multiway, faults, fleet)")
+		outPath  = c.fs.String("o", "", "write to file instead of stdout")
+		workers  = c.fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch and placement search workers (1 = serial; results are identical either way)")
 	)
-	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	c.fs.Usage = func() {
+		fmt.Fprintln(c.fs.Output(), "Usage: paperrepro [flags]\n       paperrepro sim|profile|place [flags]  (paperrepro <subcommand> -h lists its flags)")
+		c.fs.PrintDefaults()
+	}
+	if err := c.parse(args); err != nil {
 		return err
 	}
 
@@ -58,14 +164,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 
-	o, err := of.Start("paperrepro", *seed, args, stderr)
+	r, err := c.start(args, stderr)
 	if err != nil {
 		return err
 	}
-	defer o.Close(&err)
-	logger := o.Logger
+	defer r.Close(&err)
+	logger := r.Logger
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Telemetry: o.Registry, Tracer: o.Tracer, Logger: logger, Workers: *workers}
+	cfg := experiments.Config{Seed: r.seed, Quick: *quick, Telemetry: r.Registry, Tracer: r.Tracer, Logger: logger, Workers: *workers}
 	start := time.Now()
 
 	lab, err := experiments.NewLab(cfg)
@@ -86,9 +192,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		if *extras {
-			for _, r := range experiments.ExtraRunners() {
-				logger.Info("running experiment", "id", r.ID)
-				o, err := r.Run(lab)
+			for _, x := range experiments.ExtraRunners() {
+				logger.Info("running experiment", "id", x.ID)
+				o, err := x.Run(lab)
 				if err != nil {
 					return err
 				}
@@ -102,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *markdown {
 		fmt.Fprintf(&b, "# EXPERIMENTS — paper vs. measured\n\n")
 		fmt.Fprintf(&b, "Regenerated by `cmd/paperrepro` (seed %d, quick=%v) in %s.\n\n",
-			*seed, *quick, time.Since(start).Round(time.Millisecond))
+			r.seed, *quick, time.Since(start).Round(time.Millisecond))
 	}
 	for _, o := range outs {
 		if *markdown {

@@ -1,28 +1,13 @@
-// Command placer runs the interference-aware placement search for a mix
-// of four applications on the 8-host cluster, optionally with a QoS
-// constraint, and verifies the chosen placement on the simulator.
-//
-// Examples:
-//
-//	placer -apps M.milc,C.libq,H.KM,M.lmps
-//	placer -apps M.lmps,C.libq,H.KM,N.cg -qos M.lmps -bound 1.25
-//	placer -apps M.milc,C.libq,H.KM,M.lmps -goal worst
-//	placer -apps M.milc,C.libq,H.KM,M.lmps -metrics - -trace -
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -33,28 +18,19 @@ import (
 // fill the 8-host, 2-slot cluster exactly.
 const unitsPerApp = 4
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "placer:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("placer", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// place runs the interference-aware placement search for a mix of four
+// applications on the 8-host cluster, optionally with a QoS constraint,
+// and verifies the chosen placement on the simulator.
+func place(args []string, stdout, stderr io.Writer) (err error) {
+	c := newCommand("paperrepro place", 1, stderr)
 	var (
-		appsCSV  = fs.String("apps", "M.milc,C.libq,H.KM,M.lmps", "comma-separated mix of 4 workloads")
-		qosApp   = fs.String("qos", "", "application to protect with a QoS constraint")
-		bound    = fs.Float64("bound", 1.25, "QoS bound on normalized execution time")
-		goalName = fs.String("goal", "best", "search goal: best or worst")
-		iters    = fs.Int("iters", 4000, "annealing iterations")
-		restarts = fs.Int("restarts", 0, "independent annealing restarts, run in parallel (0 = search default)")
-		seed     = fs.Int64("seed", 1, "experiment seed")
-		of       obs.Flags
+		appsCSV  = c.fs.String("apps", "M.milc,C.libq,H.KM,M.lmps", "comma-separated mix of 4 workloads")
+		qosApp   = c.fs.String("qos", "", "application to protect with a QoS constraint")
+		bound    = c.fs.Float64("bound", 1.25, "QoS bound on normalized execution time")
+		goalName = c.fs.String("goal", "best", "search goal: best or worst")
+		iters    = c.fs.Int("iters", 4000, "annealing iterations")
 	)
-	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(args); err != nil {
 		return err
 	}
 
@@ -88,30 +64,25 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		aliases = append(aliases, alias)
 	}
 
-	o, err := of.Start("placer", *seed, args, stderr)
+	r, err := c.start(args, stderr)
 	if err != nil {
 		return err
 	}
-	defer o.Close(&err)
-	reg, tracer, logger := o.Registry, o.Tracer, o.Logger
+	defer r.Close(&err)
+	reg := r.Registry
 	out := report.NewReporter(stdout)
 
-	env, err := measure.NewEnv(cluster.Default(), *seed)
+	env, err := r.env(false)
 	if err != nil {
 		return err
 	}
-	env.Telemetry = reg
-	env.Tracer = tracer
 
 	preds := map[string]core.Predictor{}
 	scores := map[string]float64{}
 	var demands []cluster.Demand
-	cfg := core.DefaultBuildConfig()
-	cfg.Seed = *seed
-	cfg.Telemetry = reg
-	cfg.Tracer = tracer
+	cfg := r.buildConfig()
 	for _, alias := range aliases {
-		logger.Info("profiling workload", "workload", alias)
+		r.Logger.Info("profiling workload", "workload", alias)
 		m, err := core.BuildModel(env, wreg[alias], cfg)
 		if err != nil {
 			return err
@@ -125,14 +96,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		NumHosts: 8, SlotsPerHost: 2,
 		Demands: demands, Predictors: preds, Scores: scores,
 	}
-	pcfg := placement.DefaultConfig(*seed)
+	pcfg := placement.DefaultConfig(r.seed)
 	pcfg.Goal = goal
 	pcfg.Iterations = *iters
-	if *restarts > 0 {
-		pcfg.Restarts = *restarts
-	}
 	pcfg.Telemetry = reg
-	pcfg.Tracer = tracer
+	pcfg.Tracer = r.Tracer
 	if *qosApp != "" {
 		pcfg.QoS = &placement.QoS{App: *qosApp, MaxNormalized: *bound}
 	}
@@ -141,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	cluster.RecordOccupancy(reg, res.Placement)
-	logger.Info("placement chosen", "objective", res.Objective, "evaluations", res.Evaluations)
+	r.Logger.Info("placement chosen", "objective", res.Objective, "evaluations", res.Evaluations)
 
 	out.KV("placement", "%s", res.Placement)
 	out.KV("objective", "%.4f (weighted normalized runtime, model)", res.Objective)

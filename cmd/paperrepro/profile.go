@@ -1,54 +1,33 @@
-// Command profiler builds the full interference model of one workload —
-// propagation matrix, heterogeneity mapping policy, and bubble score — and
-// prints it, together with the profiling cost the chosen algorithm paid
-// and the provenance of every matrix cell (measured, interpolated, or
-// inferred).
-//
-// Examples:
-//
-//	profiler -workload M.milc -alg binary-optimized -samples 60
-//	profiler -workload M.milc -metrics - -trace -
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"repro/internal/bubble"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hetero"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "profiler:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("profiler", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// profile builds the full interference model of one workload —
+// propagation matrix, heterogeneity mapping policy, and bubble score — and
+// prints it, together with the profiling cost the chosen algorithm paid
+// and the provenance of every matrix cell (measured, interpolated, or
+// inferred).
+func profile(args []string, stdout, stderr io.Writer) (err error) {
+	c := newCommand("paperrepro profile", 1, stderr)
 	var (
-		name    = fs.String("workload", "M.milc", "workload name")
-		algName = fs.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
-		samples = fs.Int("samples", 60, "heterogeneous samples for policy selection")
-		nodes   = fs.Int("nodes", 8, "nodes the application spans while profiled")
-		seed    = fs.Int64("seed", 1, "experiment seed")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
-		of      obs.Flags
+		name    = c.fs.String("workload", "M.milc", "workload name")
+		algName = c.fs.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
+		samples = c.fs.Int("samples", 60, "heterogeneous samples for policy selection")
+		nodes   = c.fs.Int("nodes", 8, "nodes the application spans while profiled")
+		workers = c.fs.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
 	)
-	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(args); err != nil {
 		return err
 	}
 
@@ -62,38 +41,32 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	o, err := of.Start("profiler", *seed, args, stderr)
+	r, err := c.start(args, stderr)
 	if err != nil {
 		return err
 	}
-	defer o.Close(&err)
-	logger := o.Logger
+	defer r.Close(&err)
 	out := report.NewReporter(stdout)
 
-	env, err := measure.NewEnv(cluster.Default(), *seed)
+	env, err := r.env(false)
 	if err != nil {
 		return err
 	}
-	env.Telemetry = o.Registry
-	env.Tracer = o.Tracer
 	env.Workers = *workers
 	cache := measure.NewCache()
 	env.Cache = cache
-	cfg := core.DefaultBuildConfig()
+	cfg := r.buildConfig()
 	cfg.Algorithm = alg
 	cfg.Samples = *samples
 	cfg.Nodes = *nodes
-	cfg.Seed = *seed
-	cfg.Telemetry = o.Registry
-	cfg.Tracer = o.Tracer
-	logger.Info("building interference model", "workload", w.Name, "alg", alg.String(), "samples", *samples)
+	r.Logger.Info("building interference model", "workload", w.Name, "alg", alg.String(), "samples", *samples)
 	model, err := core.BuildModel(env, w, cfg)
 	if err != nil {
 		return err
 	}
-	logger.Info("model built", "workload", model.Workload,
+	r.Logger.Info("model built", "workload", model.Workload,
 		"bubble_score", model.BubbleScore, "policy", model.Policy.String())
-	logger.Info("measurement cache", "hits", cache.Hits(), "misses", cache.Misses(), "entries", cache.Len())
+	r.Logger.Info("measurement cache", "hits", cache.Hits(), "misses", cache.Misses(), "entries", cache.Len())
 
 	out.KV("workload", "%s", model.Workload)
 	out.KV("bubble score", "%.2f (paper: %.1f)", model.BubbleScore, w.TargetBubbleScore)

@@ -1,59 +1,36 @@
-// Command interfsim runs one distributed workload on the simulated
-// consolidated cluster under a chosen interference configuration and
-// prints its raw and normalized execution times.
-//
-// Examples:
-//
-//	interfsim -workload M.lmps -nodes 8 -interfering 2 -pressure 6
-//	interfsim -workload M.milc -ec2 -nodes 32 -interfering 16 -pressure 4
-//	interfsim -workload M.lesl -pressures 8,5,0,0,3,0,0,0
-//	interfsim -workload M.lmps -metrics -
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/ec2"
 	"repro/internal/fault"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "interfsim:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("interfsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// sim runs one distributed workload on the simulated consolidated
+// cluster under a chosen interference configuration and prints its raw
+// and normalized execution times.
+func sim(args []string, stdout, stderr io.Writer) (err error) {
+	c := newCommand("paperrepro sim", 1, stderr)
 	var (
-		name        = fs.String("workload", "M.lmps", "workload name (see -list)")
-		nodes       = fs.Int("nodes", 8, "nodes the application spans")
-		interfering = fs.Int("interfering", 1, "nodes carrying a bubble (homogeneous mode)")
-		pressure    = fs.Float64("pressure", 6, "bubble pressure 1-8 (homogeneous mode)")
-		pressureCSV = fs.String("pressures", "", "comma-separated per-node pressures (heterogeneous mode)")
-		useEC2      = fs.Bool("ec2", false, "use the simulated EC2 environment")
-		faultsPath  = fs.String("faults", "", "JSON fault plan to inject (crashes shrink the cluster, degrades slow their host)")
-		seed        = fs.Int64("seed", 1, "experiment seed")
-		list        = fs.Bool("list", false, "list available workloads and exit")
-		of          obs.Flags
+		name        = c.fs.String("workload", "M.lmps", "workload name (see -list)")
+		nodes       = c.fs.Int("nodes", 8, "nodes the application spans")
+		interfering = c.fs.Int("interfering", 1, "nodes carrying a bubble (homogeneous mode)")
+		pressure    = c.fs.Float64("pressure", 6, "bubble pressure 1-8 (homogeneous mode)")
+		pressureCSV = c.fs.String("pressures", "", "comma-separated per-node pressures (heterogeneous mode)")
+		useEC2      = c.fs.Bool("ec2", false, "use the simulated EC2 environment")
+		faultsPath  = c.fs.String("faults", "", "JSON fault plan to inject (crashes shrink the cluster, degrades slow their host)")
+		list        = c.fs.Bool("list", false, "list available workloads and exit")
 	)
-	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(args); err != nil {
 		return err
 	}
 
@@ -83,23 +60,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	o, err := of.Start("interfsim", *seed, args, stderr)
+	r, err := c.start(args, stderr)
 	if err != nil {
 		return err
 	}
-	defer o.Close(&err)
-
-	var env *measure.Env
-	if *useEC2 {
-		env, err = ec2.NewEnv(*seed)
-	} else {
-		env, err = measure.NewEnv(cluster.Default(), *seed)
-	}
+	defer r.Close(&err)
+	env, err := r.env(*useEC2)
 	if err != nil {
 		return err
 	}
-	env.Telemetry = o.Registry
-	env.Tracer = o.Tracer
 
 	// Fault plan: crashes remap the run's logical nodes onto the i-th
 	// surviving host, degrades slow their host, and transient profiling
@@ -113,11 +82,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if inj, err = fault.New(plan, o.Registry); err != nil {
+		if inj, err = fault.New(plan, r.Registry); err != nil {
 			return err
 		}
 		inj.OnEvent = func(f fault.Fault) {
-			o.Logger.Warn("fault injected", "kind", f.Kind.String(), "host", f.Host,
+			r.Logger.Warn("fault injected", "kind", f.Kind.String(), "host", f.Host,
 				"factor", f.Factor, "rate", f.Rate)
 		}
 		inj.Activate(0)
@@ -146,11 +115,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			len(pressures), survivingHosts)
 	}
 
-	raw, err := runRetrying(inj, o.Logger, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
+	raw, err := runRetrying(inj, r.Logger, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
 	if err != nil {
 		return err
 	}
-	solo, err := runRetrying(inj, o.Logger, func() (float64, error) { return env.Solo(w, len(pressures)) })
+	solo, err := runRetrying(inj, r.Logger, func() (float64, error) { return env.Solo(w, len(pressures)) })
 	if err != nil {
 		return err
 	}

@@ -182,20 +182,6 @@ func (p *Placement) HostApps(host int) []string {
 	return out
 }
 
-// AppHosts returns the hosts on which app has at least one unit, ascending.
-func (p *Placement) AppHosts(app string) []int {
-	var out []int
-	for h, hs := range p.slots {
-		for _, a := range hs {
-			if a == app {
-				out = append(out, h)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // UnitPos identifies one unit slot in a placement.
 type UnitPos struct{ Host, Slot int }
 
@@ -224,23 +210,6 @@ func (p *Placement) UnitsOf(app string) int {
 		}
 	}
 	return n
-}
-
-// CoRunners returns, for each host app runs on (in AppHosts order), the
-// other applications sharing that host (empty string slice if none).
-func (p *Placement) CoRunners(app string) [][]string {
-	hosts := p.AppHosts(app)
-	out := make([][]string, len(hosts))
-	for i, h := range hosts {
-		var others []string
-		for _, a := range p.HostApps(h) {
-			if a != app {
-				others = append(others, a)
-			}
-		}
-		out[i] = others
-	}
-	return out
 }
 
 // Validate checks the co-location rule: at most AppsPerHostLimit distinct
@@ -504,12 +473,12 @@ func PackedPlacement(numHosts, slotsPerHost int, demands []Demand) (*Placement, 
 // Metric names published by RecordOccupancy. The per-app units gauge
 // carries an app label.
 const (
-	MetricHostsTotal = "cluster_hosts_total"
-	MetricSlotsTotal = "cluster_slots_total"
-	MetricHostsUsed  = "cluster_hosts_used"
-	MetricSlotsUsed  = "cluster_slots_used"
-	MetricAppsPlaced = "cluster_apps_placed"
-	MetricAppUnits   = "cluster_app_units"
+	metricHostsTotal = "cluster_hosts_total"
+	metricSlotsTotal = "cluster_slots_total"
+	metricHostsUsed  = "cluster_hosts_used"
+	metricSlotsUsed  = "cluster_slots_used"
+	metricAppsPlaced = "cluster_apps_placed"
+	metricAppUnits   = "cluster_app_units"
 )
 
 // RecordOccupancy publishes a placement's occupancy as gauges: cluster
@@ -519,8 +488,8 @@ func RecordOccupancy(reg *telemetry.Registry, p *Placement) {
 	if reg == nil || p == nil {
 		return
 	}
-	reg.Gauge(MetricHostsTotal).Set(float64(p.NumHosts))
-	reg.Gauge(MetricSlotsTotal).Set(float64(p.NumHosts * p.HostSlots))
+	reg.Gauge(metricHostsTotal).Set(float64(p.NumHosts))
+	reg.Gauge(metricSlotsTotal).Set(float64(p.NumHosts * p.HostSlots))
 	hostsUsed, slotsUsed := 0, 0
 	for h := 0; h < p.NumHosts; h++ {
 		used := false
@@ -534,11 +503,11 @@ func RecordOccupancy(reg *telemetry.Registry, p *Placement) {
 			hostsUsed++
 		}
 	}
-	reg.Gauge(MetricHostsUsed).Set(float64(hostsUsed))
-	reg.Gauge(MetricSlotsUsed).Set(float64(slotsUsed))
+	reg.Gauge(metricHostsUsed).Set(float64(hostsUsed))
+	reg.Gauge(metricSlotsUsed).Set(float64(slotsUsed))
 	apps := p.Apps()
-	reg.Gauge(MetricAppsPlaced).Set(float64(len(apps)))
+	reg.Gauge(metricAppsPlaced).Set(float64(len(apps)))
 	for _, a := range apps {
-		reg.Gauge(telemetry.Label(MetricAppUnits, "app", a)).Set(float64(p.UnitsOf(a)))
+		reg.Gauge(telemetry.Label(metricAppUnits, "app", a)).Set(float64(p.UnitsOf(a)))
 	}
 }

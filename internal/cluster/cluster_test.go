@@ -82,24 +82,11 @@ func TestPlacementQueries(t *testing.T) {
 	if got := p.Apps(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Errorf("Apps = %v", got)
 	}
-	if got := p.AppHosts("A"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("AppHosts(A) = %v", got)
-	}
 	if got := p.UnitsOf("A"); got != 3 {
 		t.Errorf("UnitsOf(A) = %d, want 3", got)
 	}
 	if got := p.UnitsOf("missing"); got != 0 {
 		t.Errorf("UnitsOf(missing) = %d, want 0", got)
-	}
-	co := p.CoRunners("A")
-	if len(co) != 2 {
-		t.Fatalf("CoRunners(A) hosts = %d, want 2", len(co))
-	}
-	if len(co[0]) != 1 || co[0][0] != "B" {
-		t.Errorf("co-runners on host 0 = %v, want [B]", co[0])
-	}
-	if len(co[1]) != 0 {
-		t.Errorf("co-runners on host 1 = %v, want none", co[1])
 	}
 	if got := p.HostApps(2); len(got) != 1 || got[0] != "B" {
 		t.Errorf("HostApps(2) = %v", got)

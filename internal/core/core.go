@@ -61,17 +61,17 @@ func (m *Model) PredictPressures(pressures []float64) (float64, error) {
 // single-node slowdown (Section 2.2, Section 5.2).
 type NaiveModel struct {
 	Workload string
-	// SensPressures/SensSlowdowns is the single-node sensitivity profile
+	// sensPressures/sensSlowdowns is the single-node sensitivity profile
 	// (Bubble-Up, Fig. 1): slowdown vs. bubble pressure.
-	SensPressures []float64
-	SensSlowdowns []float64
+	sensPressures []float64
+	sensSlowdowns []float64
 	Nodes         int
 	BubbleScore   float64
 }
 
 // PredictPressures applies the naive proportional aggregation.
 func (nm *NaiveModel) PredictPressures(pressures []float64) (float64, error) {
-	if len(nm.SensPressures) == 0 || nm.Nodes <= 0 {
+	if len(nm.sensPressures) == 0 || nm.Nodes <= 0 {
 		return 0, errors.New("core: naive model not initialized")
 	}
 	p, k, err := hetero.NPlus1Max.Convert(pressures)
@@ -81,7 +81,7 @@ func (nm *NaiveModel) PredictPressures(pressures []float64) (float64, error) {
 	if p <= 0 || k <= 0 {
 		return 1, nil
 	}
-	s, err := stats.InterpAt(nm.SensPressures, nm.SensSlowdowns, p)
+	s, err := stats.InterpAt(nm.sensPressures, nm.sensSlowdowns, p)
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +126,6 @@ type BuildConfig struct {
 	Nodes     int       // nodes the application spans while profiled
 	Algorithm Algorithm // propagation profiling strategy
 	Samples   int       // heterogeneous samples for policy selection
-	Eps       float64   // binary-search indistinguishability threshold
 	Seed      int64     // randomness for sampling-based pieces
 	// Telemetry, when non-nil, receives per-algorithm measurement
 	// counters, per-workload profiling-cost gauges, and cell-provenance
@@ -139,10 +138,10 @@ type BuildConfig struct {
 // and provenance names carry an alg/workload label via telemetry.Label.
 const (
 	MetricProfileMeasurements = "profile_measurements_total"
-	MetricProfileSettings     = "profile_settings_total"
-	MetricProfileCostPct      = "profile_cost_pct"
-	MetricProfileCells        = "profile_cells_total"
-	MetricModelsBuilt         = "models_built_total"
+	metricProfileSettings     = "profile_settings_total"
+	metricProfileCostPct      = "profile_cost_pct"
+	metricProfileCells        = "profile_cells_total"
+	metricModelsBuilt         = "models_built_total"
 )
 
 // DefaultBuildConfig mirrors the paper: 8 nodes, binary-optimized
@@ -225,11 +224,13 @@ func BuildModel(env *measure.Env, w workloads.Workload, cfg BuildConfig) (*Model
 	var res profile.Result
 	var err error
 	rng := sim.NewRNG(cfg.Seed).Stream("build").Stream(w.Name)
+	// The binary searches run at profile's default indistinguishability
+	// threshold (eps 0).
 	switch cfg.Algorithm {
 	case BinaryOptimized:
-		res, err = profile.BinaryOptimizedBatch(meas, bubble.MaxPressure, cfg.Nodes, cfg.Eps)
+		res, err = profile.BinaryOptimizedBatch(meas, bubble.MaxPressure, cfg.Nodes, 0)
 	case BinaryBrute:
-		res, err = profile.BinaryBruteBatch(meas, bubble.MaxPressure, cfg.Nodes, cfg.Eps)
+		res, err = profile.BinaryBruteBatch(meas, bubble.MaxPressure, cfg.Nodes, 0)
 	case FullBrute:
 		res, err = profile.FullBruteBatch(meas, bubble.MaxPressure, cfg.Nodes)
 	case Random30:
@@ -245,12 +246,12 @@ func BuildModel(env *measure.Env, w workloads.Workload, cfg BuildConfig) (*Model
 	if tel := cfg.Telemetry; tel != nil {
 		alg := cfg.Algorithm.String()
 		tel.Counter(telemetry.Label(MetricProfileMeasurements, "alg", alg)).Add(uint64(res.Measured))
-		tel.Counter(telemetry.Label(MetricProfileSettings, "alg", alg)).Add(uint64(res.Total))
-		tel.Gauge(telemetry.Label(MetricProfileCostPct, "workload", w.Name)).Set(res.CostPct())
+		tel.Counter(telemetry.Label(metricProfileSettings, "alg", alg)).Add(uint64(res.Total))
+		tel.Gauge(telemetry.Label(metricProfileCostPct, "workload", w.Name)).Set(res.CostPct())
 		for prov, n := range res.Provenance {
-			tel.Counter(telemetry.Label(MetricProfileCells, "alg", alg, "prov", prov)).Add(uint64(n))
+			tel.Counter(telemetry.Label(metricProfileCells, "alg", alg, "prov", prov)).Add(uint64(n))
 		}
-		tel.Counter(MetricModelsBuilt).Inc()
+		tel.Counter(metricModelsBuilt).Inc()
 	}
 	sel, err := hetero.SelectBatch(res.Matrix, HeteroBatchMeasurer(env, w), cfg.Nodes, bubble.MaxPressure, cfg.Samples, rng.Stream("hetero"))
 	if err != nil {
@@ -317,8 +318,8 @@ func BuildNaiveModel(env *measure.Env, w workloads.Workload, nodes int) (*NaiveM
 	// Anchor the curve at (0, 1) so sub-unit scores interpolate sanely.
 	return &NaiveModel{
 		Workload:      w.Name,
-		SensPressures: append([]float64{0}, ps...),
-		SensSlowdowns: append([]float64{1}, sens...),
+		sensPressures: append([]float64{0}, ps...),
+		sensSlowdowns: append([]float64{1}, sens...),
 		Nodes:         nodes,
 		BubbleScore:   score,
 	}, nil

@@ -24,7 +24,7 @@ type Source int
 
 // Prediction provenance.
 const (
-	SourcePrimary  Source = iota // the measured interference model
+	sourcePrimary  Source = iota // the measured interference model
 	SourceFallback               // the fallback (naive) model
 )
 
@@ -56,8 +56,8 @@ func (p Partial) PredictPressures(pressures []float64) (float64, error) {
 	return p.M.Matrix.AtPartial(pr, cnt)
 }
 
-// Resilient is a Predictor that answers from Primary and falls back to
-// Fallback when Primary errors — the model_fallback_total metric and the
+// Resilient is a Predictor that answers from primary and falls back to
+// fallback when primary errors — the model_fallback_total metric and the
 // per-source counters record how often degraded data forced the naive
 // path. Both wrapped predictors must be deterministic pure functions of
 // the pressure vector (every predictor in this package is, and a
@@ -67,8 +67,8 @@ func (p Partial) PredictPressures(pressures []float64) (float64, error) {
 // Resilient across restarts.
 type Resilient struct {
 	App      string
-	Primary  Predictor
-	Fallback Predictor
+	primary  Predictor
+	fallback Predictor
 
 	fallbackC           *telemetry.Counter
 	primaryN, fallbackN atomic.Uint64
@@ -77,7 +77,7 @@ type Resilient struct {
 // NewResilient wraps primary with a fallback. reg may be nil; with a
 // registry, fallback predictions increment model_fallback_total{app=...}.
 func NewResilient(app string, primary, fallback Predictor, reg *telemetry.Registry) *Resilient {
-	r := &Resilient{App: app, Primary: primary, Fallback: fallback}
+	r := &Resilient{App: app, primary: primary, fallback: fallback}
 	if reg != nil {
 		r.fallbackC = reg.Counter(telemetry.Label(MetricModelFallback, "app", app))
 	}
@@ -92,18 +92,18 @@ func (r *Resilient) PredictPressures(pressures []float64) (float64, error) {
 
 // PredictTagged predicts and reports which predictor answered.
 func (r *Resilient) PredictTagged(pressures []float64) (float64, Source, error) {
-	if r.Primary == nil {
-		return 0, SourcePrimary, errors.New("core: resilient predictor has no primary")
+	if r.primary == nil {
+		return 0, sourcePrimary, errors.New("core: resilient predictor has no primary")
 	}
-	v, perr := r.Primary.PredictPressures(pressures)
+	v, perr := r.primary.PredictPressures(pressures)
 	if perr == nil {
 		r.primaryN.Add(1)
-		return v, SourcePrimary, nil
+		return v, sourcePrimary, nil
 	}
-	if r.Fallback == nil {
-		return 0, SourcePrimary, perr
+	if r.fallback == nil {
+		return 0, sourcePrimary, perr
 	}
-	v, err := r.Fallback.PredictPressures(pressures)
+	v, err := r.fallback.PredictPressures(pressures)
 	if err != nil {
 		return 0, SourceFallback, err
 	}

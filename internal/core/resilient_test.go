@@ -66,7 +66,7 @@ func TestResilientFallsBackOnLostCells(t *testing.T) {
 	// A query over surviving cells: primary answers.
 	low := []float64{1, 0, 0, 0}
 	v, src, err := r.PredictTagged(low)
-	if err != nil || src != SourcePrimary {
+	if err != nil || src != sourcePrimary {
 		t.Fatalf("low-pressure predict = (%v, %v, %v), want primary", v, src, err)
 	}
 	if want, _ := model.PredictPressures(low); v != want {
@@ -87,7 +87,7 @@ func TestResilientFallsBackOnLostCells(t *testing.T) {
 	if got := reg.Counter(telemetry.Label(MetricModelFallback, "app", "w")).Value(); got != 1 {
 		t.Errorf("model_fallback_total = %d, want 1", got)
 	}
-	if SourcePrimary.String() != "primary" || SourceFallback.String() != "fallback" {
+	if sourcePrimary.String() != "primary" || SourceFallback.String() != "fallback" {
 		t.Error("Source names changed")
 	}
 }
@@ -98,7 +98,7 @@ func TestResilientErrorPaths(t *testing.T) {
 	if _, _, err := r.PredictTagged([]float64{1}); err == nil {
 		t.Error("primary failure with no fallback did not error")
 	}
-	// Fallback also failing: its error surfaces.
+	// The fallback failing too: its error surfaces.
 	r = NewResilient("w", failingPredictor{}, failingPredictor{}, nil)
 	if _, src, err := r.PredictTagged([]float64{1}); err == nil || src != SourceFallback {
 		t.Errorf("double failure = (%v, %v)", src, err)

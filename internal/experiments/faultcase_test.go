@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 
 // TestFaultInjectionRunner runs the faults scenario in quick mode and
 // checks its acceptance shape: a prediction for every surviving app, a
-// tagged source per prediction, and a bounded EC2 validation error.
+// tagged source per prediction, and a bounded EC2 validation error, the
+// last at quick seeds 1-10 as well.
 func TestFaultInjectionRunner(t *testing.T) {
 	r, err := quickLab(t).faults()
 	if err != nil {
@@ -36,6 +38,31 @@ func TestFaultInjectionRunner(t *testing.T) {
 	if fallbacks > r.fallbacks {
 		t.Errorf("%d predictions tagged fallback, but the resilient models counted %d", fallbacks, r.fallbacks)
 	}
+	checkFaultErrBound(t, r)
+	if n := r.output().Notes[0]; !strings.Contains(n, "4 surviving applications received a prediction") {
+		t.Errorf("first note misses the surviving-app statement: %q", n)
+	}
+	// The EC2 bound holds at every quick seed 1-10, not only at the
+	// shared lab's.
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			lab, err := NewLab(Config{Seed: seed, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := lab.faults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFaultErrBound(t, r)
+		})
+	}
+}
+
+// checkFaultErrBound requires every application's EC2-with-failures
+// validation error to be within faultErrBoundPct.
+func checkFaultErrBound(t *testing.T, r *faultsResult) {
+	t.Helper()
 	if len(r.ec2) == 0 {
 		t.Fatal("EC2-with-failures validation is empty")
 	}
@@ -43,9 +70,6 @@ func TestFaultInjectionRunner(t *testing.T) {
 		if p.errPct > faultErrBoundPct {
 			t.Errorf("EC2 validation error for %s is %v%%, beyond any useful bound", p.app, p.errPct)
 		}
-	}
-	if n := r.output().Notes[0]; !strings.Contains(n, "4 surviving applications received a prediction") {
-		t.Errorf("first note misses the surviving-app statement: %q", n)
 	}
 }
 

@@ -70,7 +70,7 @@ func FuzzHeteroPolicies(f *testing.F) {
 		if nm, np1 := results[NMax][1], results[NPlus1Max][1]; np1 < nm {
 			t.Fatalf("NPlus1Max count %v below NMax count %v for %v", np1, nm, ps)
 		}
-		if am := results[AllMax][1]; am != float64(len(ps)) {
+		if am := results[allMax][1]; am != float64(len(ps)) {
 			t.Fatalf("AllMax count = %v, want the full vector length %d", am, len(ps))
 		}
 	})

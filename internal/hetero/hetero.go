@@ -27,16 +27,16 @@ const (
 	// NPlus1Max merges all lesser interfering nodes into one extra node
 	// at the worst pressure: [3,2,1,1] -> 2 nodes at pressure 3.
 	NPlus1Max
-	// AllMax assumes the worst pressure propagates to every node:
+	// allMax assumes the worst pressure propagates to every node:
 	// [5,2,2,1] on a 4-node app -> 4 nodes at pressure 5.
-	AllMax
+	allMax
 	// Interpolate uses the average pressure across all nodes applied to
 	// every node: [3,5,3,1] -> 4 nodes at pressure 3.
 	Interpolate
 )
 
 // AllPolicies lists every policy, in the paper's presentation order.
-func AllPolicies() []Policy { return []Policy{NMax, NPlus1Max, AllMax, Interpolate} }
+func AllPolicies() []Policy { return []Policy{NMax, NPlus1Max, allMax, Interpolate} }
 
 // String returns the paper's name for the policy.
 func (p Policy) String() string {
@@ -45,7 +45,7 @@ func (p Policy) String() string {
 		return "N MAX"
 	case NPlus1Max:
 		return "N+1 MAX"
-	case AllMax:
+	case allMax:
 		return "ALL MAX"
 	case Interpolate:
 		return "INTERPOLATE"
@@ -93,7 +93,7 @@ func (p Policy) Convert(pressures []float64) (pressure, count float64, err error
 			c++
 		}
 		return maxP, float64(c), nil
-	case AllMax:
+	case allMax:
 		return maxP, float64(len(pressures)), nil
 	case Interpolate:
 		return sum / float64(len(pressures)), float64(len(pressures)), nil
@@ -145,15 +145,14 @@ type Selection struct {
 	Best      Policy
 	Stats     map[Policy]ErrStats
 	Samples   int
-	Total     int     // size of the heterogeneous configuration space
-	Margin99  float64 // sampling margin of error at 99% confidence (pp)
+	Total     int // size of the heterogeneous configuration space
 	BestStats ErrStats
 }
 
-// TotalConfigs returns the size of the heterogeneous configuration space:
+// totalConfigs returns the size of the heterogeneous configuration space:
 // multisets of `nodes` pressures drawn from {0..maxPressure}, the paper's
 // 12,870 for 8 nodes and pressures up to 8.
-func TotalConfigs(nodes, maxPressure int) int {
+func totalConfigs(nodes, maxPressure int) int {
 	// C(nodes + maxPressure, nodes) computed without overflow for the
 	// small arguments used here.
 	n := nodes + maxPressure
@@ -232,7 +231,7 @@ func SelectBatch(mat *profile.Matrix, meas BatchMeasurer, nodes, maxPressure, sa
 	sel := Selection{
 		Stats:   map[Policy]ErrStats{},
 		Samples: samples,
-		Total:   TotalConfigs(nodes, maxPressure),
+		Total:   totalConfigs(nodes, maxPressure),
 	}
 	bestAvg := math.Inf(1)
 	for _, p := range policies {
@@ -252,6 +251,5 @@ func SelectBatch(mat *profile.Matrix, meas BatchMeasurer, nodes, maxPressure, sa
 			sel.BestStats = st
 		}
 	}
-	sel.Margin99 = stats.MarginOfError99(sel.BestStats.StdPct, samples, sel.Total)
 	return sel, nil
 }

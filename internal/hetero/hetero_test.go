@@ -18,7 +18,7 @@ func TestConvertPaperExamples(t *testing.T) {
 		wantCount float64
 	}{
 		{NPlus1Max, []float64{3, 2, 1, 1}, 3, 2},   // A: [3,3,0,0]
-		{AllMax, []float64{5, 2, 2, 1}, 5, 4},      // B: [5,5,5,5]
+		{allMax, []float64{5, 2, 2, 1}, 5, 4},      // B: [5,5,5,5]
 		{Interpolate, []float64{3, 5, 3, 1}, 3, 4}, // C: [3,3,3,3]
 		{NMax, []float64{5, 5, 3, 2}, 5, 2},        // D: [5,5,0,0]
 	}
@@ -77,7 +77,7 @@ func TestConvertEdgeCases(t *testing.T) {
 
 func TestPolicyString(t *testing.T) {
 	want := map[Policy]string{
-		NMax: "N MAX", NPlus1Max: "N+1 MAX", AllMax: "ALL MAX",
+		NMax: "N MAX", NPlus1Max: "N+1 MAX", allMax: "ALL MAX",
 		Interpolate: "INTERPOLATE", Policy(9): "Policy(9)",
 	}
 	for p, s := range want {
@@ -92,11 +92,11 @@ func TestPolicyString(t *testing.T) {
 
 func TestTotalConfigs(t *testing.T) {
 	// The paper: 8 hosts, pressures 0..8 -> 12,870 settings.
-	if got := TotalConfigs(8, 8); got != 12870 {
-		t.Errorf("TotalConfigs(8,8) = %d, want 12870", got)
+	if got := totalConfigs(8, 8); got != 12870 {
+		t.Errorf("totalConfigs(8,8) = %d, want 12870", got)
 	}
-	if got := TotalConfigs(2, 1); got != 3 {
-		t.Errorf("TotalConfigs(2,1) = %d, want 3 (00,01,11 as multisets)", got)
+	if got := totalConfigs(2, 1); got != 3 {
+		t.Errorf("totalConfigs(2,1) = %d, want 3 (00,01,11 as multisets)", got)
 	}
 }
 
@@ -237,9 +237,6 @@ func TestSelectStatsShape(t *testing.T) {
 			t.Errorf("%v: negative std", p)
 		}
 	}
-	if sel.Margin99 < 0 {
-		t.Error("negative margin of error")
-	}
 }
 
 func TestSelectValidation(t *testing.T) {
@@ -290,9 +287,9 @@ func TestConvertBoundsProperty(t *testing.T) {
 			if cnt < 0 || cnt > 8 {
 				return false
 			}
-			// AllMax and Interpolate always use every node when any
+			// allMax and Interpolate always use every node when any
 			// interference exists.
-			if maxP > 0 && (p == AllMax || p == Interpolate) && cnt != 8 {
+			if maxP > 0 && (p == allMax || p == Interpolate) && cnt != 8 {
 				return false
 			}
 		}

@@ -121,7 +121,7 @@ func (b *Batch) add(idx int, plan func(*job) error) (*job, error) {
 		if prev, ok := b.keyed[j.key]; ok {
 			j.aliasOf, j.done = prev, true
 			b.env.Cache.creditHit()
-			b.env.count(MetricCacheHits)
+			b.env.count(metricCacheHits)
 		} else {
 			b.keyed[j.key] = j
 		}
@@ -165,8 +165,8 @@ func (b *Batch) scalar(plan func(*job) error) *Value {
 	return h
 }
 
-// Bubbles submits a RunWithBubbles measurement.
-func (b *Batch) Bubbles(w workloads.Workload, pressures []float64) *Value {
+// bubbles submits a RunWithBubbles measurement.
+func (b *Batch) bubbles(w workloads.Workload, pressures []float64) *Value {
 	ref := b.env.intern(w)
 	return b.scalar(func(j *job) error {
 		// Callers may reuse the slice.
@@ -307,8 +307,8 @@ func (b *Batch) Pair(a, c workloads.Workload, nodes int) *PairValue {
 			return
 		}
 		h.res = PairResult{
-			TimeA: outs[0].Time, TimeB: outs[1].Time,
-			NormalizedA: outs[0].Normalized, NormalizedB: outs[1].Normalized,
+			timeA: outs[0].Time, timeB: outs[1].Time,
+			NormalizedA: outs[0].Normalized, normalizedB: outs[1].Normalized,
 		}
 		h.err = nil
 	})
@@ -327,7 +327,7 @@ func (b *Batch) Run() error {
 	b.ran = true
 	e := b.env
 	if e.Telemetry != nil {
-		e.Telemetry.Counter(MetricBatchRuns).Inc()
+		e.Telemetry.Counter(metricBatchRuns).Inc()
 		e.Telemetry.Counter(MetricBatchJobs).Add(uint64(len(b.jobs)))
 	}
 

@@ -104,7 +104,7 @@ func suiteSteps(t *testing.T) []func(*Batch) func() []float64 {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return []float64{pr.TimeA, pr.TimeB, pr.NormalizedA, pr.NormalizedB}
+				return []float64{pr.timeA, pr.timeB, pr.NormalizedA, pr.normalizedB}
 			}
 		},
 		func(bt *Batch) func() []float64 {
@@ -402,8 +402,8 @@ func TestBatchAliasesDuplicates(t *testing.T) {
 	a, _, _, grids := batchSuite(t)
 	ps := grids[1]
 	b := e.NewBatch()
-	h1 := b.Bubbles(a, ps)
-	h2 := b.Bubbles(a, ps)
+	h1 := b.bubbles(a, ps)
+	h2 := b.bubbles(a, ps)
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}

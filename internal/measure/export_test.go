@@ -9,3 +9,6 @@ func DropJitterTables(e *Env) {
 		clear(r.jitter)
 	}
 }
+
+// MetricMeasureRuns names the runs counter for the external tests.
+const MetricMeasureRuns = metricMeasureRuns

@@ -61,7 +61,7 @@ func TestJitterTablesKeyedByDefinition(t *testing.T) {
 		var vals [2][]*Value
 		for _, p := range grid {
 			for d, w := range defs {
-				vals[d] = append(vals[d], bt.Bubbles(w, p))
+				vals[d] = append(vals[d], bt.bubbles(w, p))
 			}
 		}
 		if err := bt.Run(); err != nil {

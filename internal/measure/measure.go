@@ -36,7 +36,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// BackgroundFunc injects an uncontrolled co-located tenant on a host (the
+// backgroundFunc injects an uncontrolled co-located tenant on a host (the
 // EC2 environment of Section 6). It is called once per host per
 // measurement repetition; ok false means a quiet host. One tenant stands for
 // everything else on the physical host: only its pressure matters, so a
@@ -45,7 +45,7 @@ import (
 // per-host randomness via r.StreamN("host", host), and use direct draws
 // from r.Stream(...) for conditions shared by all hosts during the
 // measurement (e.g. how busy the region is right now).
-type BackgroundFunc func(host int, r *sim.RNG) (tenant contention.Occupant, ok bool)
+type backgroundFunc func(host int, r *sim.RNG) (tenant contention.Occupant, ok bool)
 
 // Env is a measurement environment: a cluster, a seed, and measurement
 // policy. Construct with NewEnv; the zero value is not usable.
@@ -65,7 +65,7 @@ type Env struct {
 	Reps      int // repetitions averaged per measurement
 	UnitCores int // cores per application unit on one host
 	// Background, when non-nil, adds unmeasured interference per host.
-	Background BackgroundFunc
+	Background backgroundFunc
 	// Telemetry, when non-nil, counts measurements and every application
 	// run's events (app.Params.Telemetry), and publishes per-app
 	// predicted-vs-actual gauges from RunPlacement. Tracer, when
@@ -146,13 +146,13 @@ type soloKey struct {
 // Metric names recorded by an instrumented Env. The actual-normalized
 // gauge carries an app label.
 const (
-	MetricMeasureRuns      = "measure_runs_total"
+	metricMeasureRuns      = "measure_runs_total"
 	MetricPlacementRuns    = "measure_placement_runs_total"
-	MetricActualNormalized = "app_actual_normalized"
+	metricActualNormalized = "app_actual_normalized"
 	// Content-cache and batch-engine metrics.
-	MetricCacheHits    = "measure_cache_hits_total"
-	MetricCacheMisses  = "measure_cache_misses_total"
-	MetricBatchRuns    = "measure_batch_runs_total"
+	metricCacheHits    = "measure_cache_hits_total"
+	metricCacheMisses  = "measure_cache_misses_total"
+	metricBatchRuns    = "measure_batch_runs_total"
 	MetricBatchJobs    = "measure_batch_jobs_total"
 	MetricBatchWorkers = "measure_batch_workers"
 )
@@ -723,7 +723,7 @@ func (e *Env) plan(j *job) error {
 	if j.place != nil {
 		e.count(MetricPlacementRuns)
 	} else {
-		e.count(MetricMeasureRuns)
+		e.count(metricMeasureRuns)
 	}
 	cached := e.cacheEnabled() && j.place == nil
 	if e.Background != nil || cached {
@@ -735,9 +735,9 @@ func (e *Env) plan(j *job) error {
 	j.key = cacheKey{e.fingerprint(), j.id}
 	if v, ok := e.Cache.get(j.key); ok {
 		j.vals, j.done = v, true
-		e.count(MetricCacheHits)
+		e.count(metricCacheHits)
 	} else {
-		e.count(MetricCacheMisses)
+		e.count(metricCacheMisses)
 	}
 	return nil
 }
@@ -951,8 +951,8 @@ func HomogeneousPressures(nodes, interfering int, pressure float64) ([]float64, 
 // PairResult reports a pairwise co-run (Section 4.3's validation setup:
 // both applications span all nodes and share every host).
 type PairResult struct {
-	TimeA, TimeB             float64
-	NormalizedA, NormalizedB float64
+	timeA, timeB             float64
+	NormalizedA, normalizedB float64
 }
 
 // AppOutcome is the measured result for one application in a placement.
@@ -1034,7 +1034,7 @@ func (e *Env) placementOutcomes(jp *job, apps []string, solos []soloRef) (map[st
 		lo, hi := jp.unitsOf(a)
 		outs[name] = AppOutcome{Time: means[a], Solo: solo, Normalized: means[a] / solo, Nodes: hi - lo}
 		if e.Telemetry != nil {
-			e.Telemetry.Gauge(telemetry.Label(MetricActualNormalized, "app", name)).Set(means[a] / solo)
+			e.Telemetry.Gauge(telemetry.Label(metricActualNormalized, "app", name)).Set(means[a] / solo)
 		}
 	}
 	return outs, nil

@@ -238,10 +238,10 @@ func TestRunPair(t *testing.T) {
 	if res.NormalizedA <= 1 {
 		t.Errorf("M.milc co-run with C.libq should slow down, normalized = %v", res.NormalizedA)
 	}
-	if res.NormalizedB < 1 {
-		t.Errorf("normalized below 1: %v", res.NormalizedB)
+	if res.normalizedB < 1 {
+		t.Errorf("normalized below 1: %v", res.normalizedB)
 	}
-	if res.TimeA <= 0 || res.TimeB <= 0 {
+	if res.timeA <= 0 || res.timeB <= 0 {
 		t.Error("non-positive times")
 	}
 	if _, err := pair(e, a, b, 0); err == nil {
@@ -364,7 +364,7 @@ func TestBackgroundInjection(t *testing.T) {
 	}
 }
 
-// TestBackgroundStreamContract pins what a BackgroundFunc is handed: the
+// TestBackgroundStreamContract pins what a backgroundFunc is handed: the
 // stream of the (host layout, repetition), identical for every host and at
 // its start for every host — so direct draws model conditions all hosts
 // share. The stream is rebuilt here from the layout's documented encoding.

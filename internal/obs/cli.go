@@ -14,8 +14,8 @@ import (
 type Flags struct {
 	Metrics   string // -metrics: RunReport path ("" = none, "-" = stdout)
 	Trace     string // -trace: span dump path ("" = none, "-" = stdout)
-	LogFormat string // -log-format: text or json
-	LogLevel  string // -log-level: debug, info, warn, error
+	logFormat string // -log-format: text or json
+	logLevel  string // -log-level: debug, info, warn, error
 }
 
 // RegisterLogging registers -trace, -log-format and -log-level: the part
@@ -23,8 +23,8 @@ type Flags struct {
 // lifecycle, shares with the batch tools.
 func (f *Flags) RegisterLogging(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write recorded spans as JSON to this file at exit ('-' for stdout)")
-	fs.StringVar(&f.LogFormat, "log-format", LogText, "log format: text or json")
-	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.StringVar(&f.logFormat, "log-format", logText, "log format: text or json")
+	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 }
 
 // Register registers a batch tool's whole set: RegisterLogging plus
@@ -37,11 +37,11 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // Logger builds the tool's structured logger on w from -log-format and
 // -log-level, stamped with the tool name and a fresh run ID.
 func (f *Flags) Logger(tool string, w io.Writer) (*slog.Logger, error) {
-	lvl, err := ParseLevel(f.LogLevel)
+	lvl, err := parseLevel(f.logLevel)
 	if err != nil {
 		return nil, err
 	}
-	return NewLogger(w, f.LogFormat, lvl, tool, NewRunID(tool))
+	return newLogger(w, f.logFormat, lvl, tool, newRunID(tool))
 }
 
 // BatchRun is the observability state of one batch-tool invocation: the

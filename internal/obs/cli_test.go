@@ -78,7 +78,7 @@ func TestBatchRunLifecycle(t *testing.T) {
 // anything is opened; an unwritable -metrics path is the run's error when
 // it has none, and never masks one it has.
 func TestBatchRunRejectsAndReports(t *testing.T) {
-	for _, f := range []Flags{{LogLevel: "loud"}, {LogFormat: "xml"}} {
+	for _, f := range []Flags{{logLevel: "loud"}, {logFormat: "xml"}} {
 		if _, err := f.Start("tool", 1, nil, io.Discard); err == nil {
 			t.Errorf("%+v: Start accepted", f)
 		}

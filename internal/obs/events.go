@@ -80,8 +80,8 @@ func (b *Bus) Subscribe() (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Subscribers returns the number of live subscribers.
-func (b *Bus) Subscribers() int {
+// subscribers returns the number of live subscribers.
+func (b *Bus) subscribers() int {
 	if b == nil {
 		return 0
 	}

@@ -9,8 +9,8 @@ func TestBusFanOutAndCancel(t *testing.T) {
 	bus := NewBus(8)
 	a, cancelA := bus.Subscribe()
 	b, cancelB := bus.Subscribe()
-	if bus.Subscribers() != 2 {
-		t.Fatalf("subscribers = %d, want 2", bus.Subscribers())
+	if bus.subscribers() != 2 {
+		t.Fatalf("subscribers = %d, want 2", bus.subscribers())
 	}
 	bus.Publish("x", 1)
 	bus.Publish("y", 2)
@@ -26,8 +26,8 @@ func TestBusFanOutAndCancel(t *testing.T) {
 	}
 	cancelA()
 	cancelA() // idempotent
-	if bus.Subscribers() != 1 {
-		t.Errorf("subscribers after cancel = %d, want 1", bus.Subscribers())
+	if bus.subscribers() != 1 {
+		t.Errorf("subscribers after cancel = %d, want 1", bus.subscribers())
 	}
 	bus.Publish("z", 3)
 	if ev := <-b; ev.Type != "z" {
@@ -59,7 +59,7 @@ func TestBusNeverBlocks(t *testing.T) {
 func TestBusNilSafe(t *testing.T) {
 	var bus *Bus
 	bus.Publish("x", nil) // must not panic
-	if bus.Subscribers() != 0 || bus.Dropped() != 0 {
+	if bus.subscribers() != 0 || bus.Dropped() != 0 {
 		t.Error("nil bus reports phantom state")
 	}
 }
@@ -89,7 +89,7 @@ func TestBusConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if bus.Subscribers() != 0 {
-		t.Errorf("leaked subscribers: %d", bus.Subscribers())
+	if bus.subscribers() != 0 {
+		t.Errorf("leaked subscribers: %d", bus.subscribers())
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"time"
 )
 
-// Log formats accepted by NewLogger and the cmd/ tools' -log-format flag.
+// Log formats accepted by newLogger and the cmd/ tools' -log-format flag.
 const (
-	LogText = "text"
-	LogJSON = "json"
+	logText = "text"
+	logJSON = "json"
 )
 
-// ParseLevel maps the -log-level flag values (debug, info, warn, error) to
+// parseLevel maps the -log-level flag values (debug, info, warn, error) to
 // slog levels.
-func ParseLevel(s string) (slog.Level, error) {
+func parseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
 		return slog.LevelDebug, nil
@@ -32,16 +32,16 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 }
 
-// NewLogger builds the shared structured logger of the cmd/ tools: a text
+// newLogger builds the shared structured logger of the cmd/ tools: a text
 // or JSON slog handler on w, stamped with the tool name and a run ID so
 // interleaved logs from concurrent runs stay attributable.
-func NewLogger(w io.Writer, format string, level slog.Level, tool, runID string) (*slog.Logger, error) {
+func newLogger(w io.Writer, format string, level slog.Level, tool, runID string) (*slog.Logger, error) {
 	var h slog.Handler
 	opts := &slog.HandlerOptions{Level: level}
 	switch strings.ToLower(strings.TrimSpace(format)) {
-	case "", LogText:
+	case "", logText:
 		h = slog.NewTextHandler(w, opts)
-	case LogJSON:
+	case logJSON:
 		h = slog.NewJSONHandler(w, opts)
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
@@ -54,11 +54,11 @@ func Nop() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
 }
 
-// NewRunID returns a process-unique run identifier: tool, PID, and start
+// newRunID returns a process-unique run identifier: tool, PID, and start
 // time. It is attached to every log line, so logs, metrics files, and
 // scrapes from the same invocation correlate.
-func NewRunID(tool string) string {
-	return fmt.Sprintf("%s-%d-%x", tool, os.Getpid(), time.Now().UnixNano())
+func newRunID(tool string) string {
+	return fmt.Sprintf("%s-%d-%x", strings.ReplaceAll(tool, " ", "-"), os.Getpid(), time.Now().UnixNano())
 }
 
 // WithSpan returns a child logger carrying span attributes, matching the

@@ -13,19 +13,19 @@ func TestParseLevel(t *testing.T) {
 		"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
 		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "ERROR": slog.LevelError,
 	} {
-		got, err := ParseLevel(in)
+		got, err := parseLevel(in)
 		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
+			t.Errorf("parseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("shout"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
+	if _, err := parseLevel("shout"); err == nil {
+		t.Error("parseLevel accepted an unknown level")
 	}
 }
 
 func TestNewLoggerJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l, err := NewLogger(&buf, LogJSON, slog.LevelInfo, "placer", "placer-1-abc")
+	l, err := newLogger(&buf, logJSON, slog.LevelInfo, "placer", "placer-1-abc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestNewLoggerJSON(t *testing.T) {
 
 func TestNewLoggerTextAndLevels(t *testing.T) {
 	var buf bytes.Buffer
-	l, err := NewLogger(&buf, LogText, slog.LevelWarn, "interfd", "id")
+	l, err := newLogger(&buf, logText, slog.LevelWarn, "interfd", "id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,13 @@ func TestNewLoggerTextAndLevels(t *testing.T) {
 }
 
 func TestNewLoggerRejectsUnknownFormat(t *testing.T) {
-	if _, err := NewLogger(&bytes.Buffer{}, "yaml", slog.LevelInfo, "t", "r"); err == nil {
+	if _, err := newLogger(&bytes.Buffer{}, "yaml", slog.LevelInfo, "t", "r"); err == nil {
 		t.Error("accepted unknown format")
 	}
 }
 
 func TestRunIDUnique(t *testing.T) {
-	a, b := NewRunID("x"), NewRunID("x")
+	a, b := newRunID("x"), newRunID("x")
 	if a == b {
 		t.Errorf("two run IDs collide: %s", a)
 	}

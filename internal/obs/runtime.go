@@ -11,14 +11,14 @@ import (
 // RuntimeCollector is installed on the server.
 const (
 	RuntimeMetricGoroutines  = "process_goroutines"
-	RuntimeMetricHeapAlloc   = "process_heap_alloc_bytes"
-	RuntimeMetricGCPause     = "process_gc_pause_seconds_total"
-	RuntimeMetricGCRuns      = "process_gc_runs_total"
-	RuntimeMetricHeapObjects = "process_heap_objects"
+	runtimeMetricHeapAlloc   = "process_heap_alloc_bytes"
+	runtimeMetricGCPause     = "process_gc_pause_seconds_total"
+	runtimeMetricGCRuns      = "process_gc_runs_total"
+	runtimeMetricHeapObjects = "process_heap_objects"
 )
 
-// RuntimeStats is one sample of process health.
-type RuntimeStats struct {
+// runtimeStats is one sample of process health.
+type runtimeStats struct {
 	Goroutines          int
 	HeapAllocBytes      uint64
 	HeapObjects         uint64
@@ -32,8 +32,8 @@ type RuntimeStats struct {
 // sees fresh values. The sampler is injectable so tests can golden-pin
 // the exposition format with fixed values.
 type RuntimeCollector struct {
-	mu     sync.Mutex
-	sample func() RuntimeStats
+	mu      sync.Mutex
+	sampler func() runtimeStats
 
 	goroutines, heap, objects, gcPause, gcRuns *telemetry.Gauge
 }
@@ -42,40 +42,40 @@ type RuntimeCollector struct {
 // collector reading the real Go runtime.
 func NewRuntimeCollector(reg *telemetry.Registry) *RuntimeCollector {
 	c := &RuntimeCollector{
-		sample:     readRuntime,
+		sampler:    readRuntime,
 		goroutines: reg.Gauge(RuntimeMetricGoroutines),
-		heap:       reg.Gauge(RuntimeMetricHeapAlloc),
-		objects:    reg.Gauge(RuntimeMetricHeapObjects),
-		gcPause:    reg.Gauge(RuntimeMetricGCPause),
-		gcRuns:     reg.Gauge(RuntimeMetricGCRuns),
+		heap:       reg.Gauge(runtimeMetricHeapAlloc),
+		objects:    reg.Gauge(runtimeMetricHeapObjects),
+		gcPause:    reg.Gauge(runtimeMetricGCPause),
+		gcRuns:     reg.Gauge(runtimeMetricGCRuns),
 	}
 	reg.SetHelp(RuntimeMetricGoroutines, "Goroutines live at the last scrape.")
-	reg.SetHelp(RuntimeMetricHeapAlloc, "Heap bytes allocated and still in use at the last scrape.")
-	reg.SetHelp(RuntimeMetricHeapObjects, "Live heap objects at the last scrape.")
-	reg.SetHelp(RuntimeMetricGCPause, "Cumulative GC stop-the-world pause seconds.")
-	reg.SetHelp(RuntimeMetricGCRuns, "Completed GC cycles.")
+	reg.SetHelp(runtimeMetricHeapAlloc, "Heap bytes allocated and still in use at the last scrape.")
+	reg.SetHelp(runtimeMetricHeapObjects, "Live heap objects at the last scrape.")
+	reg.SetHelp(runtimeMetricGCPause, "Cumulative GC stop-the-world pause seconds.")
+	reg.SetHelp(runtimeMetricGCRuns, "Completed GC cycles.")
 	return c
 }
 
-// SetSampler replaces the stats source — a test hook for deterministic
+// setSampler replaces the stats source — a test hook for deterministic
 // exposition fixtures.
-func (c *RuntimeCollector) SetSampler(fn func() RuntimeStats) {
+func (c *RuntimeCollector) setSampler(fn func() runtimeStats) {
 	if c == nil || fn == nil {
 		return
 	}
 	c.mu.Lock()
-	c.sample = fn
+	c.sampler = fn
 	c.mu.Unlock()
 }
 
-// Sample reads the runtime and updates the gauges. Safe for concurrent
+// sample reads the runtime and updates the gauges. Safe for concurrent
 // scrapes.
-func (c *RuntimeCollector) Sample() {
+func (c *RuntimeCollector) sample() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	fn := c.sample
+	fn := c.sampler
 	c.mu.Unlock()
 	s := fn()
 	c.goroutines.Set(float64(s.Goroutines))
@@ -87,10 +87,10 @@ func (c *RuntimeCollector) Sample() {
 
 // readRuntime samples the live Go runtime. ReadMemStats stops the world
 // briefly; scrape-driven sampling bounds that cost to scrape frequency.
-func readRuntime() RuntimeStats {
+func readRuntime() runtimeStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return RuntimeStats{
+	return runtimeStats{
 		Goroutines:          runtime.NumGoroutine(),
 		HeapAllocBytes:      ms.HeapAlloc,
 		HeapObjects:         ms.HeapObjects,

@@ -37,8 +37,8 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
-func fixedStats() RuntimeStats {
-	return RuntimeStats{
+func fixedStats() runtimeStats {
+	return runtimeStats{
 		Goroutines:          12,
 		HeapAllocBytes:      4 << 20,
 		HeapObjects:         31337,
@@ -53,8 +53,8 @@ func fixedStats() RuntimeStats {
 func TestGoldenRuntimeExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewRuntimeCollector(reg)
-	c.SetSampler(fixedStats)
-	c.Sample()
+	c.setSampler(fixedStats)
+	c.sample()
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -69,9 +69,9 @@ func TestRuntimeSampledOnScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewRuntimeCollector(reg)
 	n := 0
-	c.SetSampler(func() RuntimeStats {
+	c.setSampler(func() runtimeStats {
 		n++
-		return RuntimeStats{Goroutines: 100 + n}
+		return runtimeStats{Goroutines: 100 + n}
 	})
 	srv := New(Options{Registry: reg, Runtime: c})
 	ts := httptest.NewServer(srv.Handler())
@@ -106,20 +106,20 @@ func TestRuntimeSampledOnScrape(t *testing.T) {
 func TestRuntimeLiveSampler(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewRuntimeCollector(reg)
-	c.Sample()
+	c.sample()
 	snap := reg.Snapshot()
 	if g := snap.Gauges[RuntimeMetricGoroutines]; g < 1 {
 		t.Errorf("%s = %v, want >= 1", RuntimeMetricGoroutines, g)
 	}
-	if h := snap.Gauges[RuntimeMetricHeapAlloc]; h <= 0 {
-		t.Errorf("%s = %v, want > 0", RuntimeMetricHeapAlloc, h)
+	if h := snap.Gauges[runtimeMetricHeapAlloc]; h <= 0 {
+		t.Errorf("%s = %v, want > 0", runtimeMetricHeapAlloc, h)
 	}
 }
 
 func TestRuntimeCollectorNilSafe(t *testing.T) {
 	var c *RuntimeCollector
-	c.Sample() // must not panic
-	c.SetSampler(fixedStats)
+	c.sample() // must not panic
+	c.setSampler(fixedStats)
 }
 
 // TestRoutesMounted checks Options.Routes handlers share the plane's mux —

@@ -130,7 +130,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Registry == nil {
 		return
 	}
-	s.opts.Runtime.Sample()
+	s.opts.Runtime.sample()
 	if err := s.opts.Registry.WritePrometheus(w); err != nil {
 		s.log.Debug("metrics write failed", "err", err)
 	}

@@ -171,7 +171,7 @@ func TestSSEDeliveryAndDisconnect(t *testing.T) {
 
 	// Wait for the subscriber to register before publishing.
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Subscribers() == 0 {
+	for bus.subscribers() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("SSE subscriber never registered")
 		}
@@ -209,9 +209,9 @@ func TestSSEDeliveryAndDisconnect(t *testing.T) {
 	// Disconnect: the handler must unsubscribe from the bus.
 	cancel()
 	deadline = time.Now().Add(5 * time.Second)
-	for bus.Subscribers() != 0 {
+	for bus.subscribers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscriber leaked after disconnect: %d live", bus.Subscribers())
+			t.Fatalf("subscriber leaked after disconnect: %d live", bus.subscribers())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -444,9 +444,9 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 	}
 	ready.Wait()
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Subscribers() < clients {
+	for bus.subscribers() < clients {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d subscribers registered", bus.Subscribers(), clients)
+			t.Fatalf("only %d/%d subscribers registered", bus.subscribers(), clients)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -508,9 +508,9 @@ func TestSSESlowConsumer(t *testing.T) {
 	defer fastResp.Body.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Subscribers() < 2 {
+	for bus.subscribers() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/2 subscribers registered", bus.Subscribers())
+			t.Fatalf("only %d/2 subscribers registered", bus.subscribers())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -14,11 +14,11 @@ import (
 // permits.
 const (
 	SLOMetricRequests        = "slo_requests_total"
-	SLOMetricViolations      = "slo_violations_total"
-	SLOMetricBreaches        = "slo_breaches_total"
+	sloMetricViolations      = "slo_violations_total"
+	sloMetricBreaches        = "slo_breaches_total"
 	SLOMetricBurnRate        = "slo_burn_rate"
-	SLOMetricWindowRate      = "slo_window_violation_rate"
-	SLOMetricBudgetRemaining = "slo_error_budget_remaining"
+	sloMetricWindowRate      = "slo_window_violation_rate"
+	sloMetricBudgetRemaining = "slo_error_budget_remaining"
 
 	// EventSLOBreach is the SSE event type published when the burn rate
 	// crosses the breach threshold (cooldown-limited).
@@ -40,10 +40,10 @@ type SLOConfig struct {
 	// MinRequests gates breach events until the window has seen at
 	// least this many observations, so a cold start cannot alert.
 	MinRequests int
-	// BurnThreshold is the burn rate at or above which a breach event
+	// burnThreshold is the burn rate at or above which a breach event
 	// fires (default 1: the budget is being consumed at the allowed
 	// rate or faster).
-	BurnThreshold float64
+	burnThreshold float64
 	// Cooldown is the minimum wall-clock gap between consecutive
 	// slo_breach events, so a sustained breach alerts once per window
 	// rather than once per request.
@@ -59,7 +59,7 @@ func DefaultSLOConfig() SLOConfig {
 		Budget:        0.05,
 		Window:        256,
 		MinRequests:   10,
-		BurnThreshold: 1,
+		burnThreshold: 1,
 		Cooldown:      10 * time.Second,
 	}
 }
@@ -132,8 +132,8 @@ func NewSLOTracker(cfg SLOConfig, reg *telemetry.Registry, bus *Bus) (*SLOTracke
 	if cfg.MinRequests <= 0 {
 		cfg.MinRequests = 1
 	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = 1
+	if cfg.burnThreshold <= 0 {
+		cfg.burnThreshold = 1
 	}
 	t := &SLOTracker{
 		cfg:     cfg,
@@ -141,18 +141,18 @@ func NewSLOTracker(cfg SLOConfig, reg *telemetry.Registry, bus *Bus) (*SLOTracke
 		ring:    make([]bool, cfg.Window),
 		now:     time.Now,
 		reqC:    reg.Counter(SLOMetricRequests),
-		violC:   reg.Counter(SLOMetricViolations),
-		breachC: reg.Counter(SLOMetricBreaches),
+		violC:   reg.Counter(sloMetricViolations),
+		breachC: reg.Counter(sloMetricBreaches),
 		burnG:   reg.Gauge(SLOMetricBurnRate),
-		rateG:   reg.Gauge(SLOMetricWindowRate),
-		remG:    reg.Gauge(SLOMetricBudgetRemaining),
+		rateG:   reg.Gauge(sloMetricWindowRate),
+		remG:    reg.Gauge(sloMetricBudgetRemaining),
 	}
 	reg.SetHelp(SLOMetricRequests, "Requests observed against the latency SLO.")
-	reg.SetHelp(SLOMetricViolations, "Requests whose end-to-end latency exceeded the SLO target.")
-	reg.SetHelp(SLOMetricBreaches, "Cooldown-limited SLO breach events fired.")
+	reg.SetHelp(sloMetricViolations, "Requests whose end-to-end latency exceeded the SLO target.")
+	reg.SetHelp(sloMetricBreaches, "Cooldown-limited SLO breach events fired.")
 	reg.SetHelp(SLOMetricBurnRate, "Sliding-window violation rate divided by the error budget (1 = burning exactly the allowed budget).")
-	reg.SetHelp(SLOMetricWindowRate, "Fraction of the sliding window violating the SLO target.")
-	reg.SetHelp(SLOMetricBudgetRemaining, "1 - overall violation rate / budget (negative once the lifetime budget is overspent).")
+	reg.SetHelp(sloMetricWindowRate, "Fraction of the sliding window violating the SLO target.")
+	reg.SetHelp(sloMetricBudgetRemaining, "1 - overall violation rate / budget (negative once the lifetime budget is overspent).")
 	t.remG.Set(1)
 	return t, nil
 }
@@ -201,7 +201,7 @@ func (t *SLOTracker) Observe(latencySeconds float64) *SLOBreach {
 	remaining := 1 - (float64(t.viol)/float64(t.total))/t.cfg.Budget
 
 	var breach *SLOBreach
-	if t.filled >= t.cfg.MinRequests && burn >= t.cfg.BurnThreshold {
+	if t.filled >= t.cfg.MinRequests && burn >= t.cfg.burnThreshold {
 		now := t.now()
 		if !t.breached || now.Sub(t.lastBreach) >= t.cfg.Cooldown {
 			t.breached = true

@@ -60,7 +60,7 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 		Budget:        0.25,
 		Window:        4,
 		MinRequests:   4,
-		BurnThreshold: 2, // breach at window rate >= 0.5
+		burnThreshold: 2, // breach at window rate >= 0.5
 		Cooldown:      time.Hour,
 	}, reg, nil)
 	clk := time.Unix(1000, 0)
@@ -117,11 +117,11 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 	if got := snap.Counters[SLOMetricRequests]; got != 7 {
 		t.Errorf("%s = %v, want 7", SLOMetricRequests, got)
 	}
-	if got := snap.Counters[SLOMetricViolations]; got != 4 {
-		t.Errorf("%s = %v, want 4", SLOMetricViolations, got)
+	if got := snap.Counters[sloMetricViolations]; got != 4 {
+		t.Errorf("%s = %v, want 4", sloMetricViolations, got)
 	}
-	if got := snap.Counters[SLOMetricBreaches]; got != 2 {
-		t.Errorf("%s = %v, want 2", SLOMetricBreaches, got)
+	if got := snap.Counters[sloMetricBreaches]; got != 2 {
+		t.Errorf("%s = %v, want 2", sloMetricBreaches, got)
 	}
 	if got := snap.Gauges[SLOMetricBurnRate]; got <= 0 {
 		t.Errorf("%s = %v, want > 0", SLOMetricBurnRate, got)
@@ -137,7 +137,7 @@ func TestSLOTrackerMinRequestsGate(t *testing.T) {
 		Budget:        0.01,
 		Window:        32,
 		MinRequests:   5,
-		BurnThreshold: 1,
+		burnThreshold: 1,
 	}, reg, nil)
 	for i := 0; i < 4; i++ {
 		if br := tr.Observe(10); br != nil {
@@ -178,7 +178,7 @@ func breachConfig() SLOConfig {
 		Budget:        0.05,
 		Window:        64,
 		MinRequests:   1,
-		BurnThreshold: 1,
+		burnThreshold: 1,
 		Cooldown:      0,
 	}
 }
@@ -226,9 +226,9 @@ func TestSLOBreachSSEConcurrentSubscribers(t *testing.T) {
 	}
 	ready.Wait()
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Subscribers() < clients {
+	for bus.subscribers() < clients {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d subscribers registered", bus.Subscribers(), clients)
+			t.Fatalf("only %d/%d subscribers registered", bus.subscribers(), clients)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -293,9 +293,9 @@ func TestSLOBreachSSESlowConsumer(t *testing.T) {
 	defer resp.Body.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Subscribers() < 2 {
+	for bus.subscribers() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %d, want 2", bus.Subscribers())
+			t.Fatalf("subscribers = %d, want 2", bus.subscribers())
 		}
 		time.Sleep(time.Millisecond)
 	}

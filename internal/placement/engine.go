@@ -363,15 +363,14 @@ type walk struct {
 	tally
 	e                 *incEval
 	best              *bestState
-	method            Method
 	sign              float64
 	curObj, curEnergy float64
 }
 
 // begin starts a walk from the cells already in ws.e.grid, predicting
 // the apps in ws.stale (see incEval.start).
-func (w *walk) begin(ws *workspace, p *problem, cfg *Config, sign float64) error {
-	w.e, w.best, w.method, w.sign = &ws.e, &ws.best, cfg.Method, sign
+func (w *walk) begin(ws *workspace, p *problem, sign float64) error {
+	w.e, w.best, w.sign = &ws.e, &ws.best, sign
 	if err := w.e.start(p, ws.stale); err != nil {
 		return err
 	}
@@ -396,12 +395,12 @@ func (w *walk) consider() {
 }
 
 // accepts draws the Metropolis verdict on a candidate energy and counts
-// the proposal; r is consumed only for an uphill move under annealing.
+// the proposal; r is consumed only for an uphill move.
 func (w *walk) accepts(candEnergy, temp float64, r *sim.RNG) bool {
 	w.proposals++
 	delta := w.sign * (candEnergy - w.curEnergy)
 	ok := delta <= 0
-	if !ok && w.method == Anneal {
+	if !ok {
 		ok = r.Float64() < math.Exp(-delta/math.Max(temp, 1e-9))
 	}
 	if ok {
@@ -479,13 +478,13 @@ func walkRestart(ws *workspace, p *problem, cfg *Config, sign float64, seed int6
 		return tally{}, err
 	}
 	var w walk
-	if err := w.begin(ws, p, cfg, sign); err != nil {
+	if err := w.begin(ws, p, sign); err != nil {
 		return tally{}, err
 	}
-	temp := cfg.InitTemp
+	temp, cool := initTemp, coolRate(cfg.Iterations)
 	slots := p.hosts * p.slots
 	for it := 0; it < cfg.Iterations; it++ {
-		temp *= cfg.CoolRate
+		temp *= cool
 		// Propose: swap two slots holding different contents.
 		a := r.Intn(slots)
 		b := r.Intn(slots)

@@ -277,10 +277,10 @@ func TestParallelRestartsDeterministic(t *testing.T) {
 		t.Error("prediction cache recorded no hits over 3600 annealing steps")
 	}
 	// The combine memo's traffic used to reach no counter at all.
-	if sa.Counters[MetricPredCacheCombineHits] == 0 {
+	if sa.Counters[metricPredCacheCombineHits] == 0 {
 		t.Error("combine memo recorded no hits over 3600 annealing steps")
 	}
-	if sa.Counters[MetricPredCacheCombineMisses] == 0 {
+	if sa.Counters[metricPredCacheCombineMisses] == 0 {
 		t.Error("combine memo recorded no misses")
 	}
 }

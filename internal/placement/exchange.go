@@ -56,7 +56,6 @@
 package placement
 
 import (
-	"math"
 	"runtime"
 	"slices"
 
@@ -142,7 +141,7 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int,
 	span := cfg.Tracer.StartSpan("placement.exchange")
 	defer span.End()
 	var w walk
-	if err := w.begin(ws, &b.problem, cfg, sign); err != nil {
+	if err := w.begin(ws, &b.problem, sign); err != nil {
 		return exchangeOutcome{}, err
 	}
 	e := w.e
@@ -196,8 +195,7 @@ func exchange(ws *workspace, b *bound, cfg *Config, sign float64, cells [][]int,
 		o.tally = w.tally
 	}
 
-	temp := cfg.InitTemp
-	cool := math.Pow(1e-3, 1/float64(iters))
+	temp, cool := initTemp, coolRate(iters)
 	var batches, occSum float64
 
 	// clean reports whether no commit of the current batch has touched

@@ -45,29 +45,19 @@ func digestResult(r Result) uint64 {
 type goldenKey struct {
 	goal Goal
 	qos  bool
-	meth Method
 	seed int64
 }
 
 var goldenExchange = map[goldenKey]uint64{
-	{Best, false, Anneal, 1}:     0xdc1ef4c22ab69a82,
-	{Best, false, Anneal, 2}:     0x87c2b77d8668276b,
-	{Best, false, Anneal, 3}:     0xad7c023462a287b2,
-	{Best, false, HillClimb, 1}:  0xb7c11d843c83893f,
-	{Best, false, HillClimb, 2}:  0x4a0f181df7f3557b,
-	{Best, false, HillClimb, 3}:  0xb5e8689610519711,
-	{Best, true, Anneal, 1}:      0xed2886bf97e180bf,
-	{Best, true, Anneal, 2}:      0xffba8c17859cc186,
-	{Best, true, Anneal, 3}:      0xad7c023462a287b2,
-	{Best, true, HillClimb, 1}:   0xb7c11d843c83893f,
-	{Best, true, HillClimb, 2}:   0x4a0f181df7f3557b,
-	{Best, true, HillClimb, 3}:   0xb5e8689610519711,
-	{Worst, false, Anneal, 1}:    0x75a31d2f1d4f94fd,
-	{Worst, false, Anneal, 2}:    0x3862cb6e27687836,
-	{Worst, false, Anneal, 3}:    0xf1f4a30ea089cf44,
-	{Worst, false, HillClimb, 1}: 0x545a46f838847a82,
-	{Worst, false, HillClimb, 2}: 0x23a4d807642909cd,
-	{Worst, false, HillClimb, 3}: 0x981bcdff946c64d4,
+	{Best, false, 1}:  0xdc1ef4c22ab69a82,
+	{Best, false, 2}:  0x87c2b77d8668276b,
+	{Best, false, 3}:  0xad7c023462a287b2,
+	{Best, true, 1}:   0xed2886bf97e180bf,
+	{Best, true, 2}:   0xffba8c17859cc186,
+	{Best, true, 3}:   0xad7c023462a287b2,
+	{Worst, false, 1}: 0x75a31d2f1d4f94fd,
+	{Worst, false, 2}: 0x3862cb6e27687836,
+	{Worst, false, 3}: 0xf1f4a30ea089cf44,
 }
 
 func TestExchangeGoldens(t *testing.T) {
@@ -77,7 +67,7 @@ func TestExchangeGoldens(t *testing.T) {
 		if key.qos {
 			qos = &QoS{App: "sens", MaxNormalized: 1.7}
 		}
-		cfg := Config{Iterations: 150, Seed: key.seed, Goal: key.goal, Method: key.meth, QoS: qos, Restarts: 2, Cells: 3, ExchangeIters: 200}
+		cfg := Config{Iterations: 150, Seed: key.seed, Goal: key.goal, QoS: qos, Restarts: 2, Cells: 3, ExchangeIters: 200}
 		res, err := Search(req, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", key, err)
@@ -95,18 +85,10 @@ func TestExchangeGoldens(t *testing.T) {
 // — "sens" comes last in request order, so the spread leaves 2 of its
 // units in cell 0 and 2 in cell 1, and both cells anneal under the
 // constraint on their own sub-index.
-type splitGoldenKey struct {
-	meth Method
-	seed int64
-}
-
-var goldenSplitQoS = map[splitGoldenKey]uint64{
-	{Anneal, 1}:    0x5ec72a8cb6a3dbb5,
-	{Anneal, 2}:    0x5e852fc9b97b72b7,
-	{Anneal, 3}:    0x63ffcd9263cc1123,
-	{HillClimb, 1}: 0x5f5a448766f1fc06,
-	{HillClimb, 2}: 0xaed0572b435dede9,
-	{HillClimb, 3}: 0x8f8a753f2d4fbf80,
+var goldenSplitQoS = map[int64]uint64{
+	1: 0x5ec72a8cb6a3dbb5,
+	2: 0x5e852fc9b97b72b7,
+	3: 0x63ffcd9263cc1123,
 }
 
 func TestSplitQoSRestartsGoldens(t *testing.T) {
@@ -137,15 +119,15 @@ func TestSplitQoSRestartsGoldens(t *testing.T) {
 	if holding != 2 {
 		t.Fatalf("the QoS app's demand sits in %d cells, want it split across 2", holding)
 	}
-	for key, want := range goldenSplitQoS {
-		cfg := Config{Iterations: 150, Seed: key.seed, Method: key.meth, QoS: &QoS{App: "sens", MaxNormalized: 1.7},
+	for seed, want := range goldenSplitQoS {
+		cfg := Config{Iterations: 150, Seed: seed, QoS: &QoS{App: "sens", MaxNormalized: 1.7},
 			Restarts: 3, Cells: 3, ExchangeIters: 200}
 		res, err := Search(req, cfg)
 		if err != nil {
-			t.Fatalf("%+v: %v", key, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := digestResult(res); got != want {
-			t.Errorf("%+v: digest 0x%016x, want golden 0x%016x", key, got, want)
+			t.Errorf("seed %d: digest 0x%016x, want golden 0x%016x", seed, got, want)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func (r *prepared) searchHierarchical() (Result, error) {
 // recordHierarchical publishes a hierarchical search's telemetry.
 func (r *prepared) recordHierarchical(reg *telemetry.Registry, best *Result) {
 	h := r.hier
-	reg.Gauge(MetricCells).Set(float64(h.cells))
+	reg.Gauge(metricCells).Set(float64(h.cells))
 	reg.Counter(MetricExchangeProposals).Add(h.ex.proposals)
 	reg.Counter(MetricExchangeAccepted).Add(h.ex.accepted)
 	reg.Counter(MetricExchangeConflicts).Add(h.ex.conflicts)

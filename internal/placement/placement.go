@@ -151,37 +151,17 @@ const (
 	Worst
 )
 
-// Method selects the local-search strategy.
-type Method int
+// initTemp is the annealer's starting temperature; coolRate cools it
+// geometrically to about 1e-3 of that by a search's final step.
+const initTemp = 0.5
 
-// Search methods: simulated annealing (the paper's choice) and stochastic
-// hill climbing (the Whare-Map technique the paper cites as an equally
-// valid consumer of the model).
-const (
-	Anneal Method = iota
-	HillClimb
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case Anneal:
-		return "simulated-annealing"
-	case HillClimb:
-		return "hill-climbing"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
+func coolRate(iters int) float64 { return math.Pow(1e-3, 1/float64(iters)) }
 
 // Config tunes the placement search.
 type Config struct {
-	Iterations int     // search steps (default 4000)
-	InitTemp   float64 // initial temperature (default 0.5; annealing only)
-	CoolRate   float64 // geometric cooling per step (default set for Iterations)
+	Iterations int // annealing steps (default 4000)
 	Seed       int64
 	Goal       Goal
-	Method     Method
 	QoS        *QoS // optional QoS constraint (only meaningful with Best)
 	Restarts   int  // independent restarts (default 3)
 
@@ -217,24 +197,24 @@ type Config struct {
 
 // Metric names recorded by Search when Config.Telemetry is set.
 const (
-	MetricIterations     = "placement_iterations_total"
-	MetricProposals      = "placement_proposals_total"
-	MetricAccepted       = "placement_accepted_total"
+	metricIterations     = "placement_iterations_total"
+	metricProposals      = "placement_proposals_total"
+	metricAccepted       = "placement_accepted_total"
 	MetricRejected       = "placement_rejected_total"
-	MetricInvalid        = "placement_invalid_total"
-	MetricEvaluations    = "placement_evaluations_total"
-	MetricRestarts       = "placement_restarts_total"
-	MetricAcceptanceRate = "placement_acceptance_rate"
+	metricInvalid        = "placement_invalid_total"
+	metricEvaluations    = "placement_evaluations_total"
+	metricRestarts       = "placement_restarts_total"
+	metricAcceptanceRate = "placement_acceptance_rate"
 	MetricBestObjective  = "placement_best_objective"
-	MetricFinalTemp      = "placement_final_temperature"
+	metricFinalTemp      = "placement_final_temperature"
 	// Prediction-memo cache traffic across all restarts of a search.
 	// The combine pair counts the co-runner score-combine memo, which
 	// sits under every pressure-vector build and was previously
 	// invisible (its hits/misses reached no counter at all).
 	MetricPredCacheHits          = "placement_prediction_cache_hits_total"
 	MetricPredCacheMisses        = "placement_prediction_cache_misses_total"
-	MetricPredCacheCombineHits   = "placement_prediction_cache_combine_hits_total"
-	MetricPredCacheCombineMisses = "placement_prediction_cache_combine_misses_total"
+	metricPredCacheCombineHits   = "placement_prediction_cache_combine_hits_total"
+	metricPredCacheCombineMisses = "placement_prediction_cache_combine_misses_total"
 	// Hierarchical (cell-sharded) search: the cell count in use and the
 	// cross-cell exchange phase's proposal traffic. Conflicts counts
 	// speculative proposals that had to be re-evaluated serially because
@@ -242,7 +222,7 @@ const (
 	// apps; batch occupancy is the mean fraction of speculative
 	// evaluations per batch whose results were consumed as-is. Both are
 	// functions of the seed alone, not of the evaluator count.
-	MetricCells                  = "placement_cells"
+	metricCells                  = "placement_cells"
 	MetricExchangeProposals      = "placement_exchange_proposals_total"
 	MetricExchangeAccepted       = "placement_exchange_accepted_total"
 	MetricExchangeConflicts      = "placement_exchange_conflicts_total"
@@ -251,7 +231,7 @@ const (
 
 // DefaultConfig returns the tuning used by the experiments.
 func DefaultConfig(seed int64) Config {
-	return Config{Iterations: 4000, InitTemp: 0.5, Seed: seed, Restarts: 3}
+	return Config{Iterations: 4000, Seed: seed, Restarts: 3}
 }
 
 // Result is the outcome of a placement search.
@@ -458,15 +438,8 @@ func prepare(req Request, cfg Config) (prepared, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 4000
 	}
-	if cfg.InitTemp <= 0 {
-		cfg.InitTemp = 0.5
-	}
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 3
-	}
-	if cfg.CoolRate <= 0 || cfg.CoolRate >= 1 {
-		// Reach ~1e-3 of the initial temperature by the final step.
-		cfg.CoolRate = math.Pow(1e-3, 1/float64(cfg.Iterations))
 	}
 	if cfg.QoS != nil {
 		if cfg.Goal == Worst {
@@ -555,29 +528,29 @@ func (r *prepared) record(best *Result) {
 
 // recordFlat publishes a flat search's telemetry.
 func (r *prepared) recordFlat(reg *telemetry.Registry, best *Result) {
-	reg.Counter(MetricIterations).Add(uint64(r.cfg.Restarts) * uint64(r.cfg.Iterations))
-	reg.Counter(MetricRestarts).Add(uint64(r.cfg.Restarts))
+	reg.Counter(metricIterations).Add(uint64(r.cfg.Restarts) * uint64(r.cfg.Iterations))
+	reg.Counter(metricRestarts).Add(uint64(r.cfg.Restarts))
 	sum := r.sum()
 	recordTally(reg, &sum, best.Objective)
-	if p := reg.Counter(MetricProposals).Value(); p > 0 {
-		reg.Gauge(MetricAcceptanceRate).Set(float64(reg.Counter(MetricAccepted).Value()) / float64(p))
+	if p := reg.Counter(metricProposals).Value(); p > 0 {
+		reg.Gauge(metricAcceptanceRate).Set(float64(reg.Counter(metricAccepted).Value()) / float64(p))
 	}
 }
 
 // recordTally publishes the counters and closing gauges both search
 // paths share.
 func recordTally(reg *telemetry.Registry, t *tally, bestObjective float64) {
-	reg.Counter(MetricProposals).Add(t.proposals)
-	reg.Counter(MetricAccepted).Add(t.accepted)
+	reg.Counter(metricProposals).Add(t.proposals)
+	reg.Counter(metricAccepted).Add(t.accepted)
 	reg.Counter(MetricRejected).Add(t.rejected)
-	reg.Counter(MetricInvalid).Add(t.invalid)
-	reg.Counter(MetricEvaluations).Add(uint64(t.evals))
+	reg.Counter(metricInvalid).Add(t.invalid)
+	reg.Counter(metricEvaluations).Add(uint64(t.evals))
 	reg.Counter(MetricPredCacheHits).Add(t.hits)
 	reg.Counter(MetricPredCacheMisses).Add(t.misses)
-	reg.Counter(MetricPredCacheCombineHits).Add(t.chits)
-	reg.Counter(MetricPredCacheCombineMisses).Add(t.cmisses)
+	reg.Counter(metricPredCacheCombineHits).Add(t.chits)
+	reg.Counter(metricPredCacheCombineMisses).Add(t.cmisses)
 	reg.Gauge(MetricBestObjective).Set(bestObjective)
-	reg.Gauge(MetricFinalTemp).Set(t.finalTemp)
+	reg.Gauge(metricFinalTemp).Set(t.finalTemp)
 }
 
 // RandomOutcome evaluates n random valid placements with the model and

@@ -230,3 +230,30 @@ func TestUnitConservationAfterSearch(t *testing.T) {
 		}
 	}
 }
+
+// Multi-way placements: with a relaxed apps-per-host limit the search may
+// co-locate three applications, and the request must thread the limit
+// through to validity checking.
+func TestSearchWithRelaxedLimit(t *testing.T) {
+	req := testRequest()
+	req.SlotsPerHost = 4
+	req.NumHosts = 4
+	req.AppsPerHostLimit = 3
+	cfg := DefaultConfig(9)
+	cfg.Iterations = 600
+	res, err := Search(req, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Placement.Validate(); err != nil {
+		t.Fatalf("result violates relaxed limit: %v", err)
+	}
+	if res.Placement.AppsPerHostLimit() != 3 {
+		t.Errorf("limit = %d, want 3", res.Placement.AppsPerHostLimit())
+	}
+	bad := testRequest()
+	bad.AppsPerHostLimit = -1
+	if _, err := Search(bad, cfg); err == nil {
+		t.Error("negative limit should fail validation")
+	}
+}

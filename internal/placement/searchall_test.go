@@ -19,7 +19,7 @@ func (errPred) PredictPressures([]float64) (float64, error) {
 }
 
 // searchAllJobs is a batch mixing what SearchAll must keep apart:
-// constrained and unconstrained searches, both goals, both methods,
+// constrained and unconstrained searches, both goals,
 // crashed hosts, a hierarchical search and unequal restart counts.
 func searchAllJobs() []Job {
 	cfg := func(seed int64) Config {
@@ -31,8 +31,6 @@ func searchAllJobs() []Job {
 	qos.QoS = &QoS{App: "sens", MaxNormalized: 1.3}
 	worst := cfg(4)
 	worst.Goal = Worst
-	hill := cfg(5)
-	hill.Method, hill.Restarts = HillClimb, 2
 	cells := cfg(6)
 	cells.Cells = 2
 	many := cfg(7)
@@ -41,7 +39,6 @@ func searchAllJobs() []Job {
 		{testRequest(), cfg(1)},
 		{testRequest(), qos},
 		{testRequest(), worst},
-		{testRequest(), hill},
 		{downRequest(), cfg(2)},
 		{testRequest(), cells},
 		{testRequest(), many},

@@ -38,16 +38,16 @@ func TestSearchTelemetryDeterministic(t *testing.T) {
 		t.Fatalf("search itself is nondeterministic: %v vs %v", resA.Objective, resB.Objective)
 	}
 	for _, name := range []string{
-		MetricIterations, MetricProposals, MetricAccepted, MetricRejected, MetricInvalid,
+		metricIterations, metricProposals, metricAccepted, MetricRejected, metricInvalid,
 	} {
 		if snapA.Counters[name] != snapB.Counters[name] {
 			t.Errorf("%s differs across identical runs: %d vs %d",
 				name, snapA.Counters[name], snapB.Counters[name])
 		}
 	}
-	if snapA.Gauges[MetricAcceptanceRate] != snapB.Gauges[MetricAcceptanceRate] {
+	if snapA.Gauges[metricAcceptanceRate] != snapB.Gauges[metricAcceptanceRate] {
 		t.Errorf("acceptance rate differs: %v vs %v",
-			snapA.Gauges[MetricAcceptanceRate], snapB.Gauges[MetricAcceptanceRate])
+			snapA.Gauges[metricAcceptanceRate], snapB.Gauges[metricAcceptanceRate])
 	}
 	// The whole snapshot must therefore serialize identically.
 	ja, err := json.Marshal(snapA)
@@ -69,13 +69,13 @@ func TestSearchTelemetryDeterministic(t *testing.T) {
 func TestSearchTelemetryShape(t *testing.T) {
 	res, snap := searchWithTelemetry(t, 11)
 
-	if snap.Counters[MetricIterations] == 0 {
+	if snap.Counters[metricIterations] == 0 {
 		t.Fatal("no iterations recorded")
 	}
-	acc, rej := snap.Counters[MetricAccepted], snap.Counters[MetricRejected]
-	if acc+rej > snap.Counters[MetricProposals] {
+	acc, rej := snap.Counters[metricAccepted], snap.Counters[MetricRejected]
+	if acc+rej > snap.Counters[metricProposals] {
 		t.Errorf("accepted (%d) + rejected (%d) exceeds proposals (%d)",
-			acc, rej, snap.Counters[MetricProposals])
+			acc, rej, snap.Counters[metricProposals])
 	}
 	if got := snap.Gauges[MetricBestObjective]; got != res.Objective {
 		t.Errorf("best-objective gauge = %v, want the result objective %v", got, res.Objective)

@@ -218,7 +218,7 @@ func binaryColsBatch(c *counter, mat *Matrix, cols []int, loRow, hiRow int, eps 
 }
 
 // interpolateRow linearly fills the unmeasured cells of row i, marking
-// them Interpolated.
+// them interpolated.
 func interpolateRow(mat *Matrix, i int) error {
 	row := mat.cells[i]
 	wasNaN := make([]bool, len(row))
@@ -230,14 +230,14 @@ func interpolateRow(mat *Matrix, i int) error {
 	}
 	for j, was := range wasNaN {
 		if was {
-			mat.prov[i][j] = Interpolated
+			mat.prov[i][j] = interpolated
 		}
 	}
 	return nil
 }
 
 // interpolateCol linearly fills the unmeasured cells of column j, marking
-// them Interpolated.
+// them interpolated.
 func interpolateCol(mat *Matrix, j int) error {
 	col := make([]float64, mat.Pressures)
 	wasNaN := make([]bool, mat.Pressures)
@@ -251,7 +251,7 @@ func interpolateCol(mat *Matrix, j int) error {
 	for i := range col {
 		mat.cells[i][j] = col[i]
 		if wasNaN[i] {
-			mat.prov[i][j] = Interpolated
+			mat.prov[i][j] = interpolated
 		}
 	}
 	return nil
@@ -354,7 +354,7 @@ func BinaryOptimizedBatch(bm BatchMeasurer, pressures, nodes int, eps float64) (
 			if v < 1 {
 				v = 1
 			}
-			if err := mat.SetProv(i, j, v, Inferred); err != nil {
+			if err := mat.setProv(i, j, v, inferred); err != nil {
 				return Result{}, err
 			}
 		}

@@ -160,7 +160,7 @@ func refBinaryOptimized(m Measurer, pressures, nodes int, eps float64) (Result, 
 			if v < 1 {
 				v = 1
 			}
-			if err := mat.SetProv(i, j, v, Inferred); err != nil {
+			if err := mat.setProv(i, j, v, inferred); err != nil {
 				return Result{}, err
 			}
 		}

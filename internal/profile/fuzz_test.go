@@ -85,18 +85,18 @@ func FuzzSetProv(f *testing.F) {
 			if inRange {
 				before = m.Cell(w.i, w.j)
 			}
-			err := m.SetProv(w.i, w.j, w.v, Provenance(w.p))
+			err := m.setProv(w.i, w.j, w.v, Provenance(w.p))
 			valid := inRange && w.v >= 0 && !math.IsNaN(w.v) && !math.IsInf(w.v, 0)
 			if valid != (err == nil) {
-				t.Fatalf("SetProv(%d,%d,%v,%d): err = %v, want error iff invalid args",
+				t.Fatalf("setProv(%d,%d,%v,%d): err = %v, want error iff invalid args",
 					w.i, w.j, w.v, w.p, err)
 			}
 			if err != nil && inRange && m.Cell(w.i, w.j) != before {
-				t.Fatalf("rejected SetProv(%d,%d,%v) still mutated the cell: %v -> %v",
+				t.Fatalf("rejected setProv(%d,%d,%v) still mutated the cell: %v -> %v",
 					w.i, w.j, w.v, before, m.Cell(w.i, w.j))
 			}
 			if !m.Complete() {
-				t.Fatalf("SetProv(%d,%d,%v) made a complete matrix incomplete", w.i, w.j, w.v)
+				t.Fatalf("setProv(%d,%d,%v) made a complete matrix incomplete", w.i, w.j, w.v)
 			}
 		}
 		if _, err := m.At(1.5, 2.5); err != nil {

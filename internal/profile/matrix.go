@@ -21,10 +21,10 @@ type Provenance uint8
 // Cell provenance kinds.
 const (
 	Unset        Provenance = iota // still NaN
-	Free                           // column 0, fixed at 1 by definition
+	free                           // column 0, fixed at 1 by definition
 	Measured                       // a profiling run was spent on it
-	Interpolated                   // linearly filled between measurements
-	Inferred                       // product-formula inference (Algorithm 2)
+	interpolated                   // linearly filled between measurements
+	inferred                       // product-formula inference (Algorithm 2)
 )
 
 // String names the provenance kind.
@@ -32,13 +32,13 @@ func (p Provenance) String() string {
 	switch p {
 	case Unset:
 		return "unset"
-	case Free:
+	case free:
 		return "free"
 	case Measured:
 		return "measured"
-	case Interpolated:
+	case interpolated:
 		return "interpolated"
-	case Inferred:
+	case inferred:
 		return "inferred"
 	default:
 		return fmt.Sprintf("Provenance(%d)", int(p))
@@ -54,7 +54,7 @@ type Matrix struct {
 	cells     [][]float64
 	prov      [][]Provenance
 	// complete caches a successful Complete() scan. The flag is monotonic
-	// and needs no invalidation: SetProv rejects NaN values, so a filled
+	// and needs no invalidation: setProv rejects NaN values, so a filled
 	// cell can never become unset again — once the matrix is complete it
 	// stays complete. While the matrix is still incomplete the flag stays
 	// false and Complete() rescans, so At keeps returning the same
@@ -68,7 +68,7 @@ type Matrix struct {
 	completeScans atomic.Int64
 	// flat is the contiguous row-major mirror of cells (stride Nodes+1),
 	// built by the first successful Complete() scan and kept in sync by
-	// SetProv afterwards. At reads it instead of chasing per-row slice
+	// setProv afterwards. At reads it instead of chasing per-row slice
 	// headers, so a prediction's four cell loads hit one cache-flat
 	// array. Published with compare-and-swap *before* the complete flag
 	// is stored: a reader that observes complete==true is guaranteed a
@@ -91,7 +91,7 @@ func NewMatrix(pressures, nodes int) (*Matrix, error) {
 			cells[i][j] = math.NaN()
 		}
 		cells[i][0] = 1
-		prov[i][0] = Free
+		prov[i][0] = free
 	}
 	return &Matrix{Pressures: pressures, Nodes: nodes, cells: cells, prov: prov}, nil
 }
@@ -99,11 +99,11 @@ func NewMatrix(pressures, nodes int) (*Matrix, error) {
 // Set stores a measured normalized time for (pressure row i, interfering
 // nodes j), marking the cell Measured.
 func (m *Matrix) Set(i, j int, v float64) error {
-	return m.SetProv(i, j, v, Measured)
+	return m.setProv(i, j, v, Measured)
 }
 
-// SetProv stores a normalized time with an explicit provenance.
-func (m *Matrix) SetProv(i, j int, v float64, p Provenance) error {
+// setProv stores a normalized time with an explicit provenance.
+func (m *Matrix) setProv(i, j int, v float64, p Provenance) error {
 	if i < 0 || i >= m.Pressures || j < 0 || j > m.Nodes {
 		return fmt.Errorf("profile: cell (%d,%d) out of range", i, j)
 	}
@@ -341,7 +341,7 @@ func (m *Matrix) Clone() *Matrix {
 
 // CloneDropping returns a deep copy with every measurable cell (columns
 // >= 1) selected by drop reset to unset — the profile-cell-loss fault.
-// Column 0 stays Free by definition. The source matrix is untouched (its
+// Column 0 stays free by definition. The source matrix is untouched (its
 // completeness stays monotonic); the clone never inherits the cached
 // completeness flag, so it rescans and reports incomplete when cells
 // were actually dropped.

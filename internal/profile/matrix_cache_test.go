@@ -96,7 +96,7 @@ func TestCloneCarriesCompletenessCache(t *testing.T) {
 
 // TestFlatMirrorWriteThrough pins the flat-table read path against the
 // cell-based AtPartial reference across completion, in-place rewrites
-// (SetProv must write through to the mirror), and cloning.
+// (setProv must write through to the mirror), and cloning.
 func TestFlatMirrorWriteThrough(t *testing.T) {
 	m := fillMatrix(t, 6, 5)
 	points := [][2]float64{
@@ -122,7 +122,7 @@ func TestFlatMirrorWriteThrough(t *testing.T) {
 
 	// Rewriting a cell of a complete matrix must be visible through the
 	// flat mirror immediately.
-	if err := m.SetProv(2, 3, 42.5, Measured); err != nil {
+	if err := m.setProv(2, 3, 42.5, Measured); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := m.At(3, 3); err != nil || v != 42.5 {
@@ -133,7 +133,7 @@ func TestFlatMirrorWriteThrough(t *testing.T) {
 	c := m.Clone()
 	check("clone", c)
 	// Clone must be independent: a write to the original may not leak.
-	if err := m.SetProv(2, 3, 99, Measured); err != nil {
+	if err := m.setProv(2, 3, 99, Measured); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := c.At(3, 3); err != nil || v != 42.5 {

@@ -24,23 +24,23 @@ const (
 	MetricRequests = "serve_requests_total"
 	// MetricRejected counts admissions refused on a full queue.
 	MetricRejected = "serve_rejected_total"
-	// MetricErrors counts requests that failed validation or search.
-	MetricErrors = "serve_errors_total"
-	// MetricPanics counts searches that panicked and were answered 500,
+	// metricErrors counts requests that failed validation or search.
+	metricErrors = "serve_errors_total"
+	// metricPanics counts searches that panicked and were answered 500,
 	// and decision sinks that panicked after the answer.
-	MetricPanics = "serve_panics_total"
+	metricPanics = "serve_panics_total"
 	// MetricQueueDepth is the current admission-queue occupancy.
 	MetricQueueDepth = "serve_queue_depth"
-	// MetricCombineHits/Misses is the combine-memo traffic of the
+	// metricCombineHits/Misses is the combine-memo traffic of the
 	// per-search caches (the co-runner score -> combined-pressure layer),
 	// accumulated from each search's Result.
-	MetricCombineHits   = "serve_pred_cache_combine_hits_total"
-	MetricCombineMisses = "serve_pred_cache_combine_misses_total"
+	metricCombineHits   = "serve_pred_cache_combine_hits_total"
+	metricCombineMisses = "serve_pred_cache_combine_misses_total"
 
 	// Per-stage latency histograms; each also exports interpolated
 	// <name>_p50/_p95/_p99 gauges, derived when the registry is read.
-	HistQueue   = "serve_queue_seconds"
-	HistService = "serve_service_seconds"
+	histQueue   = "serve_queue_seconds"
+	histService = "serve_service_seconds"
 	HistE2E     = "serve_e2e_seconds"
 )
 
@@ -168,24 +168,24 @@ func New(cfg Config) (*Service, error) {
 		s.reqPlace = reg.Counter(telemetry.Label(MetricRequests, "endpoint", "place"))
 		s.reqWhatIf = reg.Counter(telemetry.Label(MetricRequests, "endpoint", "whatif"))
 		s.rejected = reg.Counter(MetricRejected)
-		s.errs = reg.Counter(MetricErrors)
-		s.panics = reg.Counter(MetricPanics)
-		s.combineHits = reg.Counter(MetricCombineHits)
-		s.combineMisses = reg.Counter(MetricCombineMisses)
+		s.errs = reg.Counter(metricErrors)
+		s.panics = reg.Counter(metricPanics)
+		s.combineHits = reg.Counter(metricCombineHits)
+		s.combineMisses = reg.Counter(metricCombineMisses)
 		s.queueDepth = reg.Gauge(MetricQueueDepth)
-		s.queueHist = reg.Histogram(HistQueue, latencyBuckets())
-		s.serviceHist = reg.Histogram(HistService, latencyBuckets())
+		s.queueHist = reg.Histogram(histQueue, latencyBuckets())
+		s.serviceHist = reg.Histogram(histService, latencyBuckets())
 		s.e2eHist = reg.Histogram(HistE2E, latencyBuckets())
-		reg.ExportQuantiles(HistQueue, HistService, HistE2E)
+		reg.ExportQuantiles(histQueue, histService, HistE2E)
 		reg.SetHelp(MetricRequests, "Placement-service requests completed, by endpoint.")
 		reg.SetHelp(MetricRejected, "Requests refused on a full admission queue.")
-		reg.SetHelp(MetricErrors, "Requests failing validation or search.")
-		reg.SetHelp(MetricPanics, "Searches (answered HTTP 500) and decision sinks that panicked; each was contained to its own request.")
+		reg.SetHelp(metricErrors, "Requests failing validation or search.")
+		reg.SetHelp(metricPanics, "Searches (answered HTTP 500) and decision sinks that panicked; each was contained to its own request.")
 		reg.SetHelp(MetricQueueDepth, "Admission-queue occupancy.")
-		reg.SetHelp(MetricCombineHits, "Per-search combine-memo hits accumulated by serving.")
-		reg.SetHelp(MetricCombineMisses, "Per-search combine-memo misses accumulated by serving.")
-		reg.SetHelp(HistQueue, "Seconds spent queued before a worker took the request.")
-		reg.SetHelp(HistService, "Seconds spent executing the placement search.")
+		reg.SetHelp(metricCombineHits, "Per-search combine-memo hits accumulated by serving.")
+		reg.SetHelp(metricCombineMisses, "Per-search combine-memo misses accumulated by serving.")
+		reg.SetHelp(histQueue, "Seconds spent queued before a worker took the request.")
+		reg.SetHelp(histService, "Seconds spent executing the placement search.")
 		reg.SetHelp(HistE2E, "End-to-end seconds from admission to response.")
 	}
 	s.workers.Add(cfg.Workers)

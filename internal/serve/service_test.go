@@ -513,13 +513,13 @@ func TestMetricsAndQuantiles(t *testing.T) {
 	}
 	// The combine memo sits under every search the service ran; its
 	// traffic was previously invisible to the serve_* family.
-	if snap.Counters[MetricCombineMisses] == 0 {
+	if snap.Counters[metricCombineMisses] == 0 {
 		t.Error("combine-memo misses not accounted")
 	}
-	if snap.Counters[MetricCombineHits] == 0 {
+	if snap.Counters[metricCombineHits] == 0 {
 		t.Error("combine-memo hits not accounted")
 	}
-	for _, h := range []string{HistQueue, HistService, HistE2E} {
+	for _, h := range []string{histQueue, histService, HistE2E} {
 		if snap.Histograms[h].Count == 0 {
 			t.Errorf("histogram %s empty", h)
 		}
@@ -621,8 +621,8 @@ func TestPanicContainedToItsRequest(t *testing.T) {
 				good[i].ID, r.status, r.err, r.body, want[i])
 		}
 	}
-	if got := reg.Counter(MetricPanics).Value(); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricPanics, got)
+	if got := reg.Counter(metricPanics).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", metricPanics, got)
 	}
 	// The service is still serving.
 	if got, _ := json.Marshal(mustPlace(t, s, good[0])); string(got) != string(want[0]) {

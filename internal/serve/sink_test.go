@@ -74,8 +74,8 @@ func TestCloseWaitsForDecisionSink(t *testing.T) {
 	mustPlace(t, s, PlaceRequest{ID: "boom", Apps: fourApps()})
 	mustPlace(t, s, PlaceRequest{ID: "held", Apps: fourApps()}) // the worker survived the panic
 	await(t, "the sink to be entered", entered)
-	if got := reg.Counter(MetricPanics).Value(); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricPanics, got)
+	if got := reg.Counter(metricPanics).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", metricPanics, got)
 	}
 
 	closed := make(chan struct{})
