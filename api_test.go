@@ -159,9 +159,7 @@ var apiExempt = map[string]string{
 	"internal/cluster type UnitPos":      "element type of Placement.UnitPositions, which core, measure and interfd call",
 	"internal/hetero type ErrStats":      "value type of Selection.Stats and .BestStats, which experiments and paperrepro profile read",
 	"internal/measure type Batch":        "returned by Env.NewBatch, which core and experiments call",
-	"internal/measure type PairResult":   "returned by PairValue.Result, which experiments calls",
 	"internal/obs type RuntimeCollector": "returned by NewRuntimeCollector, which interfd calls",
-	"internal/obs type SLOBreach":        "returned by SLOTracker.Observe, which serve calls; its JSON-tagged fields are the slo_breach event payload",
 }
 
 // identsByDir parses every Go file in the module and in bench/, tests

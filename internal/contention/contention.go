@@ -157,18 +157,22 @@ func curveOf(p *MemProfile) missCurve {
 	return missCurve{mrMax: p.MRMax, span: p.MRMax - p.MRMin, wss: p.WSSMB, gamma: p.Gamma}
 }
 
-func (c *missCurve) at(shareMB float64) float64 {
+// at returns the miss ratio at shareMB and g, the share times the ratio's
+// fall per MB there: Gamma·span·cover^Gamma inside the working set, 0 where
+// the curve is flat or the cover clamps. It calls math.Pow once.
+func (c *missCurve) at(shareMB float64) (mr, g float64) {
 	if c.flat {
-		return c.mrMax
+		return c.mrMax, 0
 	}
 	cover := shareMB / c.wss
-	if cover > 1 {
-		cover = 1
+	switch {
+	case cover >= 1:
+		return c.mrMax - c.span, 0
+	case cover <= 0:
+		return c.mrMax, 0
 	}
-	if cover < 0 {
-		cover = 0
-	}
-	return c.mrMax - c.span*math.Pow(cover, c.gamma)
+	p := c.span * math.Pow(cover, c.gamma)
+	return c.mrMax - p, c.gamma * p
 }
 
 // Occupant is one co-located workload component on a node.
@@ -190,12 +194,12 @@ type Result struct {
 
 const (
 	// The fast path stops when no undamped step of the utilization, or of
-	// a share relative to LLCMB, would exceed residualEps. Its damping, the
-	// weight an update keeps of the state, starts at startDamping and moves
-	// halfway to 1 whenever the residual fails to shrink. After
-	// fastPathIters iterations settle takes over.
+	// a share relative to LLCMB, would exceed residualEps. After a Newton
+	// step that fails to shrink that residual, it takes a fixed-point step
+	// that keeps a weight of damping of the state. After fastPathIters
+	// evaluations settle takes over.
 	residualEps   = 1e-8
-	startDamping  = 0.2
+	damping       = 0.2
 	fastPathIters = 96
 	// rootIters bounds each of settle's root finders; rootTol is the
 	// relative step at which one stops early.
@@ -290,13 +294,17 @@ func Slowdowns(node Node, occ []Occupant, dst []float64) error {
 }
 
 // occCoef is what the equilibrium reads of one occupant, derived once per
-// solve.
+// solve, and what the fast path keeps of it between evaluations.
 type occCoef struct {
 	curve   missCurve
 	apkiK   float64 // APKI / 1000
 	mlp     float64
 	cpiCore float64
 	peakIPS float64 // float64(Cores) * FreqGHz * 1e9
+	edge    float64 // WSSMB / LLCMB, the fraction of the LLC at the kink
+	// newton's state: the share over LLCMB, and the slopes of the misses
+	// per second in that fraction and in the utilization.
+	f, dmdf, dmdu float64
 }
 
 func coefsOf(node Node, occ []Occupant, coef []occCoef) {
@@ -308,6 +316,7 @@ func coefsOf(node Node, occ []Occupant, coef []occCoef) {
 			mlp:     p.MLP,
 			cpiCore: p.CPICore,
 			peakIPS: float64(occ[i].Cores) * node.FreqGHz * 1e9,
+			edge:    p.WSSMB / node.LLCMB,
 		}
 	}
 }
@@ -315,7 +324,12 @@ func coefsOf(node Node, occ []Occupant, coef []occCoef) {
 // rate returns the occupant's misses per second and its effective CPI when
 // it holds shareMB of the LLC and memory answers in latNs.
 func (c *occCoef) rate(node *Node, shareMB, latNs float64) (miss, cpi float64) {
-	missPI := c.apkiK * c.curve.at(shareMB) // misses per instruction
+	mr, _ := c.curve.at(shareMB)
+	return c.rateOf(node, c.apkiK*mr, latNs)
+}
+
+// rateOf is rate at missPI misses per instruction.
+func (c *occCoef) rateOf(node *Node, missPI, latNs float64) (miss, cpi float64) {
 	stallNs := missPI * latNs / c.mlp
 	cpi = c.cpiCore + stallNs*node.FreqGHz
 	ips := c.peakIPS / cpi // instr/s
@@ -344,8 +358,8 @@ func evaluate(node *Node, coef []occCoef, u float64, share, cpi, missGBps, miss 
 // equilibrium finds the state where every share is LLCMB*miss_i/Σmiss and
 // the utilization is the traffic the misses make, leaving each occupant's
 // share, CPI and traffic in the vectors (miss is scratch), and returns the
-// utilization. iterate reaches it in a dozen steps on almost every host;
-// settle takes the rest, mostly equilibria on a miss curve's kink.
+// utilization. newton reaches it in about four evaluations on almost every
+// host; settle takes the rest, mostly equilibria on a miss curve's kink.
 func equilibrium(node Node, occ []Occupant, share, cpi, missGBps, miss []float64) float64 {
 	var stack [stackOccupants]occCoef
 	coef := stack[:]
@@ -354,46 +368,104 @@ func equilibrium(node Node, occ []Occupant, share, cpi, missGBps, miss []float64
 	}
 	coef = coef[:len(occ)]
 	coefsOf(node, occ, coef)
-	if util, _, ok := iterate(&node, coef, share, cpi, missGBps, miss); ok {
+	if util, _, ok := newton(&node, coef, share, cpi, missGBps, miss); ok {
 		return util
 	}
 	return settle(&node, coef, share, cpi, missGBps, miss)
 }
 
-// iterate is the fast path: from equal shares and an idle bus, it moves the
-// state towards what the state implies, damped, until that undamped step
-// (the residual) is at most residualEps, and returns the utilization, the
-// iterations run and whether it got there within fastPathIters.
-func iterate(node *Node, coef []occCoef, share, cpi, missGBps, miss []float64) (util float64, iters int, ok bool) {
+// newton is the fast path, Newton's method on the residual
+// (cap(traffic/bandwidth) − u, m_j/Σm − f_j) in the utilization u and the
+// LLC fractions f_j of the occupants whose miss curve is not flat; a flat
+// occupant's share is its target at every evaluation. From equal shares and
+// an idle bus it steps until the residual is at most residualEps, taking a
+// damped fixed-point step after a step that did not shrink it. A step that
+// would cross a working set's edge from below stops on that kink, where the
+// next takes the curve's slope from inside. Fractions, not MB, keep the
+// analytic Jacobian's bits when the LLC and the working sets scale by a
+// power of two. It returns the utilization, the evaluations run and
+// whether it got there within fastPathIters.
+func newton(node *Node, coef []occCoef, share, cpi, missGBps, miss []float64) (util float64, evals int, ok bool) {
 	for i := range share {
-		share[i] = node.LLCMB / float64(len(share))
+		coef[i].f = 1 / float64(len(share))
+		share[i] = node.LLCMB * coef[i].f
 	}
-	d, last := startDamping, math.Inf(1)
-	for iters = 1; iters <= fastPathIters; iters++ {
-		newUtil := capUtil(evaluate(node, coef, util, share, cpi, missGBps, miss) / node.MemBWGBps)
-		r := math.Abs(newUtil - util)
-		var totalMiss float64
-		for _, m := range miss {
-			totalMiss += m
+	last := math.Inf(1)
+	for evals = 1; evals <= fastPathIters; evals++ {
+		latNs := latency(node, util)
+		dLdu := node.MemLatNs * queueWeight / ((1 - util) * (1 - util))
+		var totalGBps, totalMiss, dTotal float64
+		for i := range coef {
+			c := &coef[i]
+			mr, g := c.curve.at(share[i])
+			if c.f == c.edge {
+				g = c.curve.gamma * c.curve.span
+			}
+			missPI := c.apkiK * mr
+			miss[i], cpi[i] = c.rateOf(node, missPI, latNs)
+			missGBps[i] = miss[i] * cacheLineBytes / 1e9
+			totalGBps += missGBps[i]
+			totalMiss += miss[i]
+			c.dmdu = -miss[i] * missPI / c.mlp * node.FreqGHz / cpi[i] * dLdu
+			dTotal += c.dmdu
+			if c.dmdf = 0; g != 0 {
+				c.dmdf = -c.peakIPS * c.cpiCore / (cpi[i] * cpi[i]) * c.apkiK * g / c.f
+			}
 		}
-		// Without misses the shares have nothing to follow and stay.
-		if totalMiss > 0 {
-			for i := range miss {
-				miss[i] = node.LLCMB * miss[i] / totalMiss // the share's target
-				r = max(r, math.Abs(miss[i]-share[i])/node.LLCMB)
+		newUtil := capUtil(totalGBps / node.MemBWGBps)
+		r := math.Abs(newUtil - util)
+		for i := 0; totalMiss > 0 && i < len(coef); i++ {
+			if coef[i].curve.flat {
+				share[i] = node.LLCMB * miss[i] / totalMiss
+			} else {
+				r = max(r, math.Abs(miss[i]/totalMiss-coef[i].f))
 			}
 		}
 		if r <= residualEps {
-			return util, iters, true
+			return util, evals, true
 		}
-		if !(r < last) {
-			d = (1 + d) / 2
-		}
+		damped := !(r < last)
 		last = r
-		util = d*util + (1-d)*newUtil
-		if totalMiss > 0 {
-			for i := range share {
-				share[i] = d*share[i] + (1-d)*miss[i]
+		if totalMiss == 0 {
+			util = newUtil // the shares have nothing to follow and stay
+			continue
+		}
+		// With q_j = m_j/Σm, d_j = ∂m_j/∂f_j/Σm − 1 and e_j = (∂m_j/∂u −
+		// q_j·∂Σm/∂u)/Σm, row j of J·Δ = −F reads d_j·Δf_j = f_j − q_j −
+		// e_j·Δu + q_j·s, s = Σ ∂m_j/∂f_j·Δf_j/Σm. Putting the rows into s,
+		// and s into the utilization's row, gives Δu, then s, then each Δf_j.
+		var du, s float64
+		if damped {
+			util = damping*util + (1-damping)*newUtil
+		} else {
+			perMiss := cacheLineBytes / 1e9 / node.MemBWGBps // ∂u/∂Σm
+			if newUtil == bwUtilCap {
+				perMiss = 0
+			}
+			var ag, ah, aw float64
+			for i := range coef {
+				if c := &coef[i]; !c.curve.flat {
+					q := miss[i] / totalMiss
+					d, e := c.dmdf/totalMiss-1, (c.dmdu-q*dTotal)/totalMiss
+					ag, ah, aw = ag+c.dmdf*(c.f-q)/d, ah-c.dmdf*e/d, aw+c.dmdf*q/d
+				}
+			}
+			den := totalMiss - aw
+			du = (util - newUtil - perMiss*totalMiss*ag/den) / (perMiss*(dTotal+totalMiss*ah/den) - 1)
+			s = (ag + ah*du) / den
+			util = min(max(util+du, 0), bwUtilCap)
+		}
+		for i := range coef {
+			if c := &coef[i]; !c.curve.flat {
+				q := miss[i] / totalMiss
+				f := damping*c.f + (1-damping)*q
+				if !damped {
+					f = c.f + (c.f-q-(c.dmdu-q*dTotal)/totalMiss*du+q*s)/(c.dmdf/totalMiss-1)
+				}
+				if f = min(max(f, 0), 1); c.f < c.edge && f > c.edge {
+					f = c.edge
+				}
+				c.f, share[i] = f, node.LLCMB*f
 			}
 		}
 	}
@@ -402,7 +474,7 @@ func iterate(node *Node, coef []occCoef, share, cpi, missGBps, miss []float64) (
 
 // settle solves for the equilibrium by three nested bracketing searches,
 // each for the one root of a monotone function, and leaves it in the
-// vectors as iterate does.
+// vectors as newton does.
 //
 //   - For a fixed latency, occupant i's misses per second m_i(s) do not
 //     rise with its share s. So, for a fixed λ > 0, λ·s = m_i(s) has one
@@ -414,7 +486,7 @@ func iterate(node *Node, coef []occCoef, share, cpi, missGBps, miss []float64) (
 //   - A higher utilization means a longer latency and fewer misses, so
 //     u = cap(traffic(u)/bandwidth) has one root in [0, bwUtilCap].
 //
-// If no occupant misses at all, the shares stay equal, as in iterate. If
+// If no occupant misses at all, the shares stay equal, as in newton. If
 // every occupant's misses reach zero within its working set and the
 // working sets fit in the LLC, any such shares are an equilibrium; settle
 // scales the working sets up to fill the LLC.

@@ -8,7 +8,8 @@ import (
 // missRatio is the profile's miss ratio at shareMB through its missCurve.
 func (p MemProfile) missRatio(shareMB float64) float64 {
 	c := curveOf(&p)
-	return c.at(shareMB)
+	mr, _ := c.at(shareMB)
+	return mr
 }
 
 // TestMissRatioFastPathsExact pins missRatio's special cases to the general

@@ -55,14 +55,14 @@ func TestExitResidual(t *testing.T) {
 	}
 }
 
-// fastPath runs iterate alone on occ, as equilibrium would.
+// fastPath runs newton alone on occ, as equilibrium would.
 func fastPath(occ []Occupant) (res Result, iters int, ok bool) {
 	node := DefaultNode()
 	n := len(occ)
 	coef := make([]occCoef, n)
 	coefsOf(node, occ, coef)
 	res = Result{ShareMB: make([]float64, n), CPI: make([]float64, n), MissGBps: make([]float64, n)}
-	res.BWUtil, iters, ok = iterate(&node, coef, res.ShareMB, res.CPI, res.MissGBps, make([]float64, n))
+	res.BWUtil, iters, ok = newton(&node, coef, res.ShareMB, res.CPI, res.MissGBps, make([]float64, n))
 	return res, iters, ok
 }
 
@@ -77,25 +77,49 @@ func settled(occ []Occupant) Result {
 	return res
 }
 
-// ec2Budget is the fast path's iteration budget on ec2Host, the shape of
-// almost every solve of a full reproduction.
-const ec2Budget = 20
+// ec2Budget is the fast path's evaluation budget on ec2Host, the shape of
+// almost every solve of a full reproduction: the 4 it takes and 2 more.
+const ec2Budget = 6
 
 // TestEC2HostIterationBudget: the fast path settles ec2Host within
-// ec2Budget iterations, so that a change that slows convergence fails here
+// ec2Budget evaluations, so that a change that slows convergence fails here
 // and not only in the benchmark.
 func TestEC2HostIterationBudget(t *testing.T) {
 	if _, iters, ok := fastPath(ec2Host()); !ok || iters > ec2Budget {
-		t.Errorf("ec2Host: fast path took %d iterations (converged %v), budget %d", iters, ok, ec2Budget)
+		t.Errorf("ec2Host: fast path took %d evaluations (converged %v), budget %d", iters, ok, ec2Budget)
 	}
 }
+
+// TestSlowdownsAllocFree: Slowdowns on ec2Host keeps all of its state on
+// the stack. A solver reached through a func value, for one, lets its
+// vectors escape, which multiplies a reproduction's garbage.
+func TestSlowdownsAllocFree(t *testing.T) {
+	node, occ := DefaultNode(), ec2Host()
+	var dst [2]float64
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Slowdowns(node, occ, dst[:]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Slowdowns(ec2Host) allocates %v times per call, want 0", n)
+	}
+}
+
+// The census's bounds, at what the fast path reaches on it: the hosts that
+// go to settle, the mean evaluations per host (a host that goes to settle
+// counts fastPathIters) and the largest relative difference between a
+// fast-path CPI and settle's.
+const (
+	censusSettles = 1
+	censusEvals   = 3.42
+	censusCPIGap  = 2.1e-8
+)
 
 // TestConvergenceCensus: on 20 000 property-generator hosts and the named
 // ones, every solve ends within residualEps, and settle, forced on every
 // host, agrees with the fast path wherever the fast path converges and
-// with the bisection reference where it does not. It logs how many hosts
-// needed settle, the mean fast-path iterations and the largest relative
-// CPI difference between the two paths.
+// with the bisection reference where it does not. The settle count, the
+// mean evaluations and the largest CPI gap stay within the census bounds.
 func TestConvergenceCensus(t *testing.T) {
 	node := DefaultNode()
 	hosts := [][]Occupant{}
@@ -134,6 +158,11 @@ func TestConvergenceCensus(t *testing.T) {
 			worst = max(worst, math.Abs(fast.CPI[i]-forced.CPI[i])/forced.CPI[i])
 		}
 	}
-	t.Logf("%d hosts: %d took settle, %.2f fast-path iterations per host, CPIs within %.2g of settle's",
-		len(hosts), fallbacks, float64(iters)/float64(len(hosts)), worst)
+	mean := float64(iters) / float64(len(hosts))
+	t.Logf("%d hosts: %d took settle, %.4f fast-path evaluations per host, CPIs within %.3g of settle's",
+		len(hosts), fallbacks, mean, worst)
+	if fallbacks > censusSettles || mean > censusEvals || worst > censusCPIGap {
+		t.Errorf("census: %d settles (at most %d), %.4f evaluations per host (at most %v), CPI gap %.3g (at most %v)",
+			fallbacks, censusSettles, mean, censusEvals, worst, censusCPIGap)
+	}
 }

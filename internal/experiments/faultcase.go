@@ -218,7 +218,7 @@ func (l *Lab) faults() (*faultsResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.ec2 = append(r.ec2, faultPrediction{name, 0, pred, src, pair.NormalizedA, stats.RelErrPct(pred, pair.NormalizedA)})
+		r.ec2 = append(r.ec2, faultPrediction{name, 0, pred, src, pair, stats.RelErrPct(pred, pair)})
 	}
 	return r, nil
 }

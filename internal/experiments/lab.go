@@ -111,10 +111,18 @@ type Lab struct {
 	Cache *measure.Cache
 
 	mu      sync.Mutex
-	models  map[string]*core.Model
-	naives  map[string]*core.NaiveModel
+	built   sync.Cond // on mu; broadcast when a memo build ends
+	models  map[string]memoSlot[*core.Model]
+	naives  map[string]memoSlot[*core.NaiveModel]
 	ec2     *measure.Env
-	ec2Mods map[string]*core.Model
+	ec2Mods map[string]memoSlot[*core.Model]
+}
+
+// memoSlot is a memo cache's entry for one name: pending while the first
+// caller builds it.
+type memoSlot[T any] struct {
+	v       T
+	pending bool
 }
 
 // NewLab builds a lab over the paper's private cluster.
@@ -129,14 +137,16 @@ func NewLab(cfg Config) (*Lab, error) {
 	env.Tracer = cfg.Tracer
 	env.Workers = cfg.Workers
 	env.Cache = cache
-	return &Lab{
+	l := &Lab{
 		Cfg:     cfg,
 		Env:     env,
 		Cache:   cache,
-		models:  map[string]*core.Model{},
-		naives:  map[string]*core.NaiveModel{},
-		ec2Mods: map[string]*core.Model{},
-	}, nil
+		models:  map[string]memoSlot[*core.Model]{},
+		naives:  map[string]memoSlot[*core.NaiveModel]{},
+		ec2Mods: map[string]memoSlot[*core.Model]{},
+	}
+	l.built.L = &l.mu
+	return l, nil
 }
 
 // buildCfg is the model construction configuration for the private
@@ -151,26 +161,41 @@ func (l *Lab) buildCfg() core.BuildConfig {
 }
 
 // memo returns cache[name], building it from the named workload on first
-// use.
-func memo[T any](l *Lab, cache map[string]T, name string, build func(workloads.Workload) (T, error)) (T, error) {
+// use. The first caller claims the name and builds it; a caller that asks
+// while the build is pending waits for it, so each name is built once
+// however many goroutines want it. A failed build stores nothing and
+// releases the name, and its waiters build it themselves.
+func memo[T any](l *Lab, cache map[string]memoSlot[T], name string, build func(workloads.Workload) (T, error)) (T, error) {
 	l.mu.Lock()
-	v, ok := cache[name]
-	l.mu.Unlock()
-	if ok {
-		return v, nil
+	slot, ok := cache[name]
+	for ok && slot.pending {
+		l.built.Wait()
+		slot, ok = cache[name]
 	}
+	if ok {
+		l.mu.Unlock()
+		return slot.v, nil
+	}
+	cache[name] = memoSlot[T]{pending: true}
+	l.mu.Unlock()
+
 	w, err := workloads.ByName(name)
 	if err == nil {
-		v, err = build(w)
+		slot.v, err = build(w)
 	}
+	l.mu.Lock()
+	if err == nil {
+		cache[name] = slot
+	} else {
+		delete(cache, name)
+	}
+	l.built.Broadcast()
+	l.mu.Unlock()
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	l.mu.Lock()
-	cache[name] = v
-	l.mu.Unlock()
-	return v, nil
+	return slot.v, nil
 }
 
 // Model returns (building and caching on first use) the interference model

@@ -59,7 +59,7 @@ func validate(env *measure.Env, model func(string) (*core.Model, error), apps []
 		}
 	}
 	b := env.NewBatch()
-	hs := make([][]*measure.PairValue, len(apps))
+	hs := make([][]*measure.Value, len(apps))
 	for i, name := range apps {
 		a, err := workloads.ByName(name)
 		if err != nil {
@@ -88,7 +88,7 @@ func validate(env *measure.Env, model func(string) (*core.Model, error), apps []
 			if err != nil {
 				return nil, err
 			}
-			out[i] = append(out[i], pairError{co.name, pred, res.NormalizedA, stats.RelErrPct(pred, res.NormalizedA)})
+			out[i] = append(out[i], pairError{co.name, pred, res, stats.RelErrPct(pred, res)})
 		}
 	}
 	return out, nil

@@ -69,15 +69,6 @@ type GroupResult struct {
 // Outcomes returns the per-application outcomes after Batch.Run.
 func (g *GroupResult) Outcomes() ([]AppOutcome, error) { return g.outs, g.err }
 
-// PairValue is the handle to one pairwise co-run.
-type PairValue struct {
-	res PairResult
-	err error
-}
-
-// Result returns the pair outcome after Batch.Run.
-func (p *PairValue) Result() (PairResult, error) { return p.res, p.err }
-
 // soloRef is a planned solo baseline: either already known (val) or
 // pending as a batch job.
 type soloRef struct {
@@ -296,21 +287,18 @@ func (b *Batch) Placement(p *cluster.Placement, reg map[string]workloads.Workloa
 }
 
 // Pair submits a co-run of a and c across nodes, each node holding one
-// unit of each (Section 4.3's validation setup).
-func (b *Batch) Pair(a, c workloads.Workload, nodes int) *PairValue {
+// unit of each (Section 4.3's validation setup). Its value is a's
+// normalized execution time.
+func (b *Batch) Pair(a, c workloads.Workload, nodes int) *Value {
 	g := b.Group([]workloads.Workload{a, c}, nodes)
-	h := &PairValue{err: g.err}
+	h := &Value{err: g.err}
 	b.fins = append(b.fins, func() {
 		outs, err := g.Outcomes()
 		if err != nil {
 			h.err = err
 			return
 		}
-		h.res = PairResult{
-			timeA: outs[0].Time, timeB: outs[1].Time,
-			NormalizedA: outs[0].Normalized, normalizedB: outs[1].Normalized,
-		}
-		h.err = nil
+		h.v, h.err = outs[0].Normalized, nil
 	})
 	return h
 }

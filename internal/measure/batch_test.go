@@ -97,16 +97,7 @@ func suiteSteps(t *testing.T) []func(*Batch) func() []float64 {
 	}
 	return append(steps,
 		func(bt *Batch) func() []float64 { return scalar(bt.CoRunner(a, b, 8, []int{0, 1, 2})) },
-		func(bt *Batch) func() []float64 {
-			h := bt.Pair(a, b, 8)
-			return func() []float64 {
-				pr, err := h.Result()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return []float64{pr.timeA, pr.timeB, pr.NormalizedA, pr.normalizedB}
-			}
-		},
+		func(bt *Batch) func() []float64 { return scalar(bt.Pair(a, b, 8)) },
 		func(bt *Batch) func() []float64 {
 			h := bt.Group([]workloads.Workload{a, b, c}, 8)
 			return func() []float64 {

@@ -15,8 +15,9 @@ func group(e *Env, apps []workloads.Workload, nodes int) ([]AppOutcome, error) {
 	return h.Outcomes()
 }
 
-// pair co-runs a and c across nodes in a batch of its own.
-func pair(e *Env, a, c workloads.Workload, nodes int) (PairResult, error) {
+// pair co-runs a and c across nodes in a batch of its own and returns a's
+// normalized time.
+func pair(e *Env, a, c workloads.Workload, nodes int) (float64, error) {
 	b := e.NewBatch()
 	h := b.Pair(a, c, nodes)
 	_ = b.Run() // the handle reports the same error
@@ -50,8 +51,18 @@ func TestRunGroupMatchesRunPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.NormalizedA <= 1 {
-		t.Errorf("milc with libq should slow down: %v", pr.NormalizedA)
+	outs, err := group(e, []workloads.Workload{a, b}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr != outs[0].Normalized {
+		t.Errorf("pair normalizes M.milc to %v, its group co-run to %v", pr, outs[0].Normalized)
+	}
+	if outs[1].Normalized < 1 {
+		t.Errorf("C.libq normalized below 1: %v", outs[1].Normalized)
+	}
+	if outs[0].Time <= 0 || outs[1].Time <= 0 {
+		t.Error("non-positive times")
 	}
 }
 

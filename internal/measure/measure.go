@@ -948,13 +948,6 @@ func HomogeneousPressures(nodes, interfering int, pressure float64) ([]float64, 
 	return out, nil
 }
 
-// PairResult reports a pairwise co-run (Section 4.3's validation setup:
-// both applications span all nodes and share every host).
-type PairResult struct {
-	timeA, timeB             float64
-	NormalizedA, normalizedB float64
-}
-
 // AppOutcome is the measured result for one application in a placement.
 type AppOutcome struct {
 	Time       float64 // mean execution time

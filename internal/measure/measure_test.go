@@ -235,14 +235,8 @@ func TestRunPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NormalizedA <= 1 {
-		t.Errorf("M.milc co-run with C.libq should slow down, normalized = %v", res.NormalizedA)
-	}
-	if res.normalizedB < 1 {
-		t.Errorf("normalized below 1: %v", res.normalizedB)
-	}
-	if res.timeA <= 0 || res.timeB <= 0 {
-		t.Error("non-positive times")
+	if res <= 1 {
+		t.Errorf("M.milc co-run with C.libq should slow down, normalized = %v", res)
 	}
 	if _, err := pair(e, a, b, 0); err == nil {
 		t.Error("zero nodes should fail")

@@ -64,9 +64,8 @@ func DefaultSLOConfig() SLOConfig {
 	}
 }
 
-// SLOBreach is the payload of an EventSLOBreach bus event and an entry in
-// the SLO snapshot.
-type SLOBreach struct {
+// sloBreach is the payload of an EventSLOBreach bus event.
+type sloBreach struct {
 	TargetSeconds   float64 `json:"target_seconds"`
 	LatencySeconds  float64 `json:"latency_seconds"` // the observation that tripped it
 	WindowRate      float64 `json:"window_violation_rate"`
@@ -169,12 +168,11 @@ func (t *SLOTracker) SetNow(now func() time.Time) {
 }
 
 // Observe records one end-to-end request latency (seconds), updates the
-// slo_* metrics, and fires a breach event when the burn rate crosses the
-// threshold and the cooldown has elapsed. It returns the breach payload
-// when one fired, nil otherwise.
-func (t *SLOTracker) Observe(latencySeconds float64) *SLOBreach {
+// slo_* metrics, and publishes a breach event when the burn rate crosses
+// the threshold and the cooldown has elapsed.
+func (t *SLOTracker) Observe(latencySeconds float64) {
 	if t == nil {
-		return nil
+		return
 	}
 	v := latencySeconds > t.cfg.TargetSeconds
 
@@ -200,14 +198,14 @@ func (t *SLOTracker) Observe(latencySeconds float64) *SLOBreach {
 	burn := windowRate / t.cfg.Budget
 	remaining := 1 - (float64(t.viol)/float64(t.total))/t.cfg.Budget
 
-	var breach *SLOBreach
+	var breach *sloBreach
 	if t.filled >= t.cfg.MinRequests && burn >= t.cfg.burnThreshold {
 		now := t.now()
 		if !t.breached || now.Sub(t.lastBreach) >= t.cfg.Cooldown {
 			t.breached = true
 			t.lastBreach = now
 			t.breaches++
-			breach = &SLOBreach{
+			breach = &sloBreach{
 				TargetSeconds:   t.cfg.TargetSeconds,
 				LatencySeconds:  latencySeconds,
 				WindowRate:      windowRate,
@@ -232,7 +230,6 @@ func (t *SLOTracker) Observe(latencySeconds float64) *SLOBreach {
 		t.breachC.Inc()
 		t.bus.Publish(EventSLOBreach, *breach)
 	}
-	return breach
 }
 
 // Snapshot returns the current SLO accounting for /api/slo.

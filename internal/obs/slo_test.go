@@ -23,6 +23,23 @@ func mustTracker(t *testing.T, cfg SLOConfig, reg *telemetry.Registry, bus *Bus)
 	return tr
 }
 
+// nextBreach returns the slo_breach event the last Observe published on
+// ch, or nil if it published none. Publish has filled ch by the time
+// Observe returns.
+func nextBreach(t *testing.T, ch <-chan Event) *sloBreach {
+	t.Helper()
+	select {
+	case ev := <-ch:
+		br, ok := ev.Data.(sloBreach)
+		if ev.Type != EventSLOBreach || !ok {
+			t.Fatalf("event %q with %T, want %q with the breach payload", ev.Type, ev.Data, EventSLOBreach)
+		}
+		return &br
+	default:
+		return nil
+	}
+}
+
 func TestSLOTrackerValidation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ok := SLOConfig{TargetSeconds: 0.5, Budget: 0.05}
@@ -54,7 +71,9 @@ func TestSLOTrackerValidation(t *testing.T) {
 // violation rate, burn rate, lifetime budget remaining, and the exported
 // slo_* metrics.
 func TestSLOTrackerWindowAccounting(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg, bus := telemetry.NewRegistry(), NewBus(8)
+	events, cancel := bus.Subscribe()
+	defer cancel()
 	tr := mustTracker(t, SLOConfig{
 		TargetSeconds: 0.1,
 		Budget:        0.25,
@@ -62,14 +81,14 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 		MinRequests:   4,
 		burnThreshold: 2, // breach at window rate >= 0.5
 		Cooldown:      time.Hour,
-	}, reg, nil)
+	}, reg, bus)
 	clk := time.Unix(1000, 0)
 	tr.SetNow(func() time.Time { return clk })
 
 	// Three fast, one slow: window rate 1/4, burn 1.0 — under threshold.
 	for _, lat := range []float64{0.01, 0.02, 0.03, 0.5} {
-		if br := tr.Observe(lat); br != nil {
-			t.Fatalf("unexpected breach at latency %v: %+v", lat, br)
+		if tr.Observe(lat); nextBreach(t, events) != nil {
+			t.Fatalf("unexpected breach at latency %v", lat)
 		}
 	}
 	s := tr.Snapshot()
@@ -85,7 +104,8 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 
 	// A second slow request slides the window to rate 2/4, burn 2.0:
 	// exactly at threshold, so a breach fires.
-	br := tr.Observe(0.9)
+	tr.Observe(0.9)
+	br := nextBreach(t, events)
 	if br == nil {
 		t.Fatal("no breach at burn threshold")
 	}
@@ -104,12 +124,12 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 
 	// Still inside the cooldown: a further violation updates gauges but
 	// must not fire a second event.
-	if br := tr.Observe(0.8); br != nil {
-		t.Fatalf("breach fired inside cooldown: %+v", br)
+	if tr.Observe(0.8); nextBreach(t, events) != nil {
+		t.Fatal("breach fired inside cooldown")
 	}
 	// After the cooldown the sustained breach alerts again.
 	clk = clk.Add(2 * time.Hour)
-	if br := tr.Observe(0.7); br == nil {
+	if tr.Observe(0.7); nextBreach(t, events) == nil {
 		t.Fatal("no breach after cooldown elapsed")
 	}
 
@@ -131,29 +151,29 @@ func TestSLOTrackerWindowAccounting(t *testing.T) {
 // TestSLOTrackerMinRequestsGate checks a cold tracker cannot alert before
 // the window has substance, no matter how bad the early latencies are.
 func TestSLOTrackerMinRequestsGate(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	bus := NewBus(8)
+	events, cancel := bus.Subscribe()
+	defer cancel()
 	tr := mustTracker(t, SLOConfig{
 		TargetSeconds: 0.001,
 		Budget:        0.01,
 		Window:        32,
 		MinRequests:   5,
 		burnThreshold: 1,
-	}, reg, nil)
+	}, telemetry.NewRegistry(), bus)
 	for i := 0; i < 4; i++ {
-		if br := tr.Observe(10); br != nil {
+		if tr.Observe(10); nextBreach(t, events) != nil {
 			t.Fatalf("breach before MinRequests at observation %d", i+1)
 		}
 	}
-	if br := tr.Observe(10); br == nil {
+	if tr.Observe(10); nextBreach(t, events) == nil {
 		t.Fatal("no breach once MinRequests reached")
 	}
 }
 
 func TestSLOTrackerNilSafe(t *testing.T) {
 	var tr *SLOTracker
-	if br := tr.Observe(1); br != nil {
-		t.Error("nil tracker produced a breach")
-	}
+	tr.Observe(1) // must not panic
 	if s := tr.Snapshot(); s.Requests != 0 {
 		t.Error("nil tracker snapshot not zero")
 	}
@@ -233,7 +253,7 @@ func TestSLOBreachSSEConcurrentSubscribers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < events; i++ {
-		if br := tracker.Observe(0.25); br == nil {
+		if tracker.Observe(0.25); tracker.Snapshot().Breaches != uint64(i+1) {
 			t.Fatalf("observation %d did not breach", i)
 		}
 	}
@@ -329,7 +349,7 @@ func TestSLOBreachSSESlowConsumer(t *testing.T) {
 				published, len(got.events), quota, got.err)
 		}
 		start := time.Now()
-		if br := tracker.Observe(0.3); br == nil {
+		if tracker.Observe(0.3); tracker.Snapshot().Breaches != uint64(published+1) {
 			t.Fatalf("observation %d did not breach", published)
 		}
 		if elapsed := time.Since(start); elapsed > time.Second {
