@@ -233,10 +233,10 @@ func BenchmarkMeasureBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePoolReuse measures a task-engine run in steady state,
-// where every iteration recycles a pooled, pre-sized event engine;
-// allocations per run are the interesting number.
-func BenchmarkEnginePoolReuse(b *testing.B) {
+// BenchmarkTaskWorkspaceReuse measures a task-engine run in steady state,
+// where every iteration recycles a pooled workspace and the event queue it
+// owns; allocations per run are the interesting number.
+func BenchmarkTaskWorkspaceReuse(b *testing.B) {
 	w, err := workloads.ByName("H.KM")
 	if err != nil {
 		b.Fatal(err)

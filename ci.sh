@@ -5,8 +5,9 @@
 # cmd/, the in-process daemon's replay, drain and handler tests, and the
 # observability-plane tests in internal/obs), the bench/ module's own vet
 # and unit tests, soaks of the placement service's concurrency tests, of
-# the daemon's lifecycle tests, of the shared jitter tables and of the
-# exchange's evaluators, a fuzz smoke of every target, a check that
+# the daemon's lifecycle tests, of the shared jitter tables, of the pooled
+# task-engine workspace and of the exchange's evaluators, a fuzz smoke of
+# every target, a check that
 # EXPERIMENTS.md is what paperrepro prints at the default worker count and
 # on the serial reference path (-workers 1), the pinned flag sets (with
 # the rejection of removed flags and binaries, positional arguments and
@@ -44,7 +45,7 @@ echo "== go test -race -count=2 (every package, twice, uncached) =="
 # the measurement batch engine, the drift tracker, the experiment goldens,
 # the placement service under concurrent admission, the daemon's replay
 # and drain, the fleet generator — and much of it runs on pooled or shared
-# state (event engines, jitter tables, search workspaces) that a second
+# state (task workspaces, jitter tables, search workspaces) that a second
 # pass in the same process finds warm. So every package is run twice,
 # uncached, under the race detector. Nothing is left out: internal/obs's
 # SSE tests wait on the subscriber's progress, not on the clock; each
@@ -78,6 +79,14 @@ echo "== jitter-table soak (-race -count=20 of the concurrent-fill and worker-co
 go test -race -count=20 ./internal/app -run '^TestSharedFactorsConcurrentFill$'
 go test -race -count=20 ./internal/measure -run '^TestJitterTablesKeyedByDefinition$'
 go test -race -count=20 ./internal/experiments -run '^TestWorkerCountDoesNotChangeOutputs$'
+
+echo "== task-workspace soak (-race -count=20 of the pooled workspace and stream reuse tests) =="
+# A task-engine run borrows a pooled workspace that owns its event queue
+# and jitter views; a run that stopped with events queued hands it back
+# dirty. Soak the tests that require a reused workspace, after a halted
+# run or under other goroutines' runs, to give the bits and event counts
+# of a fresh one.
+go test -race -count=20 ./internal/app -run '^(TestTaskWorkspaceReuseDeterministic|TestStreamPoolReuseDeterministic)$'
 
 echo "== exchange soak (-race -count=20 of the evaluator determinism and mirror-replay tests) =="
 # The exchange's evaluators keep their grid mirrors across batches and

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -166,9 +165,9 @@ type Params struct {
 	// them, with bit-identical results. Nil gives the run a private table.
 	Factors *Factors
 	// Telemetry, when non-nil, receives the run's event counts under the
-	// sim.Engine.Instrument metric names (the task engines flush their
-	// event engine's; BSP and Wavefront add what their event schedule
-	// would have produced) and per-engine run counters and
+	// sim.Queue.Flush metric names (the task engines flush their event
+	// queue's; BSP and Wavefront add what their event schedule would have
+	// produced) and per-engine run counters and
 	// simulated-makespan histograms. Nil costs nothing, and attaching a
 	// registry costs a few counter updates per run, none per event.
 	Telemetry *telemetry.Registry
@@ -194,41 +193,6 @@ var runMetricNames = func() (names [Independent + 1]struct{ runs, seconds string
 	}
 	return names
 }()
-
-// enginePool recycles the task engines' event engines across runs, and
-// engineHW remembers the deepest event queue any run has needed so reused
-// engines start pre-sized and never regrow their heap mid-run. A reset
-// engine is bit-identical to a fresh one (sim.Engine.Reset), so pooling
-// does not affect results; the pool is safe for the measurement layer's
-// concurrent batch workers.
-var (
-	enginePool = sync.Pool{New: func() any { return sim.NewEngine() }}
-	engineHW   atomic.Int64
-)
-
-// engineFor builds the run's event engine, instrumented when requested.
-func engineFor(p Params) *sim.Engine {
-	eng := enginePool.Get().(*sim.Engine)
-	eng.Reset(int(engineHW.Load()))
-	if p.Telemetry != nil {
-		eng.Instrument(p.Telemetry)
-	}
-	return eng
-}
-
-// releaseEngine returns an engine to the pool, folding its queue
-// high-water mark into the pre-size hint for future runs.
-func releaseEngine(eng *sim.Engine) {
-	hw := int64(eng.QueueHighWater())
-	for {
-		cur := engineHW.Load()
-		if hw <= cur || engineHW.CompareAndSwap(cur, hw) {
-			break
-		}
-	}
-	eng.Instrument(nil)
-	enginePool.Put(eng)
-}
 
 // record logs a finished run's simulated makespan.
 func (s Spec) record(p Params, makespan float64) {
@@ -340,8 +304,8 @@ func (s Spec) bspCollective(p Params, nodes int) float64 {
 	return collective + s.SyncDrag*s.IterSec*meanExcess
 }
 
-// checkDelay mirrors the engine's scheduling validation so the closed
-// forms reject exactly the delays sim.Engine.After would.
+// checkDelay mirrors the event queue's scheduling validation so the closed
+// forms reject exactly the delays sim.Queue.After would.
 func checkDelay(d float64) error {
 	if d < 0 {
 		return fmt.Errorf("%w: negative delay %v", sim.ErrPastEvent, d)
@@ -359,7 +323,7 @@ func checkDelay(d float64) error {
 // arithmetic directly, bit-identically and without a heap: jitter is drawn
 // in node order at scheduling time, an iteration ends at
 // max_i(now + Time(d_i)), and the collective extends that via the same
-// sim.Time additions sim.Engine.After performs. That schedule fires
+// sim.Time additions sim.Queue.After performs. That schedule fires
 // 1 + I·(n+1) events with at most n queued at once (Validate and
 // Params.validate guarantee I ≥ 1 and n ≥ 1).
 func (s Spec) runBSP(p Params, jit []cursor) (float64, error) {
@@ -432,21 +396,21 @@ type taskState struct {
 	finish sim.Time
 }
 
-// taskRun is the workspace of one task-engine run: the run's context and
-// the current stage's scheduling state, all in slices that the next run
-// reuses. Workspaces live in a pool like the engines and the jitter views;
-// startStage rewrites every per-stage field, so nothing a run (or a run
-// that failed mid-stage) leaves behind reaches the next one.
+// taskRun is the workspace of one task-engine run: the run's context, its
+// event queue and the current stage's scheduling state, all in storage
+// that the next run reuses. Workspaces live in a pool like the jitter
+// views; run resets the queue and startStage rewrites every per-stage
+// field, so nothing a run (or a run that failed mid-stage) leaves behind
+// reaches the next one.
 //
 // A slot is one task-sized share of a node: slot k belongs to node
-// k / SlotsPerNode. Completion events are the closures in completeFn, built
-// once per workspace and indexed by (stage, slot); the task a slot is
-// running is looked up in slotTask when the event fires, so launching a
-// task allocates nothing.
+// k / SlotsPerNode. An event is a taskEvent; the task a slot is running is
+// looked up in slotTask when its completion pops, so launching a task
+// allocates nothing.
 type taskRun struct {
 	s     Spec
 	p     Params
-	eng   *sim.Engine
+	q     sim.Queue[taskEvent]
 	jit   *runJitter
 	nodes int
 	err   error
@@ -455,8 +419,8 @@ type taskRun struct {
 	finished bool // the stage in progress has completed its last task
 	// endTime is when the final stage's last task logically completes.
 	// Speculative losers' completion events may still drain afterwards
-	// (the winner already finished the task), so the engine's final
-	// clock is not the job's makespan.
+	// (the winner already finished the task), so the queue's final clock
+	// is not the job's makespan.
 	endTime sim.Time
 
 	tasks []taskState
@@ -471,20 +435,21 @@ type taskRun struct {
 	pinnedCount int
 	pinnedNext  []int
 	floatNext   int
+	unlaunched  int     // tasks whose primary copy has not been launched
 	doneCount   int     // completed logical tasks
 	free        []int32 // free slots, in the order dispatch scans them
 	slotTask    []int32 // task id each busy slot is running
 	running     []int32 // tasks whose primary copy is in flight, unordered
-
-	startFn    func()     // startStage, as the stage-start event
-	completeFn [][]func() // [stage-1][slot] -> complete(stage, slot)
 }
 
-var taskRunPool = sync.Pool{New: func() any {
-	r := new(taskRun)
-	r.startFn = r.startStage
-	return r
-}}
+// taskEvent is one event of a task-engine run: the completion of the copy
+// that stage launched on slot, or, with slot -1, the start of the next
+// stage.
+type taskEvent struct {
+	stage, slot int32
+}
+
+var taskRunPool = sync.Pool{New: func() any { return new(taskRun) }}
 
 // runTasks executes NumStages stages of dynamically scheduled tasks and is
 // shared by the TaskPool (Hadoop) and Stages (Spark) engines: the
@@ -492,27 +457,38 @@ var taskRunPool = sync.Pool{New: func() any {
 // speculation, shuffle volume).
 func (s Spec) runTasks(p Params, jit *runJitter) (float64, error) {
 	r := taskRunPool.Get().(*taskRun)
-	r.s, r.p, r.jit, r.eng = s, p, jit, engineFor(p)
+	defer taskRunPool.Put(r)
+	return r.run(s, p, jit)
+}
+
+// run executes one task-engine run on the workspace: it pops events and
+// dispatches each on its kind until the queue drains or a scheduling error
+// stops the run, then flushes the queue's counts to p.Telemetry.
+func (r *taskRun) run(s Spec, p Params, jit *runJitter) (float64, error) {
+	r.s, r.p, r.jit = s, p, jit
 	r.nodes = len(p.Slowdown)
-	r.stage, r.endTime = 0, 0
-	defer func() {
-		releaseEngine(r.eng)
-		r.p, r.jit, r.eng, r.err = Params{}, nil, nil, nil
-		taskRunPool.Put(r)
-	}()
-	if err := r.eng.At(0, r.startFn); err != nil {
+	r.stage, r.endTime, r.err = 0, 0, nil
+	defer func() { r.p, r.jit = Params{}, nil }()
+	r.q.Reset()
+	if err := r.q.At(0, taskEvent{slot: -1}); err != nil {
 		return 0, err
 	}
-	r.eng.Run()
+	for r.err == nil {
+		ev, ok := r.q.Pop()
+		if !ok {
+			break
+		}
+		if ev.slot < 0 {
+			r.startStage()
+		} else {
+			r.complete(int(ev.stage), ev.slot)
+		}
+	}
+	r.q.Flush(p.Telemetry)
 	if r.err != nil {
 		return 0, r.err
 	}
 	return float64(r.endTime), nil
-}
-
-func (r *taskRun) fail(err error) {
-	r.err = err
-	r.eng.Halt()
 }
 
 // startStage resets the per-stage state, reads the stage's task skew and
@@ -534,6 +510,7 @@ func (r *taskRun) startStage() {
 		r.pinnedNext[n] = n
 	}
 	r.floatNext = r.pinnedCount
+	r.unlaunched = s.TasksPerStage
 	r.doneCount = 0
 	r.running = r.running[:0]
 
@@ -543,15 +520,6 @@ func (r *taskRun) startStage() {
 	for k := range r.free {
 		r.free[k] = int32(k)
 	}
-	for len(r.completeFn) < r.stage {
-		r.completeFn = append(r.completeFn, nil)
-	}
-	fns := r.completeFn[r.stage-1]
-	for k := len(fns); k < slots; k++ {
-		stage, slot := r.stage, int32(k)
-		fns = append(fns, func() { r.complete(stage, slot) })
-	}
-	r.completeFn[r.stage-1] = fns
 	r.dispatch()
 }
 
@@ -564,13 +532,20 @@ func resize[T any](v []T, n int) []T {
 	return v[:n]
 }
 
-// dispatch scans every free slot (slots on different nodes are not
+// dispatch scans the free slots (slots on different nodes are not
 // interchangeable once locality pins tasks) and launches whatever work each
-// can legally run.
+// can legally run. Once every task of the stage has been launched, only
+// speculative copies are left to hand out: without speculation there is
+// nothing to scan, and with it the first slot that finds no clone
+// candidate ends the scan, because launching a clone only removes
+// candidates.
 func (r *taskRun) dispatch() {
 	s := &r.s
+	if r.unlaunched == 0 && !s.Speculative {
+		return
+	}
 	kept := r.free[:0]
-	for _, slot := range r.free {
+	for i, slot := range r.free {
 		node := int(slot) / s.SlotsPerNode
 		switch {
 		case r.pinnedNext[node] < r.pinnedCount:
@@ -585,6 +560,9 @@ func (r *taskRun) dispatch() {
 			if id := r.pickClone(); id != -1 {
 				r.tasks[id].cloned = true
 				r.launch(id, slot, node, true)
+			} else if r.unlaunched == 0 {
+				r.free = append(kept, r.free[i:]...)
+				return
 			} else {
 				kept = append(kept, slot)
 			}
@@ -601,13 +579,14 @@ func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
 	d := r.s.TaskSec * r.skew[id] * r.p.Slowdown[node] * r.jit.node[node].next()
 	if !clone {
 		t := &r.tasks[id]
-		t.finish = r.eng.Now() + sim.Time(d)
+		t.finish = r.q.Now() + sim.Time(d)
 		t.runPos = int32(len(r.running))
 		r.running = append(r.running, int32(id))
+		r.unlaunched--
 	}
 	r.slotTask[slot] = int32(id)
-	if err := r.eng.After(d, r.completeFn[r.stage-1][slot]); err != nil {
-		r.fail(err)
+	if err := r.q.After(d, taskEvent{stage: int32(r.stage), slot: slot}); err != nil {
+		r.err = err
 	}
 }
 
@@ -615,7 +594,7 @@ func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
 // slot. A speculative loser can complete after its stage has finished —
 // during the shuffle, or stages later, when the slot has long been handed
 // out again — so an event from any stage but the one in progress is
-// counted by the engine and otherwise ignored.
+// counted by the queue and otherwise ignored.
 func (r *taskRun) complete(stage int, slot int32) {
 	if stage != r.stage || r.finished {
 		return
@@ -644,7 +623,7 @@ func (r *taskRun) complete(stage int, slot int32) {
 func (r *taskRun) pickClone() int {
 	id := -1
 	var worst sim.Time
-	now := r.eng.Now()
+	now := r.q.Now()
 	for _, running := range r.running {
 		rid := int(running)
 		t := &r.tasks[rid]
@@ -663,15 +642,15 @@ func (r *taskRun) pickClone() int {
 func (r *taskRun) finishStage() {
 	r.finished = true
 	if r.stage == r.s.NumStages {
-		r.endTime = r.eng.Now()
+		r.endTime = r.q.Now()
 		return
 	}
 	gap := 0.0
 	if r.s.ShuffleBytesPerNode > 0 {
 		gap = r.p.Net.Shuffle(r.nodes, r.s.ShuffleBytesPerNode)
 	}
-	if err := r.eng.After(gap, r.startFn); err != nil {
-		r.fail(err)
+	if err := r.q.After(gap, taskEvent{slot: -1}); err != nil {
+		r.err = err
 	}
 }
 

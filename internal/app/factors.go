@@ -223,8 +223,8 @@ func (c *cursor) next() float64 {
 
 // runJitter is one run's view of its factors: a cursor per node over the
 // shared table the run was handed, or over the run's own private table,
-// filled from Params.RNG. Views live in a pool like the engines, so a warm
-// run's private table reuses the storage an earlier run filled.
+// filled from Params.RNG. Views live in a pool like the task workspaces,
+// so a warm run's private table reuses the storage an earlier run filled.
 type runJitter struct {
 	f    *Factors // the table the run reads: shared, or &own
 	own  Factors

@@ -23,16 +23,32 @@ func freshStreams(rng *sim.RNG, n int) []*sim.RNG {
 	return streams
 }
 
+// runClosures is the run loop of a closure-valued event queue: it pops
+// and calls events until the queue is empty or *halted is set, then
+// returns the clock.
+func runClosures(q *sim.Queue[func()], halted *bool) sim.Time {
+	for !*halted {
+		fn, ok := q.Pop()
+		if !ok {
+			break
+		}
+		fn()
+	}
+	return q.Now()
+}
+
 // refBSPEngine is the event-driven BSP evaluation the closed form in
 // runBSP replays: a start event, then per iteration one compute event per
 // node and, when the last of them fires, one collective event that starts
 // the next iteration.
-func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
+func refBSPEngine(s Spec, p Params, q *sim.Queue[func()]) (float64, error) {
 	streams := freshStreams(p.RNG, len(p.Slowdown))
 	nodes := len(p.Slowdown)
 	collective := s.bspCollective(p, nodes)
 	iter := 0
 	var schedErr error
+	halted := false
+	fail := func(err error) { schedErr, halted = err, true }
 	var startIter func()
 	startIter = func() {
 		if iter >= s.Iterations {
@@ -42,43 +58,43 @@ func refBSPEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
 		remaining := nodes
 		for i := 0; i < nodes; i++ {
 			d := s.IterSec * p.Slowdown[i] * streams[i].JitterAround1(s.NoiseSigma)
-			if err := eng.After(d, func() {
+			if err := q.After(d, func() {
 				remaining--
 				if remaining == 0 {
-					if err := eng.After(collective, startIter); err != nil {
-						schedErr = err
-						eng.Halt()
+					if err := q.After(collective, startIter); err != nil {
+						fail(err)
 					}
 				}
 			}); err != nil {
-				schedErr = err
-				eng.Halt()
+				fail(err)
 				return
 			}
 		}
 	}
-	if err := eng.At(0, startIter); err != nil {
+	if err := q.At(0, startIter); err != nil {
 		return 0, err
 	}
-	end := eng.Run()
+	end := runClosures(q, &halted)
 	return float64(end), schedErr
 }
 
 // refWavefrontEngine is the event-driven wavefront evaluation the closed
 // form in runWavefront replays: a strict chain of stage and hop events.
-func refWavefrontEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
+func refWavefrontEngine(s Spec, p Params, q *sim.Queue[func()]) (float64, error) {
 	streams := freshStreams(p.RNG, len(p.Slowdown))
 	nodes := len(p.Slowdown)
 	hop := p.Net.PointToPoint(256 * 1024)
 	iter, node := 0, 0
 	var schedErr error
+	halted := false
+	fail := func(err error) { schedErr, halted = err, true }
 	var step func()
 	step = func() {
 		if iter >= s.Iterations {
 			return
 		}
 		d := s.IterSec / float64(nodes) * p.Slowdown[node] * streams[node].JitterAround1(s.NoiseSigma)
-		if err := eng.After(d, func() {
+		if err := q.After(d, func() {
 			node++
 			if node == nodes {
 				node = 0
@@ -87,19 +103,17 @@ func refWavefrontEngine(s Spec, p Params, eng *sim.Engine) (float64, error) {
 					return
 				}
 			}
-			if err := eng.After(hop, step); err != nil {
-				schedErr = err
-				eng.Halt()
+			if err := q.After(hop, step); err != nil {
+				fail(err)
 			}
 		}); err != nil {
-			schedErr = err
-			eng.Halt()
+			fail(err)
 		}
 	}
-	if err := eng.At(0, step); err != nil {
+	if err := q.At(0, step); err != nil {
 		return 0, err
 	}
-	end := eng.Run()
+	end := runClosures(q, &halted)
 	return float64(end), schedErr
 }
 
@@ -121,7 +135,7 @@ func eventCounts(reg *telemetry.Registry) [3]float64 {
 func TestClosedFormMatchesEngine(t *testing.T) {
 	refs := []struct {
 		spec Spec
-		run  func(Spec, Params, *sim.Engine) (float64, error)
+		run  func(Spec, Params, *sim.Queue[func()]) (float64, error)
 	}{{bspSpec(), refBSPEngine}, {wavefrontSpec(), refWavefrontEngine}}
 	for _, ref := range refs {
 		for _, iters := range []int{1, 2, 3, 40} {
@@ -138,13 +152,13 @@ func TestClosedFormMatchesEngine(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s I=%d n=%d seed=%d", s.Name, iters, nodes, seed)
 
-					eng := sim.NewEngine()
-					refReg := telemetry.NewRegistry()
-					eng.Instrument(refReg)
-					want, err := ref.run(s, params(nil), eng)
+					var q sim.Queue[func()]
+					want, err := ref.run(s, params(nil), &q)
 					if err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
 					}
+					refReg := telemetry.NewRegistry()
+					q.Flush(refReg)
 					bare, err := s.Run(params(nil))
 					if err != nil {
 						t.Fatal(err)
@@ -166,23 +180,48 @@ func TestClosedFormMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestEnginePoolReuseDeterministic: task-engine runs recycle event engines
-// and workspaces through their pools; a reused one must not leak state into
-// later runs — not even one whose previous run died mid-stage, nor a
-// registry from an instrumented run into a bare one.
-func TestEnginePoolReuseDeterministic(t *testing.T) {
-	// The second node's first task overflows to +Inf: the engine halts
+// runOnWorkspace is Spec.Run for a task engine on the given workspace
+// instead of a pooled one.
+func runOnWorkspace(r *taskRun, s Spec, p Params) (float64, error) {
+	want, step := s.nodeDraws(len(p.Slowdown))
+	jit, err := s.openJitter(p, want, step)
+	if err != nil {
+		return 0, err
+	}
+	defer jit.release()
+	return r.run(s, p, jit)
+}
+
+// TestTaskWorkspaceReuseDeterministic: a task-engine run borrows a
+// workspace, event queue included, from a pool; a reused one must not
+// leak state into later runs — not even one whose previous run stopped
+// mid-stage with events still queued, nor a registry from an instrumented
+// run into a bare one.
+func TestTaskWorkspaceReuseDeterministic(t *testing.T) {
+	// The second node's first task overflows to +Inf: the run stops
 	// inside the first dispatch with tasks in flight and events queued.
 	broken := taskPoolSpec()
 	broken.TaskSec = 1e308
+	brokenParams := func(seed int64) Params {
+		return Params{Slowdown: []float64{1, 2, 1.5, 1}, Net: netsim.TenGbE(), RNG: sim.NewRNG(seed)}
+	}
+	checkBroken := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "non-finite event time") {
+			t.Fatalf("overflowing task delay: err = %v, want a non-finite event time", err)
+		}
+	}
 	for _, s := range []Spec{taskPoolSpec(), stagesSpec()} {
-		run := func(reg *telemetry.Registry) float64 {
-			v, err := s.Run(Params{
+		params := func(reg *telemetry.Registry) Params {
+			return Params{
 				Slowdown:  []float64{2, 1, 1.5, 1},
 				Net:       netsim.TenGbE(),
 				RNG:       sim.NewRNG(11).Stream("pool"),
 				Telemetry: reg,
-			})
+			}
+		}
+		run := func(reg *telemetry.Registry) float64 {
+			v, err := s.Run(params(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,15 +234,10 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 		}
 		counts := eventCounts(first)
 		for i := 0; i < 5; i++ {
-			if _, err := broken.Run(Params{
-				Slowdown: []float64{1, 2, 1.5, 1},
-				Net:      netsim.TenGbE(),
-				RNG:      sim.NewRNG(int64(i)),
-			}); err == nil || !strings.Contains(err.Error(), "non-finite event time") {
-				t.Fatalf("overflowing task delay: err = %v, want a non-finite event time", err)
-			}
+			_, err := broken.Run(brokenParams(int64(i)))
+			checkBroken(err)
 			if got := run(nil); got != want {
-				t.Fatalf("%s: run %d = %v, want %v (pooled engine leaked state)", s.Name, i, got, want)
+				t.Fatalf("%s: run %d = %v, want %v (pooled workspace leaked state)", s.Name, i, got, want)
 			}
 			reg := telemetry.NewRegistry()
 			if got := run(reg); got != want {
@@ -215,6 +249,27 @@ func TestEnginePoolReuseDeterministic(t *testing.T) {
 		}
 		if got := eventCounts(first); got != counts {
 			t.Errorf("%s: later runs added to the first run's registry: %v, was %v", s.Name, got, counts)
+		}
+
+		// The same again on one workspace held across the runs, which the
+		// pool need not hand back: the halted run leaves events queued,
+		// and the next run must start from an empty queue.
+		var r taskRun
+		_, err := runOnWorkspace(&r, broken, brokenParams(3))
+		checkBroken(err)
+		if r.q.Len() == 0 {
+			t.Fatalf("%s: the overflowing run left no events queued; the test no longer exercises a halted queue", s.Name)
+		}
+		reg := telemetry.NewRegistry()
+		got, err := runOnWorkspace(&r, s, params(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: run after a halted one on the same workspace = %v, want %v", s.Name, got, want)
+		}
+		if got := eventCounts(reg); got != counts {
+			t.Errorf("%s: run after a halted one on the same workspace counted %v, want %v", s.Name, got, counts)
 		}
 	}
 }

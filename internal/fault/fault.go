@@ -2,14 +2,12 @@
 // for the simulated cluster: node crashes, node slowdowns, profile-cell
 // loss, and transient profiling-run failures. A Plan is a declarative
 // list of faults (loaded from a JSON file via the daemons' -faults
-// flag); an Injector activates them — by round (interfd: the count of
-// verified placement decisions), or by simulated time when armed on a
-// sim.Engine — and exposes the state the rest of the stack consumes to
-// degrade gracefully: the down-host set for placement, per-host slowdown
-// factors and a
-// measurement failure hook for measure.Env, and a cell-dropping
-// transform for profile.Matrix that forces core predictors onto their
-// naive fallback.
+// flag); an Injector activates them by round (interfd: the count of
+// verified placement decisions) and exposes the state the rest of the
+// stack consumes to degrade gracefully: the down-host set for placement,
+// per-host slowdown factors and a measurement failure hook for
+// measure.Env, and a cell-dropping transform for profile.Matrix that
+// forces core predictors onto their naive fallback.
 //
 // Everything is deterministic in the plan seed: the same plan applied to
 // the same workloads always crashes the same hosts, drops the same
@@ -17,9 +15,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -95,8 +95,7 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 // Fault is one injected fault. Which fields matter depends on Kind:
 // Host for NodeCrash/NodeDegrade, Factor (> 1) for NodeDegrade,
 // Fraction (0,1] for ProfileCellLoss, Rate (0,1] for ProfilingFailure.
-// A fault activates at round Round (via Injector.Activate) or,
-// when At > 0, at that simulated time instead (via Injector.Arm).
+// A fault activates at round Round (via Injector.Activate).
 type Fault struct {
 	Kind     Kind    `json:"kind"`
 	Host     int     `json:"host,omitempty"`
@@ -104,16 +103,12 @@ type Fault struct {
 	Fraction float64 `json:"fraction,omitempty"`
 	Rate     float64 `json:"rate,omitempty"`
 	Round    int     `json:"round,omitempty"`
-	At       float64 `json:"at,omitempty"`
 }
 
 // validate checks the per-kind field constraints.
 func (f Fault) validate() error {
 	if f.Round < 0 {
 		return fmt.Errorf("fault: negative round %d", f.Round)
-	}
-	if f.At < 0 {
-		return fmt.Errorf("fault: negative activation time %v", f.At)
 	}
 	switch f.Kind {
 	case NodeCrash:
@@ -190,11 +185,18 @@ func LoadPlan(path string) (Plan, error) {
 	return p, nil
 }
 
-// parsePlan decodes and validates the bytes of a plan file.
+// parsePlan decodes and validates the bytes of a plan file. A key the
+// schema does not define, or a misspelled one, is an error that names it,
+// not a setting silently ignored.
 func parsePlan(raw []byte) (Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(raw, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return Plan{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, errors.New("fault: data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -6,10 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -62,7 +62,6 @@ func TestPlanValidate(t *testing.T) {
 		{Seed: 1, Faults: []Fault{{Kind: ProfilingFailure, Rate: -0.1}}},
 		{Seed: 1, Faults: []Fault{{Kind: Kind(42)}}},
 		{Seed: 1, Faults: []Fault{{Kind: NodeCrash, Host: 1, Round: -1}}},
-		{Seed: 1, Faults: []Fault{{Kind: NodeCrash, Host: 1, At: -3}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -103,6 +102,21 @@ func TestLoadPlan(t *testing.T) {
 	os.WriteFile(emptyPath, []byte(`{"seed":1,"faults":[]}`), 0o644)
 	if _, err := LoadPlan(emptyPath); err == nil {
 		t.Error("loaded an empty plan")
+	}
+	// A key outside the schema fails the load and names the key: a
+	// simulated-time "at" (no such activation exists), a misspelling, an
+	// unknown top-level key. So does anything after the plan.
+	for _, c := range []struct{ body, want string }{
+		{`{"seed":1,"faults":[{"kind":"node-crash","host":3,"at":120.5}]}`, `"at"`},
+		{`{"seed":1,"faults":[{"kind":"node-crash","host":3,"rund":2}]}`, `"rund"`},
+		{`{"sed":1,"faults":[{"kind":"node-crash","host":3}]}`, `"sed"`},
+		{`{"seed":1,"faults":[{"kind":"node-crash","host":3}]} {}`, "data after the plan"},
+	} {
+		path := filepath.Join(dir, "unknown.json")
+		os.WriteFile(path, []byte(c.body), 0o644)
+		if _, err := LoadPlan(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.body, err, c.want)
+		}
 	}
 }
 
@@ -149,36 +163,6 @@ func TestActivateByRound(t *testing.T) {
 	}
 	if v := reg.Gauge(MetricDownHosts).Value(); v != 2 {
 		t.Errorf("down-host gauge = %v, want 2", v)
-	}
-}
-
-func TestArmFiresAtSimTime(t *testing.T) {
-	plan := Plan{Seed: 7, Faults: []Fault{
-		{Kind: NodeCrash, Host: 3, At: 10},
-		{Kind: NodeDegrade, Host: 0, Factor: 2, At: 20},
-	}}
-	inj, err := New(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine()
-	if err := inj.Arm(e); err != nil {
-		t.Fatal(err)
-	}
-	inj.Activate(99) // time-armed faults must not fire by round
-	if got := inj.DownHosts(); len(got) != 0 {
-		t.Fatalf("time-armed fault fired via Activate: %v", got)
-	}
-	e.RunUntil(15)
-	if !inj.IsDown(3) {
-		t.Error("crash at t=10 not applied by t=15")
-	}
-	if f := inj.DegradeFactor(0); f != 1 {
-		t.Errorf("degrade at t=20 applied early (factor %v)", f)
-	}
-	e.Run()
-	if f := inj.DegradeFactor(0); f != 2 {
-		t.Errorf("DegradeFactor(0) = %v after full run, want 2", f)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzLoadPlan feeds arbitrary bytes to the -faults plan parser. A plan
-// either fails validation or builds an injector that stays inside the
+// either fails to load (bad JSON, a key outside the schema, a failed
+// validation) or builds an injector that stays inside the
 // plan's own vocabulary at every round: the down hosts are hosts the plan
 // crashes, sorted and distinct; every named host answers a finite slowdown
 // factor of at least 1; nothing panics, whatever the host ids, rounds,
@@ -24,6 +25,10 @@ func FuzzLoadPlan(f *testing.F) {
 		`{"faults":[{"kind":3}]}`,
 		`{"seed":1,"faults":[]}`,
 		`[`,
+		// Keys outside the schema: a simulated-time activation the
+		// injector has no way to fire, and a misspelling.
+		`{"seed":1,"faults":[{"kind":"node-crash","host":3,"at":120.5}]}`,
+		`{"seed":1,"faults":[{"kind":"node-degrade","host":1,"factr":1.5}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -63,7 +68,7 @@ func FuzzLoadPlan(f *testing.F) {
 				if g := inj.DegradeFactor(ft.Host); !(g >= 1) || math.IsInf(g, 0) {
 					t.Fatalf("round %d: host %d degrade factor %v", round, ft.Host, g)
 				}
-				if ft.Kind == NodeCrash && ft.At == 0 && ft.Round <= round && !inj.IsDown(ft.Host) {
+				if ft.Kind == NodeCrash && ft.Round <= round && !inj.IsDown(ft.Host) {
 					t.Fatalf("round %d: host %d crashed at round %d and is not down", round, ft.Host, ft.Round)
 				}
 			}

@@ -54,7 +54,7 @@ type Injector struct {
 }
 
 // New validates the plan and returns an idle injector: no fault is
-// active until Activate or Arm fires it. reg may be nil.
+// active until Activate fires it. reg may be nil.
 func New(plan Plan, reg *telemetry.Registry) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -73,31 +73,15 @@ func New(plan Plan, reg *telemetry.Registry) (*Injector, error) {
 // Plan returns the plan the injector was built from.
 func (inj *Injector) Plan() Plan { return inj.plan }
 
-// Activate applies every round-scheduled fault whose Round has been
-// reached (time-armed faults, At > 0, are left to Arm). It is
+// Activate applies every fault whose Round has been reached. It is
 // idempotent per fault and monotonic in round.
 func (inj *Injector) Activate(round int) {
 	for i, f := range inj.plan.Faults {
-		if f.At > 0 || f.Round > round {
+		if f.Round > round {
 			continue
 		}
 		inj.applyIdx(i)
 	}
-}
-
-// Arm schedules every time-armed fault (At > 0) on the engine; it fires
-// via applyIdx when the simulation reaches the fault's time.
-func (inj *Injector) Arm(e *sim.Engine) error {
-	for i, f := range inj.plan.Faults {
-		if f.At <= 0 {
-			continue
-		}
-		i := i
-		if err := e.At(sim.Time(f.At), func() { inj.applyIdx(i) }); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // applyIdx activates fault i exactly once.

@@ -6,31 +6,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-// engineCounts reads the three metrics an instrumented engine maintains.
-func engineCounts(reg *telemetry.Registry) (scheduled, fired uint64, highWater float64) {
+// queueCounts reads the three metrics Flush reports.
+func queueCounts(reg *telemetry.Registry) (scheduled, fired uint64, highWater float64) {
 	return reg.Counter(MetricEventsScheduled).Value(),
 		reg.Counter(MetricEventsFired).Value(),
 		reg.Gauge(MetricQueueHighWater).Value()
 }
 
-// checkFlushed: after a Run or RunUntil call, the registry holds exactly
-// what the engine counted — nothing dropped, nothing counted twice.
-func checkFlushed(t *testing.T, step string, e *Engine, reg *telemetry.Registry) {
+// checkFlushed: after a Flush, the registry holds exactly what the queue
+// counted — nothing dropped, nothing counted twice.
+func checkFlushed(t *testing.T, step string, q *Queue[func()], reg *telemetry.Registry) {
 	t.Helper()
-	s, f, hw := engineCounts(reg)
-	if s != e.Scheduled() || f != e.Fired() || hw != float64(e.QueueHighWater()) {
-		t.Errorf("%s: registry scheduled/fired/high-water = %d/%d/%v, engine %d/%d/%d",
-			step, s, f, hw, e.Scheduled(), e.Fired(), e.QueueHighWater())
+	s, f, hw := queueCounts(reg)
+	if s != q.seq || f != q.fired || hw != float64(q.highWater) {
+		t.Errorf("%s: registry scheduled/fired/high-water = %d/%d/%v, queue %d/%d/%d",
+			step, s, f, hw, q.seq, q.fired, q.highWater)
 	}
 }
 
 // scheduleTicks queues n events at times 1..n, each of which schedules one
 // more a second later: 2n events in all, at most n queued at once.
-func scheduleTicks(t *testing.T, e *Engine, n int) {
+func scheduleTicks(t *testing.T, q *Queue[func()], n int) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
-		if err := e.At(Time(i), func() {
-			if err := e.After(1, func() {}); err != nil {
+		if err := q.At(Time(i), func() {
+			if err := q.After(1, func() {}); err != nil {
 				t.Error(err)
 			}
 		}); err != nil {
@@ -39,122 +39,102 @@ func scheduleTicks(t *testing.T, e *Engine, n int) {
 	}
 }
 
-// TestEngineFlushesOncePerRun: an instrumented engine reaches its registry
-// once per Run or RunUntil call, with the counts accrued since the last
-// one. Across a run to completion, a deadline stopping mid-queue followed
-// by a second call, and a halt, the registry must end holding exactly the
-// engine's own counts.
+// TestEngineFlushesOncePerRun: a queue reaches a registry only through
+// Flush, with the counts accrued since the last one. Across a run to
+// completion and a run halted mid-queue and then resumed, the registry
+// must end holding exactly the queue's own counts.
 func TestEngineFlushesOncePerRun(t *testing.T) {
 	t.Run("Run", func(t *testing.T) {
-		e, reg := NewEngine(), telemetry.NewRegistry()
-		e.Instrument(reg)
-		scheduleTicks(t, e, 6)
-		if s, f, _ := engineCounts(reg); s != 0 || f != 0 {
-			t.Errorf("counted %d/%d before any Run", s, f)
+		var q Queue[func()]
+		reg := telemetry.NewRegistry()
+		scheduleTicks(t, &q, 6)
+		drain(&q)
+		if s, f, _ := queueCounts(reg); s != 0 || f != 0 {
+			t.Errorf("counted %d/%d before any Flush", s, f)
 		}
-		e.Run()
-		if e.Fired() != 12 {
-			t.Fatalf("fired %d events, want 12", e.Fired())
+		if q.fired != 12 {
+			t.Fatalf("fired %d events, want 12", q.fired)
 		}
-		checkFlushed(t, "Run", e, reg)
-		e.Run() // nothing queued: must add nothing
-		checkFlushed(t, "empty Run", e, reg)
-	})
-	t.Run("RunUntil", func(t *testing.T) {
-		e, reg := NewEngine(), telemetry.NewRegistry()
-		e.Instrument(reg)
-		scheduleTicks(t, e, 6)
-		e.RunUntil(3.5)
-		if e.Pending() == 0 || e.Fired() == 0 {
-			t.Fatalf("deadline did not stop mid-queue: fired %d, pending %d", e.Fired(), e.Pending())
-		}
-		checkFlushed(t, "RunUntil", e, reg)
-		e.RunUntil(5)
-		checkFlushed(t, "second RunUntil", e, reg)
-		e.Run()
-		checkFlushed(t, "Run after RunUntil", e, reg)
-		if e.Pending() != 0 {
-			t.Fatalf("pending %d after Run", e.Pending())
-		}
+		q.Flush(reg)
+		checkFlushed(t, "Run", &q, reg)
+		drain(&q) // nothing queued: must add nothing
+		q.Flush(reg)
+		checkFlushed(t, "empty Run", &q, reg)
 	})
 	t.Run("Halt", func(t *testing.T) {
-		e, reg := NewEngine(), telemetry.NewRegistry()
-		e.Instrument(reg)
+		var q Queue[func()]
+		reg := telemetry.NewRegistry()
 		for i := 1; i <= 10; i++ {
-			i := i
-			if err := e.At(Time(i), func() {
-				if i == 4 {
-					e.Halt()
-				}
-			}); err != nil {
+			if err := q.At(Time(i), func() {}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		e.Run()
-		if e.Fired() != 4 || e.Pending() != 6 {
-			t.Fatalf("halted run fired %d, left %d pending; want 4 and 6", e.Fired(), e.Pending())
+		for i := 0; i < 4; i++ {
+			fn, _ := q.Pop()
+			fn()
 		}
-		checkFlushed(t, "halted Run", e, reg)
-		e.Run()
-		checkFlushed(t, "Run after Halt", e, reg)
+		if q.fired != 4 || q.Len() != 6 {
+			t.Fatalf("halted run fired %d, left %d pending; want 4 and 6", q.fired, q.Len())
+		}
+		q.Flush(reg)
+		checkFlushed(t, "halted Run", &q, reg)
+		drain(&q)
+		q.Flush(reg)
+		checkFlushed(t, "Run after Halt", &q, reg)
 	})
 }
 
-// TestEngineFlushAcrossPooledReuse: a pooled engine alternates between
-// instrumented and bare runs, with Reset between them and Instrument(nil)
-// on release, as the application engines use it. Each registry must hold
-// exactly its own runs' counts: none from the runs before it was attached,
-// none from the bare runs after it was detached.
+// TestEngineFlushAcrossPooledReuse: a pooled queue alternates between
+// instrumented and bare runs, with Reset between them, as the task engine
+// uses it. Each registry must hold exactly its own runs' counts: none
+// from the runs before it, none from the bare runs after.
 func TestEngineFlushAcrossPooledReuse(t *testing.T) {
-	e := NewEngine()
+	var q Queue[func()]
 	first := telemetry.NewRegistry()
 	runOnce := func(reg *telemetry.Registry) {
-		e.Reset(0)
-		if reg != nil {
-			e.Instrument(reg)
-		}
-		scheduleTicks(t, e, 5)
-		e.Run()
-		e.Instrument(nil)
+		q.Reset()
+		scheduleTicks(t, &q, 5)
+		drain(&q)
+		q.Flush(reg)
 	}
 	runOnce(nil)
 	runOnce(first)
-	s1, f1, hw1 := engineCounts(first)
+	s1, f1, hw1 := queueCounts(first)
 	if s1 != 10 || f1 != 10 || hw1 != 5 {
 		t.Fatalf("one instrumented run counted %d/%d/%v, want 10/10/5", s1, f1, hw1)
 	}
 	runOnce(nil)
 	runOnce(nil)
-	if s, f, hw := engineCounts(first); s != s1 || f != f1 || hw != hw1 {
-		t.Errorf("bare runs after release reached the detached registry: %d/%d/%v, was %d/%d/%v", s, f, hw, s1, f1, hw1)
+	if s, f, hw := queueCounts(first); s != s1 || f != f1 || hw != hw1 {
+		t.Errorf("bare runs reached the registry: %d/%d/%v, was %d/%d/%v", s, f, hw, s1, f1, hw1)
 	}
 	runOnce(first)
-	if s, f, _ := engineCounts(first); s != 2*s1 || f != 2*f1 {
+	if s, f, _ := queueCounts(first); s != 2*s1 || f != 2*f1 {
 		t.Errorf("second instrumented run: registry %d/%d, want %d/%d", s, f, 2*s1, 2*f1)
 	}
 
-	// Reset with the registry left attached: the next run counts from zero.
-	e.Instrument(first)
-	e.Reset(0)
-	scheduleTicks(t, e, 5)
-	e.Run()
-	if s, f, _ := engineCounts(first); s != 3*s1 || f != 3*f1 {
-		t.Errorf("run after Reset with the registry attached: registry %d/%d, want %d/%d", s, f, 3*s1, 3*f1)
+	// A run reset before it flushed reports nothing to the next Flush.
+	q.Reset()
+	scheduleTicks(t, &q, 5)
+	drain(&q)
+	runOnce(first)
+	if s, f, _ := queueCounts(first); s != 3*s1 || f != 3*f1 {
+		t.Errorf("run after an unflushed Reset: registry %d/%d, want %d/%d", s, f, 3*s1, 3*f1)
 	}
-	e.Instrument(nil)
 
-	// Events scheduled before a registry is attached are not its to count.
-	e.Reset(0)
-	if err := e.At(1, func() {}); err != nil {
+	// Counts a bare Flush dropped are not the next registry's to count.
+	q.Reset()
+	if err := q.At(1, func() {}); err != nil {
 		t.Fatal(err)
 	}
+	q.Flush(nil)
+	if err := q.At(2, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	drain(&q)
 	late := telemetry.NewRegistry()
-	e.Instrument(late)
-	if err := e.At(2, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if s, _, _ := engineCounts(late); s != 1 {
-		t.Errorf("registry attached after one of two events counted %d scheduled, want 1", s)
+	q.Flush(late)
+	if s, f, _ := queueCounts(late); s != 1 || f != 2 {
+		t.Errorf("flush after a bare flush of one event counted %d scheduled, %d fired; want 1 and 2", s, f)
 	}
 }

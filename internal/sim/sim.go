@@ -1,8 +1,8 @@
 // Package sim provides the discrete-event simulation kernel on which the
-// consolidated-cluster substrate runs: a monotonic simulated clock, a binary
-// heap of timestamped events with deterministic tie-breaking, and seeded
-// random-number streams so every experiment in the repository is exactly
-// reproducible.
+// consolidated-cluster substrate runs: a monotonic simulated clock over a
+// binary heap of timestamped events with deterministic tie-breaking, and
+// seeded random-number streams so every experiment in the repository is
+// exactly reproducible.
 package sim
 
 import (
@@ -16,234 +16,164 @@ import (
 // Time is a simulated timestamp in seconds.
 type Time float64
 
-// Engine is a discrete-event simulator. The zero value is not ready for
-// use; construct one with NewEngine.
-type Engine struct {
+// Queue is a discrete-event queue whose events carry a payload of type T.
+// Its consumer runs the simulation: it pops the earliest event, which
+// advances the clock to the event's time, acts on the payload (scheduling
+// more events with At or After), and stops when Pop reports the queue
+// empty or whenever it decides to. Events at equal times pop in scheduling
+// order.
+//
+// The zero value is an empty queue whose clock starts at 0. A Queue is not
+// safe for concurrent use.
+type Queue[T any] struct {
 	now       Time
-	queue     []event // binary min-heap on (at, seq)
-	seq       uint64  // tie-breaker; also counts scheduled events
+	items     []item[T] // binary min-heap on (at, seq)
+	seq       uint64    // tie-breaker; also counts scheduled events
 	fired     uint64
-	halted    bool
 	highWater int
 
-	// Telemetry handles, resolved once by Instrument; all nil when the
-	// engine is uninstrumented. Nothing touches them per event: Run and
-	// RunUntil flush the counts accrued since flushedSeq/flushedFired once
-	// per call.
-	scheduledC   *telemetry.Counter
-	firedC       *telemetry.Counter
-	queueHW      *telemetry.Gauge
-	flushedSeq   uint64
-	flushedFired uint64
+	// The counts Flush has already reported.
+	flushedSeq, flushedFired uint64
 }
 
-// Instrument attaches a telemetry registry: every Run and RunUntil call
-// then adds the events scheduled and fired since the previous flush to
-// MetricEventsScheduled and MetricEventsFired and raises
-// MetricQueueHighWater to the queue's high-water mark. Events scheduled
-// before Instrument are not counted. Passing nil detaches.
-func (e *Engine) Instrument(reg *telemetry.Registry) {
-	e.flushedSeq, e.flushedFired = e.seq, e.fired
-	if reg == nil {
-		e.scheduledC, e.firedC, e.queueHW = nil, nil, nil
-		return
-	}
-	e.scheduledC = reg.Counter(MetricEventsScheduled)
-	e.firedC = reg.Counter(MetricEventsFired)
-	e.queueHW = reg.Gauge(MetricQueueHighWater)
+type item[T any] struct {
+	at  Time
+	seq uint64
+	v   T
 }
 
-// Metric names maintained by an instrumented engine.
+// Metric names Flush reports to.
 const (
 	MetricEventsScheduled = "sim_events_scheduled_total"
 	MetricEventsFired     = "sim_events_fired_total"
 	MetricQueueHighWater  = "sim_queue_high_water"
 )
 
-// flush adds the counts accrued since the last flush to an instrumented
-// engine's registry.
-func (e *Engine) flush() {
-	if e.scheduledC == nil {
-		return
+// Flush adds the events scheduled and popped since the previous Flush or
+// Reset to reg's MetricEventsScheduled and MetricEventsFired, and raises
+// its MetricQueueHighWater to the queue's high-water mark. A consumer
+// flushes once per run, so the registry costs nothing per event. A nil reg
+// drops the counts.
+func (q *Queue[T]) Flush(reg *telemetry.Registry) {
+	if reg != nil {
+		reg.Counter(MetricEventsScheduled).Add(q.seq - q.flushedSeq)
+		reg.Counter(MetricEventsFired).Add(q.fired - q.flushedFired)
+		reg.Gauge(MetricQueueHighWater).SetMax(float64(q.highWater))
 	}
-	e.scheduledC.Add(e.seq - e.flushedSeq)
-	e.firedC.Add(e.fired - e.flushedFired)
-	e.queueHW.SetMax(float64(e.highWater))
-	e.flushedSeq, e.flushedFired = e.seq, e.fired
+	q.flushedSeq, q.flushedFired = q.seq, q.fired
 }
 
-// QueueHighWater returns the deepest the event queue has ever been.
-func (e *Engine) QueueHighWater() int { return e.highWater }
-
-// NewEngine returns an empty engine whose clock starts at 0.
-func NewEngine() *Engine {
-	return &Engine{}
+// Reset returns the queue to its zero state (clock 0, no events, zeroed
+// counts, the tie-breaking sequence restarted) but keeps the heap's
+// storage, so a queue reused across many short runs grows only to the
+// largest of them. A reset queue behaves exactly like a new one.
+func (q *Queue[T]) Reset() {
+	clear(q.items) // a payload that holds pointers must not outlive its event
+	*q = Queue[T]{items: q.items[:0]}
 }
 
-// Reset returns the engine to its initial state (clock 0, empty queue,
-// zeroed counters; an attached registry stays attached, and counts not yet
-// flushed to it by Run or RunUntil are dropped) while keeping the event
-// queue's allocated storage, so one engine can be reused across the
-// thousands of short runs the measurement layer performs. sizeHint, when
-// larger than the current capacity, pre-grows the queue — callers pass a
-// previous run's high-water mark to avoid heap regrowth mid-run. A reset
-// engine behaves exactly like a fresh one: the tie-breaking sequence
-// restarts at zero.
-func (e *Engine) Reset(sizeHint int) {
-	for i := range e.queue {
-		e.queue[i] = event{}
-	}
-	e.queue = e.queue[:0]
-	if sizeHint > cap(e.queue) {
-		e.queue = make([]event, 0, sizeHint)
-	}
-	e.now = 0
-	e.seq = 0
-	e.fired = 0
-	e.halted = false
-	e.highWater = 0
-	e.flushedSeq, e.flushedFired = 0, 0
-}
+// Now returns the current simulated time: the time of the last popped
+// event.
+func (q *Queue[T]) Now() Time { return q.now }
 
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// Scheduled returns the total number of events scheduled so far.
-func (e *Engine) Scheduled() uint64 { return e.seq }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Len returns the number of queued events.
+func (q *Queue[T]) Len() int { return len(q.items) }
 
 // ErrPastEvent is returned when an event is scheduled before the current
 // simulated time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// At schedules fn to run at absolute time t. Events at equal timestamps run
-// in scheduling order. Scheduling in the past is an error.
-func (e *Engine) At(t Time, fn func()) error {
-	if t < e.now {
-		return fmt.Errorf("%w: at %v, now %v", ErrPastEvent, t, e.now)
+// At schedules an event carrying v at absolute time t. Scheduling in the
+// past or at a non-finite time is an error.
+func (q *Queue[T]) At(t Time, v T) error {
+	if t < q.now {
+		return fmt.Errorf("%w: at %v, now %v", ErrPastEvent, t, q.now)
 	}
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: non-finite event time %v", t)
 	}
-	e.push(event{at: t, seq: e.seq, fn: fn})
-	e.seq++
-	if len(e.queue) > e.highWater {
-		e.highWater = len(e.queue)
+	q.push(item[T]{at: t, seq: q.seq, v: v})
+	q.seq++
+	if len(q.items) > q.highWater {
+		q.highWater = len(q.items)
 	}
 	return nil
 }
 
-// After schedules fn to run d seconds after the current time. Negative
-// delays are errors.
-func (e *Engine) After(d float64, fn func()) error {
+// After schedules an event carrying v d seconds after the current time.
+// Negative delays are errors.
+func (q *Queue[T]) After(d float64, v T) error {
 	if d < 0 {
 		return fmt.Errorf("%w: negative delay %v", ErrPastEvent, d)
 	}
-	return e.At(e.now+Time(d), fn)
+	return q.At(q.now+Time(d), v)
 }
 
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
-// fireNext pops the earliest event and executes it.
-func (e *Engine) fireNext() {
-	ev := e.pop()
-	e.now = ev.at
-	e.fired++
-	ev.fn()
-}
-
-// Run executes events until the queue is empty or Halt is called. It
-// returns the final simulated time.
-func (e *Engine) Run() Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		e.fireNext()
+// Pop removes the earliest event, advances the clock to its time and
+// returns its payload; ok is false, and nothing changes, when the queue is
+// empty.
+func (q *Queue[T]) Pop() (v T, ok bool) {
+	if len(q.items) == 0 {
+		return v, false
 	}
-	e.flush()
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline; the clock is left at
-// min(deadline, time of last event). Events beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		if e.queue[0].at > deadline {
-			break
-		}
-		e.fireNext()
-	}
-	if e.now < deadline && len(e.queue) > 0 && e.queue[0].at > deadline {
-		e.now = deadline
-	}
-	e.flush()
-	return e.now
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	top := q.pop()
+	q.now = top.at
+	q.fired++
+	return top.v, true
 }
 
 // before is the queue order: earlier timestamp first, scheduling order
 // among equal timestamps.
-func (a *event) before(b *event) bool {
+func (a *item[T]) before(b *item[T]) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push appends ev and sifts it up to its place in the heap.
-func (e *Engine) push(ev event) {
-	q := append(e.queue, ev)
-	e.queue = q
-	i := len(q) - 1
+// push appends it and sifts it up to its place in the heap.
+func (q *Queue[T]) push(it item[T]) {
+	h := append(q.items, it)
+	q.items = h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(&q[parent]) {
+		if !it.before(&h[parent]) {
 			break
 		}
-		q[i] = q[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	q[i] = ev
+	h[i] = it
 }
 
-// pop removes and returns the earliest event: the last one takes the
-// root's place and is sifted down.
-func (e *Engine) pop() event {
-	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // drop the closure so a pooled engine does not pin it
-	q = q[:n]
-	e.queue = q
+// pop removes and returns the earliest event of a non-empty heap: the last
+// one takes the root's place and is sifted down.
+func (q *Queue[T]) pop() item[T] {
+	h := q.items
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item[T]{} // a pooled queue must not pin the payload
+	h = h[:n]
+	q.items = h
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
+		if r := child + 1; r < n && h[r].before(&h[child]) {
 			child = r
 		}
-		if !q[child].before(&last) {
+		if !h[child].before(&last) {
 			break
 		}
-		q[i] = q[child]
+		h[i] = h[child]
 		i = child
 	}
 	if n > 0 {
-		q[i] = last
+		h[i] = last
 	}
 	return top
 }

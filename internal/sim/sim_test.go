@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -9,16 +10,27 @@ import (
 	"testing/quick"
 )
 
+// drain is the run loop of a closure-valued queue: it pops and calls
+// events until the queue is empty, and returns the clock.
+func drain(q *Queue[func()]) Time {
+	for {
+		fn, ok := q.Pop()
+		if !ok {
+			return q.Now()
+		}
+		fn()
+	}
+}
+
 func TestEngineOrdersByTime(t *testing.T) {
-	e := NewEngine()
+	var q Queue[func()]
 	var order []int
 	for i, at := range []Time{3, 1, 2} {
-		i := i
-		if err := e.At(at, func() { order = append(order, i) }); err != nil {
+		if err := q.At(at, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	end := e.Run()
+	end := drain(&q)
 	if end != 3 {
 		t.Errorf("final time = %v, want 3", end)
 	}
@@ -31,110 +43,101 @@ func TestEngineOrdersByTime(t *testing.T) {
 }
 
 func TestEngineFIFOAtEqualTimes(t *testing.T) {
-	e := NewEngine()
-	var order []int
+	var q Queue[int]
 	for i := 0; i < 10; i++ {
-		i := i
-		if err := e.At(5, func() { order = append(order, i) }); err != nil {
+		if err := q.At(5, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("equal-time order not FIFO: %v", order)
+	for want := 0; want < 10; want++ {
+		if got, ok := q.Pop(); !ok || got != want {
+			t.Fatalf("pop %d = %v, %v; equal-time order not FIFO", want, got, ok)
 		}
+	}
+	if v, ok := q.Pop(); ok || q.Now() != 5 {
+		t.Errorf("pop from an empty queue = %v, %v; clock %v, want 5", v, ok, q.Now())
 	}
 }
 
 func TestEngineRejectsPastAndNonFinite(t *testing.T) {
-	e := NewEngine()
-	if err := e.At(1, func() {}); err != nil {
+	var q Queue[int]
+	if err := q.At(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
-	if err := e.At(0.5, func() {}); err == nil {
-		t.Error("scheduling in the past should error")
+	q.Pop()
+	if err := q.At(0.5, 0); !errors.Is(err, ErrPastEvent) {
+		t.Errorf("scheduling in the past: err = %v, want ErrPastEvent", err)
 	}
-	if err := e.After(-1, func() {}); err == nil {
-		t.Error("negative delay should error")
+	if err := q.After(-1, 0); !errors.Is(err, ErrPastEvent) {
+		t.Errorf("negative delay: err = %v, want ErrPastEvent", err)
 	}
-	if err := e.At(Time(math.NaN()), func() {}); err == nil {
+	if err := q.At(Time(math.NaN()), 0); err == nil {
 		t.Error("NaN time should error")
 	}
-	if err := e.At(Time(math.Inf(1)), func() {}); err == nil {
+	if err := q.At(Time(math.Inf(1)), 0); err == nil {
 		t.Error("Inf time should error")
+	}
+	if err := q.After(math.MaxFloat64, 0); err != nil {
+		t.Errorf("a finite delay: %v", err)
+	}
+	if err := q.After(math.MaxFloat64, 0); err != nil {
+		t.Errorf("a finite delay: %v", err)
+	}
+	q.Pop()
+	if err := q.After(math.MaxFloat64, 0); err == nil || !strings.Contains(err.Error(), "non-finite event time") {
+		t.Errorf("a delay that overflows the clock: err = %v, want a non-finite event time", err)
+	}
+	if q.seq != 3 || q.Len() != 1 {
+		t.Errorf("rejected events were counted or queued: scheduled %d, queued %d; want 3 and 1", q.seq, q.Len())
 	}
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	var q Queue[func()]
 	count := 0
 	var tick func()
 	tick = func() {
 		count++
 		if count < 5 {
-			if err := e.After(1, tick); err != nil {
+			if err := q.After(1, tick); err != nil {
 				t.Error(err)
 			}
 		}
 	}
-	if err := e.At(0, tick); err != nil {
+	if err := q.At(0, tick); err != nil {
 		t.Fatal(err)
 	}
-	end := e.Run()
+	end := drain(&q)
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
 	}
 	if end != 4 {
 		t.Errorf("end = %v, want 4", end)
 	}
-	if e.Fired() != 5 || e.Scheduled() != 5 {
-		t.Errorf("fired=%d scheduled=%d, want 5/5", e.Fired(), e.Scheduled())
+	if q.fired != 5 || q.seq != 5 || q.highWater != 1 {
+		t.Errorf("fired=%d scheduled=%d high-water=%d, want 5/5/1", q.fired, q.seq, q.highWater)
 	}
 }
 
+// TestEngineHalt: a consumer that stops popping leaves the rest queued,
+// and can pick up where it stopped.
 func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	ran := 0
+	var q Queue[int]
 	for i := 1; i <= 10; i++ {
-		i := i
-		if err := e.At(Time(i), func() {
-			ran++
-			if i == 3 {
-				e.Halt()
-			}
-		}); err != nil {
+		if err := q.At(Time(i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3", ran)
-	}
-	if e.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		if err := e.At(Time(i), func() { ran++ }); err != nil {
-			t.Fatal(err)
+	for i := 1; i <= 3; i++ {
+		if v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("pop %d = %v, %v", i, v, ok)
 		}
 	}
-	now := e.RunUntil(5.5)
-	if ran != 5 {
-		t.Errorf("ran = %d, want 5", ran)
+	if q.Len() != 7 || q.fired != 3 || q.Now() != 3 {
+		t.Errorf("after halting at 3: pending %d, fired %d, clock %v; want 7, 3, 3", q.Len(), q.fired, q.Now())
 	}
-	if now != 5.5 {
-		t.Errorf("now = %v, want 5.5", now)
-	}
-	e.Run()
-	if ran != 10 {
-		t.Errorf("after Run, ran = %d, want 10", ran)
+	if v, ok := q.Pop(); !ok || v != 4 {
+		t.Errorf("next pop = %v, %v; want 4", v, ok)
 	}
 }
 
@@ -260,20 +263,25 @@ func TestExp(t *testing.T) {
 // insertion order, and in scheduling order among equal timestamps.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		e := NewEngine()
+		var q Queue[int]
 		type firing struct {
 			at  Time
 			idx int // scheduling order
 		}
 		var fired []firing
 		for i, r := range raw {
-			i := i
 			// Few distinct timestamps, so ties are the common case.
-			if err := e.At(Time(r%16), func() { fired = append(fired, firing{e.Now(), i}) }); err != nil {
+			if err := q.At(Time(r%16), i); err != nil {
 				return false
 			}
 		}
-		e.Run()
+		for {
+			i, ok := q.Pop()
+			if !ok {
+				break
+			}
+			fired = append(fired, firing{q.Now(), i})
+		}
 		if len(fired) != len(raw) {
 			return false
 		}
