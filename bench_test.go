@@ -571,7 +571,7 @@ func totalAllocOf(fn func()) uint64 {
 // pool, the generators that fill tables are pooled and re-targeted in
 // place, and the task engines' stage state and completion callbacks live
 // in a pooled workspace, so what is left is the run's own small change;
-// one fastSource is 4.9 KB and a run used to allocate one per node, and a
+// a run used to allocate a 4.9 KB generator per node, and a
 // task-engine run used to allocate a closure per task launch (103 KB per
 // H.KM run). An instrumented run adds a handful of counter updates and no
 // per-event work: BSP and wavefront keep their closed forms and the task
@@ -883,9 +883,10 @@ func BenchmarkResilientPredict(b *testing.B) {
 }
 
 // TestPredictZeroAllocs: a warm model prediction (policy conversion plus
-// bilinear matrix lookup) and a warm tagged prediction through the
-// resilient wrapper do not touch the heap — the search makes thousands of
-// them per placement.
+// bilinear matrix lookup) and warm tagged predictions through the
+// resilient wrapper — one the lossy matrix answers, one that needs a lost
+// cell and falls back — do not touch the heap: the search makes thousands
+// of them per placement.
 func TestPredictZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -894,7 +895,6 @@ func TestPredictZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := resilientPredictor(t)
 	pressures := []float64{6, 4, 2, 0, 0, 1, 0, 0}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, err := m.PredictPressures(pressures); err != nil {
@@ -903,12 +903,38 @@ func TestPredictZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm Model.PredictPressures allocates %v/run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := res.PredictTagged(pressures); err != nil {
-			t.Fatal(err)
+	// One query of each source: uniform and half-loaded vectors at every
+	// pressure, in order, until both sources have been seen.
+	res := resilientPredictor(t)
+	var bySource [2][]float64
+	for p := 1.0; p <= 8 && (bySource[0] == nil || bySource[1] == nil); p++ {
+		for _, ps := range [][]float64{{p, p, p, p, p, p, p, p}, {p, p, p, p, 0, 0, 0, 0}} {
+			_, src, err := res.PredictTagged(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			if src == core.SourceFallback {
+				k = 1
+			}
+			if bySource[k] == nil {
+				bySource[k] = ps
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("warm Resilient.PredictTagged allocates %v/run, want 0", allocs)
+	}
+	for k, ps := range bySource {
+		want := []string{"primary", "fallback"}[k]
+		if ps == nil {
+			t.Fatalf("no query was served by the %s predictor", want)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			_, src, err := res.PredictTagged(ps)
+			if err != nil || src.String() != want {
+				t.Fatalf("PredictTagged(%v) = %v, %v; want a %s prediction", ps, src, err, want)
+			}
+		}); allocs != 0 {
+			t.Errorf("warm Resilient.PredictTagged(%v), %s, allocates %v/run, want 0", ps, want, allocs)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's continuous-integration gate: vet, gofmt, build, a
-# guard that no package is without tests, the full test suite run twice,
-# uncached, under the race detector (which covers the command smokes in
+# guard that no package is without tests, a guard that no program file
+# imports math/rand v1 (sim.RNG is the one generator), the full test suite
+# run twice, uncached, under the race detector (which covers the command smokes in
 # cmd/, the in-process daemon's replay, drain and handler tests, and the
 # observability-plane tests in internal/obs), the bench/ module's own vet
 # and unit tests, soaks of the placement service's concurrency tests, of
@@ -37,6 +38,17 @@ untested="$(go list -f '{{if not (or .TestGoFiles .XTestGoFiles)}}{{.ImportPath}
 if [ -n "$untested" ]; then
   echo "ci: packages without a test file:" >&2
   echo "$untested" >&2
+  exit 1
+fi
+echo "== one generator (no program file imports math/rand v1) =="
+# Every random draw in the program comes from sim.RNG, which sits on
+# math/rand/v2's PCG; a math/rand import outside tests is a second
+# generator. Tests may use math/rand for their own inputs, and bench/ is
+# its own module.
+v1="$(go list -f '{{range .Imports}}{{if eq . "math/rand"}}{{$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./...)"
+if [ -n "$v1" ]; then
+  echo "ci: packages importing math/rand outside their tests (draw from sim.RNG):" >&2
+  echo "$v1" >&2
   exit 1
 fi
 echo "== go test -race -count=2 (every package, twice, uncached) =="

@@ -585,8 +585,8 @@ func (r *taskRun) launch(id int, slot int32, node int, clone bool) {
 		r.unlaunched--
 	}
 	r.slotTask[slot] = int32(id)
-	if err := r.q.After(d, taskEvent{stage: int32(r.stage), slot: slot}); err != nil {
-		r.err = err
+	if err := r.q.After(d, taskEvent{stage: int32(r.stage), slot: slot}); err != nil && r.err == nil {
+		r.err = err // the run reports the first launch that failed
 	}
 }
 

@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -166,4 +167,45 @@ func TestHugeSlowdownStillTerminates(t *testing.T) {
 			t.Errorf("%s: %v", s.Name, got)
 		}
 	}
+}
+
+// TestFirstSchedulingErrorReported: when several launches of one dispatch
+// fail to schedule, the run reports the first. An infinite task duration
+// times a skew factor that underflowed to 0 is a NaN delay, times any
+// other factor an infinite one; the test looks for a seed whose first
+// dispatch fails both ways, with the first and last launch differing.
+func TestFirstSchedulingErrorReported(t *testing.T) {
+	s := Spec{Name: "inf", Engine: TaskPool, NumStages: 1, TasksPerStage: 16, TaskSec: math.Inf(1),
+		SlotsPerNode: 2, TaskSkewSigma: 38}
+	sd := []float64{1, 1, 1, 1}
+	slots := len(sd) * s.SlotsPerNode
+	kind := func(skew float64) string {
+		if skew == 0 {
+			return "NaN"
+		}
+		return "+Inf"
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		p := Params{Slowdown: sd, Net: netsim.TenGbE(), RNG: sim.NewRNG(seed)}
+		want, step := s.nodeDraws(len(sd))
+		jit, err := s.openJitter(p, want, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With no pinned tasks, the stage's first dispatch launches task k
+		// on slot k.
+		skew := jit.f.skewInto(nil, 1, s.TasksPerStage)
+		jit.release()
+		first, last := kind(skew[0]), kind(skew[slots-1])
+		if first == last {
+			continue
+		}
+		_, err = s.Run(p)
+		if err == nil || !strings.HasSuffix(err.Error(), "non-finite event time "+first) {
+			t.Fatalf("seed %d: error %v, want the first launch's non-finite event time %s (the last launch's is %s)",
+				seed, err, first, last)
+		}
+		return
+	}
+	t.Fatal("no seed in 1-100 gives a first dispatch whose first and last launch fail differently")
 }

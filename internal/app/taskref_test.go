@@ -64,7 +64,10 @@ func refTaskEngine(s Spec, p Params) (float64, error) {
 }
 
 func (r *refTaskRun) fail(err error) {
-	r.err, r.halted = err, true
+	if r.err == nil {
+		r.err = err
+	}
+	r.halted = true
 }
 
 func (r *refTaskRun) startStage() {

@@ -118,13 +118,11 @@ func NewEnv(seed int64) (*measure.Env, error) {
 	env.UnitCores = UnitCores
 	env.Background = func(host int, r *sim.RNG) (contention.Occupant, bool) {
 		// The handed stream's seed already identifies the (host layout,
-		// repetition) context; hash it with splitmix64 instead of seeding
-		// math/rand sources. Seeding the legacy generator costs ~600
-		// state-init steps per derived stream — it dominated the EC2
-		// experiments' runtime, called once per host per repetition for
-		// at most two draws. The hashed draws keep the same distributions
-		// and the same determinism: equal (stream, host) in, equal
-		// occupants out.
+		// repetition) context; hash it with splitmix64 instead of drawing
+		// from a generator. This runs once per host per repetition for at
+		// most two draws, and hashing allocates nothing per host, which
+		// the EC2 ceiling of TestMeasureBodyAllocCeiling relies on. Equal
+		// (stream, host) in, equal occupants out.
 		base := uint64(r.Seed())
 		// Era: how busy this slice of the region is during this
 		// repetition — shared by all hosts (host is not mixed in),

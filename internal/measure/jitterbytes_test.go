@@ -23,9 +23,7 @@ func liveHeap() int64 {
 // alive, read as the live heap that releasing them frees. They hold the
 // 13.5k factors the build reads (8 B each) and a few words of bookkeeping
 // per sequence, measured at 142 KB. The ceiling sits 15 % above that: a
-// layout that grows sequences by doubling holds 175 KB (1.25x) and fails,
-// and one that keeps a generator per sequence (a fastSource is ~5 KB)
-// holds megabytes.
+// layout that grows sequences by doubling holds 175 KB (1.25x) and fails.
 func TestJitterTableBytesCeiling(t *testing.T) {
 	const ceiling = 160 << 10
 	l, err := experiments.NewLab(experiments.Config{Seed: 1})

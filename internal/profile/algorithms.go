@@ -220,7 +220,7 @@ func binaryColsBatch(c *counter, mat *Matrix, cols []int, loRow, hiRow int, eps 
 // interpolateRow linearly fills the unmeasured cells of row i, marking
 // them interpolated.
 func interpolateRow(mat *Matrix, i int) error {
-	row := mat.cells[i]
+	row := mat.row(i)
 	wasNaN := make([]bool, len(row))
 	for j, v := range row {
 		wasNaN[j] = math.IsNaN(v)
@@ -242,14 +242,14 @@ func interpolateCol(mat *Matrix, j int) error {
 	col := make([]float64, mat.Pressures)
 	wasNaN := make([]bool, mat.Pressures)
 	for i := range col {
-		col[i] = mat.cells[i][j]
+		col[i] = mat.Cell(i, j)
 		wasNaN[i] = math.IsNaN(col[i])
 	}
 	if _, err := stats.FillLinear(col); err != nil {
 		return err
 	}
 	for i := range col {
-		mat.cells[i][j] = col[i]
+		mat.row(i)[j] = col[i]
 		if wasNaN[i] {
 			mat.prov[i][j] = interpolated
 		}

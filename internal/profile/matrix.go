@@ -49,9 +49,9 @@ func (p Provenance) String() string {
 // application, normalized to its uninterfered run, when j of its nodes
 // carry a co-located bubble at pressure i+1. Column 0 is by definition 1.
 type Matrix struct {
-	Pressures int // number of bubble levels (rows), pressure i+1 per row i
-	Nodes     int // number of hosts m (columns 0..m)
-	cells     [][]float64
+	Pressures int       // number of bubble levels (rows), pressure i+1 per row i
+	Nodes     int       // number of hosts m (columns 0..m)
+	cells     []float64 // row-major, stride Nodes+1
 	prov      [][]Provenance
 	// complete caches a successful Complete() scan. The flag is monotonic
 	// and needs no invalidation: setProv rejects NaN values, so a filled
@@ -66,14 +66,6 @@ type Matrix struct {
 	// completeScans counts full completeness scans (white-box test hook
 	// pinning that At does not rescan on every prediction).
 	completeScans atomic.Int64
-	// flat is the contiguous row-major mirror of cells (stride Nodes+1),
-	// built by the first successful Complete() scan and kept in sync by
-	// setProv afterwards. At reads it instead of chasing per-row slice
-	// headers, so a prediction's four cell loads hit one cache-flat
-	// array. Published with compare-and-swap *before* the complete flag
-	// is stored: a reader that observes complete==true is guaranteed a
-	// non-nil table.
-	flat atomic.Pointer[[]float64]
 }
 
 // NewMatrix returns a matrix with every measurable cell unset (NaN) and
@@ -82,18 +74,24 @@ func NewMatrix(pressures, nodes int) (*Matrix, error) {
 	if pressures <= 0 || nodes <= 0 {
 		return nil, errors.New("profile: non-positive matrix dimensions")
 	}
-	cells := make([][]float64, pressures)
-	prov := make([][]Provenance, pressures)
-	for i := range cells {
-		cells[i] = make([]float64, nodes+1)
-		prov[i] = make([]Provenance, nodes+1)
-		for j := range cells[i] {
-			cells[i][j] = math.NaN()
+	m := &Matrix{Pressures: pressures, Nodes: nodes,
+		cells: make([]float64, pressures*(nodes+1)), prov: make([][]Provenance, pressures)}
+	for i := range m.prov {
+		row := m.row(i)
+		for j := range row {
+			row[j] = math.NaN()
 		}
-		cells[i][0] = 1
-		prov[i][0] = free
+		row[0] = 1
+		m.prov[i] = make([]Provenance, nodes+1)
+		m.prov[i][0] = free
 	}
-	return &Matrix{Pressures: pressures, Nodes: nodes, cells: cells, prov: prov}, nil
+	return m, nil
+}
+
+// row returns row i of the cells, aliasing the matrix.
+func (m *Matrix) row(i int) []float64 {
+	stride := m.Nodes + 1
+	return m.cells[i*stride : (i+1)*stride : (i+1)*stride]
 }
 
 // Set stores a measured normalized time for (pressure row i, interfering
@@ -110,13 +108,8 @@ func (m *Matrix) setProv(i, j int, v float64, p Provenance) error {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("profile: invalid normalized time %v", v)
 	}
-	m.cells[i][j] = v
+	m.row(i)[j] = v
 	m.prov[i][j] = p
-	// Keep the flat mirror coherent for matrices that are written after
-	// completion (e.g. drift-driven re-profiling overwriting a cell).
-	if f := m.flat.Load(); f != nil {
-		(*f)[i*(m.Nodes+1)+j] = v
-	}
 	return nil
 }
 
@@ -141,7 +134,7 @@ func (m *Matrix) ProvenanceCounts() map[string]int {
 }
 
 // Cell returns the stored value for (i, j); NaN when unset.
-func (m *Matrix) Cell(i, j int) float64 { return m.cells[i][j] }
+func (m *Matrix) Cell(i, j int) float64 { return m.row(i)[j] }
 
 // Complete reports whether every cell has been filled. The first
 // successful scan is cached (completeness is monotonic — cells can never
@@ -152,32 +145,17 @@ func (m *Matrix) Complete() bool {
 		return true
 	}
 	m.completeScans.Add(1)
-	for i := range m.cells {
-		for _, v := range m.cells[i] {
-			if math.IsNaN(v) {
-				return false
-			}
+	for _, v := range m.cells {
+		if math.IsNaN(v) {
+			return false
 		}
 	}
-	m.buildFlat()
 	m.complete.Store(true)
 	return true
 }
 
-// buildFlat publishes the contiguous mirror of cells. Concurrent
-// completeness scans may race here; the first CAS wins and later
-// builders discard their copy, so readers only ever see one table.
-func (m *Matrix) buildFlat() {
-	stride := m.Nodes + 1
-	flat := make([]float64, m.Pressures*stride)
-	for i := range m.cells {
-		copy(flat[i*stride:(i+1)*stride], m.cells[i])
-	}
-	m.flat.CompareAndSwap(nil, &flat)
-}
-
 // Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 { return append([]float64(nil), m.cells[i]...) }
+func (m *Matrix) Row(i int) []float64 { return append([]float64(nil), m.row(i)...) }
 
 // At evaluates the completed matrix at a possibly fractional pressure and
 // node count using bilinear interpolation. Pressure 0 means no
@@ -187,6 +165,20 @@ func (m *Matrix) At(pressure, nodes float64) (float64, error) {
 	if !m.Complete() {
 		return 0, errors.New("profile: matrix incomplete")
 	}
+	return m.AtPartial(pressure, nodes)
+}
+
+// errCellLost is AtPartial's error for a query over a lost cell. It is one
+// value, not one per query, so a fallback prediction allocates nothing.
+var errCellLost = errors.New("profile: query needs a lost cell")
+
+// AtPartial is At for matrices that may have lost cells: it evaluates the
+// same bilinear interpolation if every cell the query touches is still
+// set, and returns an error otherwise. This is the graceful-degradation
+// path under profile-cell loss — queries over surviving cells keep using
+// the measured model, and only queries over lost cells force the caller's
+// fallback predictor.
+func (m *Matrix) AtPartial(pressure, nodes float64) (float64, error) {
 	if math.IsNaN(pressure) || math.IsInf(pressure, 0) || math.IsNaN(nodes) || math.IsInf(nodes, 0) {
 		return 0, fmt.Errorf("profile: non-finite query (%v, %v)", pressure, nodes)
 	}
@@ -195,111 +187,55 @@ func (m *Matrix) At(pressure, nodes float64) (float64, error) {
 	}
 	nodes = stats.Clamp(nodes, 0, float64(m.Nodes))
 	pressure = stats.Clamp(pressure, 0, float64(m.Pressures))
-
-	// The Complete() gate above guarantees the flat mirror is published;
-	// evaluation walks it with dense index arithmetic (row base + column)
-	// instead of chasing per-row slice headers. The node-axis floor and
-	// fraction are loop-invariant across the two rows, and the arithmetic
-	// is exactly the old per-row computation, so results are bit-identical.
-	flat := *m.flat.Load()
-	stride := m.Nodes + 1
 	j := int(math.Floor(nodes))
 	jfrac := nodes - float64(j)
-	// rowAt evaluates a (virtual) pressure row at the fractional node
-	// count.
-	rowAt := func(i int) float64 {
-		if i < 0 {
-			return 1 // virtual pressure-0 row
-		}
-		base := i * stride
-		if j >= m.Nodes {
-			return flat[base+m.Nodes]
-		}
-		return stats.Lerp(flat[base+j], flat[base+j+1], jfrac)
-	}
+
 	// Pressure p sits between rows floor(p)-1 and ceil(p)-1 (row i holds
 	// pressure i+1), with the virtual all-ones row at p=0.
 	pLow := math.Floor(pressure)
 	frac := pressure - pLow
 	lowIdx := int(pLow) - 1
 	if frac == 0 {
-		return rowAt(lowIdx), nil
+		return m.rowAt(lowIdx, j, jfrac)
 	}
 	hiIdx := lowIdx + 1
 	if hiIdx >= m.Pressures {
-		return rowAt(m.Pressures - 1), nil
+		return m.rowAt(m.Pressures-1, j, jfrac)
 	}
-	return stats.Lerp(rowAt(lowIdx), rowAt(hiIdx), frac), nil
-}
-
-// AtPartial is At for matrices that may have lost cells. When the matrix
-// is complete it is exactly At; otherwise it evaluates the same bilinear
-// interpolation if every cell the query touches is still set, and
-// returns an error naming a missing cell it needs. This is the
-// graceful-degradation path under profile-cell loss — queries over
-// surviving cells keep using the measured model, and only queries over
-// lost cells force the caller's fallback predictor.
-func (m *Matrix) AtPartial(pressure, nodes float64) (float64, error) {
-	if m.Complete() {
-		return m.At(pressure, nodes)
-	}
-	if math.IsNaN(pressure) || math.IsInf(pressure, 0) || math.IsNaN(nodes) || math.IsInf(nodes, 0) {
-		return 0, fmt.Errorf("profile: non-finite query (%v, %v)", pressure, nodes)
-	}
-	if pressure <= 0 || nodes <= 0 {
-		return 1, nil
-	}
-	nodes = stats.Clamp(nodes, 0, float64(m.Nodes))
-	pressure = stats.Clamp(pressure, 0, float64(m.Pressures))
-
-	cell := func(i, j int) (float64, error) {
-		v := m.cells[i][j]
-		if math.IsNaN(v) {
-			return 0, fmt.Errorf("profile: cell (%d,%d) lost", i, j)
-		}
-		return v, nil
-	}
-	// rowAt mirrors At's row evaluation, touching only the cells the
-	// query actually needs (an integral node count needs one cell, not
-	// two).
-	rowAt := func(i int) (float64, error) {
-		if i < 0 {
-			return 1, nil // virtual pressure-0 row
-		}
-		j := int(math.Floor(nodes))
-		if j >= m.Nodes {
-			return cell(i, m.Nodes)
-		}
-		frac := nodes - float64(j)
-		a, err := cell(i, j)
-		if err != nil || frac == 0 {
-			return a, err
-		}
-		b, err := cell(i, j+1)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Lerp(a, b, frac), nil
-	}
-	pLow := math.Floor(pressure)
-	frac := pressure - pLow
-	lowIdx := int(pLow) - 1
-	if frac == 0 {
-		return rowAt(lowIdx)
-	}
-	hiIdx := lowIdx + 1
-	if hiIdx >= m.Pressures {
-		return rowAt(m.Pressures - 1)
-	}
-	lo, err := rowAt(lowIdx)
+	lo, err := m.rowAt(lowIdx, j, jfrac)
 	if err != nil {
 		return 0, err
 	}
-	hi, err := rowAt(hiIdx)
+	hi, err := m.rowAt(hiIdx, j, jfrac)
 	if err != nil {
 		return 0, err
 	}
 	return stats.Lerp(lo, hi, frac), nil
+}
+
+// rowAt evaluates pressure row i (-1 is the virtual all-ones row) at node
+// count j+jfrac, touching only the cells it needs: an integral node count
+// needs one cell, not two.
+func (m *Matrix) rowAt(i, j int, jfrac float64) (float64, error) {
+	if i < 0 {
+		return 1, nil
+	}
+	row := m.row(i)
+	if j >= m.Nodes {
+		j, jfrac = m.Nodes, 0
+	}
+	a := row[j]
+	if math.IsNaN(a) {
+		return 0, errCellLost
+	}
+	if jfrac == 0 {
+		return a, nil
+	}
+	b := row[j+1]
+	if math.IsNaN(b) {
+		return 0, errCellLost
+	}
+	return stats.Lerp(a, b, jfrac), nil
 }
 
 // MeanAbsError returns the mean relative error of this matrix against a
@@ -315,7 +251,7 @@ func (m *Matrix) MeanAbsError(ref *Matrix) (float64, error) {
 	var n int
 	for i := 0; i < m.Pressures; i++ {
 		for j := 1; j <= m.Nodes; j++ {
-			sum += stats.RelErr(m.cells[i][j], ref.cells[i][j])
+			sum += stats.RelErr(m.Cell(i, j), ref.Cell(i, j))
 			n++
 		}
 	}
@@ -325,17 +261,11 @@ func (m *Matrix) MeanAbsError(ref *Matrix) (float64, error) {
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c, _ := NewMatrix(m.Pressures, m.Nodes)
-	for i := range m.cells {
-		copy(c.cells[i], m.cells[i])
+	copy(c.cells, m.cells)
+	for i := range m.prov {
 		copy(c.prov[i], m.prov[i])
 	}
-	if m.complete.Load() {
-		// The clone inherits the cached completeness, so it must publish
-		// its flat mirror now — its At will skip the scan that would
-		// otherwise build it.
-		c.buildFlat()
-		c.complete.Store(true)
-	}
+	c.complete.Store(m.complete.Load())
 	return c
 }
 
@@ -347,15 +277,15 @@ func (m *Matrix) Clone() *Matrix {
 // were actually dropped.
 func (m *Matrix) CloneDropping(drop func(i, j int) bool) *Matrix {
 	c, _ := NewMatrix(m.Pressures, m.Nodes)
-	for i := range m.cells {
-		copy(c.cells[i], m.cells[i])
+	copy(c.cells, m.cells)
+	for i := range m.prov {
 		copy(c.prov[i], m.prov[i])
 		if drop == nil {
 			continue
 		}
 		for j := 1; j <= m.Nodes; j++ {
 			if drop(i, j) {
-				c.cells[i][j] = math.NaN()
+				c.row(i)[j] = math.NaN()
 				c.prov[i][j] = Unset
 			}
 		}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // RNG is a deterministic random stream. Experiments derive independent
@@ -10,12 +10,9 @@ import (
 // perturb the draws seen by existing consumers — a property plain shared
 // rand.Rand lacks and which keeps every figure in EXPERIMENTS.md stable.
 //
-// The underlying source is allocated on the first draw — many derived
-// streams (per-node jitter streams with zero noise, for one) are never
-// drawn from at all — and seeded lazily after that (rngsource.go): a
-// stream costs the words it draws, not the 5 KB state behind them.
-// Neither laziness changes a sequence — a source seeded with the same
-// seed produces the same draws no matter when it is created.
+// The generator is math/rand/v2's PCG seeded with (seed, 0), made on the
+// first draw: many derived streams (per-node jitter streams with zero
+// noise, for one) are never drawn from at all.
 //
 // RNG stays two words (seed and one pointer): a third field would move
 // every NewRNG into a larger size class, and reproductions allocate a
@@ -25,12 +22,10 @@ type RNG struct {
 	st   *rngState
 }
 
-// rngState is a stream's generator in one allocation: the source and the
-// rand.Rand over it. Intn and PermInto, the search's hot draws, read the
-// source directly; every other method goes through r, which consumes the
-// same words.
+// rngState is a stream's generator in one allocation: the PCG and the
+// rand.Rand over it.
 type rngState struct {
-	src fastSource
+	pcg rand.PCG
 	r   rand.Rand
 }
 
@@ -40,24 +35,22 @@ func NewRNG(seed int64) *RNG {
 }
 
 // Reset re-targets g at seed: from here on it is indistinguishable from
-// NewRNG(seed). A source left by earlier draws is kept and re-seeded in
-// O(1), so code that runs many short-lived streams resets pooled RNGs
-// (see StreamNInto) instead of allocating a source for each.
+// NewRNG(seed). A generator left by earlier draws is kept and re-seeded in
+// place, so code that runs many short-lived streams resets pooled RNGs
+// (see StreamNInto) instead of allocating a generator for each.
 func (g *RNG) Reset(seed int64) {
 	g.seed = seed
 	if g.st != nil {
-		g.st.r.Seed(seed)
+		g.st.pcg.Seed(uint64(seed), 0)
 	}
 }
 
-// state returns the generator, allocating and seeding it on first use.
-// The source is fastSource — bit-identical draws to
-// rand.NewSource(g.seed).
+// state returns the generator, making and seeding it on first use.
 func (g *RNG) state() *rngState {
 	if g.st == nil {
 		st := &rngState{}
-		st.src.Seed(g.seed)
-		st.r = *rand.New(&st.src)
+		st.pcg.Seed(uint64(g.seed), 0)
+		st.r = *rand.New(&st.pcg)
 		g.st = st
 	}
 	return g.st
@@ -116,15 +109,8 @@ func (g *RNG) StreamNInto(dst *RNG, name string, n int) {
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.src().Float64() }
 
-// Intn returns a uniform draw in [0,n), consuming exactly the words
-// rand.Rand.Intn does and returning the same value. It panics if n <= 0,
-// matching math/rand semantics.
-func (g *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("invalid argument to Intn")
-	}
-	return g.state().src.intn(n)
-}
+// Intn returns a uniform draw in [0,n). It panics if n <= 0.
+func (g *RNG) Intn(n int) int { return g.src().IntN(n) }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.src().Float64() }
@@ -164,12 +150,10 @@ func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 // exactly the draws Perm(len(m)) does and producing the same order, with
 // no allocation.
 func (g *RNG) PermInto(m []int32) {
-	s := &g.state().src
 	for i := range m {
-		j := s.intn(i + 1)
-		m[i] = m[j]
-		m[j] = int32(i)
+		m[i] = int32(i)
 	}
+	g.src().Shuffle(len(m), func(i, j int) { m[i], m[j] = m[j], m[i] })
 }
 
 // Shuffle randomizes the order of n elements using swap.
