@@ -362,8 +362,9 @@ func (d *daemon) profile(ctx context.Context) error {
 			}
 		}
 		if dp.inj != nil {
-			// The naive fallback needs only the analytic sensitivity curve,
-			// so its construction cannot be hit by the failure hook.
+			// The naive fallback needs only the analytic sensitivity curve
+			// and the matrix already built, so its construction cannot be
+			// hit by the failure hook.
 			if p, err := resilientPredictor(dp.inj, env, w, m, bcfg.Nodes, d.reg, d.log); err == nil {
 				preds[name] = p
 			} else {
@@ -548,8 +549,9 @@ func buildModelWithRetry(ctx context.Context, cfg daemonConfig, env *measure.Env
 
 // resilientPredictor applies the plan's profile-cell loss to the model's
 // matrix and, when cells were actually lost, wraps the partial model with
-// the naive proportional fallback so every query still answers (counted
-// in model_fallback_total).
+// the naive proportional fallback, which core.NewResilient anchors to the
+// surviving cells, so every query still answers (counted in
+// model_fallback_total).
 func resilientPredictor(inj *fault.Injector, env *measure.Env,
 	w workloads.Workload, m *core.Model, nodes int,
 	reg *telemetry.Registry, logger *slog.Logger) (core.Predictor, error) {

@@ -1,8 +1,8 @@
 // Graceful degradation: when profiling data goes missing (the
 // profile-cell-loss fault, or any future partial-profiling mode), the
 // measured model cannot answer every query — Resilient layers a fallback
-// predictor (typically the naive proportional baseline, which needs only
-// the single-node sensitivity curve) under the primary one and tags each
+// predictor (typically the naive proportional baseline, anchored to the
+// matrix's surviving cells) under the primary one and tags each
 // prediction with its provenance, so the placement search keeps running
 // on degraded data instead of failing.
 
@@ -10,8 +10,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 
+	"repro/internal/profile"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -74,9 +77,16 @@ type Resilient struct {
 	primaryN, fallbackN atomic.Uint64
 }
 
-// NewResilient wraps primary with a fallback. reg may be nil; with a
+// NewResilient wraps primary with a fallback. When primary is a Partial
+// and fallback a *NaiveModel, the naive rule answers over the partial
+// matrix's surviving cells (see anchoredTo). reg may be nil; with a
 // registry, fallback predictions increment model_fallback_total{app=...}.
 func NewResilient(app string, primary, fallback Predictor, reg *telemetry.Registry) *Resilient {
+	if p, ok := primary.(Partial); ok && p.M != nil && p.M.Matrix != nil {
+		if nm, ok := fallback.(*NaiveModel); ok {
+			fallback = nm.anchoredTo(p.M.Matrix)
+		}
+	}
 	r := &Resilient{App: app, primary: primary, fallback: fallback}
 	if reg != nil {
 		r.fallbackC = reg.Counter(telemetry.Label(MetricModelFallback, "app", app))
@@ -117,4 +127,41 @@ func (r *Resilient) PredictTagged(pressures []float64) (float64, Source, error) 
 // Sources reports how many predictions each path has served.
 func (r *Resilient) Sources() (primary, fallback uint64) {
 	return r.primaryN.Load(), r.fallbackN.Load()
+}
+
+// anchoredTo returns the naive rule over m's measured curve instead of
+// nm's analytic one: the surviving cells of m's all-nodes column at each
+// pressure, anchored at (0, 1), and past the last surviving pressure nm's
+// curve scaled to meet that cell. The cells of a lossy matrix share a
+// solo baseline the analytic curve does not see (on EC2 a solo run that
+// met a busy neighbour puts interfered runs below 1), so an answer on the
+// analytic scale can miss the cells it stands in for by far more than the
+// model misses the others. With no surviving cell in that column, or an
+// uninitialized nm, it returns nm.
+func (nm *NaiveModel) anchoredTo(m *profile.Matrix) *NaiveModel {
+	a := *nm
+	a.Nodes = m.Nodes
+	a.sensPressures, a.sensSlowdowns = []float64{0}, []float64{1}
+	for i := 0; i < m.Pressures; i++ {
+		if v := m.Cell(i, m.Nodes); !math.IsNaN(v) {
+			a.sensPressures = append(a.sensPressures, float64(i+1))
+			a.sensSlowdowns = append(a.sensSlowdowns, v)
+		}
+	}
+	last := len(a.sensPressures) - 1
+	if last == 0 {
+		return nm
+	}
+	pl, vl := a.sensPressures[last], a.sensSlowdowns[last]
+	sl, err := stats.InterpAt(nm.sensPressures, nm.sensSlowdowns, pl)
+	if err != nil {
+		return nm
+	}
+	for i, p := range nm.sensPressures {
+		if p > pl {
+			a.sensPressures = append(a.sensPressures, p)
+			a.sensSlowdowns = append(a.sensSlowdowns, vl*nm.sensSlowdowns[i]/sl)
+		}
+	}
+	return &a
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/hetero"
@@ -110,5 +111,72 @@ func TestResilientErrorPaths(t *testing.T) {
 	}
 	if p, f := r.Sources(); p != 0 || f != 0 {
 		t.Errorf("error paths moved the counters: (%d, %d)", p, f)
+	}
+}
+
+// TestResilientAnchorsNaiveFallback pins the fallback NewResilient builds
+// from a Partial and a *NaiveModel: the naive rule over the lossy
+// matrix's surviving all-nodes column, the analytic curve scaled to the
+// last surviving cell past it, and the analytic model alone when that
+// column is wholly lost.
+func TestResilientAnchorsNaiveFallback(t *testing.T) {
+	model := resTestModel(t)
+	// The all-nodes column reads 0.8, 1.3, 1.4, 1.5 at pressures 1..4: a
+	// busy solo baseline can put measured cells below 1.
+	for i, v := range []float64{0.8, 1.3, 1.4, 1.5} {
+		if err := model.Matrix.Set(i, 4, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analytic := &NaiveModel{
+		Workload:      "w",
+		sensPressures: []float64{0, 1, 2, 3, 4},
+		sensSlowdowns: []float64{1, 1.1, 1.2, 1.44, 1.8},
+		Nodes:         4,
+	}
+	// Lose the highest pressures of the all-nodes column.
+	lm := *model
+	lm.Matrix = model.Matrix.CloneDropping(func(i, j int) bool { return j == 4 && i >= 2 })
+	fb := NewResilient("w", Partial{M: &lm}, analytic, nil).fallback
+	for _, c := range []struct {
+		ps   []float64
+		want float64
+	}{
+		{[]float64{0, 0, 0, 0}, 1},
+		{[]float64{1, 1, 1, 1}, 1},            // 0.8 clamps to 1: interference never speeds up
+		{[]float64{2, 2, 2, 2}, 1.3},          // a surviving cell
+		{[]float64{1.5, 1.5, 1.5, 1.5}, 1.05}, // between 0.8 and 1.3
+		{[]float64{3, 3, 3, 3}, 1.3 * 1.44 / 1.2},
+		{[]float64{4, 4, 4, 4}, 1.3 * 1.8 / 1.2}, // the analytic curve, scaled to meet 1.3 at pressure 2
+		{[]float64{9, 9, 9, 9}, 1.3 * 1.8 / 1.2}, // past the curve: its last point
+		{[]float64{3.5, 3.5, 3.5, 3.5}, 1.755},   // between the scaled points
+	} {
+		got, err := fb.PredictPressures(c.ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("pressures %v: fallback = %v, want %v", c.ps, got, c.want)
+		}
+	}
+	// Fewer interfered nodes scale the measured increment by k/n.
+	ps := []float64{2, 2, 0, 0}
+	_, k, err := hetero.NPlus1Max.Convert(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fb.PredictPressures(ps); err != nil || math.Abs(got-(1+0.3*k/4)) > 1e-12 {
+		t.Errorf("pressures %v: fallback = (%v, %v), want %v", ps, got, err, 1+0.3*k/4)
+	}
+	// A lost cell routes the query to the anchored fallback.
+	r := NewResilient("w", Partial{M: &lm}, analytic, nil)
+	if v, src, err := r.PredictTagged([]float64{4, 4, 4, 4}); err != nil || src != SourceFallback || math.Abs(v-1.95) > 1e-12 {
+		t.Errorf("lost-cell predict = (%v, %v, %v), want fallback 1.95", v, src, err)
+	}
+	// With the whole column lost, the analytic model answers.
+	gone := *model
+	gone.Matrix = model.Matrix.CloneDropping(func(i, j int) bool { return j == 4 })
+	if fb := NewResilient("w", Partial{M: &gone}, analytic, nil).fallback; fb != Predictor(analytic) {
+		t.Errorf("wholly lost column: fallback = %v, want the analytic model", fb)
 	}
 }
