@@ -386,10 +386,11 @@ func BenchmarkPlacementSearchRestarts(b *testing.B) {
 // core.DeltaPredictPos over the grid and postings, as the engine runs it.
 func BenchmarkDeltaPredict(b *testing.B) {
 	req := benchPlacementRequest()
-	p, err := cluster.RandomValid(sim.NewRNG(3), req.NumHosts, req.SlotsPerHost, req.Demands, 0)
+	outs, err := placement.RandomOutcome(req, 1, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	p := outs[0].Placement
 	ix, err := core.NewAppsIndex(p.Apps(), req.Predictors, req.Scores)
 	if err != nil {
 		b.Fatal(err)

@@ -5,10 +5,11 @@
 # run twice, uncached, under the race detector (which covers the command smokes in
 # cmd/, the in-process daemon's replay, drain and handler tests, and the
 # observability-plane tests in internal/obs), the bench/ module's own vet
-# and unit tests, soaks of the placement service's concurrency tests, of
-# the daemon's lifecycle tests, of the shared jitter tables, of the pooled
-# task-engine workspace and of the exchange's evaluators, a fuzz smoke of
-# every target, a check that
+# and unit tests, soaks of the placement service's concurrency tests
+# (what-ifs beside placements among them), of the daemon's lifecycle
+# tests, of the shared jitter tables, of the pooled task-engine workspace
+# and of the exchange's evaluators, a fuzz smoke of every target, a check
+# that
 # EXPERIMENTS.md is what paperrepro prints at the default worker count and
 # on the serial reference path (-workers 1), the pinned flag sets (with
 # the rejection of removed flags and binaries, positional arguments and
@@ -73,9 +74,11 @@ go vet -C bench ./... && go test -C bench ./...
 echo "== serve soak (-race -count=20 of the worker pool's concurrency tests) =="
 # internal/serve is the one package whose tests hold requests in flight
 # on purpose (side-by-side execution, queue overflow, panic containment,
-# Close under load, determinism under concurrent admission). Twice is not
-# a soak for those: run them twenty times under the race detector.
-go test -race -count=20 ./internal/serve -run 'SideBySide|QueueFull|Panic|Close|DeterministicUnderConcurrency'
+# Close under load, determinism under concurrent admission, what-ifs
+# borrowing the search's pooled workspaces beside running placements).
+# Twice is not a soak for those: run them twenty times under the race
+# detector.
+go test -race -count=20 ./internal/serve -run 'SideBySide|QueueFull|Panic|Close|DeterministicUnderConcurrency|WhatIfConcurrentWithPlace'
 
 echo "== daemon soak (-race -count=20 of interfd's lifecycle tests) =="
 # The daemon's drain under load, its placement API, its address file and

@@ -131,22 +131,10 @@ func (p *Placement) Set(host, slot int, app string) error {
 // At returns the app occupying the given host slot ("" when empty).
 func (p *Placement) At(host, slot int) string { return p.slots[host][slot] }
 
-// Slots returns the slot row of one host for read-only scans. The hot
-// prediction path iterates every slot of every host per pressure vector;
-// handing out the row once per host replaces per-slot double indexing
-// (and its bounds checks) with a single-slice walk. Callers must not
+// Slots returns the slot row of one host for read-only scans, such as
+// mirroring a placement into the search's int32 grid. Callers must not
 // mutate or retain the returned slice — it aliases the placement.
 func (p *Placement) Slots(host int) []string { return p.slots[host] }
-
-// Swap exchanges the contents of two slots.
-func (p *Placement) Swap(hostA, slotA, hostB, slotB int) error {
-	if hostA < 0 || hostA >= p.NumHosts || slotA < 0 || slotA >= p.HostSlots ||
-		hostB < 0 || hostB >= p.NumHosts || slotB < 0 || slotB >= p.HostSlots {
-		return errors.New("cluster: swap slot out of range")
-	}
-	p.slots[hostA][slotA], p.slots[hostB][slotB] = p.slots[hostB][slotB], p.slots[hostA][slotA]
-	return nil
-}
 
 // Apps returns the distinct application names present, sorted.
 func (p *Placement) Apps() []string {
@@ -216,37 +204,10 @@ func (p *Placement) UnitsOf(app string) int {
 // applications per host.
 func (p *Placement) Validate() error {
 	limit := p.AppsPerHostLimit()
-	for h := range p.slots {
-		if err := p.validateHost(h, limit); err != nil {
-			return err
+	for h, row := range p.slots {
+		if n := Distinct(row, ""); n > limit {
+			return fmt.Errorf("cluster: host %d has %d distinct apps (max %d)", h, n, limit)
 		}
-	}
-	return nil
-}
-
-// ValidateHosts checks the co-location rule on the given hosts only — the
-// targeted variant used by the incremental placement search, where a
-// swap can introduce a violation only on the two hosts it touches. On a
-// placement whose other hosts are already valid it is equivalent to
-// Validate. Out-of-range hosts are an error.
-func (p *Placement) ValidateHosts(hosts ...int) error {
-	limit := p.AppsPerHostLimit()
-	for _, h := range hosts {
-		if h < 0 || h >= p.NumHosts {
-			return fmt.Errorf("cluster: host %d out of range", h)
-		}
-		if err := p.validateHost(h, limit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateHost checks one host against the distinct-app limit without
-// allocating (the hot-path complement of HostApps).
-func (p *Placement) validateHost(h, limit int) error {
-	if n := Distinct(p.slots[h], ""); n > limit {
-		return fmt.Errorf("cluster: host %d has %d distinct apps (max %d)", h, n, limit)
 	}
 	return nil
 }
@@ -303,79 +264,6 @@ type Demand struct {
 	Units int
 }
 
-// RandomValid builds a random placement of the demands that satisfies
-// Validate under the pairwise co-location rule, using rejection sampling
-// over random slot permutations. It fails after maxTries attempts, which
-// practically never happens for the paper's configurations (4 apps x 4
-// units on 8x2 slots).
-func RandomValid(rng *sim.RNG, numHosts, slotsPerHost int, demands []Demand, maxTries int) (*Placement, error) {
-	return RandomValidLimit(rng, numHosts, slotsPerHost, 0, demands, maxTries)
-}
-
-// RandomValidLimit is RandomValid with an explicit per-host distinct-app
-// limit (0 = pairwise).
-func RandomValidLimit(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, demands []Demand, maxTries int) (*Placement, error) {
-	return RandomValidDown(rng, numHosts, slotsPerHost, appsLimit, demands, maxTries, nil)
-}
-
-// RandomValidDown is RandomValidLimit over a degraded cluster: slots on
-// hosts in the down set stay empty (crashed nodes). With an empty down
-// set it consumes the stream's draws identically to RandomValidLimit,
-// so fault-free callers see bit-identical placements. It is the string
-// form of SampleCells: apps become ids in first-appearance order, the
-// sampler fills the cells, and the cells are named back.
-func RandomValidDown(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, demands []Demand, maxTries int, down map[int]bool) (*Placement, error) {
-	var names []string
-	var units []int32
-	ids := make(map[string]int32, len(demands))
-	for _, d := range demands {
-		if d.Units <= 0 || d.App == "" {
-			return nil, fmt.Errorf("cluster: bad demand %+v", d)
-		}
-		id, ok := ids[d.App]
-		if !ok {
-			id = int32(len(names))
-			ids[d.App] = id
-			names = append(names, d.App)
-		}
-		for i := 0; i < d.Units; i++ {
-			units = append(units, id)
-		}
-	}
-	var downHosts []bool
-	downN := 0
-	for h, isDown := range down {
-		if !isDown {
-			continue
-		}
-		if h < 0 || h >= numHosts {
-			return nil, fmt.Errorf("cluster: down host %d out of range", h)
-		}
-		if downHosts == nil {
-			downHosts = make([]bool, numHosts)
-		}
-		downHosts[h] = true
-		downN++
-	}
-	surviving := (numHosts - downN) * slotsPerHost
-	if len(units) > surviving {
-		return nil, fmt.Errorf("cluster: %d units exceed %d surviving slots (%d of %d hosts down)",
-			len(units), surviving, downN, numHosts)
-	}
-	p, err := NewPlacementLimit(numHosts, slotsPerHost, appsLimit)
-	if err != nil {
-		return nil, err
-	}
-	n := numHosts * slotsPerHost
-	buf := make([]int32, 2*n)
-	cells, perm := buf[:n], buf[n:]
-	if err := SampleCells(rng, cells, perm, slotsPerHost, p.AppsPerHostLimit(), units, downHosts, maxTries); err != nil {
-		return nil, err
-	}
-	p.fill(cells, names)
-	return p, nil
-}
-
 // SampleCells draws a random assignment of units satisfying the
 // co-location rule straight into cells — the flat host-major slot array
 // (-1 = empty) of a cluster with slotsPerHost slots per host — by
@@ -383,8 +271,18 @@ func RandomValidDown(rng *sim.RNG, numHosts, slotsPerHost, appsLimit int, demand
 // id per unit, in demand order, and must fit the surviving slots; limit
 // is the effective distinct-app limit; down (nil, or one flag per host)
 // marks crashed hosts, whose slots stay empty; perm is scratch of
-// len(cells). It fails after maxTries attempts (0 = 1000).
+// len(cells). It fails when the units exceed the surviving slots, and
+// after maxTries attempts (0 = 1000).
 func SampleCells(rng *sim.RNG, cells, perm []int32, slotsPerHost, limit int, units []int32, down []bool, maxTries int) error {
+	surviving := len(cells)
+	for _, d := range down {
+		if d {
+			surviving -= slotsPerHost
+		}
+	}
+	if len(units) > surviving {
+		return fmt.Errorf("cluster: %d units exceed %d surviving slots", len(units), surviving)
+	}
 	if maxTries <= 0 {
 		maxTries = 1000
 	}
@@ -429,19 +327,14 @@ func PlacementFromCells(numHosts, slotsPerHost, appsLimit int, cells []int32, na
 	if len(cells) != numHosts*slotsPerHost {
 		return nil, fmt.Errorf("cluster: %d cells for %dx%d slots", len(cells), numHosts, slotsPerHost)
 	}
-	p.fill(cells, names)
-	return p, nil
-}
-
-// fill names the non-empty cells into p's slots.
-func (p *Placement) fill(cells []int32, names []string) {
 	for h, row := range p.slots {
-		for s, id := range cells[h*p.HostSlots : (h+1)*p.HostSlots] {
+		for s, id := range cells[h*slotsPerHost : (h+1)*slotsPerHost] {
 			if id >= 0 {
 				row[s] = names[id]
 			}
 		}
 	}
+	return p, nil
 }
 
 // PackedPlacement builds the deterministic placement that fills hosts in

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,7 +108,10 @@ func TestValidateColocationLimit(t *testing.T) {
 func TestSwapAndClone(t *testing.T) {
 	p := mustPlacement(t, 2, 2, map[[2]int]string{{0, 0}: "A", {1, 1}: "B"})
 	c := p.Clone()
-	if err := p.Swap(0, 0, 1, 1); err != nil {
+	if err := p.Set(0, 0, "B"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Set(1, 1, "A"); err != nil {
 		t.Fatal(err)
 	}
 	if p.At(0, 0) != "B" || p.At(1, 1) != "A" {
@@ -116,8 +120,8 @@ func TestSwapAndClone(t *testing.T) {
 	if c.At(0, 0) != "A" || c.At(1, 1) != "B" {
 		t.Error("clone should be unaffected by swap")
 	}
-	if err := p.Swap(0, 0, 9, 0); err == nil {
-		t.Error("out-of-range swap should fail")
+	if err := p.Set(9, 0, "A"); err == nil {
+		t.Error("out-of-range slot should fail")
 	}
 }
 
@@ -129,11 +133,39 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// randomValid draws a random valid placement of demands with
+// SampleCells — apps numbered by first appearance, one id per unit in
+// demand order, the slots of down hosts (nil: none) left empty — and
+// names it back with PlacementFromCells. limit 0 is the pairwise rule.
+func randomValid(rng *sim.RNG, hosts, slots, limit int, demands []Demand, down []bool) (*Placement, error) {
+	var names []string
+	var units []int32
+	for _, d := range demands {
+		id := slices.Index(names, d.App)
+		if id < 0 {
+			id = len(names)
+			names = append(names, d.App)
+		}
+		for range d.Units {
+			units = append(units, int32(id))
+		}
+	}
+	eff := limit
+	if eff == 0 {
+		eff = MaxAppsPerHost
+	}
+	cells, perm := make([]int32, hosts*slots), make([]int32, hosts*slots)
+	if err := SampleCells(rng, cells, perm, slots, eff, units, down, 0); err != nil {
+		return nil, err
+	}
+	return PlacementFromCells(hosts, slots, limit, cells, names)
+}
+
 func TestRandomValidProducesValidPlacements(t *testing.T) {
 	rng := sim.NewRNG(1)
 	demands := []Demand{{"A", 4}, {"B", 4}, {"C", 4}, {"D", 4}}
 	for i := 0; i < 50; i++ {
-		p, err := RandomValid(rng, 8, 2, demands, 0)
+		p, err := randomValid(rng, 8, 2, 0, demands, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,26 +180,22 @@ func TestRandomValidProducesValidPlacements(t *testing.T) {
 	}
 }
 
+// TestRandomValidRejectsOverCapacity: the sampler refuses units it has
+// no slot for. (Malformed demands are the placement layer's to reject,
+// before any unit reaches the sampler.)
 func TestRandomValidRejectsOverCapacity(t *testing.T) {
-	rng := sim.NewRNG(1)
-	if _, err := RandomValid(rng, 1, 2, []Demand{{"A", 3}}, 0); err == nil {
+	if _, err := randomValid(sim.NewRNG(1), 1, 2, 0, []Demand{{"A", 3}}, nil); err == nil {
 		t.Error("over-capacity demand should fail")
-	}
-	if _, err := RandomValid(rng, 1, 2, []Demand{{"", 1}}, 0); err == nil {
-		t.Error("empty app name should fail")
-	}
-	if _, err := RandomValid(rng, 1, 2, []Demand{{"A", 0}}, 0); err == nil {
-		t.Error("zero units should fail")
 	}
 }
 
 func TestRandomValidDeterministicPerSeed(t *testing.T) {
 	demands := []Demand{{"A", 4}, {"B", 4}, {"C", 4}, {"D", 4}}
-	p1, err := RandomValid(sim.NewRNG(42), 8, 2, demands, 0)
+	p1, err := randomValid(sim.NewRNG(42), 8, 2, 0, demands, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := RandomValid(sim.NewRNG(42), 8, 2, demands, 0)
+	p2, err := randomValid(sim.NewRNG(42), 8, 2, 0, demands, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +220,7 @@ func TestPackedPlacement(t *testing.T) {
 	}
 }
 
-// Property: RandomValid conserves unit counts and never co-locates more
+// Property: the sampler conserves unit counts and never co-locates more
 // than two distinct apps.
 func TestRandomValidProperty(t *testing.T) {
 	f := func(seed int64, nAppsRaw uint8) bool {
@@ -202,7 +230,7 @@ func TestRandomValidProperty(t *testing.T) {
 		for i := range demands {
 			demands[i] = Demand{names[i], 4}
 		}
-		p, err := RandomValid(sim.NewRNG(seed), 8, 2, demands, 0)
+		p, err := randomValid(sim.NewRNG(seed), 8, 2, 0, demands, nil)
 		if err != nil {
 			return false
 		}

@@ -368,29 +368,3 @@ func PressuresFor(p *cluster.Placement, appName string, scores map[string]float6
 	}
 	return out, nil
 }
-
-// PredictPlacement predicts the normalized execution time of every
-// application in the placement using the given per-app predictors and
-// bubble scores.
-func PredictPlacement(p *cluster.Placement, predictors map[string]Predictor, scores map[string]float64) (map[string]float64, error) {
-	if p == nil {
-		return nil, errors.New("core: nil placement")
-	}
-	out := map[string]float64{}
-	for _, a := range p.Apps() {
-		pred, ok := predictors[a]
-		if !ok {
-			return nil, fmt.Errorf("core: no predictor for %q", a)
-		}
-		ps, err := PressuresFor(p, a, scores)
-		if err != nil {
-			return nil, err
-		}
-		v, err := pred.PredictPressures(ps)
-		if err != nil {
-			return nil, err
-		}
-		out[a] = v
-	}
-	return out, nil
-}

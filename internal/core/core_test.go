@@ -281,6 +281,9 @@ func TestPressuresFor(t *testing.T) {
 	}
 }
 
+// TestPredictPlacement: the index engine predicts a whole placement of
+// real models (a profiled model beside a naive one) as the name-keyed
+// reference does.
 func TestPredictPlacement(t *testing.T) {
 	env := testEnv(t)
 	mA := buildFor(t, env, "M.milc")
@@ -295,21 +298,35 @@ func TestPredictPlacement(t *testing.T) {
 	}
 	preds := map[string]Predictor{"M.milc": mA, "C.libq": nmB}
 	scores := map[string]float64{"M.milc": mA.BubbleScore, "C.libq": nmB.BubbleScore}
-	out, err := PredictPlacement(p, preds, scores)
+	ix, err := NewAppsIndex(p.Apps(), preds, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["M.milc"] <= 1.2 {
-		t.Errorf("milc sharing every host with libq should be predicted slow, got %v", out["M.milc"])
+	g, err := NewGrid(p, ix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out["C.libq"] < 1 {
-		t.Errorf("negative interference predicted: %v", out["C.libq"])
+	out := make([]float64, len(ix.Apps))
+	if err := DeltaPredictPos(g, NewPostings(g, len(ix.Apps)), []int32{0, 1}, ix, NewPredictionCache(), out); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := PredictPlacement(p, map[string]Predictor{}, scores); err == nil {
+	milc, _ := ix.IndexOf("M.milc")
+	libq, _ := ix.IndexOf("C.libq")
+	if out[milc] <= 1.2 {
+		t.Errorf("milc sharing every host with libq should be predicted slow, got %v", out[milc])
+	}
+	if out[libq] < 1 {
+		t.Errorf("negative interference predicted: %v", out[libq])
+	}
+	want, err := refPredictPlacement(p, preds, scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[milc] != want["M.milc"] || out[libq] != want["C.libq"] {
+		t.Errorf("index engine %v, name-keyed reference %v", out, want)
+	}
+	if _, err := NewAppsIndex(p.Apps(), map[string]Predictor{}, scores); err == nil {
 		t.Error("missing predictor should fail")
-	}
-	if _, err := PredictPlacement(nil, preds, scores); err == nil {
-		t.Error("nil placement should fail")
 	}
 }
 

@@ -17,11 +17,7 @@
 // here is integer compares over contiguous memory that allocates nothing.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/bubble"
-)
+import "repro/internal/bubble"
 
 // emptyWord is the key word of an empty slot; app index i is word i+2.
 const emptyWord = 1
@@ -284,11 +280,7 @@ func (c *PredictionCache) combine(ix *AppsIndex, kw []uint64) (float64, error) {
 		if w == emptyWord {
 			continue
 		}
-		other := int32(w - 2)
-		if !ix.ok[other] {
-			return 0, fmt.Errorf("core: no bubble score for %q", ix.Apps[other])
-		}
-		co = append(co, ix.scores[other])
+		co = append(co, ix.scores[w-2])
 	}
 	c.co = co
 	v, err := bubble.CombineScores(co, bubble.DefaultCollision)

@@ -42,10 +42,7 @@ func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[s
 		{App: "a", Units: 4}, {App: "b", Units: 4},
 		{App: "c", Units: 4}, {App: "d", Units: 4},
 	}
-	p, err := cluster.RandomValid(sim.NewRNG(5), 8, 2, demands, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := randomValid(t, sim.NewRNG(5), 8, 2, 0, demands)
 	calls := new(int)
 	preds := map[string]Predictor{
 		"a": countingPred{sumPred{0.3}, calls},
@@ -99,11 +96,8 @@ func TestPredictionCacheHitsAndPurity(t *testing.T) {
 // the hashed multi-co-runner memo.
 func TestCombineStatsVisible(t *testing.T) {
 	for _, sph := range []int{2, 3} {
-		p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
-			[]cluster.Demand{{App: "a", Units: 5}, {App: "b", Units: 5}, {App: "c", Units: 5}}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := randomValid(t, sim.NewRNG(5), 8, sph, sph,
+			[]cluster.Demand{{App: "a", Units: 5}, {App: "b", Units: 5}, {App: "c", Units: 5}})
 		e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
 			map[string]float64{"a": 0.5, "b": 2, "c": 6})
 		if _, misses := e.cache.CombineStats(); misses == 0 {
@@ -148,20 +142,16 @@ func TestDeltaPredictErrors(t *testing.T) {
 		t.Error("app missing from placement should fail")
 	}
 
-	// A missing co-runner score surfaces lazily, when a combine is
-	// computed; so does a predictor error.
-	a, _ := e.ix.IndexOf("a")
-	badIx, err := NewAppsIndex(p.Apps(), preds, map[string]float64{"a": 0.5})
-	if err != nil {
-		t.Fatal(err)
+	// Every indexed app needs a bubble score up front; a predictor
+	// error surfaces when a prediction is computed.
+	if _, err := NewAppsIndex(p.Apps(), preds, map[string]float64{"a": 0.5}); err == nil {
+		t.Error("missing bubble score should fail index construction")
 	}
+	a, _ := e.ix.IndexOf("a")
 	failing := map[string]Predictor{"a": failPred{}, "b": sumPred{0}, "c": sumPred{0}, "d": sumPred{0}}
 	failIx, err := NewAppsIndex(p.Apps(), failing, scores)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := DeltaPredictPos(e.g, e.pst, []int32{a}, badIx, NewPredictionCache(), e.inc); err == nil {
-		t.Error("missing co-runner score should fail")
 	}
 	if err := DeltaPredictPos(e.g, e.pst, []int32{a}, failIx, NewPredictionCache(), e.inc); err == nil {
 		t.Error("predictor error should propagate")

@@ -3,9 +3,9 @@
 // bubble scores become slices, the placement is an int32 grid the swap
 // engine works on directly, and the per-proposal hot loop touches no
 // strings at all. Predictions over the index form are bit-identical to
-// PredictPlacement over the named form: the scan order, the
-// CombineScores inputs, and the Predictor calls are the same, only the
-// keys changed representation.
+// predicting each app of the named form from PressuresFor: the scan
+// order, the CombineScores inputs, and the Predictor calls are the same,
+// only the keys changed representation.
 
 package core
 
@@ -22,39 +22,33 @@ import (
 // sorted app list), and the same index addresses the predictor slice,
 // the score slice, Grid cells, and prediction output slices.
 type AppsIndex struct {
-	Apps  []string // index -> name
-	preds []Predictor
-	// scores[i] is the bubble score of app i; ok[i] records presence so
-	// an app that never appears as a co-runner may legally lack one
-	// (exactly the lazy error surface of the map-based path).
-	scores []float64
-	ok     []bool
+	Apps   []string // index -> name
+	preds  []Predictor
+	scores []float64 // bubble score per app
 	// idx is the name -> index map behind IndexOf, built on first use:
 	// a search binds by position and never looks a name up.
 	idxOnce sync.Once
 	idx     map[string]int32
 }
 
-// NewAppsIndex resolves predictors and scores for apps, in order. A
-// missing predictor is an immediate error (every indexed app gets
-// predicted); a missing score only errors later, if and when the app
-// shows up as somebody's co-runner.
+// NewAppsIndex resolves predictors and scores for apps, in order; every
+// app needs both.
 func NewAppsIndex(apps []string, predictors map[string]Predictor, scores map[string]float64) (*AppsIndex, error) {
 	ix := &AppsIndex{
 		Apps:   apps,
 		preds:  make([]Predictor, len(apps)),
 		scores: make([]float64, len(apps)),
-		ok:     make([]bool, len(apps)),
 	}
 	for i, a := range apps {
 		p, ok := predictors[a]
 		if !ok {
 			return nil, fmt.Errorf("core: no predictor for %q", a)
 		}
-		ix.preds[i] = p
-		if s, ok := scores[a]; ok {
-			ix.scores[i], ix.ok[i] = s, true
+		s, ok := scores[a]
+		if !ok {
+			return nil, fmt.Errorf("core: no bubble score for %q", a)
 		}
+		ix.preds[i], ix.scores[i] = p, s
 	}
 	return ix, nil
 }
@@ -66,12 +60,11 @@ func NewAppsIndex(apps []string, predictors map[string]Predictor, scores map[str
 // sorted-app accumulation order matches a from-scratch binding of the
 // cell's apps. dst's storage is reused.
 func (ix *AppsIndex) Sub(dst *AppsIndex, ids []int32) {
-	*dst = AppsIndex{Apps: dst.Apps[:0], preds: dst.preds[:0], scores: dst.scores[:0], ok: dst.ok[:0]}
+	*dst = AppsIndex{Apps: dst.Apps[:0], preds: dst.preds[:0], scores: dst.scores[:0]}
 	for _, id := range ids {
 		dst.Apps = append(dst.Apps, ix.Apps[id])
 		dst.preds = append(dst.preds, ix.preds[id])
 		dst.scores = append(dst.scores, ix.scores[id])
-		dst.ok = append(dst.ok, ix.ok[id])
 	}
 }
 
@@ -131,7 +124,7 @@ func (g *Grid) Reset(hosts, slotsPerHost int) {
 // must rebuild any Postings over g afterwards.
 func (g *Grid) Cells() []int32 { return g.cells }
 
-// Swap exchanges two cells, mirroring cluster.Placement.Swap.
+// Swap exchanges two cells.
 func (g *Grid) Swap(hostA, slotA, hostB, slotB int) {
 	i := hostA*g.SlotsPerHost + slotA
 	j := hostB*g.SlotsPerHost + slotB

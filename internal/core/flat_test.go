@@ -21,11 +21,7 @@ func TestIndexedErrors(t *testing.T) {
 		t.Error("IndexOf(ghost) must report absence")
 	}
 	// A placement holding an app outside the index must fail mirroring.
-	other, err := cluster.RandomValid(sim.NewRNG(1), 4, 2,
-		[]cluster.Demand{{App: "zz", Units: 2}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := randomValid(t, sim.NewRNG(1), 4, 2, 0, []cluster.Demand{{App: "zz", Units: 2}})
 	if _, err := NewGrid(other, ix); err == nil {
 		t.Error("grid over unindexed app must fail")
 	}

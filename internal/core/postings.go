@@ -6,9 +6,8 @@
 // occupy, maintained incrementally under the same Swap calls that keep
 // the Grid in sync. Positions ascend, and a flat position ordering is
 // exactly the host-major/slot-minor order PressuresFor scans in, so the
-// pressure vectors built from a postings walk are bit-identical to a
-// full PredictPlacement's — same elements, same order, same
-// CombineScores inputs.
+// pressure vectors built from a postings walk are bit-identical to
+// PressuresFor's — same elements, same order, same CombineScores inputs.
 package core
 
 import (
@@ -131,8 +130,9 @@ func (p *Postings) move(app, from, to int32) {
 // positions, so the per-app cost is O(units), not O(cluster); on a
 // prediction-memo hit that is all it does, and on a miss it builds the
 // pressure vector from the memoized per-unit combines. Results are
-// bit-identical to PredictPlacement on the named form of g. pst must
-// mirror g, and cache must be bound to ix (see PredictionCache.Reset).
+// bit-identical to predicting each app from PressuresFor on the named
+// form of g. pst must mirror g, and cache must be bound to ix (see
+// PredictionCache.Reset).
 func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
 	if g == nil {
 		return errors.New("core: nil grid")

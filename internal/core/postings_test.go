@@ -75,9 +75,7 @@ func (e *posEngine) predict(t testing.TB, affected []int32) {
 // touched hosts (rows ha then hb, slot order — the engine's order).
 func (e *posEngine) swap(t testing.TB, ha, sa, hb, sb int) {
 	t.Helper()
-	if err := e.p.Swap(ha, sa, hb, sb); err != nil {
-		t.Fatal(err)
-	}
+	swapSlots(e.p, ha, sa, hb, sb)
 	e.g.Swap(ha, sa, hb, sb)
 	e.pst.Swap(e.g, ha, sa, hb, sb)
 	var affected []int32
@@ -92,12 +90,12 @@ func (e *posEngine) swap(t testing.TB, ha, sa, hb, sb int) {
 }
 
 // check demands that the incrementally maintained predictions equal a
-// fresh PredictPlacement of the named form bit for bit, and that the
+// fresh refPredictPlacement of the named form bit for bit, and that the
 // incrementally maintained postings equal a from-scratch Rebuild.
 func (e *posEngine) check(t testing.TB, tag string) {
 	t.Helper()
 	checkPostings(t, tag, e.g, e.pst, len(e.ix.Apps))
-	want, err := PredictPlacement(e.p, e.preds, e.scores)
+	want, err := refPredictPlacement(e.p, e.preds, e.scores)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", tag, err)
 	}
@@ -158,10 +156,7 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, reset bool) {
 	if sph == 1 {
 		hosts = 14 // room for all 13 units
 	}
-	p, err := cluster.RandomValidLimit(sim.NewRNG(seed), hosts, sph, limit, demands, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := randomValid(t, sim.NewRNG(seed), hosts, sph, limit, demands)
 	scores := map[string]float64{"a": 0.5, "b": 0.5, "c\x00c": 6, "d": math.Copysign(0, -1)}
 	preds := map[string]Predictor{
 		"a": sumPred{0.3}, "b": sumPred{0.01}, "c\x00c": sumPred{0.02}, "d": sumPred{0.05},
@@ -212,17 +207,13 @@ func randomProblem(t *testing.T, r *sim.RNG, slots int) (*cluster.Placement, map
 		preds[n] = propPred{per: r.Uniform(0.01, 0.4), atMax: r.Uniform(0, 0.2)}
 		scores[n] = r.Uniform(0.3, 7)
 	}
-	p, err := cluster.RandomValidLimit(r.Stream("placement"), numHosts, slots, slots, demands, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, preds, scores
+	return randomValid(t, r.Stream("placement"), numHosts, slots, slots, demands), preds, scores
 }
 
 // TestDeltaPredictPosEquivalence is the contract behind the incremental
 // search engine, one row per case: the incrementally maintained
-// predictions stay bit-identical to PredictPlacement (the production
-// reference behind placement.Evaluate) and the postings to a from-scratch
+// predictions stay bit-identical to refPredictPlacement (the name-keyed
+// reference over PressuresFor) and the postings to a from-scratch
 // Rebuild, with a warm cache or one emptied before every call, at 1 to 4
 // slots per host; the reject path costs no predictor call; the warm path
 // allocates nothing; a Postings copy is independent.
@@ -232,7 +223,7 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		// Over all apps at once, DeltaPredictPos reproduces
-		// PredictPlacement exactly — the contract in its smallest form.
+		// refPredictPlacement exactly — the contract in its smallest form.
 		{"full-predict", func(t *testing.T) {
 			p, preds, scores, _ := deltaFixture(t)
 			newPosEngine(t, p, preds, scores).check(t, "full")
@@ -377,11 +368,8 @@ func TestDeltaPredictPosEquivalence(t *testing.T) {
 		}},
 		{"warm-zero-alloc-and-copy", func(t *testing.T) {
 			for _, sph := range []int{2, 3} {
-				p, err := cluster.RandomValidLimit(sim.NewRNG(5), 8, sph, sph,
-					[]cluster.Demand{{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := randomValid(t, sim.NewRNG(5), 8, sph, sph,
+					[]cluster.Demand{{App: "a", Units: 4}, {App: "b", Units: 4}, {App: "c", Units: 4}})
 				e := newPosEngine(t, p, map[string]Predictor{"a": sumPred{0.3}, "b": sumPred{0.01}, "c": sumPred{0.02}},
 					map[string]float64{"a": 0.5, "b": 2, "c": 6})
 				if allocs := testing.AllocsPerRun(200, func() {

@@ -295,7 +295,7 @@ func (l *Lab) figure11() (figure11Result, error) {
 			return nil, err
 		}
 		jobs = append(jobs, job(req, 29, placement.Worst), job(req, 17, placement.Best), job(naiveReq, 31, placement.Best))
-		if randoms[k], err = placement.RandomOutcome(req, randomSamples, l.Cfg.Seed+41, nil); err != nil {
+		if randoms[k], err = placement.RandomOutcome(req, randomSamples, l.Cfg.Seed+41); err != nil {
 			return nil, err
 		}
 		regs[k] = reg

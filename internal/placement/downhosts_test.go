@@ -38,9 +38,11 @@ func TestSearchRespectsDownHosts(t *testing.T) {
 
 func TestDownHostsValidation(t *testing.T) {
 	req := downRequest()
-	req.DownHosts = []int{8}
-	if _, err := Search(req, DefaultConfig(1)); err == nil {
-		t.Error("out-of-range down host should fail")
+	for _, h := range []int{-1, 8} {
+		req.DownHosts = []int{h}
+		if _, err := Search(req, DefaultConfig(1)); err == nil {
+			t.Errorf("out-of-range down host %d should fail", h)
+		}
 	}
 	req = testRequest() // 16 units
 	req.DownHosts = []int{2, 5}
@@ -51,7 +53,7 @@ func TestDownHostsValidation(t *testing.T) {
 
 func TestRandomOutcomeRespectsDownHosts(t *testing.T) {
 	req := downRequest()
-	outs, err := RandomOutcome(req, 20, 11, nil)
+	outs, err := RandomOutcome(req, 20, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

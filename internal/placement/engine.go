@@ -3,11 +3,13 @@
 // materialize the whole search state is the int32 core.Grid, its per-app
 // core.Postings and a prediction slice — no cluster.Placement, string or
 // map. A restart samples its initial placement straight into grid cells
-// (cluster.SampleCells, which cluster.RandomValidDown wraps), then
-// proposes, validates, evaluates and undoes swaps on the grid alone: a
-// swap touches at most two hosts, so only the apps with units there are
-// re-predicted (core.DeltaPredictPos, memoized by a core.PredictionCache)
-// and a rejected swap is swapped back.
+// (cluster.SampleCells), then proposes, validates, evaluates and undoes
+// swaps on the grid alone: a swap touches at most two hosts, so only the
+// apps with units there are re-predicted (core.DeltaPredictPos, memoized
+// by a core.PredictionCache) and a rejected swap is swapped back.
+// Evaluate and RandomOutcome start the same walk on a given or sampled
+// grid, so scoring a placement without a search yields the bits a search
+// reaching it records.
 //
 // One routine serves both scales: the flat search is one problem covering
 // the whole request; the hierarchical search (hier.go) runs one problem
@@ -98,16 +100,21 @@ type problem struct {
 	qosIdx       int32  // the QoS app's index in ix when qos != nil
 }
 
-// sample draws a random valid initial placement into ws.e.grid. The
-// state has no prediction yet, so it sizes ws.e.pred and lists every app
-// in ws.stale for the walk's start.
-func (p *problem) sample(ws *workspace, rng *sim.RNG) error {
-	n := len(p.ix.Apps)
+// staleAll readies a freshly filled grid of n apps for the walk's
+// start: the state has no prediction yet, so it sizes ws.e.pred and
+// lists every app in ws.stale.
+func (ws *workspace) staleAll(n int) {
 	ws.e.pred = slices.Grow(ws.e.pred[:0], n)[:n]
 	ws.stale = ws.stale[:0]
 	for i := 0; i < n; i++ {
 		ws.stale = append(ws.stale, int32(i))
 	}
+}
+
+// sample draws a random valid initial placement into ws.e.grid, ready
+// for the walk's start (see staleAll).
+func (p *problem) sample(ws *workspace, rng *sim.RNG) error {
+	ws.staleAll(len(p.ix.Apps))
 	g := &ws.e.grid
 	g.Reset(p.hosts, p.slots)
 	ws.units = ws.units[:0]
@@ -220,8 +227,8 @@ func betterSnap(qosEnabled bool, sign float64, cand, best bestSnap) bool {
 // incEval evaluates a grid incrementally: it owns the grid, the per-app
 // unit postings kept in lockstep with it, the current per-app prediction
 // slice, a candidate mirror, and the memo cache. The weighted objective
-// is accumulated in index order — sorted-app order, the order Objective
-// uses — so it is bit-identical to a full evaluate.
+// is accumulated in index order — sorted-app order — so every state
+// scores the same bits however the engine reached it.
 type incEval struct {
 	ix     *core.AppsIndex
 	qos    *QoS
@@ -264,7 +271,8 @@ func (e *incEval) start(p *problem, stale []int32) error {
 }
 
 // objective computes the unit-weighted mean of the given predictions in
-// sorted-app order, matching Objective's accumulation exactly.
+// sorted-app order — the paper's throughput metric (lower is better; each
+// app weighted by the number of units it uses).
 func (e *incEval) objective(pred []float64) float64 {
 	var total float64
 	for i := range pred {
@@ -273,7 +281,7 @@ func (e *incEval) objective(pred []float64) float64 {
 	return total / e.weight
 }
 
-// energy adds the QoS penalty to an objective, as evaluate does.
+// energy adds the QoS penalty to an objective.
 func (e *incEval) energy(obj float64, pred []float64) float64 {
 	if e.qos != nil {
 		if excess := pred[e.qosIdx] - e.qos.MaxNormalized; excess > 0 {
@@ -576,9 +584,14 @@ func (b *bound) materialize(best *bestState) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pred := make(map[string]float64, len(b.ix.Apps))
-	for i, a := range b.ix.Apps {
-		pred[a] = best.pred[i]
+	return Result{Placement: p, Predicted: b.predicted(best.pred), Objective: best.obj, QoSSatisfied: best.qosOK}, nil
+}
+
+// predicted names a prediction slice over the problem's index.
+func (p *problem) predicted(pred []float64) map[string]float64 {
+	m := make(map[string]float64, len(p.ix.Apps))
+	for i, a := range p.ix.Apps {
+		m[a] = pred[i]
 	}
-	return Result{Placement: p, Predicted: pred, Objective: best.obj, QoSSatisfied: best.qosOK}, nil
+	return m
 }

@@ -13,10 +13,10 @@ import (
 // TestIncrementalMatchesFullEvaluate drives incEval through a long
 // random swap sequence with a string cluster.Placement replayed beside
 // it and checks, at every step, that the grid's co-location verdict
-// matches Placement.ValidateHosts and that the incremental objective and
-// energy agree bit-exactly with a from-scratch evaluate of the mirrored
-// placement — for proposals, accepted states, and rejected (rolled back)
-// states alike.
+// matches Placement.Validate and that the incremental objective and
+// energy agree bit-exactly with a from-scratch refEvaluate of the
+// mirrored placement — for proposals, accepted states, and rejected
+// (rolled back) states alike.
 func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 	// Three slots under the pairwise rule make rule-breaking swaps
 	// possible; with two slots per host every swap is valid.
@@ -55,7 +55,7 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 		}
 		check := func(step int, obj, energy float64) {
 			t.Helper()
-			wantObj, wantEnergy, wantPred, err := evaluate(cur, req, qos)
+			wantObj, wantEnergy, wantPred, err := refEvaluate(cur, req, qos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,23 +86,21 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 			} else if same {
 				continue
 			}
-			if err := cur.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
+			swapSlots(cur, ha, sa, hb, sb)
 			valid, err := e.propose(ha, sa, hb, sb)
 			if err != nil {
 				t.Fatal(err)
 			}
 			obj := e.objective(e.cand)
 			energy := e.energy(obj, e.cand)
-			if want := cur.ValidateHosts(ha, hb) == nil; valid != want {
-				t.Fatalf("step %d: grid says valid=%v, Placement.ValidateHosts says %v", i, valid, want)
+			// Every state the walk keeps is valid, so only the swap can
+			// have broken the rule.
+			if want := cur.Validate() == nil; valid != want {
+				t.Fatalf("step %d: grid says valid=%v, Placement.Validate says %v", i, valid, want)
 			}
 			if !valid {
 				invalid++
-				if err := cur.Swap(ha, sa, hb, sb); err != nil {
-					t.Fatal(err)
-				}
+				swapSlots(cur, ha, sa, hb, sb)
 				prev := e.objective(e.pred)
 				check(i, prev, e.energy(prev, e.pred))
 				continue
@@ -113,9 +111,7 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 				check(i, obj, energy)
 			} else {
 				e.reject()
-				if err := cur.Swap(ha, sa, hb, sb); err != nil {
-					t.Fatal(err)
-				}
+				swapSlots(cur, ha, sa, hb, sb)
 				prev := e.objective(e.pred)
 				check(i, prev, e.energy(prev, e.pred))
 			}
@@ -127,11 +123,13 @@ func TestIncrementalMatchesFullEvaluate(t *testing.T) {
 }
 
 // TestSamplerMatchesRandomValidDown: the search's cell-level sampler
-// (bind + problem.sample, straight into grid cells) and the string
-// cluster.RandomValidDown must produce the identical placement from the
-// identical stream and leave the stream at the same draw — across down
-// hosts, a relaxed limit, and AppsPerHostLimit 1, whose samples are
-// mostly rejected and so exercise the retry path.
+// (bind + problem.sample, straight into grid cells, apps numbered in
+// sorted order) and randomValid (the same cluster.SampleCells over apps
+// numbered by first appearance, named back with PlacementFromCells) must
+// produce the identical placement from the identical stream and leave
+// the stream at the same draw — across down hosts, a relaxed limit, and
+// AppsPerHostLimit 1, whose samples are mostly rejected and so exercise
+// the retry path.
 func TestSamplerMatchesRandomValidDown(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -158,19 +156,12 @@ func TestSamplerMatchesRandomValidDown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			down := map[int]bool{}
-			for _, h := range tc.down {
-				down[h] = true
-			}
 			ws := acquireWorkspace()
 			defer releaseWorkspace(ws)
 			retried := false
 			for seed := int64(1); seed <= 40; seed++ {
 				ra, rb := sim.NewRNG(seed).Stream("init"), sim.NewRNG(seed).Stream("init")
-				want, err := cluster.RandomValidDown(ra, req.NumHosts, req.SlotsPerHost, req.AppsPerHostLimit, req.Demands, 0, down)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := randomValid(t, ra, req)
 				if err := b.sample(ws, rb); err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +170,7 @@ func TestSamplerMatchesRandomValidDown(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.String() != want.String() {
-					t.Fatalf("seed %d: sampler placed\n%s\nRandomValidDown placed\n%s", seed, got, want)
+					t.Fatalf("seed %d: sampler placed\n%s\nrandomValid placed\n%s", seed, got, want)
 				}
 				if got.AppsPerHostLimit() != want.AppsPerHostLimit() {
 					t.Fatalf("seed %d: limits differ", seed)
@@ -213,7 +204,7 @@ func TestSearchResultMatchesFullEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _, pred, err := evaluate(best.Placement, req, nil)
+	obj, _, pred, err := refEvaluate(best.Placement, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,54 +290,5 @@ func TestQoSWithWorstGoalRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Goal Worst") {
 		t.Errorf("error should explain the Goal Worst conflict, got: %v", err)
-	}
-}
-
-// TestRandomOutcomeEvaluatesQoS: regression for the hardcoded
-// QoSSatisfied=true — samples must be checked against the supplied
-// constraint.
-func TestRandomOutcomeEvaluatesQoS(t *testing.T) {
-	req := testRequest()
-	// A bound of exactly 1 is only met when "sens" runs fully isolated;
-	// random placements essentially never achieve that.
-	tight := &QoS{App: "sens", MaxNormalized: 1}
-	out, err := RandomOutcome(req, 8, 3, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	violated := 0
-	for _, r := range out {
-		want := r.Predicted["sens"] <= tight.MaxNormalized
-		if r.QoSSatisfied != want {
-			t.Errorf("QoSSatisfied=%v but predicted sens=%v vs bound %v", r.QoSSatisfied, r.Predicted["sens"], tight.MaxNormalized)
-		}
-		if !r.QoSSatisfied {
-			violated++
-		}
-	}
-	if violated == 0 {
-		t.Error("expected at least one random placement to violate the tight bound")
-	}
-	// A generous bound is satisfied by everything; nil stays vacuously true.
-	loose, err := RandomOutcome(req, 4, 3, &QoS{App: "sens", MaxNormalized: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range loose {
-		if !r.QoSSatisfied {
-			t.Error("generous bound should be satisfied")
-		}
-	}
-	none, err := RandomOutcome(req, 4, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range none {
-		if !r.QoSSatisfied {
-			t.Error("nil constraint should be vacuously satisfied")
-		}
-	}
-	if _, err := RandomOutcome(req, 2, 1, &QoS{App: "ghost", MaxNormalized: 2}); err == nil {
-		t.Error("unknown QoS app should be rejected")
 	}
 }

@@ -48,8 +48,8 @@ type Request struct {
 
 // bound is a Request validated and bound to dense app indexes, once per
 // Search: the whole-request problem (apps sorted by name, so index order
-// is the order Objective accumulates in) plus what materialize needs to
-// name a grid back into a Placement.
+// is the order the objective accumulates in) plus what materialize needs
+// to name a grid back into a Placement.
 type bound struct {
 	problem
 	appsLimit int // the request's raw AppsPerHostLimit
@@ -105,9 +105,6 @@ func bind(req Request) (b *bound, err error) {
 		}
 		apps[id] = d.App
 		b.demand[di] = appUnits{id: int32(id), units: d.Units}
-		if _, ok := req.Scores[d.App]; !ok {
-			return nil, fmt.Errorf("placement: no bubble score for %q", d.App)
-		}
 	}
 	if b.ix, err = core.NewAppsIndex(apps, req.Predictors, req.Scores); err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
@@ -119,17 +116,22 @@ func bind(req Request) (b *bound, err error) {
 	return b, nil
 }
 
-// constrain binds the QoS constraint (nil for none) to the request's
-// index; the constrained app must be among the demands.
-func (b *bound) constrain(qos *QoS) error {
+// constrain validates the QoS constraint (nil for none) and binds it to
+// the problem's index: the bound must be satisfiable (at least 1) and the
+// constrained app among the problem's apps. Search and Evaluate both
+// check it here.
+func (p *problem) constrain(qos *QoS) error {
 	if qos == nil {
 		return nil
 	}
-	id, ok := slices.BinarySearch(b.ix.Apps, qos.App)
+	if qos.MaxNormalized < 1 {
+		return fmt.Errorf("placement: QoS bound %v below 1 is unsatisfiable", qos.MaxNormalized)
+	}
+	id, ok := slices.BinarySearch(p.ix.Apps, qos.App)
 	if !ok {
 		return fmt.Errorf("placement: QoS app %q not among demands", qos.App)
 	}
-	b.qos, b.qosIdx = qos, int32(id)
+	p.qos, p.qosIdx = qos, int32(id)
 	return nil
 }
 
@@ -253,69 +255,63 @@ type Result struct {
 // the paper's "meets the delay constraint first" acceptance rule.
 const qosPenaltyWeight = 1000
 
-// Objective returns the unit-weighted sum of normalized runtimes — the
-// paper's throughput metric (lower is better; each app weighted by the
-// number of VMs/units it uses).
-func Objective(p *cluster.Placement, predicted map[string]float64) (float64, error) {
-	apps := p.Apps()
-	if len(apps) == 0 {
-		return 0, errors.New("placement: empty placement")
-	}
-	var total, weight float64
-	for _, a := range apps {
-		v, ok := predicted[a]
-		if !ok {
-			return 0, fmt.Errorf("placement: no prediction for %q", a)
-		}
-		w := float64(p.UnitsOf(a))
-		total += v * w
-		weight += w
-	}
-	return total / weight, nil
-}
-
-// evaluate scores a placement: objective plus QoS penalty.
-func evaluate(p *cluster.Placement, req Request, qos *QoS) (obj, energy float64, predicted map[string]float64, err error) {
-	predicted, err = core.PredictPlacement(p, req.Predictors, req.Scores)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	obj, err = Objective(p, predicted)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	energy = obj
-	if qos != nil {
-		if v, ok := predicted[qos.App]; ok {
-			if excess := v - qos.MaxNormalized; excess > 0 {
-				energy += qosPenaltyWeight * excess
-			}
-		}
-	}
-	return obj, energy, predicted, nil
-}
-
 // Evaluate scores one concrete placement against the request's model —
 // the what-if primitive: the serving plane uses it to answer "what would
-// this exact assignment cost" without running a search. It returns the
-// same Result shape Search does (with Evaluations = 1) so callers can
-// compare a hypothetical placement against a searched one directly. The
-// placement must assign every app in it a predictor and bubble score via
-// req.Predictors and req.Scores.
+// this exact assignment cost" without running a search. It binds the
+// placement's own apps, sorted as a search binds them, and starts the
+// search's engine on the placement's cells, so it returns the objective,
+// predictions and QoS verdict a search reaching p records, in the same
+// Result shape (with Evaluations = 1). Only req.Predictors and
+// req.Scores are read, and every app in p needs both; a QoS constraint
+// is checked as Search checks it.
 func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 	if p == nil {
 		return Result{}, errors.New("placement: nil placement")
 	}
-	obj, _, pred, err := evaluate(p, req, qos)
+	var apps []string
+	for h := 0; h < p.NumHosts; h++ {
+		for _, a := range p.Slots(h) {
+			if a == "" {
+				continue
+			}
+			if i, ok := slices.BinarySearch(apps, a); !ok {
+				apps = slices.Insert(apps, i, a)
+			}
+		}
+	}
+	if len(apps) == 0 {
+		return Result{}, errors.New("placement: empty placement")
+	}
+	ix, err := core.NewAppsIndex(apps, req.Predictors, req.Scores)
 	if err != nil {
+		return Result{}, fmt.Errorf("placement: %w", err)
+	}
+	pr := problem{ix: ix, hosts: p.NumHosts, slots: p.HostSlots, limit: p.AppsPerHostLimit()}
+	if err := pr.constrain(qos); err != nil {
 		return Result{}, err
 	}
-	qosOK := qos == nil || pred[qos.App] <= qos.MaxNormalized
+	ws := acquireWorkspace()
+	defer releaseWorkspace(ws)
+	ws.e.grid.Reset(pr.hosts, pr.slots)
+	cells := ws.e.grid.Cells()
+	for h := 0; h < p.NumHosts; h++ {
+		for s, a := range p.Slots(h) {
+			if a != "" {
+				id, _ := slices.BinarySearch(apps, a)
+				cells[h*pr.slots+s] = int32(id)
+			}
+		}
+	}
+	ws.staleAll(len(apps))
+	var w walk
+	if err := w.begin(ws, &pr, 1); err != nil {
+		return Result{}, err
+	}
 	return Result{
 		Placement:    p,
-		Predicted:    pred,
-		Objective:    obj,
-		QoSSatisfied: qosOK,
+		Predicted:    pr.predicted(ws.e.pred),
+		Objective:    w.curObj,
+		QoSSatisfied: ws.e.qosOK(),
 		Evaluations:  1,
 	}, nil
 }
@@ -441,20 +437,15 @@ func prepare(req Request, cfg Config) (prepared, error) {
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 3
 	}
-	if cfg.QoS != nil {
-		if cfg.Goal == Worst {
-			// With Goal Worst the acceptance delta is negated, which
-			// would turn the QoS penalty into a reward for violating
-			// the constraint — the search would actively hunt
-			// infeasible placements.
-			return prepared{}, errors.New("placement: QoS constraint cannot be combined with Goal Worst (the inverted search direction rewards violating the constraint); drop the QoS or use Goal Best")
-		}
-		if cfg.QoS.MaxNormalized < 1 {
-			return prepared{}, fmt.Errorf("placement: QoS bound %v below 1 is unsatisfiable", cfg.QoS.MaxNormalized)
-		}
-		if err := b.constrain(cfg.QoS); err != nil {
-			return prepared{}, err
-		}
+	if cfg.QoS != nil && cfg.Goal == Worst {
+		// With Goal Worst the acceptance delta is negated, which would
+		// turn the QoS penalty into a reward for violating the
+		// constraint — the search would actively hunt infeasible
+		// placements.
+		return prepared{}, errors.New("placement: QoS constraint cannot be combined with Goal Worst (the inverted search direction rewards violating the constraint); drop the QoS or use Goal Best")
+	}
+	if err := b.constrain(cfg.QoS); err != nil {
+		return prepared{}, err
 	}
 
 	// Reject nonsensical cell configurations up front rather than letting
@@ -553,21 +544,17 @@ func recordTally(reg *telemetry.Registry, t *tally, bestObjective float64) {
 	reg.Gauge(metricFinalTemp).Set(t.finalTemp)
 }
 
-// RandomOutcome evaluates n random valid placements with the model and
-// returns their placements and objectives (the paper's Random baseline
-// averages five of these). When qos is non-nil each sample's
-// QoSSatisfied reflects whether that placement actually meets the
-// constraint; with no constraint it is vacuously true.
-func RandomOutcome(req Request, n int, seed int64, qos *QoS) ([]Result, error) {
+// RandomOutcome scores n random valid placements with the search's
+// engine and returns their placements and objectives (the paper's
+// Random baseline averages five of these). With no constraint to meet,
+// every sample is QoSSatisfied.
+func RandomOutcome(req Request, n int, seed int64) ([]Result, error) {
 	b, err := bind(req)
 	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, errors.New("placement: non-positive sample count")
-	}
-	if err := b.constrain(qos); err != nil {
-		return nil, err
 	}
 	rng := sim.NewRNG(seed).Stream("random-placements")
 	ws := acquireWorkspace()
@@ -577,16 +564,16 @@ func RandomOutcome(req Request, n int, seed int64, qos *QoS) ([]Result, error) {
 		if err := b.sample(ws, rng.StreamN("p", i)); err != nil {
 			return nil, err
 		}
-		p, err := cluster.PlacementFromCells(b.hosts, b.slots, b.appsLimit, ws.e.grid.Cells(), b.ix.Apps)
+		ws.best.have = false // each sample is its own result, not a best-so-far
+		var w walk
+		if err := w.begin(ws, &b.problem, 1); err != nil {
+			return nil, err
+		}
+		r, err := b.materialize(&ws.best)
 		if err != nil {
 			return nil, err
 		}
-		obj, _, pred, err := evaluate(p, req, qos)
-		if err != nil {
-			return nil, err
-		}
-		qosOK := qos == nil || pred[qos.App] <= qos.MaxNormalized
-		out = append(out, Result{Placement: p, Predicted: pred, Objective: obj, QoSSatisfied: qosOK})
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -98,7 +98,7 @@ func TestSearchFindsGoodPlacement(t *testing.T) {
 		t.Errorf("worst objective %v should exceed best %v", worst.Objective, best.Objective)
 	}
 	// Random placements must fall between the two bounds on average.
-	rnd, err := RandomOutcome(req, 5, 3, nil)
+	rnd, err := RandomOutcome(req, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +163,13 @@ func TestQoSValidation(t *testing.T) {
 	}
 }
 
+// constPred predicts the same normalized time whatever the pressures.
+type constPred float64
+
+func (c constPred) PredictPressures([]float64) (float64, error) { return float64(c), nil }
+
+// TestObjectiveWeighting: the objective weights each app's normalized
+// time by its unit count.
 func TestObjectiveWeighting(t *testing.T) {
 	p, err := cluster.NewPlacement(2, 2)
 	if err != nil {
@@ -172,34 +179,39 @@ func TestObjectiveWeighting(t *testing.T) {
 	_ = p.Set(0, 1, "big")
 	_ = p.Set(1, 0, "big")
 	_ = p.Set(1, 1, "small")
-	obj, err := Objective(p, map[string]float64{"big": 2, "small": 1})
+	req := Request{
+		Predictors: map[string]core.Predictor{"big": constPred(2), "small": constPred(1)},
+		Scores:     map[string]float64{"big": 1, "small": 1},
+	}
+	res, err := Evaluate(p, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := (2*3.0 + 1*1.0) / 4.0
-	if obj != want {
-		t.Errorf("objective = %v, want %v", obj, want)
+	if res.Objective != want {
+		t.Errorf("objective = %v, want %v", res.Objective, want)
 	}
-	if _, err := Objective(p, map[string]float64{"big": 2}); err == nil {
+	delete(req.Predictors, "small")
+	if _, err := Evaluate(p, req, nil); err == nil {
 		t.Error("missing prediction should fail")
 	}
 	empty, _ := cluster.NewPlacement(1, 1)
-	if _, err := Objective(empty, nil); err == nil {
+	if _, err := Evaluate(empty, req, nil); err == nil {
 		t.Error("empty placement should fail")
 	}
 }
 
 func TestRandomOutcomeValidation(t *testing.T) {
 	req := testRequest()
-	if _, err := RandomOutcome(req, 0, 1, nil); err == nil {
+	if _, err := RandomOutcome(req, 0, 1); err == nil {
 		t.Error("zero samples should fail")
 	}
 	bad := testRequest()
 	bad.Demands = nil
-	if _, err := RandomOutcome(bad, 3, 1, nil); err == nil {
+	if _, err := RandomOutcome(bad, 3, 1); err == nil {
 		t.Error("invalid request should fail")
 	}
-	out, err := RandomOutcome(req, 4, 9, nil)
+	out, err := RandomOutcome(req, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,6 +457,7 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	}
 	root := s.cfg.Tracer.StartSpan("serve.whatif").SetRequest(id)
 	started := time.Now()
+	var resp Response // the answer, set only on success
 	finish := func(status int, err error) (Response, int, error) {
 		e2e := time.Since(started).Seconds()
 		if s.e2eHist != nil {
@@ -466,9 +467,10 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 		root.End()
 		if err != nil {
 			s.countError()
-			return Response{}, status, err
+		} else if s.reqWhatIf != nil {
+			s.reqWhatIf.Inc()
 		}
-		return Response{}, status, nil
+		return resp, status, err
 	}
 
 	admit := root.StartChild("admit")
@@ -490,17 +492,6 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	if len(apps) == 0 {
 		admit.End()
 		return finish(http.StatusBadRequest, errors.New("serve: empty placement"))
-	}
-	// Evaluate reads an absent app's slowdown as 0 and would call any
-	// bound on it met, and no bound below 1 can be met; /api/place rejects
-	// both, so what-if does too.
-	if req.QoSApp != "" && !slices.Contains(apps, req.QoSApp) {
-		admit.End()
-		return finish(http.StatusBadRequest, fmt.Errorf("serve: qos app %q not among requested apps", req.QoSApp))
-	}
-	if req.QoSApp != "" && req.QoSMax < 1 {
-		admit.End()
-		return finish(http.StatusBadRequest, fmt.Errorf("serve: QoS bound %v below 1 is unsatisfiable", req.QoSMax))
 	}
 	demands := make([]AppDemand, len(apps))
 	for i, a := range apps {
@@ -534,7 +525,7 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 	}
 
 	respond := root.StartChild("respond")
-	resp := Response{
+	resp = Response{
 		ID:           id,
 		Endpoint:     "whatif",
 		Placement:    req.Placement,
@@ -544,14 +535,5 @@ func (s *Service) WhatIf(req WhatIfRequest) (Response, int, error) {
 		Evaluations:  ev.Evaluations,
 	}
 	respond.End()
-	e2e := time.Since(started).Seconds()
-	if s.e2eHist != nil {
-		s.e2eHist.Observe(e2e)
-	}
-	s.cfg.SLO.Observe(e2e)
-	if s.reqWhatIf != nil {
-		s.reqWhatIf.Inc()
-	}
-	root.End()
-	return resp, http.StatusOK, nil
+	return finish(http.StatusOK, nil)
 }

@@ -240,6 +240,93 @@ func TestWhatIfRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWhatIfConcurrentWithPlace: a what-if borrows the search's pooled
+// workspaces on the caller's goroutine while the pool's workers run
+// searches on theirs. Eight goroutines interleave what-ifs and
+// placements, and every answer must be the one the same request got
+// served alone.
+func TestWhatIfConcurrentWithPlace(t *testing.T) {
+	s, _, _ := newTestService(t, func(c *Config) { c.Workers = 4; c.QueueDepth = 64 })
+	places := []PlaceRequest{
+		{Apps: fourApps()},
+		{Apps: fourApps(), Seed: 99, QoSApp: "sens", QoSMax: 1.5},
+		{Apps: []AppDemand{{App: "sens", Units: 2}, {App: "noisy1", Units: 2}}},
+	}
+	var whatifs []WhatIfRequest
+	wantPlace := make([]string, len(places))
+	for i, r := range places {
+		resp := mustPlace(t, s, r)
+		b, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPlace[i] = string(b)
+		whatifs = append(whatifs,
+			WhatIfRequest{Placement: resp.Placement},
+			WhatIfRequest{Placement: resp.Placement, QoSApp: "sens", QoSMax: 1.3})
+	}
+	whatIf := func(req WhatIfRequest) (string, error) {
+		resp, status, err := s.WhatIf(req)
+		if err != nil {
+			return "", fmt.Errorf("status %d: %w", status, err)
+		}
+		b, err := json.Marshal(resp)
+		return string(b), err
+	}
+	wantWhatIf := make([]string, len(whatifs))
+	for i, r := range whatifs {
+		var err error
+		if wantWhatIf[i], err = whatIf(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const lanes = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, lanes*2*len(whatifs))
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for k := range whatifs {
+				w := (lane + k) % len(whatifs)
+				if got, err := whatIf(whatifs[w]); err != nil || got != wantWhatIf[w] {
+					errs <- fmt.Sprintf("lane %d whatif %d: %v\n got %s\nwant %s", lane, w, err, got, wantWhatIf[w])
+				}
+				p := (lane + k) % len(places)
+				resp, status, err := s.Place(places[p])
+				if err != nil {
+					errs <- fmt.Sprintf("lane %d place %d: status %d: %v", lane, p, status, err)
+					continue
+				}
+				if got, _ := json.Marshal(resp); string(got) != wantPlace[p] {
+					errs <- fmt.Sprintf("lane %d place %d diverged:\n got %s\nwant %s", lane, p, got, wantPlace[p])
+				}
+			}
+		}(lane)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestWhatIfQoSErrors: what-if rejects a constraint the search would
+// reject — an app outside the placement, a bound below 1 — with a 400.
+func TestWhatIfQoSErrors(t *testing.T) {
+	s, _, _ := newTestService(t, nil)
+	placed := mustPlace(t, s, PlaceRequest{Apps: []AppDemand{{App: "sens", Units: 2}, {App: "quiet", Units: 2}}})
+	for _, req := range []WhatIfRequest{
+		{Placement: placed.Placement, QoSApp: "noisy1", QoSMax: 1.5},
+		{Placement: placed.Placement, QoSApp: "sens", QoSMax: 0.5},
+	} {
+		if _, status, err := s.WhatIf(req); err == nil || status != http.StatusBadRequest {
+			t.Errorf("qos %s<=%v: status %d, err %v; want 400", req.QoSApp, req.QoSMax, status, err)
+		}
+	}
+}
+
 // TestRequestErrors maps the failure modes to statuses.
 func TestRequestErrors(t *testing.T) {
 	s, _, _ := newTestService(t, nil)
