@@ -1,8 +1,9 @@
 #!/bin/sh
 # ci.sh — the repository's continuous-integration gate: vet, gofmt, build, a
 # guard that no package is without tests, a guard that no program file
-# imports math/rand v1 (sim.RNG is the one generator), the full test suite
-# run twice, uncached, under the race detector (which covers the command smokes in
+# imports math/rand v1 (sim.RNG is the one generator), a guard that only
+# internal/experiments/lab.go sets up the experiments' measurement envs,
+# the full test suite run twice, uncached, under the race detector (which covers the command smokes in
 # cmd/, the in-process daemon's replay, drain and handler tests, and the
 # observability-plane tests in internal/obs), the bench/ module's own vet
 # and unit tests, soaks of the placement service's concurrency tests
@@ -50,6 +51,17 @@ v1="$(go list -f '{{range .Imports}}{{if eq . "math/rand"}}{{$.ImportPath}}{{"\n
 if [ -n "$v1" ]; then
   echo "ci: packages importing math/rand outside their tests (draw from sim.RNG):" >&2
   echo "$v1" >&2
+  exit 1
+fi
+echo "== one env set-up site (only lab.go sets an env's Reps/Workers/Cache/Telemetry/Tracer) =="
+# Lab.site is the one place an env the experiments measure on gets its
+# repetitions, worker count, shared cache and instrumentation; an env set
+# up anywhere else drifts from the rest. A runner sets only what makes its
+# env different, such as UnitCores or HostDegrade.
+envset="$(grep -nE '\.(Reps|Workers|Cache|Telemetry|Tracer)[[:space:]]*=[^=]' internal/experiments/*.go | grep -v '^internal/experiments/lab\.go:' || true)"
+if [ -n "$envset" ]; then
+  echo "ci: env fields set outside internal/experiments/lab.go (open a site with Lab.site):" >&2
+  echo "$envset" >&2
   exit 1
 fi
 echo "== go test -race -count=2 (every package, twice, uncached) =="

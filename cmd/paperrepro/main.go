@@ -157,11 +157,15 @@ func repro(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	// Validate every input before anything is measured.
-	var single experiments.Runner
+	rs := experiments.Runners()
 	if *only != "" {
-		if single, err = experiments.RunnerByID(*only); err != nil {
+		single, err := experiments.RunnerByID(*only)
+		if err != nil {
 			return err
 		}
+		rs = []experiments.Runner{single}
+	} else if *extras {
+		rs = append(rs, experiments.ExtraRunners()...)
 	}
 
 	r, err := c.start(args, stderr)
@@ -179,28 +183,9 @@ func repro(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	var outs []experiments.Output
-	if *only != "" {
-		logger.Info("running experiment", "id", single.ID)
-		o, err := single.Run(lab)
-		if err != nil {
-			return err
-		}
-		outs = []experiments.Output{o}
-	} else {
-		if outs, err = lab.RunAll(); err != nil {
-			return err
-		}
-		if *extras {
-			for _, x := range experiments.ExtraRunners() {
-				logger.Info("running experiment", "id", x.ID)
-				o, err := x.Run(lab)
-				if err != nil {
-					return err
-				}
-				outs = append(outs, o)
-			}
-		}
+	outs, err := lab.Run(rs)
+	if err != nil {
+		return err
 	}
 	logger.Info("measurement cache", "hits", lab.Cache.Hits(), "misses", lab.Cache.Misses(), "entries", lab.Cache.Len())
 

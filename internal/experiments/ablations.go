@@ -224,7 +224,7 @@ func (l *Lab) ablationModelVsNaive() ([]modelVsNaive, error) {
 		if err != nil {
 			return nil, err
 		}
-		nm, err := l.naive(name)
+		nm, err := l.private.naive(name)
 		if err != nil {
 			return nil, err
 		}

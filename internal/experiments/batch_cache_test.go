@@ -38,8 +38,10 @@ func TestSharedCacheDedupAcrossExperiments(t *testing.T) {
 // TestWorkerCountDoesNotChangeOutputs renders the same experiments from
 // labs that differ only in worker count; the reports must be identical to
 // the byte, on the private cluster and on the background-noisy EC2
-// environment alike, and for the placement studies, whose searches and
-// measurements fan out together.
+// environment alike, for the placement studies, whose searches and
+// measurements fan out together, and for the ablations and the two extras
+// that open sites of their own (multiway's 4-core env, faults' degraded
+// envs).
 func TestWorkerCountDoesNotChangeOutputs(t *testing.T) {
 	render := func(workers int) string {
 		lab, err := NewLab(Config{Seed: 2016, Quick: true, Workers: workers})
@@ -47,7 +49,7 @@ func TestWorkerCountDoesNotChangeOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out string
-		for _, id := range []string{"figure2", "figure3", "figure8", "figure10", "figure11", "figure12", "table6", "figure13"} {
+		for _, id := range []string{"figure2", "figure3", "figure8", "figure10", "figure11", "figure12", "table6", "figure13", "ablations", "multiway", "faults"} {
 			r, err := RunnerByID(id)
 			if err != nil {
 				t.Fatal(err)

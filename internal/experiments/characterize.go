@@ -31,7 +31,7 @@ func (l *Lab) figure2() (*figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	naive, err := l.naive("M.lmps")
+	naive, err := l.private.naive("M.lmps")
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ type figure3Result []curves
 // workload, normalized execution time vs. number of interfering nodes at
 // each bubble pressure.
 func (l *Lab) figure3() (figure3Result, error) {
-	return l.propagationCurves(l.Env, 8, privateCounts, distributedNames(), "Figure 3: %s normalized execution time")
+	return l.propagationCurves(l.private, privateCounts, distributedNames(), "Figure 3: %s normalized execution time")
 }
 
 func (r figure3Result) output() Output {
@@ -154,11 +154,11 @@ func (r figure3Result) output() Output {
 // cluster's propagation curves.
 var privateCounts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 
-// propagationCurves measures one curves table per named workload on env's
-// nodes-node cluster: a row per bubble pressure, a column per count of
+// propagationCurves measures one curves table per named workload across
+// all of the site's hosts: a row per bubble pressure, a column per count of
 // interfering nodes. titleFmt formats each table's title from the
 // workload name.
-func (l *Lab) propagationCurves(env *measure.Env, nodes int, counts []int, names []string, titleFmt string) ([]curves, error) {
+func (l *Lab) propagationCurves(s *site, counts []int, names []string, titleFmt string) ([]curves, error) {
 	pressures := l.Cfg.pressures()
 	var rows []string
 	for _, p := range pressures {
@@ -170,7 +170,7 @@ func (l *Lab) propagationCurves(env *measure.Env, nodes int, counts []int, names
 		if err != nil {
 			return nil, err
 		}
-		values, err := propagation(env, w, nodes, counts, pressures)
+		values, err := propagation(s.env, w, s.build.Nodes, counts, pressures)
 		if err != nil {
 			return nil, err
 		}

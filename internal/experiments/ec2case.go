@@ -15,11 +15,7 @@ type figure12Result []curves
 // time of the four validation workloads with 0-32 interfering VMs at each
 // bubble pressure, under unmeasured background-tenant interference.
 func (l *Lab) figure12() (figure12Result, error) {
-	env, err := l.ec2Env()
-	if err != nil {
-		return nil, err
-	}
-	return l.propagationCurves(env, ec2env.Nodes, ec2env.InterferingCounts(), ec2env.ValidationWorkloads(), "Figure 12: %s on EC2 (32 VMs)")
+	return l.propagationCurves(l.ec2, ec2env.InterferingCounts(), ec2env.ValidationWorkloads(), "Figure 12: %s on EC2 (32 VMs)")
 }
 
 func (r figure12Result) output() Output {
@@ -46,7 +42,7 @@ type table6Result struct{ ec2, private []appSelection }
 func (l *Lab) table6() (*table6Result, error) {
 	r := &table6Result{}
 	for _, name := range ec2env.ValidationWorkloads() {
-		m, err := l.ec2Model(name)
+		m, err := l.ec2.model(name)
 		if err != nil {
 			return nil, err
 		}
@@ -77,15 +73,10 @@ type figure13Result []appErrors
 
 // figure13 regenerates the EC2 model validation: each of the four
 // workloads co-run with the others, prediction error per application. As
-// in Figure 8, the models are built first and all the pairs go through one
-// measurement batch.
+// in Figure 8, all the pairs go through one measurement batch.
 func (l *Lab) figure13() (figure13Result, error) {
-	env, err := l.ec2Env()
-	if err != nil {
-		return nil, err
-	}
 	names := ec2env.ValidationWorkloads()
-	cos, err := coRunners(env, names)
+	cos, err := coRunners(l.ec2.env, names)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +88,7 @@ func (l *Lab) figure13() (figure13Result, error) {
 			}
 		}
 	}
-	pairs, err := validate(env, l.ec2Model, names, each, ec2env.Nodes)
+	pairs, err := validate(l.ec2, names, each)
 	if err != nil {
 		return nil, err
 	}

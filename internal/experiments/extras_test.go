@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestAblationsRunner(t *testing.T) {
@@ -56,6 +58,23 @@ func TestMultiwayRunner(t *testing.T) {
 	}
 	if comb > 10 {
 		t.Errorf("combined-score error %.1f%% too high", comb)
+	}
+}
+
+// TestMultiwayMeasurementsCounted: the multiway runner's own 4-core env
+// is set up like every other site, so an instrumented lab counts its
+// measurements.
+func TestMultiwayMeasurementsCounted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l, err := NewLab(Config{Seed: 4, Quick: true, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.multiway(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counters["measure_runs_total"]; n == 0 {
+		t.Error("multiway alone recorded no measure_runs_total")
 	}
 }
 

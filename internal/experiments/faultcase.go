@@ -41,35 +41,21 @@ func faultPlan(seed int64) fault.Plan {
 // 20% profile-cell loss and a degraded host.
 const faultErrBoundPct = 60
 
-// faulted sets up a fresh environment for the scenario: the lab's
-// repetitions and instrumentation, and inj's degraded hosts. The lab's own
-// envs stay pristine for every other runner.
-func (l *Lab) faulted(env *measure.Env, inj *fault.Injector) {
-	env.Reps = l.Cfg.reps()
-	env.Telemetry = l.Cfg.Telemetry
-	env.Tracer = l.Cfg.Tracer
-	env.HostDegrade = inj.DegradeFactor
-}
-
-// resilientFor profiles w on env, applies the injector's cell loss to the
-// resulting matrix, and wraps it with the naive proportional fallback.
-func (l *Lab) resilientFor(inj *fault.Injector, env *measure.Env, name string, nodes int, bcfg core.BuildConfig) (*core.Resilient, float64, error) {
-	w, err := workloads.ByName(name)
+// resilient profiles the named workload on the site, applies inj's cell
+// loss to a copy of its matrix, and wraps that with the site's naive
+// proportional fallback.
+func (s *site) resilient(inj *fault.Injector, name string) (*core.Resilient, float64, error) {
+	m, err := s.model(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	l.Cfg.log().Info("building interference model", "workload", name, "env", "faulted")
-	m, err := core.BuildModel(env, w, bcfg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: faulted model for %s: %w", name, err)
-	}
-	naive, err := core.BuildNaiveModel(env, w, nodes)
+	naive, err := s.naive(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	lm := *m
 	lm.Matrix = inj.ApplyCellLoss(m.Matrix, name)
-	return core.NewResilient(name, core.Partial{M: &lm}, naive, l.Cfg.Telemetry), m.BubbleScore, nil
+	return core.NewResilient(name, core.Partial{M: &lm}, naive, s.build.Telemetry), m.BubbleScore, nil
 }
 
 // faultPrediction is one surviving app's prediction under the fault plan,
@@ -101,19 +87,20 @@ func (l *Lab) faults() (*faultsResult, error) {
 	}
 	inj.Activate(0)
 
+	// Fresh envs, degraded by the plans: the lab's own sites stay pristine
+	// for every other runner.
 	env, err := measure.NewEnv(cluster.Default(), l.Cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	l.faulted(env, inj)
+	env.HostDegrade = inj.DegradeFactor
+	s := l.site("faulted", env, l.Cfg.heteroSamples())
 
 	// Placement under failures: the Figure 10 "a" mix on the 6 surviving
 	// hosts. Units per app contract from 4 to 12/4 = 3.
 	mix := []string{"M.lmps", "C.libq", "H.KM", "N.cg"}
 	r := &faultsResult{downs: inj.DownHosts()}
 	units := (cluster.Default().NumHosts - len(r.downs)) * 2 / len(mix)
-	bcfg := l.buildCfg()
-	bcfg.Nodes = 8
 
 	req := placement.Request{NumHosts: 8, SlotsPerHost: 2, DownHosts: r.downs,
 		Predictors: map[string]core.Predictor{}, Scores: map[string]float64{}}
@@ -124,7 +111,7 @@ func (l *Lab) faults() (*faultsResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, score, err := l.resilientFor(inj, env, name, 8, bcfg)
+		rs, score, err := s.resilient(inj, name)
 		if err != nil {
 			return nil, err
 		}
@@ -178,17 +165,15 @@ func (l *Lab) faults() (*faultsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.faulted(ec2Env, ec2Inj)
+	ec2Env.HostDegrade = ec2Inj.DegradeFactor
+	ec2Site := l.site("faulted ec2", ec2Env, l.Cfg.ec2Samples())
 
 	apps := ec2.ValidationWorkloads()
 	if l.Cfg.Quick {
 		apps = apps[:2]
 	}
-	ec2Bcfg := l.buildCfg()
-	ec2Bcfg.Nodes = ec2.Nodes
-	ec2Bcfg.Samples = l.Cfg.ec2Samples()
 	for _, name := range apps {
-		rs, _, err := l.resilientFor(ec2Inj, ec2Env, name, ec2.Nodes, ec2Bcfg)
+		rs, _, err := ec2Site.resilient(ec2Inj, name)
 		if err != nil {
 			return nil, err
 		}

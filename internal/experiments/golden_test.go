@@ -80,9 +80,9 @@ func TestGolden(t *testing.T) {
 
 // TestRunnerAloneMatchesFullRun: every paper runner, run alone on a fresh
 // lab as `paperrepro -only <id>` runs it, renders exactly its section of
-// one full RunAll on another fresh lab, in quick and in full mode at seed
-// 2016. No artifact depends on what the lab measured before it, on the EC2
-// env included.
+// one Lab.Run of all of Runners() on another fresh lab, in quick and in
+// full mode at seed 2016. No artifact depends on what the lab measured
+// before it, on the EC2 env included.
 func TestRunnerAloneMatchesFullRun(t *testing.T) {
 	for _, quick := range []bool{true, false} {
 		cfg := Config{Seed: 2016, Quick: quick}
@@ -90,7 +90,7 @@ func TestRunnerAloneMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := full.RunAll()
+		outs, err := full.Run(Runners())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,13 @@
 //	Table 6           — EC2 heterogeneity policies
 //	Figure 13         — EC2 validation errors
 //
-// Runners share a Lab, which caches the measurement environment and the
-// per-application models so that later experiments reuse earlier profiling
-// (as the paper's methodology does).
+// Runners share a Lab and its measurement cache. Every environment the
+// lab measures on is a site, set up in one place (Lab.site): the private
+// cluster and EC2, which the lab keeps, and the envs a runner opens for
+// itself (multiway's 4-core units, the faulted clusters). A site memoizes
+// the per-application models built on it, so each application is profiled
+// once and later experiments reuse that profiling, as the paper's
+// methodology does; a model is built when an experiment first asks for it.
 package experiments
 
 import (
@@ -99,8 +103,8 @@ type Output struct {
 	Notes  []string
 }
 
-// Lab holds the shared environment and model caches for a run of the
-// experiment suite.
+// Lab holds the shared measurement cache and the two sites every paper
+// artifact measures on: the private cluster and EC2.
 type Lab struct {
 	Cfg Config
 	Env *measure.Env // private 8-node cluster
@@ -110,12 +114,23 @@ type Lab struct {
 	// algorithm comparison, ...) are measured once.
 	Cache *measure.Cache
 
-	mu      sync.Mutex
-	built   sync.Cond // on mu; broadcast when a memo build ends
-	models  map[string]memoSlot[*core.Model]
-	naives  map[string]memoSlot[*core.NaiveModel]
-	ec2     *measure.Env
-	ec2Mods map[string]memoSlot[*core.Model]
+	private, ec2 *site
+}
+
+// site is one environment the lab measures on, set up by Lab.site: the
+// env, the model build configuration for its cluster, and the memos of
+// the models built on it, so each application is profiled once per site
+// however many experiments ask for it.
+type site struct {
+	name  string // the env label of the site's build log records
+	env   *measure.Env
+	build core.BuildConfig
+	log   *slog.Logger
+
+	mu     sync.Mutex
+	built  sync.Cond // on mu; broadcast when a memo build ends
+	models map[string]memoSlot[*core.Model]
+	naives map[string]memoSlot[*core.NaiveModel]
 }
 
 // memoSlot is a memo cache's entry for one name: pending while the first
@@ -125,39 +140,46 @@ type memoSlot[T any] struct {
 	pending bool
 }
 
-// NewLab builds a lab over the paper's private cluster.
+// NewLab builds a lab over the paper's private cluster and EC2.
 func NewLab(cfg Config) (*Lab, error) {
 	env, err := measure.NewEnv(cluster.Default(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cache := measure.NewCache()
-	env.Reps = cfg.reps()
-	env.Telemetry = cfg.Telemetry
-	env.Tracer = cfg.Tracer
-	env.Workers = cfg.Workers
-	env.Cache = cache
-	l := &Lab{
-		Cfg:     cfg,
-		Env:     env,
-		Cache:   cache,
-		models:  map[string]memoSlot[*core.Model]{},
-		naives:  map[string]memoSlot[*core.NaiveModel]{},
-		ec2Mods: map[string]memoSlot[*core.Model]{},
+	ec2Env, err := ec2.NewEnv(cfg.Seed + 6)
+	if err != nil {
+		return nil, err
 	}
-	l.built.L = &l.mu
+	l := &Lab{Cfg: cfg, Env: env, Cache: measure.NewCache()}
+	l.private = l.site("private", env, cfg.heteroSamples())
+	l.ec2 = l.site("ec2", ec2Env, cfg.ec2Samples())
 	return l, nil
 }
 
-// buildCfg is the model construction configuration for the private
-// cluster.
-func (l *Lab) buildCfg() core.BuildConfig {
-	cfg := core.DefaultBuildConfig()
-	cfg.Samples = l.Cfg.heteroSamples()
-	cfg.Seed = l.Cfg.Seed
-	cfg.Telemetry = l.Cfg.Telemetry
-	cfg.Tracer = l.Cfg.Tracer
-	return cfg
+// site sets env up for the lab and opens a site on it whose models are
+// profiled across all of env's hosts with samples heterogeneous samples.
+// It is the one place an env the lab measures on gets its repetitions,
+// instrumentation, worker count and the shared cache; a runner that needs
+// its own env sets only what makes it different (UnitCores, HostDegrade)
+// before opening a site on it. The cache fingerprint covers the env's
+// seed, unit size and background, and a degraded env bypasses the cache,
+// so every env can share it.
+func (l *Lab) site(name string, env *measure.Env, samples int) *site {
+	env.Reps = l.Cfg.reps()
+	env.Telemetry = l.Cfg.Telemetry
+	env.Tracer = l.Cfg.Tracer
+	env.Workers = l.Cfg.Workers
+	env.Cache = l.Cache
+	build := core.DefaultBuildConfig()
+	build.Nodes = env.Cluster.NumHosts
+	build.Samples = samples
+	build.Seed = l.Cfg.Seed
+	build.Telemetry = l.Cfg.Telemetry
+	build.Tracer = l.Cfg.Tracer
+	s := &site{name: name, env: env, build: build, log: l.Cfg.log(),
+		models: map[string]memoSlot[*core.Model]{}, naives: map[string]memoSlot[*core.NaiveModel]{}}
+	s.built.L = &s.mu
+	return s
 }
 
 // memo returns cache[name], building it from the named workload on first
@@ -165,32 +187,32 @@ func (l *Lab) buildCfg() core.BuildConfig {
 // while the build is pending waits for it, so each name is built once
 // however many goroutines want it. A failed build stores nothing and
 // releases the name, and its waiters build it themselves.
-func memo[T any](l *Lab, cache map[string]memoSlot[T], name string, build func(workloads.Workload) (T, error)) (T, error) {
-	l.mu.Lock()
+func memo[T any](s *site, cache map[string]memoSlot[T], name string, build func(workloads.Workload) (T, error)) (T, error) {
+	s.mu.Lock()
 	slot, ok := cache[name]
 	for ok && slot.pending {
-		l.built.Wait()
+		s.built.Wait()
 		slot, ok = cache[name]
 	}
 	if ok {
-		l.mu.Unlock()
+		s.mu.Unlock()
 		return slot.v, nil
 	}
 	cache[name] = memoSlot[T]{pending: true}
-	l.mu.Unlock()
+	s.mu.Unlock()
 
 	w, err := workloads.ByName(name)
 	if err == nil {
 		slot.v, err = build(w)
 	}
-	l.mu.Lock()
+	s.mu.Lock()
 	if err == nil {
 		cache[name] = slot
 	} else {
 		delete(cache, name)
 	}
-	l.built.Broadcast()
-	l.mu.Unlock()
+	s.built.Broadcast()
+	s.mu.Unlock()
 	if err != nil {
 		var zero T
 		return zero, err
@@ -198,71 +220,33 @@ func memo[T any](l *Lab, cache map[string]memoSlot[T], name string, build func(w
 	return slot.v, nil
 }
 
+// model returns (building and caching on first use) the interference
+// model of the named workload on the site. Batch workloads are profiled
+// across every host like distributed ones: they aggregate proportionally
+// by construction, but their propagation matrix is still well-defined and
+// the placement layer treats every application uniformly.
+func (s *site) model(name string) (*core.Model, error) {
+	return memo(s, s.models, name, func(w workloads.Workload) (*core.Model, error) {
+		s.log.Info("building interference model", "workload", name, "env", s.name)
+		m, err := core.BuildModel(s.env, w, s.build)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s model for %s: %w", s.name, name, err)
+		}
+		return m, nil
+	})
+}
+
+// naive returns (building and caching on first use) the baseline
+// proportional model of the named workload on the site.
+func (s *site) naive(name string) (*core.NaiveModel, error) {
+	return memo(s, s.naives, name, func(w workloads.Workload) (*core.NaiveModel, error) {
+		return core.BuildNaiveModel(s.env, w, s.build.Nodes)
+	})
+}
+
 // Model returns (building and caching on first use) the interference model
 // of the named workload on the private cluster.
-func (l *Lab) Model(name string) (*core.Model, error) {
-	return memo(l, l.models, name, func(w workloads.Workload) (*core.Model, error) {
-		// Batch workloads are profiled across 8 nodes like distributed
-		// ones: they aggregate proportionally by construction, but their
-		// propagation matrix is still well-defined and the placement layer
-		// treats every application uniformly.
-		cfg := l.buildCfg()
-		cfg.Nodes = 8
-		l.Cfg.log().Info("building interference model", "workload", name, "env", "private")
-		m, err := core.BuildModel(l.Env, w, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: model for %s: %w", name, err)
-		}
-		return m, nil
-	})
-}
-
-// naive returns the baseline proportional model for the named workload.
-func (l *Lab) naive(name string) (*core.NaiveModel, error) {
-	return memo(l, l.naives, name, func(w workloads.Workload) (*core.NaiveModel, error) {
-		return core.BuildNaiveModel(l.Env, w, 8)
-	})
-}
-
-// ec2Env returns (lazily) the EC2 measurement environment.
-func (l *Lab) ec2Env() (*measure.Env, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.ec2 != nil {
-		return l.ec2, nil
-	}
-	env, err := ec2.NewEnv(l.Cfg.Seed + 6)
-	if err != nil {
-		return nil, err
-	}
-	env.Reps = l.Cfg.reps()
-	env.Telemetry = l.Cfg.Telemetry
-	env.Tracer = l.Cfg.Tracer
-	env.Workers = l.Cfg.Workers
-	env.Cache = l.Cache
-	l.ec2 = env
-	return env, nil
-}
-
-// ec2Model returns (building and caching on first use) the model of the
-// named workload on the EC2 environment (32 nodes).
-func (l *Lab) ec2Model(name string) (*core.Model, error) {
-	env, err := l.ec2Env()
-	if err != nil {
-		return nil, err
-	}
-	return memo(l, l.ec2Mods, name, func(w workloads.Workload) (*core.Model, error) {
-		cfg := l.buildCfg()
-		cfg.Nodes = ec2.Nodes
-		cfg.Samples = l.Cfg.ec2Samples()
-		l.Cfg.log().Info("building interference model", "workload", name, "env", "ec2")
-		m, err := core.BuildModel(env, w, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: EC2 model for %s: %w", name, err)
-		}
-		return m, nil
-	})
-}
+func (l *Lab) Model(name string) (*core.Model, error) { return l.private.model(name) }
 
 // distributedNames returns the 12 distributed workload names in Table 1
 // order.
@@ -312,7 +296,7 @@ func Runners() []Runner {
 
 // ExtraRunners lists additional experiments that are not paper artifacts
 // (design-choice ablations); they are reachable by ID but excluded from
-// RunAll.
+// Runners.
 func ExtraRunners() []Runner {
 	return []Runner{
 		{"figure1", run((*Lab).figure1)},
@@ -334,11 +318,11 @@ func RunnerByID(id string) (Runner, error) {
 	return Runner{}, errors.New("experiments: unknown runner " + id)
 }
 
-// RunAll runs every experiment on the lab and returns their outputs in
-// paper order.
-func (l *Lab) RunAll() ([]Output, error) {
-	var outs []Output
-	for _, r := range Runners() {
+// Run runs the given experiments on the lab, in order, and returns their
+// outputs in that order.
+func (l *Lab) Run(rs []Runner) ([]Output, error) {
+	outs := make([]Output, 0, len(rs))
+	for _, r := range rs {
 		start := time.Now()
 		l.Cfg.log().Info("running experiment", "id", r.ID)
 		o, err := r.Run(l)

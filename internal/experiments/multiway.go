@@ -56,30 +56,8 @@ func (l *Lab) multiway() (multiwayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Reps = l.Cfg.reps()
 	env.UnitCores = 4
-	env.Workers = l.Cfg.Workers
-	// The cache fingerprint covers seed and unit size, so sharing the
-	// lab-wide cache is safe and keeps the hit-rate metric global.
-	env.Cache = l.Cache
-
-	buildCfg := l.buildCfg()
-	models := map[string]*core.Model{}
-	model := func(name string) (*core.Model, error) {
-		if m, ok := models[name]; ok {
-			return m, nil
-		}
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.BuildModel(env, w, buildCfg)
-		if err != nil {
-			return nil, err
-		}
-		models[name] = m
-		return m, nil
-	}
+	s := l.site("multiway", env, l.Cfg.heteroSamples())
 
 	// Triples with *balanced* co-runner scores, where the three
 	// combination rules disagree the most (a dominant co-runner makes
@@ -94,16 +72,12 @@ func (l *Lab) multiway() (multiwayResult, error) {
 		triples = triples[:2]
 	}
 
-	// Build every triple's models first (profiling is data-dependent),
-	// then run all the triple co-runs as one measurement batch.
+	// All the triple co-runs go through one measurement batch.
 	b := env.NewBatch()
 	groupHandles := make([]*measure.GroupResult, len(triples))
 	for ti, tr := range triples {
 		var group []workloads.Workload
 		for _, n := range tr {
-			if _, err := model(n); err != nil {
-				return nil, err
-			}
 			w, err := workloads.ByName(n)
 			if err != nil {
 				return nil, err
@@ -118,16 +92,18 @@ func (l *Lab) multiway() (multiwayResult, error) {
 
 	var r multiwayResult
 	for ti, tr := range triples {
-		m, err := model(tr[0])
-		if err != nil {
-			return nil, err
+		var ms [3]*core.Model
+		for i, n := range tr {
+			if ms[i], err = s.model(n); err != nil {
+				return nil, err
+			}
 		}
 		outs, err := groupHandles[ti].Outcomes()
 		if err != nil {
 			return nil, err
 		}
 		row := multiwayRow{triple: tr, actual: outs[0].Normalized}
-		s1, s2 := models[tr[1]].BubbleScore, models[tr[2]].BubbleScore
+		s1, s2 := ms[1].BubbleScore, ms[2].BubbleScore
 		combined, err := bubble.CombineScores([]float64{s1, s2}, bubble.DefaultCollision)
 		if err != nil {
 			return nil, err
@@ -137,7 +113,7 @@ func (l *Lab) multiway() (multiwayResult, error) {
 			for j := range ps {
 				ps[j] = score
 			}
-			if row.pred[i], err = m.PredictPressures(ps); err != nil {
+			if row.pred[i], err = ms[0].PredictPressures(ps); err != nil {
 				return nil, err
 			}
 			row.errPct[i] = stats.RelErrPct(row.pred[i], row.actual)

@@ -78,7 +78,7 @@ func (l *Lab) mixRequest(m mix, naive bool) (placement.Request, map[string]workl
 			w.App.Name = alias
 		}
 		if naive {
-			nm, err := l.naive(name)
+			nm, err := l.private.naive(name)
 			if err != nil {
 				return placement.Request{}, nil, err
 			}
@@ -151,9 +151,8 @@ type figure10Result []figure10Row
 
 // figure10 regenerates the QoS-aware placement study: per mix, whether the
 // QoS of the protected application holds under the proposed model and
-// under the naive model, plus the weighted runtime sums. Its requests
-// (and so its models) are built first, in mix order; the eight searches
-// then run side by side, and their placements are measured in one batch.
+// under the naive model, plus the weighted runtime sums. The eight searches
+// run side by side, and their placements are measured in one batch.
 func (l *Lab) figure10() (figure10Result, error) {
 	mixes := figure10Mixes()
 	var jobs []placement.Job
@@ -268,8 +267,7 @@ func (r figure11Result) ordering() string {
 // placements. From the same simulated outcomes it also quantifies the
 // conclusion's energy use-case: the share of CPU node-time each placement
 // wastes to interference, and how much of the worst placement's waste the
-// model-driven placement eliminates. Its requests (and so its models) are
-// built first, in mix order; the three searches of every mix then run
+// model-driven placement eliminates. The three searches of every mix run
 // side by side, and all the placements are measured in one batch.
 func (l *Lab) figure11() (figure11Result, error) {
 	mixes := table5Mixes()

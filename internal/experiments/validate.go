@@ -43,22 +43,15 @@ func coRunners(env *measure.Env, names []string) ([]coRunner, error) {
 	return cos, nil
 }
 
-// validate builds every app's model through model (Lab.Model or
-// Lab.ec2Model), in order, then co-runs each app pairwise with every one
-// of its co-runners cos[i], all in one measurement batch, and returns one
+// validate co-runs each app pairwise with every one of its co-runners
+// cos[i], all in one measurement batch on the site's env, and returns one
 // pairError per co-runner, in order, per app. Each prediction is made by
-// the app's model at the co-runner's bubble score on every one of `nodes`
-// hosts — exactly the information a deployment would have. Repeated pairs
+// the app's model on the site at the co-runner's bubble score on every
+// host — exactly the information a deployment would have. Repeated pairs
 // across experiments hit the lab's shared cache.
-func validate(env *measure.Env, model func(string) (*core.Model, error), apps []string, cos [][]coRunner, nodes int) ([][]pairError, error) {
-	models := make([]*core.Model, len(apps))
-	for i, name := range apps {
-		var err error
-		if models[i], err = model(name); err != nil {
-			return nil, err
-		}
-	}
-	b := env.NewBatch()
+func validate(s *site, apps []string, cos [][]coRunner) ([][]pairError, error) {
+	nodes := s.build.Nodes
+	b := s.env.NewBatch()
 	hs := make([][]*measure.Value, len(apps))
 	for i, name := range apps {
 		a, err := workloads.ByName(name)
@@ -74,7 +67,11 @@ func validate(env *measure.Env, model func(string) (*core.Model, error), apps []
 	}
 	out := make([][]pairError, len(apps))
 	pressures := make([]float64, nodes)
-	for i := range apps {
+	for i, name := range apps {
+		m, err := s.model(name)
+		if err != nil {
+			return nil, err
+		}
 		for k, h := range hs[i] {
 			res, err := h.Result()
 			if err != nil {
@@ -84,7 +81,7 @@ func validate(env *measure.Env, model func(string) (*core.Model, error), apps []
 			for j := range pressures {
 				pressures[j] = co.score
 			}
-			pred, err := models[i].PredictPressures(pressures)
+			pred, err := m.PredictPressures(pressures)
 			if err != nil {
 				return nil, err
 			}
@@ -126,9 +123,9 @@ type figure8Result []appErrors
 
 // figure8 regenerates the model validation: every distributed application
 // co-run pairwise with all 18 workloads (including itself); per app the
-// average error with 25th-75th percentile spread. The models are built
-// first, in app order, and each co-runner's bubble score is measured
-// once; all the pairs then go through one measurement batch.
+// average error with 25th-75th percentile spread. Each co-runner's bubble
+// score is measured once, and all the pairs go through one measurement
+// batch.
 func (l *Lab) figure8() (figure8Result, error) {
 	coNames := workloads.Names()
 	apps := distributedNames()
@@ -144,7 +141,7 @@ func (l *Lab) figure8() (figure8Result, error) {
 	for i := range each {
 		each[i] = cos
 	}
-	pairs, err := validate(l.Env, l.Model, apps, each, 8)
+	pairs, err := validate(l.private, apps, each)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +176,8 @@ type figure9Result struct{ withGems, gems []pairError }
 // figure9 regenerates the M.Gems case study: predicted vs. actual
 // normalized runtimes of every distributed application co-run with M.Gems,
 // and of M.Gems itself against every co-runner (the Dom0 blocked-I/O
-// effect makes the latter the hard direction). As in Figure 8, the models
-// are built first and all the pairs go through one measurement batch.
+// effect makes the latter the hard direction). As in Figure 8, all the
+// pairs go through one measurement batch.
 func (l *Lab) figure9() (*figure9Result, error) {
 	apps := distributedNames()
 	if l.Cfg.Quick {
@@ -197,7 +194,7 @@ func (l *Lab) figure9() (*figure9Result, error) {
 		each[i] = cos[:1]
 	}
 	each[len(apps)] = cos[1:]
-	pairs, err := validate(l.Env, l.Model, subjects, each, 8)
+	pairs, err := validate(l.private, subjects, each)
 	if err != nil {
 		return nil, err
 	}
